@@ -135,6 +135,17 @@ def eval_basis(family: BasisFamily, m: int, j: int, x) -> np.ndarray:
     return normalized_legendre(j, x)
 
 
+def histogram_cells(m: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Order-m histogram cell of each x (0-based, clipped) and the in-support mask.
+
+    Member j of order m is sqrt(m) on cell j - 1 and zero elsewhere, so
+    these two arrays carry every histogram basis value at x.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cells = np.clip(np.floor(x * m).astype(np.int64), 0, m - 1)
+    return cells, (x >= 0.0) & (x < 1.0)
+
+
 def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
     """All members at once: matrix of shape (len(x), m), column j-1 is phi_j.
 
@@ -145,9 +156,8 @@ def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
 
     if family.kind is BasisKind.REGULAR_HISTOGRAM:
-        cells = np.floor(x * m).astype(np.int64)
+        cells, ok = histogram_cells(m, x)
         out = np.zeros((x.size, m))
-        ok = (x >= 0.0) & (x < 1.0)
         rows = np.nonzero(ok)[0]
         out[rows, cells[rows]] = np.sqrt(m)
         return out

@@ -45,11 +45,14 @@ _BASES = {"gaussian": GAUSSIAN, "epanechnikov": EPANECHNIKOV}
 def _load_json(path: str, role: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{role} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{role} is not valid JSON ({path}, line {exc.lineno}): {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{role} must be a JSON object, not {type(doc).__name__} ({path})")
+    return doc
 
 
 def _dump_json(obj: dict, path: Path) -> None:
@@ -74,9 +77,9 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
         for field in ("h_min", "grid", "d"):
             if field not in cfg:
                 raise ConfigError(f"family config: missing field {field!r}")
-        return make_bandwidth_family(
-            _BASES[base_name], float(cfg["h_min"]), [float(h) for h in cfg["grid"]], int(cfg["d"]), n
-        )
+        base = _BASES[base_name]
+        h_min, grid, d = float(cfg["h_min"]), [float(h) for h in cfg["grid"]], int(cfg["d"])
+        return _build_family(lambda: make_bandwidth_family(base, h_min, grid, d, n))
     if variant == "projection":
         for field in ("basis", "m_max", "d"):
             if field not in cfg:
@@ -85,11 +88,19 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
             kind = BasisKind(cfg["basis"])
         except ValueError as exc:
             raise ConfigError(f"family config: unknown basis {cfg['basis']!r}") from exc
-        basis = BasisFamily(kind, m_cap=int(cfg.get("m_cap", 64)))
+        m_cap, m_max, d = int(cfg.get("m_cap", 64)), int(cfg["m_max"]), int(cfg["d"])
         w = cfg.get("w")
         weights = None if w is None else np.asarray(w, dtype=np.float64)
-        return make_projection_family(basis, int(cfg["m_max"]), int(cfg["d"]), n, weights)
+        return _build_family(lambda: make_projection_family(BasisFamily(kind, m_cap), m_max, d, n, weights))
     raise ConfigError(f"family config: unknown variant {variant!r}")
+
+
+def _build_family(build) -> KernelFamily:
+    """Run a family builder; its ValueError names the offending field."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"family config: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -310,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="suite config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="Monte Carlo risk and selection report")

@@ -12,10 +12,21 @@ into three: ell = 1 estimates f itself, ell = identity estimates b f in a
 regression model Y = b(X) + noise, and ell = square estimates the second
 conditional moment times f (the noise-variance component when b = 0).
 
-Empirical inner products <shat_a, shat_b>_2 reduce to double sums over the
-Gram entries <K_a(X_i, .), K_b(X_j, .)>_2, which :class:`GramTables`
-evaluates in closed form, caches, and reduces in a fixed pairwise order so
-repeated and thread-pooled runs agree bit for bit.
+Empirical inner products <shat_a, shat_b>_2 are double sums over the Gram
+entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` caches them per
+kernel pair and reduces them in a fixed order, so repeated and
+thread-pooled runs agree bit for bit.  A bandwidth pair sums the n x n
+Gram table itself.  A projection estimator is a coefficient tensor
+instead: with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape
+(m_1, ..., m_d),
+
+    shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
+
+so the totals are small quadratic forms in T, the penalty diagonals are
+row sums over basis values at the sample, and risk-grid values expand T
+at the grid points.  These cost O(n prod_q m_q) time and O(n sum_q m_q)
+memory, and the families keep prod_q m_q <= n; no projection path on
+selection or experiments builds an n x n table.
 """
 
 from __future__ import annotations
@@ -23,14 +34,18 @@ from __future__ import annotations
 import csv
 import enum
 import logging
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from .bases import BasisKind, basis_matrix, cross_gram, histogram_cells
 from .errors import DataError
 from .kernels import (
+    ProjectionSpec,
+    histogram_cell_inner,
     kernel_matrix,
     section_inner_matrix,
     section_inner_pointwise,
@@ -156,13 +171,80 @@ def write_sample_csv(path, x: np.ndarray, y: np.ndarray):
 # ---------------------------------------------------------------------------
 
 _EVAL_BLOCK = 1024
+# Coefficient entries summed per pass over the sample; bounds the scratch
+# array of a coefficient tensor at _COEFF_BLOCK x n.
+_COEFF_BLOCK = 256
+
+
+def _product_tensor(values, ell: np.ndarray) -> np.ndarray:
+    """sum_i ell_i prod_q values[q][i, j_q] for every index tuple j.
+
+    ``values`` holds one (n, m_q) basis matrix per dimension.  Every entry
+    is a pairwise sum over the sample of the same n products whatever the
+    orders, so the tensor at smaller orders is exactly a slice of this one.
+    """
+    shape = tuple(v.shape[1] for v in values)
+    rows = [np.ascontiguousarray(v.T) for v in values]
+    out = np.empty(math.prod(shape))
+    for start in range(0, out.size, _COEFF_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _COEFF_BLOCK, out.size)), shape)
+        terms = ell[None, :] * rows[0][index[0]]
+        for q in range(1, len(rows)):
+            terms *= rows[q][index[q]]
+        out[start : start + _COEFF_BLOCK] = np.sum(terms, axis=1)
+    return out.reshape(shape)
+
+
+def _check_dim(spec, x: np.ndarray):
+    if x.shape[1] != spec.d:
+        raise ValueError("point dimension does not match the kernel")
+
+
+def coefficient_tensor(spec: ProjectionSpec, x: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """T = sum_i ell_i (x)_q phi^{m_q}(x_iq), shape spec.m, before the weights w.
+
+    Histogram members are cell indicators, so their tensor is a per-cell
+    sum of ell times prod_q sqrt(m_q), in sample order.
+    """
+    _check_dim(spec, x)
+    if spec.basis.kind is BasisKind.REGULAR_HISTOGRAM:
+        cells, oks = zip(*(histogram_cells(mq, x[:, q]) for q, mq in enumerate(spec.m)))
+        ok = np.logical_and.reduce(oks)
+        flat = np.ravel_multi_index(cells, spec.m)[ok]
+        sums = np.bincount(flat, weights=ell[ok], minlength=math.prod(spec.m))
+        return (sums * math.sqrt(math.prod(spec.m))).reshape(spec.m)
+    return _product_tensor([basis_matrix(spec.basis, mq, x[:, q]) for q, mq in enumerate(spec.m)], ell)
+
+
+def _expand_at(spec: ProjectionSpec, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] prod_q w_{j_q} phi_{j_q}(points_q) at each row of points."""
+
+    def weighted(q):
+        return basis_matrix(spec.basis, spec.m[q], points[:, q]) * spec.weights_for(spec.m[q])
+
+    z = weighted(0) @ coeffs.reshape(spec.m[0], -1)
+    for q in range(1, spec.d):
+        z = np.einsum("pjr,pj->pr", z.reshape(len(points), spec.m[q], -1), weighted(q))
+    return z[:, 0]
 
 
 def estimate_on_grid(spec, sample: Sample, points: np.ndarray) -> np.ndarray:
-    """shat_K at row-stacked evaluation points; shape (P,)."""
+    """shat_K at row-stacked evaluation points; shape (P,).
+
+    Projection kernels expand the coefficient tensor in the weighted
+    basis at the points, O((n + P) prod_q m_q); bandwidth kernels sum
+    K(X_i, x) over the sample.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     ell = sample.loss_values
     out = np.empty(points.shape[0])
+    if isinstance(spec, ProjectionSpec):
+        _check_dim(spec, points)
+        coeffs = coefficient_tensor(spec, sample.x, ell)
+        for start in range(0, points.shape[0], _EVAL_BLOCK):
+            block = points[start : start + _EVAL_BLOCK]
+            out[start : start + _EVAL_BLOCK] = _expand_at(spec, coeffs, block) / sample.n
+        return out
     for start in range(0, points.shape[0], _EVAL_BLOCK):
         block = points[start : start + _EVAL_BLOCK]
         kmat = kernel_matrix(spec, sample.x, block)
@@ -183,15 +265,30 @@ def estimate(spec, sample: Sample, x) -> float:
 
 
 class GramTables:
-    """Cached pairwise section inner products over one sample.
+    """Loss-weighted section geometry of one sample, cached per kernel pair.
 
-    For an ordered spec pair (a, b) the full table is the n x n matrix
-    G[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Matrices are cached with LRU
-    eviction and only materialized up to ``matrix_max_n`` rows; beyond
-    that the loss-weighted totals are streamed over fixed-size row blocks,
-    which keeps memory flat without changing the reduction order.
-    Transposition symmetry G_ab = G_ba^T is exploited so each unordered
-    pair is computed once.
+    PCO needs, for kernel pairs (a, b), the totals
+    sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonals G_ab[i, i] of the
+    table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Each unordered pair
+    is computed once; G_ab = G_ba^T.
+
+    Projection pairs never form G.  With the coefficient tensors T_a, T_b
+    (see :func:`coefficient_tensor`) the total is the quadratic form
+    T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
+    C_q is the basis cross-Gram (the truncated identity for nested
+    bases).  The diagonal is a row sum over basis values at the sample.
+    A nested basis is evaluated once per dimension at the largest order
+    requested (:meth:`reserve` sets that order up front), and every
+    smaller order is a slice of it, bit for bit; a histogram order is a
+    cell-index computation.  Memory is n sum_q m_q basis values plus
+    prod_q m_q per tensor, and the families keep prod_q m_q <= n.
+
+    Bandwidth pairs reduce G itself.  Tables are cached with LRU eviction
+    and materialized only up to ``matrix_max_n`` rows; beyond that the
+    totals are streamed over fixed-size row blocks, which keeps memory
+    flat without changing the reduction order.  :meth:`matrix` builds the
+    dense table of any pair; for projection pairs it is the reference the
+    coefficient form is tested against.
     """
 
     def __init__(self, sample: Sample, max_matrices: int = 48, matrix_max_n: int = 4096):
@@ -201,6 +298,8 @@ class GramTables:
         self._matrices: OrderedDict = OrderedDict()
         self._totals: dict = {}
         self._diags: dict = {}
+        self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
+        self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
 
     def _canonical(self, a, b):
         if spec_id(a) <= spec_id(b):
@@ -225,20 +324,95 @@ class GramTables:
         gram = self._matrices[key]
         return gram.T if transposed else gram
 
+    # -- projection pairs in coefficient space ------------------------------
+
+    def reserve(self, specs):
+        """Evaluate nested bases once, at the largest orders among ``specs``."""
+        top = {}
+        for s in specs:
+            if isinstance(s, ProjectionSpec) and s.basis.nested:
+                top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
+        for basis, orders in top.items():
+            self.coefficients(ProjectionSpec(basis, orders))
+
+    def _values(self, basis, q: int, m: int) -> np.ndarray:
+        """Basis values phi_j(X_iq), j <= m, sliced from the widest evaluation."""
+        key = (basis.kind, q)
+        vals = self._basis_values.get(key)
+        if vals is None or vals.shape[1] < m:
+            vals = basis_matrix(basis, m, self.sample.x[:, q])
+            self._basis_values[key] = vals
+        return vals[:, :m]
+
+    def coefficients(self, spec: ProjectionSpec) -> np.ndarray:
+        """The coefficient tensor of ``spec`` on this sample, shape spec.m."""
+        _check_dim(spec, self.sample.x)
+        kind = spec.basis.kind
+        if not spec.basis.nested:
+            key = (kind, spec.m)
+            if key not in self._coeffs:
+                self._coeffs[key] = coefficient_tensor(spec, self.sample.x, self.sample.loss_values)
+            return self._coeffs[key]
+        full = self._coeffs.get(kind)
+        if full is None or any(mq > size for mq, size in zip(spec.m, full.shape)):
+            orders = spec.m if full is None else tuple(map(max, spec.m, full.shape))
+            values = [self._values(spec.basis, q, mq) for q, mq in enumerate(orders)]
+            full = self._coeffs[kind] = _product_tensor(values, self.sample.loss_values)
+        return full[tuple(slice(0, mq) for mq in spec.m)]
+
+    @staticmethod
+    def _check_projection_pair(a, b):
+        if a.d != b.d:
+            raise ValueError("kernel dimensions differ")
+        if a.basis.kind is not b.basis.kind:
+            raise ValueError("projection kernels use different basis families")
+
+    def _projection_total(self, a, b) -> float:
+        self._check_projection_pair(a, b)
+        y = self.coefficients(b)
+        for q in range(a.d):
+            ma, mb = a.m[q], b.m[q]
+            gram = a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
+            y = np.moveaxis(np.tensordot(gram, y, axes=(1, q)), 0, q)
+        return pairwise_sum(self.coefficients(a) * y)
+
+    def _projection_diag(self, a, b) -> np.ndarray:
+        self._check_projection_pair(a, b)
+        _check_dim(a, self.sample.x)
+        out = np.ones(self.sample.n)
+        for q in range(a.d):
+            ma, mb = a.m[q], b.m[q]
+            if a.basis.nested:
+                k = min(ma, mb)
+                v = self._values(a.basis, q, k)
+                out *= np.sum((v * a.weights_for(ma)[None, :k]) * (v * b.weights_for(mb)[None, :k]), axis=1)
+            else:
+                ca, ok = histogram_cells(ma, self.sample.x[:, q])
+                cb, _ = histogram_cells(mb, self.sample.x[:, q])
+                out *= histogram_cell_inner(a, ma, ca, b, mb, cb) * ok
+        return out
+
+    # -- public reductions ----------------------------------------------------
+
     def diag(self, a, b) -> np.ndarray:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
         key, _ = self._canonical(a, b)
         if key not in self._diags:
-            self._diags[key] = section_inner_pointwise(key[0], self.sample.x, key[1], self.sample.x)
+            if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
+                self._diags[key] = self._projection_diag(*key)
+            else:
+                self._diags[key] = section_inner_pointwise(key[0], self.sample.x, key[1], self.sample.x)
         return self._diags[key]
 
     def weighted_total(self, a, b) -> float:
-        """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed pairwise order."""
+        """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
         key, _ = self._canonical(a, b)
         if key in self._totals:
             return self._totals[key]
         ell = self.sample.loss_values
-        if self.sample.n <= self.matrix_max_n:
+        if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
+            total = self._projection_total(*key)
+        elif self.sample.n <= self.matrix_max_n:
             total = weighted_gram_total(self.matrix(key[0], key[1]), ell, ell)
         else:
             partials = []

@@ -8,14 +8,18 @@ Two kinds of product kernels are supported on R^d:
   built from an orthonormal family truncated at order m_q per dimension,
   optionally downweighted by w_j in [0, 1] (w omitted means w_j = 1).
 
-The selection machinery never integrates kernel products numerically on
-its hot path: inner products between kernel sections <K_a(xa,.), K_b(xb,.)>
-are evaluated in closed form (Gaussian pairs convolve to a Gaussian;
-projection pairs reduce to basis cross-Gram sums).  The one exception is
-the Epanechnikov convolution, which is evaluated by exact Gauss-Legendre
-quadrature on the support overlap at every call: the integrand there is a
-polynomial of degree four, so the rule is exact, and no table or
-interpolation enters the result.
+Inner products between kernel sections <K_a(xa,.), K_b(xb,.)> are
+evaluated in closed form.  Gaussian pairs convolve to a Gaussian; the
+Epanechnikov convolution is integrated by Gauss-Legendre quadrature on the
+support overlap at every call, which is exact because the integrand is a
+polynomial of degree four.  Projection pairs factor over dimensions into
+basis cross-Gram sums.
+
+The selection path does not use the projection branches of
+:func:`section_inner_matrix` and :func:`kernel_matrix`: a projection
+estimator is a coefficient tensor, and :mod:`pcoselect.estimator` works on
+that tensor directly.  These pairwise forms stay as the reference that
+tests and the dense :meth:`GramTables.matrix` compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram
+from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram, histogram_cells
 from .quadrature import composite_rule
 
 DIAG_SCAN_POINTS = 10_000
@@ -115,9 +119,9 @@ class ProjectionSpec:
             w = tuple(float(v) for v in self.w)
             object.__setattr__(self, "w", w)
             if len(w) < max(m):
-                raise ValueError("weight vector shorter than the largest order")
+                raise ValueError("weight vector w is shorter than the largest order")
             if any(not 0.0 <= v <= 1.0 for v in w):
-                raise ValueError("weights must lie in [0, 1]")
+                raise ValueError("weights w must lie in [0, 1]")
 
     @property
     def d(self) -> int:
@@ -127,14 +131,6 @@ class ProjectionSpec:
         if self.w is None:
             return np.ones(mq)
         return np.asarray(self.w[:mq], dtype=np.float64)
-
-
-# Either variant; functions below dispatch on the concrete type.
-KernelSpec = (BandwidthSpec, ProjectionSpec)
-
-
-def spec_dim(spec) -> int:
-    return spec.d
 
 
 def spec_id(spec) -> str:
@@ -309,22 +305,9 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
         for q in range(a.d):
             ma, mb = a.m[q], b.m[q]
             if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-                # Closed cell form: the section of x is w_c * m * 1_cell(x), so the
-                # inner product is w_c w'_c' m m' |cell intersect cell'|.
-                ua, ub = xa[:, q], xb[:, q]
-                ca = np.floor(ua * ma).astype(np.int64)
-                cb = np.floor(ub * mb).astype(np.int64)
-                ok = (ua >= 0) & (ua < 1) & (ub >= 0) & (ub < 1)
-                ca = np.clip(ca, 0, ma - 1)
-                cb = np.clip(cb, 0, mb - 1)
-                overlap = np.clip(
-                    np.minimum((ca + 1) / ma, (cb + 1) / mb) - np.maximum(ca / ma, cb / mb),
-                    0.0,
-                    None,
-                )
-                wa = a.weights_for(ma)[ca]
-                wb = b.weights_for(mb)[cb]
-                out *= wa * wb * ma * mb * overlap * ok
+                ca, ok_a = histogram_cells(ma, xa[:, q])
+                cb, ok_b = histogram_cells(mb, xb[:, q])
+                out *= histogram_cell_inner(a, ma, ca, b, mb, cb) * (ok_a & ok_b)
             else:
                 k = min(ma, mb)
                 va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
@@ -332,6 +315,20 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
                 out *= np.sum(va * vb, axis=1)
         return out
     raise ValueError("no closed form for mixed bandwidth/projection sections")
+
+
+def histogram_cell_inner(a, ma: int, ca: np.ndarray, b, mb: int, cb: np.ndarray) -> np.ndarray:
+    """Histogram sections on cells ca (order ma) and cb (order mb), paired row by row.
+
+    The section of a point in cell c is w_c m 1_cell(x), so the inner
+    product is w_c w'_c' m m' |cell intersect cell'|.
+    """
+    overlap = np.clip(
+        np.minimum((ca + 1) / ma, (cb + 1) / mb) - np.maximum(ca / ma, cb / mb),
+        0.0,
+        None,
+    )
+    return a.weights_for(ma)[ca] * b.weights_for(mb)[cb] * ma * mb * overlap
 
 
 def section_sq_norm(spec, x_prime) -> float:
@@ -388,13 +385,23 @@ def section_l1_norm(spec, x_prime) -> float:
     return out
 
 
-def diag_sup(spec) -> float:
+def diag_scan_squares(basis: BasisFamily, m: int) -> np.ndarray:
+    """Squared basis values phi_j(t)^2, j <= m, on the diagonal scan grid."""
+    lo, hi = basis.support
+    mat = basis_matrix(basis, m, np.linspace(lo, hi, DIAG_SCAN_POINTS))
+    return mat * mat
+
+
+def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
     """sup_x K(x, x), the overfitting score of a kernel.
 
     Bandwidth: prod_q k(0)/h_q exactly.  Histogram projection:
     prod_q m_q max_j w_j exactly.  Other projection kernels scan a
     10^4-point grid per dimension (their diagonal maxima sit at grid
-    endpoints, so the scan is exact for the shipped bases).
+    endpoints, so the scan is exact for the shipped bases).  Nested bases
+    may pass ``scan_squares`` from :func:`diag_scan_squares` at any order
+    of at least max(m); its leading columns are the same numbers the
+    scan would compute at each order.
     """
     if isinstance(spec, BandwidthSpec):
         out = 1.0
@@ -406,12 +413,13 @@ def diag_sup(spec) -> float:
         for mq in spec.m:
             out *= mq * float(np.max(spec.weights_for(mq)))
         return out
-    lo, hi = spec.basis.support
-    grid = np.linspace(lo, hi, DIAG_SCAN_POINTS)
+    if scan_squares is None:
+        scan_squares = diag_scan_squares(spec.basis, max(spec.m))
     out = 1.0
     for mq in spec.m:
-        mat = basis_matrix(spec.basis, mq, grid)
-        out *= float(np.max((mat * mat) @ spec.weights_for(mq)))
+        # A view, not a copy: it keeps the memory layout basis_matrix gives
+        # (Fortran order for Legendre), and BLAS rounds by layout.
+        out *= float(np.max(scan_squares[:, :mq] @ spec.weights_for(mq)))
     return out
 
 
@@ -446,11 +454,20 @@ class KernelFamily:
 
 
 def find_overfitting_k0(specs) -> int:
-    """Index of the member with the largest diagonal supremum (first on ties)."""
+    """Index of the member with the largest diagonal supremum (first on ties).
+
+    Nested projection members share one diagonal scan per basis, taken at
+    the largest order among them.
+    """
     specs = list(specs)
     if not specs:
         raise ValueError("empty kernel collection")
-    values = [diag_sup(s) for s in specs]
+    top = {}
+    for s in specs:
+        if isinstance(s, ProjectionSpec) and s.basis.nested:
+            top[s.basis] = max(top.get(s.basis, 0), *s.m)
+    scans = {basis: diag_scan_squares(basis, m) for basis, m in top.items()}
+    values = [diag_sup(s, scans.get(s.basis) if isinstance(s, ProjectionSpec) else None) for s in specs]
     best = 0
     for i, v in enumerate(values):
         if v > values[best]:
@@ -470,6 +487,8 @@ def make_bandwidth_family(base: BaseKernel, h_min: float, grid, d: int, n: int) 
     grid = sorted(float(v) for v in grid)
     if not grid:
         raise ValueError("empty bandwidth grid")
+    if d < 1:
+        raise ValueError(f"dimension d = {d} must be at least 1")
     if n < 1:
         raise ValueError("sample cap must be positive")
     if not (n ** (-1.0 / d) - 1e-12 <= h_min <= 1.0):
@@ -496,7 +515,10 @@ def make_projection_family(basis: BasisFamily, m_max: int, d: int, n: int, w=Non
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    basis.check_order(m_max)
+    if m_max > basis.m_cap:
+        raise ValueError(f"m_max {m_max} exceeds the basis order cap m_cap = {basis.m_cap}")
+    if d < 1:
+        raise ValueError(f"dimension d = {d} must be at least 1")
     if m_max**d > n:
         raise ValueError(f"m_max^d = {m_max**d} exceeds the sample cap {n}")
     w = tuple(float(v) for v in w) if w is not None else None

@@ -9,9 +9,15 @@ and the penalty is the sampled cross-section inner product
 
     pen(K) = (2 / n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2.
 
-The comparison term and the penalty share one set of Gram tables: the
-penalty is just the diagonal of the cross table the criterion already
-needs, so nothing is evaluated twice.
+Both terms come from one :class:`GramTables`.  The distance expands into
+three loss-weighted totals and the penalty is the diagonal of the (K, K0)
+table.  For bandwidth kernels these are reductions of n x n Gram blocks.
+For projection kernels no table is formed: the totals are quadratic forms
+in the coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and
+the diagonal is an O(n sum_q m_q) row sum over basis values at the sample.
+Each nested basis is evaluated once per sample and dimension, at the
+family's largest order; memory stays at n sum_q m_q values plus
+prod_q m_q <= n per tensor.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
         )
     if tables is None:
         tables = GramTables(sample)
+        tables.reserve(family.specs)
     k0 = family.k0
     rows = []
     for idx, spec in enumerate(family.specs):

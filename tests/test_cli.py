@@ -371,3 +371,52 @@ def test_report_threads_do_not_change_bytes(tmp_path):
     assert main(["report", "--config", cfg, "--out", str(b), "--threads", "4"]) == 0
     assert (a / "risk.json").read_bytes() == (b / "risk.json").read_bytes()
     assert (a / "risk_by_kernel.csv").read_bytes() == (b / "risk_by_kernel.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# configs rejected with exit code 2
+# ---------------------------------------------------------------------------
+
+_BAD_FAMILIES = {
+    "h_min-below-cap": ({"variant": "bandwidth", "h_min": 0.001, "grid": [0.1], "d": 1}, "h_min"),
+    "m_max-power-above-n": ({"variant": "projection", "basis": "trigonometric", "m_max": 7, "d": 2}, "m_max"),
+    "m_max-above-m_cap": (
+        {"variant": "projection", "basis": "legendre", "m_max": 10, "m_cap": 8, "d": 1},
+        "m_max",
+    ),
+}
+
+
+def _family_argv(command, family, tmp_path, dataset):
+    out = ["--out", str(tmp_path / "o")]
+    if command == "select":
+        return ["select", "--config", _write_json(tmp_path / "f.json", family), "--data", str(dataset)] + out
+    if command == "report":
+        cfg = {"scenario": _scn_cfg(), "family": family}
+        return ["report", "--config", _write_json(tmp_path / "r.json", cfg)] + out
+    cfg = {"n": 40, "family": family}
+    return ["verify", "--suite", "l1-bound", "--config", _write_json(tmp_path / "v.json", cfg)] + out
+
+
+@pytest.mark.parametrize("command", ["select", "report", "verify"])
+@pytest.mark.parametrize("case", sorted(_BAD_FAMILIES))
+def test_family_builder_errors_are_config_errors(tmp_path, dataset, capsys, command, case):
+    family, field = _BAD_FAMILIES[case]
+    rc = main(_family_argv(command, family, tmp_path, dataset))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: family config:" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["select", "report", "verify", "simulate"])
+def test_top_level_json_array_is_a_config_error(tmp_path, dataset, capsys, command):
+    cfg = _write_json(tmp_path / "list.json", [{"variant": "bandwidth"}])
+    argv = {
+        "select": ["select", "--config", cfg, "--data", str(dataset)],
+        "report": ["report", "--config", cfg],
+        "verify": ["verify", "--suite", "l1-bound", "--config", cfg],
+        "simulate": ["simulate", "--config", cfg],
+    }[command]
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "must be a JSON object" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import quad_section_inner
 from pcoselect import (
     GAUSSIAN,
     BandwidthSpec,
@@ -19,8 +20,11 @@ from pcoselect import (
     estimate_on_grid,
     estimator_inner,
     kernel_matrix,
+    make_projection_family,
+    pco_select,
     read_sample_csv,
     sbar_empirical,
+    section_inner_matrix,
     section_sq_norm,
     stream,
     u_statistic,
@@ -29,11 +33,33 @@ from pcoselect import (
     write_sample_csv,
 )
 from pcoselect.bases import basis_matrix
+from pcoselect.estimator import coefficient_tensor
 from pcoselect.experiments import statistic_grid
 from pcoselect.quadrature import composite_grid
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
+LEG = BasisFamily(BasisKind.LEGENDRE)
+_W = (1.0, 0.9, 0.6, 0.35, 0.2, 0.1, 0.05, 0.02, 0.01)
+
+# trigonometric, histogram and Legendre at d = 1 and d = 2, weighted and not
+PROJECTION_PAIRS = [
+    (ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (4,))),
+    (ProjectionSpec(HIST, (4,), _W), ProjectionSpec(HIST, (7,))),
+    (ProjectionSpec(LEG, (6,)), ProjectionSpec(LEG, (3,), _W)),
+    (ProjectionSpec(TRIG, (3, 5), _W), ProjectionSpec(TRIG, (4, 2))),
+    (ProjectionSpec(HIST, (2, 3)), ProjectionSpec(HIST, (3, 2), _W)),
+    (ProjectionSpec(LEG, (3, 2), _W), ProjectionSpec(LEG, (2, 4), _W)),
+]
+
+
+def _sample_for(spec, n, seed):
+    """A uniform sample with identity loss on the spec's support (the unit box for bandwidths)."""
+    s = _uniform_sample(n, d=spec.d, seed=seed, loss=LossKind.IDENTITY)
+    if isinstance(spec, BandwidthSpec):
+        return s
+    lo, hi = spec.basis.support
+    return Sample(lo + (hi - lo) * s.x, s.y, LossKind.IDENTITY)
 
 
 def _uniform_sample(n, d=1, seed=0, loss=LossKind.ONE):
@@ -200,6 +226,7 @@ def test_estimator_inner_coefficient_space_oracle():
     [
         (BandwidthSpec(GAUSSIAN, (0.15,)), BandwidthSpec(GAUSSIAN, (0.45,))),
         (ProjectionSpec(HIST, (4,)), ProjectionSpec(HIST, (7,))),
+        (ProjectionSpec(TRIG, (5,), (1.0, 0.8, 0.8, 0.5, 0.5)), ProjectionSpec(TRIG, (8,))),
     ],
 )
 def test_estimator_inner_grid_oracle(a, b):
@@ -454,14 +481,22 @@ def test_gram_tables_transpose_view():
     assert_allclose(mab, mba.T, rtol=0)
 
 
-def test_gram_tables_weighted_total_matches_dense():
-    s = _uniform_sample(40, seed=20, loss=LossKind.IDENTITY)
-    a = BandwidthSpec(GAUSSIAN, (0.15,))
-    b = BandwidthSpec(GAUSSIAN, (0.3,))
-    tables = GramTables(s)
+@pytest.mark.parametrize(
+    "a,b", [(BandwidthSpec(GAUSSIAN, (0.15,)), BandwidthSpec(GAUSSIAN, (0.3,)))] + PROJECTION_PAIRS
+)
+def test_gram_tables_weighted_total_matches_dense(a, b):
+    # projection pairs take the coefficient form; the dense table is the reference
+    s = _sample_for(a, 40, seed=20)
     ell = s.loss_values
-    want = float(ell @ tables.matrix(a, b) @ ell)
+    tables = GramTables(s)
+    dense = section_inner_matrix(a, s.x, b, s.x)
+    assert_allclose(tables.matrix(a, b), dense, rtol=0)
+    want = float(ell @ dense @ ell)
     assert_allclose(tables.weighted_total(a, b), want, rtol=1e-12)
+    assert tables.weighted_total(b, a) == tables.weighted_total(a, b)
+    assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12)
+    pts = _sample_for(a, 40, seed=32).x
+    assert_allclose(estimate_on_grid(a, s, pts), ell @ kernel_matrix(a, s.x, pts) / s.n, rtol=1e-12)
 
 
 def test_gram_tables_streaming_matches_dense():
@@ -484,3 +519,55 @@ def test_gram_tables_diag():
     diag = tables.diag(a, b)
     mat = tables.matrix(a, b)
     assert_allclose(diag, np.diagonal(mat), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# projection pairs in coefficient space
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a,b", PROJECTION_PAIRS)
+def test_projection_coefficient_form_matches_quadrature(a, b):
+    s = _sample_for(a, 7, seed=33)
+    ell = s.loss_values
+    quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
+    tables = GramTables(s)
+    assert_allclose(tables.weighted_total(a, b), float(ell @ quad @ ell), rtol=1e-12)
+    assert_allclose(tables.diag(a, b), np.diagonal(quad), rtol=1e-12)
+
+
+def test_nested_coefficients_are_slices_of_the_widest_evaluation():
+    s = _sample_for(ProjectionSpec(TRIG, (1, 1)), 50, seed=34)
+    tables = GramTables(s)
+    tables.reserve([ProjectionSpec(TRIG, (6, 2)), ProjectionSpec(TRIG, (2, 5))])
+    for m in [(1, 1), (6, 5), (3, 4), (6, 1)]:
+        spec = ProjectionSpec(TRIG, m)
+        direct = coefficient_tensor(spec, s.x, s.loss_values)
+        assert np.array_equal(tables.coefficients(spec), direct)
+
+
+def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+    import pcoselect.kernels as kernels_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("projection selection must not build pairwise section tables")
+
+    reference = {}
+    cases = [(TRIG, 1, 12), (HIST, 1, 12), (LEG, 1, 12), (TRIG, 2, 4), (HIST, 2, 4)]
+    for basis, d, m_max in cases:
+        s = _sample_for(ProjectionSpec(basis, (1,) * d), 80, seed=35)
+        fam = make_projection_family(basis, m_max, d, s.n)
+        # tables passed in are not reserved, so they grow order by order
+        reference[basis.kind, d] = (fam, s, pco_select(fam, s, GramTables(s)))
+    for module in (estimator_mod, kernels_mod):
+        monkeypatch.setattr(module, "section_inner_matrix", forbidden)
+        monkeypatch.setattr(module, "section_inner_pointwise", forbidden)
+    calls = []
+    real_basis_matrix = estimator_mod.basis_matrix
+    monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: calls.append(a[1]) or real_basis_matrix(*a))
+    for (kind, d), (fam, s, want) in reference.items():
+        calls.clear()
+        got = pco_select(fam, s)
+        assert got.to_json() == want.to_json()
+        # nested bases: one evaluation per dimension, at the family's top order
+        assert calls == ([] if kind is BasisKind.REGULAR_HISTOGRAM else [fam.k0.m[0]] * d)

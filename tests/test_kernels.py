@@ -320,6 +320,26 @@ def test_diag_sup_projection():
     assert diag_sup(ProjectionSpec(LEG, (4,))) == pytest.approx(12.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("basis,m_max,d", [(TRIG, 12, 1), (LEG, 9, 1), (TRIG, 4, 2), (LEG, 3, 2)])
+def test_k0_scan_runs_once_per_family_and_matches_per_order_scan(monkeypatch, basis, m_max, d):
+    import pcoselect.kernels as kernels_mod
+    from pcoselect.bases import basis_matrix
+
+    grid = np.linspace(*basis.support, kernels_mod.DIAG_SCAN_POINTS)
+    w = np.linspace(1.0, 0.2, m_max)
+    calls = []
+    monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: calls.append(a[1]) or basis_matrix(*a))
+    fam = make_projection_family(basis, m_max, d, m_max**d, w)
+    assert calls == [m_max]
+    for spec in fam.specs:
+        want = 1.0
+        for mq in spec.m:
+            mat = basis_matrix(basis, mq, grid)
+            want *= float(np.max((mat * mat) @ spec.weights_for(mq)))
+        assert diag_sup(spec) == want
+        assert diag_sup(spec, kernels_mod.diag_scan_squares(basis, m_max)) == want
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
