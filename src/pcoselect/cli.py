@@ -150,7 +150,14 @@ def cmd_estimate(args) -> int:
     spec_cfg = _load_json(args.spec, "spec")
     if "spec" in spec_cfg:
         spec_cfg = spec_cfg["spec"]
-    spec = spec_from_config(spec_cfg)
+    if not isinstance(spec_cfg, dict):
+        raise ConfigError("spec config must be an object")
+    try:
+        spec = spec_from_config(spec_cfg)
+    except KeyError as exc:
+        raise ConfigError(f"spec config: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spec config: {exc}") from exc
     loss = _loss_from_flag(args.loss)
     sample = read_sample_csv(args.data, loss)
     grid_cfg = cfg.get("grid", cfg)

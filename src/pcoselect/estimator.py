@@ -13,20 +13,22 @@ regression model Y = b(X) + noise, and ell = square estimates the second
 conditional moment times f (the noise-variance component when b = 0).
 
 Empirical inner products <shat_a, shat_b>_2 are double sums over the Gram
-entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` caches them per
-kernel pair and reduces them in a fixed order, so repeated and
-thread-pooled runs agree bit for bit.  A bandwidth pair sums the n x n
-Gram table itself.  A projection estimator is a coefficient tensor
-instead: with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape
-(m_1, ..., m_d),
+entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` keeps these
+totals per kernel pair and reduces them in a fixed order, so repeated and
+thread-pooled runs agree bit for bit.  A bandwidth Gram table is a
+function of the pairwise differences X_i - X_j, symmetric with a
+constant diagonal; :func:`bandwidth_totals` reduces many pairs in one
+sweep over the strict upper triangle, in fixed row blocks with O(n)
+scratch memory.  A projection estimator is a coefficient tensor instead:
+with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
 
 so the totals are small quadratic forms in T, the penalty diagonals are
 row sums over basis values at the sample, and risk-grid values expand T
 at the grid points.  These cost O(n prod_q m_q) time and O(n sum_q m_q)
-memory, and the families keep prod_q m_q <= n; no projection path on
-selection or experiments builds an n x n table.
+memory, and the families keep prod_q m_q <= n.  No path on selection or
+experiments builds an n x n table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import csv
 import enum
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -44,15 +45,17 @@ import numpy as np
 from .bases import BasisKind, basis_matrix, cross_gram, histogram_cells
 from .errors import DataError
 from .kernels import (
+    BandwidthSpec,
+    BaseKind,
     ProjectionSpec,
+    bandwidth_gram_entries,
     histogram_cell_inner,
     kernel_matrix,
     section_inner_matrix,
-    section_inner_pointwise,
     section_sq_norm_points,
     spec_id,
 )
-from .numerics import GRAM_BLOCK_ROWS, combine_partials, pairwise_sum, weighted_gram_total
+from .numerics import combine_partials, pairwise_sum
 
 log = logging.getLogger(__name__)
 
@@ -139,19 +142,17 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
                 rejected += 1
                 continue
             try:
-                vals = [float(v) for v in line]
+                rows.append([float(v) for v in line])
             except ValueError:
                 rejected += 1
-                continue
-            if not all(np.isfinite(v) for v in vals):
-                rejected += 1
-                continue
-            rows.append(vals)
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, d + 1)
+    finite = np.isfinite(arr).all(axis=1)
+    rejected += int(np.count_nonzero(~finite))
+    arr = arr[finite]
     if rejected:
         log.warning("%s: dropped %d malformed or non-finite rows", path, rejected)
-    if not rows:
+    if arr.shape[0] == 0:
         raise DataError(f"{path}: no usable data rows")
-    arr = np.asarray(rows, dtype=np.float64)
     return Sample(arr[:, :d], arr[:, d], loss)
 
 
@@ -264,13 +265,81 @@ def estimate(spec, sample: Sample, x) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block of the bandwidth sweep.  A block holds the differences of
+# _SWEEP_ROWS sample points to every later point, so its scratch memory is
+# a few arrays of _SWEEP_ROWS x n values; fixed, so the reduction order
+# depends on n alone.
+_SWEEP_ROWS = 32
+
+
+def _gaussian_scales(a, b):
+    """-1 / (2 v_q) with v_q = h_aq^2 + h_bq^2 for a Gaussian pair, else None."""
+    if a.base.kind is not BaseKind.GAUSSIAN or b.base.kind is not BaseKind.GAUSSIAN:
+        return None
+    return [-0.5 / (ha * ha + hb * hb) for ha, hb in zip(a.h, b.h)]
+
+
+def _bandwidth_diag_value(a, b) -> float:
+    """G_ab[i, i] = <K_a(x, .), K_b(x, .)>_2, the same at every x."""
+    if not (isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec)):
+        raise ValueError("no closed form for mixed bandwidth/projection sections")
+    if a.d != b.d:
+        raise ValueError("kernel dimensions differ")
+    return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
+
+
+def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
+    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b), in one sweep.
+
+    A bandwidth Gram table is symmetric with the constant diagonal
+    c_ab = G_ab[i, i], so its total is c_ab sum_i ell_i^2 plus twice the
+    strict upper triangle.  The sweep walks that triangle in fixed blocks
+    of rows, forms the differences (their squares for Gaussian pairs) and
+    the weights ell_i ell_j once per block, and reduces every pair on it.
+    A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
+    v_q = h_aq^2 + h_bq^2, so the sweep sums the exponentials alone; other
+    pairs take :func:`bandwidth_gram_entries`.  Scratch memory is O(n) and
+    every reduction order is fixed.
+    """
+    n = x.shape[0]
+    for a, _ in pairs:
+        _check_dim(a, x)
+    diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
+    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    partials = [[] for _ in pairs]
+    for start in range(0, n - 1, _SWEEP_ROWS):
+        stop = min(start + _SWEEP_ROWS, n - 1)
+        # row i = start + r against column j = start + 1 + c: j > i iff c >= r
+        deltas = [x[start:stop, q, None] - x[None, start + 1 :, q] for q in range(x.shape[1])]
+        squares = [dq * dq for dq in deltas] if any(scales) else None
+        weight = np.triu(ell[start:stop, None] * ell[None, start + 1 :])
+        for (a, b), scale, out in zip(pairs, scales, partials):
+            if scale is None:
+                vals = bandwidth_gram_entries(a, b, deltas)
+            else:
+                vals = squares[0] * scale[0]
+                for sq, sc in zip(squares[1:], scale[1:]):
+                    vals += sq * sc
+                np.exp(vals, out=vals)
+            vals *= weight
+            out.append(pairwise_sum(vals))
+    sum_sq = pairwise_sum(ell * ell)
+    totals = []
+    for c, scale, out in zip(diag, scales, partials):
+        upper = combine_partials(out)
+        # Gaussian partials sum the entries divided by c
+        totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
+    return totals
+
+
 class GramTables:
     """Loss-weighted section geometry of one sample, cached per kernel pair.
 
     PCO needs, for kernel pairs (a, b), the totals
     sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonals G_ab[i, i] of the
     table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Each unordered pair
-    is computed once; G_ab = G_ba^T.
+    is computed once and kept as a scalar (totals) or an n-vector
+    (diagonals); no n x n table is kept.
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     (see :func:`coefficient_tensor`) the total is the quadratic form
@@ -283,57 +352,53 @@ class GramTables:
     cell-index computation.  Memory is n sum_q m_q basis values plus
     prod_q m_q per tensor, and the families keep prod_q m_q <= n.
 
-    Bandwidth pairs reduce G itself.  Tables are cached with LRU eviction
-    and materialized only up to ``matrix_max_n`` rows; beyond that the
-    totals are streamed over fixed-size row blocks, which keeps memory
-    flat without changing the reduction order.  :meth:`matrix` builds the
-    dense table of any pair; for projection pairs it is the reference the
-    coefficient form is tested against.
+    Bandwidth pairs never form G either.  Their totals come from
+    :func:`bandwidth_totals`, one sweep over the pairwise differences in
+    fixed row blocks: after :meth:`reserve` with the overfitting member k0,
+    the first :meth:`weighted_total` fills every (a, a) and (a, k0) total
+    of the family in one sweep, and an unreserved pair takes a sweep of
+    its own.  Their diagonal is a constant.  :meth:`matrix` builds the
+    dense table of any pair, uncached; it is the reference the sweep and
+    the coefficient form are tested against.
     """
 
-    def __init__(self, sample: Sample, max_matrices: int = 48, matrix_max_n: int = 4096):
+    def __init__(self, sample: Sample):
         self.sample = sample
-        self.max_matrices = int(max_matrices)
-        self.matrix_max_n = int(matrix_max_n)
-        self._matrices: OrderedDict = OrderedDict()
         self._totals: dict = {}
+        self._pending: dict = {}  # bandwidth pairs queued by reserve, in order
         self._diags: dict = {}
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
 
-    def _canonical(self, a, b):
-        if spec_id(a) <= spec_id(b):
-            return (a, b), False
-        return (b, a), True
+    @staticmethod
+    def _canonical(a, b):
+        return (a, b) if spec_id(a) <= spec_id(b) else (b, a)
 
     def matrix(self, a, b) -> np.ndarray:
-        """The n x n table for (a, b); raises for samples above the matrix cap."""
-        n = self.sample.n
-        if n > self.matrix_max_n:
-            raise ValueError(
-                f"n = {n} exceeds the dense-table cap {self.matrix_max_n}; use weighted_total"
-            )
-        key, transposed = self._canonical(a, b)
-        if key not in self._matrices:
-            gram = section_inner_matrix(key[0], self.sample.x, key[1], self.sample.x)
-            self._matrices[key] = gram
-            if len(self._matrices) > self.max_matrices:
-                self._matrices.popitem(last=False)
-        else:
-            self._matrices.move_to_end(key)
-        gram = self._matrices[key]
-        return gram.T if transposed else gram
+        """The dense n x n table for (a, b), built on every call."""
+        return section_inner_matrix(a, self.sample.x, b, self.sample.x)
 
-    # -- projection pairs in coefficient space ------------------------------
+    def reserve(self, specs, k0=None):
+        """Prepare the tables for a family before its criterion is read.
 
-    def reserve(self, specs):
-        """Evaluate nested bases once, at the largest orders among ``specs``."""
+        Nested bases are evaluated once, at the largest orders among
+        ``specs``.  Given the overfitting member ``k0``, the bandwidth
+        pairs (a, a) and (a, k0) of every member a are queued, and the
+        first :meth:`weighted_total` that needs one of them fills them all
+        in one sweep.
+        """
         top = {}
         for s in specs:
             if isinstance(s, ProjectionSpec) and s.basis.nested:
                 top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
         for basis, orders in top.items():
             self.coefficients(ProjectionSpec(basis, orders))
+        if isinstance(k0, BandwidthSpec):
+            for s in specs:
+                for pair in ((s, s), (s, k0)):
+                    self._pending[self._canonical(*pair)] = None
+
+    # -- projection pairs in coefficient space ------------------------------
 
     def _values(self, basis, q: int, m: int) -> np.ndarray:
         """Basis values phi_j(X_iq), j <= m, sliced from the widest evaluation."""
@@ -396,34 +461,27 @@ class GramTables:
 
     def diag(self, a, b) -> np.ndarray:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
-        key, _ = self._canonical(a, b)
+        key = self._canonical(a, b)
         if key not in self._diags:
             if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
                 self._diags[key] = self._projection_diag(*key)
             else:
-                self._diags[key] = section_inner_pointwise(key[0], self.sample.x, key[1], self.sample.x)
+                self._diags[key] = np.full(self.sample.n, _bandwidth_diag_value(*key))
         return self._diags[key]
 
     def weighted_total(self, a, b) -> float:
         """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
-        key, _ = self._canonical(a, b)
+        key = self._canonical(a, b)
         if key in self._totals:
             return self._totals[key]
-        ell = self.sample.loss_values
         if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-            total = self._projection_total(*key)
-        elif self.sample.n <= self.matrix_max_n:
-            total = weighted_gram_total(self.matrix(key[0], key[1]), ell, ell)
+            self._totals[key] = self._projection_total(*key)
         else:
-            partials = []
-            x = self.sample.x
-            for start in range(0, self.sample.n, GRAM_BLOCK_ROWS):
-                stop = start + GRAM_BLOCK_ROWS
-                block = section_inner_matrix(key[0], x[start:stop], key[1], x)
-                partials.append(weighted_gram_total(block, ell[start:stop], ell))
-            total = combine_partials(partials)
-        self._totals[key] = total
-        return total
+            self._pending[key] = None
+            keys = [k for k in self._pending if k not in self._totals]
+            self._pending.clear()
+            self._totals.update(zip(keys, bandwidth_totals(keys, self.sample.x, self.sample.loss_values)))
+        return self._totals[key]
 
 
 def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> float:

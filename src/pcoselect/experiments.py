@@ -152,7 +152,7 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     def one(rep: int):
         sample = scn.generate(rep, loss)
         tables = GramTables(sample)
-        tables.reserve(family.specs)
+        tables.reserve(family.specs, family.k0)
         report = pco_select(family, sample, tables)
         risks = np.empty(n_k)
         for i, spec in enumerate(family.specs):

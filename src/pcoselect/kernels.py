@@ -9,22 +9,26 @@ Two kinds of product kernels are supported on R^d:
   optionally downweighted by w_j in [0, 1] (w omitted means w_j = 1).
 
 Inner products between kernel sections <K_a(xa,.), K_b(xb,.)> are
-evaluated in closed form.  Gaussian pairs convolve to a Gaussian; the
-Epanechnikov convolution is integrated by Gauss-Legendre quadrature on the
-support overlap at every call, which is exact because the integrand is a
-polynomial of degree four.  Projection pairs factor over dimensions into
-basis cross-Gram sums.
+evaluated in closed form.  Gaussian pairs convolve to a Gaussian.  The
+Epanechnikov convolution is a polynomial of degree four on the support
+overlap, so a 3-node Gauss-Legendre rule on that overlap integrates it
+exactly; a mixed Gaussian x Epanechnikov pair uses 128 nodes.  Either rule
+accumulates node by node, so its scratch memory is a few arrays the size
+of the input.  Projection pairs factor over dimensions into basis
+cross-Gram sums.
 
-The selection path does not use the projection branches of
-:func:`section_inner_matrix` and :func:`kernel_matrix`: a projection
-estimator is a coefficient tensor, and :mod:`pcoselect.estimator` works on
-that tensor directly.  These pairwise forms stay as the reference that
-tests and the dense :meth:`GramTables.matrix` compare against.
+The selection path builds no table with :func:`section_inner_matrix`: a
+projection estimator is a coefficient tensor, which
+:mod:`pcoselect.estimator` works on directly, and bandwidth totals are
+reduced block by block from :func:`bandwidth_gram_entries` on pairwise
+differences.  The pairwise forms stay as the reference that tests and the
+dense :meth:`GramTables.matrix` compare against.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,8 +98,8 @@ class BandwidthSpec:
         object.__setattr__(self, "h", h)
         if not h:
             raise ValueError("bandwidth tuple is empty")
-        if any(v <= 0 for v in h):
-            raise ValueError("bandwidths must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in h):
+            raise ValueError(f"bandwidths h must be positive and finite (got {list(h)})")
 
     @property
     def d(self) -> int:
@@ -208,40 +212,87 @@ def kernel_eval(spec, x_prime, x) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _legendre_rule(nodes: int):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return tuple(zip(x.tolist(), w.tolist()))
+
+
 def _conv_quadrature(eval_a, lo_a, hi_a, eval_b, lo_b, hi_b, delta: np.ndarray, nodes: int) -> np.ndarray:
-    """integral of f_a(u) f_b(u - delta) over the support overlap, per delta."""
+    """integral of f_a(u) f_b(u - delta) over the support overlap, per delta.
+
+    The rule is accumulated node by node, so scratch memory is a few
+    arrays of delta's shape whatever the node count.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     lo = np.maximum(lo_a, delta + lo_b)
     hi = np.minimum(hi_a, delta + hi_b)
-    width = np.clip(hi - lo, 0.0, None)
-    x_std, w_std = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * width
+    half = 0.5 * np.clip(hi - lo, 0.0, None)
     mid = 0.5 * (lo + hi)
-    u = mid[..., None] + half[..., None] * x_std  # (..., nodes)
-    vals = eval_a(u) * eval_b(u - delta[..., None])
-    return np.einsum("...n,n->...", vals, w_std) * half
+    out = np.zeros_like(half)
+    for x, w in _legendre_rule(nodes):
+        u = mid + half * x
+        out += w * (eval_a(u) * eval_b(u - delta))
+    return out * half
 
 
 def _bandwidth_conv_1d(base_a: BaseKernel, h_a: float, base_b: BaseKernel, h_b: float, delta) -> np.ndarray:
     """integral of (1/h_a) k_a(u/h_a) (1/h_b) k_b((u - delta)/h_b) du, vectorized.
 
     A Gaussian pair convolves in closed form to a centered Gaussian of
-    variance h_a^2 + h_b^2.  Any pair involving an Epanechnikov factor is a
-    piecewise polynomial of degree four on the support overlap and is
-    integrated exactly by a 64-node Gauss-Legendre rule on that overlap.
+    variance h_a^2 + h_b^2.  An Epanechnikov pair is a polynomial of degree
+    four on the support overlap, which a 3-node Gauss-Legendre rule on that
+    overlap integrates exactly (:func:`_epanechnikov_conv`).  A mixed pair
+    is smooth on the overlap and takes a 128-node rule.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if base_a.kind is BaseKind.GAUSSIAN and base_b.kind is BaseKind.GAUSSIAN:
         v = h_a * h_a + h_b * h_b
         return np.exp(-delta * delta / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+    if base_a.kind is BaseKind.EPANECHNIKOV and base_b.kind is BaseKind.EPANECHNIKOV:
+        return _epanechnikov_conv(h_a, h_b, delta)
 
     def scaled(base, h):
         return lambda u: base.eval(u / h) / h
 
     wa = base_a.tail_halfwidth * h_a
     wb = base_b.tail_halfwidth * h_b
-    nodes = 64 if (base_a.kind is BaseKind.EPANECHNIKOV and base_b.kind is BaseKind.EPANECHNIKOV) else 128
-    return _conv_quadrature(scaled(base_a, h_a), -wa, wa, scaled(base_b, h_b), -wb, wb, delta, nodes)
+    return _conv_quadrature(scaled(base_a, h_a), -wa, wa, scaled(base_b, h_b), -wb, wb, delta, 128)
+
+
+def _epanechnikov_conv(h_a: float, h_b: float, delta: np.ndarray) -> np.ndarray:
+    """The Epanechnikov pair by the 3-node Gauss-Legendre rule on the support overlap.
+
+    The integrand (9/16) (h_a - u)(h_a + u)(h_b - u + delta)(h_b + u - delta) / (h_a h_b)^3
+    has degree four, so the rule is exact.  Each factor is the distance
+    from the node to a support end, taken as the gap between that end and
+    the overlap end plus the node's offset inside the overlap.  Every term
+    is nonnegative, so a tiny overlap loses no digits to cancellation.
+    """
+    lo_b = delta - h_b
+    hi_b = delta + h_b
+    lo = np.maximum(-h_a, lo_b)
+    hi = np.minimum(h_a, hi_b)
+    half = 0.5 * np.clip(hi - lo, 0.0, None)
+    gap_a, gap_b, gap_a_lo, gap_b_lo = h_a - hi, hi_b - hi, lo + h_a, lo - lo_b
+    out = np.zeros_like(half)
+    for t, w in _legendre_rule(3):
+        right = half * (1.0 - t)
+        left = half * (1.0 + t)
+        out += w * ((gap_a + right) * (gap_b + right) * (gap_a_lo + left) * (gap_b_lo + left))
+    return out * half * (0.5625 / (h_a * h_b) ** 3)
+
+
+def bandwidth_gram_entries(a: BandwidthSpec, b: BandwidthSpec, deltas) -> np.ndarray:
+    """<K_a(x, .), K_b(x', .)>_2 from the differences deltas[q] = x_q - x'_q.
+
+    The section inner product of two product kernels is the product over
+    dimensions of the 1-d convolutions :func:`_bandwidth_conv_1d`.
+    """
+    out = _bandwidth_conv_1d(a.base, a.h[0], b.base, b.h[0], deltas[0])
+    for q in range(1, a.d):
+        out *= _bandwidth_conv_1d(a.base, a.h[q], b.base, b.h[q], deltas[q])
+    return out
 
 
 def section_inner_matrix(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
@@ -258,11 +309,7 @@ def section_inner_matrix(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     if xa.shape[1] != a.d or xb.shape[1] != b.d:
         raise ValueError("point dimension does not match the kernels")
     if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
-        out = np.ones((xa.shape[0], xb.shape[0]))
-        for q in range(a.d):
-            delta = xa[:, q][:, None] - xb[None, :, q]
-            out *= _bandwidth_conv_1d(a.base, a.h[q], b.base, b.h[q], delta)
-        return out
+        return bandwidth_gram_entries(a, b, [xa[:, q, None] - xb[None, :, q] for q in range(a.d)])
     if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")
@@ -294,11 +341,9 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
     if xa.shape != xb.shape:
         raise ValueError("paired point arrays must share a shape")
-    out = np.ones(xa.shape[0])
     if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
-        for q in range(a.d):
-            out *= _bandwidth_conv_1d(a.base, a.h[q], b.base, b.h[q], xa[:, q] - xb[:, q])
-        return out
+        return bandwidth_gram_entries(a, b, [xa[:, q] - xb[:, q] for q in range(a.d)])
+    out = np.ones(xa.shape[0])
     if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")

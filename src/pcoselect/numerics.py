@@ -10,11 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Rows per block when streaming a weighted Gram total for large n.  Fixed so
-# the reduction tree does not depend on memory pressure or thread count.
-GRAM_BLOCK_ROWS = 2048
-
-
 def pairwise_sum(values) -> float:
     """Sum an array with a fixed pairwise (tree) reduction order.
 

@@ -11,10 +11,13 @@ and the penalty is the sampled cross-section inner product
 
 Both terms come from one :class:`GramTables`.  The distance expands into
 three loss-weighted totals and the penalty is the diagonal of the (K, K0)
-table.  For bandwidth kernels these are reductions of n x n Gram blocks.
-For projection kernels no table is formed: the totals are quadratic forms
-in the coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and
-the diagonal is an O(n sum_q m_q) row sum over basis values at the sample.
+table; no n x n table is formed for either kind of family.  For bandwidth
+kernels the 2N - 1 totals (K, K) and (K, K0) of an N-member family are
+reduced in one sweep over the pairwise differences of the sample, in
+fixed row blocks with O(n) scratch memory, and the diagonal is a
+constant.  For projection kernels the totals are quadratic forms in the
+coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and the
+diagonal is an O(n sum_q m_q) row sum over basis values at the sample.
 Each nested basis is evaluated once per sample and dimension, at the
 family's largest order; memory stays at n sum_q m_q values plus
 prod_q m_q <= n per tensor.
@@ -143,7 +146,7 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
         )
     if tables is None:
         tables = GramTables(sample)
-        tables.reserve(family.specs)
+        tables.reserve(family.specs, family.k0)
     k0 = family.k0
     rows = []
     for idx, spec in enumerate(family.specs):

@@ -221,6 +221,18 @@ def test_estimate_grid_dimension_mismatch(tmp_path, dataset, capsys):
     assert "dimension error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("-inf")])
+def test_estimate_non_finite_bandwidth_is_a_config_error(tmp_path, dataset, capsys, h):
+    spec = _write_json(tmp_path / "spec.json", {"variant": "bandwidth", "base": "gaussian", "h": [h]})
+    grid = _write_json(tmp_path / "grid.json", {"lo": 0.0, "hi": 1.0, "points": 5})
+    out = tmp_path / "o"
+    rc = main(["estimate", "--config", grid, "--data", str(dataset), "--spec", spec, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: spec config:" in err and "bandwidths h" in err
+    assert not (out / "estimate.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import quad_section_inner
 from pcoselect import (
+    EPANECHNIKOV,
     GAUSSIAN,
     BandwidthSpec,
     BasisFamily,
@@ -20,6 +21,7 @@ from pcoselect import (
     estimate_on_grid,
     estimator_inner,
     kernel_matrix,
+    make_bandwidth_family,
     make_projection_family,
     pco_select,
     read_sample_csv,
@@ -33,7 +35,7 @@ from pcoselect import (
     write_sample_csv,
 )
 from pcoselect.bases import basis_matrix
-from pcoselect.estimator import coefficient_tensor
+from pcoselect.estimator import _SWEEP_ROWS, bandwidth_totals, coefficient_tensor
 from pcoselect.experiments import statistic_grid
 from pcoselect.quadrature import composite_grid
 
@@ -134,6 +136,19 @@ def test_csv_drops_malformed_rows(tmp_path, caplog):
         s = read_sample_csv(path)
     assert s.n == 2
     assert "2" in " ".join(r.message for r in caplog.records)  # counted rejection
+
+
+def test_csv_drops_each_kind_of_bad_row_once(tmp_path, caplog):
+    path = tmp_path / "bad_rows.csv"
+    path.write_text(
+        "x1,x2,y\n0.1,0.2,1.0\nnan,0.2,1.0\n0.3,inf,2.0\n0.4,0.5,-inf\n"
+        "0.5,abc,3.0\n0.6,0.7\n\n0.8,0.9,4.0\n"
+    )
+    with caplog.at_level(logging.WARNING):
+        s = read_sample_csv(path)
+    assert_allclose(s.x, [[0.1, 0.2], [0.8, 0.9]], rtol=0)
+    assert_allclose(s.y, [1.0, 4.0], rtol=0)
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: dropped 5 malformed or non-finite rows"]
 
 
 def test_csv_all_rows_bad(tmp_path):
@@ -500,15 +515,55 @@ def test_gram_tables_weighted_total_matches_dense(a, b):
 
 
 def test_gram_tables_streaming_matches_dense():
-    # force the streaming path with a tiny matrix cap
-    s = _uniform_sample(64, seed=22, loss=LossKind.IDENTITY)
+    # the sweep streams the strict upper triangle over several row blocks
+    s = _uniform_sample(3 * _SWEEP_ROWS + 5, seed=22, loss=LossKind.IDENTITY)
     a = BandwidthSpec(GAUSSIAN, (0.2,))
     b = BandwidthSpec(GAUSSIAN, (0.45,))
-    dense = GramTables(s)
-    streaming = GramTables(s, matrix_max_n=32)
-    assert_allclose(streaming.weighted_total(a, b), dense.weighted_total(a, b), rtol=1e-12)
-    with pytest.raises(ValueError):
-        streaming.matrix(a, b)
+    tables = GramTables(s)
+    ell = s.loss_values
+    assert_allclose(tables.weighted_total(a, b), float(ell @ tables.matrix(a, b) @ ell), rtol=1e-12)
+
+
+# Gaussian at d = 1 and d = 2, Epanechnikov, and a mixed Gaussian x Epanechnikov pair
+BANDWIDTH_PAIRS = [
+    (BandwidthSpec(GAUSSIAN, (0.07,)), BandwidthSpec(GAUSSIAN, (0.3,))),
+    (BandwidthSpec(GAUSSIAN, (0.1, 0.4)), BandwidthSpec(GAUSSIAN, (0.25, 0.05))),
+    (BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.2,))),
+    (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.15,))),
+]
+
+
+@pytest.mark.parametrize("n", [1, _SWEEP_ROWS + 13, 3 * _SWEEP_ROWS])
+@pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)
+def test_bandwidth_sweep_matches_dense(a, b, n):
+    # signed weights (identity loss); one row, a partial block, whole blocks
+    s = _uniform_sample(n, d=a.d, seed=36, loss=LossKind.IDENTITY)
+    ell = s.loss_values
+    dense = section_inner_matrix(a, s.x, b, s.x)
+    totals = bandwidth_totals([(a, b), (a, a), (b, b)], s.x, ell)
+    want = [float(ell @ m @ ell) for m in (dense, section_inner_matrix(a, s.x, a, s.x),
+                                            section_inner_matrix(b, s.x, b, s.x))]
+    assert_allclose(totals, want, rtol=1e-12)
+    tables = GramTables(s)
+    assert_allclose(tables.weighted_total(a, b), want[0], rtol=1e-12)
+    assert tables.weighted_total(b, a) == tables.weighted_total(a, b)
+    assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12)
+
+
+@pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)
+def test_bandwidth_sweep_matches_quadrature(a, b):
+    s = _uniform_sample(7, d=a.d, seed=40, loss=LossKind.IDENTITY)
+    ell = s.loss_values
+    quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
+    assert_allclose(GramTables(s).weighted_total(a, b), float(ell @ quad @ ell), rtol=1e-12)
+
+
+def test_bandwidth_sweep_rejects_mixed_variants():
+    s = _uniform_sample(5, seed=37)
+    with pytest.raises(ValueError, match="mixed"):
+        GramTables(s).weighted_total(BandwidthSpec(GAUSSIAN, (0.2,)), ProjectionSpec(TRIG, (3,)))
+    with pytest.raises(ValueError, match="dimensions"):
+        GramTables(s).weighted_total(BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(GAUSSIAN, (0.2, 0.3)))
 
 
 def test_gram_tables_diag():
@@ -561,7 +616,7 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
         reference[basis.kind, d] = (fam, s, pco_select(fam, s, GramTables(s)))
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
-        monkeypatch.setattr(module, "section_inner_pointwise", forbidden)
+        monkeypatch.setattr(module, "section_inner_pointwise", forbidden, raising=False)
     calls = []
     real_basis_matrix = estimator_mod.basis_matrix
     monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: calls.append(a[1]) or real_basis_matrix(*a))
@@ -571,3 +626,52 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
         assert got.to_json() == want.to_json()
         # nested bases: one evaluation per dimension, at the family's top order
         assert calls == ([] if kind is BasisKind.REGULAR_HISTOGRAM else [fam.k0.m[0]] * d)
+
+
+def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+    import pcoselect.kernels as kernels_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bandwidth selection must not build pairwise section tables")
+
+    reference = {}
+    cases = [(GAUSSIAN, 1, [0.02, 0.05, 0.1, 0.3]), (GAUSSIAN, 2, [0.15, 0.25, 0.4]), (EPANECHNIKOV, 1, [0.03, 0.1, 0.3])]
+    for base, d, grid in cases:
+        s = _uniform_sample(2 * _SWEEP_ROWS + 9, d=d, seed=38, loss=LossKind.IDENTITY)
+        fam = make_bandwidth_family(base, grid[0], grid, d, s.n)
+        # tables passed in are not reserved, so every total takes its own sweep
+        reference[base.kind, d] = (fam, s, pco_select(fam, s, GramTables(s)))
+    monkeypatch.setattr(GramTables, "matrix", forbidden)
+    for module in (estimator_mod, kernels_mod):
+        monkeypatch.setattr(module, "section_inner_matrix", forbidden)
+        monkeypatch.setattr(module, "section_inner_pointwise", forbidden, raising=False)
+    sweeps = []
+    real_totals = estimator_mod.bandwidth_totals
+    monkeypatch.setattr(estimator_mod, "bandwidth_totals", lambda pairs, *a: sweeps.append(pairs) or real_totals(pairs, *a))
+    for fam, s, want in reference.values():
+        sweeps.clear()
+        got = pco_select(fam, s)
+        assert got.to_json() == want.to_json()
+        # one sweep fills the 2N - 1 totals (K, K) and (K, K0)
+        assert [len(pairs) for pairs in sweeps] == [2 * len(fam) - 1]
+
+
+# A dense n x n table would take 200 MB at n = 5000 and 32 MB at n = 2000;
+# the sweep's scratch is a few row blocks.
+SELECTION_PEAK_BOUND = 16 * 2**20
+
+
+@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2])])
+def test_pco_select_memory_is_bounded(base, n, grid):
+    import tracemalloc
+
+    s = _uniform_sample(n, seed=39)
+    fam = make_bandwidth_family(base, grid[0], grid, 1, n)
+    tracemalloc.start()
+    try:
+        pco_select(fam, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SELECTION_PEAK_BOUND

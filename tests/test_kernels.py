@@ -67,6 +67,9 @@ def test_bandwidth_spec_validation():
         BandwidthSpec(GAUSSIAN, (0.0,))
     with pytest.raises(ValueError):
         BandwidthSpec(GAUSSIAN, (-0.1, 0.2))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthSpec(GAUSSIAN, (0.2, bad))
 
 
 def test_projection_spec_validation():
@@ -165,6 +168,22 @@ def test_epanechnikov_sections_match_quadrature():
         got = section_inner(a, xa, b, xb)
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("ha,hb", [(0.3, 0.3), (0.08, 0.45), (0.002, 0.5), (0.5, 0.002)])
+def test_epanechnikov_three_node_rule_matches_quadrature(ha, hb):
+    # exact for the degree-4 integrand: centered, partial and near-touching
+    # supports, and h_a << h_b.  Anchoring xa at 0 keeps the difference exact;
+    # closer to touching, the rounding of the support ends themselves (relative
+    # size eps (h_a + h_b) / overlap) dominates either computation.
+    a = BandwidthSpec(EPANECHNIKOV, (ha,))
+    b = BandwidthSpec(EPANECHNIKOV, (hb,))
+    for frac in (0.0, 0.2, 0.5, 0.9, 0.99, 0.999):
+        for sign in (1.0, -1.0):
+            xb = np.array([sign * frac * (ha + hb)])
+            want = quad_section_inner(a, np.zeros(1), b, xb)
+            assert_allclose(section_inner(a, np.zeros(1), b, xb), want, rtol=1e-12)
+    assert section_inner(a, np.zeros(1), b, np.array([1.0001 * (ha + hb)])) == 0.0
 
 
 def test_mixed_base_sections_match_quadrature():
