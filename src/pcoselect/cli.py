@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,10 @@ from .selection import SCHEMA_VERSION, pco_select
 from .simulation import Density, DensityKind, Scenario, scenario_from_config
 
 _BASES = {"gaussian": GAUSSIAN, "epanechnikov": EPANECHNIKOV}
+
+# Evaluation points of one `estimate` grid.  Its CSV takes about 25 bytes
+# per point and coordinate, so the largest grid writes tens of megabytes.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _load_json(path: str, role: str) -> dict:
@@ -160,23 +165,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"spec config: {exc}") from exc
     loss = _loss_from_flag(args.loss)
     sample = read_sample_csv(args.data, loss)
-    grid_cfg = cfg.get("grid", cfg)
-    for field in ("lo", "hi", "points"):
-        if field not in grid_cfg:
-            raise ConfigError(f"grid config: missing field {field!r}")
-    lo = np.atleast_1d(np.asarray(grid_cfg["lo"], dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(grid_cfg["hi"], dtype=np.float64))
-    if lo.size != sample.d or hi.size != sample.d:
-        raise DimensionError(
-            f"grid bounds have dimension {lo.size}, data has dimension {sample.d}"
-        )
-    counts = grid_cfg["points"]
-    counts = [int(counts)] * sample.d if np.isscalar(counts) else [int(c) for c in counts]
-    if len(counts) != sample.d or any(c < 1 for c in counts):
-        raise ConfigError("grid config: 'points' must give a positive count per dimension")
-    axes = [np.linspace(lo[q], hi[q], counts[q]) for q in range(sample.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
+    points = _grid_from_config(cfg.get("grid", cfg), sample.d)
     values = estimate_on_grid(spec, sample, points)
     out = _out_dir(args)
     lines = [",".join([f"x{q + 1}" for q in range(sample.d)] + ["estimate"])]
@@ -185,6 +174,49 @@ def cmd_estimate(args) -> int:
     (out / "estimate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(values)} estimates to {out / 'estimate.csv'}")
     return 0
+
+
+def _grid_numbers(grid_cfg: dict, field: str) -> list:
+    """A number, or a list of numbers, of the grid config as a list."""
+    value = grid_cfg[field]
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        raise ConfigError(f"grid config: field {field!r} must be a number or a list of numbers (got {value!r})")
+    return items
+
+
+def _grid_from_config(grid_cfg, d: int) -> np.ndarray:
+    """The row-stacked points of a tensor grid config {lo, hi, points}."""
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError("grid config must be an object")
+    for field in ("lo", "hi", "points"):
+        if field not in grid_cfg:
+            raise ConfigError(f"grid config: missing field {field!r}")
+    bounds = []
+    for field in ("lo", "hi"):
+        items = _grid_numbers(grid_cfg, field)
+        if not all(abs(v) <= sys.float_info.max for v in items):
+            raise ConfigError(f"grid config: field {field!r} must be finite (got {grid_cfg[field]!r})")
+        bounds.append(np.asarray(items, dtype=np.float64))
+    lo, hi = bounds
+    if lo.size != d or hi.size != d:
+        raise DimensionError(f"grid bounds have dimension {lo.size}, data has dimension {d}")
+    counts = _grid_numbers(grid_cfg, "points")
+    if not isinstance(grid_cfg["points"], list):
+        counts = counts * d
+    if len(counts) != d or not all(c >= 1 and (isinstance(c, int) or c.is_integer()) for c in counts):
+        raise ConfigError(
+            f"grid config: field 'points' must give a positive integer count per dimension "
+            f"(got {grid_cfg['points']!r})"
+        )
+    total = math.prod(int(c) for c in counts)
+    if total > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid config: field 'points' asks for {total} grid points, above the limit of {MAX_GRID_POINTS}"
+        )
+    axes = [np.linspace(lo[q], hi[q], int(counts[q])) for q in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 _SUITES = ("sine-tail", "moment-conditions", "l1-bound", "trig-bound", "legendre-bound")

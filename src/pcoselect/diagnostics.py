@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, sine_tail_max_violation
 from .errors import ConfigError
@@ -450,6 +449,8 @@ def check_trig_spectral_boundedness(
         t_stat = math.inf
     else:
         t_stat = slope / se_slope
+    from scipy import stats
+
     t_crit = float(stats.t.ppf(0.95, df))
     passed = t_stat <= t_crit
     return CheckReport(

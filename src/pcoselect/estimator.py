@@ -29,6 +29,15 @@ row sums over basis values at the sample, and risk-grid values expand T
 at the grid points.  These cost O(n prod_q m_q) time and O(n sum_q m_q)
 memory, and the families keep prod_q m_q <= n.  No path on selection or
 experiments builds an n x n table.
+
+:func:`estimate_on_grid` evaluates any number of members of a family at
+once and shares the work between them.  Bandwidth members walk the
+points in column blocks of a fixed scratch budget: the squared
+differences to a block are formed once, and each member adds one
+in-place pass and one product with ell.  Nested projection members share
+one basis evaluation at the points, at the family's top order, and
+expand the coefficient tensors that :class:`GramTables` keeps.  The
+pointwise :func:`~pcoselect.kernels.kernel_matrix` is on no estimate path.
 """
 
 from __future__ import annotations
@@ -171,10 +180,25 @@ def write_sample_csv(path, x: np.ndarray, y: np.ndarray):
 # estimation
 # ---------------------------------------------------------------------------
 
+# Points per projection expansion, and sample rows per block of
+# :func:`_cross_with_function`.
 _EVAL_BLOCK = 1024
 # Coefficient entries summed per pass over the sample; bounds the scratch
 # array of a coefficient tensor at _COEFF_BLOCK x n.
 _COEFF_BLOCK = 256
+# Basis values per dimension held at once by the grid evaluation of
+# projection members (8 MB).  The points are taken in chunks of whole
+# _EVAL_BLOCK blocks that fit this budget at the largest order, at least
+# one block; each nested basis is evaluated once per chunk and dimension,
+# so a d = 1 risk grid of 2048 points takes one call up to order 512.
+_BASIS_VALUES = 1 << 20
+# Scratch budget, in float64 entries, of the bandwidth grid evaluation.  Its
+# d + 2 arrays of n rows share this budget, so the column block width
+# depends on n and d alone and the scratch memory (2 MB) not on the points.
+# Larger blocks fall out of cache: at n = 1000 and 8 members, 2^20 entries
+# took 15-50% longer than 2^18 on the 2048-point (d = 1) and 65536-point
+# (d = 2) risk grids.
+_GRID_SCRATCH = 1 << 18
 
 
 def _product_tensor(values, ell: np.ndarray) -> np.ndarray:
@@ -201,6 +225,15 @@ def _check_dim(spec, x: np.ndarray):
         raise ValueError("point dimension does not match the kernel")
 
 
+def _nested_top_orders(specs) -> dict:
+    """The largest order per dimension of every nested basis among ``specs``."""
+    top = {}
+    for s in specs:
+        if isinstance(s, ProjectionSpec) and s.basis.nested:
+            top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
+    return top
+
+
 def coefficient_tensor(spec: ProjectionSpec, x: np.ndarray, ell: np.ndarray) -> np.ndarray:
     """T = sum_i ell_i (x)_q phi^{m_q}(x_iq), shape spec.m, before the weights w.
 
@@ -217,47 +250,134 @@ def coefficient_tensor(spec: ProjectionSpec, x: np.ndarray, ell: np.ndarray) -> 
     return _product_tensor([basis_matrix(spec.basis, mq, x[:, q]) for q, mq in enumerate(spec.m)], ell)
 
 
-def _expand_at(spec: ProjectionSpec, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] prod_q w_{j_q} phi_{j_q}(points_q) at each row of points."""
+def _expand(coeffs: np.ndarray, mats) -> np.ndarray:
+    """sum_j coeffs[j] prod_q mats[q][p, j_q] for each row p of the weighted basis values.
 
-    def weighted(q):
-        return basis_matrix(spec.basis, spec.m[q], points[:, q]) * spec.weights_for(spec.m[q])
-
-    z = weighted(0) @ coeffs.reshape(spec.m[0], -1)
-    for q in range(1, spec.d):
-        z = np.einsum("pjr,pj->pr", z.reshape(len(points), spec.m[q], -1), weighted(q))
+    A slice of a wider tensor is copied first, since BLAS rounds by memory layout.
+    """
+    z = mats[0] @ np.ascontiguousarray(coeffs).reshape(mats[0].shape[1], -1)
+    for mat in mats[1:]:
+        z = np.einsum("pjr,pj->pr", z.reshape(len(mat), mat.shape[1], -1), mat)
     return z[:, 0]
 
 
-def estimate_on_grid(spec, sample: Sample, points: np.ndarray) -> np.ndarray:
-    """shat_K at row-stacked evaluation points; shape (P,).
+def _projection_rows(specs, tables: "GramTables", points: np.ndarray) -> np.ndarray:
+    """Projection members at the points, one row each.
 
-    Projection kernels expand the coefficient tensor in the weighted
-    basis at the points, O((n + P) prod_q m_q); bandwidth kernels sum
-    K(X_i, x) over the sample.
+    Each nested basis is evaluated once per chunk of points and dimension,
+    at the top order among ``specs``, and every member reads the leading
+    columns; these are the numbers an evaluation at its own order gives.
+    Coefficient tensors come from ``tables``.
     """
+    top = _nested_top_orders(specs)
+    widest = max(max(spec.m) for spec in specs)
+    size = _EVAL_BLOCK * max(1, _BASIS_VALUES // (_EVAL_BLOCK * widest))
+    rows = np.empty((len(specs), points.shape[0]))
+    for start in range(0, points.shape[0], size):
+        chunk = points[start : start + size]
+        values = {basis: [basis_matrix(basis, mq, chunk[:, q]) for q, mq in enumerate(orders)]
+                  for basis, orders in top.items()}
+        # expansions run in fixed blocks of points: BLAS rounds by shape
+        for lo in range(0, chunk.shape[0], _EVAL_BLOCK):
+            hi = lo + _EVAL_BLOCK
+            for row, spec in zip(rows, specs):
+                if spec.basis.nested:
+                    vals = values[spec.basis]
+                    mats = [v[lo:hi, :mq] * spec.weights_for(mq) for v, mq in zip(vals, spec.m)]
+                else:
+                    mats = [basis_matrix(spec.basis, mq, chunk[lo:hi, q]) * spec.weights_for(mq)
+                            for q, mq in enumerate(spec.m)]
+                row[start + lo : start + hi] = _expand(tables.coefficients(spec), mats) / tables.sample.n
+    return rows
+
+
+def _grid_width(n: int, d: int) -> int:
+    """Points per column block of the bandwidth grid evaluation."""
+    return max(1, _GRID_SCRATCH // ((d + 2) * n))
+
+
+def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
+    """Bandwidth members at the points, one row each, in fixed column blocks.
+
+    A block forms the squared differences (x_iq - g_pq)^2 once, into reused
+    scratch.  Each member then takes one in-place pass per dimension: the
+    Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)) and one ``exp``, or
+    the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
+    ``ell @ block``.  The constant prod_q k(0) / h_q multiplies the row.
+    """
+    x, ell = sample.x, sample.loss_values
+    n, d = x.shape
+    width = _grid_width(n, d)
+    squares = [np.empty(n * width) for _ in range(d)]
+    work, term = np.empty(n * width), np.empty(n * width)
+    consts = [math.prod(spec.base.at_zero / hq for hq in spec.h) / n for spec in specs]
+    rows = np.empty((len(specs), points.shape[0]))
+    for start in range(0, points.shape[0], width):
+        cols = min(width, points.shape[0] - start)
+        sq = [buf[: n * cols].reshape(n, cols) for buf in squares]
+        vals, tmp = work[: n * cols].reshape(n, cols), term[: n * cols].reshape(n, cols)
+        for q in range(d):
+            np.subtract(x[:, q, None], points[None, start : start + cols, q], out=sq[q])
+            np.square(sq[q], out=sq[q])
+        for row, spec, const in zip(rows, specs, consts):
+            gaussian = spec.base.kind is BaseKind.GAUSSIAN
+            for q, hq in enumerate(spec.h):
+                out = vals if q == 0 else tmp
+                np.multiply(sq[q], (-0.5 if gaussian else -1.0) / (hq * hq), out=out)
+                if not gaussian:
+                    out += 1.0
+                    np.maximum(out, 0.0, out=out)
+                if q:
+                    (np.add if gaussian else np.multiply)(vals, tmp, out=vals)
+            if gaussian:
+                np.exp(vals, out=vals)
+            np.multiply(ell @ vals, const, out=row[start : start + cols])
+    return rows
+
+
+def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
+    """shat_K at row-stacked evaluation points, for one member or several.
+
+    ``specs`` is one kernel spec, giving shape (P,), or a sequence of
+    members, giving (N, P) with one row per member.  ``sample`` is a
+    :class:`Sample` or the :class:`GramTables` of one; the tables left by
+    selection hold the coefficient tensors and sample basis values that
+    projection members reuse here.
+
+    Work is shared across the members.  Bandwidth members walk the points
+    in column blocks whose width depends on n and d alone, and the squared
+    differences of a block serve every member (:func:`_bandwidth_rows`);
+    scratch memory is fixed whatever the number of points.  Projection
+    members expand their coefficient tensor in the weighted basis at the
+    points, O(P prod_q m_q), with each nested basis evaluated once at the
+    top order (:func:`_projection_rows`).
+    """
+    tables = sample if isinstance(sample, GramTables) else None
+    sample = tables.sample if tables is not None else sample
+    single = not isinstance(specs, (list, tuple))
+    specs = [specs] if single else list(specs)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    ell = sample.loss_values
-    out = np.empty(points.shape[0])
-    if isinstance(spec, ProjectionSpec):
+    for spec in specs:
         _check_dim(spec, points)
-        coeffs = coefficient_tensor(spec, sample.x, ell)
-        for start in range(0, points.shape[0], _EVAL_BLOCK):
-            block = points[start : start + _EVAL_BLOCK]
-            out[start : start + _EVAL_BLOCK] = _expand_at(spec, coeffs, block) / sample.n
-        return out
-    for start in range(0, points.shape[0], _EVAL_BLOCK):
-        block = points[start : start + _EVAL_BLOCK]
-        kmat = kernel_matrix(spec, sample.x, block)
-        out[start : start + _EVAL_BLOCK] = ell @ kmat / sample.n
-    return out
+        _check_dim(spec, sample.x)
+    out = np.empty((len(specs), points.shape[0]))
+    bandwidth = [k for k, s in enumerate(specs) if isinstance(s, BandwidthSpec)]
+    projection = [k for k, s in enumerate(specs) if isinstance(s, ProjectionSpec)]
+    if bandwidth:
+        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], sample, points)
+    if projection:
+        members = [specs[k] for k in projection]
+        if tables is None:
+            tables = GramTables(sample)
+            tables.reserve(members)
+        out[projection] = _projection_rows(members, tables, points)
+    return out[0] if single else out
 
 
 def estimate(spec, sample: Sample, x) -> float:
     """shat_K(x) = (1/n) sum_i K(X_i, x) ell(Y_i) at one point."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    col = kernel_matrix(spec, sample.x, x[None, :])[:, 0]
-    return pairwise_sum(col * sample.loss_values) / sample.n
+    return float(estimate_on_grid(spec, sample, x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +408,7 @@ def _bandwidth_diag_value(a, b) -> float:
     return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
 
 
-def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
+def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = True) -> list:
     """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b), in one sweep.
 
     A bandwidth Gram table is symmetric with the constant diagonal
@@ -299,7 +419,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
     A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
     v_q = h_aq^2 + h_bq^2, so the sweep sums the exponentials alone; other
     pairs take :func:`bandwidth_gram_entries`.  Scratch memory is O(n) and
-    every reduction order is fixed.
+    every reduction order is fixed.  With ``diagonal=False`` the sums run
+    over i != j only.
     """
     n = x.shape[0]
     for a, _ in pairs:
@@ -323,7 +444,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
                 np.exp(vals, out=vals)
             vals *= weight
             out.append(pairwise_sum(vals))
-    sum_sq = pairwise_sum(ell * ell)
+    sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
     totals = []
     for c, scale, out in zip(diag, scales, partials):
         upper = combine_partials(out)
@@ -387,11 +508,7 @@ class GramTables:
         first :meth:`weighted_total` that needs one of them fills them all
         in one sweep.
         """
-        top = {}
-        for s in specs:
-            if isinstance(s, ProjectionSpec) and s.basis.nested:
-                top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
-        for basis, orders in top.items():
+        for basis, orders in _nested_top_orders(specs).items():
             self.coefficients(ProjectionSpec(basis, orders))
         if isinstance(k0, BandwidthSpec):
             for s in specs:
@@ -542,14 +659,19 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     where s_a, s_b are the section averages E(K(X_1, .) ell(Y_1)) supplied
     as vectorized callables (None means the zero function).  Cross terms
     against s_a, s_b are integrated on ``grid``, which is required as soon
-    as either function is present.  Centering makes E(U) = 0.
+    as either function is present.  Centering makes E(U) = 0.  A bandwidth
+    pair takes its sum over i != j from :func:`bandwidth_totals`, with no
+    n x n table; a projection pair reduces its dense Gram table.
     """
     if sample.n < 2:
         raise ValueError("the pair statistic needs at least two observations")
     ell = sample.loss_values
-    gram = section_inner_matrix(a, sample.x, b, sample.x)
-    weighted = (ell[:, None] * gram) * ell[None, :]
-    total = pairwise_sum(weighted) - pairwise_sum(np.diagonal(weighted).copy())
+    if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
+        total = bandwidth_totals([(a, b)], sample.x, ell, diagonal=False)[0]
+    else:
+        gram = section_inner_matrix(a, sample.x, b, sample.x)
+        weighted = (ell[:, None] * gram) * ell[None, :]
+        total = pairwise_sum(weighted) - pairwise_sum(np.diagonal(weighted).copy())
     if s_mean_a is None and s_mean_b is None:
         return total
     if grid is None:

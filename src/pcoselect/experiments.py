@@ -6,6 +6,11 @@ pure function of r, and aggregation happens in replication order with a
 fixed pairwise reduction.  Thread pools only distribute whole
 replications, so ``threads=8`` and ``threads=1`` produce byte-identical
 reports.
+
+Risk grids are evaluated for many members at once by
+:func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend
+on the sample size and dimension only, so the thread count never changes
+a reduction order.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ from .selection import pco_select
 from .simulation import Scenario, make_s_mean, sbar_analytic
 
 SCHEMA_VERSION = 1
+
+# Estimates held at once by one replication of :func:`oracle_experiment`
+# (32 MB): a family whose members times risk-grid points exceed this is
+# evaluated in groups of members.  The 2048-point d = 1 grid takes up to
+# 2048 members in one call.
+_GRID_ESTIMATES = 1 << 22
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -143,22 +154,30 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     Each replication reuses one sample for all members: the per-member
     risks, the selection run, and the risk of the selected member are all
     computed on the same data, so the PCO column is directly comparable
-    with the in-family oracle column.
+    with the in-family oracle column.  The risk grid is evaluated for the
+    whole family in one :func:`estimate_on_grid` call on the selection's
+    tables (in groups of members when the estimates would pass 32 MB):
+    bandwidth members share the squared differences to each block of grid
+    points, and a nested projection family evaluates its basis at the grid
+    once per dimension, at the top order, and expands the coefficient
+    tensors selection already built.  Each member's risk is the same
+    number whatever the grouping.
     """
     grid = scn.risk_grid()
     target = scn.true_s(loss, grid.points)
     n_k = len(family)
+    group = max(1, _GRID_ESTIMATES // len(grid.points))
 
     def one(rep: int):
         sample = scn.generate(rep, loss)
         tables = GramTables(sample)
         tables.reserve(family.specs, family.k0)
         report = pco_select(family, sample, tables)
-        risks = np.empty(n_k)
-        for i, spec in enumerate(family.specs):
-            shat = estimate_on_grid(spec, sample, grid.points)
-            risks[i] = grid.integrate((shat - target) ** 2)
-        return risks, report.chosen_index
+        risks = []
+        for start in range(0, n_k, group):
+            shats = estimate_on_grid(family.specs[start : start + group], tables, grid.points)
+            risks.extend(grid.integrate((shat - target) ** 2) for shat in shats)
+        return np.asarray(risks), report.chosen_index
 
     results = parallel_map(one, range(scn.replications), threads)
     risk_rows = np.stack([r for r, _ in results])

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
 from .estimator import LossKind, Sample
@@ -83,6 +82,8 @@ class Density:
         elif self.kind is DensityKind.TRIANGLE:
             vals = 4.0 * np.minimum(u, 1.0 - u) / L
         elif self.kind is DensityKind.TRUNCATED_GAUSSIAN:
+            from scipy import stats
+
             z = (u - 0.5) * 4.0  # scale = L/4 in x units
             norm = stats.norm.cdf(_TG_CUT) - stats.norm.cdf(-_TG_CUT)
             vals = stats.norm.pdf(z) * 4.0 / (norm * L)
@@ -97,6 +98,8 @@ class Density:
         if self.kind is DensityKind.TRIANGLE:
             return np.where(u <= 0.5, 2.0 * u * u, 1.0 - 2.0 * (1.0 - u) ** 2)
         if self.kind is DensityKind.TRUNCATED_GAUSSIAN:
+            from scipy import stats
+
             z = (u - 0.5) * 4.0
             lo_c = stats.norm.cdf(-_TG_CUT)
             norm = stats.norm.cdf(_TG_CUT) - lo_c
@@ -110,8 +113,12 @@ class Density:
         elif self.kind is DensityKind.TRIANGLE:
             u = np.where(p <= 0.5, np.sqrt(p / 2.0), 1.0 - np.sqrt((1.0 - p) / 2.0))
         elif self.kind is DensityKind.TRUNCATED_GAUSSIAN:
+            from scipy import stats
+
             u = stats.truncnorm.ppf(p, -_TG_CUT, _TG_CUT) / 4.0 + 0.5
         else:
+            from scipy import stats
+
             u = (stats.cosine.ppf(p) + np.pi) / (2.0 * np.pi)
         return self.lo + self.length * u
 
@@ -123,6 +130,8 @@ class Density:
         if self.kind is DensityKind.TRIANGLE:
             return 2.0 / L
         if self.kind is DensityKind.TRUNCATED_GAUSSIAN:
+            from scipy import stats
+
             norm = stats.norm.cdf(_TG_CUT) - stats.norm.cdf(-_TG_CUT)
             return float(stats.norm.pdf(0.0) * 4.0 / (norm * L))
         return 2.0 / L
@@ -142,6 +151,8 @@ class Density:
             return 2.0 * np.pi / L**2, 4.0 * np.pi**2 / L**3
         # truncated Gaussian: f = phi(z) / (s Z) with z = (x - mid)/s, s = L/4,
         # so f' = -z phi(z) / (s^2 Z) and f'' = (z^2 - 1) phi(z) / (s^3 Z).
+        from scipy import stats
+
         norm = stats.norm.cdf(_TG_CUT) - stats.norm.cdf(-_TG_CUT)
         z = np.linspace(-_TG_CUT, _TG_CUT, 100_001)
         phi = stats.norm.pdf(z)
@@ -178,18 +189,24 @@ class NoiseKind(enum.Enum):
 
     def ppf(self, p) -> np.ndarray:
         if self is NoiseKind.GAUSSIAN:
+            from scipy import stats
+
             return stats.truncnorm.ppf(p, -_NOISE_CUT, _NOISE_CUT)
         return math.sqrt(3.0) * (2.0 * np.asarray(p, dtype=np.float64) - 1.0)
 
     @property
     def m2(self) -> float:
         if self is NoiseKind.GAUSSIAN:
+            from scipy import stats
+
             return float(stats.truncnorm.var(-_NOISE_CUT, _NOISE_CUT))
         return 1.0
 
     @property
     def m4(self) -> float:
         if self is NoiseKind.GAUSSIAN:
+            from scipy import stats
+
             return float(stats.truncnorm.moment(4, -_NOISE_CUT, _NOISE_CUT))
         return 9.0 / 5.0
 

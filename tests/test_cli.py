@@ -233,6 +233,27 @@ def test_estimate_non_finite_bandwidth_is_a_config_error(tmp_path, dataset, caps
     assert not (out / "estimate.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "grid_cfg,message",
+    [
+        ({"lo": [float("nan")], "hi": [1.0], "points": 5}, "field 'lo' must be finite"),
+        ({"lo": 0.0, "hi": [float("inf")], "points": 5}, "field 'hi' must be finite"),
+        ({"lo": 0.0, "hi": 1.0, "points": "x"}, "field 'points' must be a number"),
+        ({"lo": 0.0, "hi": 1.0, "points": 2.5}, "field 'points' must give a positive integer count"),
+        ({"lo": 0.0, "hi": 1.0, "points": 1_000_001}, "above the limit of 1000000"),
+    ],
+)
+def test_estimate_bad_grid_is_a_config_error(tmp_path, dataset, capsys, grid_cfg, message):
+    spec = _write_json(tmp_path / "spec.json", {"variant": "bandwidth", "base": "gaussian", "h": [0.25]})
+    grid = _write_json(tmp_path / "grid.json", grid_cfg)
+    out = tmp_path / "o"
+    rc = main(["estimate", "--config", grid, "--data", str(dataset), "--spec", spec, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: grid config:" in err and message in err
+    assert not (out / "estimate.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

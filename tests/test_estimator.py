@@ -35,7 +35,7 @@ from pcoselect import (
     write_sample_csv,
 )
 from pcoselect.bases import basis_matrix
-from pcoselect.estimator import _SWEEP_ROWS, bandwidth_totals, coefficient_tensor
+from pcoselect.estimator import _SWEEP_ROWS, _grid_width, bandwidth_totals, coefficient_tensor
 from pcoselect.experiments import statistic_grid
 from pcoselect.quadrature import composite_grid
 
@@ -204,6 +204,78 @@ def test_estimate_on_grid_matches_pointwise():
     vals = estimate_on_grid(spec, s, grid)
     for k in (0, 11, 30):
         assert_allclose(vals[k], estimate(spec, s, grid[k]), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "base,d,n",
+    [(GAUSSIAN, 1, 700), (GAUSSIAN, 2, 300), (EPANECHNIKOV, 1, 700), (EPANECHNIKOV, 2, 300), (GAUSSIAN, 1, 1)],
+)
+def test_family_grid_evaluation_matches_kernel_matrix(base, d, n):
+    # a point count past two whole column blocks, so the last block is partial
+    s = _uniform_sample(n, d=d, seed=40, loss=LossKind.IDENTITY)
+    rng = stream(41)
+    width = _grid_width(n, d)
+    assert width < 1000 or n == 1
+    pts = rng.uniform(-0.1, 1.1, size=(2 * width + 7 if n > 1 else 50, d))
+    specs = [BandwidthSpec(base, tuple(rng.uniform(0.02, 0.4, d))) for _ in range(4)]
+    rows = estimate_on_grid(specs, s, pts)
+    assert rows.shape == (4, len(pts))
+    for spec, row in zip(specs, rows):
+        want = s.loss_values @ kernel_matrix(spec, s.x, pts) / n
+        # values cross zero under the identity loss: relative to the curve's scale
+        assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        assert np.array_equal(estimate_on_grid(spec, s, pts), row)
+
+
+def _per_member_expansion(spec, s, points):
+    """The per-member projection path: a fresh coefficient tensor and basis at the member's own order."""
+    coeffs = coefficient_tensor(spec, s.x, s.loss_values)
+    out = np.empty(len(points))
+    for start in range(0, len(points), 1024):
+        block = points[start : start + 1024]
+        mats = [basis_matrix(spec.basis, mq, block[:, q]) * spec.weights_for(mq) for q, mq in enumerate(spec.m)]
+        z = mats[0] @ coeffs.reshape(spec.m[0], -1)
+        for q in range(1, spec.d):
+            z = np.einsum("pjr,pj->pr", z.reshape(len(block), spec.m[q], -1), mats[q])
+        out[start : start + 1024] = z[:, 0] / s.n
+    return out
+
+
+@pytest.mark.parametrize(
+    "basis,d,m_max,w", [(TRIG, 1, 12, None), (LEG, 1, 9, _W), (HIST, 1, 9, None), (TRIG, 2, 4, _W), (LEG, 2, 3, None), (HIST, 2, 3, _W)]
+)
+def test_projection_family_grid_is_bit_identical_to_per_member_path(monkeypatch, basis, d, m_max, w):
+    import pcoselect.estimator as estimator_mod
+
+    s = _sample_for(ProjectionSpec(basis, (1,) * d), 90, seed=42)
+    fam = make_projection_family(basis, m_max, d, s.n, w)
+    lo, hi = basis.support
+    pts = stream(43).uniform(lo - 0.05, hi + 0.05, size=(2500, d))
+    tables = GramTables(s)
+    pco_select(fam, s, tables)
+    rows = estimate_on_grid(fam.specs, tables, pts)
+    for spec, row in zip(fam.specs, rows):
+        assert np.array_equal(row, _per_member_expansion(spec, s, pts))
+    assert np.array_equal(estimate_on_grid(fam.specs, s, pts), rows)
+    # one basis evaluation per 1024 points instead of one for all
+    monkeypatch.setattr(estimator_mod, "_BASIS_VALUES", 1)
+    assert np.array_equal(estimate_on_grid(fam.specs, tables, pts), rows)
+
+
+def test_grid_evaluation_memory_is_bounded():
+    import tracemalloc
+
+    # a kernel table per 1024 points took 40 MB at n = 5000; the scratch is fixed
+    s = _uniform_sample(5000, seed=44)
+    specs = [BandwidthSpec(GAUSSIAN, (0.01,)), BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(EPANECHNIKOV, (0.1,))]
+    pts = np.linspace(0.0, 1.0, 2048).reshape(-1, 1)
+    tracemalloc.start()
+    try:
+        estimate_on_grid(specs, s, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_estimate_dimension_mismatch():
@@ -389,6 +461,38 @@ def test_u_statistic_uncentered_reduction():
     weighted = s.loss_values[:, None] * gram * s.loss_values[None, :]
     want = float(np.sum(weighted) - np.sum(np.diagonal(weighted)))
     assert_allclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,))),
+        (BandwidthSpec(GAUSSIAN, (0.2, 0.1)), BandwidthSpec(GAUSSIAN, (0.15, 0.3))),
+        (BandwidthSpec(EPANECHNIKOV, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.25,))),
+        (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.3,))),
+    ],
+)
+def test_u_statistic_bandwidth_sweep_matches_dense(a, b):
+    # the sweep reduces i != j with no table; the dense table is the reference
+    s = _uniform_sample(2 * _SWEEP_ROWS + 11, d=a.d, seed=45, loss=LossKind.SQUARE)
+    ell = s.loss_values
+    weighted = (ell[:, None] * section_inner_matrix(a, s.x, b, s.x)) * ell[None, :]
+    want = float(np.sum(weighted) - np.sum(np.diagonal(weighted)))
+    assert_allclose(u_statistic(a, b, s), want, rtol=1e-12)
+
+
+def test_u_statistic_memory_is_bounded():
+    import tracemalloc
+
+    # the dense table and its weighted copy took 206 MB at n = 3000
+    s = _uniform_sample(3000, seed=46, loss=LossKind.IDENTITY)
+    tracemalloc.start()
+    try:
+        u_statistic(BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.2,)), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_u_statistic_two_points():

@@ -15,6 +15,7 @@ from pcoselect import (
     ProjectionSpec,
     concentration_experiment,
     make_bandwidth_family,
+    make_projection_family,
     mc_risk,
     oracle_experiment,
     scenario_from_config,
@@ -167,6 +168,55 @@ def test_oracle_experiment_threads_byte_identical():
     r4 = oracle_experiment(fam, scn, LossKind.IDENTITY, threads=4)
     assert r1.to_json() == r4.to_json()
     assert r1.to_csv() == r4.to_csv()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "trigonometric"])
+def test_oracle_experiment_threads_byte_identical_over_many_grid_blocks(kind):
+    # n = 500 splits the 2048-point risk grid into a dozen column blocks
+    scn = _scn(n=500, replications=4)
+    if kind == "gaussian":
+        fam = make_bandwidth_family(GAUSSIAN, 0.01, (0.01, 0.03, 0.1, 0.3), d=1, n=500)
+    else:
+        fam = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC), 12, 1, 500)
+    r1 = oracle_experiment(fam, scn, LossKind.IDENTITY, threads=1)
+    r2 = oracle_experiment(fam, scn, LossKind.IDENTITY, threads=2)
+    assert r1.to_json() == r2.to_json()
+
+
+def test_oracle_experiment_shares_the_grid_evaluation(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+    import pcoselect.kernels as kernels_mod
+
+    scn = _scn(n=200, replications=3)
+    gauss = make_bandwidth_family(GAUSSIAN, 0.02, (0.02, 0.05, 0.1, 0.3), d=1, n=200)
+    trig = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC), 10, 1, 200)
+    want = {fam: oracle_experiment(fam, scn, LossKind.IDENTITY).to_json() for fam in (gauss, trig)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("risk-grid evaluation must not build kernel tables")
+
+    for module in (kernels_mod, estimator_mod):
+        monkeypatch.setattr(module, "kernel_matrix", forbidden)
+    assert oracle_experiment(gauss, scn, LossKind.IDENTITY).to_json() == want[gauss]
+    calls = []
+    real_basis_matrix = estimator_mod.basis_matrix
+    monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: calls.append(len(a[2])) or real_basis_matrix(*a))
+    assert oracle_experiment(trig, scn, LossKind.IDENTITY).to_json() == want[trig]
+    # per replication: the sample once (selection), the risk grid once, at the top order
+    assert calls == [scn.n, len(scn.risk_grid().points)] * scn.replications
+
+
+def test_oracle_experiment_member_groups_give_the_same_report(monkeypatch):
+    import pcoselect.experiments as experiments_mod
+
+    scn = _scn(n=100, replications=3)
+    gauss = make_bandwidth_family(GAUSSIAN, 0.02, (0.02, 0.05, 0.1, 0.3, 0.5), d=1, n=100)
+    trig = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC), 7, 1, 100)
+    want = {fam: oracle_experiment(fam, scn, LossKind.IDENTITY).to_json() for fam in (gauss, trig)}
+    # two members per risk-grid call, and a last group of one
+    monkeypatch.setattr(experiments_mod, "_GRID_ESTIMATES", 2 * len(scn.risk_grid().points))
+    for fam, report in want.items():
+        assert oracle_experiment(fam, scn, LossKind.IDENTITY).to_json() == report
 
 
 # ---------------------------------------------------------------------------

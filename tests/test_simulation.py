@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+import pcoselect
 from pcoselect import (
     GAUSSIAN,
     BandwidthSpec,
@@ -23,6 +28,14 @@ from pcoselect import (
 )
 from pcoselect.quadrature import composite_rule
 from pcoselect.simulation import RISK_POINTS_BY_DIM
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; the samplers import it on use
+    src = os.path.dirname(os.path.dirname(pcoselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, pcoselect; sys.exit(int('scipy.stats' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 ALL_DENSITIES = [
     Density(DensityKind.UNIFORM, 0.0, 1.0),
