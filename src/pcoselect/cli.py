@@ -277,10 +277,12 @@ def _require(cfg: dict, field: str, suite: str):
 
 
 def cmd_report(args) -> int:
+    threads = args.threads
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1 (got {threads})")
     cfg = _load_json(args.config, "config")
     loss = _loss_from_flag(cfg.get("loss", args.loss or "one"))
     scn_cfg = _require(cfg, "scenario", "report")
-    threads = args.threads
     out = _out_dir(args)
     n_values = cfg.get("n_values")
     if n_values:
@@ -366,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--loss", default=None, choices=[k.value for k in LossKind])
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="replications run on this many worker processes, at most the usable CPUs")
     p.set_defaults(func=cmd_report)
 
     return parser

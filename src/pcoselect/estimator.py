@@ -15,7 +15,7 @@ conditional moment times f (the noise-variance component when b = 0).
 Empirical inner products <shat_a, shat_b>_2 are double sums over the Gram
 entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` keeps these
 totals per kernel pair and reduces them in a fixed order, so repeated and
-thread-pooled runs agree bit for bit.  A bandwidth Gram table is a
+multi-process runs agree bit for bit.  A bandwidth Gram table is a
 function of the pairwise differences X_i - X_j, symmetric with a
 constant diagonal; :func:`bandwidth_totals` reduces many pairs in one
 sweep over the strict upper triangle, in fixed row blocks with O(n)
@@ -199,6 +199,22 @@ _BASIS_VALUES = 1 << 20
 # took 15-50% longer than 2^18 on the 2048-point (d = 1) and 65536-point
 # (d = 2) risk grids.
 _GRID_SCRATCH = 1 << 18
+# Floor of every Gaussian exponent before ``exp``.  numpy's vector exp
+# takes about 1 ns per entry down to -707, 20-30 ns where the result
+# underflows to 0 and about 200 ns where it is subnormal, and at small
+# bandwidths most entries land there.  A floored entry reads e^-700
+# (about 1e-304) instead of 0 or a subnormal.
+_EXP_FLOOR = -700.0
+
+
+def _reaches_floor(span_sq, scales) -> bool:
+    """Whether a Gaussian exponent sum_q delta_q^2 scales_q can fall below
+    ``_EXP_FLOOR`` when every delta_q^2 is at most span_sq[q].
+
+    Only then does the floor pass change anything; the margin covers the
+    rounding of the sum.
+    """
+    return sum(r * sc for r, sc in zip(span_sq, scales)) < _EXP_FLOOR + 1.0
 
 
 def _product_tensor(values, ell: np.ndarray) -> np.ndarray:
@@ -301,7 +317,8 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
 
     A block forms the squared differences (x_iq - g_pq)^2 once, into reused
     scratch.  Each member then takes one in-place pass per dimension: the
-    Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)) and one ``exp``, or
+    Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
+    ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
     the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
     ``ell @ block``.  The constant prod_q k(0) / h_q multiplies the row.
     """
@@ -311,6 +328,9 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
     squares = [np.empty(n * width) for _ in range(d)]
     work, term = np.empty(n * width), np.empty(n * width)
     consts = [math.prod(spec.base.at_zero / hq for hq in spec.h) / n for spec in specs]
+    span_sq = np.ptp(np.concatenate([x, points]), axis=0) ** 2
+    floors = [spec.base.kind is BaseKind.GAUSSIAN
+              and _reaches_floor(span_sq, [-0.5 / (hq * hq) for hq in spec.h]) for spec in specs]
     rows = np.empty((len(specs), points.shape[0]))
     for start in range(0, points.shape[0], width):
         cols = min(width, points.shape[0] - start)
@@ -319,7 +339,7 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
         for q in range(d):
             np.subtract(x[:, q, None], points[None, start : start + cols, q], out=sq[q])
             np.square(sq[q], out=sq[q])
-        for row, spec, const in zip(rows, specs, consts):
+        for row, spec, const, floor in zip(rows, specs, consts, floors):
             gaussian = spec.base.kind is BaseKind.GAUSSIAN
             for q, hq in enumerate(spec.h):
                 out = vals if q == 0 else tmp
@@ -329,6 +349,8 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
                     np.maximum(out, 0.0, out=out)
                 if q:
                     (np.add if gaussian else np.multiply)(vals, tmp, out=vals)
+            if floor:
+                np.maximum(vals, _EXP_FLOOR, out=vals)
             if gaussian:
                 np.exp(vals, out=vals)
             np.multiply(ell @ vals, const, out=row[start : start + cols])
@@ -417,9 +439,11 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     of rows, forms the differences (their squares for Gaussian pairs) and
     the weights ell_i ell_j once per block, and reduces every pair on it.
     A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
-    v_q = h_aq^2 + h_bq^2, so the sweep sums the exponentials alone; other
-    pairs take :func:`bandwidth_gram_entries`.  Scratch memory is O(n) and
-    every reduction order is fixed.  With ``diagonal=False`` the sums run
+    v_q = h_aq^2 + h_bq^2 and the exponent floored at ``_EXP_FLOOR`` (a
+    pass skipped when the sample's span keeps it above), so the sweep sums
+    the exponentials alone; other pairs take
+    :func:`bandwidth_gram_entries`.  Scratch memory is O(n) and every
+    reduction order is fixed.  With ``diagonal=False`` the sums run
     over i != j only.
     """
     n = x.shape[0]
@@ -427,6 +451,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
         _check_dim(a, x)
     diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     scales = [_gaussian_scales(a, b) for a, b in pairs]
+    span_sq = np.ptp(x, axis=0) ** 2
+    floors = [scale is not None and _reaches_floor(span_sq, scale) for scale in scales]
     partials = [[] for _ in pairs]
     for start in range(0, n - 1, _SWEEP_ROWS):
         stop = min(start + _SWEEP_ROWS, n - 1)
@@ -434,13 +460,15 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
         deltas = [x[start:stop, q, None] - x[None, start + 1 :, q] for q in range(x.shape[1])]
         squares = [dq * dq for dq in deltas] if any(scales) else None
         weight = np.triu(ell[start:stop, None] * ell[None, start + 1 :])
-        for (a, b), scale, out in zip(pairs, scales, partials):
+        for (a, b), scale, floor, out in zip(pairs, scales, floors, partials):
             if scale is None:
                 vals = bandwidth_gram_entries(a, b, deltas)
             else:
                 vals = squares[0] * scale[0]
                 for sq, sc in zip(squares[1:], scale[1:]):
                     vals += sq * sc
+                if floor:
+                    np.maximum(vals, _EXP_FLOOR, out=vals)
                 np.exp(vals, out=vals)
             vals *= weight
             out.append(pairwise_sum(vals))
@@ -652,16 +680,26 @@ def _cross_with_function(spec, sample: Sample, values: np.ndarray, grid) -> np.n
     return out
 
 
+def _grid_values(fn, grid) -> np.ndarray:
+    """Values of ``fn`` at the grid points: ``fn`` is a vectorized callable,
+    or already those values; None is the zero function."""
+    if fn is None:
+        return np.zeros(grid.points.shape[0])
+    return np.asarray(fn(grid.points) if callable(fn) else fn, dtype=np.float64)
+
+
 def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -> float:
     """Degenerate second-order statistic of the centered section sums.
 
     U = sum_{i != j} <K_a(X_i, .) ell_i - s_a, K_b(X_j, .) ell_j - s_b>_2,
     where s_a, s_b are the section averages E(K(X_1, .) ell(Y_1)) supplied
-    as vectorized callables (None means the zero function).  Cross terms
-    against s_a, s_b are integrated on ``grid``, which is required as soon
-    as either function is present.  Centering makes E(U) = 0.  A bandwidth
-    pair takes its sum over i != j from :func:`bandwidth_totals`, with no
-    n x n table; a projection pair reduces its dense Gram table.
+    as vectorized callables or as their values at ``grid.points`` (None
+    means the zero function).  Cross terms against s_a, s_b are integrated
+    on ``grid``, which is required as soon as either function is present.
+    Centering makes E(U) = 0.  Neither variant builds an n x n table: a
+    bandwidth pair takes its sum over i != j from :func:`bandwidth_totals`,
+    and a projection pair takes the coefficient-space total of
+    :class:`GramTables` less its diagonal term.
     """
     if sample.n < 2:
         raise ValueError("the pair statistic needs at least two observations")
@@ -669,15 +707,14 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
         total = bandwidth_totals([(a, b)], sample.x, ell, diagonal=False)[0]
     else:
-        gram = section_inner_matrix(a, sample.x, b, sample.x)
-        weighted = (ell[:, None] * gram) * ell[None, :]
-        total = pairwise_sum(weighted) - pairwise_sum(np.diagonal(weighted).copy())
+        tables = GramTables(sample)
+        total = tables.weighted_total(a, b) - pairwise_sum(ell * ell * tables.diag(a, b))
     if s_mean_a is None and s_mean_b is None:
         return total
     if grid is None:
         raise ValueError("an integration grid is required with nonzero section averages")
-    sa = np.zeros(grid.points.shape[0]) if s_mean_a is None else np.asarray(s_mean_a(grid.points))
-    sb = np.zeros(grid.points.shape[0]) if s_mean_b is None else np.asarray(s_mean_b(grid.points))
+    sa = _grid_values(s_mean_a, grid)
+    sb = _grid_values(s_mean_b, grid)
     n = sample.n
     cross_a = _cross_with_function(a, sample, sb, grid)
     cross_b = _cross_with_function(b, sample, sa, grid)
@@ -691,14 +728,15 @@ def v_statistic(spec, sample: Sample, s_mean=None, grid=None) -> float:
     """V = (1/n) sum_i ||K(X_i, .) ell_i - s_K||_2^2.
 
     With s_mean = None this is exactly :func:`sbar_empirical`; with the
-    section average supplied, E(V) = sbar - ||s_K||_2^2.
+    section average supplied (a callable or its values at ``grid.points``),
+    E(V) = sbar - ||s_K||_2^2.
     """
     base = sbar_empirical(spec, sample)
     if s_mean is None:
         return base
     if grid is None:
         raise ValueError("an integration grid is required with a nonzero section average")
-    s_vals = np.asarray(s_mean(grid.points))
+    s_vals = _grid_values(s_mean, grid)
     ell = sample.loss_values
     cross = _cross_with_function(spec, sample, s_vals, grid)
     norm_sq = grid.integrate(s_vals * s_vals)
@@ -708,11 +746,10 @@ def v_statistic(spec, sample: Sample, s_mean=None, grid=None) -> float:
 def w_statistic(a, b, sample: Sample, s_mean_a, s_mean_b, s_true, grid) -> float:
     """W = <shat_a - s_a, s_b - s>_2, integrated on the supplied grid.
 
-    All three functions are vectorized callables on row-stacked points.
-    E(W) = 0 because shat_a is unbiased for its own section average s_a.
+    Each of the three functions is a vectorized callable on row-stacked
+    points or its values at ``grid.points``.  E(W) = 0 because shat_a is
+    unbiased for its own section average s_a.
     """
     shat = estimate_on_grid(a, sample, grid.points)
-    sa = np.asarray(s_mean_a(grid.points))
-    sb = np.asarray(s_mean_b(grid.points))
-    st = np.asarray(s_true(grid.points))
+    sa, sb, st = (_grid_values(fn, grid) for fn in (s_mean_a, s_mean_b, s_true))
     return grid.integrate((shat - sa) * (sb - st))

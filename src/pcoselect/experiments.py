@@ -3,13 +3,14 @@
 All experiments share the same discipline: replication r of a scenario is
 regenerated from its own counter-based stream, per-replication work is a
 pure function of r, and aggregation happens in replication order with a
-fixed pairwise reduction.  Thread pools only distribute whole
-replications, so ``threads=8`` and ``threads=1`` produce byte-identical
-reports.
+fixed pairwise reduction.  ``threads`` sets the number of forked worker
+processes (at most the usable CPUs) that
+:func:`~pcoselect.numerics.parallel_map` spreads whole replications over,
+so ``threads=8`` and ``threads=1`` produce byte-identical reports.
 
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend
-on the sample size and dimension only, so the thread count never changes
+on the sample size and dimension only, so the worker count never changes
 a reduction order.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import GramTables, LossKind, Sample, estimate_on_grid, sbar_empirical
+from .estimator import GramTables, LossKind, estimate_on_grid, u_statistic, v_statistic, w_statistic
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import pairwise_sum, parallel_map
 from .quadrature import IntegrationGrid, composite_grid
@@ -309,57 +310,37 @@ def concentration_experiment(
     """Replicate the centered statistics for a kernel pair (a, b).
 
     Per replication this draws a fresh sample and evaluates the centered
-    pair statistic U(a, b), the variance statistic V(a), and the centered
-    cross term W(a, b); the section averages and the target are fixed
-    functions of the scenario, computed once on the quadrature grid.
-    The default grid pads the support by the kernels' section reach (see
-    :func:`statistic_grid`); pass a grid with kernel-aware breakpoints
-    for piecewise kernels so the cross terms stay quadrature-exact.
+    pair statistic U(a, b) (:func:`~pcoselect.estimator.u_statistic`), the
+    variance statistic V(a) (:func:`~pcoselect.estimator.v_statistic`) and
+    the centered cross term W(a, b)
+    (:func:`~pcoselect.estimator.w_statistic`).  The section averages and
+    the target are fixed functions of the scenario, evaluated once on the
+    quadrature grid and passed to every replication as grid values.  No
+    replication forms an n x n table.  The default grid pads the
+    support by the kernels' section reach (see :func:`statistic_grid`);
+    pass a grid with kernel-aware breakpoints for piecewise kernels so the
+    cross terms stay quadrature-exact.
     """
     if grid is None:
         grid = statistic_grid(a, b, scn)
-    s_mean_a = make_s_mean(a, scn, loss, grid)
-    s_mean_b = make_s_mean(b, scn, loss, grid)
-    sa_grid = s_mean_a(grid.points)
-    sb_grid = s_mean_b(grid.points)
+    sa_grid = make_s_mean(a, scn, loss, grid)(grid.points)
+    sb_grid = make_s_mean(b, scn, loss, grid)(grid.points)
     s_grid = scn.true_s(loss, grid.points)
-    gw = grid.weights
-    n = scn.n
 
     def one(rep: int):
         sample = scn.generate(rep, loss)
-        ell = sample.loss_values
-        from .kernels import kernel_matrix, section_inner_matrix
-
-        ka_grid = kernel_matrix(a, sample.x, grid.points)  # (n, P)
-        kb_grid = kernel_matrix(b, sample.x, grid.points)
-        gram = section_inner_matrix(a, sample.x, b, sample.x)
-        weighted = (ell[:, None] * gram) * ell[None, :]
-        off = pairwise_sum(weighted) - pairwise_sum(np.diagonal(weighted).copy())
-        cross_a = ka_grid @ (gw * sb_grid)  # <K_a(X_i,.), s_b>
-        cross_b = kb_grid @ (gw * sa_grid)
-        u_val = (
-            off
-            - (n - 1) * pairwise_sum(ell * cross_a)
-            - (n - 1) * pairwise_sum(ell * cross_b)
-            + n * (n - 1) * pairwise_sum(gw * sa_grid * sb_grid)
+        return (
+            u_statistic(a, b, sample, sa_grid, sb_grid, grid),
+            v_statistic(a, sample, sa_grid, grid),
+            w_statistic(a, b, sample, sa_grid, sb_grid, s_grid, grid),
         )
-        cross_aa = ka_grid @ (gw * sa_grid)
-        v_val = (
-            sbar_empirical(a, sample)
-            - 2.0 * pairwise_sum(ell * cross_aa) / n
-            + pairwise_sum(gw * sa_grid * sa_grid)
-        )
-        shat_a = ell @ ka_grid / n
-        w_val = pairwise_sum(gw * (shat_a - sa_grid) * (sb_grid - s_grid))
-        return u_val, v_val, w_val
 
     results = parallel_map(one, range(scn.replications), threads)
     u_vals = np.asarray([r[0] for r in results])
     v_vals = np.asarray([r[1] for r in results])
     w_vals = np.asarray([r[2] for r in results])
     sbar_target = sbar_analytic(a, scn, loss)
-    v_target = sbar_target - pairwise_sum(gw * sa_grid * sa_grid)
+    v_target = sbar_target - grid.integrate(sa_grid * sa_grid)
     u_mean, u_se = _mean_se(u_vals)
     v_mean, v_se = _mean_se(v_vals)
     w_mean, w_se = _mean_se(w_vals)

@@ -2,7 +2,7 @@
 
 Replications and substreams are addressed by key, not by draw order: stream
 (seed, replication, stream) always yields the same numbers no matter which
-other streams were consumed first, which is what makes thread-pooled Monte
+other streams were consumed first, which is what makes multi-process Monte
 Carlo runs bit-reproducible.
 """
 

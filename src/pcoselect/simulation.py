@@ -13,7 +13,7 @@ s_K = E(K(X_1, .) ell(Y_1)) of any kernel.
 
 Sampling is inverse-CDF from counter-based uniform streams, keyed by
 (seed, replication, substream), so any replication can be regenerated in
-isolation and thread-pooled experiments stay bit-reproducible.
+isolation and multi-process experiments stay bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class DensityKind(enum.Enum):
     TRIANGLE = "triangle"
     TRUNCATED_GAUSSIAN = "truncated_gaussian"
     RAISED_COSINE = "raised_cosine"
+
+
+# Densities whose inverse CDF comes from scipy.stats.
+_SCIPY_DENSITIES = (DensityKind.TRUNCATED_GAUSSIAN, DensityKind.RAISED_COSINE)
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,11 @@ class Scenario:
         object.__setattr__(self, "support", (lo, hi))
         if self.sigma_kind is SigmaKind.CONSTANT and self.sigma_const < 0:
             raise ConfigError("sigma_const must be nonnegative")
+        if self.noise is NoiseKind.GAUSSIAN or self.f_kind in _SCIPY_DENSITIES:
+            # Load the samplers' scipy.stats here, once, rather than on the
+            # first generate: a worker forked by parallel_map would otherwise
+            # import it again on every call.
+            import scipy.stats  # noqa: F401
 
     # -- design density -------------------------------------------------
 

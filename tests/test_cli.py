@@ -406,6 +406,17 @@ def test_report_threads_do_not_change_bytes(tmp_path):
     assert (a / "risk_by_kernel.csv").read_bytes() == (b / "risk_by_kernel.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_report_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    cfg = _write_json(tmp_path / "r.json", {"scenario": _scn_cfg(n=50, replications=2),
+                                            "family": {"variant": "bandwidth", "h_min": 0.15, "grid": [0.2], "d": 1}})
+    out = tmp_path / "o"
+    assert main(["report", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--threads" in err and f"got {threads}" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # configs rejected with exit code 2
 # ---------------------------------------------------------------------------

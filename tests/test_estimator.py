@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -481,6 +482,22 @@ def test_u_statistic_bandwidth_sweep_matches_dense(a, b):
     assert_allclose(u_statistic(a, b, s), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("a,b", PROJECTION_PAIRS)
+def test_u_statistic_projection_coefficient_form_matches_dense(monkeypatch, a, b):
+    # the coefficient-space total less its diagonal term, with no table
+    s = _sample_for(a, 150, seed=47)
+    ell = s.loss_values
+    weighted = (ell[:, None] * section_inner_matrix(a, s.x, b, s.x)) * ell[None, :]
+    want = float(np.sum(weighted) - np.sum(np.diagonal(weighted)))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("u_statistic built an n x n table")
+
+    monkeypatch.setattr("pcoselect.kernels.section_inner_matrix", no_table)
+    monkeypatch.setattr("pcoselect.estimator.section_inner_matrix", no_table)
+    assert_allclose(u_statistic(a, b, s), want, rtol=1e-12)
+
+
 def test_u_statistic_memory_is_bounded():
     import tracemalloc
 
@@ -652,6 +669,28 @@ def test_bandwidth_sweep_matches_dense(a, b, n):
     assert_allclose(tables.weighted_total(a, b), want[0], rtol=1e-12)
     assert tables.weighted_total(b, a) == tables.weighted_total(a, b)
     assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12)
+
+
+def test_gaussian_exponent_floor_keeps_to_the_exact_references():
+    # at h = 1/n most Gaussian exponents fall below the floor of -700
+    n = 400
+    s = _uniform_sample(n, seed=12, loss=LossKind.IDENTITY)
+    ell = s.loss_values
+    a, b = BandwidthSpec(GAUSSIAN, (1.0 / n,)), BandwidthSpec(GAUSSIAN, (2.5 / n,))
+    want = [float(ell @ section_inner_matrix(p, s.x, q, s.x) @ ell) for p, q in ((a, b), (a, a), (b, b))]
+    assert_allclose(bandwidth_totals([(a, b), (a, a), (b, b)], s.x, ell), want, rtol=1e-12)
+    pts = np.linspace(-0.05, 1.05, 1001).reshape(-1, 1)
+    for spec, row in zip((a, b), estimate_on_grid([a, b], s, pts)):
+        ref = ell @ kernel_matrix(spec, s.x, pts) / n
+        assert_allclose(row, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    # far from every observation each entry reads e^-700 where the exact kernel is 0
+    ones = s.with_loss(LossKind.ONE)
+    assert kernel_matrix(a, s.x, np.array([[3.0]])).max() == 0.0
+    assert_allclose(estimate(a, ones, [3.0]), math.exp(-700.0) * a.base.at_zero / a.h[0], rtol=1e-12)
+    # the floor is decided on the span of sample and points together
+    tight = Sample(np.linspace(0.0, 0.01, 5)[:, None], np.ones(5))
+    wide = BandwidthSpec(GAUSSIAN, (0.05,))
+    assert_allclose(estimate(wide, tight, [3.0]), math.exp(-700.0) * wide.base.at_zero / 0.05, rtol=1e-12)
 
 
 @pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)

@@ -268,3 +268,83 @@ def test_concentration_threads_byte_identical():
     r1 = concentration_experiment(a, b, scn, LossKind.ONE, threads=1)
     r4 = concentration_experiment(a, b, scn, LossKind.ONE, threads=4)
     assert r1.to_json() == r4.to_json()
+
+
+def _concentration_dense_reference(a, b, scn, loss, grid):
+    """The per-replication U, V, W of the dense n x n formulation."""
+    from pcoselect.estimator import sbar_empirical
+    from pcoselect.kernels import kernel_matrix, section_inner_matrix
+    from pcoselect.numerics import pairwise_sum
+    from pcoselect.simulation import make_s_mean
+
+    sa_grid = make_s_mean(a, scn, loss, grid)(grid.points)
+    sb_grid = make_s_mean(b, scn, loss, grid)(grid.points)
+    s_grid = scn.true_s(loss, grid.points)
+    gw = grid.weights
+    n = scn.n
+    rows = []
+    for rep in range(scn.replications):
+        sample = scn.generate(rep, loss)
+        ell = sample.loss_values
+        ka_grid = kernel_matrix(a, sample.x, grid.points)
+        kb_grid = kernel_matrix(b, sample.x, grid.points)
+        gram = section_inner_matrix(a, sample.x, b, sample.x)
+        weighted = (ell[:, None] * gram) * ell[None, :]
+        off = pairwise_sum(weighted) - pairwise_sum(np.diagonal(weighted).copy())
+        cross_a = ka_grid @ (gw * sb_grid)
+        cross_b = kb_grid @ (gw * sa_grid)
+        u_val = (
+            off
+            - (n - 1) * pairwise_sum(ell * cross_a)
+            - (n - 1) * pairwise_sum(ell * cross_b)
+            + n * (n - 1) * pairwise_sum(gw * sa_grid * sb_grid)
+        )
+        cross_aa = ka_grid @ (gw * sa_grid)
+        v_val = sbar_empirical(a, sample) - 2.0 * pairwise_sum(ell * cross_aa) / n + pairwise_sum(gw * sa_grid * sa_grid)
+        shat_a = ell @ ka_grid / n
+        w_val = pairwise_sum(gw * (shat_a - sa_grid) * (sb_grid - s_grid))
+        rows.append((u_val, v_val, w_val))
+    return np.asarray(rows), pairwise_sum(gw * sa_grid * sa_grid)
+
+
+_CONCENTRATION_PAIRS = {
+    "gaussian": (BandwidthSpec(GAUSSIAN, (0.3,)), BandwidthSpec(GAUSSIAN, (0.15,)), LossKind.IDENTITY),
+    "gaussian-one": (BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(GAUSSIAN, (0.04,)), LossKind.ONE),
+    "trig": (
+        ProjectionSpec(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=9), (3,)),
+        ProjectionSpec(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=9), (7,)),
+        LossKind.IDENTITY,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONCENTRATION_PAIRS))
+def test_concentration_matches_dense_reference(case):
+    a, b, loss = _CONCENTRATION_PAIRS[case]
+    scn = _scn(n=60, replications=12, seed=5)
+    grid = statistic_grid(a, b, scn)
+    rows, sa_norm_sq = _concentration_dense_reference(a, b, scn, loss, grid)
+    rep = concentration_experiment(a, b, scn, loss, threads=2, grid=grid)
+    for summary, values in zip((rep.u, rep.v, rep.w), rows.T):
+        assert_allclose(summary.mean, values.mean(), rtol=1e-12, atol=1e-12 * np.abs(values).max())
+        assert_allclose(summary.se, values.std(ddof=1) / np.sqrt(len(values)), rtol=1e-12)
+    from pcoselect import sbar_analytic
+
+    sbar = sbar_analytic(a, scn, loss)
+    assert_allclose(rep.v.target, sbar - sa_norm_sq, rtol=1e-12)
+
+
+def test_concentration_replication_memory_is_bounded():
+    import tracemalloc
+
+    scn = _scn(n=2000, replications=1, seed=3)
+    a, b = BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.02,))
+    tracemalloc.start()
+    try:
+        concentration_experiment(a, b, scn, LossKind.IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 14.5 MB; the dense formulation held 143 MB, and one n x n
+    # table alone is 32 MB
+    assert peak < 24 * 2**20, peak / 2**20

@@ -1,8 +1,16 @@
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
+import pcoselect
+from pcoselect import numerics
 from pcoselect.numerics import combine_partials, pairwise_sum, parallel_map, weighted_gram_total
 
 
@@ -37,8 +45,144 @@ def test_combine_partials_matches_direct():
     assert_allclose(combine_partials(parts), math.fsum(parts), rtol=1e-15)
 
 
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    serial = parallel_map(lambda i: i * i, items, threads=1)
-    threaded = parallel_map(lambda i: i * i, items, threads=4)
-    assert serial == threaded == [i * i for i in items]
+# ---------------------------------------------------------------------------
+# parallel_map on forked workers.  usable_cpus is patched up so that the
+# workers are forked on a machine with fewer CPUs too.
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that blocks for a minute instead of letting it hang."""
+
+    def expired(signum, frame):
+        raise TimeoutError("parallel_map blocked for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_map_preserves_order(four_cpus, alarm):
+    items = list(range(23))
+    for threads in (1, 2, 3, 4, 64):
+        out = parallel_map(lambda i: (i * i, np.arange(i, dtype=np.float64)), items, threads)
+        assert [v for v, _ in out] == [i * i for i in items]
+        assert all(arr.tobytes() == np.arange(i, dtype=np.float64).tobytes() for i, (_, arr) in enumerate(out))
+    assert parallel_map(lambda i: i, [], 4) == []
+    _assert_no_child_left()
+
+
+def test_parallel_map_forks_at_most_the_usable_cpus(monkeypatch, alarm):
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert parallel_map(lambda i: -i, range(10), threads=64) == [-i for i in range(10)]
+    assert len(forks) == 2
+    assert parallel_map(lambda i: -i, range(10), threads=1) == [-i for i in range(10)]
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_parallel_map_reraises_a_worker_exception(four_cpus, alarm):
+    def fn(i):
+        if i == 6:
+            raise ValueError(f"item {i} is bad")
+        return i
+
+    with pytest.raises(ValueError, match="^item 6 is bad$"):
+        parallel_map(fn, range(8), threads=3)
+    _assert_no_child_left()
+
+
+def test_parallel_map_unpicklable_exception_keeps_type_and_message(four_cpus, alarm):
+    class LocalError(Exception):  # defined in a function: pickle cannot find it by name
+        pass
+
+    def fn(i):
+        if i == 1:
+            raise LocalError("no way back")
+        return i
+
+    with pytest.raises(RuntimeError, match="LocalError: no way back"):
+        parallel_map(fn, range(4), threads=2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
+def test_parallel_map_worker_death_raises_runtime_error(four_cpus, alarm, death, status):
+    def fn(i):
+        if i == 2:
+            death()
+        return i
+
+    with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
+        parallel_map(fn, range(6), threads=3)
+    _assert_no_child_left()
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(pcoselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered on its pipe
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_parallel_map_prints_buffered_parent_stdout_once():
+    # stdout is a pipe here, so the first line is still in the buffer at fork
+    code = (
+        "import sys\n"
+        "sys.stdout.write('before the fork\\n')\n"
+        "from pcoselect import numerics\n"
+        "numerics.usable_cpus = lambda: 4\n"
+        "print(numerics.parallel_map(lambda i: 10 * i, range(5), 4))\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before the fork\n[0, 10, 20, 30, 40]\n"
+
+
+def test_oracle_replication_imports_nothing_in_a_worker():
+    code = (
+        "import json, sys\n"
+        "import pcoselect\n"
+        "from pcoselect import experiments, numerics\n"
+        "numerics.usable_cpus = lambda: 2\n"
+        "added = []\n"
+        "def spy(fn, items, threads):\n"
+        "    def wrapped(item):\n"
+        "        before = set(sys.modules)\n"
+        "        result = fn(item)\n"
+        "        return result, sorted(set(sys.modules) - before)\n"
+        "    out = numerics.parallel_map(wrapped, items, threads)\n"
+        "    added.extend(new for _, new in out)\n"
+        "    return [result for result, _ in out]\n"
+        "experiments.parallel_map = spy\n"
+        "scn = pcoselect.scenario_from_config({'d': 1, 'f': 'triangle', 'b': {'kind': 'sine'},\n"
+        "    'sigma': {'kind': 'constant', 'c': 0.3}, 'noise': 'gaussian', 'n': 200, 'replications': 4})\n"
+        "fam = pcoselect.make_bandwidth_family(pcoselect.GAUSSIAN, 0.02, [0.02, 0.1, 0.3], 1, 200)\n"
+        "experiments.oracle_experiment(fam, scn, pcoselect.LossKind.IDENTITY, threads=2)\n"
+        "print(json.dumps(added))\n"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], [], []]

@@ -29,12 +29,41 @@ from pcoselect import (
 from pcoselect.quadrature import composite_rule
 from pcoselect.simulation import RISK_POINTS_BY_DIM
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the package's import time; the samplers import it on use
+def _scipy_stats_loaded_after(code: str) -> bool:
     src = os.path.dirname(os.path.dirname(pcoselect.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, pcoselect; sys.exit(int('scipy.stats' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code += "\nimport sys; sys.exit(int('scipy.stats' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    return bool(proc.returncode)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; only scenarios that sample through it load it
+    assert not _scipy_stats_loaded_after("import pcoselect")
+
+
+def test_select_and_estimate_on_a_csv_leave_scipy_stats_unloaded(tmp_path):
+    (tmp_path / "data.csv").write_text("x1,y\n0.1,1.0\n0.4,2.0\n0.5,0.5\n0.9,1.5\n")
+    (tmp_path / "family.json").write_text('{"variant": "bandwidth", "h_min": 0.25, "grid": [0.3, 0.6], "d": 1}')
+    (tmp_path / "spec.json").write_text('{"variant": "bandwidth", "base": "gaussian", "h": [0.3]}')
+    (tmp_path / "grid.json").write_text('{"lo": [0.0], "hi": [1.0], "points": 11}')
+    d = str(tmp_path)
+    code = (
+        "from pcoselect.cli import main\n"
+        f"assert main(['select', '--config', '{d}/family.json', '--data', '{d}/data.csv', '--out', '{d}/o']) == 0\n"
+        f"assert main(['estimate', '--config', '{d}/grid.json', '--data', '{d}/data.csv',"
+        f" '--spec', '{d}/spec.json', '--out', '{d}/o']) == 0"
+    )
+    assert not _scipy_stats_loaded_after(code)
+
+
+def test_scenario_loads_scipy_stats_only_when_its_sampler_needs_it():
+    # loaded when the scenario is built, so forked workers never import it
+    make = "from pcoselect import Scenario, DensityKind, NoiseKind\n"
+    assert not _scipy_stats_loaded_after(make + "Scenario(noise=NoiseKind.UNIFORM, f_kind=DensityKind.TRIANGLE)")
+    assert _scipy_stats_loaded_after(make + "Scenario(noise=NoiseKind.GAUSSIAN)")
+    assert _scipy_stats_loaded_after(make + "Scenario(noise=NoiseKind.UNIFORM, f_kind=DensityKind.RAISED_COSINE)")
 
 
 ALL_DENSITIES = [
