@@ -71,6 +71,32 @@ def _loss_from_flag(flag: str) -> LossKind:
         raise ConfigError(f"unknown loss {flag!r}; expected one|identity|square") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _family_number(cfg: dict, field: str) -> float:
+    value = cfg[field]
+    if not _is_number(value):
+        raise ConfigError(f"family config: field {field!r} must be a number (got {value!r})")
+    return float(value)
+
+
+def _family_numbers(cfg: dict, field: str) -> list:
+    value = cfg[field]
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ConfigError(f"family config: field {field!r} must be a list of numbers (got {value!r})")
+    return [float(v) for v in value]
+
+
+def _family_count(cfg: dict, field: str) -> int:
+    """An integer field; an integral float such as 2.0 counts as one."""
+    value = cfg[field]
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ConfigError(f"family config: field {field!r} must be an integer (got {value!r})")
+    return int(value)
+
+
 def _family_from_config(cfg: dict, n: int) -> KernelFamily:
     if not isinstance(cfg, dict):
         raise ConfigError("family config must be an object")
@@ -83,7 +109,7 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
             if field not in cfg:
                 raise ConfigError(f"family config: missing field {field!r}")
         base = _BASES[base_name]
-        h_min, grid, d = float(cfg["h_min"]), [float(h) for h in cfg["grid"]], int(cfg["d"])
+        h_min, grid, d = _family_number(cfg, "h_min"), _family_numbers(cfg, "grid"), _family_count(cfg, "d")
         return _build_family(lambda: make_bandwidth_family(base, h_min, grid, d, n))
     if variant == "projection":
         for field in ("basis", "m_max", "d"):
@@ -93,9 +119,9 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
             kind = BasisKind(cfg["basis"])
         except ValueError as exc:
             raise ConfigError(f"family config: unknown basis {cfg['basis']!r}") from exc
-        m_cap, m_max, d = int(cfg.get("m_cap", 64)), int(cfg["m_max"]), int(cfg["d"])
-        w = cfg.get("w")
-        weights = None if w is None else np.asarray(w, dtype=np.float64)
+        m_cap = _family_count(cfg, "m_cap") if "m_cap" in cfg else 64
+        m_max, d = _family_count(cfg, "m_max"), _family_count(cfg, "d")
+        weights = None if cfg.get("w") is None else _family_numbers(cfg, "w")
         return _build_family(lambda: make_projection_family(BasisFamily(kind, m_cap), m_max, d, n, weights))
     raise ConfigError(f"family config: unknown variant {variant!r}")
 
@@ -180,7 +206,7 @@ def _grid_numbers(grid_cfg: dict, field: str) -> list:
     """A number, or a list of numbers, of the grid config as a list."""
     value = grid_cfg[field]
     items = value if isinstance(value, list) else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+    if not all(map(_is_number, items)):
         raise ConfigError(f"grid config: field {field!r} must be a number or a list of numbers (got {value!r})")
     return items
 

@@ -15,11 +15,16 @@ conditional moment times f (the noise-variance component when b = 0).
 Empirical inner products <shat_a, shat_b>_2 are double sums over the Gram
 entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` keeps these
 totals per kernel pair and reduces them in a fixed order, so repeated and
-multi-process runs agree bit for bit.  A bandwidth Gram table is a
-function of the pairwise differences X_i - X_j, symmetric with a
-constant diagonal; :func:`bandwidth_totals` reduces many pairs in one
-sweep over the strict upper triangle, in fixed row blocks with O(n)
-scratch memory.  A projection estimator is a coefficient tensor instead:
+multi-process runs, and runs at any BLAS thread count, agree bit for bit.
+A bandwidth Gram table is a function of the pairwise differences
+X_i - X_j, symmetric with a constant diagonal; :func:`bandwidth_totals`
+reduces many pairs in one sweep over the strict upper triangle, in fixed
+row blocks.  The sweep allocates its O(n) scratch once, forms each
+block's differences once for every pair, and contracts each pair's block
+with the loss weights in BLAS dot products.  At d >= 2 the Gaussian
+factor exp(-delta_q^2 / (2 v_q)) of each distinct (q, v_q) is evaluated
+once per block and shared by every pair that uses it.  A projection
+estimator is a coefficient tensor instead:
 with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
@@ -407,11 +412,21 @@ def estimate(spec, sample: Sample, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Rows per block of the bandwidth sweep.  A block holds the differences of
-# _SWEEP_ROWS sample points to every later point, so its scratch memory is
-# a few arrays of _SWEEP_ROWS x n values; fixed, so the reduction order
-# depends on n alone.
+# Rows per block of the bandwidth sweep.  A block of _SWEEP_ROWS sample
+# points against every later point gives one partial sum per pair; the
+# number is fixed, so the reduction order depends on n alone.
 _SWEEP_ROWS = 32
+# Scratch budget, in float64 entries, of the per-dimension Gaussian tables
+# of the sweep (2 MB).  When a d >= 2 family has more distinct tables than
+# fit a whole block, they are built for fewer rows at a time; every row's
+# dot product is the same whichever rows share a pass, so this changes the
+# memory and not the numbers.
+_TABLE_SCRATCH = 1 << 18
+# Columns per BLAS dot product of the sweep.  OpenBLAS splits a dot product
+# of more than 10000 entries across its threads, which changes its
+# rounding; shorter chunks, added in order, keep the totals independent of
+# the BLAS thread count.
+_CONTRACT_COLS = 4096
 
 
 def _gaussian_scales(a, b):
@@ -430,52 +445,145 @@ def _bandwidth_diag_value(a, b) -> float:
     return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
 
 
+def _sweep_tables(scales, floors, n: int, d: int):
+    """The shared per-dimension Gaussian tables of a sweep, and its rows per pass.
+
+    At d >= 2 a Gaussian pair whose exponent cannot reach ``_EXP_FLOOR`` is
+    the product over q of exp(scale_q delta_q^2), and pairs with a common
+    (q, scale_q) share that table.  Returns {(q, scale_q): index}, per
+    pair its table indices (None for a pair that takes another path), and
+    the rows per pass, at most ``_SWEEP_ROWS``, for which the tables fit
+    ``_TABLE_SCRATCH``.  When one row of them does not fit, no pair is
+    factored.
+    """
+    keys, uses = {}, []
+    for scale, floor in zip(scales, floors):
+        factored = d > 1 and scale is not None and not floor
+        uses.append([keys.setdefault((q, sc), len(keys)) for q, sc in enumerate(scale)] if factored else None)
+    rows = _TABLE_SCRATCH // (len(keys) * max(n - 1, 1)) if keys else _SWEEP_ROWS
+    if rows < 1:
+        return {}, [None] * len(uses), _SWEEP_ROWS
+    return keys, uses, min(rows, _SWEEP_ROWS)
+
+
+def _leading(buf: np.ndarray, shape) -> np.ndarray:
+    """The first prod(shape) entries of a scratch buffer, in that shape."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """out[i] = sum_j a[i, j] b[i, j], one BLAS dot product per row and
+    ``_CONTRACT_COLS`` columns, the chunks added in order."""
+    if a.shape[1] <= _CONTRACT_COLS:
+        np.vecdot(a, b, out=out)
+        return
+    np.vecdot(a[:, :_CONTRACT_COLS], b[:, :_CONTRACT_COLS], out=out)
+    for lo in range(_CONTRACT_COLS, a.shape[1], _CONTRACT_COLS):
+        out += np.vecdot(a[:, lo : lo + _CONTRACT_COLS], b[:, lo : lo + _CONTRACT_COLS])
+
+
 def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = True) -> list:
     """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b), in one sweep.
 
     A bandwidth Gram table is symmetric with the constant diagonal
     c_ab = G_ab[i, i], so its total is c_ab sum_i ell_i^2 plus twice the
     strict upper triangle.  The sweep walks that triangle in fixed blocks
-    of rows, forms the differences (their squares for Gaussian pairs) and
-    the weights ell_i ell_j once per block, and reduces every pair on it.
+    of ``_SWEEP_ROWS`` rows, with scratch allocated once per sweep.  A
+    block forms the differences (their squares for Gaussian pairs) once,
+    and a weight table that holds ell_j where j > i and 0 elsewhere.  Each
+    pair writes its entries into one reused value buffer and contracts
+    each row with the weight table in BLAS dot products
+    (:func:`_row_dots`); the block's partial is ell_rows @ those row sums,
+    and partials are combined in block order.
+
     A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
-    v_q = h_aq^2 + h_bq^2 and the exponent floored at ``_EXP_FLOOR`` (a
-    pass skipped when the sample's span keeps it above), so the sweep sums
-    the exponentials alone; other pairs take
-    :func:`bandwidth_gram_entries`.  Scratch memory is O(n) and every
-    reduction order is fixed.  With ``diagonal=False`` the sums run
+    v_q = h_aq^2 + h_bq^2, so the sweep sums the exponentials alone.  The
+    exponent is floored at ``_EXP_FLOOR`` for the pairs that can reach it
+    given the sample's span.  At d >= 2 every other Gaussian pair is a
+    product of per-dimension tables exp(delta_q^2 (-1 / (2 v_q))), each
+    evaluated once per block and shared by every pair with that v_q
+    (:func:`_sweep_tables`): a 5 x 5 tensor family has 18 tables for its
+    49 pairs.  The tables of the last dimension are multiplied by the
+    weight table once, so a pair at d = 2 is one row-wise dot product of
+    two tables.  Other pairs take :func:`bandwidth_gram_entries`.  Scratch
+    memory is O(n) whatever the family size.  A pair's total depends on n,
+    d and its own kernels alone, so a pair swept with its family or alone
+    gets the same bits, unless the family has too many tables for one row
+    of the budget and none is built.  With ``diagonal=False`` the sums run
     over i != j only.
     """
-    n = x.shape[0]
+    n, d = x.shape
+    if not pairs:
+        return []
     for a, _ in pairs:
         _check_dim(a, x)
     diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     scales = [_gaussian_scales(a, b) for a, b in pairs]
     span_sq = np.ptp(x, axis=0) ** 2
     floors = [scale is not None and _reaches_floor(span_sq, scale) for scale in scales]
-    partials = [[] for _ in pairs]
-    for start in range(0, n - 1, _SWEEP_ROWS):
+    keys, uses, rows = _sweep_tables(scales, floors, n, d)
+    summed = any(scale is not None and use is None for scale, use in zip(scales, uses))
+    size = rows * max(n - 1, 0)
+    delta_bufs = [np.empty(size) for _ in range(d)] if any(scale is None for scale in scales) else []
+    square_bufs = [np.empty(size) for _ in range(d)] if summed or keys else []
+    table_bufs = [np.empty(size) for _ in keys]
+    value_buf = np.empty(size) if summed or (keys and d > 2) else None
+    term_buf = np.empty(size) if summed and d > 1 else None
+    weight_buf = np.empty(size)
+    lower = np.tri(_SWEEP_ROWS, _SWEEP_ROWS, -1, dtype=bool)
+    starts = range(0, n - 1, _SWEEP_ROWS)
+    partials = np.empty((len(starts), len(pairs)))
+    for block, start in enumerate(starts):
         stop = min(start + _SWEEP_ROWS, n - 1)
-        # row i = start + r against column j = start + 1 + c: j > i iff c >= r
-        deltas = [x[start:stop, q, None] - x[None, start + 1 :, q] for q in range(x.shape[1])]
-        squares = [dq * dq for dq in deltas] if any(scales) else None
-        weight = np.triu(ell[start:stop, None] * ell[None, start + 1 :])
-        for (a, b), scale, floor, out in zip(pairs, scales, floors, partials):
-            if scale is None:
-                vals = bandwidth_gram_entries(a, b, deltas)
-            else:
-                vals = squares[0] * scale[0]
-                for sq, sc in zip(squares[1:], scale[1:]):
-                    vals += sq * sc
-                if floor:
-                    np.maximum(vals, _EXP_FLOOR, out=vals)
-                np.exp(vals, out=vals)
-            vals *= weight
-            out.append(pairwise_sum(vals))
+        w = n - 1 - start
+        dots = np.empty((len(pairs), stop - start))
+        for k0 in range(0, stop - start, rows):
+            k1 = min(k0 + rows, stop - start)
+            shape = (k1 - k0, w)
+            deltas = [_leading(buf, shape) for buf in delta_bufs]
+            squares = [_leading(buf, shape) for buf in square_bufs]
+            tables = [_leading(buf, shape) for buf in table_bufs]
+            value = None if value_buf is None else _leading(value_buf, shape)
+            term = None if term_buf is None else _leading(term_buf, shape)
+            # row i = start + k against column j = start + 1 + c: ell_j where j > i (c >= k), else 0
+            weights = _leading(weight_buf, shape)
+            weights[...] = ell[start + 1 :]
+            weights[:, :k1][lower[k0:k1, :k1]] = 0.0
+            for q in range(d):
+                diff = deltas[q] if deltas else squares[q]
+                np.subtract(x[start + k0 : start + k1, q, None], x[None, start + 1 :, q], out=diff)
+                if squares:
+                    np.square(diff, out=squares[q])
+            for (q, sc), table in zip(keys, tables):
+                np.multiply(squares[q], sc, out=table)
+                np.exp(table, out=table)
+                if q == d - 1:
+                    # the last factor of every pair carries the weights
+                    np.multiply(table, weights, out=table)
+            for (a, b), scale, floor, use, out in zip(pairs, scales, floors, uses, dots[:, k0:k1]):
+                if use is not None:
+                    vals = tables[use[0]]
+                    if d > 2:
+                        vals = np.multiply(vals, tables[use[1]], out=value)
+                        for k in use[2:-1]:
+                            np.multiply(vals, tables[k], out=vals)
+                    _row_dots(vals, tables[use[-1]], out)
+                    continue
+                if scale is None:
+                    vals = bandwidth_gram_entries(a, b, deltas)
+                else:
+                    vals = np.multiply(squares[0], scale[0], out=value)
+                    for sq, sc in zip(squares[1:], scale[1:]):
+                        np.add(vals, np.multiply(sq, sc, out=term), out=vals)
+                    if floor:
+                        np.maximum(vals, _EXP_FLOOR, out=vals)
+                    np.exp(vals, out=vals)
+                _row_dots(vals, weights, out)
+        np.vecdot(dots, ell[start:stop], out=partials[block])
     sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
     totals = []
-    for c, scale, out in zip(diag, scales, partials):
-        upper = combine_partials(out)
+    for c, scale, column in zip(diag, scales, partials.T):
+        upper = combine_partials(column)
         # Gaussian partials sum the entries divided by c
         totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
     return totals
@@ -503,10 +611,12 @@ class GramTables:
 
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
-    fixed row blocks: after :meth:`reserve` with the overfitting member k0,
-    the first :meth:`weighted_total` fills every (a, a) and (a, k0) total
-    of the family in one sweep, and an unreserved pair takes a sweep of
-    its own.  Their diagonal is a constant.  :meth:`matrix` builds the
+    fixed row blocks, with scratch allocated once and per-dimension
+    Gaussian tables shared between pairs at d >= 2: after :meth:`reserve`
+    with the overfitting member k0, the first :meth:`weighted_total` fills
+    every (a, a) and (a, k0) total of the family in one sweep, and an
+    unreserved pair takes a sweep of its own.  Their diagonal is a
+    constant.  :meth:`matrix` builds the
     dense table of any pair, uncached; it is the reference the sweep and
     the coefficient form are tested against.
     """

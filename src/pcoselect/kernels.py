@@ -28,7 +28,6 @@ dense :meth:`GramTables.matrix` compare against.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram, histogram_cells
-from .quadrature import composite_rule
+from .quadrature import composite_rule, legendre_rule
 
 DIAG_SCAN_POINTS = 10_000
 
@@ -212,12 +211,6 @@ def kernel_eval(spec, x_prime, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _legendre_rule(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return tuple(zip(x.tolist(), w.tolist()))
-
-
 def _conv_quadrature(eval_a, lo_a, hi_a, eval_b, lo_b, hi_b, delta: np.ndarray, nodes: int) -> np.ndarray:
     """integral of f_a(u) f_b(u - delta) over the support overlap, per delta.
 
@@ -230,7 +223,7 @@ def _conv_quadrature(eval_a, lo_a, hi_a, eval_b, lo_b, hi_b, delta: np.ndarray, 
     half = 0.5 * np.clip(hi - lo, 0.0, None)
     mid = 0.5 * (lo + hi)
     out = np.zeros_like(half)
-    for x, w in _legendre_rule(nodes):
+    for x, w in zip(*legendre_rule(nodes)):
         u = mid + half * x
         out += w * (eval_a(u) * eval_b(u - delta))
     return out * half
@@ -276,7 +269,7 @@ def _epanechnikov_conv(h_a: float, h_b: float, delta: np.ndarray) -> np.ndarray:
     half = 0.5 * np.clip(hi - lo, 0.0, None)
     gap_a, gap_b, gap_a_lo, gap_b_lo = h_a - hi, hi_b - hi, lo + h_a, lo - lo_b
     out = np.zeros_like(half)
-    for t, w in _legendre_rule(3):
+    for t, w in zip(*legendre_rule(3)):
         right = half * (1.0 - t)
         left = half * (1.0 + t)
         out += w * ((gap_a + right) * (gap_b + right) * (gap_a_lo + left) * (gap_b_lo + left))

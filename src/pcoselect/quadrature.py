@@ -10,6 +10,7 @@ error is negligible against every tolerance used in this package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,24 @@ NODES_PER_UNIT = 64
 GAUSSIAN_TAIL_WIDTH = 8.0
 
 
+@functools.cache
+def legendre_rule(nodes: int):
+    """Nodes and weights of the ``nodes``-point Gauss-Legendre rule on [-1, 1].
+
+    Computed once per node count; both arrays are read-only because every
+    caller shares them.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panel(lo: float, hi: float, nodes: int = NODES_PER_UNIT):
     """Nodes and weights of the Gauss-Legendre rule mapped onto [lo, hi]."""
     if hi <= lo:
         raise ValueError(f"empty panel [{lo}, {hi}]")
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    x, w = legendre_rule(int(nodes))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid + half * x, half * w

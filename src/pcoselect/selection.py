@@ -14,8 +14,10 @@ three loss-weighted totals and the penalty is the diagonal of the (K, K0)
 table; no n x n table is formed for either kind of family.  For bandwidth
 kernels the 2N - 1 totals (K, K) and (K, K0) of an N-member family are
 reduced in one sweep over the pairwise differences of the sample, in
-fixed row blocks with O(n) scratch memory, and the diagonal is a
-constant.  For projection kernels the totals are quadratic forms in the
+fixed row blocks with O(n) scratch memory allocated once: each block's
+entries are contracted with the loss weights by BLAS dot products, and at
+d >= 2 each per-dimension Gaussian factor is evaluated once per block and
+shared by the pairs that use it.  The diagonal is a constant.  For projection kernels the totals are quadratic forms in the
 coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and the
 diagonal is an O(n sum_q m_q) row sum over basis values at the sample.
 Each nested basis is evaluated once per sample and dimension, at the

@@ -452,6 +452,42 @@ def test_family_builder_errors_are_config_errors(tmp_path, dataset, capsys, comm
     assert "config error: family config:" in err and field in err
 
 
+_BANDWIDTH = {"variant": "bandwidth", "h_min": 0.2, "grid": [0.2, 0.4], "d": 1}
+_TRIG = {"variant": "projection", "basis": "trigonometric", "m_max": 3, "d": 1}
+_MALFORMED_FIELDS = {
+    "h_min-string": ({**_BANDWIDTH, "h_min": "abc"}, "h_min"),
+    "h_min-bool": ({**_BANDWIDTH, "h_min": True}, "h_min"),
+    "grid-number": ({**_BANDWIDTH, "grid": 5}, "grid"),
+    "grid-strings": ({**_BANDWIDTH, "grid": ["0.2"]}, "grid"),
+    "d-fractional": ({**_BANDWIDTH, "d": 1.7}, "'d'"),
+    "d-bool": ({**_BANDWIDTH, "d": True}, "'d'"),
+    "projection-d-string": ({**_TRIG, "d": "1"}, "'d'"),
+    "m_max-string": ({**_TRIG, "m_max": "x"}, "m_max"),
+    "m_max-fractional": ({**_TRIG, "m_max": 2.5}, "m_max"),
+    "m_cap-string": ({**_TRIG, "m_cap": "64"}, "m_cap"),
+    "m_cap-bool": ({**_TRIG, "m_cap": False}, "m_cap"),
+    "w-string": ({**_TRIG, "w": "abc"}, "'w'"),
+    "w-nested": ({**_TRIG, "w": [[1.0]]}, "'w'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FIELDS))
+def test_malformed_family_fields_are_config_errors(tmp_path, dataset, capsys, case):
+    family, field = _MALFORMED_FIELDS[case]
+    rc = main(_family_argv("select", family, tmp_path, dataset))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: family config: field" in err and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family", [{**_BANDWIDTH, "h_min": 1 / 5, "d": 1.0}, {**_TRIG, "m_max": 3.0, "m_cap": 8.0, "d": 1.0, "w": [1, 0.5, 0.25]}]
+)
+def test_integral_float_counts_are_accepted(tmp_path, dataset, family):
+    assert main(_family_argv("select", family, tmp_path, dataset)) == 0
+
+
 @pytest.mark.parametrize("command", ["select", "report", "verify", "simulate"])
 def test_top_level_json_array_is_a_config_error(tmp_path, dataset, capsys, command):
     cfg = _write_json(tmp_path / "list.json", [{"variant": "bandwidth"}])

@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +39,14 @@ from pcoselect import (
     write_sample_csv,
 )
 from pcoselect.bases import basis_matrix
-from pcoselect.estimator import _SWEEP_ROWS, _grid_width, bandwidth_totals, coefficient_tensor
+from pcoselect.estimator import (
+    _SWEEP_ROWS,
+    _gaussian_scales,
+    _grid_width,
+    _sweep_tables,
+    bandwidth_totals,
+    coefficient_tensor,
+)
 from pcoselect.experiments import statistic_grid
 from pcoselect.quadrature import composite_grid
 
@@ -693,6 +703,135 @@ def test_gaussian_exponent_floor_keeps_to_the_exact_references():
     assert_allclose(estimate(wide, tight, [3.0]), math.exp(-700.0) * wide.base.at_zero / 0.05, rtol=1e-12)
 
 
+def _family_pairs(fam):
+    """The (K, K) and (K, K0) pairs of a family, as a reserved sweep takes them."""
+    return list(dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0))))
+
+
+def _dense_totals(pairs, s):
+    ell = s.loss_values
+    return [float(ell @ section_inner_matrix(a, s.x, b, s.x) @ ell) for a, b in pairs]
+
+
+# tensor families capped at 1000 members' worth of sample, so any sample size may use them
+TENSOR_FAMILIES = [
+    make_bandwidth_family(GAUSSIAN, 0.1, [0.1, 0.2, 0.4], 2, 1000),
+    make_bandwidth_family(GAUSSIAN, 0.15, [0.15, 0.3, 0.6], 3, 1000),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 33, 65])
+@pytest.mark.parametrize("fam", TENSOR_FAMILIES, ids=["d2", "d3"])
+def test_sweep_shares_per_dimension_tables_and_matches_dense(fam, n):
+    d = fam.k0.d
+    s = _uniform_sample(n, d=d, seed=60 + n, loss=LossKind.IDENTITY)
+    pairs = _family_pairs(fam)
+    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    keys, uses, _ = _sweep_tables(scales, [False] * len(pairs), n, d)
+    # every pair is factored, and the pairs share their tables
+    assert all(use is not None for use in uses) and len(keys) < d * len(pairs)
+    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [33, 200])
+def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
+    # at d = 2, (a, a) can reach the exponent floor and is summed; (a, b) and (b, b) are factored
+    s = _uniform_sample(n, d=2, seed=61, loss=LossKind.IDENTITY)
+    a, b = BandwidthSpec(GAUSSIAN, (0.015, 0.3)), BandwidthSpec(GAUSSIAN, (0.3, 0.3))
+    e = BandwidthSpec(EPANECHNIKOV, (0.2, 0.35))
+    pairs = [(a, a), (a, b), (b, b), (e, e), (e, b)]
+    scales = [_gaussian_scales(p, q) for p, q in pairs]
+    span_sq = np.ptp(s.x, axis=0) ** 2
+    floors = [sc is not None and sum(r * c for r, c in zip(span_sq, sc)) < -699.0 for sc in scales]
+    assert floors == [True, False, False, False, False]
+    _, uses, _ = _sweep_tables(scales, floors, n, 2)
+    assert [use is not None for use in uses] == [False, True, True, False, False]
+    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    # at d = 1 the floored pair and the plain one share a sweep as well
+    s1 = _uniform_sample(n, seed=62, loss=LossKind.IDENTITY)
+    c, g = BandwidthSpec(GAUSSIAN, (1.0 / 400,)), BandwidthSpec(GAUSSIAN, (0.3,))
+    pairs1 = [(c, c), (c, g), (g, g)]
+    assert_allclose(bandwidth_totals(pairs1, s1.x, s1.loss_values), _dense_totals(pairs1, s1), rtol=1e-12, atol=0)
+
+
+def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    n = 200
+    s = _uniform_sample(n, d=2, seed=63, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.05, 0.4, 5))
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 1000))
+    assert len(pairs) == 49
+    want = bandwidth_totals(pairs, s.x, s.loss_values)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            exps.append(args[0].shape)
+            return np.exp(*args, **kwargs)
+
+    exps = []
+    monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
+    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    monkeypatch.undo()
+    assert got == want
+    # 5 + 4 distinct variances per dimension: 18 tables per block, not 49 pair exponentials
+    blocks = math.ceil((n - 1) / _SWEEP_ROWS)
+    assert len(exps) == 18 * blocks
+    assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
+    # the 18 tables of this family take several passes per block of rows
+    n = 1000
+    s = _uniform_sample(n, d=2, seed=64, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.05, 0.4, 5))
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, n))
+    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    assert _sweep_tables(scales, [False] * len(pairs), n, 2)[2] < _SWEEP_ROWS
+    together = bandwidth_totals(pairs, s.x, s.loss_values)
+    assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream
+from pcoselect.estimator import bandwidth_totals
+
+def sample(n, d, seed):
+    rng = stream(seed)
+    return Sample(rng.random((n, d)), rng.standard_normal(n), LossKind.IDENTITY)
+
+cases = [
+    # d = 1 from h = 1/n: floored pairs, and rows longer than OpenBLAS's threading threshold
+    (make_bandwidth_family(GAUSSIAN, 1 / 12000, [1 / 12000, 0.02, 0.05], 1, 12000), sample(12000, 1, 1)),
+    (make_bandwidth_family(GAUSSIAN, 0.05, [0.05, 0.1, 0.3], 2, 1000), sample(1000, 2, 2)),
+    (make_bandwidth_family(EPANECHNIKOV, 0.02, [0.02, 0.05, 0.2], 1, 800), sample(800, 1, 3)),
+]
+for fam, s in cases:
+    print(hashlib.sha256(pco_select(fam, s).to_json().encode()).hexdigest())
+    # the criterion rounds away most of the totals' last bits, so they are compared too
+    pairs = dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0)))
+    print(*(t.hex() for t in bandwidth_totals(list(pairs), s.x, s.loss_values)))
+"""
+
+
+def test_selection_is_byte_identical_across_blas_thread_counts():
+    src = os.path.dirname(os.path.dirname(estimate.__code__.co_filename))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)
 def test_bandwidth_sweep_matches_quadrature(a, b):
     s = _uniform_sample(7, d=a.d, seed=40, loss=LossKind.IDENTITY)
@@ -805,16 +944,25 @@ def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
 SELECTION_PEAK_BOUND = 16 * 2**20
 
 
-@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2])])
-def test_pco_select_memory_is_bounded(base, n, grid):
+def _selection_peak(base, n, d, grid):
     import tracemalloc
 
-    s = _uniform_sample(n, seed=39)
-    fam = make_bandwidth_family(base, grid[0], grid, 1, n)
+    s = _uniform_sample(n, d=d, seed=39)
+    fam = make_bandwidth_family(base, grid[0], grid, d, n)
     tracemalloc.start()
     try:
         pco_select(fam, s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < SELECTION_PEAK_BOUND
+    return peak
+
+
+@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2])])
+def test_pco_select_memory_is_bounded(base, n, grid):
+    assert _selection_peak(base, n, 1, grid) < SELECTION_PEAK_BOUND
+
+
+def test_pco_select_memory_is_bounded_at_d2():
+    # the family's 10 per-dimension tables share their budget a few rows at a time
+    assert _selection_peak(GAUSSIAN, 5000, 2, [0.02, 0.1, 0.4]) < SELECTION_PEAK_BOUND

@@ -7,6 +7,7 @@ from pcoselect.quadrature import (
     composite_grid,
     composite_rule,
     gauss_legendre_panel,
+    legendre_rule,
     tensor_grid,
     trapezoid_grid,
     trapezoid_rule,
@@ -20,6 +21,28 @@ def test_panel_exact_on_polynomials():
         got = np.sum(w * x**deg)
         want = (2.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_legendre_rule_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n))
+    legendre_rule.cache_clear()
+    try:
+        x, w = legendre_rule(7)
+        for lo, hi in [(0.0, 1.0), (-2.0, 0.5), (3.0, 3.25)]:
+            px, pw = gauss_legendre_panel(lo, hi, 7)
+            assert np.array_equal(px, 0.5 * (hi + lo) + 0.5 * (hi - lo) * real(7)[0])
+            assert np.array_equal(pw, 0.5 * (hi - lo) * real(7)[1])
+        composite_rule(0.0, 4.0, [1.5], nodes_per_unit=7)
+        assert calls == [7]
+        assert legendre_rule(7)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    finally:
+        legendre_rule.cache_clear()
 
 
 def test_panel_rejects_empty_interval():
