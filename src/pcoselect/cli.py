@@ -97,7 +97,16 @@ def _family_count(cfg: dict, field: str) -> int:
     return int(value)
 
 
-def _family_from_config(cfg: dict, n: int) -> KernelFamily:
+def _family_dimension(cfg: dict, dim, source: str) -> int:
+    """The family's ``d``, checked against the dimension ``dim`` of its
+    ``source`` (None: no check) before any member is built."""
+    d = _family_count(cfg, "d")
+    if dim is not None and d != dim:
+        raise DimensionError(f"family config: field 'd' = {cfg['d']!r} does not match the {source} dimension {dim}")
+    return d
+
+
+def _family_from_config(cfg: dict, n: int, dim=None, source: str = "data") -> KernelFamily:
     if not isinstance(cfg, dict):
         raise ConfigError("family config must be an object")
     variant = cfg.get("variant")
@@ -109,7 +118,8 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
             if field not in cfg:
                 raise ConfigError(f"family config: missing field {field!r}")
         base = _BASES[base_name]
-        h_min, grid, d = _family_number(cfg, "h_min"), _family_numbers(cfg, "grid"), _family_count(cfg, "d")
+        h_min, grid = _family_number(cfg, "h_min"), _family_numbers(cfg, "grid")
+        d = _family_dimension(cfg, dim, source)
         return _build_family(lambda: make_bandwidth_family(base, h_min, grid, d, n))
     if variant == "projection":
         for field in ("basis", "m_max", "d"):
@@ -120,7 +130,7 @@ def _family_from_config(cfg: dict, n: int) -> KernelFamily:
         except ValueError as exc:
             raise ConfigError(f"family config: unknown basis {cfg['basis']!r}") from exc
         m_cap = _family_count(cfg, "m_cap") if "m_cap" in cfg else 64
-        m_max, d = _family_count(cfg, "m_max"), _family_count(cfg, "d")
+        m_max, d = _family_count(cfg, "m_max"), _family_dimension(cfg, dim, source)
         weights = None if cfg.get("w") is None else _family_numbers(cfg, "w")
         return _build_family(lambda: make_projection_family(BasisFamily(kind, m_cap), m_max, d, n, weights))
     raise ConfigError(f"family config: unknown variant {variant!r}")
@@ -166,7 +176,7 @@ def cmd_select(args) -> int:
     cfg = _load_json(args.config, "config")
     loss = _loss_from_flag(args.loss)
     sample = read_sample_csv(args.data, loss)
-    family = _family_from_config(cfg.get("family", cfg), sample.n)
+    family = _family_from_config(cfg.get("family", cfg), sample.n, sample.d)
     report = pco_select(family, sample)
     out = _out_dir(args)
     (out / "selection.json").write_text(report.to_json(), encoding="utf-8")
@@ -258,7 +268,7 @@ def cmd_verify(args) -> int:
         )
     elif suite == "moment-conditions":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
-        family = _family_from_config(_require(cfg, "family", suite), scn.n)
+        family = _family_from_config(_require(cfg, "family", suite), scn.n, scn.d, "scenario")
         loss = _loss_from_flag(cfg.get("loss", "one"))
         report = check_kernel_moment_conditions(
             family, scn, loss, draws=int(cfg.get("draws", 100_000)), seed=seed
@@ -315,7 +325,7 @@ def cmd_report(args) -> int:
         rows = []
         for n in [int(v) for v in n_values]:
             scn = scenario_from_config({**scn_cfg, "n": n, "seed": int(scn_cfg.get("seed", 0)) + n})
-            family = _family_from_config(_require(cfg, "family", "report"), n)
+            family = _family_from_config(_require(cfg, "family", "report"), n, scn.d, "scenario")
             rep = oracle_experiment(family, scn, loss, threads=threads)
             rows.append(
                 {
@@ -339,7 +349,7 @@ def cmd_report(args) -> int:
         print(f"wrote risk-vs-n report for {len(rows)} sample sizes to {out}")
         return 0
     scn = scenario_from_config(scn_cfg)
-    family = _family_from_config(_require(cfg, "family", "report"), scn.n)
+    family = _family_from_config(_require(cfg, "family", "report"), scn.n, scn.d, "scenario")
     rep = oracle_experiment(family, scn, loss, threads=threads)
     _dump_json(rep.to_json_dict(), out / "risk.json")
     (out / "risk_by_kernel.csv").write_text(rep.to_csv(), encoding="utf-8")

@@ -43,6 +43,17 @@ in-place pass and one product with ell.  Nested projection members share
 one basis evaluation at the points, at the family's top order, and
 expand the coefficient tensors that :class:`GramTables` keeps.  The
 pointwise :func:`~pcoselect.kernels.kernel_matrix` is on no estimate path.
+
+The sweep's row blocks and the grid evaluation's column blocks are pure
+functions of their block, and their results are put back and reduced in
+block order.  Once a sweep or grid is large (``_FORK_WORK``, decided from
+n, d and the members or pairs alone), its blocks are spread over forked
+processes, up to the usable CPUs, by
+:func:`~pcoselect.numerics.parallel_map`; the sched affinity
+(``taskset``) restricts them, and inside a mapped item, such as a report
+replication, they run serially.  The bits are the same at any worker
+count.  A fork copies only the calling thread, so do not call these
+functions while another thread holds a lock they need.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import numerics
 from .bases import BasisKind, basis_matrix, cross_gram, histogram_cells
 from .errors import DataError
 from .kernels import (
@@ -210,6 +222,27 @@ _GRID_SCRATCH = 1 << 18
 # bandwidths most entries land there.  A floored entry reads e^-700
 # (about 1e-304) instead of 0 or a subnormal.
 _EXP_FLOOR = -700.0
+# Work, in Gaussian kernel entries summed over the members or pairs, from
+# which the bandwidth sweep and grid evaluation fork their blocks over the
+# usable CPUs.  A forked map costs about 6 ms (fork, and the worker's exit
+# and reaping at about 100 MB resident) and an entry 2-3 ns, so on 2 CPUs
+# the break-even is near 5 million entries: the n = 1000, 11-pair sweep of a
+# quotient fit (5.5 million) measured 11.1 ms serial and 10.9 ms forked,
+# and a 39-pair sweep at n = 2000 (78 million) 180 ms and 102 ms.
+_FORK_WORK = 8_000_000
+# Cost of an Epanechnikov or mixed sweep entry in Gaussian entries: each is
+# an exact convolution rule per dimension, about 50 ns against 2.3 ns.
+_CONVOLUTION_COST = 16
+
+
+def _map_blocks(fn, starts, work: int) -> list:
+    """``fn`` at every block start, in order; forked over the usable CPUs
+    by :func:`~pcoselect.numerics.parallel_map` once ``work`` reaches
+    ``_FORK_WORK``.  Each block is a pure function of its start, so the
+    worker count never changes a number."""
+    if work < _FORK_WORK:
+        return [fn(start) for start in starts]
+    return numerics.parallel_map(fn, starts, numerics.usable_cpus())
 
 
 def _reaches_floor(span_sq, scales) -> bool:
@@ -326,6 +359,8 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
     ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
     the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
     ``ell @ block``.  The constant prod_q k(0) / h_q multiplies the row.
+    Large evaluations compute their blocks on forked processes
+    (:func:`_map_blocks`); a block is a pure function of its columns.
     """
     x, ell = sample.x, sample.loss_values
     n, d = x.shape
@@ -336,14 +371,15 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
     span_sq = np.ptp(np.concatenate([x, points]), axis=0) ** 2
     floors = [spec.base.kind is BaseKind.GAUSSIAN
               and _reaches_floor(span_sq, [-0.5 / (hq * hq) for hq in spec.h]) for spec in specs]
-    rows = np.empty((len(specs), points.shape[0]))
-    for start in range(0, points.shape[0], width):
+
+    def block_rows(start):
         cols = min(width, points.shape[0] - start)
         sq = [buf[: n * cols].reshape(n, cols) for buf in squares]
         vals, tmp = work[: n * cols].reshape(n, cols), term[: n * cols].reshape(n, cols)
         for q in range(d):
             np.subtract(x[:, q, None], points[None, start : start + cols, q], out=sq[q])
             np.square(sq[q], out=sq[q])
+        rows = np.empty((len(specs), cols))
         for row, spec, const, floor in zip(rows, specs, consts, floors):
             gaussian = spec.base.kind is BaseKind.GAUSSIAN
             for q, hq in enumerate(spec.h):
@@ -358,8 +394,12 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
                 np.maximum(vals, _EXP_FLOOR, out=vals)
             if gaussian:
                 np.exp(vals, out=vals)
-            np.multiply(ell @ vals, const, out=row[start : start + cols])
-    return rows
+            np.multiply(ell @ vals, const, out=row)
+        return rows
+
+    starts = range(0, points.shape[0], width)
+    blocks = _map_blocks(block_rows, starts, len(specs) * n * points.shape[0])
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((len(specs), 0))
 
 
 def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
@@ -511,6 +551,13 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     gets the same bits, unless the family has too many tables for one row
     of the budget and none is built.  With ``diagonal=False`` the sums run
     over i != j only.
+
+    Each block's partial is a pure function of the block, so once the
+    sweep is large (:func:`_map_blocks`) the blocks are computed on forked
+    processes, worker w taking blocks w, w + workers, ..., which balances
+    the triangle.  Every process writes its own copy-on-write scratch, so
+    memory stays O(n) per process, and the partials come back in block
+    order: the totals are the same bits at any worker count.
     """
     n, d = x.shape
     if not pairs:
@@ -531,9 +578,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     term_buf = np.empty(size) if summed and d > 1 else None
     weight_buf = np.empty(size)
     lower = np.tri(_SWEEP_ROWS, _SWEEP_ROWS, -1, dtype=bool)
-    starts = range(0, n - 1, _SWEEP_ROWS)
-    partials = np.empty((len(starts), len(pairs)))
-    for block, start in enumerate(starts):
+
+    def block_partial(start):
         stop = min(start + _SWEEP_ROWS, n - 1)
         w = n - 1 - start
         dots = np.empty((len(pairs), stop - start))
@@ -579,7 +625,11 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
                         np.maximum(vals, _EXP_FLOOR, out=vals)
                     np.exp(vals, out=vals)
                 _row_dots(vals, weights, out)
-        np.vecdot(dots, ell[start:stop], out=partials[block])
+        return np.vecdot(dots, ell[start:stop])
+
+    starts = range(0, n - 1, _SWEEP_ROWS)
+    work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
+    partials = np.reshape(_map_blocks(block_partial, starts, work), (len(starts), len(pairs)))
     sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
     totals = []
     for c, scale, column in zip(diag, scales, partials.T):

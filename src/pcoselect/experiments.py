@@ -3,10 +3,13 @@
 All experiments share the same discipline: replication r of a scenario is
 regenerated from its own counter-based stream, per-replication work is a
 pure function of r, and aggregation happens in replication order with a
-fixed pairwise reduction.  ``threads`` sets the number of forked worker
-processes (at most the usable CPUs) that
+fixed pairwise reduction.  ``threads`` sets the number of processes (at
+most the usable CPUs; this one and ``threads - 1`` forked workers) that
 :func:`~pcoselect.numerics.parallel_map` spreads whole replications over,
-so ``threads=8`` and ``threads=1`` produce byte-identical reports.
+so ``threads=8`` and ``threads=1`` produce byte-identical reports.  A
+replication's own bandwidth sweep and grid evaluation run serially in
+whichever process computes it, so no more than ``threads`` processes
+compute at once.
 
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend

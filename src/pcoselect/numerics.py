@@ -2,6 +2,15 @@
 
 Every sum that feeds a reported number goes through :func:`pairwise_sum`
 so that serial and worker-process runs produce bit-identical output.
+
+:func:`parallel_map` is the one way the package uses more than one CPU.
+The Monte Carlo experiments map whole replications over it, and the
+bandwidth sweep and bandwidth grid evaluation of
+:mod:`~pcoselect.estimator` map their fixed row or column blocks over it
+once their work is large, on up to the usable CPUs, so the sched
+affinity (``taskset``) bounds them.  A map started inside a mapped item,
+in a forked worker or in the serial loop, runs serially: a report with
+``threads=N`` keeps at most N processes busy.
 """
 
 from __future__ import annotations
@@ -9,6 +18,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 
 import numpy as np
 
@@ -71,43 +81,63 @@ def _run_worker(fn, items, fd: int, inherited):
         os._exit(status)
 
 
+# ``depth``: the maps this thread is running.  A forked worker inherits the
+# count of the thread that forked it, so every map it starts runs serially.
+# Per thread, so that no update is lost and no lock can be held at a fork.
+_maps = threading.local()
+
+
 def parallel_map(fn, items, threads: int = 1) -> list:
     """Map ``fn`` over ``items`` preserving order, on forked worker processes.
 
     ``workers = min(threads, len(items), usable CPUs)``.  With one worker,
-    or where ``os.fork`` does not exist, the map runs serially here.
-    Otherwise worker w is forked from this process and computes
-    ``items[w::workers]``.  It inherits ``fn`` and everything ``fn``
-    closes over, so nothing is pickled or imported on the way in, and it
-    pickles its result list back through its own pipe.  Results are put
-    back by position, so the output does not depend on scheduling; each
-    call of ``fn`` must be a pure function of its item.
+    where ``os.fork`` does not exist, or when called while another map of
+    this thread is running (in the serial loop or in a forked worker), the
+    map runs serially here.  Otherwise workers 1, ..., workers - 1 are
+    forked from this process, worker w computes ``items[w::workers]``, and
+    this process computes ``items[0::workers]`` itself before it collects
+    theirs.  A forked worker inherits ``fn`` and everything ``fn`` closes
+    over, so nothing is pickled or imported on the way in, and it pickles
+    its result list back through its own pipe.  Results are put back by
+    position, so the output does not depend on scheduling; each call of
+    ``fn`` must be a pure function of its item.
 
     An exception raised in a worker is raised here with its type and
     message.  A worker that dies without sending a result raises
     RuntimeError with its exit status.  Every worker is reaped before this
-    returns or raises; on an early exit the remaining ones are killed
-    first.  Fork copies only the calling thread, so call this while no
-    other thread holds a lock that ``fn`` needs.
+    returns or raises; on an early exit, this process's own share raising
+    included, the remaining ones are killed first.  Fork copies only the
+    calling thread, so call this while no other thread holds a lock that
+    ``fn`` needs.
     """
     items = list(items)
+    depth = getattr(_maps, "depth", 0)
     workers = min(int(threads), len(items), usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    reads, pids = [], []  # per worker; None once read / reaped
+    _maps.depth = depth + 1
     try:
-        for w in range(workers):
+        if workers <= 1 or depth or not hasattr(os, "fork"):
+            return [fn(item) for item in items]
+        return _forked_map(fn, items, workers)
+    finally:
+        _maps.depth = depth
+
+
+def _forked_map(fn, items: list, workers: int) -> list:
+    """The forked branch of :func:`parallel_map`, ``workers >= 2``."""
+    reads, pids = [None], [None]  # per worker; None once read / reaped, and for this process
+    try:
+        for w in range(1, workers):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_worker(fn, items[w::workers], write, reads)
+                    _run_worker(fn, items[w::workers], write, reads[1:])
             finally:
                 os.close(write)
             pids.append(pid)
-        outcomes = []
-        for w in range(workers):
+        outcomes = [(True, [fn(item) for item in items[0::workers]])]
+        for w in range(1, workers):
             with os.fdopen(reads[w], "rb") as pipe:
                 reads[w] = None
                 payload = pipe.read()

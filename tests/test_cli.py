@@ -423,7 +423,8 @@ def test_report_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
 
 _BAD_FAMILIES = {
     "h_min-below-cap": ({"variant": "bandwidth", "h_min": 0.001, "grid": [0.1], "d": 1}, "h_min"),
-    "m_max-power-above-n": ({"variant": "projection", "basis": "trigonometric", "m_max": 7, "d": 2}, "m_max"),
+    # d = 1 like the data: a family of another dimension is a dimension error first
+    "m_max-power-above-n": ({"variant": "projection", "basis": "trigonometric", "m_max": 41, "d": 1}, "m_max"),
     "m_max-above-m_cap": (
         {"variant": "projection", "basis": "legendre", "m_max": 10, "m_cap": 8, "d": 1},
         "m_max",
@@ -486,6 +487,21 @@ def test_malformed_family_fields_are_config_errors(tmp_path, dataset, capsys, ca
 )
 def test_integral_float_counts_are_accepted(tmp_path, dataset, family):
     assert main(_family_argv("select", family, tmp_path, dataset)) == 0
+
+
+# a family with this d used to build its members before its dimension was
+# compared with the data's: 1e300 overflowed itertools.product, and 40 with
+# a two-value grid would have built 2^40 tuples
+@pytest.mark.parametrize("command", ["select", "report"])
+@pytest.mark.parametrize("family", [{"variant": "bandwidth", "h_min": 1.0, "grid": [1.0], "d": 1e300},
+                                    {"variant": "bandwidth", "h_min": 0.95, "grid": [0.95, 1.0], "d": 40}])
+def test_family_dimension_is_checked_before_the_family_is_built(tmp_path, dataset, capsys, command, family):
+    rc = main(_family_argv(command, family, tmp_path, dataset))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "dimension error: family config: field 'd'" in err and "dimension 1" in err
+    assert ("data" if command == "select" else "scenario") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["select", "report", "verify", "simulate"])

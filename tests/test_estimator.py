@@ -38,6 +38,7 @@ from pcoselect import (
     w_statistic,
     write_sample_csv,
 )
+from pcoselect import numerics
 from pcoselect.bases import basis_matrix
 from pcoselect.estimator import (
     _SWEEP_ROWS,
@@ -273,10 +274,12 @@ def test_projection_family_grid_is_bit_identical_to_per_member_path(monkeypatch,
     assert np.array_equal(estimate_on_grid(fam.specs, tables, pts), rows)
 
 
-def test_grid_evaluation_memory_is_bounded():
+def test_grid_evaluation_memory_is_bounded(monkeypatch):
     import tracemalloc
 
-    # a kernel table per 1024 points took 40 MB at n = 5000; the scratch is fixed
+    # a kernel table per 1024 points took 40 MB at n = 5000; the scratch is fixed.
+    # tracemalloc sees this process only: keep every block in it
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
     s = _uniform_sample(5000, seed=44)
     specs = [BandwidthSpec(GAUSSIAN, (0.01,)), BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(EPANECHNIKOV, (0.1,))]
     pts = np.linspace(0.0, 1.0, 2048).reshape(-1, 1)
@@ -795,6 +798,63 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
 
 
+def _serial_and_forked(monkeypatch, compute):
+    """``compute()`` on the serial path, then with every block map forked
+    over four workers; asserts that the second run forked."""
+    import pcoselect.estimator as estimator_mod
+
+    serial = compute()
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(estimator_mod, "_FORK_WORK", 0)
+    forked = compute()
+    monkeypatch.undo()
+    assert len(forks) == 3
+    return serial, forked
+
+
+def _sweep_cases():
+    n = 4 * _SWEEP_ROWS + 7
+    g = [BandwidthSpec(GAUSSIAN, (h,)) for h in (1.0 / n, 0.05, 0.3)]
+    e = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.03, 0.2)]
+    return {
+        # (g0, g0) and (g0, g1) reach the exponent floor
+        "gaussian-d1-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, seed=70, loss=LossKind.IDENTITY)),
+        "gaussian-d2-factored": (_family_pairs(TENSOR_FAMILIES[0]), _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)),
+        "gaussian-d3": (_family_pairs(TENSOR_FAMILIES[1]), _uniform_sample(n, d=3, seed=72, loss=LossKind.IDENTITY)),
+        "epanechnikov-and-mixed": ([(e[0], e[0]), (e[0], e[1]), (e[1], g[1])], _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
+    }
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("case", sorted(_sweep_cases()))
+def test_forked_sweep_is_bit_identical_to_serial(monkeypatch, case, diagonal):
+    pairs, s = _sweep_cases()[case]
+    serial, forked = _serial_and_forked(
+        monkeypatch, lambda: np.array(bandwidth_totals(pairs, s.x, s.loss_values, diagonal=diagonal)))
+    assert np.array_equal(serial, forked)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_forked_grid_evaluation_is_bit_identical_to_serial(monkeypatch, d):
+    s = _uniform_sample(300, d=d, seed=74, loss=LossKind.IDENTITY)
+    specs = [BandwidthSpec(GAUSSIAN, (1.0 / 300,) * d), BandwidthSpec(GAUSSIAN, (0.1,) * d),
+             BandwidthSpec(EPANECHNIKOV, (0.2,) * d)]
+    pts = np.random.default_rng(75).uniform(-0.1, 1.1, (2000, d))
+    assert pts.shape[0] > 4 * _grid_width(s.n, d)
+    serial, forked = _serial_and_forked(monkeypatch, lambda: estimate_on_grid(specs, s, pts))
+    assert np.array_equal(serial, forked)
+
+
 _BLAS_THREADS_SCRIPT = """
 import hashlib
 from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream
@@ -944,9 +1004,11 @@ def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
 SELECTION_PEAK_BOUND = 16 * 2**20
 
 
-def _selection_peak(base, n, d, grid):
+def _selection_peak(monkeypatch, base, n, d, grid):
     import tracemalloc
 
+    # tracemalloc sees this process only: keep the whole sweep in it
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
     s = _uniform_sample(n, d=d, seed=39)
     fam = make_bandwidth_family(base, grid[0], grid, d, n)
     tracemalloc.start()
@@ -959,10 +1021,10 @@ def _selection_peak(base, n, d, grid):
 
 
 @pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2])])
-def test_pco_select_memory_is_bounded(base, n, grid):
-    assert _selection_peak(base, n, 1, grid) < SELECTION_PEAK_BOUND
+def test_pco_select_memory_is_bounded(monkeypatch, base, n, grid):
+    assert _selection_peak(monkeypatch, base, n, 1, grid) < SELECTION_PEAK_BOUND
 
 
-def test_pco_select_memory_is_bounded_at_d2():
+def test_pco_select_memory_is_bounded_at_d2(monkeypatch):
     # the family's 10 per-dimension tables share their budget a few rows at a time
-    assert _selection_peak(GAUSSIAN, 5000, 2, [0.02, 0.1, 0.4]) < SELECTION_PEAK_BOUND
+    assert _selection_peak(monkeypatch, GAUSSIAN, 5000, 2, [0.02, 0.1, 0.4]) < SELECTION_PEAK_BOUND

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -97,9 +98,10 @@ def test_parallel_map_forks_at_most_the_usable_cpus(monkeypatch, alarm):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     assert parallel_map(lambda i: -i, range(10), threads=64) == [-i for i in range(10)]
-    assert len(forks) == 2
+    # this process computes one share itself
+    assert len(forks) == 1
     assert parallel_map(lambda i: -i, range(10), threads=1) == [-i for i in range(10)]
-    assert len(forks) == 2
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -137,6 +139,70 @@ def test_parallel_map_worker_death_raises_runtime_error(four_cpus, alarm, death,
 
     with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
         parallel_map(fn, range(6), threads=3)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("outer_threads", [1, 4])
+def test_parallel_map_nested_in_a_mapped_item_never_forks(monkeypatch, four_cpus, alarm, outer_threads):
+    calls = []  # os.fork calls of the process that holds this list
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def fn(i):
+        before = len(calls)
+        inner = parallel_map(lambda j: 10 * i + j, range(6), 4)
+        return inner, len(calls) - before
+
+    out = parallel_map(fn, range(8), outer_threads)
+    assert [inner for inner, _ in out] == [[10 * i + j for j in range(6)] for i in range(8)]
+    assert [nested for _, nested in out] == [0] * 8
+    assert len(calls) == (3 if outer_threads == 4 else 0)
+    # once the outer map is done, a map forks again
+    assert parallel_map(lambda j: j, range(6), 4) == list(range(6))
+    assert len(calls) == (6 if outer_threads == 4 else 3)
+    _assert_no_child_left()
+
+
+def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_cpus, alarm):
+    from pcoselect import GAUSSIAN, BandwidthSpec
+    from pcoselect import estimator
+
+    n = 200
+    rng = np.random.default_rng(5)
+    x, ell = rng.random((n, 1)), rng.standard_normal(n)
+    real_row_dots = estimator._row_dots
+    parent = os.getpid()
+
+    def failing_row_dots(a, b, out):
+        # the block of rows 32-63 is the first item of forked worker 1
+        if a.shape[1] == n - 33:
+            raise ArithmeticError(f"block at row 32 failed in the parent: {os.getpid() == parent}")
+        real_row_dots(a, b, out)
+
+    monkeypatch.setattr(estimator, "_row_dots", failing_row_dots)
+    monkeypatch.setattr(estimator, "_FORK_WORK", 0)
+    pairs = [(BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,)))]
+    with pytest.raises(ArithmeticError, match="^block at row 32 failed in the parent: False$"):
+        estimator.bandwidth_totals(pairs, x, ell)
+    _assert_no_child_left()
+
+
+def test_parallel_map_own_share_raising_reaps_every_child(four_cpus, alarm):
+    def fn(i):
+        if i % 4:
+            time.sleep(50)  # the forked workers are still busy when the parent fails
+            return i
+        raise KeyError(f"item {i}")
+
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="item 0"):
+        parallel_map(fn, range(8), threads=4)
+    assert time.perf_counter() - start < 20
     _assert_no_child_left()
 
 
