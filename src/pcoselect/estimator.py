@@ -226,12 +226,18 @@ _EXP_FLOOR = -700.0
 # which the bandwidth sweep and grid evaluation fork their blocks over the
 # usable CPUs.  A forked map costs about 6 ms (fork, and the worker's exit
 # and reaping at about 100 MB resident) and an entry 2-3 ns, so on 2 CPUs
-# the break-even is near 5 million entries: the n = 1000, 11-pair sweep of a
-# quotient fit (5.5 million) measured 11.1 ms serial and 10.9 ms forked,
-# and a 39-pair sweep at n = 2000 (78 million) 180 ms and 102 ms.
-_FORK_WORK = 8_000_000
+# the mean break-even is near 5 million entries: the n = 1000, 11-pair
+# sweep of a quotient fit (5.5 million) measured 11.1 ms serial and
+# 10.9 ms forked.  A forked map's time also follows the load on every CPU
+# it uses, not only on the caller's.  On a loaded 2-CPU VM a
+# select whose sweep was 14 or 25 million entries saved 12-14 ms of
+# 60-75 ms forked, but its median over a 20 s run moved up to 3 times as
+# far from run to run as the serial one's.  From 40 million entries the
+# saving is large against that: a 39-pair sweep at n = 2000 (78 million)
+# took 180 ms serial and 102 ms forked.
+_FORK_WORK = 40_000_000
 # Cost of an Epanechnikov or mixed sweep entry in Gaussian entries: each is
-# an exact convolution rule per dimension, about 50 ns against 2.3 ns.
+# an exact convolution rule per dimension, about 40 ns against 2.3 ns.
 _CONVOLUTION_COST = 16
 
 
@@ -554,10 +560,10 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on forked
-    processes, worker w taking blocks w, w + workers, ..., which balances
-    the triangle.  Every process writes its own copy-on-write scratch, so
-    memory stays O(n) per process, and the partials come back in block
-    order: the totals are the same bits at any worker count.
+    processes, each taking the next block whenever it finishes one, which
+    balances the triangle.  Every process writes its own copy-on-write
+    scratch, so memory stays O(n) per process, and the partials come back
+    in block order: the totals are the same bits at any worker count.
     """
     n, d = x.shape
     if not pairs:

@@ -261,19 +261,37 @@ def _epanechnikov_conv(h_a: float, h_b: float, delta: np.ndarray) -> np.ndarray:
     from the node to a support end, taken as the gap between that end and
     the overlap end plus the node's offset inside the overlap.  Every term
     is nonnegative, so a tiny overlap loses no digits to cancellation.
+
+    Every step writes in place into the result or one of eight work
+    arrays taken from a single allocation: two allocations per call, not
+    about forty temporaries whose heap churn made the sweep's cost depend
+    on what else was live.
     """
-    lo_b = delta - h_b
-    hi_b = delta + h_b
-    lo = np.maximum(-h_a, lo_b)
-    hi = np.minimum(h_a, hi_b)
-    half = 0.5 * np.clip(hi - lo, 0.0, None)
-    gap_a, gap_b, gap_a_lo, gap_b_lo = h_a - hi, hi_b - hi, lo + h_a, lo - lo_b
-    out = np.zeros_like(half)
+    delta = np.asarray(delta, dtype=np.float64)
+    out = np.zeros_like(delta)
+    gap_b_lo, gap_b, gap_a_lo, gap_a, half, right, left, term = np.empty((8,) + delta.shape)
+    np.subtract(delta, h_b, out=gap_b_lo)  # lo_b
+    np.add(delta, h_b, out=gap_b)  # hi_b
+    np.maximum(-h_a, gap_b_lo, out=gap_a_lo)  # lo, the overlap's lower end
+    np.minimum(h_a, gap_b, out=gap_a)  # hi, its upper end
+    np.subtract(gap_a, gap_a_lo, out=half)
+    np.clip(half, 0.0, None, out=half)
+    np.multiply(0.5, half, out=half)
+    np.subtract(gap_b, gap_a, out=gap_b)  # hi_b - hi
+    np.subtract(h_a, gap_a, out=gap_a)  # h_a - hi
+    np.subtract(gap_a_lo, gap_b_lo, out=gap_b_lo)  # lo - lo_b
+    np.add(gap_a_lo, h_a, out=gap_a_lo)  # lo + h_a
     for t, w in zip(*legendre_rule(3)):
-        right = half * (1.0 - t)
-        left = half * (1.0 + t)
-        out += w * ((gap_a + right) * (gap_b + right) * (gap_a_lo + left) * (gap_b_lo + left))
-    return out * half * (0.5625 / (h_a * h_b) ** 3)
+        np.multiply(half, 1.0 - t, out=right)
+        np.multiply(half, 1.0 + t, out=left)
+        np.add(gap_a, right, out=term)
+        np.multiply(term, np.add(gap_b, right, out=right), out=term)
+        np.multiply(term, np.add(gap_a_lo, left, out=right), out=term)
+        np.multiply(term, np.add(gap_b_lo, left, out=right), out=term)
+        np.multiply(w, term, out=term)
+        np.add(out, term, out=out)
+    np.multiply(out, half, out=out)
+    return np.multiply(out, 0.5625 / (h_a * h_b) ** 3, out=out)
 
 
 def bandwidth_gram_entries(a: BandwidthSpec, b: BandwidthSpec, deltas) -> np.ndarray:

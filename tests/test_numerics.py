@@ -75,6 +75,36 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class _Rendezvous:
+    """Lets the mapping process wait until a forked worker has started an
+    item, so that a test sees workers compute however the items are
+    scheduled."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+        self.read, self.write = os.pipe()
+        self.waited = False
+
+    def in_parent(self) -> bool:
+        return os.getpid() == self.parent
+
+    def child_started(self):
+        os.write(self.write, b"x")
+
+    def wait_for_a_child(self):
+        if not self.waited:
+            os.read(self.read, 1)
+            self.waited = True
+
+
+@pytest.fixture
+def rendezvous():
+    meeting = _Rendezvous()
+    yield meeting
+    os.close(meeting.read)
+    os.close(meeting.write)
+
+
 def test_parallel_map_preserves_order(four_cpus, alarm):
     items = list(range(23))
     for threads in (1, 2, 3, 4, 64):
@@ -82,6 +112,9 @@ def test_parallel_map_preserves_order(four_cpus, alarm):
         assert [v for v, _ in out] == [i * i for i in items]
         assert all(arr.tobytes() == np.arange(i, dtype=np.float64).tobytes() for i, (_, arr) in enumerate(out))
     assert parallel_map(lambda i: i, [], 4) == []
+    # more items than queue records: each record stands for a chunk of items
+    many = range(2 * numerics._MAX_RECORDS + 3)
+    assert parallel_map(lambda i: -i, many, 4) == [-i for i in many]
     _assert_no_child_left()
 
 
@@ -98,7 +131,7 @@ def test_parallel_map_forks_at_most_the_usable_cpus(monkeypatch, alarm):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     assert parallel_map(lambda i: -i, range(10), threads=64) == [-i for i in range(10)]
-    # this process computes one share itself
+    # this process takes items itself
     assert len(forks) == 1
     assert parallel_map(lambda i: -i, range(10), threads=1) == [-i for i in range(10)]
     assert len(forks) == 1
@@ -130,12 +163,43 @@ def test_parallel_map_unpicklable_exception_keeps_type_and_message(four_cpus, al
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
-def test_parallel_map_worker_death_raises_runtime_error(four_cpus, alarm, death, status):
+def test_parallel_map_raises_the_lowest_failing_item(four_cpus, alarm):
     def fn(i):
-        if i == 2:
-            death()
+        if i in (3, 5, 6):
+            time.sleep(0.05)  # meanwhile other processes take the later failing items
+            raise ValueError(f"item {i}")
         return i
+
+    for threads in (1, 2, 4):
+        for _ in range(5):
+            with pytest.raises(ValueError, match="^item 3$"):
+                parallel_map(fn, range(8), threads)
+    _assert_no_child_left()
+
+
+def test_parallel_map_slowed_process_takes_fewer_items(four_cpus, alarm):
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            time.sleep(0.1)
+        return i, os.getpid()
+
+    out = parallel_map(fn, range(40), threads=2)
+    assert [i for i, _ in out] == list(range(40))
+    # a fixed split would give this process 20 of the 40 items
+    assert sum(pid == parent for _, pid in out) <= 10
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
+def test_parallel_map_worker_death_raises_runtime_error(four_cpus, alarm, rendezvous, death, status):
+    def fn(i):
+        if rendezvous.in_parent():
+            rendezvous.wait_for_a_child()
+            return i
+        rendezvous.child_started()
+        death()
 
     with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
         parallel_map(fn, range(6), threads=3)
@@ -168,7 +232,7 @@ def test_parallel_map_nested_in_a_mapped_item_never_forks(monkeypatch, four_cpus
     _assert_no_child_left()
 
 
-def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_cpus, alarm):
+def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_cpus, alarm, rendezvous):
     from pcoselect import GAUSSIAN, BandwidthSpec
     from pcoselect import estimator
 
@@ -176,33 +240,39 @@ def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_c
     rng = np.random.default_rng(5)
     x, ell = rng.random((n, 1)), rng.standard_normal(n)
     real_row_dots = estimator._row_dots
-    parent = os.getpid()
 
     def failing_row_dots(a, b, out):
-        # the block of rows 32-63 is the first item of forked worker 1
-        if a.shape[1] == n - 33:
-            raise ArithmeticError(f"block at row 32 failed in the parent: {os.getpid() == parent}")
-        real_row_dots(a, b, out)
+        # every block a forked worker takes fails
+        if rendezvous.in_parent():
+            rendezvous.wait_for_a_child()
+            real_row_dots(a, b, out)
+            return
+        rendezvous.child_started()
+        raise ArithmeticError(f"sweep block failed in the parent: {rendezvous.in_parent()}")
 
     monkeypatch.setattr(estimator, "_row_dots", failing_row_dots)
     monkeypatch.setattr(estimator, "_FORK_WORK", 0)
     pairs = [(BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,)))]
-    with pytest.raises(ArithmeticError, match="^block at row 32 failed in the parent: False$"):
+    with pytest.raises(ArithmeticError, match="^sweep block failed in the parent: False$"):
         estimator.bandwidth_totals(pairs, x, ell)
     _assert_no_child_left()
 
 
-def test_parallel_map_own_share_raising_reaps_every_child(four_cpus, alarm):
+def test_parallel_map_own_share_raising_reaps_every_child(four_cpus, alarm, rendezvous):
     def fn(i):
-        if i % 4:
-            time.sleep(50)  # the forked workers are still busy when the parent fails
-            return i
-        raise KeyError(f"item {i}")
+        if rendezvous.in_parent():
+            rendezvous.wait_for_a_child()
+            raise KeyError(f"item {i} in the parent")
+        rendezvous.child_started()
+        time.sleep(1)  # the forked workers are still busy when the parent fails
+        return i
 
     start = time.perf_counter()
-    with pytest.raises(KeyError, match="item 0"):
-        parallel_map(fn, range(8), threads=4)
-    assert time.perf_counter() - start < 20
+    with pytest.raises(KeyError, match="in the parent"):
+        parallel_map(fn, range(40), threads=4)
+    # the parent empties the queue, so each worker stops after its current
+    # item instead of working through 13 seconds of them
+    assert time.perf_counter() - start < 8
     _assert_no_child_left()
 
 
