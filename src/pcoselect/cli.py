@@ -25,7 +25,7 @@ from .diagnostics import (
     check_sine_tail_bound,
     check_trig_spectral_boundedness,
 )
-from .errors import ConfigError, DataError, DimensionError, VerificationFailure
+from .errors import ConfigError, DataError, DimensionError, VerificationFailure, config_int
 from .estimator import LossKind, estimate_on_grid, read_sample_csv, write_sample_csv
 from .experiments import oracle_experiment
 from .kernels import (
@@ -89,18 +89,10 @@ def _family_numbers(cfg: dict, field: str) -> list:
     return [float(v) for v in value]
 
 
-def _family_count(cfg: dict, field: str) -> int:
-    """An integer field; an integral float such as 2.0 counts as one."""
-    value = cfg[field]
-    if not (_is_number(value) and float(value).is_integer()):
-        raise ConfigError(f"family config: field {field!r} must be an integer (got {value!r})")
-    return int(value)
-
-
 def _family_dimension(cfg: dict, dim, source: str) -> int:
     """The family's ``d``, checked against the dimension ``dim`` of its
     ``source`` (None: no check) before any member is built."""
-    d = _family_count(cfg, "d")
+    d = config_int("family", "d", cfg["d"])
     if dim is not None and d != dim:
         raise DimensionError(f"family config: field 'd' = {cfg['d']!r} does not match the {source} dimension {dim}")
     return d
@@ -129,8 +121,8 @@ def _family_from_config(cfg: dict, n: int, dim=None, source: str = "data") -> Ke
             kind = BasisKind(cfg["basis"])
         except ValueError as exc:
             raise ConfigError(f"family config: unknown basis {cfg['basis']!r}") from exc
-        m_cap = _family_count(cfg, "m_cap") if "m_cap" in cfg else 64
-        m_max, d = _family_count(cfg, "m_max"), _family_dimension(cfg, dim, source)
+        m_cap = config_int("family", "m_cap", cfg.get("m_cap", 64))
+        m_max, d = config_int("family", "m_max", cfg["m_max"]), _family_dimension(cfg, dim, source)
         weights = None if cfg.get("w") is None else _family_numbers(cfg, "w")
         return _build_family(lambda: make_projection_family(BasisFamily(kind, m_cap), m_max, d, n, weights))
     raise ConfigError(f"family config: unknown variant {variant!r}")
@@ -160,9 +152,7 @@ def cmd_simulate(args) -> int:
     scn = scenario_from_config(cfg)
     if args.seed is not None:
         scn = scenario_from_config({**scn.to_config(), "seed": args.seed})
-    replication = int(cfg.get("replication", 0))
-    if replication < 0:
-        raise ConfigError("scenario config: field 'replication' must be nonnegative")
+    replication = config_int("scenario", "replication", cfg.get("replication", 0), 0)
     sample = scn.generate(replication)
     out = _out_dir(args)
     write_sample_csv(out / "data.csv", sample.x, sample.y)
@@ -260,29 +250,29 @@ _SUITES = ("sine-tail", "moment-conditions", "l1-bound", "trig-bound", "legendre
 
 def cmd_verify(args) -> int:
     cfg = _load_json(args.config, "config") if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+
+    def field(name, default, lo):
+        return config_int("verify", name, cfg.get(name, default), lo)
+
+    seed = args.seed if args.seed is not None else field("seed", 0, 0)
     suite = args.suite
     if suite == "sine-tail":
-        report = check_sine_tail_bound(
-            p_max=int(cfg.get("p_max", 200)), grid_points=int(cfg.get("grid_points", 10_000))
-        )
+        report = check_sine_tail_bound(p_max=field("p_max", 200, 2), grid_points=field("grid_points", 10_000, 1))
     elif suite == "moment-conditions":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
         family = _family_from_config(_require(cfg, "family", suite), scn.n, scn.d, "scenario")
         loss = _loss_from_flag(cfg.get("loss", "one"))
-        report = check_kernel_moment_conditions(
-            family, scn, loss, draws=int(cfg.get("draws", 100_000)), seed=seed
-        )
+        report = check_kernel_moment_conditions(family, scn, loss, draws=field("draws", 100_000, 2), seed=seed)
     elif suite == "l1-bound":
-        n = int(_require(cfg, "n", suite))
+        n = config_int("verify", "n", _require(cfg, "n", suite), 1)
         family = _family_from_config(_require(cfg, "family", suite), n)
-        report = check_l1_section_bound(family, points=int(cfg.get("points", 1000)), seed=seed)
+        report = check_l1_section_bound(family, points=field("points", 1000, 1), seed=seed)
     elif suite == "trig-bound":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
         loss = _loss_from_flag(cfg.get("loss", "one"))
-        m_values = tuple(int(m) for m in cfg.get("m_values", (4, 8, 16, 32)))
+        m_values = tuple(_config_ints("verify", cfg, "m_values", [4, 8, 16, 32]))
         report = check_trig_spectral_boundedness(
-            scn, loss, m_values=m_values, draws=int(cfg.get("draws", 10_000)), seed=seed
+            scn, loss, m_values=m_values, draws=field("draws", 10_000, 2), seed=seed
         )
     elif suite == "legendre-bound":
         if "scenario" in cfg:
@@ -294,7 +284,7 @@ def cmd_verify(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"unknown density kind {den_cfg.get('kind')!r}") from exc
             source = Density(kind, float(den_cfg.get("lo", -1.0)), float(den_cfg.get("hi", 1.0)))
-        report = check_legendre_boundedness(source, m_max=int(cfg.get("m_max", 50)))
+        report = check_legendre_boundedness(source, m_max=field("m_max", 50, 1))
     else:  # pragma: no cover - argparse already restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
     out = _out_dir(args)
@@ -304,6 +294,14 @@ def cmd_verify(args) -> int:
     if report.applicable and not report.passed:
         raise VerificationFailure(f"suite {suite} failed with margin {report.margin:.6g}")
     return 0
+
+
+def _config_ints(role: str, cfg: dict, field: str, default) -> list:
+    """A list of positive integers, each read by :func:`config_int`."""
+    values = cfg.get(field, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{role} config: field {field!r} must be a list of integers (got {values!r})")
+    return [config_int(role, field, v, 1) for v in values]
 
 
 def _require(cfg: dict, field: str, suite: str):
@@ -323,8 +321,9 @@ def cmd_report(args) -> int:
     n_values = cfg.get("n_values")
     if n_values:
         rows = []
-        for n in [int(v) for v in n_values]:
-            scn = scenario_from_config({**scn_cfg, "n": n, "seed": int(scn_cfg.get("seed", 0)) + n})
+        seed = config_int("scenario", "seed", scn_cfg.get("seed", 0), 0)
+        for n in _config_ints("report", cfg, "n_values", None):
+            scn = scenario_from_config({**scn_cfg, "n": n, "seed": seed + n})
             family = _family_from_config(_require(cfg, "family", "report"), n, scn.d, "scenario")
             rep = oracle_experiment(family, scn, loss, threads=threads)
             rows.append(

@@ -38,18 +38,17 @@ import numpy as np
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, sine_tail_max_violation
 from .errors import ConfigError
-from .estimator import LossKind
+from .estimator import LossKind, _kernel_sums
 from .kernels import (
     BandwidthSpec,
     KernelFamily,
     ProjectionSpec,
-    kernel_matrix,
     section_inner_pointwise,
     section_l1_norm,
     section_sq_norm,
     spec_id,
 )
-from .numerics import pairwise_sum
+from .numerics import mean_se, pairwise_sum
 from .quadrature import composite_rule
 from .rng import stream
 from .simulation import Density, Scenario, make_s_mean, sbar_analytic
@@ -235,11 +234,8 @@ def check_kernel_moment_conditions(
     for ia, a in enumerate(family.specs):
         for ib, b in enumerate(family.specs):
             inner = section_inner_pointwise(a, x1, b, sample2[0]) * ell2
-            sq = inner * inner
-            mean_sq = pairwise_sum(sq) / draws
-            var = pairwise_sum((sq - mean_sq) ** 2) / (draws - 1)
-            allow = 3.0 * math.sqrt(var / draws)
-            margin3 = min(margin3, c3 * sbars[ib] + allow - mean_sq)
+            mean_sq, se = mean_se(inner * inner)
+            margin3 = min(margin3, c3 * sbars[ib] + 3.0 * se - mean_sq)
     details["item3"] = {
         "bound_factor": c3,
         "margin": margin3,
@@ -294,37 +290,22 @@ def _scenario_draws(scn: Scenario, seed: int, draws: int):
 
 
 def _mean_sq_inner_with_function(spec, x1: np.ndarray, shape: _PsiShape, grid, psi_vals: np.ndarray) -> tuple[float, float]:
-    """MC mean and standard error of <K(X, .), psi>^2 over the supplied draws."""
-    draws = x1.shape[0]
-    if isinstance(spec, ProjectionSpec):
-        if spec.d == 1:
-            mq = spec.m[0]
-            coeff = basis_matrix(spec.basis, mq, grid.points[:, 0]).T @ (grid.weights * psi_vals)
-            vals = basis_matrix(spec.basis, mq, x1[:, 0]) @ (spec.weights_for(mq) * coeff)
-            return _mc_mean_se(vals * vals)
-        if shape.factors is not None:
-            vals = np.ones(draws)
-            for q, mq in enumerate(spec.m):
-                lo, hi = spec.basis.support
-                brk = list(breakpoints(spec.basis, mq))
-                nodes, weights = composite_rule(lo, hi, brk)
-                coeff = basis_matrix(spec.basis, mq, nodes).T @ (weights * shape.factors[q](nodes))
-                vals *= basis_matrix(spec.basis, mq, x1[:, q]) @ (spec.weights_for(mq) * coeff)
-            return _mc_mean_se(vals * vals)
-    weighted = grid.weights * psi_vals
-    total = np.empty(draws)
-    block = 1024
-    for start in range(0, draws, block):
-        kmat = kernel_matrix(spec, x1[start : start + block], grid.points)
-        total[start : start + block] = kmat @ weighted
-    return _mc_mean_se(total * total)
+    """MC mean and standard error of <K(X, .), psi>^2 over the supplied draws.
 
-
-def _mc_mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
-    mean = pairwise_sum(values) / n
-    var = pairwise_sum((values - mean) ** 2) / (n - 1)
-    return mean, math.sqrt(var / n)
+    A projection member at d >= 2 integrates a product psi factor by factor;
+    otherwise the inner products are a weighted kernel sum over the grid.
+    """
+    if isinstance(spec, ProjectionSpec) and spec.d > 1 and shape.factors is not None:
+        vals = np.ones(x1.shape[0])
+        for q, mq in enumerate(spec.m):
+            lo, hi = spec.basis.support
+            brk = list(breakpoints(spec.basis, mq))
+            nodes, weights = composite_rule(lo, hi, brk)
+            coeff = basis_matrix(spec.basis, mq, nodes).T @ (weights * shape.factors[q](nodes))
+            vals *= basis_matrix(spec.basis, mq, x1[:, q]) @ (spec.weights_for(mq) * coeff)
+    else:
+        vals = _kernel_sums([spec], grid.points, grid.weights * psi_vals, x1)[0]
+    return mean_se(vals * vals)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +394,8 @@ def check_trig_spectral_boundedness(
         raise ConfigError("the spectral boundedness check runs on d = 1 scenarios")
     if scn.support != (0.0, 1.0):
         raise ConfigError("trigonometric families live on support [0, 1]")
+    if len(m_values) < 3:
+        raise ConfigError("the trend test needs at least three orders in m_values")
     basis = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=max(m_values))
     m_top = max(m_values)
     grid = scn.quad_grid(refine=8)
@@ -424,11 +407,9 @@ def check_trig_spectral_boundedness(
     partial_sq = partial * partial
     means, ses = [], []
     for m_v in m_values:
-        per_draw = np.max(partial_sq[:, :m_v], axis=1)
-        mean = pairwise_sum(per_draw) / draws
-        var = pairwise_sum((per_draw - mean) ** 2) / (draws - 1)
+        mean, se = mean_se(np.max(partial_sq[:, :m_v], axis=1))
         means.append(mean)
-        ses.append(math.sqrt(var / draws))
+        ses.append(se)
     x = np.asarray(m_values, dtype=np.float64)
     y = np.asarray(means)
     xc = x - x.mean()

@@ -41,8 +41,11 @@ points in column blocks of a fixed scratch budget: the squared
 differences to a block are formed once, and each member adds one
 in-place pass and one product with ell.  Nested projection members share
 one basis evaluation at the points, at the family's top order, and
-expand the coefficient tensors that :class:`GramTables` keeps.  The
-pointwise :func:`~pcoselect.kernels.kernel_matrix` is on no estimate path.
+expand the coefficient tensors that :class:`GramTables` keeps.  With a
+quadrature grid as the weighted side, the same pass (:func:`_kernel_sums`)
+gives the section averages, the cross terms of the centered statistics
+and the diagnostics; :func:`~pcoselect.kernels.kernel_matrix` is on no
+``src/`` path.
 
 The sweep's row blocks and the grid evaluation's column blocks are pure
 functions of their block, and their results are put back and reduced in
@@ -76,7 +79,6 @@ from .kernels import (
     ProjectionSpec,
     bandwidth_gram_entries,
     histogram_cell_inner,
-    kernel_matrix,
     section_inner_matrix,
     section_sq_norm_points,
     spec_id,
@@ -197,8 +199,7 @@ def write_sample_csv(path, x: np.ndarray, y: np.ndarray):
 # estimation
 # ---------------------------------------------------------------------------
 
-# Points per projection expansion, and sample rows per block of
-# :func:`_cross_with_function`.
+# Points per projection expansion.
 _EVAL_BLOCK = 1024
 # Coefficient entries summed per pass over the sample; bounds the scratch
 # array of a coefficient tensor at _COEFF_BLOCK x n.
@@ -321,8 +322,8 @@ def _expand(coeffs: np.ndarray, mats) -> np.ndarray:
     return z[:, 0]
 
 
-def _projection_rows(specs, tables: "GramTables", points: np.ndarray) -> np.ndarray:
-    """Projection members at the points, one row each.
+def _projection_rows(specs, tables: "GramTables", points: np.ndarray, divisor) -> np.ndarray:
+    """Projection members at the points, one row each, divided by ``divisor``.
 
     Each nested basis is evaluated once per chunk of points and dimension,
     at the top order among ``specs``, and every member reads the leading
@@ -347,7 +348,7 @@ def _projection_rows(specs, tables: "GramTables", points: np.ndarray) -> np.ndar
                 else:
                     mats = [basis_matrix(spec.basis, mq, chunk[lo:hi, q]) * spec.weights_for(mq)
                             for q, mq in enumerate(spec.m)]
-                row[start + lo : start + hi] = _expand(tables.coefficients(spec), mats) / tables.sample.n
+                row[start + lo : start + hi] = _expand(tables.coefficients(spec), mats) / divisor
     return rows
 
 
@@ -356,7 +357,7 @@ def _grid_width(n: int, d: int) -> int:
     return max(1, _GRID_SCRATCH // ((d + 2) * n))
 
 
-def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
+def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor) -> np.ndarray:
     """Bandwidth members at the points, one row each, in fixed column blocks.
 
     A block forms the squared differences (x_iq - g_pq)^2 once, into reused
@@ -364,16 +365,15 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
     Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
     ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
     the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
-    ``ell @ block``.  The constant prod_q k(0) / h_q multiplies the row.
-    Large evaluations compute their blocks on forked processes
+    ``w @ block``.  The constant prod_q k(0) / h_q / divisor multiplies the
+    row.  Large evaluations compute their blocks on forked processes
     (:func:`_map_blocks`); a block is a pure function of its columns.
     """
-    x, ell = sample.x, sample.loss_values
     n, d = x.shape
     width = _grid_width(n, d)
     squares = [np.empty(n * width) for _ in range(d)]
     work, term = np.empty(n * width), np.empty(n * width)
-    consts = [math.prod(spec.base.at_zero / hq for hq in spec.h) / n for spec in specs]
+    consts = [math.prod(spec.base.at_zero / hq for hq in spec.h) / divisor for spec in specs]
     span_sq = np.ptp(np.concatenate([x, points]), axis=0) ** 2
     floors = [spec.base.kind is BaseKind.GAUSSIAN
               and _reaches_floor(span_sq, [-0.5 / (hq * hq) for hq in spec.h]) for spec in specs]
@@ -400,12 +400,43 @@ def _bandwidth_rows(specs, sample: Sample, points: np.ndarray) -> np.ndarray:
                 np.maximum(vals, _EXP_FLOOR, out=vals)
             if gaussian:
                 np.exp(vals, out=vals)
-            np.multiply(ell @ vals, const, out=row)
+            np.multiply(w @ vals, const, out=row)
         return rows
 
     starts = range(0, points.shape[0], width)
     blocks = _map_blocks(block_rows, starts, len(specs) * n * points.shape[0])
     return np.concatenate(blocks, axis=1) if blocks else np.empty((len(specs), 0))
+
+
+def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=None) -> np.ndarray:
+    """sum_i w_i K(x_i, p) / divisor at row-stacked points p, one row per member.
+
+    The estimator is this sum over the sample, w = ell, divided by n.  Every
+    shipped kernel is symmetric, K(x, t) = K(t, x), so <K(X_i, .), g>_2 on a
+    quadrature grid is this sum over the grid nodes, w = weights times g, at
+    the points X_i.  Bandwidth members walk the points in column blocks
+    whose width depends on len(x) and d alone, so scratch memory is fixed
+    whatever the number of points (:func:`_bandwidth_rows`).  Projection
+    members expand the coefficient tensor of (x, w) at the points
+    (:func:`_projection_rows`), taken from ``tables`` when given: those of
+    a sample with design x and loss values w.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    for spec in specs:
+        _check_dim(spec, points)
+        _check_dim(spec, x)
+    out = np.empty((len(specs), points.shape[0]))
+    bandwidth = [k for k, s in enumerate(specs) if isinstance(s, BandwidthSpec)]
+    projection = [k for k, s in enumerate(specs) if isinstance(s, ProjectionSpec)]
+    if bandwidth:
+        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, w, points, divisor)
+    if projection:
+        members = [specs[k] for k in projection]
+        if tables is None:
+            tables = GramTables(Sample(x, w, LossKind.IDENTITY))
+            tables.reserve(members)
+        out[projection] = _projection_rows(members, tables, points, divisor)
+    return out
 
 
 def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
@@ -415,35 +446,13 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
     members, giving (N, P) with one row per member.  ``sample`` is a
     :class:`Sample` or the :class:`GramTables` of one; the tables left by
     selection hold the coefficient tensors and sample basis values that
-    projection members reuse here.
-
-    Work is shared across the members.  Bandwidth members walk the points
-    in column blocks whose width depends on n and d alone, and the squared
-    differences of a block serve every member (:func:`_bandwidth_rows`);
-    scratch memory is fixed whatever the number of points.  Projection
-    members expand their coefficient tensor in the weighted basis at the
-    points, O(P prod_q m_q), with each nested basis evaluated once at the
-    top order (:func:`_projection_rows`).
+    projection members reuse here.  The members share one pass,
+    :func:`_kernel_sums`.
     """
     tables = sample if isinstance(sample, GramTables) else None
     sample = tables.sample if tables is not None else sample
     single = not isinstance(specs, (list, tuple))
-    specs = [specs] if single else list(specs)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    for spec in specs:
-        _check_dim(spec, points)
-        _check_dim(spec, sample.x)
-    out = np.empty((len(specs), points.shape[0]))
-    bandwidth = [k for k, s in enumerate(specs) if isinstance(s, BandwidthSpec)]
-    projection = [k for k, s in enumerate(specs) if isinstance(s, ProjectionSpec)]
-    if bandwidth:
-        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], sample, points)
-    if projection:
-        members = [specs[k] for k in projection]
-        if tables is None:
-            tables = GramTables(sample)
-            tables.reserve(members)
-        out[projection] = _projection_rows(members, tables, points)
+    out = _kernel_sums([specs] if single else list(specs), sample.x, sample.loss_values, points, sample.n, tables)
     return out[0] if single else out
 
 
@@ -835,17 +844,6 @@ def sbar_empirical(spec, sample: Sample) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cross_with_function(spec, sample: Sample, values: np.ndarray, grid) -> np.ndarray:
-    """<K_spec(X_i, .), g>_2 for each i, with g given by its grid values."""
-    weighted = grid.weights * values
-    out = np.empty(sample.n)
-    for start in range(0, sample.n, _EVAL_BLOCK):
-        block = sample.x[start : start + _EVAL_BLOCK]
-        kmat = kernel_matrix(spec, block, grid.points)
-        out[start : start + _EVAL_BLOCK] = kmat @ weighted
-    return out
-
-
 def _grid_values(fn, grid) -> np.ndarray:
     """Values of ``fn`` at the grid points: ``fn`` is a vectorized callable,
     or already those values; None is the zero function."""
@@ -882,8 +880,8 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     sa = _grid_values(s_mean_a, grid)
     sb = _grid_values(s_mean_b, grid)
     n = sample.n
-    cross_a = _cross_with_function(a, sample, sb, grid)
-    cross_b = _cross_with_function(b, sample, sa, grid)
+    cross_a = _kernel_sums([a], grid.points, grid.weights * sb, sample.x)[0]
+    cross_b = _kernel_sums([b], grid.points, grid.weights * sa, sample.x)[0]
     total -= (n - 1) * pairwise_sum(ell * cross_a)
     total -= (n - 1) * pairwise_sum(ell * cross_b)
     total += n * (n - 1) * grid.integrate(sa * sb)
@@ -904,7 +902,7 @@ def v_statistic(spec, sample: Sample, s_mean=None, grid=None) -> float:
         raise ValueError("an integration grid is required with a nonzero section average")
     s_vals = _grid_values(s_mean, grid)
     ell = sample.loss_values
-    cross = _cross_with_function(spec, sample, s_vals, grid)
+    cross = _kernel_sums([spec], grid.points, grid.weights * s_vals, sample.x)[0]
     norm_sq = grid.integrate(s_vals * s_vals)
     return base - 2.0 * pairwise_sum(ell * cross) / sample.n + norm_sq
 

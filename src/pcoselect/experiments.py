@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimator import GramTables, LossKind, estimate_on_grid, u_statistic, v_statistic, w_statistic
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
-from .numerics import pairwise_sum, parallel_map
+from .numerics import mean_se, parallel_map
 from .quadrature import IntegrationGrid, composite_grid
 from .selection import pco_select
 from .simulation import Scenario, make_s_mean, sbar_analytic
@@ -41,16 +41,6 @@ SCHEMA_VERSION = 1
 # evaluated in groups of members.  The 2048-point d = 1 grid takes up to
 # 2048 members in one call.
 _GRID_ESTIMATES = 1 << 22
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=np.float64)
-    r = values.size
-    mean = pairwise_sum(values) / r
-    if r < 2:
-        return mean, 0.0
-    var = pairwise_sum((values - mean) ** 2) / (r - 1)
-    return mean, math.sqrt(var / r)
 
 
 @dataclass(frozen=True)
@@ -74,7 +64,7 @@ def mc_risk(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid | None = 
         return grid.integrate((shat - target) ** 2)
 
     risks = np.asarray(parallel_map(one, range(scn.replications), threads))
-    mean, se = _mean_se(risks)
+    mean, se = mean_se(risks)
     return MCRisk(mean, se, risks)
 
 
@@ -189,9 +179,9 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     means = np.empty(n_k)
     ses = np.empty(n_k)
     for i in range(n_k):
-        means[i], ses[i] = _mean_se(risk_rows[:, i])
+        means[i], ses[i] = mean_se(risk_rows[:, i])
     pco_per_rep = risk_rows[np.arange(len(chosen)), chosen]
-    pco_mean, pco_se = _mean_se(pco_per_rep)
+    pco_mean, pco_se = mean_se(pco_per_rep)
     oracle_index = int(np.argmin(means))
     oracle_risk = float(means[oracle_index])
     remainder = math.log(scn.n) ** 5 / scn.n
@@ -344,9 +334,9 @@ def concentration_experiment(
     w_vals = np.asarray([r[2] for r in results])
     sbar_target = sbar_analytic(a, scn, loss)
     v_target = sbar_target - grid.integrate(sa_grid * sa_grid)
-    u_mean, u_se = _mean_se(u_vals)
-    v_mean, v_se = _mean_se(v_vals)
-    w_mean, w_se = _mean_se(w_vals)
+    u_mean, u_se = mean_se(u_vals)
+    v_mean, v_se = mean_se(v_vals)
+    w_mean, w_se = mean_se(w_vals)
     return ConcentrationReport(
         loss=loss,
         n=scn.n,

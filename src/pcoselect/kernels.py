@@ -21,8 +21,11 @@ The selection path builds no table with :func:`section_inner_matrix`: a
 projection estimator is a coefficient tensor, which
 :mod:`pcoselect.estimator` works on directly, and bandwidth totals are
 reduced block by block from :func:`bandwidth_gram_entries` on pairwise
-differences.  The pairwise forms stay as the reference that tests and the
-dense :meth:`GramTables.matrix` compare against.
+differences.  No library path builds a :func:`kernel_matrix` table either:
+estimates, section averages, the cross terms of the centered statistics
+and the diagnostics are one weighted kernel-sum pass in
+:mod:`pcoselect.estimator`.  The pairwise forms stay as the reference that
+tests and the dense :meth:`GramTables.matrix` compare those passes against.
 """
 
 from __future__ import annotations
@@ -531,6 +534,20 @@ def find_overfitting_k0(specs) -> int:
     return best
 
 
+# Entries (tuples times d) of the largest product grid a family builder
+# enumerates, the limit of a CLI ``estimate`` grid.
+_PRODUCT_ENTRIES = 1_000_000
+
+
+def _check_product_size(count: int, d: int):
+    """Reject d before count^d tuples of d entries exceed ``_PRODUCT_ENTRIES``;
+    compared in logarithms, so no huge integer is formed."""
+    if d < 1:
+        raise ValueError(f"dimension d = {d} must be at least 1")
+    if d > _PRODUCT_ENTRIES or math.log(d) + d * math.log(count) > math.log(_PRODUCT_ENTRIES):
+        raise ValueError(f"dimension d gives {count}^d tuples of d entries, above the limit of {_PRODUCT_ENTRIES}")
+
+
 def make_bandwidth_family(base: BaseKernel, h_min: float, grid, d: int, n: int) -> KernelFamily:
     """Family of bandwidth kernels over a per-dimension bandwidth grid.
 
@@ -543,8 +560,7 @@ def make_bandwidth_family(base: BaseKernel, h_min: float, grid, d: int, n: int) 
     grid = sorted(float(v) for v in grid)
     if not grid:
         raise ValueError("empty bandwidth grid")
-    if d < 1:
-        raise ValueError(f"dimension d = {d} must be at least 1")
+    _check_product_size(len(grid), d)
     if n < 1:
         raise ValueError("sample cap must be positive")
     if not (n ** (-1.0 / d) - 1e-12 <= h_min <= 1.0):
@@ -573,8 +589,7 @@ def make_projection_family(basis: BasisFamily, m_max: int, d: int, n: int, w=Non
         raise ValueError("m_max must be at least 1")
     if m_max > basis.m_cap:
         raise ValueError(f"m_max {m_max} exceeds the basis order cap m_cap = {basis.m_cap}")
-    if d < 1:
-        raise ValueError(f"dimension d = {d} must be at least 1")
+    _check_product_size(m_max, d)
     if m_max**d > n:
         raise ValueError(f"m_max^d = {m_max**d} exceeds the sample cap {n}")
     w = tuple(float(v) for v in w) if w is not None else None

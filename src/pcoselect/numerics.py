@@ -15,6 +15,7 @@ in a forked worker or in the serial loop, runs serially: a report with
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -43,6 +44,20 @@ def weighted_gram_total(gram: np.ndarray, left: np.ndarray, right: np.ndarray) -
 def combine_partials(partials) -> float:
     """Combine per-block partial sums; fixed order regardless of scheduling."""
     return pairwise_sum(np.asarray(partials, dtype=np.float64))
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Mean and standard error of the mean, both reduced by :func:`pairwise_sum`.
+
+    The standard error uses the unbiased variance; one value has error 0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    r = values.size
+    mean = pairwise_sum(values) / r
+    if r < 2:
+        return mean, 0.0
+    var = pairwise_sum((values - mean) ** 2) / (r - 1)
+    return mean, math.sqrt(var / r)
 
 
 def usable_cpus() -> int:

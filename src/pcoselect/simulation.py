@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .estimator import LossKind, Sample
-from .kernels import kernel_matrix
+from .errors import ConfigError, config_int
+from .estimator import LossKind, Sample, _kernel_sums
 from .quadrature import IntegrationGrid, composite_grid, trapezoid_grid
 from .rng import stream
 
@@ -402,15 +401,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             return default
         return cfg[key]
 
-    def as_int(key, value, lo=None):
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"scenario config: field '{key}' must be an integer") from None
-        if lo is not None and value < lo:
-            raise ConfigError(f"scenario config: field '{key}' must be >= {lo}")
-        return value
-
     def as_enum(key, value, enum_cls):
         try:
             return enum_cls(value)
@@ -429,18 +419,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("scenario config: field 'support' must be [lo, hi]")
     try:
         return Scenario(
-            d=as_int("d", take("d", 1), lo=1),
+            d=config_int("scenario", "d", take("d", 1), 1),
             f_kind=as_enum("f", take("f", "uniform"), DensityKind),
             b_kind=as_enum("b.kind", b_cfg["kind"], MeanKind),
             sigma_kind=as_enum("sigma.kind", sigma_cfg["kind"], SigmaKind),
             noise=as_enum("noise", take("noise", "gaussian"), NoiseKind),
-            n=as_int("n", take("n", required=True), lo=1),
-            replications=as_int("replications", take("replications", 1), lo=1),
-            seed=as_int("seed", take("seed", 0), lo=0),
+            n=config_int("scenario", "n", take("n", required=True), 1),
+            replications=config_int("scenario", "replications", take("replications", 1), 1),
+            seed=config_int("scenario", "seed", take("seed", 0), 0),
             support=(float(support[0]), float(support[1])),
             b_const=float(b_cfg.get("c", 0.0)),
             sigma_const=float(sigma_cfg.get("c", 0.0)),
-            risk_points=None if take("risk_points") is None else as_int("risk_points", cfg["risk_points"], lo=2),
+            risk_points=None if take("risk_points") is None
+            else config_int("scenario", "risk_points", cfg["risk_points"], 2),
         )
     except ConfigError:
         raise
@@ -458,21 +449,15 @@ def make_s_mean(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid | Non
 
     The integral runs over the scenario support on a composite quadrature
     grid; since s vanishes off the support, this is the full section
-    average whenever the kernel mass outside the support meets s = 0.
+    average whenever the kernel mass outside the support meets s = 0.  It is a
+    weighted kernel sum over the grid nodes (:func:`~pcoselect.estimator._kernel_sums`).
     """
     if grid is None:
         grid = scn.quad_grid()
-    s_vals = scn.true_s(loss, grid.points)
-    weighted = grid.weights * s_vals
+    weighted = grid.weights * scn.true_s(loss, grid.points)
 
     def s_mean(points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty(points.shape[0])
-        block = 1024
-        for start in range(0, points.shape[0], block):
-            kmat = kernel_matrix(spec, grid.points, points[start : start + block])
-            out[start : start + block] = weighted @ kmat
-        return out
+        return _kernel_sums([spec], grid.points, weighted, points)[0]
 
     return s_mean
 

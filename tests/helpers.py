@@ -5,10 +5,23 @@ by direct quadrature with panel boundaries at every point where an
 integrand can lose smoothness.  Slow and dumb on purpose.
 """
 
+import sys
+
 import numpy as np
 
 from pcoselect import BandwidthSpec, ProjectionSpec, composite_rule, kernel_matrix
 from pcoselect.bases import breakpoints as basis_breakpoints
+
+
+def forbid_everywhere(monkeypatch, name, message):
+    """Make ``name`` raise in every ``pcoselect`` module namespace that holds it."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pcoselect" and hasattr(module, name):
+            monkeypatch.setattr(module, name, forbidden)
 
 
 def section_box(spec, anchor):

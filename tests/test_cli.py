@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -502,6 +503,50 @@ def test_family_dimension_is_checked_before_the_family_is_built(tmp_path, datase
     assert "dimension error: family config: field 'd'" in err and "dimension 1" in err
     assert ("data" if command == "select" else "scenario") in err
     assert "Traceback" not in err
+
+
+# integer fields read with a bare int() used to end in a ValueError or
+# ZeroDivisionError traceback, and so did a trend over two orders
+_BAD_INTEGER_FIELDS = {
+    "simulate-replication": (["simulate"], {**_scn_cfg(), "replication": "x"}, "'replication'"),
+    "simulate-n-fractional": (["simulate"], _scn_cfg(n=40.5), "'n'"),
+    "l1-n": (["verify", "--suite", "l1-bound"], {"n": "x", "family": _BANDWIDTH}, "'n'"),
+    "l1-points": (["verify", "--suite", "l1-bound"], {"n": 40, "points": "many", "family": _BANDWIDTH}, "'points'"),
+    "l1-seed": (["verify", "--suite", "l1-bound"], {"n": 40, "seed": "abc", "family": _BANDWIDTH}, "'seed'"),
+    "moment-draws": (
+        ["verify", "--suite", "moment-conditions"],
+        {"scenario": _scn_cfg(), "family": _BANDWIDTH, "draws": 1},
+        "'draws' must be at least 2",
+    ),
+    "trig-m_values": (["verify", "--suite", "trig-bound"], {"scenario": _scn_cfg(), "m_values": 5}, "'m_values'"),
+    "trig-two-m_values": (["verify", "--suite", "trig-bound"], {"scenario": _scn_cfg(), "m_values": [4, 8]}, "m_values"),
+    "report-n_values": (["report"], {"scenario": _scn_cfg(), "family": _BANDWIDTH, "n_values": ["x"]}, "'n_values'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INTEGER_FIELDS))
+def test_bad_integer_fields_are_config_errors(tmp_path, capsys, case):
+    argv, cfg, field = _BAD_INTEGER_FIELDS[case]
+    rc = main(argv + ["--config", _write_json(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and field in err
+    assert "Traceback" not in err
+
+
+# without a bound on d these enumerated 2^40 tuples, or formed 2^(10^300)
+# and overflowed itertools.product
+@pytest.mark.parametrize("family", [{"variant": "bandwidth", "h_min": 1.0, "grid": [1.0], "d": 1e300},
+                                    {"variant": "bandwidth", "h_min": 0.95, "grid": [0.95, 1.0], "d": 40},
+                                    {"variant": "projection", "basis": "trigonometric", "m_max": 2, "d": 1e300}])
+def test_family_dimension_is_bounded_before_the_product_grid_is_formed(tmp_path, capsys, family):
+    cfg = _write_json(tmp_path / "v.json", {"n": 40, "family": family})
+    start = time.perf_counter()
+    rc = main(["verify", "--suite", "l1-bound", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: family config: dimension d" in err and "above the limit of 1000000" in err
 
 
 @pytest.mark.parametrize("command", ["select", "report", "verify", "simulate"])

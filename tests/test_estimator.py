@@ -44,6 +44,7 @@ from pcoselect.estimator import (
     _SWEEP_ROWS,
     _gaussian_scales,
     _grid_width,
+    _kernel_sums,
     _sweep_tables,
     bandwidth_totals,
     coefficient_tensor,
@@ -237,6 +238,51 @@ def test_family_grid_evaluation_matches_kernel_matrix(base, d, n):
         # values cross zero under the identity loss: relative to the curve's scale
         assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
         assert np.array_equal(estimate_on_grid(spec, s, pts), row)
+
+
+# one member per kernel kind, with the weighted side on the member's support
+_KERNEL_SUM_MEMBERS = {
+    "gaussian-d1": BandwidthSpec(GAUSSIAN, (0.07,)),
+    # exponents down to -0.5 / 0.004^2, far below the -700 floor
+    "gaussian-d1-floor": BandwidthSpec(GAUSSIAN, (0.004,)),
+    "gaussian-d2": BandwidthSpec(GAUSSIAN, (0.05, 0.2)),
+    "epanechnikov-d1": BandwidthSpec(EPANECHNIKOV, (0.1,)),
+    "epanechnikov-d2": BandwidthSpec(EPANECHNIKOV, (0.15, 0.3)),
+    "trigonometric-d2": ProjectionSpec(TRIG, (3, 6), _W),
+    "histogram-d1": ProjectionSpec(HIST, (7,), _W),
+    "legendre-d1": ProjectionSpec(LEG, (9,)),
+}
+
+
+def _weighted_points(spec, n, seed):
+    """n points on the spec's support (the unit box for bandwidths) and signed weights."""
+    rng = stream(seed)
+    lo, hi = (0.0, 1.0) if isinstance(spec, BandwidthSpec) else spec.basis.support
+    return lo + (hi - lo) * rng.random((n, spec.d)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_SUM_MEMBERS))
+def test_kernel_sums_match_the_pointwise_kernel(case):
+    spec = _KERNEL_SUM_MEMBERS[case]
+    x, w = _weighted_points(spec, 600, seed=60)
+    points, _ = _weighted_points(spec, 450, seed=61)
+    got = _kernel_sums([spec], x, w, points)[0]
+    k = kernel_matrix(spec, x, points)
+    if case.endswith("floor"):
+        assert np.any(k == 0.0)
+    # per entry, against the sum of the magnitudes: some exact values are 0
+    assert np.all(np.abs(got - w @ k) <= 1e-12 * (np.abs(w) @ np.abs(k)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_sums_of_a_family_are_the_rows_of_its_members(d):
+    specs = [s for s in _KERNEL_SUM_MEMBERS.values() if s.d == d and not isinstance(s, ProjectionSpec)]
+    specs += [ProjectionSpec(TRIG, (5,) * d), ProjectionSpec(TRIG, (2,) * d, _W), ProjectionSpec(HIST, (3,) * d)]
+    x, w = _weighted_points(specs[-1], 300, seed=62)
+    points, _ = _weighted_points(specs[-1], 700, seed=63)
+    rows = _kernel_sums(specs, x, w, points)
+    for spec, row in zip(specs, rows):
+        assert np.array_equal(_kernel_sums([spec], x, w, points)[0], row)
 
 
 def _per_member_expansion(spec, s, points):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import forbid_everywhere
 from pcoselect import (
     GAUSSIAN,
     BandwidthSpec,
@@ -185,18 +186,13 @@ def test_oracle_experiment_threads_byte_identical_over_many_grid_blocks(kind):
 
 def test_oracle_experiment_shares_the_grid_evaluation(monkeypatch):
     import pcoselect.estimator as estimator_mod
-    import pcoselect.kernels as kernels_mod
 
     scn = _scn(n=200, replications=3)
     gauss = make_bandwidth_family(GAUSSIAN, 0.02, (0.02, 0.05, 0.1, 0.3), d=1, n=200)
     trig = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC), 10, 1, 200)
     want = {fam: oracle_experiment(fam, scn, LossKind.IDENTITY).to_json() for fam in (gauss, trig)}
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("risk-grid evaluation must not build kernel tables")
-
-    for module in (kernels_mod, estimator_mod):
-        monkeypatch.setattr(module, "kernel_matrix", forbidden)
+    forbid_everywhere(monkeypatch, "kernel_matrix", "risk-grid evaluation must not build kernel tables")
     assert oracle_experiment(gauss, scn, LossKind.IDENTITY).to_json() == want[gauss]
     calls = []
     real_basis_matrix = estimator_mod.basis_matrix
@@ -271,18 +267,19 @@ def test_concentration_threads_byte_identical():
 
 
 def _concentration_dense_reference(a, b, scn, loss, grid):
-    """The per-replication U, V, W of the dense n x n formulation."""
+    """The per-replication U, V, W of the dense n x n formulation, the norm
+    of s_a, and the largest integral of |shat_a - s_a| (|s_b| + |s|)."""
     from pcoselect.estimator import sbar_empirical
     from pcoselect.kernels import kernel_matrix, section_inner_matrix
     from pcoselect.numerics import pairwise_sum
-    from pcoselect.simulation import make_s_mean
 
-    sa_grid = make_s_mean(a, scn, loss, grid)(grid.points)
-    sb_grid = make_s_mean(b, scn, loss, grid)(grid.points)
     s_grid = scn.true_s(loss, grid.points)
     gw = grid.weights
+    # section averages s_K(t) = integral K(x, t) s(x) dx from the full table on the grid
+    sa_grid = (gw * s_grid) @ kernel_matrix(a, grid.points, grid.points)
+    sb_grid = (gw * s_grid) @ kernel_matrix(b, grid.points, grid.points)
     n = scn.n
-    rows = []
+    rows, w_scale = [], 0.0
     for rep in range(scn.replications):
         sample = scn.generate(rep, loss)
         ell = sample.loss_values
@@ -303,8 +300,9 @@ def _concentration_dense_reference(a, b, scn, loss, grid):
         v_val = sbar_empirical(a, sample) - 2.0 * pairwise_sum(ell * cross_aa) / n + pairwise_sum(gw * sa_grid * sa_grid)
         shat_a = ell @ ka_grid / n
         w_val = pairwise_sum(gw * (shat_a - sa_grid) * (sb_grid - s_grid))
+        w_scale = max(w_scale, pairwise_sum(gw * np.abs(shat_a - sa_grid) * (np.abs(sb_grid) + np.abs(s_grid))))
         rows.append((u_val, v_val, w_val))
-    return np.asarray(rows), pairwise_sum(gw * sa_grid * sa_grid)
+    return np.asarray(rows), pairwise_sum(gw * sa_grid * sa_grid), w_scale
 
 
 _CONCENTRATION_PAIRS = {
@@ -323,11 +321,16 @@ def test_concentration_matches_dense_reference(case):
     a, b, loss = _CONCENTRATION_PAIRS[case]
     scn = _scn(n=60, replications=12, seed=5)
     grid = statistic_grid(a, b, scn)
-    rows, sa_norm_sq = _concentration_dense_reference(a, b, scn, loss, grid)
+    rows, sa_norm_sq, w_scale = _concentration_dense_reference(a, b, scn, loss, grid)
     rep = concentration_experiment(a, b, scn, loss, threads=2, grid=grid)
-    for summary, values in zip((rep.u, rep.v, rep.w), rows.T):
-        assert_allclose(summary.mean, values.mean(), rtol=1e-12, atol=1e-12 * np.abs(values).max())
-        assert_allclose(summary.se, values.std(ddof=1) / np.sqrt(len(values)), rtol=1e-12)
+    # W integrates (shat_a - s_a)(s_b - s), and s_b - s cancels to rounding
+    # noise when s lies in the span of b (the trig case): its error scale is
+    # that of the terms before the cancellation
+    scales = (np.abs(rows[:, 0]).max(), np.abs(rows[:, 1]).max(), max(np.abs(rows[:, 2]).max(), w_scale))
+    for summary, values, scale in zip((rep.u, rep.v, rep.w), rows.T, scales):
+        assert_allclose(summary.mean, values.mean(), rtol=1e-12, atol=1e-12 * scale)
+        assert_allclose(summary.se, values.std(ddof=1) / np.sqrt(len(values)), rtol=1e-12,
+                        atol=1e-12 * scale if summary is rep.w else 0.0)
     from pcoselect import sbar_analytic
 
     sbar = sbar_analytic(a, scn, loss)
@@ -345,6 +348,57 @@ def test_concentration_replication_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 14.5 MB; the dense formulation held 143 MB, and one n x n
+    # measured 2.2 MB (14.5 MB with kernel tables of the statistic grid in
+    # 1024-row blocks); the dense formulation held 143 MB, and one n x n
     # table alone is 32 MB
-    assert peak < 24 * 2**20, peak / 2**20
+    assert peak < 4.5 * 2**20, peak / 2**20
+
+
+def test_section_average_memory_is_fixed_whatever_the_grid(monkeypatch):
+    import tracemalloc
+
+    from pcoselect import numerics
+    from pcoselect.simulation import make_s_mean
+
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
+    scn = _scn(d=2, n=100)
+    grid = scn.quad_grid(refine=2)
+    assert len(grid.points) >= 16384
+    points = np.random.default_rng(3).random((2048, 2))
+    spec = BandwidthSpec(GAUSSIAN, (0.05, 0.05))
+    tracemalloc.start()
+    try:
+        make_s_mean(spec, scn, LossKind.IDENTITY, grid)(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one grid x 1024-point kernel table alone is 128 MB
+    assert peak < 4 * 2**20, peak / 2**20
+
+
+def test_section_averages_statistics_and_diagnostics_build_no_kernel_table(monkeypatch):
+    from pcoselect import check_kernel_moment_conditions
+    from pcoselect.simulation import make_s_mean
+
+    scn, scn2 = _scn(n=40, replications=3), _scn(d=2, n=40, replications=3)
+    trig = BasisFamily(BasisKind.TRIGONOMETRIC)
+    families = [
+        (make_bandwidth_family(GAUSSIAN, 0.2, (0.2, 0.4), d=1, n=40), scn),
+        (make_projection_family(trig, 4, 1, 40), scn),
+        (make_projection_family(trig, 2, 2, 40), scn2),
+    ]
+    points = np.linspace(-0.1, 1.1, 50).reshape(-1, 1)
+
+    def run():
+        out = []
+        for fam, s in families:
+            a, b = fam.specs[0], fam.specs[-1]
+            out.append(concentration_experiment(a, b, s, LossKind.IDENTITY).to_json())
+            out.append(check_kernel_moment_conditions(fam, s, LossKind.IDENTITY, draws=500).to_json())
+            if s.d == 1:
+                out.append(make_s_mean(a, s, LossKind.IDENTITY)(points).tobytes())
+        return out
+
+    want = run()
+    forbid_everywhere(monkeypatch, "kernel_matrix", "section averages and cross terms must not build kernel tables")
+    assert run() == want

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import pcoselect
 from pcoselect import numerics
-from pcoselect.numerics import combine_partials, pairwise_sum, parallel_map, weighted_gram_total
+from pcoselect.numerics import combine_partials, mean_se, pairwise_sum, parallel_map, weighted_gram_total
 
 
 def test_pairwise_sum_matches_fsum():
@@ -39,6 +39,14 @@ def test_weighted_gram_total_oracle():
     gram = rng.standard_normal((40, 50))
     want = float(left @ gram @ right)
     assert_allclose(weighted_gram_total(gram, left, right), want, rtol=1e-12)
+
+
+def test_mean_se_is_the_mean_and_its_standard_error():
+    values = np.array([1.0, 2.0, 4.0, 7.0])
+    mean, se = mean_se(values)
+    assert mean == 3.5
+    assert_allclose(se, math.sqrt(np.var(values, ddof=1) / 4), rtol=1e-15)
+    assert mean_se([2.5]) == (2.5, 0.0)
 
 
 def test_combine_partials_matches_direct():
