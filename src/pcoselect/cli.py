@@ -317,6 +317,8 @@ def cmd_report(args) -> int:
     cfg = _load_json(args.config, "config")
     loss = _loss_from_flag(cfg.get("loss", args.loss or "one"))
     scn_cfg = _require(cfg, "scenario", "report")
+    if not isinstance(scn_cfg, dict):
+        raise ConfigError(f"report config: field 'scenario' must be an object (got {type(scn_cfg).__name__})")
     out = _out_dir(args)
     n_values = cfg.get("n_values")
     if n_values:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, sine_tail_max_violation
-from .errors import ConfigError
+from .errors import ConfigError, check_table_size
 from .estimator import LossKind, _kernel_sums
 from .kernels import (
     BandwidthSpec,
@@ -187,6 +187,10 @@ def check_kernel_moment_conditions(
     """
     if scn.d != family.d:
         raise ConfigError("scenario and family dimensions differ")
+    check_table_size("moment-conditions", draws=draws, d=scn.d)
+    if isinstance(family.specs[0], ProjectionSpec):
+        # the pointwise inner products evaluate the basis at every draw
+        check_table_size("moment-conditions", draws=draws, m_max=max(max(spec.m) for spec in family.specs))
     first = family.specs[0]
     is_bandwidth = isinstance(first, BandwidthSpec)
     n = family.sample_cap
@@ -396,6 +400,7 @@ def check_trig_spectral_boundedness(
         raise ConfigError("trigonometric families live on support [0, 1]")
     if len(m_values) < 3:
         raise ConfigError("the trend test needs at least three orders in m_values")
+    check_table_size("trig-bound", draws=draws, m_values=max(m_values))
     basis = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=max(m_values))
     m_top = max(m_values)
     grid = scn.quad_grid(refine=8)
@@ -459,6 +464,7 @@ def check_trig_spectral_boundedness(
 
 def check_sine_tail_bound(p_max: int = 200, grid_points: int = 10_000) -> CheckReport:
     """Scan the partial sine series tail inequality; margin is worst slack."""
+    check_table_size("sine-tail", p_max=p_max, grid_points=grid_points)
     worst = sine_tail_max_violation(p_max, grid_points)
     return CheckReport(
         name="sine-tail",
@@ -488,6 +494,7 @@ def check_legendre_boundedness(source, m_max: int = 50, eval_points: int = 2048)
         raise ConfigError("Legendre families live on support [-1, 1]")
     if not density.twice_differentiable:
         raise ConfigError("the Legendre bound needs a twice differentiable density")
+    check_table_size("legendre-bound", m_max=m_max, eval_points=eval_points)
     basis = BasisFamily(BasisKind.LEGENDRE, m_cap=max(m_max, 64))
     nodes, weights = composite_rule(-1.0, 1.0, np.linspace(-1, 1, 9)[1:-1])
     coeff = basis_matrix(basis, m_max, nodes).T @ (weights * density.pdf(nodes))

@@ -1,6 +1,10 @@
-"""Error taxonomy shared by the library and the command line, and its integer config reader."""
+"""Error taxonomy shared by the library and the command line, and its config readers."""
 
+import math
 import numbers
+
+# Entries of the largest float64 table a diagnostic may allocate (128 MB).
+MAX_TABLE_ENTRIES = 2**24
 
 
 class ConfigError(ValueError):
@@ -31,3 +35,14 @@ def config_int(role: str, field: str, value, lo: int | None = None) -> int:
     if lo is not None and value < lo:
         raise ConfigError(f"{role} config: field {field!r} must be at least {lo} (got {value!r})")
     return int(value)
+
+
+def check_table_size(role: str, **sizes: int):
+    """Raise a ConfigError naming the fields of ``sizes`` when a table of
+    that shape would hold more than ``MAX_TABLE_ENTRIES`` entries; called
+    before the table is allocated."""
+    entries = math.prod(sizes.values())
+    if entries > MAX_TABLE_ENTRIES:
+        fields = " x ".join(f"{field} {value}" for field, value in sizes.items())
+        raise ConfigError(f"{role}: {fields} asks for a table of {entries} entries, "
+                          f"above the limit of {MAX_TABLE_ENTRIES}")

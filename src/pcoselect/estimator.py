@@ -50,13 +50,16 @@ and the diagnostics; :func:`~pcoselect.kernels.kernel_matrix` is on no
 The sweep's row blocks and the grid evaluation's column blocks are pure
 functions of their block, and their results are put back and reduced in
 block order.  Once a sweep or grid is large (``_FORK_WORK``, decided from
-n, d and the members or pairs alone), its blocks are spread over forked
-processes, up to the usable CPUs, by
-:func:`~pcoselect.numerics.parallel_map`; the sched affinity
-(``taskset``) restricts them, and inside a mapped item, such as a report
-replication, they run serially.  The bits are the same at any worker
-count.  A fork copies only the calling thread, so do not call these
-functions while another thread holds a lock they need.
+n, d and the members or pairs alone), its blocks are spread over the
+block pool of :func:`~pcoselect.numerics.pooled_map`: worker processes
+forked by the first such map, up to the usable CPUs, and kept for the
+life of the process.  Each map sends a module-level block builder and
+its arguments to the workers, and each process allocates its scratch
+once per map.  The sched affinity (``taskset``) restricts the pool, and
+inside a mapped item, such as a report replication, the blocks run
+serially.  The bits are the same at any worker count.  A fork copies
+only the calling thread, so do not start the first large sweep while
+another thread holds a lock the computation needs.
 """
 
 from __future__ import annotations
@@ -224,32 +227,32 @@ _GRID_SCRATCH = 1 << 18
 # (about 1e-304) instead of 0 or a subnormal.
 _EXP_FLOOR = -700.0
 # Work, in Gaussian kernel entries summed over the members or pairs, from
-# which the bandwidth sweep and grid evaluation fork their blocks over the
-# usable CPUs.  A forked map costs about 6 ms (fork, and the worker's exit
-# and reaping at about 100 MB resident) and an entry 2-3 ns, so on 2 CPUs
-# the mean break-even is near 5 million entries: the n = 1000, 11-pair
-# sweep of a quotient fit (5.5 million) measured 11.1 ms serial and
-# 10.9 ms forked.  A forked map's time also follows the load on every CPU
-# it uses, not only on the caller's.  On a loaded 2-CPU VM a
-# select whose sweep was 14 or 25 million entries saved 12-14 ms of
-# 60-75 ms forked, but its median over a 20 s run moved up to 3 times as
-# far from run to run as the serial one's.  From 40 million entries the
-# saving is large against that: a 39-pair sweep at n = 2000 (78 million)
-# took 180 ms serial and 102 ms forked.
-_FORK_WORK = 40_000_000
+# which the bandwidth sweep and grid evaluation map their blocks over the
+# block pool (``numerics.pooled_map``).  The pool is forked once, so a map
+# costs one task and one result message per worker: an empty pooled map
+# took 86-120 us on a 2-CPU VM, against 13 ms to fork, start and reap a
+# worker per map at 180 MB resident.  An entry costs 2-4 ns, so on 2 CPUs
+# the break-even is near 0.4 million entries (medians of 41: a 6-member
+# sweep at n = 300, 0.49 million, took 2.80 ms serial and 2.70 ms pooled;
+# a grid of 1000 points at n = 500, 0.5 million, 2.98 and 2.72 ms).  The
+# threshold sits at twice that, where a pooled map saves about a fifth
+# (n = 1000 x 1000 points: 5.6 -> 4.6 ms), since a pooled map's time also
+# follows the load on every CPU it uses.
+_FORK_WORK = 1_000_000
 # Cost of an Epanechnikov or mixed sweep entry in Gaussian entries: each is
 # an exact convolution rule per dimension, about 40 ns against 2.3 ns.
 _CONVOLUTION_COST = 16
 
 
-def _map_blocks(fn, starts, work: int) -> list:
-    """``fn`` at every block start, in order; forked over the usable CPUs
-    by :func:`~pcoselect.numerics.parallel_map` once ``work`` reaches
-    ``_FORK_WORK``.  Each block is a pure function of its start, so the
-    worker count never changes a number."""
+def _map_blocks(build, args: tuple, starts, work: int) -> list:
+    """``fn(start)`` at every block start, in order, with ``fn = build(*args)``;
+    on the block pool of :func:`~pcoselect.numerics.pooled_map` once
+    ``work`` reaches ``_FORK_WORK``.  Each block is a pure function of its
+    start and ``args``, so the worker count never changes a number."""
     if work < _FORK_WORK:
+        fn = build(*args)
         return [fn(start) for start in starts]
-    return numerics.parallel_map(fn, starts, numerics.usable_cpus())
+    return numerics.pooled_map(build, args, starts)
 
 
 def _reaches_floor(span_sq, scales) -> bool:
@@ -366,9 +369,19 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
     ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
     the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
     ``w @ block``.  The constant prod_q k(0) / h_q / divisor multiplies the
-    row.  Large evaluations compute their blocks on forked processes
+    row.  Large evaluations compute their blocks on the block pool
     (:func:`_map_blocks`); a block is a pure function of its columns.
     """
+    n, d = x.shape
+    args = (specs, np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(points), divisor)
+    starts = range(0, points.shape[0], _grid_width(n, d))
+    blocks = _map_blocks(_grid_block_builder, args, starts, len(specs) * n * points.shape[0])
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((len(specs), 0))
+
+
+def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor):
+    """The block function of :func:`_bandwidth_rows`, with its scratch:
+    the rows of every member at the points of the block from ``start``."""
     n, d = x.shape
     width = _grid_width(n, d)
     squares = [np.empty(n * width) for _ in range(d)]
@@ -403,9 +416,7 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
             np.multiply(w @ vals, const, out=row)
         return rows
 
-    starts = range(0, points.shape[0], width)
-    blocks = _map_blocks(block_rows, starts, len(specs) * n * points.shape[0])
-    return np.concatenate(blocks, axis=1) if blocks else np.empty((len(specs), 0))
+    return block_rows
 
 
 def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=None) -> np.ndarray:
@@ -568,11 +579,12 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     over i != j only.
 
     Each block's partial is a pure function of the block, so once the
-    sweep is large (:func:`_map_blocks`) the blocks are computed on forked
-    processes, each taking the next block whenever it finishes one, which
-    balances the triangle.  Every process writes its own copy-on-write
-    scratch, so memory stays O(n) per process, and the partials come back
-    in block order: the totals are the same bits at any worker count.
+    sweep is large (:func:`_map_blocks`) the blocks are computed on the
+    block pool, each process taking the next block whenever it finishes
+    one, which balances the triangle.  Every process allocates its own
+    scratch once per sweep (:func:`_sweep_block_builder`), so memory stays
+    O(n) per process, and the partials come back in block order: the
+    totals are the same bits at any worker count.
     """
     n, d = x.shape
     if not pairs:
@@ -580,6 +592,24 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     for a, _ in pairs:
         _check_dim(a, x)
     diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
+    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    args = (pairs, np.ascontiguousarray(x), np.ascontiguousarray(ell))
+    starts = range(0, n - 1, _SWEEP_ROWS)
+    work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
+    partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(pairs)))
+    sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
+    totals = []
+    for c, scale, column in zip(diag, scales, partials.T):
+        upper = combine_partials(column)
+        # Gaussian partials sum the entries divided by c
+        totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
+    return totals
+
+
+def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
+    """The block function of :func:`bandwidth_totals`, with the sweep's
+    scratch: every pair's partial over the rows of the block from ``start``."""
+    n, d = x.shape
     scales = [_gaussian_scales(a, b) for a, b in pairs]
     span_sq = np.ptp(x, axis=0) ** 2
     floors = [scale is not None and _reaches_floor(span_sq, scale) for scale in scales]
@@ -642,16 +672,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
                 _row_dots(vals, weights, out)
         return np.vecdot(dots, ell[start:stop])
 
-    starts = range(0, n - 1, _SWEEP_ROWS)
-    work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
-    partials = np.reshape(_map_blocks(block_partial, starts, work), (len(starts), len(pairs)))
-    sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
-    totals = []
-    for c, scale, column in zip(diag, scales, partials.T):
-        upper = combine_partials(column)
-        # Gaussian partials sum the entries divided by c
-        totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
-    return totals
+    return block_partial
 
 
 class GramTables:

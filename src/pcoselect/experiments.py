@@ -6,10 +6,12 @@ pure function of r, and aggregation happens in replication order with a
 fixed pairwise reduction.  ``threads`` sets the number of processes (at
 most the usable CPUs; this one and ``threads - 1`` forked workers) that
 :func:`~pcoselect.numerics.parallel_map` spreads whole replications over,
-so ``threads=8`` and ``threads=1`` produce byte-identical reports.  A
-replication's own bandwidth sweep and grid evaluation run serially in
-whichever process computes it, so no more than ``threads`` processes
-compute at once.
+so ``threads=8`` and ``threads=1`` produce byte-identical reports.  The
+workers are forked per experiment, so they inherit the replication
+closure.  A replication's own bandwidth sweep and grid evaluation run
+serially in whichever process computes it, never on the block pool of
+:func:`~pcoselect.numerics.pooled_map`, so no more than ``threads``
+processes compute at once.
 
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend

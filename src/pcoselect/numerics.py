@@ -3,18 +3,21 @@
 Every sum that feeds a reported number goes through :func:`pairwise_sum`
 so that serial and worker-process runs produce bit-identical output.
 
-:func:`parallel_map` is the one way the package uses more than one CPU.
-The Monte Carlo experiments map whole replications over it, and the
-bandwidth sweep and bandwidth grid evaluation of
+The package uses more than one CPU in two ways.  :func:`parallel_map`
+forks workers for one map; the Monte Carlo experiments map whole
+replications over it.  :func:`pooled_map` keeps a pool of forked workers
+for the life of the process, forked by the first map that needs them;
+the bandwidth sweep and bandwidth grid evaluation of
 :mod:`~pcoselect.estimator` map their fixed row or column blocks over it
-once their work is large, on up to the usable CPUs, so the sched
-affinity (``taskset``) bounds them.  A map started inside a mapped item,
-in a forked worker or in the serial loop, runs serially: a report with
+once their work is large.  Both use at most the usable CPUs, so the
+sched affinity (``taskset``) bounds them.  A map started inside a mapped
+item, in a worker or in the serial loop, runs serially: a report with
 ``threads=N`` keeps at most N processes busy.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import pickle
@@ -75,12 +78,27 @@ def usable_cpus() -> int:
 # items behind each record.
 _RECORD = 4
 _MAX_RECORDS = 1024
+# Index of a failure that belongs to no item: it sorts after every item.
+_NO_ITEM = math.inf
+
+
+def _records(count: int) -> tuple[bytes, int]:
+    """The queue records of a map of ``count`` items, and the items per record."""
+    chunk = -(-count // _MAX_RECORDS)
+    return b"".join(start.to_bytes(_RECORD, "little") for start in range(0, count, chunk)), chunk
 
 
 def _take(queue: int, chunk: int, count: int):
     """The indices of the items behind the records this process reads
-    from ``queue``, until the queue is empty."""
-    while record := os.read(queue, _RECORD):
+    from ``queue``, until the queue is empty: at end of file, or when the
+    pool's non-blocking queue has nothing left."""
+    while True:
+        try:
+            record = os.read(queue, _RECORD)
+        except BlockingIOError:
+            return
+        if not record:
+            return
         start = int.from_bytes(record, "little")
         yield from range(start, min(start + chunk, count))
 
@@ -116,29 +134,46 @@ def _consume(fn, items: list, queue: int, chunk: int):
     return done, None
 
 
+def _pickled(outcome) -> bytes:
+    """A worker's outcome as bytes; results that do not pickle travel as
+    the pickling error."""
+    try:
+        return pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # noqa: BLE001
+        return pickle.dumps(([], (_NO_ITEM, _portable(exc))), pickle.HIGHEST_PROTOCOL)
+
+
+def _merge(outcomes, count: int) -> list:
+    """The results of every process's outcome put back by index, or the
+    exception of the lowest-indexed failure raised."""
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * count
+    for done, _ in outcomes:
+        for i, result in done:
+            results[i] = result
+    return results
+
+
 def _run_worker(fn, items: list, queue: int, chunk: int, fd: int, inherited):
     """Body of a forked worker: consume the queue, pickle the outcome to ``fd``, exit.
 
     ``inherited`` are the parent's read ends of the result pipes, closed
-    first.  Results that do not pickle travel as the pickling error.
-    ``os._exit`` skips atexit handlers and the stdio buffers inherited from
-    the parent, so nothing is run or printed twice, and the worker never
-    returns into the caller's code.
+    first.  ``os._exit`` skips atexit handlers and the stdio buffers
+    inherited from the parent, so nothing is run or printed twice, and the
+    worker never returns into the caller's code.
     """
     status = 1
     try:
         for other in inherited:
             os.close(other)
         try:
-            done, failure = _consume(fn, items, queue, chunk)
+            outcome = _consume(fn, items, queue, chunk)
         except BaseException as exc:  # noqa: BLE001 - an interrupt also goes to the parent
-            done, failure = [], (len(items), _portable(exc))
-        try:
-            payload = pickle.dumps((done, failure), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # noqa: BLE001
-            payload = pickle.dumps(([], (len(items), _portable(exc))), pickle.HIGHEST_PROTOCOL)
+            outcome = [], (_NO_ITEM, _portable(exc))
         with os.fdopen(fd, "wb") as out:
-            out.write(payload)
+            out.write(_pickled(outcome))
         status = 0
     finally:
         os._exit(status)
@@ -155,10 +190,10 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 
     ``workers = min(threads, len(items), usable CPUs)``.  With one worker,
     where ``os.fork`` does not exist, or when called while another map of
-    this thread is running (in the serial loop or in a forked worker), the
-    map runs serially here.  Otherwise workers 1, ..., workers - 1 are
-    forked from this process, and every process, this one included, takes
-    the next item from a shared queue whenever it finishes one, so a
+    this thread is running (in the serial loop or in a worker), the map
+    runs serially here.  Otherwise workers 1, ..., workers - 1 are forked
+    from this process for this map, and every process, this one included,
+    takes the next item from a shared queue whenever it finishes one, so a
     process that is slowed down takes fewer items instead of holding up
     the map.  A forked worker inherits ``fn`` and everything ``fn`` closes
     over, so nothing is pickled or imported on the way in, and it pickles
@@ -191,10 +226,10 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 
 def _forked_map(fn, items: list, workers: int) -> list:
     """The forked branch of :func:`parallel_map`, ``workers >= 2``."""
-    chunk = -(-len(items) // _MAX_RECORDS)
+    records, chunk = _records(len(items))
     queue, feed = os.pipe()
     try:
-        os.write(feed, b"".join(start.to_bytes(_RECORD, "little") for start in range(0, len(items), chunk)))
+        os.write(feed, records)
     finally:
         os.close(feed)
     reads, pids = [None], [None]  # per worker; None once read / reaped, and for this process
@@ -228,11 +263,214 @@ def _forked_map(fn, items: list, workers: int) -> list:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for done, _ in outcomes:
-        for i, result in done:
-            results[i] = result
-    return results
+    return _merge(outcomes, len(items))
+
+
+# ---------------------------------------------------------------------------
+# The block pool: forked once, kept for the life of the process.
+#
+# Worker w has a task pipe (written here) and a result pipe (read here);
+# every message on them is an 8-byte length and a pickle.  All processes
+# read item records from one queue pipe whose read end is non-blocking, so
+# an empty queue reads as the end of a map while its write end stays open
+# here.  A map that completes leaves the queue empty: every process stops
+# only at an empty queue, and this process waits for every used worker's
+# result.  Any other end of a map kills the pool instead.
+
+_HEADER = 8
+
+
+class _Pool:
+    """This process's block workers and their queue."""
+
+    def __init__(self):
+        self.queue, self.feed = os.pipe()
+        os.set_blocking(self.queue, False)
+        self.workers = []  # (pid, task pipe write end, result pipe read end)
+
+    def descriptors(self) -> list:
+        return [self.queue, self.feed] + [fd for _, tasks, results in self.workers for fd in (tasks, results)]
+
+
+_pool: _Pool | None = None
+# Held by the thread whose map uses the pool; a map of another thread that
+# finds it held runs serially.
+_pool_lock = threading.Lock()
+
+
+def _send(fd: int, payload: bytes):
+    view = memoryview(len(payload).to_bytes(_HEADER, "little") + payload)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _receive(fd: int) -> bytes | None:
+    """The next message on ``fd``, or None at end of file."""
+    header = _read_exactly(fd, _HEADER)
+    return None if header is None else _read_exactly(fd, int.from_bytes(header, "little"))
+
+
+def _serve(tasks: int, results: int, queue: int):
+    """Body of a pool worker: run each map sent on ``tasks`` until end of file, then exit.
+
+    A map is ``(build, args, items, chunk)``.  The worker builds
+    ``fn = build(*args)`` once, which allocates its scratch, takes items
+    from ``queue`` and sends its outcome on ``results``.  It ignores SIGINT,
+    which a terminal also sends to it: the pool's owner handles the
+    interrupt and kills the pool.  A dead owner closes ``tasks``, and a
+    result that finds ``results`` closed ends the worker too.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _maps.depth = 1
+        while (task := _receive(tasks)) is not None:
+            try:
+                build, args, items, chunk = pickle.loads(task)
+                outcome = _consume(build(*args), items, queue, chunk)
+            except Exception as exc:  # noqa: BLE001 - the owner raises it
+                outcome = [], (_NO_ITEM, _portable(exc))
+            _send(results, _pickled(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _spawn(pool: _Pool):
+    """Fork one more worker into ``pool``."""
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
+    queue = os.dup(pool.queue)  # the worker's own: the fork hook closes the pool's
+    try:
+        pid = os.fork()
+        if pid == 0:
+            os.close(task_write)
+            os.close(result_read)
+            _serve(task_read, result_write, queue)
+    except BaseException:
+        for fd in (task_write, result_read):
+            os.close(fd)
+        raise
+    finally:
+        for fd in (task_read, result_write, queue):
+            os.close(fd)
+    pool.workers.append((pid, task_write, result_read))
+
+
+def _reaped(pool: _Pool, w: int, used: int) -> RuntimeError:
+    """Reap worker ``w``, whose pipes have closed, and name its exit status."""
+    pid, tasks, results = pool.workers.pop(w - 1)
+    os.close(tasks)
+    os.close(results)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return RuntimeError(f"pooled_map worker {w} of {used} exited without a result (exit status {status})")
+
+
+def _close_pool():
+    """Kill and reap this process's block workers; the next pooled map
+    forks new ones.  Registered with :mod:`atexit`."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is None:
+        return
+    for fd in pool.descriptors():
+        os.close(fd)
+    for pid, _, _ in pool.workers:
+        os.kill(pid, signal.SIGKILL)
+    for pid, _, _ in pool.workers:
+        os.waitpid(pid, 0)
+
+
+def _forget_pool():
+    """In a forked child: drop the parent's pool, whose workers are not its
+    children, and close the pipes that would keep them alive."""
+    global _pool, _pool_lock
+    pool, _pool = _pool, None
+    _pool_lock = threading.Lock()
+    if pool is not None:
+        for fd in pool.descriptors():
+            os.close(fd)
+
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def pooled_map(build, args: tuple, items) -> list:
+    """``[fn(item) for item in items]`` with ``fn = build(*args)``, on the block pool.
+
+    ``build`` is a module-level function and ``args`` pickle: every map
+    sends both to each worker it uses, which calls ``build`` once (to
+    allocate its scratch, say) and then takes items from a shared queue
+    whenever it finishes one, as this process does, so a process that is
+    slowed down takes fewer items.  The map uses up to
+    ``min(len(items), usable CPUs) - 1`` workers, forked by the first map
+    that needs them and kept for the life of the process, so a map costs
+    a few pipe messages instead of a fork.  Results are put back by
+    position, so each call of ``fn`` must be a pure function of its item
+    and ``build``'s arguments; the output is then the same at any worker
+    count.  The map runs serially here with one usable CPU, where
+    ``os.fork`` does not exist, inside another map of this thread (a
+    report replication, say), or while another thread's map holds the
+    pool.
+
+    Failures are raised as by :func:`parallel_map`: the exception of the
+    lowest-indexed failing item, a RuntimeError with the exit status of a
+    worker that dies.  Any failure, and an interrupt, kills and reaps the
+    pool, so the next map forks a fresh one.  The pool's workers exit at
+    end of file on their task pipe, so they end with this process even
+    when it is killed; at a normal exit an :mod:`atexit` hook kills and
+    reaps them, and a forked child never uses its parent's pool.
+    """
+    items = list(items)
+    used = min(len(items), usable_cpus()) - 1
+    if used < 1 or getattr(_maps, "depth", 0) or not hasattr(os, "fork") or not _pool_lock.acquire(blocking=False):
+        fn = build(*args)
+        return [fn(item) for item in items]
+    lock = _pool_lock
+    _maps.depth = 1
+    try:
+        return _pooled(build, args, items, used)
+    except BaseException:
+        _close_pool()
+        raise
+    finally:
+        _maps.depth = 0
+        lock.release()
+
+
+def _pooled(build, args: tuple, items: list, used: int) -> list:
+    """The pooled branch of :func:`pooled_map`, ``used >= 1`` workers."""
+    global _pool
+    if _pool is None:
+        _pool = _Pool()
+    pool = _pool
+    while len(pool.workers) < used:
+        _spawn(pool)
+    records, chunk = _records(len(items))
+    os.write(pool.feed, records)
+    task = pickle.dumps((build, args, items, chunk), pickle.HIGHEST_PROTOCOL)
+    for w, (_, tasks, _) in enumerate(pool.workers[:used], 1):
+        try:
+            _send(tasks, task)
+        except BrokenPipeError:
+            raise _reaped(pool, w, used) from None
+    outcomes = [_consume(build(*args), items, pool.queue, chunk)]
+    for w, (_, _, results) in enumerate(pool.workers[:used], 1):
+        payload = _receive(results)
+        if payload is None:
+            raise _reaped(pool, w, used)
+        outcomes.append(pickle.loads(payload))
+    return _merge(outcomes, len(items))

@@ -18,9 +18,10 @@ fixed row blocks with O(n) scratch memory allocated once: each block's
 entries are contracted with the loss weights by BLAS dot products, and at
 d >= 2 each per-dimension Gaussian factor is evaluated once per block and
 shared by the pairs that use it.  A large sweep spreads its blocks over
-forked processes, up to the usable CPUs (``taskset`` restricts them, and
-inside a report replication it runs serially), with the same bits at any
-worker count; see :mod:`~pcoselect.estimator`.  The diagonal is a
+the block pool, worker processes forked once and kept, up to the usable
+CPUs (``taskset`` restricts them, and inside a report replication it runs
+serially), with the same bits at any worker count; see
+:mod:`~pcoselect.estimator`.  The diagonal is a
 constant.  For projection kernels the totals are quadratic forms in the
 coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and the
 diagonal is an O(n sum_q m_q) row sum over basis values at the sample.

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pcoselect import CheckReport, write_sample_csv
+from pcoselect import CheckReport, scenario_from_config, write_sample_csv
 from pcoselect.cli import main
 
 
@@ -561,3 +561,44 @@ def test_top_level_json_array_is_a_config_error(tmp_path, dataset, capsys, comma
     rc = main(argv + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+# `"scenario": [1]` with n_values ended in an AttributeError traceback
+@pytest.mark.parametrize("n_values", [None, [40, 60]])
+def test_report_scenario_must_be_an_object(tmp_path, capsys, n_values):
+    cfg = {"scenario": [1], "family": _BANDWIDTH, **({"n_values": n_values} if n_values else {})}
+    rc = main(["report", "--config", _write_json(tmp_path / "r.json", cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: report config: field 'scenario' must be an object (got list)" in err
+    assert "Traceback" not in err
+
+
+# each of these asked for a table of 4 * 10^7 to 10^10 float64 entries (up to
+# 80 GB) before anything compared its size with the memory it needs
+_OVERSIZED_TABLES = {
+    "sine-tail": ({"p_max": 100_000, "grid_points": 100_000}, "sine-tail: p_max 100000 x grid_points 100000"),
+    "legendre-bound": ({"density": {"kind": "raised_cosine"}, "m_max": 10**7}, "legendre-bound: m_max 10000000 x eval_points 2048"),
+    "moment-conditions": ({"scenario": _scn_cfg(), "family": _BANDWIDTH, "draws": 10**10}, "moment-conditions: draws 10000000000 x d 1"),
+    "moment-conditions-projection": (
+        {"scenario": _scn_cfg(), "family": {"variant": "projection", "basis": "trigonometric", "m_max": 40, "d": 1},
+         "draws": 10**6},
+        "moment-conditions: draws 1000000 x m_max 40",
+    ),
+    "trig-bound": ({"scenario": _scn_cfg(), "draws": 10**8, "m_values": [4, 8, 100]}, "trig-bound: draws 100000000 x m_values 100"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED_TABLES))
+def test_verify_rejects_an_oversized_table_before_allocating_it(tmp_path, capsys, case):
+    cfg, shape = _OVERSIZED_TABLES[case]
+    # building the first scenario of a process imports scipy.stats (1-2 s);
+    # the time limit is for the check, not for that import
+    scenario_from_config(_scn_cfg())
+    start = time.perf_counter()
+    rc = main(["verify", "--suite", case.removesuffix("-projection"), "--config", _write_json(tmp_path / "v.json", cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {shape} asks for a table of" in err and "above the limit of 16777216" in err
+    assert "Traceback" not in err

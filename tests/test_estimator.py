@@ -845,26 +845,18 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
 
 
 def _serial_and_forked(monkeypatch, compute):
-    """``compute()`` on the serial path, then with every block map forked
-    over four workers; asserts that the second run forked."""
+    """``compute()`` on the serial path, then with every block map on a
+    pool of three workers; asserts that the second run used that pool."""
     import pcoselect.estimator as estimator_mod
 
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
     serial = compute()
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    assert numerics._pool is None
     monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
     monkeypatch.setattr(estimator_mod, "_FORK_WORK", 0)
     forked = compute()
     monkeypatch.undo()
-    assert len(forks) == 3
+    assert len(numerics._pool.workers) == 3
     return serial, forked
 
 

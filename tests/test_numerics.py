@@ -330,3 +330,198 @@ def test_oracle_replication_imports_nothing_in_a_worker():
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], [], [], []]
+
+
+# ---------------------------------------------------------------------------
+# pooled_map: block workers forked once and kept.  Each test starts without
+# a pool (conftest.py closes it after every test).
+
+
+def _doubling(offset):
+    """A block builder: module level, so that a pooled map can send it."""
+    return lambda i: 2 * i + offset
+
+
+def _in_worker(parent):
+    return lambda i: (i, os.getpid() != parent, numerics._pool is None)
+
+
+def _proc_state(pid: int) -> str | None:
+    """The state letter of process ``pid`` ('Z' for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def _pool_pids() -> list:
+    return [pid for pid, _, _ in numerics._pool.workers]
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    """A Gaussian sweep whose blocks go to a pool of three workers: returns
+    the sweep and its totals on the serial path."""
+    from pcoselect import GAUSSIAN, BandwidthSpec
+    from pcoselect import estimator
+
+    rng = np.random.default_rng(9)
+    x, ell = rng.random((300, 1)), rng.standard_normal(300)
+    pairs = [(BandwidthSpec(GAUSSIAN, (h,)), BandwidthSpec(GAUSSIAN, (0.2,))) for h in (0.01, 0.05, 0.2)]
+    with monkeypatch.context() as serial_path:
+        serial_path.setattr(numerics, "usable_cpus", lambda: 1)
+        serial = estimator.bandwidth_totals(pairs, x, ell)
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(estimator, "_FORK_WORK", 0)
+    return lambda: estimator.bandwidth_totals(pairs, x, ell), serial
+
+
+def test_pooled_map_forks_its_workers_once(monkeypatch, sweep, alarm):
+    run, serial = sweep
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for _ in range(3):
+        assert run() == serial
+    assert forks == _pool_pids() and len(forks) == 3
+    # a map needs at most len(items) - 1 workers, and the pool keeps the rest
+    assert numerics.pooled_map(_doubling, (1,), range(2)) == [1, 3]
+    assert numerics.pooled_map(_doubling, (5,), range(40)) == [2 * i + 5 for i in range(40)]
+    assert numerics.pooled_map(_doubling, (0,), []) == []
+    assert forks == _pool_pids() and len(forks) == 3
+
+
+@pytest.mark.parametrize("outer_threads", [1, 4])
+def test_pooled_map_in_a_mapped_item_runs_serially(four_cpus, alarm, outer_threads):
+    assert numerics.pooled_map(_doubling, (0,), range(8)) == [2 * i for i in range(8)]
+    pids = _pool_pids()
+    parent = os.getpid()
+
+    def item(i):
+        inner = numerics.pooled_map(_in_worker, (os.getpid(),), range(6))
+        return os.getpid() != parent, numerics._pool is None, inner
+
+    for in_child, dropped, inner in parallel_map(item, range(8), outer_threads):
+        # a forked child drops its parent's pool; every item maps serially
+        assert dropped == in_child
+        assert inner == [(j, False, dropped) for j in range(6)]
+    assert _pool_pids() == pids
+    # outside a mapped item, workers take items again
+    assert any(in_worker for _, in_worker, _ in numerics.pooled_map(_in_worker, (parent,), range(400)))
+
+
+@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
+def test_pooled_map_worker_killed_mid_map_raises_its_exit_status(monkeypatch, sweep, alarm, rendezvous, death, status):
+    from pcoselect import estimator
+
+    run, serial = sweep
+    real_row_dots = estimator._row_dots
+
+    def dying_row_dots(a, b, out):
+        if rendezvous.in_parent():
+            rendezvous.wait_for_a_child()
+            real_row_dots(a, b, out)
+            return
+        rendezvous.child_started()
+        death()
+
+    monkeypatch.setattr(estimator, "_row_dots", dying_row_dots)
+    with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
+        run()
+    assert numerics._pool is None
+    _assert_no_child_left()
+    monkeypatch.setattr(estimator, "_row_dots", real_row_dots)
+    assert run() == serial
+
+
+def test_pooled_map_worker_killed_while_idle_raises_its_exit_status(sweep, alarm):
+    run, serial = sweep
+    assert run() == serial
+    victim = _pool_pids()[1]
+    os.kill(victim, signal.SIGKILL)
+    while _proc_state(victim) != "Z":
+        time.sleep(0.001)
+    with pytest.raises(RuntimeError, match=r"worker 2 of 3 exited without a result \(exit status -9\)"):
+        run()
+    assert numerics._pool is None
+    _assert_no_child_left()
+    assert run() == serial
+
+
+@pytest.mark.parametrize("failure", [ValueError("block failed"), KeyboardInterrupt()])
+def test_pooled_map_after_a_failed_map_returns_the_serial_bits(monkeypatch, sweep, alarm, failure):
+    from pcoselect import estimator
+
+    run, serial = sweep
+    parent = os.getpid()
+    real_row_dots = estimator._row_dots
+
+    def failing_row_dots(a, b, out):
+        # this process fails while the workers are still computing
+        if os.getpid() == parent:
+            raise failure
+        time.sleep(0.02)
+        real_row_dots(a, b, out)
+
+    monkeypatch.setattr(estimator, "_row_dots", failing_row_dots)
+    with pytest.raises(type(failure)):
+        run()
+    # the failure, or the interrupt, killed the pool, and with it the
+    # results still on their way
+    assert numerics._pool is None
+    _assert_no_child_left()
+    monkeypatch.setattr(estimator, "_row_dots", real_row_dots)
+    assert run() == serial
+    assert run() == serial
+
+
+_POOLED_SELECT = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "import pcoselect\n"
+    "from pcoselect import estimator, numerics\n"
+    "numerics.usable_cpus = lambda: 3\n"
+    "estimator._FORK_WORK = 0\n"
+    "rng = np.random.default_rng(3)\n"
+    "sample = pcoselect.Sample(rng.random((300, 1)), rng.standard_normal(300), pcoselect.LossKind.IDENTITY)\n"
+    "family = pcoselect.make_bandwidth_family(pcoselect.GAUSSIAN, 0.01, [0.01, 0.05, 0.2], 1, 300)\n"
+    "pcoselect.pco_select(family, sample)\n"
+    "print(json.dumps([pid for pid, _, _ in numerics._pool.workers]), flush=True)\n"
+)
+
+
+def test_pooled_select_leaves_no_worker_after_exit():
+    proc = _run_python(_POOLED_SELECT)
+    assert proc.returncode == 0, proc.stderr
+    pids = json.loads(proc.stdout)
+    assert len(pids) == 2
+    # reaped at exit, not only ended
+    assert [_proc_state(pid) for pid in pids] == [None, None]
+
+
+def test_killed_parent_leaves_no_worker_running(alarm):
+    src = os.path.dirname(os.path.dirname(pcoselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-c", _POOLED_SELECT + "import time\ntime.sleep(300)\n"],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        pids = json.loads(proc.stdout.readline())
+        assert len(pids) == 2 and all(_proc_state(pid) not in (None, "Z") for pid in pids)
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 1.0
+        while any(_proc_state(pid) not in (None, "Z") for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [_proc_state(pid) in (None, "Z") for pid in pids] == [True, True]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
