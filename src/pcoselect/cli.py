@@ -191,6 +191,8 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"spec config: {exc}") from exc
     loss = _loss_from_flag(args.loss)
     sample = read_sample_csv(args.data, loss)
+    if spec.d != sample.d:
+        raise DimensionError(f"spec dimension {spec.d} != data dimension {sample.d}")
     points = _grid_from_config(cfg.get("grid", cfg), sample.d)
     values = estimate_on_grid(spec, sample, points)
     out = _out_dir(args)

@@ -45,7 +45,15 @@ expand the coefficient tensors that :class:`GramTables` keeps.  With a
 quadrature grid as the weighted side, the same pass (:func:`_kernel_sums`)
 gives the section averages, the cross terms of the centered statistics
 and the diagnostics; :func:`~pcoselect.kernels.kernel_matrix` is on no
-``src/`` path.
+``src/`` path.  The pass takes a stack of weight rows as well as one
+weight vector.  A bandwidth member's kernel block is formed once and
+contracted with every row, one BLAS matrix-vector product per row, and
+a projection member's basis values are formed once and expanded with
+the coefficient tensor of every row.  One product per row, and not one
+matrix product for the stack, because BLAS rounds the two differently;
+this way every row has the bits of a call with that row alone.  The
+quotient's numerator and denominator are the two rows ell and 1 of one
+pass.
 
 The sweep's row blocks and the grid evaluation's column blocks are pure
 functions of their block, and their results are put back and reduced in
@@ -325,18 +333,21 @@ def _expand(coeffs: np.ndarray, mats) -> np.ndarray:
     return z[:, 0]
 
 
-def _projection_rows(specs, tables: "GramTables", points: np.ndarray, divisor) -> np.ndarray:
-    """Projection members at the points, one row each, divided by ``divisor``.
+def _projection_rows(specs, tables, points: np.ndarray, divisor) -> np.ndarray:
+    """Projection members at the points, shape (members, weight rows, P),
+    divided by ``divisor``; ``tables`` holds one :class:`GramTables` per
+    weight row, and the coefficient tensors come from them.
 
     Each nested basis is evaluated once per chunk of points and dimension,
     at the top order among ``specs``, and every member reads the leading
     columns; these are the numbers an evaluation at its own order gives.
-    Coefficient tensors come from ``tables``.
+    A member's weighted basis values are formed once per block and expanded
+    with the tensor of every weight row.
     """
     top = _nested_top_orders(specs)
     widest = max(max(spec.m) for spec in specs)
     size = _EVAL_BLOCK * max(1, _BASIS_VALUES // (_EVAL_BLOCK * widest))
-    rows = np.empty((len(specs), points.shape[0]))
+    rows = np.empty((len(specs), len(tables), points.shape[0]))
     for start in range(0, points.shape[0], size):
         chunk = points[start : start + size]
         values = {basis: [basis_matrix(basis, mq, chunk[:, q]) for q, mq in enumerate(orders)]
@@ -344,14 +355,15 @@ def _projection_rows(specs, tables: "GramTables", points: np.ndarray, divisor) -
         # expansions run in fixed blocks of points: BLAS rounds by shape
         for lo in range(0, chunk.shape[0], _EVAL_BLOCK):
             hi = lo + _EVAL_BLOCK
-            for row, spec in zip(rows, specs):
+            for member, spec in zip(rows, specs):
                 if spec.basis.nested:
                     vals = values[spec.basis]
                     mats = [v[lo:hi, :mq] * spec.weights_for(mq) for v, mq in zip(vals, spec.m)]
                 else:
                     mats = [basis_matrix(spec.basis, mq, chunk[lo:hi, q]) * spec.weights_for(mq)
                             for q, mq in enumerate(spec.m)]
-                row[start + lo : start + hi] = _expand(tables.coefficients(spec), mats) / divisor
+                for row, tab in zip(member, tables):
+                    row[start + lo : start + hi] = _expand(tab.coefficients(spec), mats) / divisor
     return rows
 
 
@@ -361,27 +373,32 @@ def _grid_width(n: int, d: int) -> int:
 
 
 def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor) -> np.ndarray:
-    """Bandwidth members at the points, one row each, in fixed column blocks.
+    """Bandwidth members at the points, shape (members, weight rows, P),
+    in fixed column blocks; ``w`` holds one weight row per sample point.
 
     A block forms the squared differences (x_iq - g_pq)^2 once, into reused
     scratch.  Each member then takes one in-place pass per dimension: the
     Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
     ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
     the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
-    ``w @ block``.  The constant prod_q k(0) / h_q / divisor multiplies the
-    row.  Large evaluations compute their blocks on the block pool
-    (:func:`_map_blocks`); a block is a pure function of its columns.
+    ``w_j @ block`` per weight row.  That is one gemv per row and not one
+    gemm for the stack: BLAS rounds the two differently, and a gemv on a
+    contiguous row gives every row the bits of a single-row call.  The
+    constant prod_q k(0) / h_q / divisor multiplies the rows.  Large
+    evaluations compute their blocks on the block pool (:func:`_map_blocks`);
+    a block is a pure function of its columns.
     """
     n, d = x.shape
     args = (specs, np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(points), divisor)
     starts = range(0, points.shape[0], _grid_width(n, d))
     blocks = _map_blocks(_grid_block_builder, args, starts, len(specs) * n * points.shape[0])
-    return np.concatenate(blocks, axis=1) if blocks else np.empty((len(specs), 0))
+    return np.concatenate(blocks, axis=2) if blocks else np.empty((len(specs), len(w), 0))
 
 
 def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor):
     """The block function of :func:`_bandwidth_rows`, with its scratch:
-    the rows of every member at the points of the block from ``start``."""
+    the rows of every member and weight row at the points of the block
+    from ``start``."""
     n, d = x.shape
     width = _grid_width(n, d)
     squares = [np.empty(n * width) for _ in range(d)]
@@ -398,8 +415,8 @@ def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray,
         for q in range(d):
             np.subtract(x[:, q, None], points[None, start : start + cols, q], out=sq[q])
             np.square(sq[q], out=sq[q])
-        rows = np.empty((len(specs), cols))
-        for row, spec, const, floor in zip(rows, specs, consts, floors):
+        rows = np.empty((len(specs), len(w), cols))
+        for member, spec, const, floor in zip(rows, specs, consts, floors):
             gaussian = spec.base.kind is BaseKind.GAUSSIAN
             for q, hq in enumerate(spec.h):
                 out = vals if q == 0 else tmp
@@ -413,7 +430,8 @@ def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray,
                 np.maximum(vals, _EXP_FLOOR, out=vals)
             if gaussian:
                 np.exp(vals, out=vals)
-            np.multiply(w @ vals, const, out=row)
+            for wj, row in zip(w, member):
+                np.multiply(wj @ vals, const, out=row)
         return rows
 
     return block_rows
@@ -425,29 +443,43 @@ def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=
     The estimator is this sum over the sample, w = ell, divided by n.  Every
     shipped kernel is symmetric, K(x, t) = K(t, x), so <K(X_i, .), g>_2 on a
     quadrature grid is this sum over the grid nodes, w = weights times g, at
-    the points X_i.  Bandwidth members walk the points in column blocks
-    whose width depends on len(x) and d alone, so scratch memory is fixed
-    whatever the number of points (:func:`_bandwidth_rows`).  Projection
-    members expand the coefficient tensor of (x, w) at the points
-    (:func:`_projection_rows`), taken from ``tables`` when given: those of
-    a sample with design x and loss values w.
+    the points X_i.
+
+    ``w`` is one weight vector, giving shape (members, P), or a stack of k
+    weight rows of shape (k, n), giving (members, k, P).  A member's kernel
+    block is formed once and contracted with every row, so k rows cost one
+    pass of kernel evaluations, not k: the quotient takes its numerator and
+    denominator, ell = y and ell = 1, from one call.  Each row gets its own
+    contraction, and its sums are the bits of a call with that row alone.
+
+    Bandwidth members walk the points in column blocks whose width depends
+    on len(x) and d alone, so scratch memory is fixed whatever the number
+    of points (:func:`_bandwidth_rows`).  Projection members expand the
+    coefficient tensor of (x, w_j) at the points (:func:`_projection_rows`),
+    taken from ``tables`` when given: those of a sample with design x and
+    loss values w, for a single weight vector.  Otherwise one
+    :class:`GramTables` is built per weight row.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     for spec in specs:
         _check_dim(spec, points)
         _check_dim(spec, x)
-    out = np.empty((len(specs), points.shape[0]))
+    stack = np.atleast_2d(w)
+    out = np.empty((len(specs), len(stack), points.shape[0]))
     bandwidth = [k for k, s in enumerate(specs) if isinstance(s, BandwidthSpec)]
     projection = [k for k, s in enumerate(specs) if isinstance(s, ProjectionSpec)]
     if bandwidth:
-        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, w, points, divisor)
+        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, stack, points, divisor)
     if projection:
         members = [specs[k] for k in projection]
         if tables is None:
-            tables = GramTables(Sample(x, w, LossKind.IDENTITY))
-            tables.reserve(members)
+            tables = [GramTables(Sample(x, wj, LossKind.IDENTITY)) for wj in stack]
+            for tab in tables:
+                tab.reserve(members)
+        else:
+            tables = [tables]
         out[projection] = _projection_rows(members, tables, points, divisor)
-    return out
+    return out[:, 0] if np.ndim(w) == 1 else out
 
 
 def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,13 @@ class BandwidthSpec:
             raise ValueError("bandwidth tuple is empty")
         if not all(math.isfinite(v) and v > 0 for v in h):
             raise ValueError(f"bandwidths h must be positive and finite (got {list(h)})")
+        for v in h:
+            # the Gaussian exponent and the Gram variances divide by h^2
+            if not sys.float_info.min <= v * v <= sys.float_info.max:
+                raise ValueError(
+                    f"bandwidth h = {v!r} is out of range: h^2 must be a normal float"
+                    " (about 1.5e-154 <= h <= 1.3e154)"
+                )
 
     @property
     def d(self) -> int:

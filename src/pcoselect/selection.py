@@ -36,12 +36,13 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .estimator import GramTables, LossKind, Sample, criterion_distance, estimate, estimate_on_grid
+from .estimator import GramTables, LossKind, Sample, _kernel_sums, criterion_distance
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import pairwise_sum
 
@@ -213,8 +214,8 @@ class QuotientConfig:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and positive (got {self.beta!r})")
 
     def beta_at(self, n: int) -> float:
         if self.beta is not None:
@@ -225,24 +226,33 @@ class QuotientConfig:
 def quotient_estimate(k_num, k_den, sample: Sample, cfg: QuotientConfig, x):
     """Ratio estimate shat_num(x) / shat_den(x), or OUTSIDE_DOMAIN.
 
-    The numerator keeps the sample's loss map; the denominator always
-    re-estimates with the unit loss (a density estimate on the same X).
-    Points where the density estimate falls below the threshold are
-    flagged rather than divided through; the boundary case
-    shat_den(x) == beta_n counts as inside.
+    :func:`quotient_on_grid` at the one point x: OUTSIDE_DOMAIN where the
+    density estimate falls below the threshold, and the float otherwise.
     """
-    den = estimate(k_den, sample.with_loss(LossKind.ONE), x)
-    if den < cfg.beta_at(sample.n):
-        return OUTSIDE_DOMAIN
-    num = estimate(k_num, sample, x)
-    return num / den
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    values, inside = quotient_on_grid(k_num, k_den, sample, cfg, x[None, :])
+    return float(values[0]) if inside[0] else OUTSIDE_DOMAIN
 
 
 def quotient_on_grid(k_num, k_den, sample: Sample, cfg: QuotientConfig, points):
-    """Vectorized quotient: (values, inside_mask); values are NaN outside."""
+    """Vectorized quotient shat_num / shat_den: (values, inside_mask), with
+    values NaN outside.
+
+    The numerator keeps the sample's loss map; the denominator always
+    re-estimates with the unit loss (a density estimate on the same X).
+    Both are one kernel pass (:func:`~pcoselect.estimator._kernel_sums`)
+    over the distinct members among (k_den, k_num), with the weight rows
+    1 and ell: when the two members are equal, every kernel block is
+    formed once and contracted with both rows.  The values are the bits
+    of two separate estimates.  Points where the density estimate falls
+    below the threshold are flagged rather than divided through; the
+    boundary case shat_den(x) == beta_n counts as inside.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    den = estimate_on_grid(k_den, sample.with_loss(LossKind.ONE), points)
-    num = estimate_on_grid(k_num, sample, points)
+    members = [k_den] if k_num == k_den else [k_den, k_num]
+    weights = np.stack([np.ones(sample.n), sample.loss_values])
+    sums = _kernel_sums(members, sample.x, weights, points, sample.n)
+    den, num = sums[0, 0], sums[-1, 1]
     inside = den >= cfg.beta_at(sample.n)
     values = np.full(points.shape[0], np.nan)
     values[inside] = num[inside] / den[inside]

@@ -234,6 +234,30 @@ def test_estimate_non_finite_bandwidth_is_a_config_error(tmp_path, dataset, caps
     assert not (out / "estimate.csv").exists()
 
 
+@pytest.mark.parametrize("h", [1e-320, 1e-160])
+def test_estimate_bandwidth_with_subnormal_square_is_a_config_error(tmp_path, dataset, capsys, h):
+    # 1e-320 divided by zero in -0.5 / h^2; 1e-160 wrote nan where a grid point met a sample point
+    spec = _write_json(tmp_path / "spec.json", {"variant": "bandwidth", "base": "gaussian", "h": [h]})
+    grid = _write_json(tmp_path / "grid.json", {"lo": 0.0, "hi": 1.0, "points": 5})
+    out = tmp_path / "o"
+    rc = main(["estimate", "--config", grid, "--data", str(dataset), "--spec", spec, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: spec config:" in err and f"h = {h!r}" in err
+    assert not (out / "estimate.csv").exists()
+
+
+def test_estimate_spec_dimension_mismatch(tmp_path, dataset, capsys):
+    spec = _write_json(tmp_path / "spec.json", {"variant": "bandwidth", "base": "gaussian", "h": [0.25, 0.25]})
+    grid = _write_json(tmp_path / "grid.json", {"lo": 0.0, "hi": 1.0, "points": 5})
+    out = tmp_path / "o"
+    rc = main(["estimate", "--config", grid, "--data", str(dataset), "--spec", spec, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "dimension error:" in err and "spec dimension 2 != data dimension 1" in err
+    assert not (out / "estimate.csv").exists()
+
+
 @pytest.mark.parametrize(
     "grid_cfg,message",
     [

@@ -893,6 +893,43 @@ def test_forked_grid_evaluation_is_bit_identical_to_serial(monkeypatch, d):
     assert np.array_equal(serial, forked)
 
 
+# weight-row stacks, one case per kernel kind; every case adds a Gaussian
+# member so that the pooled run maps its blocks on the pool
+_WEIGHT_ROW_CASES = {
+    "gaussian-d1": [BandwidthSpec(GAUSSIAN, (0.07,))],
+    # exponents down to -0.5 / 0.004^2, far below the -700 floor
+    "gaussian-d1-floor": [BandwidthSpec(GAUSSIAN, (0.004,))],
+    "gaussian-d2": [BandwidthSpec(GAUSSIAN, (0.05, 0.2))],
+    "epanechnikov": [BandwidthSpec(EPANECHNIKOV, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.3,))],
+    "nested-projection": [ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (4,), _W)],
+    "nested-projection-d2": [ProjectionSpec(LEG, (5, 3), _W)],
+    "histogram": [ProjectionSpec(HIST, (7,), _W), ProjectionSpec(HIST, (3,))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WEIGHT_ROW_CASES))
+def test_weight_rows_are_identical_to_single_row_calls(monkeypatch, case):
+    members = _WEIGHT_ROW_CASES[case]
+    x, _ = _weighted_points(members[0], 301, seed=80)
+    points, _ = _weighted_points(members[0], 900, seed=81)
+    specs = members + [BandwidthSpec(GAUSSIAN, (0.1,) * members[0].d)]
+    rng = stream(82)
+    # an odd n: rows after the first start off a 16-byte boundary
+    w = np.stack([np.ones(len(x)), rng.standard_normal(len(x)), rng.random(len(x))])
+    assert len(points) > 3 * _grid_width(len(x), x.shape[1])
+
+    def compute():
+        stacked = _kernel_sums(specs, x, w, points, len(x))
+        return stacked, [_kernel_sums(specs, x, wj.copy(), points, len(x)) for wj in w]
+
+    serial, pooled = _serial_and_forked(monkeypatch, compute)
+    for stacked, singles in (serial, pooled):
+        assert stacked.shape == (len(specs), len(w), len(points))
+        for j, single in enumerate(singles):
+            assert np.array_equal(stacked[:, j], single)
+    assert np.array_equal(serial[0], pooled[0])
+
+
 _BLAS_THREADS_SCRIPT = """
 import hashlib
 from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,17 @@ def test_bandwidth_spec_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             BandwidthSpec(GAUSSIAN, (0.2, bad))
+
+
+@pytest.mark.parametrize("h", [1e-320, 1e-160, 1.4e-154, 1.4e154, 1e300])
+def test_bandwidth_spec_rejects_h_whose_square_is_not_normal(h):
+    with pytest.raises(ValueError, match=re.escape(f"h = {h!r}")):
+        BandwidthSpec(GAUSSIAN, (0.2, h))
+
+
+@pytest.mark.parametrize("h", [1.5e-154, 1e-100, 1e100, 1.3e154])
+def test_bandwidth_spec_accepts_h_whose_square_is_normal(h):
+    assert BandwidthSpec(EPANECHNIKOV, (h,)).h == (h,)
 
 
 def test_projection_spec_validation():

@@ -17,6 +17,7 @@ from pcoselect import (
     QuotientConfig,
     Sample,
     estimate,
+    estimate_on_grid,
     make_bandwidth_family,
     make_projection_family,
     pco_select,
@@ -203,7 +204,41 @@ def test_quotient_config_validation():
         QuotientConfig(beta=0.0)
     with pytest.raises(ValueError):
         QuotientConfig(beta=-0.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuotientConfig(beta=bad)
     assert QuotientConfig().beta_at(10_000) == pytest.approx(0.1)
+
+
+_QUOTIENT_PAIRS = {
+    "same-member": (BandwidthSpec(GAUSSIAN, (0.03,)), BandwidthSpec(GAUSSIAN, (0.03,))),
+    "different-members": (BandwidthSpec(GAUSSIAN, (0.02,)), BandwidthSpec(GAUSSIAN, (0.05,))),
+    "projection-pair": (ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (5,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUOTIENT_PAIRS))
+def test_quotient_on_grid_is_identical_to_two_estimates(case):
+    k_num, k_den = _QUOTIENT_PAIRS[case]
+    rng = stream(13)
+    x = rng.random((401, 1))
+    s = Sample(x, np.sin(6.0 * x[:, 0]) + 0.2 * rng.standard_normal(401), LossKind.IDENTITY)
+    # 401 x 3001 kernel entries per member: the bandwidth pass maps its blocks on the pool
+    pts = np.linspace(-0.1, 1.1, 3001).reshape(-1, 1)
+    cfg = QuotientConfig(beta=0.5)
+    den = estimate_on_grid(k_den, s.with_loss(LossKind.ONE), pts)
+    num = estimate_on_grid(k_num, s, pts)
+    inside = den >= cfg.beta_at(s.n)
+    expected = np.full(len(pts), np.nan)
+    expected[inside] = num[inside] / den[inside]
+    values, mask = quotient_on_grid(k_num, k_den, s, cfg, pts)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(mask, inside)
+    assert np.array_equal(values, expected, equal_nan=True)
+    for p in pts[::500]:
+        got = quotient_estimate(k_num, k_den, s, cfg, p)
+        want = quotient_on_grid(k_num, k_den, s, cfg, p[None, :])[0][0]
+        assert got is OUTSIDE_DOMAIN if np.isnan(want) else got == want
 
 
 def test_quotient_on_grid_masks_low_density():
