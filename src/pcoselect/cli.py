@@ -321,7 +321,6 @@ def cmd_report(args) -> int:
     scn_cfg = _require(cfg, "scenario", "report")
     if not isinstance(scn_cfg, dict):
         raise ConfigError(f"report config: field 'scenario' must be an object (got {type(scn_cfg).__name__})")
-    out = _out_dir(args)
     n_values = cfg.get("n_values")
     if n_values:
         rows = []
@@ -339,6 +338,7 @@ def cmd_report(args) -> int:
                     "ratio": rep.ratio,
                 }
             )
+        out = _out_dir(args)
         _dump_json({"schema_version": SCHEMA_VERSION, "loss": loss.value, "by_n": rows}, out / "risk.json")
         lines = ["n,oracle_risk,pco_risk,pco_se,ratio"]
         for r in rows:
@@ -354,6 +354,7 @@ def cmd_report(args) -> int:
     scn = scenario_from_config(scn_cfg)
     family = _family_from_config(_require(cfg, "family", "report"), scn.n, scn.d, "scenario")
     rep = oracle_experiment(family, scn, loss, threads=threads)
+    out = _out_dir(args)
     _dump_json(rep.to_json_dict(), out / "risk.json")
     (out / "risk_by_kernel.csv").write_text(rep.to_csv(), encoding="utf-8")
     print(

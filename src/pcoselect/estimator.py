@@ -59,11 +59,11 @@ The sweep's row blocks and the grid evaluation's column blocks are pure
 functions of their block, and their results are put back and reduced in
 block order.  Once a sweep or grid is large (``_FORK_WORK``, decided from
 n, d and the members or pairs alone), its blocks are spread over the
-block pool of :func:`~pcoselect.numerics.pooled_map`: worker processes
-forked by the first such map, up to the usable CPUs, and kept for the
-life of the process.  Each map sends a module-level block builder and
-its arguments to the workers, and each process allocates its scratch
-once per map.  The sched affinity (``taskset``) restricts the pool, and
+worker pool of :func:`~pcoselect.numerics.pooled_map`: worker processes
+forked by the first map that needs them, up to the usable CPUs, and kept
+for the life of the process.  Each map sends a module-level block
+builder and its arguments to the workers, and each process allocates its
+scratch once per map.  The sched affinity (``taskset``) restricts the pool, and
 inside a mapped item, such as a report replication, the blocks run
 serially.  The bits are the same at any worker count.  A fork copies
 only the calling thread, so do not start the first large sweep while
@@ -236,7 +236,7 @@ _GRID_SCRATCH = 1 << 18
 _EXP_FLOOR = -700.0
 # Work, in Gaussian kernel entries summed over the members or pairs, from
 # which the bandwidth sweep and grid evaluation map their blocks over the
-# block pool (``numerics.pooled_map``).  The pool is forked once, so a map
+# worker pool (``numerics.pooled_map``).  The pool is forked once, so a map
 # costs one task and one result message per worker: an empty pooled map
 # took 86-120 us on a 2-CPU VM, against 13 ms to fork, start and reap a
 # worker per map at 180 MB resident.  An entry costs 2-4 ns, so on 2 CPUs
@@ -254,7 +254,7 @@ _CONVOLUTION_COST = 16
 
 def _map_blocks(build, args: tuple, starts, work: int) -> list:
     """``fn(start)`` at every block start, in order, with ``fn = build(*args)``;
-    on the block pool of :func:`~pcoselect.numerics.pooled_map` once
+    on the worker pool of :func:`~pcoselect.numerics.pooled_map` once
     ``work`` reaches ``_FORK_WORK``.  Each block is a pure function of its
     start and ``args``, so the worker count never changes a number."""
     if work < _FORK_WORK:
@@ -385,7 +385,7 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
     gemm for the stack: BLAS rounds the two differently, and a gemv on a
     contiguous row gives every row the bits of a single-row call.  The
     constant prod_q k(0) / h_q / divisor multiplies the rows.  Large
-    evaluations compute their blocks on the block pool (:func:`_map_blocks`);
+    evaluations compute their blocks on the worker pool (:func:`_map_blocks`);
     a block is a pure function of its columns.
     """
     n, d = x.shape
@@ -612,7 +612,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on the
-    block pool, each process taking the next block whenever it finishes
+    worker pool, each process taking the next block whenever it finishes
     one, which balances the triangle.  Every process allocates its own
     scratch once per sweep (:func:`_sweep_block_builder`), so memory stays
     O(n) per process, and the partials come back in block order: the

@@ -3,15 +3,16 @@
 All experiments share the same discipline: replication r of a scenario is
 regenerated from its own counter-based stream, per-replication work is a
 pure function of r, and aggregation happens in replication order with a
-fixed pairwise reduction.  ``threads`` sets the number of processes (at
-most the usable CPUs; this one and ``threads - 1`` forked workers) that
-:func:`~pcoselect.numerics.parallel_map` spreads whole replications over,
-so ``threads=8`` and ``threads=1`` produce byte-identical reports.  The
-workers are forked per experiment, so they inherit the replication
-closure.  A replication's own bandwidth sweep and grid evaluation run
-serially in whichever process computes it, never on the block pool of
-:func:`~pcoselect.numerics.pooled_map`, so no more than ``threads``
-processes compute at once.
+fixed pairwise reduction.  ``threads`` caps the processes (this one and
+up to ``threads - 1`` workers, at most the usable CPUs) that
+:func:`~pcoselect.numerics.pooled_map` spreads whole replications over,
+so ``threads=8`` and ``threads=1`` produce byte-identical reports.  Each
+experiment sends a module-level replication builder and its pickled
+arguments (the family or kernels, the scenario, the loss and the grid
+values) to the workers of the process's one kept pool, so repeated
+experiments fork no new process.  A replication's own bandwidth sweep
+and grid evaluation run serially in whichever process computes it, so no
+more than ``threads`` processes compute at once.
 
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend
@@ -31,7 +32,7 @@ import numpy as np
 
 from .estimator import GramTables, LossKind, estimate_on_grid, u_statistic, v_statistic, w_statistic
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
-from .numerics import mean_se, parallel_map
+from .numerics import mean_se, pooled_map
 from .quadrature import IntegrationGrid, composite_grid
 from .selection import pco_select
 from .simulation import Scenario, make_s_mean, sbar_analytic
@@ -54,18 +55,23 @@ class MCRisk:
     per_replication: np.ndarray
 
 
-def mc_risk(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid | None = None, threads: int = 1) -> MCRisk:
-    """MC estimate of E ||shat_K - s||_2^2 over the scenario support."""
-    if grid is None:
-        grid = scn.risk_grid()
-    target = scn.true_s(loss, grid.points)
+def _risk_replication(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid, target: np.ndarray):
+    """The replication of :func:`mc_risk`: ``fn(rep)`` is the risk of ``spec``."""
 
     def one(rep: int) -> float:
         sample = scn.generate(rep, loss)
         shat = estimate_on_grid(spec, sample, grid.points)
         return grid.integrate((shat - target) ** 2)
 
-    risks = np.asarray(parallel_map(one, range(scn.replications), threads))
+    return one
+
+
+def mc_risk(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid | None = None, threads: int = 1) -> MCRisk:
+    """MC estimate of E ||shat_K - s||_2^2 over the scenario support."""
+    if grid is None:
+        grid = scn.risk_grid()
+    args = (spec, scn, loss, grid, scn.true_s(loss, grid.points))
+    risks = np.asarray(pooled_map(_risk_replication, args, range(scn.replications), workers=threads))
     mean, se = mean_se(risks)
     return MCRisk(mean, se, risks)
 
@@ -144,6 +150,25 @@ class RiskReport:
         return buf.getvalue()
 
 
+def _oracle_replication(family: KernelFamily, scn: Scenario, loss: LossKind, grid: IntegrationGrid,
+                        target: np.ndarray, group: int):
+    """The replication of :func:`oracle_experiment`: ``fn(rep)`` gives every
+    member's risk and the index PCO chose, on one sample."""
+
+    def one(rep: int):
+        sample = scn.generate(rep, loss)
+        tables = GramTables(sample)
+        tables.reserve(family.specs, family.k0)
+        report = pco_select(family, sample, tables)
+        risks = []
+        for start in range(0, len(family), group):
+            shats = estimate_on_grid(family.specs[start : start + group], tables, grid.points)
+            risks.extend(grid.integrate((shat - target) ** 2) for shat in shats)
+        return np.asarray(risks), report.chosen_index
+
+    return one
+
+
 def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threads: int = 1) -> RiskReport:
     """Risk of every family member plus the PCO-selected kernel, jointly.
 
@@ -160,22 +185,9 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     number whatever the grouping.
     """
     grid = scn.risk_grid()
-    target = scn.true_s(loss, grid.points)
     n_k = len(family)
-    group = max(1, _GRID_ESTIMATES // len(grid.points))
-
-    def one(rep: int):
-        sample = scn.generate(rep, loss)
-        tables = GramTables(sample)
-        tables.reserve(family.specs, family.k0)
-        report = pco_select(family, sample, tables)
-        risks = []
-        for start in range(0, n_k, group):
-            shats = estimate_on_grid(family.specs[start : start + group], tables, grid.points)
-            risks.extend(grid.integrate((shat - target) ** 2) for shat in shats)
-        return np.asarray(risks), report.chosen_index
-
-    results = parallel_map(one, range(scn.replications), threads)
+    args = (family, scn, loss, grid, scn.true_s(loss, grid.points), max(1, _GRID_ESTIMATES // len(grid.points)))
+    results = pooled_map(_oracle_replication, args, range(scn.replications), workers=threads)
     risk_rows = np.stack([r for r, _ in results])
     chosen = np.asarray([c for _, c in results], dtype=np.int64)
     means = np.empty(n_k)
@@ -294,6 +306,22 @@ class ConcentrationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _concentration_replication(a, b, scn: Scenario, loss: LossKind, grid: IntegrationGrid,
+                               sa_grid: np.ndarray, sb_grid: np.ndarray, s_grid: np.ndarray):
+    """The replication of :func:`concentration_experiment`: ``fn(rep)`` is
+    ``(U(a, b), V(a), W(a, b))`` on one sample."""
+
+    def one(rep: int):
+        sample = scn.generate(rep, loss)
+        return (
+            u_statistic(a, b, sample, sa_grid, sb_grid, grid),
+            v_statistic(a, sample, sa_grid, grid),
+            w_statistic(a, b, sample, sa_grid, sb_grid, s_grid, grid),
+        )
+
+    return one
+
+
 def concentration_experiment(
     a,
     b,
@@ -320,17 +348,8 @@ def concentration_experiment(
         grid = statistic_grid(a, b, scn)
     sa_grid = make_s_mean(a, scn, loss, grid)(grid.points)
     sb_grid = make_s_mean(b, scn, loss, grid)(grid.points)
-    s_grid = scn.true_s(loss, grid.points)
-
-    def one(rep: int):
-        sample = scn.generate(rep, loss)
-        return (
-            u_statistic(a, b, sample, sa_grid, sb_grid, grid),
-            v_statistic(a, sample, sa_grid, grid),
-            w_statistic(a, b, sample, sa_grid, sb_grid, s_grid, grid),
-        )
-
-    results = parallel_map(one, range(scn.replications), threads)
+    args = (a, b, scn, loss, grid, sa_grid, sb_grid, scn.true_s(loss, grid.points))
+    results = pooled_map(_concentration_replication, args, range(scn.replications), workers=threads)
     u_vals = np.asarray([r[0] for r in results])
     v_vals = np.asarray([r[1] for r in results])
     w_vals = np.asarray([r[2] for r in results])

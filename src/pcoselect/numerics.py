@@ -1,18 +1,18 @@
-"""Deterministic reduction and parallel-map helpers.
+"""Deterministic reduction and the worker pool.
 
 Every sum that feeds a reported number goes through :func:`pairwise_sum`
 so that serial and worker-process runs produce bit-identical output.
 
-The package uses more than one CPU in two ways.  :func:`parallel_map`
-forks workers for one map; the Monte Carlo experiments map whole
-replications over it.  :func:`pooled_map` keeps a pool of forked workers
-for the life of the process, forked by the first map that needs them;
-the bandwidth sweep and bandwidth grid evaluation of
-:mod:`~pcoselect.estimator` map their fixed row or column blocks over it
-once their work is large.  Both use at most the usable CPUs, so the
-sched affinity (``taskset``) bounds them.  A map started inside a mapped
-item, in a worker or in the serial loop, runs serially: a report with
-``threads=N`` keeps at most N processes busy.
+The package uses more than one CPU through one mechanism,
+:func:`pooled_map`.  It keeps a pool of forked workers for the life of
+the process, forked by the first map that needs them.  The Monte Carlo
+experiments of :mod:`~pcoselect.experiments` map whole replications over
+it, capped at their ``threads``; the bandwidth sweep and bandwidth grid
+evaluation of :mod:`~pcoselect.estimator` map their fixed row or column
+blocks over it once their work is large.  A map uses at most the usable
+CPUs, so the sched affinity (``taskset``) bounds it.  A map started
+inside a mapped item, in a worker or in the serial loop, runs serially:
+a report with ``threads=N`` keeps at most N processes busy.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _records(count: int) -> tuple[bytes, int]:
 
 def _take(queue: int, chunk: int, count: int):
     """The indices of the items behind the records this process reads
-    from ``queue``, until the queue is empty: at end of file, or when the
-    pool's non-blocking queue has nothing left."""
+    from the non-blocking ``queue``, until it has nothing left (or is at
+    end of file, once the pool's owner has exited)."""
     while True:
         try:
             record = os.read(queue, _RECORD)
@@ -156,118 +156,8 @@ def _merge(outcomes, count: int) -> list:
     return results
 
 
-def _run_worker(fn, items: list, queue: int, chunk: int, fd: int, inherited):
-    """Body of a forked worker: consume the queue, pickle the outcome to ``fd``, exit.
-
-    ``inherited`` are the parent's read ends of the result pipes, closed
-    first.  ``os._exit`` skips atexit handlers and the stdio buffers
-    inherited from the parent, so nothing is run or printed twice, and the
-    worker never returns into the caller's code.
-    """
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        try:
-            outcome = _consume(fn, items, queue, chunk)
-        except BaseException as exc:  # noqa: BLE001 - an interrupt also goes to the parent
-            outcome = [], (_NO_ITEM, _portable(exc))
-        with os.fdopen(fd, "wb") as out:
-            out.write(_pickled(outcome))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-# ``depth``: the maps this thread is running.  A forked worker inherits the
-# count of the thread that forked it, so every map it starts runs serially.
-# Per thread, so that no update is lost and no lock can be held at a fork.
-_maps = threading.local()
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items`` preserving order, on forked worker processes.
-
-    ``workers = min(threads, len(items), usable CPUs)``.  With one worker,
-    where ``os.fork`` does not exist, or when called while another map of
-    this thread is running (in the serial loop or in a worker), the map
-    runs serially here.  Otherwise workers 1, ..., workers - 1 are forked
-    from this process for this map, and every process, this one included,
-    takes the next item from a shared queue whenever it finishes one, so a
-    process that is slowed down takes fewer items instead of holding up
-    the map.  A forked worker inherits ``fn`` and everything ``fn`` closes
-    over, so nothing is pickled or imported on the way in, and it pickles
-    its results back through its own pipe.  Results are put back by
-    position, so the output does not depend on scheduling; each call of
-    ``fn`` must be a pure function of its item.
-
-    When items raise, the exception of the lowest-indexed one is raised
-    here with its type and message, as a serial map would (one that does
-    not survive pickling as a RuntimeError naming both): a process stops
-    at its first failure and empties the queue, and every item before a
-    failure has been taken, so that item is always computed.  A worker
-    that dies without sending a result raises RuntimeError with its exit
-    status.  Every worker is reaped before this returns or raises; on an
-    early exit (an interrupt, or a worker's death) the remaining ones are
-    killed first.  Fork copies only the calling thread, so call this while
-    no other thread holds a lock that ``fn`` needs.
-    """
-    items = list(items)
-    depth = getattr(_maps, "depth", 0)
-    workers = min(int(threads), len(items), usable_cpus())
-    _maps.depth = depth + 1
-    try:
-        if workers <= 1 or depth or not hasattr(os, "fork"):
-            return [fn(item) for item in items]
-        return _forked_map(fn, items, workers)
-    finally:
-        _maps.depth = depth
-
-
-def _forked_map(fn, items: list, workers: int) -> list:
-    """The forked branch of :func:`parallel_map`, ``workers >= 2``."""
-    records, chunk = _records(len(items))
-    queue, feed = os.pipe()
-    try:
-        os.write(feed, records)
-    finally:
-        os.close(feed)
-    reads, pids = [None], [None]  # per worker; None once read / reaped, and for this process
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_worker(fn, items, queue, chunk, write, reads[1:])
-            finally:
-                os.close(write)
-            pids.append(pid)
-        outcomes = [_consume(fn, items, queue, chunk)]
-        for w in range(1, workers):
-            with os.fdopen(reads[w], "rb") as pipe:
-                reads[w] = None
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-            pids[w] = None
-            if status != 0:
-                raise RuntimeError(f"parallel_map worker {w} of {workers} exited without a result (exit status {status})")
-            outcomes.append(pickle.loads(payload))
-    finally:
-        os.close(queue)
-        for fd in reads:
-            if fd is not None:
-                os.close(fd)
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return _merge(outcomes, len(items))
-
-
 # ---------------------------------------------------------------------------
-# The block pool: forked once, kept for the life of the process.
+# The pool: forked once, kept for the life of the process.
 #
 # Worker w has a task pipe (written here) and a result pipe (read here);
 # every message on them is an 8-byte length and a pickle.  All processes
@@ -281,7 +171,7 @@ _HEADER = 8
 
 
 class _Pool:
-    """This process's block workers and their queue."""
+    """This process's pool workers and their queue."""
 
     def __init__(self):
         self.queue, self.feed = os.pipe()
@@ -293,6 +183,10 @@ class _Pool:
 
 
 _pool: _Pool | None = None
+# ``depth``: the maps this thread is running; every map started while it is
+# nonzero runs serially.  A pool worker sets it for its whole life.  Per
+# thread, so that no update is lost and no lock can be held at a fork.
+_maps = threading.local()
 # Held by the thread whose map uses the pool; a map of another thread that
 # finds it held runs serially.
 _pool_lock = threading.Lock()
@@ -329,7 +223,9 @@ def _serve(tasks: int, results: int, queue: int):
     from ``queue`` and sends its outcome on ``results``.  It ignores SIGINT,
     which a terminal also sends to it: the pool's owner handles the
     interrupt and kills the pool.  A dead owner closes ``tasks``, and a
-    result that finds ``results`` closed ends the worker too.
+    result that finds ``results`` closed ends the worker too.  It leaves by
+    ``os._exit``, which skips the atexit handlers and the stdio buffers it
+    inherited, so nothing of the owner's is run or printed twice.
     """
     status = 1
     try:
@@ -378,7 +274,7 @@ def _reaped(pool: _Pool, w: int, used: int) -> RuntimeError:
 
 
 def _close_pool():
-    """Kill and reap this process's block workers; the next pooled map
+    """Kill and reap this process's pool workers; the next pooled map
     forks new ones.  Registered with :mod:`atexit`."""
     global _pool
     pool, _pool = _pool, None
@@ -408,37 +304,51 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def pooled_map(build, args: tuple, items) -> list:
-    """``[fn(item) for item in items]`` with ``fn = build(*args)``, on the block pool.
+def pooled_map(build, args: tuple, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` with ``fn = build(*args)``, on the pool.
 
     ``build`` is a module-level function and ``args`` pickle: every map
     sends both to each worker it uses, which calls ``build`` once (to
     allocate its scratch, say) and then takes items from a shared queue
     whenever it finishes one, as this process does, so a process that is
-    slowed down takes fewer items.  The map uses up to
-    ``min(len(items), usable CPUs) - 1`` workers, forked by the first map
-    that needs them and kept for the life of the process, so a map costs
-    a few pipe messages instead of a fork.  Results are put back by
-    position, so each call of ``fn`` must be a pure function of its item
-    and ``build``'s arguments; the output is then the same at any worker
-    count.  The map runs serially here with one usable CPU, where
-    ``os.fork`` does not exist, inside another map of this thread (a
-    report replication, say), or while another thread's map holds the
-    pool.
+    slowed down takes fewer items.  The map keeps
+    ``min(workers, len(items), usable CPUs)`` processes busy, this one
+    included (``workers`` defaults to the usable CPUs).  Its workers are
+    forked by the first map that needs them and kept for the life of the
+    process, so a map costs a few pipe messages instead of a fork.
+    Results are put back by position, so each call of ``fn`` must be a
+    pure function of its item and ``build``'s arguments; the output is
+    then the same at any worker count.  The map runs serially here when it
+    would keep one process busy, where ``os.fork`` does not exist, inside
+    another map of this thread (a report replication, say), or while
+    another thread's map holds the pool; maps started inside a serial
+    map's items run serially too.
 
-    Failures are raised as by :func:`parallel_map`: the exception of the
-    lowest-indexed failing item, a RuntimeError with the exit status of a
-    worker that dies.  Any failure, and an interrupt, kills and reaps the
-    pool, so the next map forks a fresh one.  The pool's workers exit at
-    end of file on their task pipe, so they end with this process even
-    when it is killed; at a normal exit an :mod:`atexit` hook kills and
-    reaps them, and a forked child never uses its parent's pool.
+    When items raise, the exception of the lowest-indexed one is raised
+    here with its type and message, as a serial map would (one that does
+    not survive pickling as a RuntimeError naming both): a process stops
+    at its first failure and empties the queue, and every item before a
+    failure has been taken, so that item is always computed.  A worker
+    that dies raises a RuntimeError with its exit status.  Any failure,
+    and an interrupt, kills and reaps the pool, so the next map forks a
+    fresh one.  The workers exit at end of file on their task pipe, so
+    they end with this process even when it is killed; at a normal exit
+    an :mod:`atexit` hook kills and reaps them, and a forked child never
+    uses its parent's pool.  A worker keeps the modules loaded when it was
+    forked, so a module that an item imports for the first time is
+    imported once in each worker.
     """
     items = list(items)
-    used = min(len(items), usable_cpus()) - 1
-    if used < 1 or getattr(_maps, "depth", 0) or not hasattr(os, "fork") or not _pool_lock.acquire(blocking=False):
-        fn = build(*args)
-        return [fn(item) for item in items]
+    cpus = usable_cpus()
+    used = min(cpus if workers is None else int(workers), len(items), cpus) - 1
+    depth = getattr(_maps, "depth", 0)
+    if used < 1 or depth or not hasattr(os, "fork") or not _pool_lock.acquire(blocking=False):
+        _maps.depth = depth + 1
+        try:
+            fn = build(*args)
+            return [fn(item) for item in items]
+        finally:
+            _maps.depth = depth
     lock = _pool_lock
     _maps.depth = 1
     try:
@@ -474,3 +384,14 @@ def _pooled(build, args: tuple, items: list, used: int) -> list:
             raise _reaped(pool, w, used)
         outcomes.append(pickle.loads(payload))
     return _merge(outcomes, len(items))
+
+
+def _same(fn):
+    return fn
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """:func:`pooled_map` of a picklable ``fn`` over ``items`` on ``threads``
+    processes.  No module of the package calls it; it is kept for callers
+    that wrap it by name, until they trace :func:`pooled_map` instead."""
+    return pooled_map(_same, (fn,), items, workers=threads)

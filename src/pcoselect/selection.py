@@ -18,7 +18,7 @@ fixed row blocks with O(n) scratch memory allocated once: each block's
 entries are contracted with the loss weights by BLAS dot products, and at
 d >= 2 each per-dimension Gaussian factor is evaluated once per block and
 shared by the pairs that use it.  A large sweep spreads its blocks over
-the block pool, worker processes forked once and kept, up to the usable
+the worker pool, processes forked once and kept, up to the usable
 CPUs (``taskset`` restricts them, and inside a report replication it runs
 serially), with the same bits at any worker count; see
 :mod:`~pcoselect.estimator`.  The diagonal is a

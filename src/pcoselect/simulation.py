@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, config_int
+from .errors import ConfigError, check_table_size, config_int
 from .estimator import LossKind, Sample, _kernel_sums
 from .quadrature import IntegrationGrid, composite_grid, trapezoid_grid
 from .rng import stream
@@ -242,6 +242,9 @@ class Scenario:
             raise ConfigError("dimension d must be 1, 2, or 3")
         if self.n < 1 or self.replications < 1:
             raise ConfigError("n and replications must be positive")
+        check_table_size("scenario", n=self.n, d=self.d)
+        points = self.risk_points or RISK_POINTS_BY_DIM[self.d]
+        check_table_size("scenario risk grid", **{f"risk_points (axis {q + 1})": points for q in range(self.d)})
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         lo, hi = float(self.support[0]), float(self.support[1])
@@ -252,8 +255,10 @@ class Scenario:
             raise ConfigError("sigma_const must be nonnegative")
         if self.noise is NoiseKind.GAUSSIAN or self.f_kind in _SCIPY_DENSITIES:
             # Load the samplers' scipy.stats here, once, rather than on the
-            # first generate: a worker forked by parallel_map would otherwise
-            # import it again on every call.
+            # first generate, so that a pool forked after this scenario is
+            # built inherits it.  A pool forked before it, as in a long-lived
+            # process that built its first scenario after a large sweep,
+            # imports scipy.stats once in each kept worker.
             import scipy.stats  # noqa: F401
 
     # -- design density -------------------------------------------------

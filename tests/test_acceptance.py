@@ -44,7 +44,7 @@ from pcoselect import (
     statistic_grid,
     QuotientConfig,
 )
-from pcoselect.numerics import parallel_map
+from pcoselect.numerics import pooled_map
 from pcoselect.quadrature import composite_grid
 
 THREADS = 8
@@ -353,9 +353,8 @@ def test_pco_selection_tracks_oracle_trig():
 # 9. the oracle risk itself decreases with sample size
 
 
-def _oracle_risk(specs, scn, loss):
-    grid = scn.risk_grid()
-    target = scn.true_s(loss, grid.points)
+def _member_risks(specs, scn, loss, grid, target):
+    """A replication: the risk of every member on one sample."""
 
     def one(rep):
         sample = scn.generate(rep, loss)
@@ -364,7 +363,13 @@ def _oracle_risk(specs, scn, loss):
             for s in specs
         ]
 
-    rows = np.asarray(parallel_map(one, range(scn.replications), THREADS))
+    return one
+
+
+def _oracle_risk(specs, scn, loss):
+    grid = scn.risk_grid()
+    args = (specs, scn, loss, grid, scn.true_s(loss, grid.points))
+    rows = np.asarray(pooled_map(_member_risks, args, range(scn.replications), THREADS))
     means = rows.mean(axis=0)
     best = int(np.argmin(means))
     se = float(rows[:, best].std(ddof=1) / math.sqrt(rows.shape[0]))

@@ -431,6 +431,20 @@ def test_report_threads_do_not_change_bytes(tmp_path):
     assert (a / "risk_by_kernel.csv").read_bytes() == (b / "risk_by_kernel.csv").read_bytes()
 
 
+@pytest.mark.parametrize("over,field", [({"d": 2, "risk_points": 1000000}, "risk_points (axis 2) 1000000"),
+                                        ({"d": 3, "n": 6000000}, "n 6000000 x d 3")])
+def test_report_with_an_oversized_scenario_is_a_config_error(tmp_path, capsys, over, field):
+    cfg = _write_json(tmp_path / "r.json", {"scenario": _scn_cfg(**over),
+                                            "family": {"variant": "bandwidth", "h_min": 0.15, "grid": [0.2],
+                                                       "d": over["d"]}})
+    out = tmp_path / "o"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario") and field in err and "limit of 16777216" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_report_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     cfg = _write_json(tmp_path / "r.json", {"scenario": _scn_cfg(n=50, replications=2),

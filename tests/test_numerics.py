@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import pcoselect
 from pcoselect import numerics
-from pcoselect.numerics import combine_partials, mean_se, pairwise_sum, parallel_map, weighted_gram_total
+from pcoselect.numerics import combine_partials, mean_se, pairwise_sum, pooled_map, weighted_gram_total
 
 
 def test_pairwise_sum_matches_fsum():
@@ -55,8 +55,11 @@ def test_combine_partials_matches_direct():
 
 
 # ---------------------------------------------------------------------------
-# parallel_map on forked workers.  usable_cpus is patched up so that the
-# workers are forked on a machine with fewer CPUs too.
+# pooled_map: workers forked once and kept.  usable_cpus is patched up so
+# that the workers are forked on a machine with fewer CPUs too, and each
+# test starts without a pool (conftest.py closes it after every test).
+# A map sends its builder by name, so every builder is a module-level
+# function.
 
 
 @pytest.fixture
@@ -69,7 +72,7 @@ def alarm():
     """Fail a test that blocks for a minute instead of letting it hang."""
 
     def expired(signum, frame):
-        raise TimeoutError("parallel_map blocked for 60 s")
+        raise TimeoutError("pooled_map blocked for 60 s")
 
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(60)
@@ -113,51 +116,46 @@ def rendezvous():
     os.close(meeting.write)
 
 
-def test_parallel_map_preserves_order(four_cpus, alarm):
-    items = list(range(23))
-    for threads in (1, 2, 3, 4, 64):
-        out = parallel_map(lambda i: (i * i, np.arange(i, dtype=np.float64)), items, threads)
-        assert [v for v, _ in out] == [i * i for i in items]
-        assert all(arr.tobytes() == np.arange(i, dtype=np.float64).tobytes() for i, (_, arr) in enumerate(out))
-    assert parallel_map(lambda i: i, [], 4) == []
-    # more items than queue records: each record stands for a chunk of items
-    many = range(2 * numerics._MAX_RECORDS + 3)
-    assert parallel_map(lambda i: -i, many, 4) == [-i for i in many]
-    _assert_no_child_left()
+@pytest.fixture
+def spawns(monkeypatch):
+    """The pids of the pool workers forked during the test, in order."""
+    pids = []
+    real_spawn = numerics._spawn
+
+    def counting_spawn(pool):
+        real_spawn(pool)
+        pids.append(pool.workers[-1][0])
+
+    monkeypatch.setattr(numerics, "_spawn", counting_spawn)
+    return pids
 
 
-def test_parallel_map_forks_at_most_the_usable_cpus(monkeypatch, alarm):
-    monkeypatch.setattr(numerics, "usable_cpus", lambda: 2)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    assert parallel_map(lambda i: -i, range(10), threads=64) == [-i for i in range(10)]
-    # this process takes items itself
-    assert len(forks) == 1
-    assert parallel_map(lambda i: -i, range(10), threads=1) == [-i for i in range(10)]
-    assert len(forks) == 1
-    _assert_no_child_left()
+def _squares():
+    return lambda i: (i * i, np.arange(i, dtype=np.float64))
 
 
-def test_parallel_map_reraises_a_worker_exception(four_cpus, alarm):
+def _with_pid(delay_in):
+    """Items as ``(item, pid)``; a process whose pid is ``delay_in`` sleeps first."""
+
     def fn(i):
-        if i == 6:
-            raise ValueError(f"item {i} is bad")
+        if os.getpid() == delay_in:
+            time.sleep(0.1)
+        return i, os.getpid()
+
+    return fn
+
+
+def _failing_at(bad, delay):
+    def fn(i):
+        if i in bad:
+            time.sleep(delay)  # meanwhile other processes take the later failing items
+            raise ValueError(f"item {i}")
         return i
 
-    with pytest.raises(ValueError, match="^item 6 is bad$"):
-        parallel_map(fn, range(8), threads=3)
-    _assert_no_child_left()
+    return fn
 
 
-def test_parallel_map_unpicklable_exception_keeps_type_and_message(four_cpus, alarm):
+def _raising_local_error():
     class LocalError(Exception):  # defined in a function: pickle cannot find it by name
         pass
 
@@ -166,78 +164,94 @@ def test_parallel_map_unpicklable_exception_keeps_type_and_message(four_cpus, al
             raise LocalError("no way back")
         return i
 
+    return fn
+
+
+def test_pooled_map_preserves_order(four_cpus, alarm):
+    items = list(range(23))
+    for workers in (None, 1, 2, 3, 4, 64):
+        out = pooled_map(_squares, (), items, workers)
+        assert [v for v, _ in out] == [i * i for i in items]
+        assert all(arr.tobytes() == np.arange(i, dtype=np.float64).tobytes() for i, (_, arr) in enumerate(out))
+    assert pooled_map(_doubling, (0,), [], 4) == []
+    # more items than queue records: each record stands for a chunk of items
+    many = range(2 * numerics._MAX_RECORDS + 3)
+    assert pooled_map(_doubling, (1,), many, 4) == [2 * i + 1 for i in many]
+    assert pooled_map(_doubling, (1,), range(2000), 4) == [2 * i + 1 for i in range(2000)]
+
+
+def test_pooled_map_uses_at_most_its_worker_cap(four_cpus, alarm, spawns):
+    parent = os.getpid()
+    out = pooled_map(_with_pid, (parent,), range(40), workers=2)
+    assert [i for i, _ in out] == list(range(40))
+    assert len({pid for _, pid in out}) <= 2 and len(spawns) == 1
+    # one process busy: nothing is forked, and the pool stays as it is
+    assert pooled_map(_doubling, (0,), range(10), workers=1) == [2 * i for i in range(10)]
+    assert len(spawns) == 1
+    # no more processes than usable CPUs, whatever the cap
+    assert pooled_map(_doubling, (0,), range(10), workers=64) == [2 * i for i in range(10)]
+    assert len(spawns) == 3 and spawns == [pid for pid, _, _ in numerics._pool.workers]
+
+
+def test_parallel_map_is_a_pooled_map_of_a_picklable_function(four_cpus, alarm, spawns):
+    assert numerics.parallel_map(abs, range(-5, 5), 2) == [abs(i) for i in range(-5, 5)]
+    assert len(spawns) == 1
+
+
+def _sweeping(n):
+    """Items run a Gaussian sweep of ``n`` points, above the pooled threshold."""
+    from pcoselect import GAUSSIAN, BandwidthSpec
+    from pcoselect import estimator
+
+    rng = np.random.default_rng(11)
+    x, ell = rng.random((n, 1)), rng.standard_normal(n)
+    pairs = [(BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.2,)))]
+    assert n * (n - 1) // 2 * len(pairs) >= estimator._FORK_WORK
+    return lambda i: estimator.bandwidth_totals(pairs, x, ell)
+
+
+def test_pooled_map_with_one_worker_forks_nothing_and_nests_serially(four_cpus, alarm, spawns):
+    out = pooled_map(_sweeping, (1500,), range(2), workers=1)
+    assert out[0] == out[1]
+    assert spawns == [] and numerics._pool is None
+    # the same sweep outside a map takes the pool, with the same bits
+    assert _sweeping(1500)(0) == out[0]
+    assert len(spawns) == 3
+
+
+def test_oracle_experiment_forks_its_worker_once(four_cpus, alarm, spawns):
+    from pcoselect import GAUSSIAN, LossKind, make_bandwidth_family, scenario_from_config
+    from pcoselect.experiments import oracle_experiment
+
+    scn = scenario_from_config({"d": 1, "f": "triangle", "n": 100, "replications": 4})
+    fam = make_bandwidth_family(GAUSSIAN, 0.05, [0.05, 0.1, 0.3], 1, 100)
+    serial = oracle_experiment(fam, scn, LossKind.ONE, threads=1).to_json()
+    assert spawns == []
+    for _ in range(2):
+        assert oracle_experiment(fam, scn, LossKind.ONE, threads=2).to_json() == serial
+    assert len(spawns) == 1
+
+
+def test_pooled_map_unpicklable_exception_keeps_type_and_message(four_cpus, alarm):
     with pytest.raises(RuntimeError, match="LocalError: no way back"):
-        parallel_map(fn, range(4), threads=2)
+        pooled_map(_raising_local_error, (), range(4), workers=2)
     _assert_no_child_left()
 
 
-def test_parallel_map_raises_the_lowest_failing_item(four_cpus, alarm):
-    def fn(i):
-        if i in (3, 5, 6):
-            time.sleep(0.05)  # meanwhile other processes take the later failing items
-            raise ValueError(f"item {i}")
-        return i
-
-    for threads in (1, 2, 4):
+def test_pooled_map_raises_the_lowest_failing_item(four_cpus, alarm):
+    for workers in (1, 2, 4):
         for _ in range(5):
             with pytest.raises(ValueError, match="^item 3$"):
-                parallel_map(fn, range(8), threads)
+                pooled_map(_failing_at, ((3, 5, 6), 0.05), range(8), workers)
     _assert_no_child_left()
 
 
-def test_parallel_map_slowed_process_takes_fewer_items(four_cpus, alarm):
+def test_pooled_map_slowed_process_takes_fewer_items(four_cpus, alarm):
     parent = os.getpid()
-
-    def fn(i):
-        if os.getpid() == parent:
-            time.sleep(0.1)
-        return i, os.getpid()
-
-    out = parallel_map(fn, range(40), threads=2)
+    out = pooled_map(_with_pid, (parent,), range(40), workers=2)
     assert [i for i, _ in out] == list(range(40))
     # a fixed split would give this process 20 of the 40 items
     assert sum(pid == parent for _, pid in out) <= 10
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
-def test_parallel_map_worker_death_raises_runtime_error(four_cpus, alarm, rendezvous, death, status):
-    def fn(i):
-        if rendezvous.in_parent():
-            rendezvous.wait_for_a_child()
-            return i
-        rendezvous.child_started()
-        death()
-
-    with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
-        parallel_map(fn, range(6), threads=3)
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("outer_threads", [1, 4])
-def test_parallel_map_nested_in_a_mapped_item_never_forks(monkeypatch, four_cpus, alarm, outer_threads):
-    calls = []  # os.fork calls of the process that holds this list
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-
-    def fn(i):
-        before = len(calls)
-        inner = parallel_map(lambda j: 10 * i + j, range(6), 4)
-        return inner, len(calls) - before
-
-    out = parallel_map(fn, range(8), outer_threads)
-    assert [inner for inner, _ in out] == [[10 * i + j for j in range(6)] for i in range(8)]
-    assert [nested for _, nested in out] == [0] * 8
-    assert len(calls) == (3 if outer_threads == 4 else 0)
-    # once the outer map is done, a map forks again
-    assert parallel_map(lambda j: j, range(6), 4) == list(range(6))
-    assert len(calls) == (6 if outer_threads == 4 else 3)
-    _assert_no_child_left()
 
 
 def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_cpus, alarm, rendezvous):
@@ -266,24 +280,6 @@ def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_c
     _assert_no_child_left()
 
 
-def test_parallel_map_own_share_raising_reaps_every_child(four_cpus, alarm, rendezvous):
-    def fn(i):
-        if rendezvous.in_parent():
-            rendezvous.wait_for_a_child()
-            raise KeyError(f"item {i} in the parent")
-        rendezvous.child_started()
-        time.sleep(1)  # the forked workers are still busy when the parent fails
-        return i
-
-    start = time.perf_counter()
-    with pytest.raises(KeyError, match="in the parent"):
-        parallel_map(fn, range(40), threads=4)
-    # the parent empties the queue, so each worker stops after its current
-    # item instead of working through 13 seconds of them
-    assert time.perf_counter() - start < 8
-    _assert_no_child_left()
-
-
 def _run_python(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(pcoselect.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -291,14 +287,16 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_parallel_map_prints_buffered_parent_stdout_once():
+def test_pooled_map_prints_buffered_parent_stdout_once():
     # stdout is a pipe here, so the first line is still in the buffer at fork
     code = (
         "import sys\n"
         "sys.stdout.write('before the fork\\n')\n"
         "from pcoselect import numerics\n"
         "numerics.usable_cpus = lambda: 4\n"
-        "print(numerics.parallel_map(lambda i: 10 * i, range(5), 4))\n"
+        "def tens():\n"
+        "    return lambda i: 10 * i\n"
+        "print(numerics.pooled_map(tens, (), range(5), 4))\n"
     )
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
@@ -312,15 +310,18 @@ def test_oracle_replication_imports_nothing_in_a_worker():
         "from pcoselect import experiments, numerics\n"
         "numerics.usable_cpus = lambda: 2\n"
         "added = []\n"
-        "def spy(fn, items, threads):\n"
+        "def measured(build, *args):\n"
+        "    fn = build(*args)\n"
         "    def wrapped(item):\n"
         "        before = set(sys.modules)\n"
         "        result = fn(item)\n"
         "        return result, sorted(set(sys.modules) - before)\n"
-        "    out = numerics.parallel_map(wrapped, items, threads)\n"
+        "    return wrapped\n"
+        "def spy(build, args, items, workers=None):\n"
+        "    out = numerics.pooled_map(measured, (build, *args), items, workers)\n"
         "    added.extend(new for _, new in out)\n"
         "    return [result for result, _ in out]\n"
-        "experiments.parallel_map = spy\n"
+        "experiments.pooled_map = spy\n"
         "scn = pcoselect.scenario_from_config({'d': 1, 'f': 'triangle', 'b': {'kind': 'sine'},\n"
         "    'sigma': {'kind': 'constant', 'c': 0.3}, 'noise': 'gaussian', 'n': 200, 'replications': 4})\n"
         "fam = pcoselect.make_bandwidth_family(pcoselect.GAUSSIAN, 0.02, [0.02, 0.1, 0.3], 1, 200)\n"
@@ -333,8 +334,8 @@ def test_oracle_replication_imports_nothing_in_a_worker():
 
 
 # ---------------------------------------------------------------------------
-# pooled_map: block workers forked once and kept.  Each test starts without
-# a pool (conftest.py closes it after every test).
+# pooled_map under a bandwidth sweep: the pool is kept between maps, and a
+# failure or a dead worker kills it.
 
 
 def _doubling(offset):
@@ -399,23 +400,28 @@ def test_pooled_map_forks_its_workers_once(monkeypatch, sweep, alarm):
     assert forks == _pool_pids() and len(forks) == 3
 
 
-@pytest.mark.parametrize("outer_threads", [1, 4])
-def test_pooled_map_in_a_mapped_item_runs_serially(four_cpus, alarm, outer_threads):
-    assert numerics.pooled_map(_doubling, (0,), range(8)) == [2 * i for i in range(8)]
-    pids = _pool_pids()
-    parent = os.getpid()
+def _nesting(parent):
+    """Items run a pooled map themselves and say where they ran."""
 
     def item(i):
-        inner = numerics.pooled_map(_in_worker, (os.getpid(),), range(6))
+        inner = pooled_map(_in_worker, (os.getpid(),), range(6))
         return os.getpid() != parent, numerics._pool is None, inner
 
-    for in_child, dropped, inner in parallel_map(item, range(8), outer_threads):
-        # a forked child drops its parent's pool; every item maps serially
-        assert dropped == in_child
+    return item
+
+
+@pytest.mark.parametrize("outer_threads", [1, 4])
+def test_pooled_map_in_a_mapped_item_runs_serially(four_cpus, alarm, spawns, outer_threads):
+    assert pooled_map(_doubling, (0,), range(8)) == [2 * i for i in range(8)]
+    pids = _pool_pids()
+    parent = os.getpid()
+    for in_worker, dropped, inner in pooled_map(_nesting, (parent,), range(8), outer_threads):
+        # a worker has dropped its parent's pool; every item maps serially
+        assert dropped == in_worker
         assert inner == [(j, False, dropped) for j in range(6)]
-    assert _pool_pids() == pids
+    assert _pool_pids() == pids == spawns
     # outside a mapped item, workers take items again
-    assert any(in_worker for _, in_worker, _ in numerics.pooled_map(_in_worker, (parent,), range(400)))
+    assert any(in_worker for _, in_worker, _ in pooled_map(_in_worker, (parent,), range(400)))
 
 
 @pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
