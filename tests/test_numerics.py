@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -196,6 +197,114 @@ def test_pooled_map_uses_at_most_its_worker_cap(four_cpus, alarm, spawns):
 def test_parallel_map_is_a_pooled_map_of_a_picklable_function(four_cpus, alarm, spawns):
     assert numerics.parallel_map(abs, range(-5, 5), 2) == [abs(i) for i in range(-5, 5)]
     assert len(spawns) == 1
+
+
+# parallel_map sends its function to the pool workers, so the item
+# functions below are module level and take their state as partial
+# arguments.
+
+
+def _bad_six(i):
+    if i == 6:
+        raise ValueError(f"item {i} is bad")
+    return i
+
+
+def _failing_item(bad, delay, i):
+    return _failing_at(bad, delay)(i)
+
+
+def test_parallel_map_reraises_a_worker_exception(four_cpus, alarm):
+    with pytest.raises(ValueError, match="^item 6 is bad$"):
+        numerics.parallel_map(_bad_six, range(8), threads=3)
+    _assert_no_child_left()
+
+
+def test_parallel_map_raises_the_lowest_failing_item(four_cpus, alarm):
+    fn = functools.partial(_failing_item, (3, 5, 6), 0.05)
+    for threads in (1, 2, 4):
+        for _ in range(5):
+            with pytest.raises(ValueError, match="^item 3$"):
+                numerics.parallel_map(fn, range(8), threads)
+    _assert_no_child_left()
+
+
+# The os.fork calls of the process that holds this list; a test patches
+# os.fork to append to it.
+_forks = []
+
+
+def _forks_in_a_nested_map(i):
+    before = len(_forks)
+    inner = numerics.parallel_map(functools.partial(_affine, 10 * i), range(6), 4)
+    return inner, len(_forks) - before
+
+
+def _affine(offset, j):
+    return offset + j
+
+
+@pytest.mark.parametrize("outer_threads", [1, 4])
+def test_parallel_map_nested_in_a_mapped_item_never_forks(monkeypatch, four_cpus, alarm, outer_threads):
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setitem(globals(), "_forks", calls)
+    out = numerics.parallel_map(_forks_in_a_nested_map, range(8), outer_threads)
+    assert [inner for inner, _ in out] == [[10 * i + j for j in range(6)] for i in range(8)]
+    assert [nested for _, nested in out] == [0] * 8
+    assert len(calls) == (3 if outer_threads == 4 else 0)
+    # once the outer map is done, a map uses the pool again: it forks the
+    # workers the serial outer map did not, and keeps the ones it did
+    assert numerics.parallel_map(abs, range(6), 4) == list(range(6))
+    assert len(calls) == 3
+
+
+def _parent_raises_while_workers_compute(rendezvous, i):
+    if rendezvous.in_parent():
+        rendezvous.wait_for_a_child()
+        raise KeyError(f"item {i} in the parent")
+    rendezvous.child_started()
+    time.sleep(1)  # the workers are still busy when the parent fails
+    return i
+
+
+def test_parallel_map_own_share_raising_reaps_every_child(four_cpus, alarm, rendezvous):
+    fn = functools.partial(_parent_raises_while_workers_compute, rendezvous)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="in the parent"):
+        numerics.parallel_map(fn, range(40), threads=4)
+    # the parent empties the queue, so each worker stops after its current
+    # item instead of working through 13 seconds of them
+    assert time.perf_counter() - start < 8
+    assert numerics._pool is None
+    _assert_no_child_left()
+
+
+# How a worker dies; a test sets it before the pool is forked.
+_death = None
+
+
+def _dying_in_a_worker(rendezvous, i):
+    if rendezvous.in_parent():
+        rendezvous.wait_for_a_child()
+        return i
+    rendezvous.child_started()
+    _death()
+
+
+@pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
+def test_parallel_map_worker_death_raises_runtime_error(monkeypatch, four_cpus, alarm, rendezvous, death, status):
+    monkeypatch.setitem(globals(), "_death", death)
+    with pytest.raises(RuntimeError, match=rf"exited without a result \(exit status {status}\)"):
+        numerics.parallel_map(functools.partial(_dying_in_a_worker, rendezvous), range(6), threads=3)
+    assert numerics._pool is None
+    _assert_no_child_left()
 
 
 def _sweeping(n):
