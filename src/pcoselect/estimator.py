@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -158,41 +159,78 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
 
     Rows containing non-finite or unparseable values are dropped with one
     counted warning; a missing, empty, or headerless file raises DataError.
+
+    The file is read once.  Its data lines are parsed by ``np.loadtxt``
+    (:func:`_parse_clean_rows`), whose values are those of ``float`` on
+    each field; a file that parser does not take whole, with every row of
+    d + 1 finite values, goes through the row filter of the ``csv`` module
+    instead (:func:`_filter_rows`), which drops and counts the bad rows.
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read data file ({exc.strerror})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
-        d = len(header) - 1
-        if d < 1 or header[-1] != "y" or header[:-1] != [f"x{q + 1}" for q in range(d)]:
-            raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
-        rows, rejected = [], 0
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != d + 1:
-                rejected += 1
-                continue
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError:
-                rejected += 1
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, d + 1)
-    finite = np.isfinite(arr).all(axis=1)
-    rejected += int(np.count_nonzero(~finite))
-    arr = arr[finite]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: data file is not {exc.encoding} text ({exc.reason})") from exc
+    # split like the file itself: at \n, \r and \r\n only
+    lines = io.StringIO(text, newline="")
+    try:
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [c.strip() for c in header]
+    d = len(header) - 1
+    if d < 1 or header[-1] != "y" or header[:-1] != [f"x{q + 1}" for q in range(d)]:
+        raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
+    rest = lines.readlines()
+    arr, rejected = _parse_clean_rows(rest, d), 0
+    if arr is None:
+        arr, rejected = _filter_rows(csv.reader(rest), d)
     if rejected:
         log.warning("%s: dropped %d malformed or non-finite rows", path, rejected)
     if arr.shape[0] == 0:
         raise DataError(f"{path}: no usable data rows")
     return Sample(arr[:, :d], arr[:, d], loss)
+
+
+def _parse_clean_rows(lines: list, d: int) -> np.ndarray | None:
+    """The data lines as an (rows, d + 1) array when every nonblank line is
+    d + 1 finite numbers, else None.
+
+    ``np.loadtxt`` skips blank lines, as the row filter does, and fails on
+    a whitespace-only line, a quoted field or a wrong field count; the
+    shape check guards against any other line it might skip.
+    """
+    rows = len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r")
+    if rows == 0:
+        return None
+    try:
+        arr = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if arr.shape != (rows, d + 1) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _filter_rows(reader, d: int) -> tuple:
+    """The rows of d + 1 finite numbers among ``csv`` rows, as an array, and
+    the count of the others; empty rows are skipped uncounted."""
+    rows, rejected = [], 0
+    for line in reader:
+        if not line:
+            continue
+        if len(line) != d + 1:
+            rejected += 1
+            continue
+        try:
+            rows.append([float(v) for v in line])
+        except ValueError:
+            rejected += 1
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, d + 1)
+    finite = np.isfinite(arr).all(axis=1)
+    return arr[finite], rejected + int(np.count_nonzero(~finite))
 
 
 def write_sample_csv(path, x: np.ndarray, y: np.ndarray):
@@ -719,8 +757,10 @@ class GramTables:
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     (see :func:`coefficient_tensor`) the total is the quadratic form
     T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
-    C_q is the basis cross-Gram (the truncated identity for nested
-    bases).  The diagonal is a row sum over basis values at the sample.
+    C_q is the basis cross-Gram.  For nested bases C_q is the truncated
+    identity, so the form reads the common box of the two tensors, scaled
+    by the weights, and no cross-Gram is formed.  The diagonal is a row
+    sum over basis values at the sample.
     A nested basis is evaluated once per dimension at the largest order
     requested (:meth:`reserve` sets that order up front), and every
     smaller order is a slice of it, bit for bit; a histogram order is a
@@ -806,12 +846,29 @@ class GramTables:
             raise ValueError("projection kernels use different basis families")
 
     def _projection_total(self, a, b) -> float:
+        """T_a^T ((x)_q W_a C_q W_b) T_b, summed over a's shape.
+
+        For a nested basis C_q is the truncated identity, so the product
+        with T_b is T_b on the box min(m_a, m_b), scaled along each axis q
+        in turn by w_a w_b, and exact zeros outside the box: the numbers
+        the cross-Gram contraction gives, without forming it.
+        """
         self._check_projection_pair(a, b)
-        y = self.coefficients(b)
-        for q in range(a.d):
-            ma, mb = a.m[q], b.m[q]
-            gram = a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
-            y = np.moveaxis(np.tensordot(gram, y, axes=(1, q)), 0, q)
+        if not a.basis.nested:
+            y = self.coefficients(b)
+            for q in range(a.d):
+                ma, mb = a.m[q], b.m[q]
+                gram = a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
+                y = np.moveaxis(np.tensordot(gram, y, axes=(1, q)), 0, q)
+            return pairwise_sum(self.coefficients(a) * y)
+        box = tuple(slice(0, min(ma, mb)) for ma, mb in zip(a.m, b.m))
+        inner = self.coefficients(b)[box]
+        if a.w is not None or b.w is not None:
+            for q, k in enumerate(inner.shape):
+                scale = a.weights_for(k) * b.weights_for(k)
+                inner = inner * scale.reshape((k,) + (1,) * (a.d - 1 - q))
+        y = np.zeros(a.m)
+        y[box] = inner
         return pairwise_sum(self.coefficients(a) * y)
 
     def _projection_diag(self, a, b) -> np.ndarray:
@@ -823,7 +880,10 @@ class GramTables:
             if a.basis.nested:
                 k = min(ma, mb)
                 v = self._values(a.basis, q, k)
-                out *= np.sum((v * a.weights_for(ma)[None, :k]) * (v * b.weights_for(mb)[None, :k]), axis=1)
+                # unit weights are skipped: v * 1.0 is v, bit for bit
+                va = v if a.w is None else v * a.weights_for(ma)[None, :k]
+                vb = v if b.w is None else v * b.weights_for(mb)[None, :k]
+                out *= np.sum(va * vb, axis=1)
             else:
                 ca, ok = histogram_cells(ma, self.sample.x[:, q])
                 cb, _ = histogram_cells(mb, self.sample.x[:, q])

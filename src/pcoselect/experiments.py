@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_table_size
 from .estimator import GramTables, LossKind, estimate_on_grid, u_statistic, v_statistic, w_statistic
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import mean_se, pooled_map
@@ -68,6 +69,7 @@ def _risk_replication(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid
 
 def mc_risk(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid | None = None, threads: int = 1) -> MCRisk:
     """MC estimate of E ||shat_K - s||_2^2 over the scenario support."""
+    check_table_size("risk experiment", replications=scn.replications)
     if grid is None:
         grid = scn.risk_grid()
     args = (spec, scn, loss, grid, scn.true_s(loss, grid.points))
@@ -183,7 +185,11 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     once per dimension, at the top order, and expands the coefficient
     tensors selection already built.  Each member's risk is the same
     number whatever the grouping.
+
+    The replications x members risk table is bounded before any
+    replication runs (:func:`~pcoselect.errors.check_table_size`).
     """
+    check_table_size("oracle experiment", replications=scn.replications, members=len(family))
     grid = scn.risk_grid()
     n_k = len(family)
     args = (family, scn, loss, grid, scn.true_s(loss, grid.points), max(1, _GRID_ESTIMATES // len(grid.points)))
@@ -344,6 +350,7 @@ def concentration_experiment(
     pass a grid with kernel-aware breakpoints for piecewise kernels so the
     cross terms stay quadrature-exact.
     """
+    check_table_size("concentration experiment", replications=scn.replications, statistics=3)
     if grid is None:
         grid = statistic_grid(a, b, scn)
     sa_grid = make_s_mean(a, scn, loss, grid)(grid.points)

@@ -5,12 +5,15 @@ by direct quadrature with panel boundaries at every point where an
 integrand can lose smoothness.  Slow and dumb on purpose.
 """
 
+import csv
 import sys
 
 import numpy as np
 
-from pcoselect import BandwidthSpec, ProjectionSpec, composite_rule, kernel_matrix
+from pcoselect import BandwidthSpec, DataError, ProjectionSpec, composite_rule, kernel_matrix
 from pcoselect.bases import breakpoints as basis_breakpoints
+from pcoselect.bases import cross_gram
+from pcoselect.numerics import pairwise_sum
 
 
 def forbid_everywhere(monkeypatch, name, message):
@@ -78,3 +81,59 @@ def _axis_spec(spec, q):
     if isinstance(spec, BandwidthSpec):
         return BandwidthSpec(spec.base, (spec.h[q],))
     return ProjectionSpec(spec.basis, (spec.m[q],), spec.w)
+
+
+def reference_read_csv(path):
+    """The sample file read row by row with the ``csv`` module and ``float``:
+    (x, y, dropped rows), or DataError.  The reference for
+    :func:`pcoselect.read_sample_csv`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [c.strip() for c in header]
+        d = len(header) - 1
+        if d < 1 or header[-1] != "y" or header[:-1] != [f"x{q + 1}" for q in range(d)]:
+            raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
+        rows, rejected = [], 0
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != d + 1:
+                rejected += 1
+                continue
+            try:
+                rows.append([float(v) for v in line])
+            except ValueError:
+                rejected += 1
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, d + 1)
+    finite = np.isfinite(arr).all(axis=1)
+    rejected += int(np.count_nonzero(~finite))
+    arr = arr[finite]
+    if arr.shape[0] == 0:
+        raise DataError(f"{path}: no usable data rows")
+    return arr[:, :d], arr[:, d], rejected
+
+
+def cross_gram_total(tables, a, b):
+    """sum_{i,j} ell_i ell_j G_ab[i, j] of a projection pair as the quadratic
+    form T_a^T ((x)_q W_a C_q W_b) T_b, one cross-Gram contraction per axis."""
+    y = tables.coefficients(b)
+    for q in range(a.d):
+        ma, mb = a.m[q], b.m[q]
+        gram = a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
+        y = np.moveaxis(np.tensordot(gram, y, axes=(1, q)), 0, q)
+    return pairwise_sum(tables.coefficients(a) * y)
+
+
+def weighted_values_diag(tables, a, b):
+    """G_ab[i, i] of a nested projection pair from weighted basis values at the sample."""
+    out = np.ones(tables.sample.n)
+    for q in range(a.d):
+        ma, mb = a.m[q], b.m[q]
+        k = min(ma, mb)
+        v = tables._values(a.basis, q, k)
+        out *= np.sum((v * a.weights_for(ma)[None, :k]) * (v * b.weights_for(mb)[None, :k]), axis=1)
+    return out

@@ -445,6 +445,21 @@ def test_report_with_an_oversized_scenario_is_a_config_error(tmp_path, capsys, o
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_values", [None, [50, 60]])
+def test_report_with_too_many_replications_is_a_config_error(tmp_path, capsys, n_values):
+    # 10^9 replications of a 3-member family: 3 x 10^9 risk rows
+    cfg = {"scenario": _scn_cfg(n=50, replications=10**9),
+           "family": {"variant": "bandwidth", "h_min": 0.15, "grid": [0.2, 0.3, 0.5], "d": 1}}
+    if n_values:
+        cfg["n_values"] = n_values
+    out = tmp_path / "o"
+    assert main(["report", "--config", _write_json(tmp_path / "r.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle experiment: replications 1000000000 x members 3")
+    assert "limit of 16777216" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_report_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     cfg = _write_json(tmp_path / "r.json", {"scenario": _scn_cfg(n=50, replications=2),

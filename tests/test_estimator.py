@@ -3,12 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import quad_section_inner
+from helpers import cross_gram_total, quad_section_inner, reference_read_csv, weighted_values_diag
 from pcoselect import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -181,6 +185,110 @@ def test_csv_empty_file(tmp_path):
 def test_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_sample_csv(tmp_path / "nowhere.csv")
+
+
+def test_csv_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"x1,y\n0.5,\xff\xfe\n")
+    with pytest.raises(DataError, match="not .* text"):
+        read_sample_csv(path)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _read_both(path):
+    """read_sample_csv against the row-by-row reference: the same x, y and
+    warnings bit for bit, or the same DataError message."""
+    try:
+        x, y, dropped = reference_read_csv(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_sample_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    handler = _Messages()
+    logger = logging.getLogger("pcoselect.estimator")
+    logger.addHandler(handler)
+    try:
+        s = read_sample_csv(path)
+    finally:
+        logger.removeHandler(handler)
+    assert s.x.shape == x.shape and s.x.tobytes() == x.tobytes()
+    assert s.y.tobytes() == y.tobytes()
+    assert handler.messages == ([f"{path}: dropped {dropped} malformed or non-finite rows"] if dropped else [])
+
+
+@pytest.mark.parametrize("text", [
+    "x1,y\n0.25,1.5\n",  # one data row
+    "x1,y\n",  # header only
+    "x1,y\n\n\r\n",  # header and blank lines
+    "x1,y\r\n0.1,2\r\n\r\n0.2,3\r\n",  # CRLF with a blank line
+    "x1,y\r0.1,2\r0.2,3",  # CR line ends, no final newline
+    "x1,y\n0.1,2\n   \n0.2,3\n",  # whitespace-only line: malformed
+    "x1,y\n \t\n",  # nothing but a whitespace-only line
+    'x1,y\n"0.1",2\n0.2,3\n',  # quoted field, a number
+    'x1,y\n"0.1,0.3",2\n0.2,3\n',  # quoted field with a comma
+    'x1,y\n"0.1\n0.3",2\n0.2,3\n',  # quoted field across lines
+    "x1,x2,y\n0.1,0.2,1\n0.1,0.2\n0.1,0.2,1,4\n",  # wrong field counts
+    "x1,y\n 0.1 , 2 \n+.5,-1.\n1e-3,1E3\n",  # padded and signed numbers
+    "x1,y\n1_0,2\n0x10,2\n1e400,2\n0.1,2\n",  # float() and loadtxt disagree on the first two
+    "x1,y\n0.1,2\x0c\n0.2,\u20283\n",  # unicode whitespace around a number
+    "x1,y\n0.1,2 # note\n0.2,3\n",  # no comment syntax
+    "x1,y\nnan,1\nInfinity,2\n-inf,3\n",  # only non-finite rows
+])
+def test_csv_reader_edge_cases_match_reference(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _read_both(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_csv_clean_files_skip_the_row_filter(tmp_path, monkeypatch, end):
+    import pcoselect.estimator as estimator_mod
+
+    s = _uniform_sample(40, d=2, seed=4)
+    write_sample_csv(tmp_path / "lf.csv", s.x, s.y)
+    lines = (tmp_path / "lf.csv").read_text().splitlines()
+    text = end.join(lines[:10] + [""] + lines[10:]) + end  # one blank line
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(estimator_mod, "_filter_rows", lambda *a: pytest.fail("a clean file took the row filter"))
+    back = read_sample_csv(path)
+    assert back.x.tobytes() == s.x.tobytes() and back.y.tobytes() == s.y.tobytes()
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-999, 999).map(str)
+_FIELDS = _NUMBERS | st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "abc", "", " ", "1_0", "0x1p3",
+                                      '"0.5"', '"1,2"', "1e400", " 0.5 "])
+
+
+@st.composite
+def _csv_texts(draw):
+    d = draw(st.integers(1, 3))
+    good = st.lists(_NUMBERS, min_size=d + 1, max_size=d + 1).map(",".join)
+    bad = st.lists(_FIELDS, min_size=1, max_size=d + 2).map(",".join)
+    blank = st.sampled_from(["", " ", "\t", "  \t "])
+    lines = draw(st.lists(st.one_of(good, good, bad, blank), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    header = ",".join([f"x{q + 1}" for q in range(d)] + ["y"])
+    text = header + ends[0] + "".join(line + end for line, end in zip(lines, ends[1:]))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_csv_reader_matches_row_by_row_reference(text):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _read_both(path)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,6 +1123,36 @@ def test_nested_coefficients_are_slices_of_the_widest_evaluation():
         spec = ProjectionSpec(TRIG, m)
         direct = coefficient_tensor(spec, s.x, s.loss_values)
         assert np.array_equal(tables.coefficients(spec), direct)
+
+
+# order pairs per dimension count: m_a < m_b, m_a > m_b, equal, and mixed
+# across axes; at d = 1 also boxes of more than 8 entries inside a larger
+# tensor, where numpy's pairwise sum groups the box differently from the
+# full shape
+_NESTED_ORDER_PAIRS = {
+    1: [((3,), (9,)), ((9,), (3,)), ((6,), (6,)), ((1,), (12,)), ((20,), (9,)), ((9,), (20,)), ((17,), (24,))],
+    2: [((2, 3), (5, 4)), ((5, 4), (2, 3)), ((5, 1), (2, 4)), ((3, 3), (3, 3))],
+    3: [((1, 2, 3), (3, 3, 3)), ((3, 3, 2), (1, 2, 3)), ((3, 1, 2), (1, 3, 2))],
+}
+_W_OTHER = (0.8, 0.0, 0.7, 0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01) * 2
+
+
+@pytest.mark.parametrize("basis", [TRIG, LEG], ids=["trigonometric", "legendre"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("loss", [LossKind.ONE, LossKind.IDENTITY], ids=["one", "y"])
+def test_nested_projection_totals_and_diagonals_are_identical_to_cross_gram_form(basis, d, loss):
+    s = _sample_for(ProjectionSpec(basis, (1,) * d), 300, seed=36)
+    s = s.with_loss(loss)
+    tables = GramTables(s)
+    weights = [None, _W + tuple(np.geomspace(0.005, 1e-4, 15)), _W_OTHER]
+    for ma, mb in _NESTED_ORDER_PAIRS[d]:
+        for wa in weights:
+            for wb in weights:
+                a, b = ProjectionSpec(basis, ma, wa), ProjectionSpec(basis, mb, wb)
+                total = tables.weighted_total(a, b)
+                assert total.hex() == cross_gram_total(tables, *GramTables._canonical(a, b)).hex()
+                diag = tables.diag(a, b)
+                assert diag.tobytes() == weighted_values_diag(tables, *GramTables._canonical(a, b)).tobytes()
 
 
 def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):

@@ -12,6 +12,7 @@ from pcoselect import (
     BandwidthSpec,
     BasisFamily,
     BasisKind,
+    ConfigError,
     LossKind,
     ProjectionSpec,
     concentration_experiment,
@@ -37,6 +38,32 @@ def _scn(**over):
     }
     cfg.update(over)
     return scenario_from_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# size limits
+# ---------------------------------------------------------------------------
+
+
+def test_replication_tables_are_bounded_before_any_replication(monkeypatch):
+    import pcoselect.experiments as experiments_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no replication may run")
+
+    monkeypatch.setattr(experiments_mod, "pooled_map", forbidden)
+    scn = _scn(replications=2**24 + 1)
+    a, b = BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.2,))
+    with pytest.raises(ConfigError, match="risk experiment: replications 16777217 .* limit of 16777216"):
+        mc_risk(a, scn, LossKind.ONE)
+    with pytest.raises(ConfigError, match="concentration experiment: replications 16777217 x statistics 3"):
+        concentration_experiment(a, b, scn, LossKind.ONE)
+    family = make_bandwidth_family(GAUSSIAN, 0.05, [0.05, 0.1], 1, scn.n)
+    with pytest.raises(ConfigError, match="oracle experiment: replications 16777217 x members 2"):
+        oracle_experiment(family, scn, LossKind.ONE)
+    # at the limit itself the check passes and the replications would start
+    with pytest.raises(AssertionError, match="no replication may run"):
+        oracle_experiment(family, _scn(replications=2**23), LossKind.ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -27,7 +28,8 @@ from pcoselect import (
     spec_to_config,
     stream,
 )
-from pcoselect.kernels import section_inner_pointwise
+from pcoselect.bases import basis_matrix
+from pcoselect.kernels import DIAG_SCAN_POINTS, section_inner_pointwise
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -361,8 +363,13 @@ def test_k0_scan_runs_once_per_family_and_matches_per_order_scan(monkeypatch, ba
     w = np.linspace(1.0, 0.2, m_max)
     calls = []
     monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: calls.append(a[1]) or basis_matrix(*a))
+    kernels_mod._scan_maxima.cache_clear()
     fam = make_projection_family(basis, m_max, d, m_max**d, w)
     assert calls == [m_max]
+    # the scan is kept for the process: a second build of the family scans nothing
+    again = make_projection_family(basis, m_max, d, m_max**d, w)
+    assert calls == [m_max]
+    assert again.k0_index == fam.k0_index
     for spec in fam.specs:
         want = 1.0
         for mq in spec.m:
@@ -370,6 +377,54 @@ def test_k0_scan_runs_once_per_family_and_matches_per_order_scan(monkeypatch, ba
             want *= float(np.max((mat * mat) @ spec.weights_for(mq)))
         assert diag_sup(spec) == want
         assert diag_sup(spec, kernels_mod.diag_scan_squares(basis, m_max)) == want
+
+
+def _refined_sup(spec_1d):
+    """sup_t K(t, t) of a one-dimensional member: the scan's best grid
+    interval refined with a 20001-point grid."""
+    lo, hi = spec_1d.basis.support
+    step = (hi - lo) / (DIAG_SCAN_POINTS - 1)
+    w = spec_1d.weights_for(spec_1d.m[0])
+
+    def diagonal(t):
+        mat = basis_matrix(spec_1d.basis, spec_1d.m[0], t)
+        return (mat * mat) @ w
+
+    grid = np.linspace(lo, hi, DIAG_SCAN_POINTS)
+    peak = grid[int(np.argmax(diagonal(grid)))]
+    fine = np.linspace(max(lo, peak - step), min(hi, peak + step), 20001)
+    return float(np.max(diagonal(fine)))
+
+
+@pytest.mark.parametrize("m,w", [(3, (1.0, 0.0, 1.0)), (4, (0.2, 1.0, 0.1, 0.7)), (7, (1.0, 0.9, 0.6, 0.35, 0.2, 0.1, 0.05)),
+                                 (12, tuple(np.linspace(1.0, 0.0, 12))), (64, tuple(np.linspace(0.0, 1.0, 64) ** 3))])
+def test_diag_sup_scan_accuracy_on_weighted_trigonometric_members(m, w):
+    """The stated accuracy of the diagonal scan: never above the supremum,
+    and within a relative pi^2 m^2 / (2 (P - 1)^2) of it per dimension."""
+    spec = ProjectionSpec(BasisFamily(BasisKind.TRIGONOMETRIC, 64), (m,), w)
+    scanned, true = diag_sup(spec), _refined_sup(spec)
+    bound = math.pi**2 * m * m / (2 * (DIAG_SCAN_POINTS - 1) ** 2)
+    assert scanned <= true <= scanned * (1 + bound)
+    # two dimensions: the product of the per-dimension scans
+    assert diag_sup(ProjectionSpec(spec.basis, (m, m), w)) == scanned * scanned
+
+
+def test_diag_sup_scan_reads_low_between_grid_points():
+    # 1 + 2 sin^2(2 pi t) peaks at t = 1/4, which is not a grid point
+    scanned = diag_sup(ProjectionSpec(TRIG, (3,), (1.0, 0.0, 1.0)))
+    assert 2.9999999 < scanned < 3.0
+    assert 3.0 - scanned <= 3.0 * math.pi**2 * 9 / (2 * (DIAG_SCAN_POINTS - 1) ** 2)
+
+
+@pytest.mark.parametrize("spec", [ProjectionSpec(LEG, (5,), (0.3, 1.0, 0.0, 0.5, 0.9)), ProjectionSpec(LEG, (6,)),
+                                  ProjectionSpec(TRIG, (4,)), ProjectionSpec(TRIG, (7,))])
+def test_diag_sup_scan_is_exact_for_legendre_and_unweighted_trigonometric(spec):
+    # the supremum sits at a support endpoint, which the grid includes (an
+    # odd trigonometric order's diagonal is constant), so only rounding is left
+    lo, hi = spec.basis.support
+    ends = basis_matrix(spec.basis, spec.m[0], np.array([lo, hi])) ** 2 @ spec.weights_for(spec.m[0])
+    assert diag_sup(spec) == pytest.approx(float(np.max(ends)), rel=1e-14, abs=0)
+    assert _refined_sup(spec) <= diag_sup(spec) * (1 + 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +469,21 @@ def test_projection_family_k0_largest_order():
 def test_projection_family_size_guard():
     with pytest.raises(ValueError):
         make_projection_family(TRIG, 12, 2, 100)  # 144 > n
+
+
+def test_find_overfitting_k0_scans_members_at_the_basis_top_order():
+    import pcoselect.kernels as kernels_mod
+
+    # the first member's weights stop at its own order, below the basis's top order 9
+    specs = [ProjectionSpec(TRIG, (3,), (1.0, 0.0, 1.0)), ProjectionSpec(TRIG, (2,), (0.5, 1.0)),
+             ProjectionSpec(TRIG, (9,), tuple(np.linspace(1.0, 0.1, 9))), ProjectionSpec(LEG, (2,), (0.5, 1.0)),
+             ProjectionSpec(HIST, (4,))]
+    scans = {basis: kernels_mod.diag_scan_squares(basis, top) for basis, top in ((TRIG, 9), (LEG, 2))}
+    want = [diag_sup(s, scans.get(s.basis)) for s in specs]
+    assert find_overfitting_k0(specs) == int(np.argmax(want))
+    for s, value in zip(specs, want):
+        top = 9 if s.basis == TRIG else 2
+        assert (kernels_mod._scanned_diag_sup(s, top) if s.basis.nested else diag_sup(s)) == value
 
 
 def test_find_overfitting_k0_first_max_wins():
