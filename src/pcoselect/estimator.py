@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -159,34 +159,21 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
 
     Rows containing non-finite or unparseable values are dropped with one
     counted warning; a missing, empty, or headerless file raises DataError.
-
-    The file is read once.  Its data lines are parsed by ``np.loadtxt``
-    (:func:`_parse_clean_rows`), whose values are those of ``float`` on
-    each field; a file that parser does not take whole, with every row of
-    d + 1 finite values, goes through the row filter of the ``csv`` module
-    instead (:func:`_filter_rows`), which drops and counts the bad rows.
     """
     try:
         with open(path, newline="") as fh:
-            text = fh.read()
+            lines = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"{path}: cannot read data file ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: data file is not {exc.encoding} text ({exc.reason})") from exc
-    # split like the file itself: at \n, \r and \r\n only
-    lines = io.StringIO(text, newline="")
-    try:
-        header = next(csv.reader(lines))
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    header = [c.strip() for c in header]
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in lines[0]]
     d = len(header) - 1
     if d < 1 or header[-1] != "y" or header[:-1] != [f"x{q + 1}" for q in range(d)]:
         raise DataError(f"{path}: header must be x1,...,xd,y (got {','.join(header)})")
-    rest = lines.readlines()
-    arr, rejected = _parse_clean_rows(rest, d), 0
-    if arr is None:
-        arr, rejected = _filter_rows(csv.reader(rest), d)
+    arr, rejected = _numeric_rows([line for line in lines[1:] if line], d)
     if rejected:
         log.warning("%s: dropped %d malformed or non-finite rows", path, rejected)
     if arr.shape[0] == 0:
@@ -194,41 +181,26 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
     return Sample(arr[:, :d], arr[:, d], loss)
 
 
-def _parse_clean_rows(lines: list, d: int) -> np.ndarray | None:
-    """The data lines as an (rows, d + 1) array when every nonblank line is
-    d + 1 finite numbers, else None.
+def _numeric_rows(lines: list, d: int) -> tuple:
+    """The rows of d + 1 finite numbers among nonempty ``csv`` rows, as an
+    array, and the count of the others.
 
-    ``np.loadtxt`` skips blank lines, as the row filter does, and fails on
-    a whitespace-only line, a quoted field or a wrong field count; the
-    shape check guards against any other line it might skip.
+    Every field goes through ``float`` in one flat pass; only a file with
+    an unparseable field is converted again row by row, to drop that row.
     """
-    rows = len(lines) - lines.count("\n") - lines.count("\r\n") - lines.count("\r")
-    if rows == 0:
-        return None
+    rows = [line for line in lines if len(line) == d + 1]
+    rejected = len(lines) - len(rows)
     try:
-        arr = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        arr = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64, len(rows) * (d + 1))
     except ValueError:
-        return None
-    if arr.shape != (rows, d + 1) or not np.isfinite(arr).all():
-        return None
-    return arr
-
-
-def _filter_rows(reader, d: int) -> tuple:
-    """The rows of d + 1 finite numbers among ``csv`` rows, as an array, and
-    the count of the others; empty rows are skipped uncounted."""
-    rows, rejected = [], 0
-    for line in reader:
-        if not line:
-            continue
-        if len(line) != d + 1:
-            rejected += 1
-            continue
-        try:
-            rows.append([float(v) for v in line])
-        except ValueError:
-            rejected += 1
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, d + 1)
+        parsed = []
+        for line in rows:
+            try:
+                parsed.append([float(v) for v in line])
+            except ValueError:
+                rejected += 1
+        arr = np.asarray(parsed, dtype=np.float64)
+    arr = arr.reshape(-1, d + 1)
     finite = np.isfinite(arr).all(axis=1)
     return arr[finite], rejected + int(np.count_nonzero(~finite))
 

@@ -31,7 +31,6 @@ tests and the dense :meth:`GramTables.matrix` compare those passes against.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import sys
@@ -43,8 +42,6 @@ from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram
 from .quadrature import composite_rule, legendre_rule
 
 DIAG_SCAN_POINTS = 10_000
-# Entries of the per-process cache of overfitting scans (:func:`_scan_maxima`).
-DIAG_SCAN_CACHE = 64
 
 
 class BaseKind(enum.Enum):
@@ -462,38 +459,6 @@ def diag_scan_squares(basis: BasisFamily, m: int) -> np.ndarray:
     return mat * mat
 
 
-def _scan_max(scan_squares: np.ndarray, w: np.ndarray) -> float:
-    """max_t sum_{j <= len(w)} w_j phi_j(t)^2 over the scan grid."""
-    # A view, not a copy: it keeps the memory layout basis_matrix gives
-    # (Fortran order for Legendre), and BLAS rounds by layout.
-    return float(np.max(scan_squares[:, : len(w)] @ w))
-
-
-@functools.lru_cache(maxsize=DIAG_SCAN_CACHE)
-def _scan_maxima(basis: BasisFamily, m_top: int, w: tuple | None) -> tuple:
-    """The scanned diagonal maxima of the one-dimensional members of orders
-    1, 2, ... with weights ``w`` (up to m_top, or len(w) <= m_top), all
-    read from one scan at order m_top.
-
-    The scan depends on nothing else, so a process computes it once per
-    (basis, m_top, w): the cache holds at most ``DIAG_SCAN_CACHE`` entries
-    of at most m_top floats, plus the weight tuple of their key.
-    """
-    scan = diag_scan_squares(basis, m_top)
-    if w is None:
-        return tuple(_scan_max(scan, np.ones(m)) for m in range(1, m_top + 1))
-    return tuple(_scan_max(scan, np.asarray(w[:m], dtype=np.float64)) for m in range(1, len(w) + 1))
-
-
-def _scanned_diag_sup(spec: ProjectionSpec, m_top: int) -> float:
-    """:func:`diag_sup` of a nested member from the scan at order m_top >= max(spec.m)."""
-    maxima = _scan_maxima(spec.basis, m_top, None if spec.w is None else spec.w[:m_top])
-    out = 1.0
-    for mq in spec.m:
-        out *= maxima[mq - 1]
-    return out
-
-
 def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
     """sup_x K(x, x), the overfitting score of a kernel.
 
@@ -514,8 +479,7 @@ def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
 
     Nested bases may pass ``scan_squares`` from :func:`diag_scan_squares`
     at any order of at least max(m); its leading columns are the same
-    numbers the scan would compute at each order.  Without it the maxima
-    come from a per-process cache of scans (:func:`_scan_maxima`).
+    numbers the scan would compute at each order.
     """
     if isinstance(spec, BandwidthSpec):
         out = 1.0
@@ -528,10 +492,12 @@ def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
             out *= mq * float(np.max(spec.weights_for(mq)))
         return out
     if scan_squares is None:
-        return _scanned_diag_sup(spec, max(spec.m))
+        scan_squares = diag_scan_squares(spec.basis, max(spec.m))
     out = 1.0
     for mq in spec.m:
-        out *= _scan_max(scan_squares, spec.weights_for(mq))
+        # A view, not a copy: it keeps the memory layout basis_matrix gives
+        # (Fortran order for Legendre), and BLAS rounds by layout.
+        out *= float(np.max(scan_squares[:, :mq] @ spec.weights_for(mq)))
     return out
 
 
@@ -568,19 +534,18 @@ class KernelFamily:
 def find_overfitting_k0(specs) -> int:
     """Index of the member with the largest diagonal supremum (first on ties).
 
-    Nested projection members share one diagonal scan per basis and
-    weights, taken at the largest order among the basis's members and
-    kept for the process (:func:`_scan_maxima`).
+    Nested projection members share one diagonal scan per basis, taken at
+    the largest order among them.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("empty kernel collection")
-    nested = [isinstance(s, ProjectionSpec) and s.basis.nested for s in specs]
     top = {}
-    for s, scanned in zip(specs, nested):
-        if scanned:
+    for s in specs:
+        if isinstance(s, ProjectionSpec) and s.basis.nested:
             top[s.basis] = max(top.get(s.basis, 0), *s.m)
-    values = [_scanned_diag_sup(s, top[s.basis]) if scanned else diag_sup(s) for s, scanned in zip(specs, nested)]
+    scans = {basis: diag_scan_squares(basis, m) for basis, m in top.items()}
+    values = [diag_sup(s, scans.get(s.basis) if isinstance(s, ProjectionSpec) else None) for s in specs]
     best = 0
     for i, v in enumerate(values):
         if v > values[best]:
