@@ -18,6 +18,12 @@ Three families ship:
     Legendre polynomial (three-term recurrence; Q_1(x) = x).  The constant
     member Q_0 is deliberately not part of the family; it is exposed only
     through :func:`normalized_legendre` for orthonormality checks.
+
+The squared sums sum_j w_j phi_j(x)^2 and their suprema are kernel
+quantities, the diagonal of a projection kernel: they live in
+:mod:`pcoselect.kernels` (:func:`~pcoselect.kernels.section_sq_norm_points`
+pointwise, :func:`~pcoselect.kernels.diag_sup` on the scan table of
+:func:`~pcoselect.kernels.diag_scan_squares`).
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-SUP_SCAN_POINTS = 10_000
 
 
 class BasisKind(enum.Enum):
@@ -199,31 +203,6 @@ def cross_gram(family: BasisFamily, m: int, m_other: int) -> np.ndarray:
     lo = np.maximum((j - 1) / m, (jp - 1) / m_other)
     hi = np.minimum(j / m, jp / m_other)
     return np.sqrt(m * m_other) * np.clip(hi - lo, 0.0, None)
-
-
-def squared_sum(family: BasisFamily, m: int, x) -> np.ndarray:
-    """sum_{j<=m} phi_j(x)^2, vectorized over x."""
-    mat = basis_matrix(family, m, x)
-    return np.sum(mat * mat, axis=1)
-
-
-def sup_squared_sum(family: BasisFamily, m: int) -> float:
-    """sup over the support of sum_{j<=m} phi_j(x)^2.
-
-    Exact closed forms where they exist (histogram: m; trigonometric with
-    m odd: m, since the cos/sin pairs telescope to a constant); otherwise a
-    scan over a uniform grid including both support endpoints, where the
-    remaining cases attain their supremum (x = 0 for even trigonometric
-    orders, x = +-1 for Legendre).
-    """
-    family.check_order(m)
-    if family.kind is BasisKind.REGULAR_HISTOGRAM:
-        return float(m)
-    if family.kind is BasisKind.TRIGONOMETRIC and m % 2 == 1:
-        return float(m)
-    lo, hi = family.support
-    grid = np.linspace(lo, hi, SUP_SCAN_POINTS)
-    return float(np.max(squared_sum(family, m, grid)))
 
 
 def breakpoints(family: BasisFamily, m: int):

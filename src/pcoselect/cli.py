@@ -268,7 +268,7 @@ def cmd_verify(args) -> int:
     elif suite == "l1-bound":
         n = config_int("verify", "n", _require(cfg, "n", suite), 1)
         family = _family_from_config(_require(cfg, "family", suite), n)
-        report = check_l1_section_bound(family, points=field("points", 1000, 1), seed=seed)
+        report = check_l1_section_bound(family, seed=seed)
     elif suite == "trig-bound":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
         loss = _loss_from_flag(cfg.get("loss", "one"))

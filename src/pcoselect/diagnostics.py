@@ -11,7 +11,10 @@ The suites:
   (1) section norms at most a constant times n, (2) bounded section
   averages, (3) mean squared pair inner products controlled by the
   variance scale, (4) mean squared inner products against a dictionary of
-  test functions controlled by their norms.
+  test functions controlled by their norms.  Item (1) takes the supremum
+  of a projection member's section norm as
+  :func:`~pcoselect.kernels.diag_sup` of the member with squared weights,
+  on one scan table per basis.
 * :func:`check_l1_section_bound` - the uniform bound on squared L1 norms
   of kernel sections.  Bandwidth and histogram families satisfy it with
   explicit constants; trigonometric families do not (their section L1
@@ -25,7 +28,8 @@ The suites:
   underpinning the trigonometric analysis, swept over a dense grid.
 * :func:`check_legendre_boundedness` - the expected-diagonal bound for
   Legendre families under a twice continuously differentiable design
-  density, against the explicit constant 2 max(2||f'||, ||f''||) zeta(3/2).
+  density, against the explicit constant 2 max(2||f'||, ||f''||) zeta(3/2),
+  with zeta(3/2) from ``scipy.special.zeta``.
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ from .kernels import (
     BandwidthSpec,
     KernelFamily,
     ProjectionSpec,
+    diag_scan_squares,
+    diag_sup,
     section_inner_pointwise,
     section_l1_norm,
     section_sq_norm,
     spec_id,
 )
-from .numerics import mean_se, pairwise_sum
+from .numerics import mean_se
 from .quadrature import composite_rule
 from .rng import stream
 from .simulation import Density, Scenario, make_s_mean, sbar_analytic
@@ -83,34 +89,24 @@ class CheckReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def zeta_three_halves(terms: int = 10_000) -> float:
-    """zeta(3/2) by direct series plus an Euler-Maclaurin tail correction.
-
-    The correction terms push the truncation error to O(terms^(-7/2)),
-    about 1e-14 at the default length.
-    """
-    j = np.arange(1, terms + 1, dtype=np.float64)
-    partial = pairwise_sum(j**-1.5)
-    n = float(terms)
-    return partial + 2.0 / math.sqrt(n) - 0.5 * n**-1.5 + 0.125 * n**-2.5
-
-
 # ---------------------------------------------------------------------------
 # moment conditions
 # ---------------------------------------------------------------------------
 
 
-def _section_sup(spec) -> float:
-    """Analytic/scanned sup over x' of ||K(x', .)||_2^2."""
+def _section_sup(spec, scan_squares=None) -> float:
+    """sup over x' of ||K(x', .)||_2^2.
+
+    Bandwidth kernels: the closed form, the same at every x'.  Projection
+    kernels: :func:`~pcoselect.kernels.diag_sup` of the member with squared
+    weights, since prod_q sum_j w_j^2 phi_j(x'_q)^2 is that kernel's
+    diagonal; ``scan_squares`` is passed on to it.
+    """
     if isinstance(spec, BandwidthSpec):
         return section_sq_norm(spec, np.zeros(spec.d))
-    lo, hi = spec.basis.support
-    grid = np.linspace(lo, hi, 10_000)
-    out = 1.0
-    for mq in spec.m:
-        mat = basis_matrix(spec.basis, mq, grid) * spec.weights_for(mq)[None, :]
-        out *= float(np.max(np.sum(mat * mat, axis=1)))
-    return out
+    if spec.w is not None:
+        spec = ProjectionSpec(spec.basis, spec.m, tuple(v * v for v in spec.w))
+    return diag_sup(spec, scan_squares)
 
 
 class _PsiShape:
@@ -202,7 +198,10 @@ def check_kernel_moment_conditions(
         c1 = first.base.l2_norm_sq**family.d
     else:
         c1 = first.basis.sup_bound_const**family.d
-    sup_sections = max(_section_sup(s) for s in family.specs)
+    scan = None
+    if isinstance(first, ProjectionSpec) and first.basis.nested:
+        scan = diag_scan_squares(first.basis, max(max(s.m) for s in family.specs))
+    sup_sections = max(_section_sup(s, scan) for s in family.specs)
     margin1 = c1 * n - sup_sections
     details["item1"] = {"bound": c1 * n, "observed": sup_sections, "margin": margin1}
 
@@ -317,17 +316,17 @@ def _mean_sq_inner_with_function(spec, x1: np.ndarray, shape: _PsiShape, grid, p
 # ---------------------------------------------------------------------------
 
 
-def check_l1_section_bound(family: KernelFamily, points: int = 1000, seed: int = 0) -> CheckReport:
-    """sup over members and random anchors of ||K(x', .)||_1^2 vs its constant.
+def check_l1_section_bound(family: KernelFamily, seed: int = 0) -> CheckReport:
+    """sup over members and 16 random anchors of ||K(x', .)||_1^2 vs its constant.
 
-    Bandwidth families: the L1 norm factorizes to ||k||_1^d = 1 exactly.
+    Bandwidth families: the L1 norm factorizes to ||k||_1^d = 1 exactly,
+    and no anchor is drawn.
     Histogram families: the norm is the anchored cell weight, at most 1.
     Trigonometric (and Legendre) families admit no order-uniform constant;
     the report is marked not applicable / failed with the observed growth,
     and points at the spectral boundedness route instead.
     """
     first = family.specs[0]
-    gen = stream(seed, 0, 0)
     if isinstance(first, BandwidthSpec):
         bound = first.base.l1_norm ** (2 * family.d)
         observed = max(section_l1_norm(s, np.zeros(s.d)) ** 2 for s in family.specs)
@@ -335,15 +334,14 @@ def check_l1_section_bound(family: KernelFamily, points: int = 1000, seed: int =
             name="l1-section-bound",
             passed=observed <= bound + NUMERIC_TOL,
             margin=bound - observed,
-            details={"bound": bound, "observed": observed, "points": points},
+            details={"bound": bound, "observed": observed},
         )
-    basis = first.basis
-    lo, hi = basis.support
-    if basis.kind is BasisKind.REGULAR_HISTOGRAM:
-        anchors = lo + (hi - lo) * gen.random((points, family.d))
+    lo, hi = first.basis.support
+    anchors = lo + (hi - lo) * stream(seed, 0, 0).random((16, family.d))
+    if first.basis.kind is BasisKind.REGULAR_HISTOGRAM:
         observed = -math.inf
         for spec in family.specs:
-            vals = np.array([section_l1_norm(spec, p) ** 2 for p in anchors[:16]])
+            vals = np.array([section_l1_norm(spec, p) ** 2 for p in anchors])
             # the histogram L1 norm is piecewise constant in the anchor; a
             # full scan adds nothing beyond the per-cell values
             per_cell = max(
@@ -355,10 +353,9 @@ def check_l1_section_bound(family: KernelFamily, points: int = 1000, seed: int =
             name="l1-section-bound",
             passed=observed <= bound + NUMERIC_TOL,
             margin=bound - observed,
-            details={"bound": bound, "observed": observed, "points": points},
+            details={"bound": bound, "observed": observed},
         )
     # no order-uniform constant: report the growth and fail the condition
-    anchors = lo + (hi - lo) * gen.random((16, family.d))
     by_member = {}
     for spec in family.specs:
         worst = max(section_l1_norm(spec, p) ** 2 for p in anchors)
@@ -503,7 +500,9 @@ def check_legendre_boundedness(source, m_max: int = 50, eval_points: int = 2048)
     observed = float(np.max(np.abs(partial)))
     d1, d2 = density.deriv_sup_norms()
     c1 = max(2.0 * d1, d2)
-    bound = 2.0 * c1 * zeta_three_halves()
+    from scipy import special
+
+    bound = 2.0 * c1 * float(special.zeta(1.5))
     return CheckReport(
         name="legendre-bound",
         passed=observed <= bound + NUMERIC_TOL,

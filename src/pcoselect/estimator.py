@@ -222,9 +222,11 @@ def write_sample_csv(path, x: np.ndarray, y: np.ndarray):
 
 # Points per projection expansion.
 _EVAL_BLOCK = 1024
-# Coefficient entries summed per pass over the sample; bounds the scratch
-# array of a coefficient tensor at _COEFF_BLOCK x n.
-_COEFF_BLOCK = 256
+# Scratch budget, in float64 entries, of a coefficient tensor's products:
+# each pass over the sample sums max(1, _COEFF_ENTRIES // n) coefficients,
+# from one scratch array of that many rows of n products and one gather of
+# basis values of the same size (4 MB in all).
+_COEFF_ENTRIES = 1 << 18
 # Basis values per dimension held at once by the grid evaluation of
 # projection members (8 MB).  The points are taken in chunks of whole
 # _EVAL_BLOCK blocks that fit this budget at the largest order, at least
@@ -291,14 +293,15 @@ def _product_tensor(values, ell: np.ndarray) -> np.ndarray:
     orders, so the tensor at smaller orders is exactly a slice of this one.
     """
     shape = tuple(v.shape[1] for v in values)
-    rows = [np.ascontiguousarray(v.T) for v in values]
     out = np.empty(math.prod(shape))
-    for start in range(0, out.size, _COEFF_BLOCK):
-        index = np.unravel_index(np.arange(start, min(start + _COEFF_BLOCK, out.size)), shape)
-        terms = ell[None, :] * rows[0][index[0]]
-        for q in range(1, len(rows)):
-            terms *= rows[q][index[q]]
-        out[start : start + _COEFF_BLOCK] = np.sum(terms, axis=1)
+    # one coefficient per row, its n products contiguous
+    scratch = np.empty((min(max(1, _COEFF_ENTRIES // ell.size), out.size), ell.size))
+    for start in range(0, out.size, scratch.shape[0]):
+        index = np.unravel_index(np.arange(start, min(start + scratch.shape[0], out.size)), shape)
+        terms = np.multiply(ell, values[0].T[index[0]], out=scratch[: index[0].size])
+        for q in range(1, len(values)):
+            terms *= values[q].T[index[q]]
+        out[start : start + terms.shape[0]] = np.sum(terms, axis=1)
     return out.reshape(shape)
 
 

@@ -26,11 +26,19 @@ estimates, section averages, the cross terms of the centered statistics
 and the diagnostics are one weighted kernel-sum pass in
 :mod:`pcoselect.estimator`.  The pairwise forms stay as the reference that
 tests and the dense :meth:`GramTables.matrix` compare those passes against.
+
+Pointwise norms and suprema rest on two primitives.
+:func:`section_inner_pointwise` is the only pointwise section product:
+a squared section norm pairs a point with itself.  :func:`diag_scan_squares`
+is the only scan table: :func:`diag_sup` reads it for sup_x K(x, x), and
+the supremum of a squared section norm is :func:`diag_sup` of the same
+member with squared weights.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -399,34 +407,25 @@ def histogram_cell_inner(a, ma: int, ca: np.ndarray, b, mb: int, cb: np.ndarray)
 
 
 def section_sq_norm(spec, x_prime) -> float:
-    """||K(x', .)||_2^2.
+    """||K(x', .)||_2^2 at one point, the one-row case of :func:`section_sq_norm_points`."""
+    xp = np.atleast_1d(np.asarray(x_prime, dtype=np.float64))
+    return float(section_sq_norm_points(spec, xp[None, :])[0])
+
+
+def section_sq_norm_points(spec, pts: np.ndarray) -> np.ndarray:
+    """||K(x', .)||_2^2 for row-stacked points x'.
 
     Bandwidth kernels: prod_q ||k||_2^2 / h_q, independent of x'.
-    Projection kernels: prod_q sum_j (w_j phi_j(x'_q))^2.
+    Projection kernels: :func:`section_inner_pointwise` of each point with
+    itself, prod_q sum_j (w_j phi_j(x'_q))^2.
     """
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if isinstance(spec, BandwidthSpec):
         out = 1.0
         for hq in spec.h:
             out *= spec.base.l2_norm_sq / hq
-        return out
-    xp = np.atleast_1d(np.asarray(x_prime, dtype=np.float64))
-    out = 1.0
-    for q, mq in enumerate(spec.m):
-        row = basis_matrix(spec.basis, mq, xp[q : q + 1])[0] * spec.weights_for(mq)
-        out *= float(np.sum(row * row))
-    return out
-
-
-def section_sq_norm_points(spec, pts: np.ndarray) -> np.ndarray:
-    """||K(x', .)||_2^2 for row-stacked points x'; vectorized form."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    if isinstance(spec, BandwidthSpec):
-        return np.full(pts.shape[0], section_sq_norm(spec, pts[0]))
-    out = np.ones(pts.shape[0])
-    for q, mq in enumerate(spec.m):
-        mat = basis_matrix(spec.basis, mq, pts[:, q]) * spec.weights_for(mq)[None, :]
-        out *= np.sum(mat * mat, axis=1)
-    return out
+        return np.full(pts.shape[0], out)
+    return section_inner_pointwise(spec, pts, spec, pts)
 
 
 def section_l1_norm(spec, x_prime) -> float:
@@ -480,6 +479,10 @@ def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
     Nested bases may pass ``scan_squares`` from :func:`diag_scan_squares`
     at any order of at least max(m); its leading columns are the same
     numbers the scan would compute at each order.
+
+    With the weights squared this is the supremum over x' of
+    ||K(x', .)||_2^2 = prod_q sum_j w_j^2 phi_j(x'_q)^2, the diagonal of the
+    w^2-weighted kernel.
     """
     if isinstance(spec, BandwidthSpec):
         out = 1.0
@@ -535,7 +538,9 @@ def find_overfitting_k0(specs) -> int:
     """Index of the member with the largest diagonal supremum (first on ties).
 
     Nested projection members share one diagonal scan per basis, taken at
-    the largest order among them.
+    the largest order among them.  A member's supremum is the product, in
+    dimension order, of the suprema of its one-dimensional factors, so
+    each distinct (basis, order, weights) factor is scanned once.
     """
     specs = list(specs)
     if not specs:
@@ -545,12 +550,12 @@ def find_overfitting_k0(specs) -> int:
         if isinstance(s, ProjectionSpec) and s.basis.nested:
             top[s.basis] = max(top.get(s.basis, 0), *s.m)
     scans = {basis: diag_scan_squares(basis, m) for basis, m in top.items()}
-    values = [diag_sup(s, scans.get(s.basis) if isinstance(s, ProjectionSpec) else None) for s in specs]
-    best = 0
-    for i, v in enumerate(values):
-        if v > values[best]:
-            best = i
-    return best
+    factor = functools.cache(lambda basis, mq, w: diag_sup(ProjectionSpec(basis, (mq,), w), scans[basis]))
+    values = [
+        math.prod(factor(s.basis, mq, s.w) for mq in s.m) if getattr(s, "basis", None) in scans else diag_sup(s)
+        for s in specs
+    ]
+    return max(range(len(values)), key=values.__getitem__)
 
 
 # Entries (tuples times d) of the largest product grid a family builder

@@ -137,3 +137,18 @@ def weighted_values_diag(tables, a, b):
         v = tables._values(a.basis, q, k)
         out *= np.sum((v * a.weights_for(ma)[None, :k]) * (v * b.weights_for(mb)[None, :k]), axis=1)
     return out
+
+
+def reference_product_tensor(values, ell, block=256):
+    """sum_i ell_i prod_q values[q][i, j_q] in blocks of ``block`` coefficients,
+    each a row sum over the rows of the transposed basis values."""
+    shape = tuple(v.shape[1] for v in values)
+    rows = [np.ascontiguousarray(v.T) for v in values]
+    out = np.empty(int(np.prod(shape)))
+    for start in range(0, out.size, block):
+        index = np.unravel_index(np.arange(start, min(start + block, out.size)), shape)
+        terms = ell[None, :] * rows[0][index[0]]
+        for q in range(1, len(rows)):
+            terms *= rows[q][index[q]]
+        out[start : start + block] = np.sum(terms, axis=1)
+    return out.reshape(shape)

@@ -13,9 +13,8 @@ from pcoselect import (
     eval_basis,
     normalized_legendre,
     sine_tail_max_violation,
-    squared_sum,
-    sup_squared_sum,
 )
+from pcoselect.kernels import ProjectionSpec, diag_sup, section_sq_norm_points
 from pcoselect.quadrature import composite_rule
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
@@ -128,8 +127,18 @@ def test_cross_gram_histogram_matches_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# squared sums and their suprema
+# squared sums and their suprema: the diagonal of the order-m kernel
 # ---------------------------------------------------------------------------
+
+
+def squared_sum(family, m, x):
+    """sum_{j<=m} phi_j(x)^2 at each x, as the section norm of the order-m kernel."""
+    return section_sq_norm_points(ProjectionSpec(family, (m,)), np.asarray(x, dtype=np.float64)[:, None])
+
+
+def sup_squared_sum(family, m):
+    """sup_x sum_{j<=m} phi_j(x)^2, as the diagonal supremum of the order-m kernel."""
+    return diag_sup(ProjectionSpec(family, (m,)))
 
 
 def test_squared_sum_pointwise():

@@ -564,7 +564,6 @@ _BAD_INTEGER_FIELDS = {
     "simulate-replication": (["simulate"], {**_scn_cfg(), "replication": "x"}, "'replication'"),
     "simulate-n-fractional": (["simulate"], _scn_cfg(n=40.5), "'n'"),
     "l1-n": (["verify", "--suite", "l1-bound"], {"n": "x", "family": _BANDWIDTH}, "'n'"),
-    "l1-points": (["verify", "--suite", "l1-bound"], {"n": 40, "points": "many", "family": _BANDWIDTH}, "'points'"),
     "l1-seed": (["verify", "--suite", "l1-bound"], {"n": 40, "seed": "abc", "family": _BANDWIDTH}, "'seed'"),
     "moment-draws": (
         ["verify", "--suite", "moment-conditions"],

@@ -3,9 +3,8 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy import special
 
 from pcoselect import (
     EPANECHNIKOV,
@@ -24,8 +23,8 @@ from pcoselect import (
     make_bandwidth_family,
     make_projection_family,
     scenario_from_config,
-    zeta_three_halves,
 )
+from pcoselect.kernels import DIAG_SCAN_POINTS, ProjectionSpec, diag_sup, section_sq_norm_points
 
 
 def _scn(**over):
@@ -41,20 +40,6 @@ def _scn(**over):
     }
     cfg.update(over)
     return scenario_from_config(cfg)
-
-
-# ---------------------------------------------------------------------------
-# zeta(3/2)
-# ---------------------------------------------------------------------------
-
-
-def test_zeta_three_halves_value():
-    assert_allclose(zeta_three_halves(), special.zeta(1.5), atol=1e-13, rtol=0)
-
-
-def test_zeta_three_halves_short_series():
-    # the tail correction keeps even a 100-term series accurate
-    assert abs(zeta_three_halves(terms=100) - special.zeta(1.5)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +200,26 @@ def test_moment_conditions_histogram_family():
     fam = make_projection_family(basis, 3, d=1, n=25)
     rep = check_kernel_moment_conditions(fam, scn, LossKind.IDENTITY, draws=20_000)
     assert rep.passed
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_moment_conditions_item1_is_the_squared_weight_diagonal_sup(kind):
+    # ||K(x', .)||^2 = prod_q sum_j w_j^2 phi_j(x'_q)^2 is the diagonal of
+    # the kernel with weights w^2
+    w = (0.9, 0.5, 0.8)
+    support = [-1.0, 1.0] if kind is BasisKind.LEGENDRE else [0.0, 1.0]
+    scn = _scn(d=2, n=9, support=support, f="uniform")
+    fam = make_projection_family(BasisFamily(kind, m_cap=8), 3, d=2, n=9, w=w)
+    rep = check_kernel_moment_conditions(fam, scn, LossKind.ONE, draws=200)
+    squared = [ProjectionSpec(s.basis, s.m, tuple(v * v for v in w)) for s in fam.specs]
+    assert rep.details["item1"]["observed"] == max(diag_sup(s) for s in squared)
+    # against the section norms on the scan grid itself
+    grid = np.linspace(*support, DIAG_SCAN_POINTS)
+    scanned = max(
+        math.prod(float(np.max(section_sq_norm_points(ProjectionSpec(s.basis, (mq,), w), grid[:, None]))) for mq in s.m)
+        for s in fam.specs
+    )
+    assert rep.details["item1"]["observed"] == pytest.approx(scanned, rel=1e-14)
 
 
 def test_moment_conditions_dimension_mismatch():

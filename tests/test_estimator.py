@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cross_gram_total, quad_section_inner, reference_read_csv, weighted_values_diag
+from helpers import cross_gram_total, quad_section_inner, reference_product_tensor, reference_read_csv, weighted_values_diag
 from pcoselect import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -49,6 +49,7 @@ from pcoselect.estimator import (
     _gaussian_scales,
     _grid_width,
     _kernel_sums,
+    _product_tensor,
     _sweep_tables,
     bandwidth_totals,
     coefficient_tensor,
@@ -655,6 +656,30 @@ def test_u_statistic_projection_coefficient_form_matches_dense(monkeypatch, a, b
     monkeypatch.setattr("pcoselect.kernels.section_inner_matrix", no_table)
     monkeypatch.setattr("pcoselect.estimator.section_inner_matrix", no_table)
     assert_allclose(u_statistic(a, b, s), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize(("basis", "n", "orders"), [
+    (TRIG, 20_000, (20, 20)),
+    (LEG, 3000, (7, 5, 4)),
+    (TRIG, 300_000, (3,)),
+])
+def test_coefficient_tensor_memory_is_bounded_and_identical_to_256_row_blocks(basis, n, orders):
+    import tracemalloc
+
+    # blocks of 256 coefficients x n products, two of them live, peaked at 89 MiB
+    # at n = 20000, m = (20, 20); the scratch now takes a fixed number of entries
+    lo, hi = basis.support
+    x = stream(47).uniform(lo, hi, size=(n, len(orders)))
+    ell = stream(48).standard_normal(n)
+    values = [basis_matrix(basis, mq, x[:, q]) for q, mq in enumerate(orders)]
+    tracemalloc.start()
+    try:
+        got = _product_tensor(values, ell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.array_equal(got, reference_product_tensor(values, ell))
 
 
 def test_u_statistic_memory_is_bounded():

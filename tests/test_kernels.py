@@ -478,6 +478,41 @@ def test_find_overfitting_k0_scans_members_at_the_basis_top_order():
     assert find_overfitting_k0(specs) == int(np.argmax(want))
 
 
+# Rounding decides ties: trigonometric orders 2j and 2j + 1 both peak at
+# 2j + 1, and the scan of the even order reads a few ulps above or below.
+@pytest.mark.parametrize(("basis", "m_max", "d", "w", "k0"), [
+    (TRIG, 5, 2, None, 24),
+    (TRIG, 21, 1, None, 20),
+    (TRIG, 3, 3, None, 26),
+    (TRIG, 4, 2, (1.0, 0.5, 0.5, 1.0), 15),
+    (LEG, 6, 2, None, 35),
+])
+def test_overfitting_k0_is_identical_to_the_member_by_member_scan(basis, m_max, d, w, k0):
+    import pcoselect.kernels as kernels_mod
+
+    fam = make_projection_family(basis, m_max, d, m_max**d, w)
+    assert fam.k0_index == k0
+    scan = kernels_mod.diag_scan_squares(basis, m_max)
+    values = [diag_sup(s, scan) for s in fam.specs]
+    assert values.index(max(values)) == k0
+
+
+def test_find_overfitting_k0_scans_each_factor_once(monkeypatch):
+    import pcoselect.kernels as kernels_mod
+
+    calls = []
+
+    def counted(spec, scan_squares=None):
+        calls.append(spec)
+        return diag_sup(spec, scan_squares)
+
+    monkeypatch.setattr(kernels_mod, "diag_sup", counted)
+    fam = make_projection_family(TRIG, 5, 2, 25)
+    # one matrix-vector product per distinct (basis, order, weights), not per member and dimension
+    assert sorted(s.m for s in calls) == [(1,), (2,), (3,), (4,), (5,)]
+    assert fam.k0_index == 24
+
+
 def test_find_overfitting_k0_first_max_wins():
     specs = [ProjectionSpec(HIST, (4,)), ProjectionSpec(HIST, (4,)), ProjectionSpec(HIST, (2,))]
     assert find_overfitting_k0(specs) == 0
