@@ -25,12 +25,13 @@ from .diagnostics import (
     check_sine_tail_bound,
     check_trig_spectral_boundedness,
 )
-from .errors import ConfigError, DataError, DimensionError, VerificationFailure, config_int
+from .errors import ConfigError, DataError, DimensionError, VerificationFailure
+from .errors import config_enum, config_int, config_ints, config_number, config_numbers, config_object
 from .estimator import LossKind, estimate_on_grid, read_sample_csv, write_sample_csv
 from .experiments import oracle_experiment
 from .kernels import (
-    EPANECHNIKOV,
-    GAUSSIAN,
+    BaseKernel,
+    BaseKind,
     KernelFamily,
     make_bandwidth_family,
     make_projection_family,
@@ -38,9 +39,7 @@ from .kernels import (
     spec_id,
 )
 from .selection import SCHEMA_VERSION, pco_select
-from .simulation import Density, DensityKind, Scenario, scenario_from_config
-
-_BASES = {"gaussian": GAUSSIAN, "epanechnikov": EPANECHNIKOV}
+from .simulation import Density, DensityKind, scenario_from_config
 
 # Evaluation points of one `estimate` grid.  Its CSV takes about 25 bytes
 # per point and coordinate, so the largest grid writes tens of megabytes.
@@ -64,31 +63,6 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _loss_from_flag(flag: str) -> LossKind:
-    try:
-        return LossKind(flag)
-    except ValueError as exc:
-        raise ConfigError(f"unknown loss {flag!r}; expected one|identity|square") from exc
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _family_number(cfg: dict, field: str) -> float:
-    value = cfg[field]
-    if not _is_number(value):
-        raise ConfigError(f"family config: field {field!r} must be a number (got {value!r})")
-    return float(value)
-
-
-def _family_numbers(cfg: dict, field: str) -> list:
-    value = cfg[field]
-    if not (isinstance(value, list) and all(map(_is_number, value))):
-        raise ConfigError(f"family config: field {field!r} must be a list of numbers (got {value!r})")
-    return [float(v) for v in value]
-
-
 def _family_dimension(cfg: dict, dim, source: str) -> int:
     """The family's ``d``, checked against the dimension ``dim`` of its
     ``source`` (None: no check) before any member is built."""
@@ -99,31 +73,24 @@ def _family_dimension(cfg: dict, dim, source: str) -> int:
 
 
 def _family_from_config(cfg: dict, n: int, dim=None, source: str = "data") -> KernelFamily:
-    if not isinstance(cfg, dict):
-        raise ConfigError("family config must be an object")
+    cfg = config_object("family", None, cfg)
     variant = cfg.get("variant")
     if variant == "bandwidth":
-        base_name = cfg.get("base", "gaussian")
-        if base_name not in _BASES:
-            raise ConfigError(f"family config: unknown base kernel {base_name!r}")
+        base = BaseKernel(config_enum("family", "base", cfg.get("base", "gaussian"), BaseKind))
         for field in ("h_min", "grid", "d"):
             if field not in cfg:
                 raise ConfigError(f"family config: missing field {field!r}")
-        base = _BASES[base_name]
-        h_min, grid = _family_number(cfg, "h_min"), _family_numbers(cfg, "grid")
+        h_min, grid = config_number("family", "h_min", cfg["h_min"]), config_numbers("family", "grid", cfg["grid"])
         d = _family_dimension(cfg, dim, source)
         return _build_family(lambda: make_bandwidth_family(base, h_min, grid, d, n))
     if variant == "projection":
         for field in ("basis", "m_max", "d"):
             if field not in cfg:
                 raise ConfigError(f"family config: missing field {field!r}")
-        try:
-            kind = BasisKind(cfg["basis"])
-        except ValueError as exc:
-            raise ConfigError(f"family config: unknown basis {cfg['basis']!r}") from exc
+        kind = config_enum("family", "basis", cfg["basis"], BasisKind)
         m_cap = config_int("family", "m_cap", cfg.get("m_cap", 64))
         m_max, d = config_int("family", "m_max", cfg["m_max"]), _family_dimension(cfg, dim, source)
-        weights = None if cfg.get("w") is None else _family_numbers(cfg, "w")
+        weights = None if cfg.get("w") is None else config_numbers("family", "w", cfg["w"])
         return _build_family(lambda: make_projection_family(BasisFamily(kind, m_cap), m_max, d, n, weights))
     raise ConfigError(f"family config: unknown variant {variant!r}")
 
@@ -164,7 +131,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _load_json(args.config, "config")
-    loss = _loss_from_flag(args.loss)
+    loss = LossKind(args.loss)
     sample = read_sample_csv(args.data, loss)
     family = _family_from_config(cfg.get("family", cfg), sample.n, sample.d)
     report = pco_select(family, sample)
@@ -179,17 +146,8 @@ def cmd_select(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config, "config")
     spec_cfg = _load_json(args.spec, "spec")
-    if "spec" in spec_cfg:
-        spec_cfg = spec_cfg["spec"]
-    if not isinstance(spec_cfg, dict):
-        raise ConfigError("spec config must be an object")
-    try:
-        spec = spec_from_config(spec_cfg)
-    except KeyError as exc:
-        raise ConfigError(f"spec config: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spec config: {exc}") from exc
-    loss = _loss_from_flag(args.loss)
+    spec = spec_from_config(spec_cfg.get("spec", spec_cfg))
+    loss = LossKind(args.loss)
     sample = read_sample_csv(args.data, loss)
     if spec.d != sample.d:
         raise DimensionError(f"spec dimension {spec.d} != data dimension {sample.d}")
@@ -207,32 +165,22 @@ def cmd_estimate(args) -> int:
 def _grid_numbers(grid_cfg: dict, field: str) -> list:
     """A number, or a list of numbers, of the grid config as a list."""
     value = grid_cfg[field]
-    items = value if isinstance(value, list) else [value]
-    if not all(map(_is_number, items)):
-        raise ConfigError(f"grid config: field {field!r} must be a number or a list of numbers (got {value!r})")
-    return items
+    return config_numbers("grid", field, value) if isinstance(value, list) else [config_number("grid", field, value)]
 
 
 def _grid_from_config(grid_cfg, d: int) -> np.ndarray:
     """The row-stacked points of a tensor grid config {lo, hi, points}."""
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("grid config must be an object")
+    grid_cfg = config_object("grid", None, grid_cfg)
     for field in ("lo", "hi", "points"):
         if field not in grid_cfg:
             raise ConfigError(f"grid config: missing field {field!r}")
-    bounds = []
-    for field in ("lo", "hi"):
-        items = _grid_numbers(grid_cfg, field)
-        if not all(abs(v) <= sys.float_info.max for v in items):
-            raise ConfigError(f"grid config: field {field!r} must be finite (got {grid_cfg[field]!r})")
-        bounds.append(np.asarray(items, dtype=np.float64))
-    lo, hi = bounds
+    lo, hi = (np.asarray(_grid_numbers(grid_cfg, field), dtype=np.float64) for field in ("lo", "hi"))
     if lo.size != d or hi.size != d:
         raise DimensionError(f"grid bounds have dimension {lo.size}, data has dimension {d}")
     counts = _grid_numbers(grid_cfg, "points")
     if not isinstance(grid_cfg["points"], list):
         counts = counts * d
-    if len(counts) != d or not all(c >= 1 and (isinstance(c, int) or c.is_integer()) for c in counts):
+    if len(counts) != d or not all(c >= 1 and c.is_integer() for c in counts):
         raise ConfigError(
             f"grid config: field 'points' must give a positive integer count per dimension "
             f"(got {grid_cfg['points']!r})"
@@ -263,7 +211,7 @@ def cmd_verify(args) -> int:
     elif suite == "moment-conditions":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
         family = _family_from_config(_require(cfg, "family", suite), scn.n, scn.d, "scenario")
-        loss = _loss_from_flag(cfg.get("loss", "one"))
+        loss = config_enum("verify", "loss", cfg.get("loss", "one"), LossKind)
         report = check_kernel_moment_conditions(family, scn, loss, draws=field("draws", 100_000, 2), seed=seed)
     elif suite == "l1-bound":
         n = config_int("verify", "n", _require(cfg, "n", suite), 1)
@@ -271,8 +219,8 @@ def cmd_verify(args) -> int:
         report = check_l1_section_bound(family, seed=seed)
     elif suite == "trig-bound":
         scn = scenario_from_config(_require(cfg, "scenario", suite))
-        loss = _loss_from_flag(cfg.get("loss", "one"))
-        m_values = tuple(_config_ints("verify", cfg, "m_values", [4, 8, 16, 32]))
+        loss = config_enum("verify", "loss", cfg.get("loss", "one"), LossKind)
+        m_values = tuple(config_ints("verify", "m_values", cfg.get("m_values", [4, 8, 16, 32]), 1))
         report = check_trig_spectral_boundedness(
             scn, loss, m_values=m_values, draws=field("draws", 10_000, 2), seed=seed
         )
@@ -280,12 +228,12 @@ def cmd_verify(args) -> int:
         if "scenario" in cfg:
             source = scenario_from_config(cfg["scenario"])
         else:
-            den_cfg = _require(cfg, "density", suite)
-            try:
-                kind = DensityKind(den_cfg.get("kind"))
-            except ValueError as exc:
-                raise ConfigError(f"unknown density kind {den_cfg.get('kind')!r}") from exc
-            source = Density(kind, float(den_cfg.get("lo", -1.0)), float(den_cfg.get("hi", 1.0)))
+            den_cfg = config_object("verify", "density", _require(cfg, "density", suite))
+            source = Density(
+                config_enum("density", "kind", den_cfg.get("kind"), DensityKind),
+                config_number("density", "lo", den_cfg.get("lo", -1.0)),
+                config_number("density", "hi", den_cfg.get("hi", 1.0)),
+            )
         report = check_legendre_boundedness(source, m_max=field("m_max", 50, 1))
     else:  # pragma: no cover - argparse already restricts choices
         raise ConfigError(f"unknown suite {suite!r}")
@@ -296,14 +244,6 @@ def cmd_verify(args) -> int:
     if report.applicable and not report.passed:
         raise VerificationFailure(f"suite {suite} failed with margin {report.margin:.6g}")
     return 0
-
-
-def _config_ints(role: str, cfg: dict, field: str, default) -> list:
-    """A list of positive integers, each read by :func:`config_int`."""
-    values = cfg.get(field, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"{role} config: field {field!r} must be a list of integers (got {values!r})")
-    return [config_int(role, field, v, 1) for v in values]
 
 
 def _require(cfg: dict, field: str, suite: str):
@@ -317,15 +257,13 @@ def cmd_report(args) -> int:
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1 (got {threads})")
     cfg = _load_json(args.config, "config")
-    loss = _loss_from_flag(cfg.get("loss", args.loss or "one"))
-    scn_cfg = _require(cfg, "scenario", "report")
-    if not isinstance(scn_cfg, dict):
-        raise ConfigError(f"report config: field 'scenario' must be an object (got {type(scn_cfg).__name__})")
+    loss = config_enum("report", "loss", cfg.get("loss", args.loss or "one"), LossKind)
+    scn_cfg = config_object("report", "scenario", _require(cfg, "scenario", "report"))
     n_values = cfg.get("n_values")
     if n_values:
         rows = []
         seed = config_int("scenario", "seed", scn_cfg.get("seed", 0), 0)
-        for n in _config_ints("report", cfg, "n_values", None):
+        for n in config_ints("report", "n_values", n_values, 1):
             scn = scenario_from_config({**scn_cfg, "n": n, "seed": seed + n})
             family = _family_from_config(_require(cfg, "family", "report"), n, scn.d, "scenario")
             rep = oracle_experiment(family, scn, loss, threads=threads)
@@ -339,7 +277,8 @@ def cmd_report(args) -> int:
                 }
             )
         out = _out_dir(args)
-        _dump_json({"schema_version": SCHEMA_VERSION, "loss": loss.value, "by_n": rows}, out / "risk.json")
+        by_n = [{**r, "ratio": r["ratio"] if math.isfinite(r["ratio"]) else None} for r in rows]
+        _dump_json({"schema_version": SCHEMA_VERSION, "loss": loss.value, "by_n": by_n}, out / "risk.json")
         lines = ["n,oracle_risk,pco_risk,pco_se,ratio"]
         for r in rows:
             lines.append(

@@ -57,9 +57,9 @@ from .kernels import (
 from .numerics import mean_se
 from .quadrature import composite_rule
 from .rng import stream
+from .selection import SCHEMA_VERSION
 from .simulation import Density, Scenario, make_s_mean, sbar_analytic
 
-SCHEMA_VERSION = 1
 NUMERIC_TOL = 1e-9
 
 
@@ -395,8 +395,10 @@ def check_trig_spectral_boundedness(
         raise ConfigError("the spectral boundedness check runs on d = 1 scenarios")
     if scn.support != (0.0, 1.0):
         raise ConfigError("trigonometric families live on support [0, 1]")
-    if len(m_values) < 3:
-        raise ConfigError("the trend test needs at least three orders in m_values")
+    if len(m_values) < 3 or len(set(m_values)) < 2:
+        raise ConfigError(
+            f"the trend test needs at least three orders in m_values, not all equal (got {list(m_values)})"
+        )
     check_table_size("trig-bound", draws=draws, m_values=max(m_values))
     basis = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=max(m_values))
     m_top = max(m_values)

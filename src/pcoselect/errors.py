@@ -1,7 +1,12 @@
-"""Error taxonomy shared by the library and the command line, and its config readers."""
+"""Error taxonomy shared by the library and the command line, and its config readers.
+
+A reader returns the value of one config field checked, or raises a
+ConfigError naming the config, the field and the value.
+"""
 
 import math
 import numbers
+import sys
 
 # Entries of the largest float64 table a diagnostic may allocate (128 MB).
 MAX_TABLE_ENTRIES = 2**24
@@ -23,6 +28,10 @@ class VerificationFailure(RuntimeError):
     """A verification suite reported a violated bound (exit code 5)."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_int(role: str, field: str, value, lo: int | None = None) -> int:
     """``value`` of the ``role`` config's ``field`` as an integer of at least ``lo``.
 
@@ -35,6 +44,46 @@ def config_int(role: str, field: str, value, lo: int | None = None) -> int:
     if lo is not None and value < lo:
         raise ConfigError(f"{role} config: field {field!r} must be at least {lo} (got {value!r})")
     return int(value)
+
+
+def config_ints(role: str, field: str, value, lo: int | None = None) -> list:
+    """A list of integers, each read by :func:`config_int`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{role} config: field {field!r} must be a list of integers (got {value!r})")
+    return [config_int(role, field, v, lo) for v in value]
+
+
+def config_number(role: str, field: str, value) -> float:
+    """``value`` as a finite float: not a bool, a string, a list or an object."""
+    if not _is_number(value):
+        raise ConfigError(f"{role} config: field {field!r} must be a number (got {value!r})")
+    if not abs(value) <= sys.float_info.max:  # also false for nan
+        raise ConfigError(f"{role} config: field {field!r} must be finite (got {value!r})")
+    return float(value)
+
+
+def config_numbers(role: str, field: str, value) -> list:
+    """A list (or tuple) of numbers, each read by :func:`config_number`."""
+    if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
+        raise ConfigError(f"{role} config: field {field!r} must be a list of numbers (got {value!r})")
+    return [config_number(role, field, v) for v in value]
+
+
+def config_object(role: str, field: str | None, value) -> dict:
+    """``value`` as a JSON object; ``field`` None stands for the whole ``role`` config."""
+    if not isinstance(value, dict):
+        where = f"{role} config" if field is None else f"{role} config: field {field!r}"
+        raise ConfigError(f"{where} must be an object (got {type(value).__name__})")
+    return value
+
+
+def config_enum(role: str, field: str, value, kind):
+    """The member of the enum ``kind`` with value ``value``; the error lists the valid ones."""
+    try:
+        return kind(value)
+    except ValueError:
+        valid = ", ".join(member.value for member in kind)
+        raise ConfigError(f"{role} config: field {field!r} must be one of {valid} (got {value!r})") from None
 
 
 def check_table_size(role: str, **sizes: int):

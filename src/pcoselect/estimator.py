@@ -90,7 +90,7 @@ from .kernels import (
     BaseKind,
     ProjectionSpec,
     bandwidth_gram_entries,
-    histogram_cell_inner,
+    histogram_section_inner,
     section_inner_matrix,
     section_sq_norm_points,
     spec_id,
@@ -849,20 +849,16 @@ class GramTables:
     def _projection_diag(self, a, b) -> np.ndarray:
         self._check_projection_pair(a, b)
         _check_dim(a, self.sample.x)
+        if not a.basis.nested:
+            return histogram_section_inner(a, self.sample.x, b, self.sample.x)
         out = np.ones(self.sample.n)
         for q in range(a.d):
-            ma, mb = a.m[q], b.m[q]
-            if a.basis.nested:
-                k = min(ma, mb)
-                v = self._values(a.basis, q, k)
-                # unit weights are skipped: v * 1.0 is v, bit for bit
-                va = v if a.w is None else v * a.weights_for(ma)[None, :k]
-                vb = v if b.w is None else v * b.weights_for(mb)[None, :k]
-                out *= np.sum(va * vb, axis=1)
-            else:
-                ca, ok = histogram_cells(ma, self.sample.x[:, q])
-                cb, _ = histogram_cells(mb, self.sample.x[:, q])
-                out *= histogram_cell_inner(a, ma, ca, b, mb, cb) * ok
+            k = min(a.m[q], b.m[q])
+            v = self._values(a.basis, q, k)
+            # unit weights are skipped: v * 1.0 is v, bit for bit
+            va = v if a.w is None else v * a.weights_for(a.m[q])[None, :k]
+            vb = v if b.w is None else v * b.weights_for(b.m[q])[None, :k]
+            out *= np.sum(va * vb, axis=1)
         return out
 
     # -- public reductions ----------------------------------------------------

@@ -35,10 +35,8 @@ from .estimator import GramTables, LossKind, estimate_on_grid, u_statistic, v_st
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import mean_se, pooled_map
 from .quadrature import IntegrationGrid, composite_grid
-from .selection import pco_select
+from .selection import SCHEMA_VERSION, pco_select
 from .simulation import Scenario, make_s_mean, sbar_analytic
-
-SCHEMA_VERSION = 1
 
 # Estimates held at once by one replication of :func:`oracle_experiment`
 # (32 MB): a family whose members times risk-grid points exceed this is
@@ -120,7 +118,7 @@ class RiskReport:
             "oracle_risk": self.oracle_risk,
             "pco_risk": self.pco_risk,
             "pco_se": self.pco_se,
-            "ratio": self.ratio,
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
             "k0_index": self.k0_index,
             "k0_selected_fraction": self.k0_selected_fraction,
             "selection_counts": {

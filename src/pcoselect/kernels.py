@@ -29,8 +29,9 @@ tests and the dense :meth:`GramTables.matrix` compare those passes against.
 
 Pointwise norms and suprema rest on two primitives.
 :func:`section_inner_pointwise` is the only pointwise section product:
-a squared section norm pairs a point with itself.  :func:`diag_scan_squares`
-is the only scan table: :func:`diag_sup` reads it for sup_x K(x, x), and
+a squared section norm pairs a point with itself, and the Gram diagonal of
+a histogram family calls its histogram case, :func:`histogram_section_inner`.
+:func:`diag_scan_squares` is the only scan table: :func:`diag_sup` reads it for sup_x K(x, x), and
 the supremum of a squared section norm is :func:`diag_sup` of the same
 member with squared weights.
 """
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram, histogram_cells
+from .errors import ConfigError, config_enum, config_int, config_ints, config_numbers, config_object
 from .quadrature import composite_rule, legendre_rule
 
 DIAG_SCAN_POINTS = 10_000
@@ -105,6 +107,8 @@ class BandwidthSpec:
     h: tuple
 
     def __post_init__(self):
+        if any(isinstance(v, (str, bool)) for v in self.h):  # float() would take "0.5" and True
+            raise ValueError(f"bandwidths h must be numbers (got {list(self.h)!r})")
         h = tuple(float(v) for v in self.h)
         object.__setattr__(self, "h", h)
         if not h:
@@ -182,15 +186,28 @@ def spec_to_config(spec) -> dict:
 
 
 def spec_from_config(cfg: dict):
+    """The spec of a :func:`spec_to_config` dict; any fault in it is a ConfigError.
+
+    The bandwidths ``h`` are checked by :class:`BandwidthSpec`, whose
+    message states their valid range.
+    """
+    cfg = config_object("spec", None, cfg)
     variant = cfg.get("variant")
-    if variant == "bandwidth":
-        base = BaseKernel(BaseKind(cfg["base"]))
-        return BandwidthSpec(base, tuple(cfg["h"]))
-    if variant == "projection":
-        basis = BasisFamily(BasisKind(cfg["basis"]), int(cfg.get("m_cap", 64)))
-        w = tuple(cfg["w"]) if "w" in cfg else None
-        return ProjectionSpec(basis, tuple(cfg["m"]), w)
-    raise ValueError(f"unknown kernel variant {variant!r}")
+    try:
+        if variant == "bandwidth":
+            return BandwidthSpec(BaseKernel(config_enum("spec", "base", cfg["base"], BaseKind)), tuple(cfg["h"]))
+        if variant == "projection":
+            basis = BasisFamily(config_enum("spec", "basis", cfg["basis"], BasisKind),
+                                config_int("spec", "m_cap", cfg.get("m_cap", 64)))
+            w = tuple(config_numbers("spec", "w", cfg["w"])) if "w" in cfg else None
+            return ProjectionSpec(basis, tuple(config_ints("spec", "m", cfg["m"])), w)
+    except KeyError as exc:
+        raise ConfigError(f"spec config: missing field {exc}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spec config: {exc}") from exc
+    raise ConfigError(f"spec config: unknown kernel variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,37 +390,36 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
         raise ValueError("paired point arrays must share a shape")
     if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
         return bandwidth_gram_entries(a, b, [xa[:, q] - xb[:, q] for q in range(a.d)])
-    out = np.ones(xa.shape[0])
     if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")
+        if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
+            return histogram_section_inner(a, xa, b, xb)
+        out = np.ones(xa.shape[0])
         for q in range(a.d):
             ma, mb = a.m[q], b.m[q]
-            if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-                ca, ok_a = histogram_cells(ma, xa[:, q])
-                cb, ok_b = histogram_cells(mb, xb[:, q])
-                out *= histogram_cell_inner(a, ma, ca, b, mb, cb) * (ok_a & ok_b)
-            else:
-                k = min(ma, mb)
-                va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
-                vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]
-                out *= np.sum(va * vb, axis=1)
+            k = min(ma, mb)
+            va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
+            vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]
+            out *= np.sum(va * vb, axis=1)
         return out
     raise ValueError("no closed form for mixed bandwidth/projection sections")
 
 
-def histogram_cell_inner(a, ma: int, ca: np.ndarray, b, mb: int, cb: np.ndarray) -> np.ndarray:
-    """Histogram sections on cells ca (order ma) and cb (order mb), paired row by row.
+def histogram_section_inner(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
+    """:func:`section_inner_pointwise` of two histogram kernels, for row-stacked points.
 
     The section of a point in cell c is w_c m 1_cell(x), so the inner
-    product is w_c w'_c' m m' |cell intersect cell'|.
+    product is w_c w'_c' m m' |cell intersect cell'|, one factor per axis.
     """
-    overlap = np.clip(
-        np.minimum((ca + 1) / ma, (cb + 1) / mb) - np.maximum(ca / ma, cb / mb),
-        0.0,
-        None,
-    )
-    return a.weights_for(ma)[ca] * b.weights_for(mb)[cb] * ma * mb * overlap
+    out = np.ones(xa.shape[0])
+    for q in range(a.d):
+        ma, mb = a.m[q], b.m[q]
+        ca, ok_a = histogram_cells(ma, xa[:, q])
+        cb, ok_b = histogram_cells(mb, xb[:, q])
+        overlap = np.clip(np.minimum((ca + 1) / ma, (cb + 1) / mb) - np.maximum(ca / ma, cb / mb), 0.0, None)
+        out *= a.weights_for(ma)[ca] * b.weights_for(mb)[cb] * ma * mb * overlap * (ok_a & ok_b)
+    return out
 
 
 def section_sq_norm(spec, x_prime) -> float:

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_table_size, config_int
+from .errors import ConfigError, check_table_size, config_enum, config_int, config_number, config_numbers, config_object
 from .estimator import LossKind, Sample, _kernel_sums
 from .quadrature import IntegrationGrid, composite_grid, trapezoid_grid
 from .rng import stream
-
-SCHEMA_VERSION = 1
+from .selection import SCHEMA_VERSION
 
 # Default trapezoid risk-grid resolution per dimension.  2048 points at
 # d = 1; tensor grids in higher dimension are throttled so a single risk
@@ -398,6 +397,7 @@ class Scenario:
 
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build a scenario from a config dict, naming the offending field on error."""
+    cfg = config_object("scenario", None, cfg)
 
     def take(key, default=None, required=False):
         if key not in cfg:
@@ -406,42 +406,26 @@ def scenario_from_config(cfg: dict) -> Scenario:
             return default
         return cfg[key]
 
-    def as_enum(key, value, enum_cls):
-        try:
-            return enum_cls(value)
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(f"scenario config: field '{key}' must be one of {valid}") from None
-
-    b_cfg = take("b", {"kind": "zero"})
-    sigma_cfg = take("sigma", {"kind": "zero"})
-    if not isinstance(b_cfg, dict) or "kind" not in b_cfg:
-        raise ConfigError("scenario config: field 'b' must be an object with a 'kind'")
-    if not isinstance(sigma_cfg, dict) or "kind" not in sigma_cfg:
-        raise ConfigError("scenario config: field 'sigma' must be an object with a 'kind'")
-    support = take("support", [0.0, 1.0])
-    if not (isinstance(support, (list, tuple)) and len(support) == 2):
+    b_cfg = config_object("scenario", "b", take("b", {"kind": "zero"}))
+    sigma_cfg = config_object("scenario", "sigma", take("sigma", {"kind": "zero"}))
+    support = config_numbers("scenario", "support", take("support", [0.0, 1.0]))
+    if len(support) != 2:
         raise ConfigError("scenario config: field 'support' must be [lo, hi]")
-    try:
-        return Scenario(
-            d=config_int("scenario", "d", take("d", 1), 1),
-            f_kind=as_enum("f", take("f", "uniform"), DensityKind),
-            b_kind=as_enum("b.kind", b_cfg["kind"], MeanKind),
-            sigma_kind=as_enum("sigma.kind", sigma_cfg["kind"], SigmaKind),
-            noise=as_enum("noise", take("noise", "gaussian"), NoiseKind),
-            n=config_int("scenario", "n", take("n", required=True), 1),
-            replications=config_int("scenario", "replications", take("replications", 1), 1),
-            seed=config_int("scenario", "seed", take("seed", 0), 0),
-            support=(float(support[0]), float(support[1])),
-            b_const=float(b_cfg.get("c", 0.0)),
-            sigma_const=float(sigma_cfg.get("c", 0.0)),
-            risk_points=None if take("risk_points") is None
-            else config_int("scenario", "risk_points", cfg["risk_points"], 2),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario config: {exc}") from None
+    return Scenario(
+        d=config_int("scenario", "d", take("d", 1), 1),
+        f_kind=config_enum("scenario", "f", take("f", "uniform"), DensityKind),
+        b_kind=config_enum("scenario", "b.kind", b_cfg.get("kind"), MeanKind),
+        sigma_kind=config_enum("scenario", "sigma.kind", sigma_cfg.get("kind"), SigmaKind),
+        noise=config_enum("scenario", "noise", take("noise", "gaussian"), NoiseKind),
+        n=config_int("scenario", "n", take("n", required=True), 1),
+        replications=config_int("scenario", "replications", take("replications", 1), 1),
+        seed=config_int("scenario", "seed", take("seed", 0), 0),
+        support=tuple(support),
+        b_const=config_number("scenario", "b.c", b_cfg.get("c", 0.0)),
+        sigma_const=config_number("scenario", "sigma.c", sigma_cfg.get("c", 0.0)),
+        risk_points=None if take("risk_points") is None
+        else config_int("scenario", "risk_points", cfg["risk_points"], 2),
+    )
 
 
 # ---------------------------------------------------------------------------

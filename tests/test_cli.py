@@ -572,6 +572,10 @@ _BAD_INTEGER_FIELDS = {
     ),
     "trig-m_values": (["verify", "--suite", "trig-bound"], {"scenario": _scn_cfg(), "m_values": 5}, "'m_values'"),
     "trig-two-m_values": (["verify", "--suite", "trig-bound"], {"scenario": _scn_cfg(), "m_values": [4, 8]}, "m_values"),
+    # three equal orders divided the trend slope by a zero spread
+    "trig-equal-m_values": (
+        ["verify", "--suite", "trig-bound"], {"scenario": {"d": 1, "n": 10}, "m_values": [4, 4, 4]}, "not all equal"
+    ),
     "report-n_values": (["report"], {"scenario": _scn_cfg(), "family": _BANDWIDTH, "n_values": ["x"]}, "'n_values'"),
 }
 
@@ -654,3 +658,192 @@ def test_verify_rejects_an_oversized_table_before_allocating_it(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"config error: {shape} asks for a table of" in err and "above the limit of 16777216" in err
     assert "Traceback" not in err
+
+
+# each of these ended in a traceback (exit 1), or, where the scenario drew
+# non-finite samples, in a data error (exit 3)
+_HUGE = 99999999999999999999999
+_TRACEBACK_INPUTS = {
+    "density-list": (["verify", "--suite", "legendre-bound"], {"density": [1, 2]}, ["'density'", "(got list)"]),
+    "density-lo-string": (
+        ["verify", "--suite", "legendre-bound"],
+        {"density": {"kind": "raised_cosine", "lo": "x"}},
+        ["field 'lo' must be a number", "'x'"],
+    ),
+    "moment-scenario-list": (
+        ["verify", "--suite", "moment-conditions"],
+        {"scenario": ["b"], "family": _BANDWIDTH},
+        ["scenario config must be an object", "(got list)"],
+    ),
+    "moment-seed-negative": (
+        ["verify", "--suite", "moment-conditions", "--seed", "-1"],
+        {"scenario": _scn_cfg(), "family": _BANDWIDTH, "draws": 50},
+        ["seed", "(got -1)"],
+    ),
+    "moment-seed-huge": (
+        ["verify", "--suite", "moment-conditions", "--seed", str(_HUGE)],
+        {"scenario": _scn_cfg(), "family": _BANDWIDTH, "draws": 50},
+        ["seed", str(_HUGE)],
+    ),
+    "simulate-seed-huge": (["simulate"], {"d": 1, "n": 10, "seed": _HUGE}, ["seed", str(_HUGE)]),
+    # the risk-vs-n report draws sample size n with seed + n
+    "report-seed-plus-n": (
+        ["report"],
+        {"scenario": {**_scn_cfg(), "seed": 2**64 - 1}, "family": _BANDWIDTH, "n_values": [10, 20]},
+        ["seed", str(2**64 - 1 + 10)],
+    ),
+    "report-support-infinite": (
+        ["report"],
+        {"scenario": _scn_cfg(support=[0, float("inf")]), "family": _BANDWIDTH},
+        ["field 'support' must be finite", "inf"],
+    ),
+    "report-b-c-nan": (
+        ["report"],
+        {"scenario": _scn_cfg(b={"kind": "constant", "c": float("nan")}), "family": _BANDWIDTH},
+        ["field 'b.c' must be finite", "nan"],
+    ),
+}
+_TRACEBACK_SPECS = {
+    "spec-m_cap-infinite": (
+        {"variant": "projection", "basis": "trigonometric", "m": [3], "m_cap": float("inf")},
+        ["field 'm_cap' must be an integer", "inf"],
+    ),
+    "spec-m-infinite": (
+        {"variant": "projection", "basis": "trigonometric", "m": [float("inf")]},
+        ["field 'm' must be an integer", "inf"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRACEBACK_INPUTS) + sorted(_TRACEBACK_SPECS))
+def test_config_values_that_raised_are_config_errors(tmp_path, dataset, capsys, case):
+    out = ["--out", str(tmp_path / "o")]
+    if case in _TRACEBACK_SPECS:
+        spec, needles = _TRACEBACK_SPECS[case]
+        grid = _write_json(tmp_path / "g.json", {"lo": 0.0, "hi": 1.0, "points": 5})
+        argv = ["estimate", "--config", grid, "--data", str(dataset), "--spec", _write_json(tmp_path / "s.json", spec)]
+    else:
+        argv, cfg, needles = _TRACEBACK_INPUTS[case]
+        argv = argv + ["--config", _write_json(tmp_path / "c.json", cfg)]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("config error:") == 1
+    assert all(needle in err for needle in needles), err
+    assert err.count("spec config:") <= 1
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# b = sigma = 0 under the identity loss: every risk is 0, so the ratio of
+# the selected kernel's risk to the oracle's is not finite
+@pytest.mark.parametrize("n_values", [None, [50, 60]])
+def test_report_with_zero_risks_writes_strict_json(tmp_path, n_values):
+    cfg = {
+        "scenario": {"d": 1, "n": 50, "replications": 2},
+        "family": {"variant": "bandwidth", "h_min": 0.02, "grid": [0.05, 0.2], "d": 1},
+        "loss": "identity",
+        **({"n_values": n_values} if n_values else {}),
+    }
+    out = tmp_path / "rep"
+    assert main(["report", "--config", _write_json(tmp_path / "r.json", cfg), "--out", str(out)]) == 0
+    doc = _strict_json((out / "risk.json").read_text())
+    rows = doc["by_n"] if n_values else [doc]
+    assert [row["ratio"] for row in rows] == [None] * len(rows)
+    assert all(row["oracle_risk"] == 0.0 for row in rows)
+    if n_values:
+        assert all(line.endswith(",inf") for line in (out / "risk_vs_n.csv").read_text().splitlines()[1:])
+
+
+# every field of every config a command reads, replaced in turn by each
+# malformed JSON value: the command may run or refuse, but must not crash
+_MALFORMED_VALUES = {"list": [1], "object": {"a": 1}, "string": "x", "bool": True, "nan": float("nan"),
+                     "infinity": float("inf")}
+_SCENARIO_FIELDS = ["d", "f", "b", "b.kind", "b.c", "sigma", "sigma.kind", "sigma.c", "noise", "n", "replications",
+                    "seed", "support", "risk_points"]
+_SMALL_SCENARIO = {"d": 1, "f": "uniform", "b": {"kind": "constant", "c": 0.5}, "sigma": {"kind": "constant", "c": 0.3},
+                   "noise": "uniform", "n": 30, "replications": 2, "seed": 3, "support": [0.0, 1.0], "risk_points": 64}
+_BANDWIDTH_FAMILY = {"variant": "bandwidth", "base": "gaussian", "h_min": 0.2, "grid": [0.2, 0.4], "d": 1}
+_PROJECTION_FAMILY = {"variant": "projection", "basis": "trigonometric", "m_max": 3, "m_cap": 8, "d": 1,
+                      "w": [1.0, 0.5, 0.25]}
+_GRID = {"lo": 0.0, "hi": 1.0, "points": 5}
+_BANDWIDTH_SPEC = {"variant": "bandwidth", "base": "gaussian", "h": [0.25]}
+_PROJECTION_SPEC = {"variant": "projection", "basis": "trigonometric", "m": [3], "m_cap": 8, "w": [1.0, 0.5, 0.25]}
+
+
+def _prefixed(prefix, fields):
+    return [prefix] + [f"{prefix}.{field}" for field in fields]
+
+
+# name: (argv, config, spec config or None, fields of the replaced config)
+_CONFIGS = {
+    "simulate": (["simulate"], {**_SMALL_SCENARIO, "replication": 1}, None, _SCENARIO_FIELDS + ["replication"]),
+    "select-bandwidth": (["select"], {"family": _BANDWIDTH_FAMILY}, None, _prefixed("family", _BANDWIDTH_FAMILY)),
+    "select-projection": (["select"], {"family": _PROJECTION_FAMILY}, None, _prefixed("family", _PROJECTION_FAMILY)),
+    "estimate-grid": (["estimate"], {"grid": _GRID}, {"spec": _BANDWIDTH_SPEC}, _prefixed("grid", _GRID)),
+    "estimate-bandwidth-spec": (["estimate"], {"grid": _GRID}, {"spec": _BANDWIDTH_SPEC},
+                                _prefixed("spec", _BANDWIDTH_SPEC)),
+    "estimate-projection-spec": (["estimate"], {"grid": _GRID}, {"spec": _PROJECTION_SPEC},
+                                 _prefixed("spec", _PROJECTION_SPEC)),
+    "sine-tail": (["verify", "--suite", "sine-tail"], {"p_max": 20, "grid_points": 200, "seed": 0}, None,
+                  ["p_max", "grid_points", "seed"]),
+    "moment-conditions": (
+        ["verify", "--suite", "moment-conditions"],
+        {"scenario": _SMALL_SCENARIO, "family": _BANDWIDTH_FAMILY, "loss": "identity", "draws": 200, "seed": 0},
+        None,
+        _prefixed("scenario", _SCENARIO_FIELDS) + _prefixed("family", _BANDWIDTH_FAMILY) + ["loss", "draws", "seed"],
+    ),
+    "l1-bound": (["verify", "--suite", "l1-bound"], {"n": 40, "family": _PROJECTION_FAMILY, "seed": 0}, None,
+                 ["n", "seed"] + _prefixed("family", _PROJECTION_FAMILY)),
+    "trig-bound": (
+        ["verify", "--suite", "trig-bound"],
+        {"scenario": _SMALL_SCENARIO, "loss": "identity", "m_values": [2, 4, 8], "draws": 200, "seed": 0},
+        None,
+        _prefixed("scenario", _SCENARIO_FIELDS) + ["loss", "m_values", "draws", "seed"],
+    ),
+    "legendre-bound": (
+        ["verify", "--suite", "legendre-bound"],
+        {"density": {"kind": "raised_cosine", "lo": -1.0, "hi": 1.0}, "m_max": 10},
+        None,
+        ["density", "density.kind", "density.lo", "density.hi", "m_max"],
+    ),
+    "report": (["report"], {"scenario": _SMALL_SCENARIO, "family": _BANDWIDTH_FAMILY, "loss": "identity"}, None,
+               _prefixed("scenario", _SCENARIO_FIELDS) + ["family", "loss"]),
+    "report-n_values": (
+        ["report"],
+        {"scenario": _SMALL_SCENARIO, "family": _BANDWIDTH_FAMILY, "loss": "identity", "n_values": [20, 30]},
+        None,
+        ["n_values", "scenario.seed", "scenario.n"],
+    ),
+}
+_MALFORMED_CASES = [(name, field) for name, (_, _, _, fields) in _CONFIGS.items() for field in fields]
+
+
+def _replaced(cfg, path, value):
+    """A copy of ``cfg`` with the dotted ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path.split(".")
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("value", sorted(_MALFORMED_VALUES))
+@pytest.mark.parametrize("name,field", _MALFORMED_CASES, ids=[f"{name}:{field}" for name, field in _MALFORMED_CASES])
+def test_malformed_json_values_never_raise(tmp_path, dataset, capsys, name, field, value):
+    argv, cfg, spec, _ = _CONFIGS[name]
+    replaced = _replaced(spec if field.startswith("spec") else cfg, field, _MALFORMED_VALUES[value])
+    cfg, spec = (cfg, replaced) if field.startswith("spec") else (replaced, spec)
+    argv = argv + ["--config", _write_json(tmp_path / "c.json", cfg), "--out", str(tmp_path / "o")]
+    if argv[0] in ("select", "estimate"):
+        argv += ["--data", str(dataset)]
+    if spec is not None:
+        argv += ["--spec", _write_json(tmp_path / "s.json", spec)]
+    assert main(argv) in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
