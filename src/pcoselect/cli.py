@@ -206,19 +206,20 @@ def cmd_verify(args) -> int:
 
     seed = args.seed if args.seed is not None else field("seed", 0, 0)
     suite = args.suite
+    where = f"verify config for suite {suite!r}"
     if suite == "sine-tail":
         report = check_sine_tail_bound(p_max=field("p_max", 200, 2), grid_points=field("grid_points", 10_000, 1))
     elif suite == "moment-conditions":
-        scn = scenario_from_config(_require(cfg, "scenario", suite))
-        family = _family_from_config(_require(cfg, "family", suite), scn.n, scn.d, "scenario")
+        scn = scenario_from_config(_require(cfg, "scenario", where))
+        family = _family_from_config(_require(cfg, "family", where), scn.n, scn.d, "scenario")
         loss = config_enum("verify", "loss", cfg.get("loss", "one"), LossKind)
         report = check_kernel_moment_conditions(family, scn, loss, draws=field("draws", 100_000, 2), seed=seed)
     elif suite == "l1-bound":
-        n = config_int("verify", "n", _require(cfg, "n", suite), 1)
-        family = _family_from_config(_require(cfg, "family", suite), n)
+        n = config_int("verify", "n", _require(cfg, "n", where), 1)
+        family = _family_from_config(_require(cfg, "family", where), n)
         report = check_l1_section_bound(family, seed=seed)
     elif suite == "trig-bound":
-        scn = scenario_from_config(_require(cfg, "scenario", suite))
+        scn = scenario_from_config(_require(cfg, "scenario", where))
         loss = config_enum("verify", "loss", cfg.get("loss", "one"), LossKind)
         m_values = tuple(config_ints("verify", "m_values", cfg.get("m_values", [4, 8, 16, 32]), 1))
         report = check_trig_spectral_boundedness(
@@ -228,7 +229,7 @@ def cmd_verify(args) -> int:
         if "scenario" in cfg:
             source = scenario_from_config(cfg["scenario"])
         else:
-            den_cfg = config_object("verify", "density", _require(cfg, "density", suite))
+            den_cfg = config_object("verify", "density", _require(cfg, "density", where))
             source = Density(
                 config_enum("density", "kind", den_cfg.get("kind"), DensityKind),
                 config_number("density", "lo", den_cfg.get("lo", -1.0)),
@@ -246,9 +247,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _require(cfg: dict, field: str, suite: str):
+def _require(cfg: dict, field: str, where: str):
+    """``cfg[field]``, or a ConfigError that starts with the command's own ``where``."""
     if field not in cfg:
-        raise ConfigError(f"verify config for suite {suite!r}: missing field {field!r}")
+        raise ConfigError(f"{where}: missing field {field!r}")
     return cfg[field]
 
 
@@ -258,14 +260,14 @@ def cmd_report(args) -> int:
         raise ConfigError(f"--threads must be at least 1 (got {threads})")
     cfg = _load_json(args.config, "config")
     loss = config_enum("report", "loss", cfg.get("loss", args.loss or "one"), LossKind)
-    scn_cfg = config_object("report", "scenario", _require(cfg, "scenario", "report"))
+    scn_cfg = config_object("report", "scenario", _require(cfg, "scenario", "report config"))
     n_values = cfg.get("n_values")
     if n_values:
         rows = []
         seed = config_int("scenario", "seed", scn_cfg.get("seed", 0), 0)
         for n in config_ints("report", "n_values", n_values, 1):
             scn = scenario_from_config({**scn_cfg, "n": n, "seed": seed + n})
-            family = _family_from_config(_require(cfg, "family", "report"), n, scn.d, "scenario")
+            family = _family_from_config(_require(cfg, "family", "report config"), n, scn.d, "scenario")
             rep = oracle_experiment(family, scn, loss, threads=threads)
             rows.append(
                 {
@@ -291,7 +293,7 @@ def cmd_report(args) -> int:
         print(f"wrote risk-vs-n report for {len(rows)} sample sizes to {out}")
         return 0
     scn = scenario_from_config(scn_cfg)
-    family = _family_from_config(_require(cfg, "family", "report"), scn.n, scn.d, "scenario")
+    family = _family_from_config(_require(cfg, "family", "report config"), scn.n, scn.d, "scenario")
     rep = oracle_experiment(family, scn, loss, threads=threads)
     out = _out_dir(args)
     _dump_json(rep.to_json_dict(), out / "risk.json")

@@ -39,7 +39,17 @@ experiments builds an n x n table.
 once and shares the work between them.  Bandwidth members walk the
 points in column blocks of a fixed scratch budget: the squared
 differences to a block are formed once, and each member adds one
-in-place pass and one product with ell.  Nested projection members share
+in-place pass and one product with ell.  On a d = 1 grid that records
+its uniform axis (a :func:`~pcoselect.quadrature.trapezoid_grid`, passed
+as the grid and not as its points), a Gaussian member factors instead:
+each entry exp(-(G_b + k step - x_i)^2 / (2 h^2)) is an anchor factor in
+(b, i) times a shift factor in (k, i) times a drift factor in (b, k), so
+a stride of B offsets per anchor cuts the ``exp`` calls about B-fold
+(:func:`_axis_rows`).  The risk grids of :mod:`~pcoselect.experiments`
+take this path; raw point arrays (the quotient, CLI ``estimate``), the
+Gauss-Legendre statistic grids, Epanechnikov and projection members,
+d >= 2 and members with h near 1/n keep the block path and its bits.
+Nested projection members share
 one basis evaluation at the points, at the family's top order, and
 expand the coefficient tensors that :class:`GramTables` keeps.  With a
 quadrature grid as the weighted side, the same pass (:func:`_kernel_sums`)
@@ -52,6 +62,8 @@ a projection member's basis values are formed once and expanded with
 the coefficient tensor of every row.  One product per row, and not one
 matrix product for the stack, because BLAS rounds the two differently;
 this way every row has the bits of a call with that row alone.  The
+factored path keeps to matrix-vector products too, one per offset: a
+matrix product's rounding follows the BLAS thread count.  The
 quotient's numerator and denominator are the two rows ell and 1 of one
 pass.
 
@@ -246,6 +258,20 @@ _GRID_SCRATCH = 1 << 18
 # bandwidths most entries land there.  A floored entry reads e^-700
 # (about 1e-304) instead of 0 or a subnormal.
 _EXP_FLOOR = -700.0
+# Anchor strides B of the uniform-axis Gaussian path (:func:`_axis_rows`):
+# at most 32, and at least 3, below which a member takes the block path.
+# At n = 1000 and 2048 points one member took 1.0-1.3 ms at B = 32 against
+# 5-7 ms in blocks; B = 3 saved 9-20% at n = 1000 and 5000, while B = 2
+# lost 10-25% at n = 1000.
+_AXIS_STRIDE = 32
+_AXIS_MIN_STRIDE = 3
+# Largest exponent of the path's shift factors: e^300 leaves room for a
+# product of two of them with a kernel value of at most 1.
+_SHIFT_EXPONENT = 300.0
+# Anchor factors below this are set to 0: they hold every floored entry,
+# whose products with shift factors would be subnormal and made the BLAS
+# contraction of a member about twice as slow.
+_NEGLIGIBLE = math.exp(_EXP_FLOOR + 1.0)
 # Work, in Gaussian kernel entries summed over the members or pairs, from
 # which the bandwidth sweep and grid evaluation map their blocks over the
 # worker pool (``numerics.pooled_map``).  The pool is forked once, so a map
@@ -385,27 +411,128 @@ def _grid_width(n: int, d: int) -> int:
     return max(1, _GRID_SCRATCH // ((d + 2) * n))
 
 
-def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor) -> np.ndarray:
-    """Bandwidth members at the points, shape (members, weight rows, P),
-    in fixed column blocks; ``w`` holds one weight row per sample point.
+def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor, axis=None) -> np.ndarray:
+    """Bandwidth members at the points, shape (members, weight rows, P);
+    ``w`` holds one weight row per sample point.
 
-    A block forms the squared differences (x_iq - g_pq)^2 once, into reused
+    Given the uniform ``axis`` (lo, step, P) of a d = 1 grid, a Gaussian
+    member whose anchor stride (:func:`_axis_stride`) is at least
+    ``_AXIS_MIN_STRIDE`` takes the factored path, :func:`_axis_rows`.
+    Every other member walks the points in fixed column blocks.  A block
+    forms the squared differences (x_iq - g_pq)^2 once, into reused
     scratch.  Each member then takes one in-place pass per dimension: the
     Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
-    ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or
-    the Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
+    ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or the
+    Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
     ``w_j @ block`` per weight row.  That is one gemv per row and not one
     gemm for the stack: BLAS rounds the two differently, and a gemv on a
     contiguous row gives every row the bits of a single-row call.  The
     constant prod_q k(0) / h_q / divisor multiplies the rows.  Large
-    evaluations compute their blocks on the worker pool (:func:`_map_blocks`);
-    a block is a pure function of its columns.
+    evaluations compute their blocks on the worker pool
+    (:func:`_map_blocks`); a block is a pure function of its columns, and
+    a member's rows are the same whichever members share the call.
     """
     n, d = x.shape
-    args = (specs, np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(points), divisor)
-    starts = range(0, points.shape[0], _grid_width(n, d))
-    blocks = _map_blocks(_grid_block_builder, args, starts, len(specs) * n * points.shape[0])
-    return np.concatenate(blocks, axis=2) if blocks else np.empty((len(specs), len(w), 0))
+    rows = np.empty((len(specs), len(w), points.shape[0]))
+    blocked = list(range(len(specs)))
+    if axis is not None:
+        lo, step, count = axis
+        u = x[:, 0] - lo
+        ends = (float(u.min()), float(u.max()), 0.0, (count - 1) * step)
+        span = (min(ends), max(ends))
+        for k, spec in enumerate(specs):
+            stride = _axis_stride(spec, 0.5 * (span[1] - span[0]) * abs(step), n)
+            if stride >= _AXIS_MIN_STRIDE:
+                rows[k] = _axis_rows(spec, u, w, step, count, span, stride, divisor)
+                blocked.remove(k)
+    if blocked:
+        members = [specs[k] for k in blocked]
+        args = (members, np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(points), divisor)
+        starts = range(0, points.shape[0], _grid_width(n, d))
+        blocks = _map_blocks(_grid_block_builder, args, starts, len(members) * n * points.shape[0])
+        if blocks:
+            rows[blocked] = np.concatenate(blocks, axis=2)
+    return rows
+
+
+def _axis_stride(spec, reach: float, n: int) -> int:
+    """Anchor stride B of :func:`_axis_rows` for a member, 1 for a member
+    that is not a d = 1 Gaussian.
+
+    ``reach`` is half the span of the sample and the axis times the step.
+    The shift factors of a stride B reach exp(reach (B - 1) / h^2), which
+    stays below exp(``_SHIFT_EXPONENT``).  B is at most ``_AXIS_STRIDE``
+    and 2 n B at most half of ``_GRID_SCRATCH``, so every member of a
+    sample of more than _GRID_SCRATCH / 12 points takes the block path.
+    """
+    if spec.base.kind is not BaseKind.GAUSSIAN or spec.d != 1:
+        return 1
+    stride = max(1, min(_AXIS_STRIDE, _GRID_SCRATCH // (4 * n)))
+    scale = reach / (spec.h[0] * spec.h[0])
+    if scale * (stride - 1) > _SHIFT_EXPONENT:
+        stride = int(_SHIFT_EXPONENT // scale) + 1
+    return stride
+
+
+def _axis_rows(spec, u: np.ndarray, w: np.ndarray, step: float, count: int, span, stride: int,
+               divisor) -> np.ndarray:
+    """A Gaussian member at the ``count`` points lo + p step of a uniform
+    axis, shape (weight rows, count); ``u`` is the sample less lo, and
+    ``span`` the (low, high) ends of the sample and the axis, less lo.
+
+    Write p = b B + k with 0 <= k < B = ``stride``, the anchor G_b = b B step
+    and s = 1 / h^2.  Around the centre c of the span, every entry factors
+    exactly:
+
+        exp(-(G_b + k step - u_i)^2 s / 2) = A[b, i] S[k, i] D[b, k],
+        A = exp(-(G_b - u_i)^2 s / 2),
+        S = exp((u_i - c) k step s),
+        D = exp(-(G_b - c) k step s - (k step)^2 s / 2),
+
+    so row_j[b B + k] = D[b, k] sum_i w_ji A[b, i] S[k, i] takes
+    n (P / B + B) + P evaluations of ``exp`` instead of n P.  A is floored
+    at ``_EXP_FLOOR`` where its exponent can reach it, and then set to 0
+    below ``_NEGLIGIBLE``: given the bound on B, the entry of such an A is
+    below e^-227, where the block path reads at most that or e^-700.
+
+    The contraction is one BLAS gemv per weight row, offset k and chunk of
+    anchors, never one gemm: a gemm's rounding follows the BLAS thread
+    count, a gemv's does not.  Working relative to lo keeps k step and G_b
+    within a few ulp of the offsets.  Against the block path the rows
+    differ by a few 1e-14 of their largest entry on supports near 0, and
+    by up to 2.6e-13 on [5, 6], where the block path's own grid points are
+    rounded to ulp(5).  The anchors go in chunks of _GRID_SCRATCH / (2 n),
+    so A, S and the weighted S hold at most ``_GRID_SCRATCH`` entries.
+    The path runs in the calling process: at n (P / B + B) evaluations it
+    stays below the pool's break-even.
+    """
+    n = u.size
+    s = 1.0 / (spec.h[0] * spec.h[0])
+    centre = 0.5 * (span[0] + span[1])
+    offsets = np.arange(stride) * step
+    anchors = np.arange(0, count, stride) * step
+    shift = np.exp(np.multiply.outer(offsets * s, u - centre))
+    drift = np.exp(np.multiply.outer(centre - anchors, offsets * s) - 0.5 * s * offsets * offsets)
+    floor = _reaches_floor([(span[1] - span[0]) ** 2], [-0.5 * s])
+    chunk = max(1, _GRID_SCRATCH // (2 * n))
+    sums = np.empty((len(w), anchors.size, stride))
+    weighted = np.empty_like(shift)
+    for start in range(0, anchors.size, chunk):
+        block = np.subtract.outer(u, anchors[start : start + chunk])
+        np.square(block, out=block)
+        block *= -0.5 * s
+        if floor:
+            np.maximum(block, _EXP_FLOOR, out=block)
+        np.exp(block, out=block)
+        if floor:
+            block[block < _NEGLIGIBLE] = 0.0
+        for wj, out in zip(w, sums[:, start : start + chunk]):
+            np.multiply(shift, wj, out=weighted)
+            for k, row in enumerate(weighted):
+                out[:, k] = row @ block
+    sums *= drift
+    sums *= spec.base.at_zero / spec.h[0] / divisor
+    return sums.reshape(len(w), -1)[:, :count]
 
 
 def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor):
@@ -465,14 +592,18 @@ def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=
     denominator, ell = y and ell = 1, from one call.  Each row gets its own
     contraction, and its sums are the bits of a call with that row alone.
 
+    ``points`` is an array or an :class:`~pcoselect.quadrature.IntegrationGrid`.
     Bandwidth members walk the points in column blocks whose width depends
     on len(x) and d alone, so scratch memory is fixed whatever the number
-    of points (:func:`_bandwidth_rows`).  Projection members expand the
+    of points (:func:`_bandwidth_rows`); on a grid that records its uniform
+    axis, Gaussian members at d = 1 factor over it instead
+    (:func:`_axis_rows`), in the same scratch budget.  Projection members expand the
     coefficient tensor of (x, w_j) at the points (:func:`_projection_rows`),
     taken from ``tables`` when given: those of a sample with design x and
     loss values w, for a single weight vector.  Otherwise one
     :class:`GramTables` is built per weight row.
     """
+    axis = getattr(points, "axis", None)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     for spec in specs:
         _check_dim(spec, points)
@@ -482,7 +613,7 @@ def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=
     bandwidth = [k for k, s in enumerate(specs) if isinstance(s, BandwidthSpec)]
     projection = [k for k, s in enumerate(specs) if isinstance(s, ProjectionSpec)]
     if bandwidth:
-        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, stack, points, divisor)
+        out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, stack, points, divisor, axis)
     if projection:
         members = [specs[k] for k in projection]
         if tables is None:
@@ -499,7 +630,10 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
     """shat_K at row-stacked evaluation points, for one member or several.
 
     ``specs`` is one kernel spec, giving shape (P,), or a sequence of
-    members, giving (N, P) with one row per member.  ``sample`` is a
+    members, giving (N, P) with one row per member.  ``points`` is an
+    array, or an :class:`~pcoselect.quadrature.IntegrationGrid` whose
+    recorded uniform axis lets d = 1 Gaussian members take the factored
+    path of :func:`_axis_rows`.  ``sample`` is a
     :class:`Sample` or the :class:`GramTables` of one; the tables left by
     selection hold the coefficient tensors and sample basis values that
     projection members reuse here.  The members share one pass,

@@ -17,7 +17,12 @@ more than ``threads`` processes compute at once.
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend
 on the sample size and dimension only, so the worker count never changes
-a reduction order.
+a reduction order.  :func:`oracle_experiment` and :func:`mc_risk` pass
+it the trapezoid risk grid itself, not its points: at d = 1 the grid
+records its uniform axis, and Gaussian members factor over that axis
+with about 20 times fewer ``exp`` calls.  The factored sums are
+contracted in BLAS matrix-vector products, so the reports stay the same
+bytes at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _risk_replication(spec, scn: Scenario, loss: LossKind, grid: IntegrationGrid
 
     def one(rep: int) -> float:
         sample = scn.generate(rep, loss)
-        shat = estimate_on_grid(spec, sample, grid.points)
+        shat = estimate_on_grid(spec, sample, grid)
         return grid.integrate((shat - target) ** 2)
 
     return one
@@ -162,7 +167,7 @@ def _oracle_replication(family: KernelFamily, scn: Scenario, loss: LossKind, gri
         report = pco_select(family, sample, tables)
         risks = []
         for start in range(0, len(family), group):
-            shats = estimate_on_grid(family.specs[start : start + group], tables, grid.points)
+            shats = estimate_on_grid(family.specs[start : start + group], tables, grid)
             risks.extend(grid.integrate((shat - target) ** 2) for shat in shats)
         return np.asarray(risks), report.chosen_index
 
@@ -178,6 +183,7 @@ def oracle_experiment(family: KernelFamily, scn: Scenario, loss: LossKind, threa
     with the in-family oracle column.  The risk grid is evaluated for the
     whole family in one :func:`estimate_on_grid` call on the selection's
     tables (in groups of members when the estimates would pass 32 MB):
+    at d = 1 Gaussian members factor over the grid's uniform axis, other
     bandwidth members share the squared differences to each block of grid
     points, and a nested projection family evaluates its basis at the grid
     once per dimension, at the top order, and expands the coefficient

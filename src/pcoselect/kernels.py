@@ -188,14 +188,17 @@ def spec_to_config(spec) -> dict:
 def spec_from_config(cfg: dict):
     """The spec of a :func:`spec_to_config` dict; any fault in it is a ConfigError.
 
-    The bandwidths ``h`` are checked by :class:`BandwidthSpec`, whose
-    message states their valid range.
+    The bandwidths ``h`` must be a list (or tuple); its values are checked by
+    :class:`BandwidthSpec`, whose message states their valid range.
     """
     cfg = config_object("spec", None, cfg)
     variant = cfg.get("variant")
     try:
         if variant == "bandwidth":
-            return BandwidthSpec(BaseKernel(config_enum("spec", "base", cfg["base"], BaseKind)), tuple(cfg["h"]))
+            base = BaseKernel(config_enum("spec", "base", cfg["base"], BaseKind))
+            if not isinstance(cfg["h"], (list, tuple)):
+                raise ConfigError(f"spec config: field 'h' must be a list of numbers (got {cfg['h']!r})")
+            return BandwidthSpec(base, tuple(cfg["h"]))
         if variant == "projection":
             basis = BasisFamily(config_enum("spec", "basis", cfg["basis"], BasisKind),
                                 config_int("spec", "m_cap", cfg.get("m_cap", 64)))

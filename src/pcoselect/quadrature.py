@@ -82,10 +82,18 @@ def composite_rule(lo: float, hi: float, breakpoints=(), nodes_per_unit: int = N
 
 @dataclass(frozen=True)
 class IntegrationGrid:
-    """A d-dimensional quadrature rule: flat points (P, d) and weights (P,)."""
+    """A d-dimensional quadrature rule: flat points (P, d) and weights (P,).
+
+    ``axis`` is (lo, step, count) when the rule is known by construction to
+    sit on the uniform axis lo + p step, p < count, of a d = 1 grid (see
+    :func:`trapezoid_grid`), and None otherwise; it is never inferred from
+    the point values.  Where an array is expected, the grid stands for its
+    points.
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    axis: tuple | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -95,6 +103,9 @@ class IntegrationGrid:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError("points and weights length mismatch")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
 
     @property
     def d(self) -> int:
@@ -142,7 +153,11 @@ def trapezoid_rule(lo: float, hi: float, num: int):
 
 
 def trapezoid_grid(lo, hi, num_per_dim) -> IntegrationGrid:
-    """Uniform tensor trapezoid grid; the default risk-integration rule."""
+    """Uniform tensor trapezoid grid; the default risk-integration rule.
+
+    At d = 1 the grid records its axis (lo, step, count): its points are
+    ``np.linspace(lo, hi, count)``, lo + p step with the last one at hi.
+    """
     lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if np.isscalar(num_per_dim) or np.ndim(num_per_dim) == 0:
@@ -150,4 +165,8 @@ def trapezoid_grid(lo, hi, num_per_dim) -> IntegrationGrid:
     else:
         nums = [int(n) for n in num_per_dim]
     axes = [trapezoid_rule(lo[q], hi[q], nums[q]) for q in range(lo.size)]
-    return tensor_grid(axes)
+    grid = tensor_grid(axes)
+    if lo.size > 1:
+        return grid
+    step = (hi[0] - lo[0]) / (nums[0] - 1)
+    return IntegrationGrid(grid.points, grid.weights, (float(lo[0]), float(step), nums[0]))

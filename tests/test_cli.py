@@ -590,6 +590,16 @@ def test_bad_integer_fields_are_config_errors(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("missing", ["scenario", "family"])
+@pytest.mark.parametrize("n_values", [None, [50, 60]])
+def test_report_missing_field_names_report(tmp_path, capsys, missing, n_values):
+    cfg = {"scenario": _scn_cfg(), "family": _BANDWIDTH, **({"n_values": n_values} if n_values else {})}
+    del cfg[missing]
+    rc = main(["report", "--config", _write_json(tmp_path / "r.json", cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: report config: missing field {missing!r}\n"
+
+
 # without a bound on d these enumerated 2^40 tuples, or formed 2^(10^300)
 # and overflowed itertools.product
 @pytest.mark.parametrize("family", [{"variant": "bandwidth", "h_min": 1.0, "grid": [1.0], "d": 1e300},
@@ -711,6 +721,15 @@ _TRACEBACK_SPECS = {
     "spec-m-infinite": (
         {"variant": "projection", "basis": "trigonometric", "m": [float("inf")]},
         ["field 'm' must be an integer", "inf"],
+    ),
+    # a bare number was iterated, and a string split into its characters
+    "spec-h-number": (
+        {"variant": "bandwidth", "base": "gaussian", "h": 0.3},
+        ["field 'h' must be a list of numbers", "0.3"],
+    ),
+    "spec-h-string": (
+        {"variant": "bandwidth", "base": "gaussian", "h": "0.3"},
+        ["field 'h' must be a list of numbers", "'0.3'"],
     ),
 }
 

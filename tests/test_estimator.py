@@ -46,6 +46,7 @@ from pcoselect import numerics
 from pcoselect.bases import basis_matrix
 from pcoselect.estimator import (
     _SWEEP_ROWS,
+    _bandwidth_rows,
     _gaussian_scales,
     _grid_width,
     _kernel_sums,
@@ -55,7 +56,7 @@ from pcoselect.estimator import (
     coefficient_tensor,
 )
 from pcoselect.experiments import statistic_grid
-from pcoselect.quadrature import composite_grid
+from pcoselect.quadrature import composite_grid, trapezoid_grid
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -437,6 +438,82 @@ def test_grid_evaluation_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# Gaussian members on the uniform axis of a trapezoid grid: (lo, hi, points,
+# n, bandwidths, members expected on the factored path)
+_AXIS_CASES = {
+    "unit": (0.0, 1.0, 2048, 1000, (0.01, 0.05, 0.3), 3),
+    "symmetric": (-1.0, 1.0, 1001, 400, (0.02, 0.2, 1.0), 3),
+    "shifted": (5.0, 6.0, 777, 300, (0.01, 0.1), 2),
+    # one partial block of anchors, and a block of two points
+    "short": (-0.5, 0.25, 33, 120, (0.03,), 1),
+    "two-points": (0.0, 1.0, 2, 50, (0.5, 1.0), 2),
+    # h = 1/n gives stride 2: the block path, bit for bit
+    "fallback": (0.0, 1.0, 2048, 1000, (1e-3,), 0),
+    # from n = 2^18 / 12 on every member takes the block path
+    "large-n": (0.0, 1.0, 64, 22000, (0.1,), 0),
+}
+
+
+def _counting_axis_rows(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    calls = []
+    real = estimator_mod._axis_rows
+    monkeypatch.setattr(estimator_mod, "_axis_rows", lambda spec, *a: calls.append(spec) or real(spec, *a))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_AXIS_CASES))
+def test_uniform_axis_rows_match_the_block_path(monkeypatch, case):
+    lo, hi, count, n, hs, factored = _AXIS_CASES[case]
+    grid = trapezoid_grid(lo, hi, count)
+    rng = stream(90)
+    x = lo + (hi - lo) * rng.random((n, 1))
+    # a (k, n) stack with a signed loss row
+    w = np.stack([np.ones(n), np.sin(6.0 * x[:, 0]) + 0.3 * rng.standard_normal(n)])
+    specs = [BandwidthSpec(GAUSSIAN, (h,)) for h in hs] + [BandwidthSpec(EPANECHNIKOV, (0.1,))]
+    calls = _counting_axis_rows(monkeypatch)
+    got = _kernel_sums(specs, x, w, grid, n)
+    assert len(calls) == factored
+    want = _bandwidth_rows(specs, x, w, grid.points, n)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=2, keepdims=True))
+    # members off the factored path keep their bits
+    assert np.array_equal(got[factored:], want[factored:])
+    assert np.array_equal(estimate_on_grid(specs, Sample(x, w[1], LossKind.IDENTITY), grid), got[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-3.0, 6.0),
+    width=st.floats(0.05, 4.0),
+    count=st.integers(2, 300),
+    n=st.integers(1, 150),
+    log_h=st.floats(-3.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_axis_rows_match_the_block_path_property(lo, width, count, n, log_h, seed):
+    grid = trapezoid_grid(lo, lo + width, count)
+    rng = stream(seed)
+    # the sample may reach past the axis on either side
+    x = lo + width * rng.uniform(-0.2, 1.2, (n, 1))
+    w = np.stack([np.ones(n), rng.standard_normal(n)])
+    specs = [BandwidthSpec(GAUSSIAN, (width * 10.0**log_h,))]
+    got = _kernel_sums(specs, x, w, grid, n)
+    want = _bandwidth_rows(specs, x, w, grid.points, n)
+    # against the rows of the weights' magnitudes: a signed row may cancel to 0
+    scale = np.max(_bandwidth_rows(specs, x, np.abs(w), grid.points, n), axis=2, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grids_without_a_uniform_axis_keep_their_bits(d):
+    # a d = 2 trapezoid grid and a Gauss-Legendre grid record no axis
+    s = _uniform_sample(300, d=d, seed=91, loss=LossKind.IDENTITY)
+    spec = BandwidthSpec(GAUSSIAN, (0.05,) * d)
+    grid = trapezoid_grid([0.0] * d, [1.0] * d, 40) if d == 2 else composite_grid([0.0], [1.0])
+    assert np.array_equal(estimate_on_grid(spec, s, grid), estimate_on_grid(spec, s, grid.points))
 
 
 def test_estimate_dimension_mismatch():

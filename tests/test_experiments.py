@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo experiment drivers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,50 @@ def test_oracle_experiment_shares_the_grid_evaluation(monkeypatch):
     assert oracle_experiment(trig, scn, LossKind.IDENTITY).to_json() == want[trig]
     # per replication: the sample once (selection), the risk grid once, at the top order
     assert calls == [scn.n, len(scn.risk_grid().points)] * scn.replications
+
+
+def test_oracle_experiment_factors_gaussian_members_on_the_risk_axis(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    scn = _scn(n=200, replications=3, support=[5.0, 6.0])
+    # every member has an anchor stride of 32 on the 2048-point axis
+    gauss = make_bandwidth_family(GAUSSIAN, 0.02, (0.02, 0.05, 0.1, 0.3), d=1, n=200)
+    spec = gauss.specs[0]
+    monkeypatch.setattr(estimator_mod, "_AXIS_MIN_STRIDE", 10**9)
+    blocked = oracle_experiment(gauss, scn, LossKind.IDENTITY)
+    blocked_mc = mc_risk(spec, scn, LossKind.IDENTITY)
+    monkeypatch.undo()
+    forbid_everywhere(monkeypatch, "_grid_block_builder", "a factored member took the block path")
+    report = oracle_experiment(gauss, scn, LossKind.IDENTITY)
+    mc = mc_risk(spec, scn, LossKind.IDENTITY)
+    assert np.array_equal(report.chosen_indices, blocked.chosen_indices)
+    assert_allclose(report.risks, blocked.risks, rtol=1e-12, atol=0.0)
+    assert_allclose([report.pco_risk, report.pco_se], [blocked.pco_risk, blocked.pco_se], rtol=1e-12, atol=0.0)
+    assert_allclose(mc.per_replication, blocked_mc.per_replication, rtol=1e-12, atol=0.0)
+
+
+_REPORT_CONFIG = {
+    "scenario": {"d": 1, "f": "triangle", "b": {"kind": "sine"}, "sigma": {"kind": "constant", "c": 0.3},
+                 "n": 400, "replications": 3, "seed": 5},
+    "family": {"variant": "bandwidth", "base": "gaussian", "h_min": 0.0025, "grid": [0.0025, 0.01, 0.05, 0.3], "d": 1},
+    "loss": "identity",
+}
+
+
+def test_report_is_byte_identical_across_blas_thread_counts(tmp_path):
+    src = Path(oracle_experiment.__code__.co_filename).parents[1]
+    config = tmp_path / "report.json"
+    config.write_text(json.dumps(_REPORT_CONFIG), encoding="utf-8")
+    artifacts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run([sys.executable, "-m", "pcoselect.cli", "report", "--config", str(config),
+                               "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(out / name).read_bytes() for name in ("risk.json", "risk_by_kernel.csv")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_oracle_experiment_member_groups_give_the_same_report(monkeypatch):

@@ -99,3 +99,20 @@ def test_trapezoid_grid_2d():
     grid = trapezoid_grid([0.0, 0.0], [1.0, 2.0], [101, 201])
     assert grid.points.shape == (101 * 201, 2)
     assert_allclose(grid.integrate(np.ones(grid.points.shape[0])), 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lo,hi,num", [(0.0, 1.0, 2048), (5.0, 6.0, 777), (-1.0, 1.0, 2)])
+def test_trapezoid_grid_records_its_uniform_axis(lo, hi, num):
+    grid = trapezoid_grid(lo, hi, num)
+    start, step, count = grid.axis
+    assert (start, count) == (lo, num)
+    assert np.array_equal(grid.points[:-1, 0], start + np.arange(count - 1) * step)
+    assert grid.points[-1, 0] == hi
+    assert np.array_equal(np.asarray(grid), grid.points)
+
+
+def test_other_grids_record_no_axis():
+    assert trapezoid_grid([0.0, 0.0], [1.0, 1.0], 5).axis is None
+    assert composite_grid([0.0], [1.0]).axis is None
+    x, w = trapezoid_rule(0.0, 1.0, 5)
+    assert IntegrationGrid(x, w).axis is None
