@@ -95,8 +95,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .bases import BasisKind, basis_matrix, cross_gram, histogram_cells
-from .errors import DataError
+from .bases import basis_matrix, histogram_cells
+from .errors import DataError, check_table_size
 from .kernels import (
     BandwidthSpec,
     BaseKind,
@@ -106,6 +106,7 @@ from .kernels import (
     section_inner_matrix,
     section_sq_norm_points,
     spec_id,
+    weighted_cross_gram,
 )
 from .numerics import combine_partials, pairwise_sum
 
@@ -285,8 +286,8 @@ _NEGLIGIBLE = math.exp(_EXP_FLOOR + 1.0)
 # (n = 1000 x 1000 points: 5.6 -> 4.6 ms), since a pooled map's time also
 # follows the load on every CPU it uses.
 _FORK_WORK = 1_000_000
-# Cost of an Epanechnikov or mixed sweep entry in Gaussian entries: each is
-# an exact convolution rule per dimension, about 40 ns against 2.3 ns.
+# Cost of an Epanechnikov sweep entry in Gaussian entries: each is the exact
+# 3-node convolution rule per dimension, about 40 ns against 2.3 ns.
 _CONVOLUTION_COST = 16
 
 
@@ -343,22 +344,6 @@ def _nested_top_orders(specs) -> dict:
         if isinstance(s, ProjectionSpec) and s.basis.nested:
             top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
     return top
-
-
-def coefficient_tensor(spec: ProjectionSpec, x: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """T = sum_i ell_i (x)_q phi^{m_q}(x_iq), shape spec.m, before the weights w.
-
-    Histogram members are cell indicators, so their tensor is a per-cell
-    sum of ell times prod_q sqrt(m_q), in sample order.
-    """
-    _check_dim(spec, x)
-    if spec.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-        cells, oks = zip(*(histogram_cells(mq, x[:, q]) for q, mq in enumerate(spec.m)))
-        ok = np.logical_and.reduce(oks)
-        flat = np.ravel_multi_index(cells, spec.m)[ok]
-        sums = np.bincount(flat, weights=ell[ok], minlength=math.prod(spec.m))
-        return (sums * math.sqrt(math.prod(spec.m))).reshape(spec.m)
-    return _product_tensor([basis_matrix(spec.basis, mq, x[:, q]) for q, mq in enumerate(spec.m)], ell)
 
 
 def _expand(coeffs: np.ndarray, mats) -> np.ndarray:
@@ -864,17 +849,20 @@ class GramTables:
     (diagonals); no n x n table is kept.
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
-    (see :func:`coefficient_tensor`) the total is the quadratic form
+    (see :meth:`coefficients`) the total is the quadratic form
     T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
     C_q is the basis cross-Gram.  For nested bases C_q is the truncated
     identity, so the form reads the common box of the two tensors, scaled
-    by the weights, and no cross-Gram is formed.  The diagonal is a row
-    sum over basis values at the sample.
-    A nested basis is evaluated once per dimension at the largest order
-    requested (:meth:`reserve` sets that order up front), and every
-    smaller order is a slice of it, bit for bit; a histogram order is a
-    cell-index computation.  Memory is n sum_q m_q basis values plus
-    prod_q m_q per tensor, and the families keep prod_q m_q <= n.
+    by the weights, and no cross-Gram is formed; the diagonal is a row
+    sum over basis values at the sample.  A nested basis is evaluated
+    once per dimension at the largest order requested (:meth:`reserve`
+    sets that order up front), and every smaller order is a slice of it,
+    bit for bit.  A histogram sample's (cell index, in-support mask) is
+    kept per axis and order; tensors sum over it, and the diagonal gathers
+    W_a C_q W_b at each point's two cells, so histogram totals and
+    diagonals share one overlap formula.  Memory is n sum_q m_q basis
+    values or cells plus prod_q m_q per tensor, with prod_q m_q <= n, and
+    n m_q is bounded before it is allocated.
 
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
@@ -894,6 +882,7 @@ class GramTables:
         self._pending: dict = {}  # bandwidth pairs queued by reserve, in order
         self._diags: dict = {}
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
+        self._cells: dict = {}  # histogram (q, m) -> (cell index, in-support mask)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
 
     @staticmethod
@@ -927,18 +916,37 @@ class GramTables:
         key = (basis.kind, q)
         vals = self._basis_values.get(key)
         if vals is None or vals.shape[1] < m:
+            check_table_size("basis values at the sample", n=self.sample.n, m_max=m)
             vals = basis_matrix(basis, m, self.sample.x[:, q])
             self._basis_values[key] = vals
         return vals[:, :m]
 
+    def _histogram_cells(self, spec: ProjectionSpec) -> list:
+        """The (cell index, in-support mask) of every X_iq at order spec.m[q], per axis q."""
+        out = []
+        for q, mq in enumerate(spec.m):
+            if (q, mq) not in self._cells:
+                check_table_size("histogram cells at the sample", n=self.sample.n, m_max=mq)
+                self._cells[q, mq] = histogram_cells(mq, self.sample.x[:, q])
+            out.append(self._cells[q, mq])
+        return out
+
     def coefficients(self, spec: ProjectionSpec) -> np.ndarray:
-        """The coefficient tensor of ``spec`` on this sample, shape spec.m."""
+        """T = sum_i ell_i (x)_q phi^{m_q}(X_iq) of ``spec``, shape spec.m, before the weights w.
+
+        Histogram members are cell indicators, so their tensor is a per-cell
+        sum of ell times prod_q sqrt(m_q), in sample order.
+        """
         _check_dim(spec, self.sample.x)
         kind = spec.basis.kind
         if not spec.basis.nested:
             key = (kind, spec.m)
             if key not in self._coeffs:
-                self._coeffs[key] = coefficient_tensor(spec, self.sample.x, self.sample.loss_values)
+                cells, oks = zip(*self._histogram_cells(spec))
+                ok = np.logical_and.reduce(oks)
+                sums = np.bincount(np.ravel_multi_index(cells, spec.m)[ok], weights=self.sample.loss_values[ok],
+                                   minlength=math.prod(spec.m))
+                self._coeffs[key] = (sums * math.sqrt(math.prod(spec.m))).reshape(spec.m)
             return self._coeffs[key]
         full = self._coeffs.get(kind)
         if full is None or any(mq > size for mq, size in zip(spec.m, full.shape)):
@@ -966,9 +974,7 @@ class GramTables:
         if not a.basis.nested:
             y = self.coefficients(b)
             for q in range(a.d):
-                ma, mb = a.m[q], b.m[q]
-                gram = a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
-                y = np.moveaxis(np.tensordot(gram, y, axes=(1, q)), 0, q)
+                y = np.moveaxis(np.tensordot(weighted_cross_gram(a, b, q), y, axes=(1, q)), 0, q)
             return pairwise_sum(self.coefficients(a) * y)
         box = tuple(slice(0, min(ma, mb)) for ma, mb in zip(a.m, b.m))
         inner = self.coefficients(b)[box]
@@ -984,7 +990,7 @@ class GramTables:
         self._check_projection_pair(a, b)
         _check_dim(a, self.sample.x)
         if not a.basis.nested:
-            return histogram_section_inner(a, self.sample.x, b, self.sample.x)
+            return histogram_section_inner(a, self._histogram_cells(a), b, self._histogram_cells(b))
         out = np.ones(self.sample.n)
         for q in range(a.d):
             k = min(a.m[q], b.m[q])

@@ -8,14 +8,13 @@ Two kinds of product kernels are supported on R^d:
   built from an orthonormal family truncated at order m_q per dimension,
   optionally downweighted by w_j in [0, 1] (w omitted means w_j = 1).
 
-Inner products between kernel sections <K_a(xa,.), K_b(xb,.)> are
-evaluated in closed form.  Gaussian pairs convolve to a Gaussian.  The
+Inner products between kernel sections <K_a(xa,.), K_b(xb,.)>_2 are
+evaluated in closed form.  A bandwidth pair shares one base kernel, as a
+:class:`KernelFamily` does.  Gaussian pairs convolve to a Gaussian.  The
 Epanechnikov convolution is a polynomial of degree four on the support
-overlap, so a 3-node Gauss-Legendre rule on that overlap integrates it
-exactly; a mixed Gaussian x Epanechnikov pair uses 128 nodes.  Either rule
-accumulates node by node, so its scratch memory is a few arrays the size
-of the input.  Projection pairs factor over dimensions into basis
-cross-Gram sums.
+overlap, which a 3-node Gauss-Legendre rule on that overlap integrates
+exactly.  Projection pairs factor over dimensions into basis cross-Gram
+sums.
 
 The selection path builds no table with :func:`section_inner_matrix`: a
 projection estimator is a coefficient tensor, which
@@ -29,8 +28,9 @@ tests and the dense :meth:`GramTables.matrix` compare those passes against.
 
 Pointwise norms and suprema rest on two primitives.
 :func:`section_inner_pointwise` is the only pointwise section product:
-a squared section norm pairs a point with itself, and the Gram diagonal of
-a histogram family calls its histogram case, :func:`histogram_section_inner`.
+a squared section norm pairs a point with itself, and its histogram case,
+:func:`histogram_section_inner`, also gives the Gram diagonal of a
+histogram family.
 :func:`diag_scan_squares` is the only scan table: :func:`diag_sup` reads it for sup_x K(x, x), and
 the supremum of a squared section norm is :func:`diag_sup` of the same
 member with squared weights.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisFamily, BasisKind, basis_matrix, breakpoints, cross_gram, histogram_cells
-from .errors import ConfigError, config_enum, config_int, config_ints, config_numbers, config_object
+from .errors import ConfigError, check_table_size, config_enum, config_int, config_ints, config_numbers, config_object
 from .quadrature import composite_rule, legendre_rule
 
 DIAG_SCAN_POINTS = 10_000
@@ -250,46 +250,19 @@ def kernel_eval(spec, x_prime, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _conv_quadrature(eval_a, lo_a, hi_a, eval_b, lo_b, hi_b, delta: np.ndarray, nodes: int) -> np.ndarray:
-    """integral of f_a(u) f_b(u - delta) over the support overlap, per delta.
-
-    The rule is accumulated node by node, so scratch memory is a few
-    arrays of delta's shape whatever the node count.
-    """
-    delta = np.asarray(delta, dtype=np.float64)
-    lo = np.maximum(lo_a, delta + lo_b)
-    hi = np.minimum(hi_a, delta + hi_b)
-    half = 0.5 * np.clip(hi - lo, 0.0, None)
-    mid = 0.5 * (lo + hi)
-    out = np.zeros_like(half)
-    for x, w in zip(*legendre_rule(nodes)):
-        u = mid + half * x
-        out += w * (eval_a(u) * eval_b(u - delta))
-    return out * half
-
-
-def _bandwidth_conv_1d(base_a: BaseKernel, h_a: float, base_b: BaseKernel, h_b: float, delta) -> np.ndarray:
-    """integral of (1/h_a) k_a(u/h_a) (1/h_b) k_b((u - delta)/h_b) du, vectorized.
+def _bandwidth_conv_1d(base: BaseKernel, h_a: float, h_b: float, delta) -> np.ndarray:
+    """integral of (1/h_a) k(u/h_a) (1/h_b) k((u - delta)/h_b) du for one base k, vectorized.
 
     A Gaussian pair convolves in closed form to a centered Gaussian of
     variance h_a^2 + h_b^2.  An Epanechnikov pair is a polynomial of degree
     four on the support overlap, which a 3-node Gauss-Legendre rule on that
-    overlap integrates exactly (:func:`_epanechnikov_conv`).  A mixed pair
-    is smooth on the overlap and takes a 128-node rule.
+    overlap integrates exactly (:func:`_epanechnikov_conv`).
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if base_a.kind is BaseKind.GAUSSIAN and base_b.kind is BaseKind.GAUSSIAN:
+    if base.kind is BaseKind.GAUSSIAN:
         v = h_a * h_a + h_b * h_b
         return np.exp(-delta * delta / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
-    if base_a.kind is BaseKind.EPANECHNIKOV and base_b.kind is BaseKind.EPANECHNIKOV:
-        return _epanechnikov_conv(h_a, h_b, delta)
-
-    def scaled(base, h):
-        return lambda u: base.eval(u / h) / h
-
-    wa = base_a.tail_halfwidth * h_a
-    wb = base_b.tail_halfwidth * h_b
-    return _conv_quadrature(scaled(base_a, h_a), -wa, wa, scaled(base_b, h_b), -wb, wb, delta, 128)
+    return _epanechnikov_conv(h_a, h_b, delta)
 
 
 def _epanechnikov_conv(h_a: float, h_b: float, delta: np.ndarray) -> np.ndarray:
@@ -337,11 +310,14 @@ def bandwidth_gram_entries(a: BandwidthSpec, b: BandwidthSpec, deltas) -> np.nda
     """<K_a(x, .), K_b(x', .)>_2 from the differences deltas[q] = x_q - x'_q.
 
     The section inner product of two product kernels is the product over
-    dimensions of the 1-d convolutions :func:`_bandwidth_conv_1d`.
+    dimensions of the 1-d convolutions :func:`_bandwidth_conv_1d` of their one base.
     """
-    out = _bandwidth_conv_1d(a.base, a.h[0], b.base, b.h[0], deltas[0])
+    if a.base != b.base:
+        raise ValueError(f"no closed form for a bandwidth pair of two bases ({a.base.kind.value} x"
+                         f" {b.base.kind.value}): both kernels of a pair must have the same base")
+    out = _bandwidth_conv_1d(a.base, a.h[0], b.h[0], deltas[0])
     for q in range(1, a.d):
-        out *= _bandwidth_conv_1d(a.base, a.h[q], b.base, b.h[q], deltas[q])
+        out *= _bandwidth_conv_1d(a.base, a.h[q], b.h[q], deltas[q])
     return out
 
 
@@ -365,15 +341,8 @@ def section_inner_matrix(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
             raise ValueError("projection kernels use different basis families")
         out = np.ones((xa.shape[0], xb.shape[0]))
         for q in range(a.d):
-            ma, mb = a.m[q], b.m[q]
-            va = basis_matrix(a.basis, ma, xa[:, q]) * a.weights_for(ma)[None, :]
-            vb = basis_matrix(b.basis, mb, xb[:, q]) * b.weights_for(mb)[None, :]
-            if a.basis.nested:
-                k = min(ma, mb)
-                out *= va[:, :k] @ vb[:, :k].T
-            else:
-                gram = cross_gram(a.basis, ma, mb)
-                out *= va @ gram @ vb.T
+            va, vb = basis_matrix(a.basis, a.m[q], xa[:, q]), basis_matrix(b.basis, b.m[q], xb[:, q])
+            out *= va @ weighted_cross_gram(a, b, q) @ vb.T
         return out
     raise ValueError("no closed form for mixed bandwidth/projection sections")
 
@@ -397,7 +366,8 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")
         if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-            return histogram_section_inner(a, xa, b, xb)
+            return histogram_section_inner(a, [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
+                                           b, [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
         out = np.ones(xa.shape[0])
         for q in range(a.d):
             ma, mb = a.m[q], b.m[q]
@@ -409,19 +379,27 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     raise ValueError("no closed form for mixed bandwidth/projection sections")
 
 
-def histogram_section_inner(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
-    """:func:`section_inner_pointwise` of two histogram kernels, for row-stacked points.
+def weighted_cross_gram(a: ProjectionSpec, b: ProjectionSpec, q: int) -> np.ndarray:
+    """W_a C_q W_b: the basis cross-Gram of the orders a.m[q] and b.m[q],
+    scaled by the member weights along each side."""
+    ma, mb = a.m[q], b.m[q]
+    return a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
 
-    The section of a point in cell c is w_c m 1_cell(x), so the inner
-    product is w_c w'_c' m m' |cell intersect cell'|, one factor per axis.
+
+def histogram_section_inner(a, cells_a, b, cells_b) -> np.ndarray:
+    """:func:`section_inner_pointwise` of two histogram kernels, from the
+    cells of the paired points: ``cells_a[q]`` is the (cell index,
+    in-support mask) pair of :func:`~pcoselect.bases.histogram_cells` on
+    axis q at order a.m[q], and ``cells_b[q]`` the same at b.m[q].
+
+    A point in cell c has the section w_c sqrt(m) phi_c, so per axis the
+    inner product is sqrt(m m') times the entry (c, c') of
+    :func:`weighted_cross_gram`, and 0 for a point outside [0, 1).
     """
-    out = np.ones(xa.shape[0])
-    for q in range(a.d):
-        ma, mb = a.m[q], b.m[q]
-        ca, ok_a = histogram_cells(ma, xa[:, q])
-        cb, ok_b = histogram_cells(mb, xb[:, q])
-        overlap = np.clip(np.minimum((ca + 1) / ma, (cb + 1) / mb) - np.maximum(ca / ma, cb / mb), 0.0, None)
-        out *= a.weights_for(ma)[ca] * b.weights_for(mb)[cb] * ma * mb * overlap * (ok_a & ok_b)
+    out = np.ones(cells_a[0][0].shape[0])
+    for q, ((ca, ok_a), (cb, ok_b)) in enumerate(zip(cells_a, cells_b)):
+        gram = weighted_cross_gram(a, b, q) * math.sqrt(a.m[q] * b.m[q])
+        out *= gram[ca, cb] * (ok_a & ok_b)
     return out
 
 
@@ -471,7 +449,8 @@ def section_l1_norm(spec, x_prime) -> float:
 
 
 def diag_scan_squares(basis: BasisFamily, m: int) -> np.ndarray:
-    """Squared basis values phi_j(t)^2, j <= m, on the diagonal scan grid."""
+    """Squared basis values phi_j(t)^2, j <= m, on the diagonal scan grid; m is bounded first."""
+    check_table_size("overfitting scan", scan_points=DIAG_SCAN_POINTS, m_max=m)
     lo, hi = basis.support
     mat = basis_matrix(basis, m, np.linspace(lo, hi, DIAG_SCAN_POINTS))
     return mat * mat
@@ -534,12 +513,21 @@ class KernelFamily:
 
     ``k0_index`` points at the member maximizing sup_x K(x, x); ties go to
     the lowest index.  ``sample_cap`` is the sample size n the family was
-    sized against (the family never holds more than n members).
+    sized against (the family never holds more than n members).  Every
+    member has the variant, d and base kernel or basis kind of the first.
     """
 
     specs: tuple
     sample_cap: int
     k0_index: int
+
+    def __post_init__(self):
+        kinds = [(type(s), s.d, getattr(s, "base", None) or s.basis.kind) for s in self.specs]
+        for index, kind in enumerate(kinds):
+            if kind != kinds[0]:
+                raise ValueError(f"family member {index} ({spec_id(self.specs[index])}) differs from member 0"
+                                 f" ({spec_id(self.specs[0])}): a family has one variant, d and base kernel"
+                                 " or basis kind")
 
     def __len__(self):
         return len(self.specs)

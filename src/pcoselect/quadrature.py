@@ -80,7 +80,7 @@ def composite_rule(lo: float, hi: float, breakpoints=(), nodes_per_unit: int = N
     return np.concatenate(xs), np.concatenate(ws)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationGrid:
     """A d-dimensional quadrature rule: flat points (P, d) and weights (P,).
 
@@ -88,7 +88,8 @@ class IntegrationGrid:
     sit on the uniform axis lo + p step, p < count, of a d = 1 grid (see
     :func:`trapezoid_grid`), and None otherwise; it is never inferred from
     the point values.  Where an array is expected, the grid stands for its
-    points.
+    points.  Grids compare and hash by identity, so a grid can be a dict
+    key; two grids built alike are different grids.
     """
 
     points: np.ndarray

@@ -670,6 +670,23 @@ def test_verify_rejects_an_oversized_table_before_allocating_it(tmp_path, capsys
     assert "Traceback" not in err
 
 
+# the overfitting scan asked for two 10^4 x 2000 float64 tables (320 MB)
+# before anything compared their size with the limit
+def test_select_bounds_projection_orders_before_their_tables(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    data = tmp_path / "data.csv"
+    write_sample_csv(data, rng.random((3000, 1)), rng.standard_normal(3000))
+    family = {"variant": "projection", "basis": "trigonometric", "m_cap": 100000, "m_max": 2000, "d": 1}
+    cfg = _write_json(tmp_path / "f.json", {"family": family})
+    start = time.perf_counter()
+    rc = main(["select", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: family config: overfitting scan: scan_points 10000 x m_max 2000 asks for a table of" in err
+    assert "above the limit of 16777216" in err and "Traceback" not in err
+
+
 # each of these ended in a traceback (exit 1), or, where the scenario drew
 # non-finite samples, in a data error (exit 3)
 _HUGE = 99999999999999999999999

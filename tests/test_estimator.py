@@ -19,11 +19,14 @@ from pcoselect import (
     BandwidthSpec,
     BasisFamily,
     BasisKind,
+    ConfigError,
     DataError,
     GramTables,
+    KernelFamily,
     LossKind,
     ProjectionSpec,
     Sample,
+    concentration_experiment,
     criterion_distance,
     estimate,
     estimate_on_grid,
@@ -34,6 +37,7 @@ from pcoselect import (
     pco_select,
     read_sample_csv,
     sbar_empirical,
+    scenario_from_config,
     section_inner_matrix,
     section_sq_norm,
     stream,
@@ -53,9 +57,9 @@ from pcoselect.estimator import (
     _product_tensor,
     _sweep_tables,
     bandwidth_totals,
-    coefficient_tensor,
 )
 from pcoselect.experiments import statistic_grid
+from pcoselect.kernels import section_inner_pointwise
 from pcoselect.quadrature import composite_grid, trapezoid_grid
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
@@ -71,16 +75,26 @@ PROJECTION_PAIRS = [
     (ProjectionSpec(TRIG, (3, 5), _W), ProjectionSpec(TRIG, (4, 2))),
     (ProjectionSpec(HIST, (2, 3)), ProjectionSpec(HIST, (3, 2), _W)),
     (ProjectionSpec(LEG, (3, 2), _W), ProjectionSpec(LEG, (2, 4), _W)),
+    # both weighted, each order above the other's on one axis
+    (ProjectionSpec(HIST, (5, 2), _W), ProjectionSpec(HIST, (3, 7), _W)),
 ]
+# histogram samples put every other point on a cell edge of the orders
+# above, a support end, or outside [0, 1)
+_HIST_EDGES = (0.0, 0.5, 1 / 3, 0.25, 0.2, 2 / 3, 0.75, 3 / 7, 1.0, -0.2, 1.3, 0.4)
 
 
 def _sample_for(spec, n, seed):
-    """A uniform sample with identity loss on the spec's support (the unit box for bandwidths)."""
+    """A uniform sample with identity loss on the spec's support (the unit box
+    for bandwidths); a histogram sample has ``_HIST_EDGES`` points too."""
     s = _uniform_sample(n, d=spec.d, seed=seed, loss=LossKind.IDENTITY)
     if isinstance(spec, BandwidthSpec):
         return s
     lo, hi = spec.basis.support
-    return Sample(lo + (hi - lo) * s.x, s.y, LossKind.IDENTITY)
+    x = lo + (hi - lo) * s.x
+    if spec.basis.kind is BasisKind.REGULAR_HISTOGRAM:
+        for q in range(spec.d):
+            x[::2, q] = np.resize(np.roll(_HIST_EDGES, 5 * q), x[::2, q].shape)
+    return Sample(x, s.y, LossKind.IDENTITY)
 
 
 def _uniform_sample(n, d=1, seed=0, loss=LossKind.ONE):
@@ -389,7 +403,7 @@ def test_kernel_sums_of_a_family_are_the_rows_of_its_members(d):
 
 def _per_member_expansion(spec, s, points):
     """The per-member projection path: a fresh coefficient tensor and basis at the member's own order."""
-    coeffs = coefficient_tensor(spec, s.x, s.loss_values)
+    coeffs = GramTables(s).coefficients(spec)
     out = np.empty(len(points))
     for start in range(0, len(points), 1024):
         block = points[start : start + 1024]
@@ -707,7 +721,7 @@ def test_u_statistic_uncentered_reduction():
         (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,))),
         (BandwidthSpec(GAUSSIAN, (0.2, 0.1)), BandwidthSpec(GAUSSIAN, (0.15, 0.3))),
         (BandwidthSpec(EPANECHNIKOV, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.25,))),
-        (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.3,))),
+        (BandwidthSpec(EPANECHNIKOV, (0.2, 0.1)), BandwidthSpec(EPANECHNIKOV, (0.05, 0.3))),
     ],
 )
 def test_u_statistic_bandwidth_sweep_matches_dense(a, b):
@@ -906,12 +920,12 @@ def test_gram_tables_streaming_matches_dense():
     assert_allclose(tables.weighted_total(a, b), float(ell @ tables.matrix(a, b) @ ell), rtol=1e-12)
 
 
-# Gaussian at d = 1 and d = 2, Epanechnikov, and a mixed Gaussian x Epanechnikov pair
+# Gaussian and Epanechnikov, each at d = 1 and d = 2
 BANDWIDTH_PAIRS = [
     (BandwidthSpec(GAUSSIAN, (0.07,)), BandwidthSpec(GAUSSIAN, (0.3,))),
     (BandwidthSpec(GAUSSIAN, (0.1, 0.4)), BandwidthSpec(GAUSSIAN, (0.25, 0.05))),
     (BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.2,))),
-    (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.15,))),
+    (BandwidthSpec(EPANECHNIKOV, (0.15, 0.3)), BandwidthSpec(EPANECHNIKOV, (0.4, 0.1))),
 ]
 
 
@@ -989,8 +1003,8 @@ def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
     # at d = 2, (a, a) can reach the exponent floor and is summed; (a, b) and (b, b) are factored
     s = _uniform_sample(n, d=2, seed=61, loss=LossKind.IDENTITY)
     a, b = BandwidthSpec(GAUSSIAN, (0.015, 0.3)), BandwidthSpec(GAUSSIAN, (0.3, 0.3))
-    e = BandwidthSpec(EPANECHNIKOV, (0.2, 0.35))
-    pairs = [(a, a), (a, b), (b, b), (e, e), (e, b)]
+    e, f = BandwidthSpec(EPANECHNIKOV, (0.2, 0.35)), BandwidthSpec(EPANECHNIKOV, (0.1, 0.5))
+    pairs = [(a, a), (a, b), (b, b), (e, e), (e, f)]
     scales = [_gaussian_scales(p, q) for p, q in pairs]
     span_sq = np.ptp(s.x, axis=0) ** 2
     floors = [sc is not None and sum(r * c for r, c in zip(span_sq, sc)) < -699.0 for sc in scales]
@@ -1071,7 +1085,9 @@ def _sweep_cases():
         "gaussian-d1-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, seed=70, loss=LossKind.IDENTITY)),
         "gaussian-d2-factored": (_family_pairs(TENSOR_FAMILIES[0]), _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)),
         "gaussian-d3": (_family_pairs(TENSOR_FAMILIES[1]), _uniform_sample(n, d=3, seed=72, loss=LossKind.IDENTITY)),
-        "epanechnikov-and-mixed": ([(e[0], e[0]), (e[0], e[1]), (e[1], g[1])], _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
+        # both kinds of pair in one map
+        "epanechnikov-and-gaussian": ([(e[0], e[0]), (e[0], e[1]), (e[1], e[1]), (g[1], g[2])],
+                                      _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
     }
 
 
@@ -1177,6 +1193,45 @@ def test_bandwidth_sweep_matches_quadrature(a, b):
     assert_allclose(GramTables(s).weighted_total(a, b), float(ell @ quad @ ell), rtol=1e-12)
 
 
+def test_mixed_base_pairs_raise_naming_both_bases():
+    # a pair has one closed form only when both kernels share their base
+    s = _uniform_sample(40, seed=37, loss=LossKind.IDENTITY)
+    g, e = BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.3,))
+    both = r"two bases \((gaussian x epanechnikov|epanechnikov x gaussian)\)"
+    with pytest.raises(ValueError, match=r"member 1 \(bandwidth:epanechnikov:.*member 0 \(bandwidth:gaussian:"):
+        KernelFamily((g, e), s.n, 0)
+    with pytest.raises(ValueError, match=both):
+        bandwidth_totals([(g, g), (g, e)], s.x, s.loss_values)
+    with pytest.raises(ValueError, match=both):
+        section_inner_matrix(e, s.x, g, s.x)
+    with pytest.raises(ValueError, match=both):
+        section_inner_pointwise(g, s.x, e, s.x)
+    with pytest.raises(ValueError, match=both):
+        u_statistic(g, e, s)
+    with pytest.raises(ValueError, match=both):
+        GramTables(s).weighted_total(g, e)
+    with pytest.raises(ValueError, match=both):
+        GramTables(s).diag(g, e)
+    scn = scenario_from_config({"d": 1, "n": 30, "replications": 2, "seed": 5})
+    with pytest.raises(ValueError, match=both):
+        concentration_experiment(g, e, scn, LossKind.ONE)
+
+
+def test_sample_tables_are_bounded_before_they_are_allocated(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    # n x m_max basis values, or cells of every order up to m_max, per axis
+    monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: pytest.fail("the basis table was allocated"))
+    monkeypatch.setattr(estimator_mod, "histogram_cells", lambda *a: pytest.fail("the cells were computed"))
+    s = _uniform_sample(20_000, seed=41)
+    wide = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000)
+    with pytest.raises(ConfigError, match="basis values at the sample: n 20000 x m_max 839 .* limit of 16777216"):
+        GramTables(s).coefficients(ProjectionSpec(wide, (839,)))
+    hist = ProjectionSpec(BasisFamily(BasisKind.REGULAR_HISTOGRAM, m_cap=1000), (839,))
+    with pytest.raises(ConfigError, match="histogram cells at the sample: n 20000 x m_max 839 .* limit of 16777216"):
+        GramTables(s).diag(hist, hist)
+
+
 def test_bandwidth_sweep_rejects_mixed_variants():
     s = _uniform_sample(5, seed=37)
     with pytest.raises(ValueError, match="mixed"):
@@ -1215,7 +1270,8 @@ def test_nested_coefficients_are_slices_of_the_widest_evaluation():
     tables.reserve([ProjectionSpec(TRIG, (6, 2)), ProjectionSpec(TRIG, (2, 5))])
     for m in [(1, 1), (6, 5), (3, 4), (6, 1)]:
         spec = ProjectionSpec(TRIG, m)
-        direct = coefficient_tensor(spec, s.x, s.loss_values)
+        # fresh tables evaluate the basis at the member's own orders
+        direct = GramTables(s).coefficients(spec)
         assert np.array_equal(tables.coefficients(spec), direct)
 
 
@@ -1266,15 +1322,20 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
         monkeypatch.setattr(module, "section_inner_pointwise", forbidden, raising=False)
-    calls = []
-    real_basis_matrix = estimator_mod.basis_matrix
+    calls, cells = [], []
+    real_basis_matrix, real_cells = estimator_mod.basis_matrix, estimator_mod.histogram_cells
     monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: calls.append(a[1]) or real_basis_matrix(*a))
+    monkeypatch.setattr(estimator_mod, "histogram_cells", lambda m, x: cells.append(m) or real_cells(m, x))
     for (kind, d), (fam, s, want) in reference.items():
         calls.clear()
+        cells.clear()
         got = pco_select(fam, s)
         assert got.to_json() == want.to_json()
         # nested bases: one evaluation per dimension, at the family's top order
         assert calls == ([] if kind is BasisKind.REGULAR_HISTOGRAM else [fam.k0.m[0]] * d)
+        # histograms: the cells of each axis and order, once
+        orders = sorted({m for spec in fam.specs for m in spec.m}) * d
+        assert sorted(cells) == (sorted(orders) if kind is BasisKind.REGULAR_HISTOGRAM else [])
 
 
 def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):

@@ -12,6 +12,8 @@ from pcoselect import (
     BandwidthSpec,
     BasisFamily,
     BasisKind,
+    ConfigError,
+    KernelFamily,
     ProjectionSpec,
     diag_sup,
     find_overfitting_k0,
@@ -201,15 +203,6 @@ def test_epanechnikov_three_node_rule_matches_quadrature(ha, hb):
     assert section_inner(a, np.zeros(1), b, np.array([1.0001 * (ha + hb)])) == 0.0
 
 
-def test_mixed_base_sections_match_quadrature():
-    rng = stream(103)
-    specs = [BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(EPANECHNIKOV, (0.3,))]
-    for a, b, xa, xb in _pairs_1d(rng, specs, count=12):
-        got = section_inner(a, xa, b, xb)
-        want = quad_section_inner(a, xa, b, xb)
-        assert_allclose(got, want, atol=1e-10)
-
-
 @pytest.mark.parametrize("basis,orders", [(TRIG, (2, 5, 9)), (HIST, (3, 4, 7)), (LEG, (1, 4, 8))])
 def test_projection_sections_match_quadrature(basis, orders):
     rng = stream(104)
@@ -279,6 +272,18 @@ def test_section_inner_pointwise_matches_matrix_diagonal():
         diag = section_inner_pointwise(a, x, b, x)
         mat = section_inner_matrix(a, x, b, x)
         assert_allclose(diag, np.diagonal(mat), rtol=1e-12)
+    # histogram pairs at d = 2 with unequal orders per axis and weights, on
+    # cell edges, the support ends and outside [0, 1), at two point sets
+    w = (1.0, 0.6, 0.3, 0.8, 0.1, 0.5, 0.9)
+    edges = np.array([0.0, 0.5, 1 / 3, 0.25, 0.2, 2 / 3, 0.75, 1.0, -0.2, 1.3, 0.6, 1 / 7])
+    xa = np.stack([edges, np.roll(edges, 5)], axis=1)
+    xb = np.concatenate([xa[:6], rng.random((6, 2))])
+    for a, b in [(ProjectionSpec(HIST, (3, 4), w), ProjectionSpec(HIST, (6, 2))),
+                 (ProjectionSpec(HIST, (5, 7), w), ProjectionSpec(HIST, (2, 7), w))]:
+        for pa, pb in ((xa, xa), (xa, xb), (xb, xa)):
+            want = np.diagonal(section_inner_matrix(a, pa, b, pb))
+            assert_allclose(section_inner_pointwise(a, pa, b, pb), want, rtol=1e-14, atol=0)
+            assert_allclose(want, [quad_section_inner(a, u, b, v) for u, v in zip(pa, pb)], rtol=1e-12, atol=1e-12)
 
 
 def test_variant_mixing_rejected():
@@ -516,3 +521,31 @@ def test_find_overfitting_k0_scans_each_factor_once(monkeypatch):
 def test_find_overfitting_k0_first_max_wins():
     specs = [ProjectionSpec(HIST, (4,)), ProjectionSpec(HIST, (4,)), ProjectionSpec(HIST, (2,))]
     assert find_overfitting_k0(specs) == 0
+
+
+@pytest.mark.parametrize("specs,offender", [
+    ((BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(EPANECHNIKOV, (0.3,))), 2),
+    ((BandwidthSpec(EPANECHNIKOV, (0.1,)), BandwidthSpec(GAUSSIAN, (0.2,))), 1),
+    ((BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.1, 0.2))), 1),
+    ((BandwidthSpec(GAUSSIAN, (0.1,)), ProjectionSpec(TRIG, (3,))), 1),
+    ((ProjectionSpec(TRIG, (3,)), ProjectionSpec(TRIG, (4,)), ProjectionSpec(LEG, (3,)),
+      ProjectionSpec(HIST, (2,))), 2),
+])
+def test_kernel_family_rejects_members_of_another_kind(specs, offender):
+    # the message names the first member that differs from member 0, and both kernels
+    with pytest.raises(ValueError, match=rf"family member {offender} \({re.escape(spec_id(specs[offender]))}\)"
+                                         rf" differs from member 0 \({re.escape(spec_id(specs[0]))}\)"):
+        KernelFamily(specs, 10, 0)
+    assert len(KernelFamily(specs[:offender], 10, 0)) == offender
+
+
+def test_overfitting_scan_is_bounded_before_its_table(monkeypatch):
+    import pcoselect.kernels as kernels_mod
+
+    # 10^4 scan points x m_max entries, allocated twice by the scan
+    monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: pytest.fail("the scan table was allocated"))
+    wide = BasisFamily(BasisKind.LEGENDRE, m_cap=100_000)
+    with pytest.raises(ConfigError, match="overfitting scan: scan_points 10000 x m_max 1678 .* limit of 16777216"):
+        find_overfitting_k0([ProjectionSpec(wide, (1678,))])
+    with pytest.raises(ConfigError, match="m_max 2000"):
+        make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=100_000), 2000, 1, 3000)

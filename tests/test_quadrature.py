@@ -116,3 +116,11 @@ def test_other_grids_record_no_axis():
     assert composite_grid([0.0], [1.0]).axis is None
     x, w = trapezoid_rule(0.0, 1.0, 5)
     assert IntegrationGrid(x, w).axis is None
+
+
+def test_grids_compare_and_hash_by_identity():
+    # numpy array fields made == raise on truth value and hash raise TypeError
+    a, b = trapezoid_grid(0, 1, 5), trapezoid_grid(0, 1, 5)
+    assert a == a and not a == b and a != b
+    cache = {a: "a", b: "b"}
+    assert cache[a] == "a" and cache[b] == "b" and len(cache) == 2
