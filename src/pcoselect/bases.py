@@ -100,15 +100,22 @@ class BasisFamily:
             raise ValueError(f"truncation order {m} outside [1, {self.m_cap}]")
 
 
+def _on_support(support, x):
+    """The indicator of ``support`` at x, and x with every point off it moved
+    to 0.  Members vanish off the support, but a far point can overflow a
+    cosine's argument or a polynomial to inf, and inf times 0 is nan."""
+    inside = (x >= support[0]) & (x <= support[1])
+    return inside.astype(np.float64), np.where(inside, x, 0.0)
+
+
 def normalized_legendre(degree: int, x) -> np.ndarray:
     """sqrt((2p+1)/2) Q_p(x) on [-1, 1], zero outside; valid for p >= 0."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
+    inside, x = _on_support((-1.0, 1.0), np.asarray(x, dtype=np.float64))
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
     vals = np.polynomial.legendre.legval(x, coeffs)
-    inside = (x >= -1.0) & (x <= 1.0)
     return np.sqrt((2 * degree + 1) / 2.0) * vals * inside
 
 
@@ -128,7 +135,7 @@ def eval_basis(family: BasisFamily, m: int, j: int, x) -> np.ndarray:
         return np.sqrt(m) * ((x >= lo_edge) & (x < hi_edge)).astype(np.float64)
 
     if family.kind is BasisKind.TRIGONOMETRIC:
-        inside = ((x >= 0.0) & (x <= 1.0)).astype(np.float64)
+        inside, x = _on_support(family.support, x)
         if j == 1:
             return inside
         freq = j // 2
@@ -167,7 +174,7 @@ def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
         return out
 
     if family.kind is BasisKind.TRIGONOMETRIC:
-        inside = ((x >= 0.0) & (x <= 1.0)).astype(np.float64)
+        inside, x = _on_support(family.support, x)
         out = np.empty((x.size, m))
         out[:, 0] = inside
         for j in range(2, m + 1):
@@ -178,9 +185,9 @@ def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
                 out[:, j - 1] = np.sqrt(2.0) * np.sin(2 * np.pi * freq * x) * inside
         return out
 
+    inside, x = _on_support(family.support, x)
     vander = np.polynomial.legendre.legvander(x, m)  # columns Q_0 .. Q_m
     scale = np.sqrt((2 * np.arange(1, m + 1) + 1) / 2.0)
-    inside = ((x >= -1.0) & (x <= 1.0)).astype(np.float64)
     return vander[:, 1:] * scale[None, :] * inside[:, None]
 
 
@@ -198,11 +205,10 @@ def cross_gram(family: BasisFamily, m: int, m_other: int) -> np.ndarray:
         k = min(m, m_other)
         out[:k, :k] = np.eye(k)
         return out
-    j = np.arange(1, m + 1)[:, None]
-    jp = np.arange(1, m_other + 1)[None, :]
-    lo = np.maximum((j - 1) / m, (jp - 1) / m_other)
-    hi = np.minimum(j / m, jp / m_other)
-    return np.sqrt(m * m_other) * np.clip(hi - lo, 0.0, None)
+    edges, others = np.arange(m + 1) / m, np.arange(m_other + 1) / m_other
+    lo = np.maximum.outer(edges[:-1], others[:-1])
+    hi = np.minimum.outer(edges[1:], others[1:])
+    return np.sqrt(m * m_other) * np.maximum(hi - lo, 0.0)
 
 
 def breakpoints(family: BasisFamily, m: int):

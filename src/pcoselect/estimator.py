@@ -29,11 +29,13 @@ with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
 
-so the totals are small quadratic forms in T, the penalty diagonals are
-row sums over basis values at the sample, and risk-grid values expand T
-at the grid points.  These cost O(n prod_q m_q) time and O(n sum_q m_q)
-memory, and the families keep prod_q m_q <= n.  No path on selection or
-experiments builds an n x n table.
+so the totals are small quadratic forms in T and risk-grid values expand
+T at the grid points.  For a nested basis every order's totals and
+penalty diagonals are partial sums over the basis index, which
+:class:`GramTables` keeps as prefix tables: a family's whole criterion is
+read off them in one pass.  These cost O(n prod_q m_q) time and
+O(n sum_q m_q) memory, and the families keep prod_q m_q <= n.  No path
+on selection or experiments builds an n x n table.
 
 :func:`estimate_on_grid` evaluates any number of members of a family at
 once and shares the work between them.  Bandwidth members walk the
@@ -839,6 +841,12 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     return block_partial
 
 
+def _oriented(a, b):
+    """A projection pair in a fixed order, by weights and then orders, so
+    that its total and diagonal do not depend on the order it is given in."""
+    return (a, b) if (a.w or (), a.m) <= (b.w or (), b.m) else (b, a)
+
+
 class GramTables:
     """Loss-weighted section geometry of one sample, cached per kernel pair.
 
@@ -851,18 +859,17 @@ class GramTables:
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     (see :meth:`coefficients`) the total is the quadratic form
     T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
-    C_q is the basis cross-Gram.  For nested bases C_q is the truncated
-    identity, so the form reads the common box of the two tensors, scaled
-    by the weights, and no cross-Gram is formed; the diagonal is a row
-    sum over basis values at the sample.  A nested basis is evaluated
-    once per dimension at the largest order requested (:meth:`reserve`
-    sets that order up front), and every smaller order is a slice of it,
-    bit for bit.  A histogram sample's (cell index, in-support mask) is
-    kept per axis and order; tensors sum over it, and the diagonal gathers
-    W_a C_q W_b at each point's two cells, so histogram totals and
-    diagonals share one overlap formula.  Memory is n sum_q m_q basis
-    values or cells plus prod_q m_q per tensor, with prod_q m_q <= n, and
-    n m_q is bounded before it is allocated.
+    C_q is the basis cross-Gram.  A nested basis is evaluated once per
+    dimension at the largest order requested (:meth:`reserve` sets that
+    order up front), and every smaller order is a slice of it, bit for
+    bit.  Its totals and diagonals are partial sums over the basis index,
+    read off prefix tables (:meth:`_prefix_table`).  A histogram sample's
+    (cell index, in-support mask) is kept per axis and order, and tensors
+    sum over it; a pair's W_a C_q W_b is built once and serves both its
+    total and its diagonal (:meth:`_projection_total`).  Every pair,
+    reserved or not, reads the same tables.  Memory is 2 n sum_q m_q
+    basis values and prefix sums, or cells, plus prod_q m_q per tensor,
+    with prod_q m_q <= n, and n m_q is bounded before it is allocated.
 
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
@@ -874,6 +881,9 @@ class GramTables:
     constant.  :meth:`matrix` builds the
     dense table of any pair, uncached; it is the reference the sweep and
     the coefficient form are tested against.
+
+    A pair's total and diagonal are kept under both of its orders, so a
+    repeated read is one dict lookup.
     """
 
     def __init__(self, sample: Sample):
@@ -884,6 +894,8 @@ class GramTables:
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
         self._cells: dict = {}  # histogram (q, m) -> (cell index, in-support mask)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
+        self._prefix: dict = {}  # nested (kind, q, w_a, w_b) -> prefix table; q None for totals
+        self._grams: dict = {}  # histogram (m_a, m_b, w_a, w_b) -> weighted cross-Gram
 
     @staticmethod
     def _canonical(a, b):
@@ -897,10 +909,12 @@ class GramTables:
         """Prepare the tables for a family before its criterion is read.
 
         Nested bases are evaluated once, at the largest orders among
-        ``specs``.  Given the overfitting member ``k0``, the bandwidth
-        pairs (a, a) and (a, k0) of every member a are queued, and the
-        first :meth:`weighted_total` that needs one of them fills them all
-        in one sweep.
+        ``specs``.  Given the overfitting member ``k0``, the pairs (a, a)
+        and (a, k0) of every member a are filled.  Projection pairs are
+        read off their prefix tables or cross-Grams at once, with the
+        (a, k0) diagonals.  Bandwidth pairs are queued, and the first
+        :meth:`weighted_total` that needs one of them fills them all in one
+        sweep.
         """
         for basis, orders in _nested_top_orders(specs).items():
             self.coefficients(ProjectionSpec(basis, orders))
@@ -908,6 +922,8 @@ class GramTables:
             for s in specs:
                 for pair in ((s, s), (s, k0)):
                     self._pending[self._canonical(*pair)] = None
+        elif k0 is not None:
+            self._fill_projection(specs, k0)
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -962,70 +978,150 @@ class GramTables:
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")
 
-    def _projection_total(self, a, b) -> float:
-        """T_a^T ((x)_q W_a C_q W_b) T_b, summed over a's shape.
+    def _prefix_table(self, a, b, q=None) -> np.ndarray:
+        """A nested pair's prefix table, shared by every pair with its weights.
 
-        For a nested basis C_q is the truncated identity, so the product
-        with T_b is T_b on the box min(m_a, m_b), scaled along each axis q
-        in turn by w_a w_b, and exact zeros outside the box: the numbers
-        the cross-Gram contraction gives, without forming it.
+        With q None: the cumulative sums, along each axis in turn, of
+        (x)_q (w_a w_b) T^2 over the widest coefficient tensor T, so that
+        entry k - 1 is the total of every pair whose box min(m_a, m_b) is k.
+        With an axis q: the cumulative sums along j of
+        w_a,j w_b,j phi_j(X_iq)^2, one row per order, so that row k - 1 is
+        the axis-q factor of the diagonal of every pair with
+        min(m_aq, m_bq) = k.  The sums run in index order, so an entry does
+        not depend on how wide the table is, and a table grown with the
+        tensor or the basis values keeps its entries' bits.
+        """
+        if q is None:
+            self.coefficients(a)
+            self.coefficients(b)
+            source = self._coeffs[a.basis.kind]
+        else:
+            self._values(a.basis, q, min(a.m[q], b.m[q]))
+            source = self._basis_values[a.basis.kind, q].T
+        # the order axes end where the weights do
+        axes = range(source.ndim) if q is None else [0]
+        cap = min([len(s.w) for s in (a, b) if s.w is not None], default=max(source.shape))
+        shape = tuple(min(k, cap) if p in axes else k for p, k in enumerate(source.shape))
+        key = (a.basis.kind, q, a.w, b.w)
+        table = self._prefix.get(key)
+        if table is None or table.shape != shape:
+            table = np.square(source[tuple(slice(0, k) for k in shape)], order="C")
+            for p in axes:
+                if a.w is not None or b.w is not None:
+                    k = shape[p]
+                    table *= (a.weights_for(k) * b.weights_for(k)).reshape((k,) + (1,) * (table.ndim - 1 - p))
+                np.cumsum(table, axis=p, out=table)
+            self._prefix[key] = table
+        return table
+
+    def _fill_projection(self, specs, k0):
+        """The (a, a) and (a, k0) totals and (a, k0) diagonal of every member a.
+
+        Nested members read them off the prefix tables of their weights in
+        one gather per table: the entries and rows that :meth:`weighted_total`
+        and :meth:`diag` read one pair at a time, so the bits are the same.
+        Histogram members take their pairs one by one, each (a, k0)
+        cross-Gram built once for the total and the diagonal.
+        """
+        if not k0.basis.nested:
+            for s in specs:
+                pair = _oriented(s, k0)
+                self._totals[s, s] = self._projection_total(s, s)
+                self._keep(self._totals, pair, self._projection_total(*pair))
+                self._keep(self._diags, pair, self._projection_diag(*pair))
+            return
+        for w in dict.fromkeys(s.w for s in specs):
+            members = [s for s in specs if s.w == w]
+            pair = _oriented(members[0], k0)
+            boxes = np.array([s.m for s in members]) - 1
+            near = np.minimum(boxes, np.array(k0.m) - 1)
+            own = self._prefix_table(members[0], members[0])[tuple(boxes.T)].tolist()
+            cross = self._prefix_table(*pair)[tuple(near.T)].tolist()
+            diags = self._prefix_table(*pair, 0)[near[:, 0]]
+            for q in range(1, k0.d):
+                diags *= self._prefix_table(*pair, q)[near[:, q]]
+            for s, t_own, t_cross, diag in zip(members, own, cross, diags):
+                self._totals[s, s] = t_own
+                self._keep(self._totals, (s, k0), t_cross)
+                self._keep(self._diags, (s, k0), diag)
+
+    def _overlap(self, a, b, q: int) -> np.ndarray:
+        """W_a C_q W_b of a histogram pair on axis q, built once per (orders, weights)."""
+        key = (a.m[q], b.m[q], a.w, b.w)
+        gram = self._grams.get(key)
+        if gram is None:
+            gram = self._grams[key] = weighted_cross_gram(a, b, q)
+        return gram
+
+    def _projection_total(self, a, b) -> float:
+        """T_a^T ((x)_q W_a C_q W_b) T_b.
+
+        For a nested basis C_q is the truncated identity, so the form is the
+        sum of (x)_q (w_a w_b) T^2 over the box min(m_a, m_b): one entry of
+        the pair's prefix table.  A histogram pair contracts T_b with its
+        cross-Gram along each axis, in ``einsum`` and not BLAS, except on
+        an axis of equal orders, whose cells coincide: there C_q is the
+        identity, so a (K, K) total needs no overlap table.
         """
         self._check_projection_pair(a, b)
-        if not a.basis.nested:
-            y = self.coefficients(b)
-            for q in range(a.d):
-                y = np.moveaxis(np.tensordot(weighted_cross_gram(a, b, q), y, axes=(1, q)), 0, q)
-            return pairwise_sum(self.coefficients(a) * y)
-        box = tuple(slice(0, min(ma, mb)) for ma, mb in zip(a.m, b.m))
-        inner = self.coefficients(b)[box]
-        if a.w is not None or b.w is not None:
-            for q, k in enumerate(inner.shape):
-                scale = a.weights_for(k) * b.weights_for(k)
-                inner = inner * scale.reshape((k,) + (1,) * (a.d - 1 - q))
-        y = np.zeros(a.m)
-        y[box] = inner
+        if a.basis.nested:
+            return float(self._prefix_table(a, b)[tuple(min(ma, mb) - 1 for ma, mb in zip(a.m, b.m))])
+        y = self.coefficients(b)
+        axes = list(range(a.d))
+        for q, (ma, mb) in enumerate(zip(a.m, b.m)):
+            if ma == mb:
+                if a.w is not None or b.w is not None:
+                    y = y * (a.weights_for(ma) * b.weights_for(mb)).reshape((ma,) + (1,) * (a.d - 1 - q))
+            else:
+                y = np.einsum(self._overlap(a, b, q), [a.d, q], y, axes, axes[:q] + [a.d] + axes[q + 1 :])
         return pairwise_sum(self.coefficients(a) * y)
 
     def _projection_diag(self, a, b) -> np.ndarray:
+        """G_ab[i, i]: for a nested basis the product over axes of one row
+        of each axis's prefix table, for a histogram pair the gather of its
+        cross-Grams at each point's two cells."""
         self._check_projection_pair(a, b)
         _check_dim(a, self.sample.x)
         if not a.basis.nested:
-            return histogram_section_inner(a, self._histogram_cells(a), b, self._histogram_cells(b))
-        out = np.ones(self.sample.n)
-        for q in range(a.d):
-            k = min(a.m[q], b.m[q])
-            v = self._values(a.basis, q, k)
-            # unit weights are skipped: v * 1.0 is v, bit for bit
-            va = v if a.w is None else v * a.weights_for(a.m[q])[None, :k]
-            vb = v if b.w is None else v * b.weights_for(b.m[q])[None, :k]
-            out *= np.sum(va * vb, axis=1)
+            return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
+                                           self._histogram_cells(a), self._histogram_cells(b))
+        out = self._prefix_table(a, b, 0)[min(a.m[0], b.m[0]) - 1].copy()
+        for q in range(1, a.d):
+            out *= self._prefix_table(a, b, q)[min(a.m[q], b.m[q]) - 1]
         return out
 
     # -- public reductions ----------------------------------------------------
 
+    @staticmethod
+    def _keep(cache: dict, pair, value):
+        """Keep a pair's value under both of its orders."""
+        cache[pair] = cache[pair[::-1]] = value
+
     def diag(self, a, b) -> np.ndarray:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
-        key = self._canonical(a, b)
-        if key not in self._diags:
+        diag = self._diags.get((a, b))
+        if diag is None:
             if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-                self._diags[key] = self._projection_diag(*key)
+                diag = self._projection_diag(*_oriented(a, b))
             else:
-                self._diags[key] = np.full(self.sample.n, _bandwidth_diag_value(*key))
-        return self._diags[key]
+                diag = np.full(self.sample.n, _bandwidth_diag_value(*self._canonical(a, b)))
+            self._keep(self._diags, (a, b), diag)
+        return diag
 
     def weighted_total(self, a, b) -> float:
         """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
-        key = self._canonical(a, b)
-        if key in self._totals:
-            return self._totals[key]
+        total = self._totals.get((a, b))
+        if total is not None:
+            return total
         if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-            self._totals[key] = self._projection_total(*key)
+            self._keep(self._totals, (a, b), self._projection_total(*_oriented(a, b)))
         else:
-            self._pending[key] = None
-            keys = [k for k in self._pending if k not in self._totals]
+            self._pending[self._canonical(a, b)] = None
+            pairs = [pair for pair in self._pending if pair not in self._totals]
             self._pending.clear()
-            self._totals.update(zip(keys, bandwidth_totals(keys, self.sample.x, self.sample.loss_values)))
-        return self._totals[key]
+            for pair, total in zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)):
+                self._keep(self._totals, pair, total)
+        return self._totals[a, b]
 
 
 def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> float:

@@ -366,8 +366,9 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
         if a.basis.kind is not b.basis.kind:
             raise ValueError("projection kernels use different basis families")
         if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-            return histogram_section_inner(a, [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
-                                           b, [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
+            return histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
+                                           [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
+                                           [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
         out = np.ones(xa.shape[0])
         for q in range(a.d):
             ma, mb = a.m[q], b.m[q]
@@ -383,23 +384,32 @@ def weighted_cross_gram(a: ProjectionSpec, b: ProjectionSpec, q: int) -> np.ndar
     """W_a C_q W_b: the basis cross-Gram of the orders a.m[q] and b.m[q],
     scaled by the member weights along each side."""
     ma, mb = a.m[q], b.m[q]
-    return a.weights_for(ma)[:, None] * cross_gram(a.basis, ma, mb) * b.weights_for(mb)[None, :]
+    gram = cross_gram(a.basis, ma, mb)
+    # unit weights are skipped: gram * 1.0 is gram, bit for bit
+    if a.w is not None:
+        gram = a.weights_for(ma)[:, None] * gram
+    if b.w is not None:
+        gram = gram * b.weights_for(mb)[None, :]
+    return gram
 
 
-def histogram_section_inner(a, cells_a, b, cells_b) -> np.ndarray:
-    """:func:`section_inner_pointwise` of two histogram kernels, from the
-    cells of the paired points: ``cells_a[q]`` is the (cell index,
-    in-support mask) pair of :func:`~pcoselect.bases.histogram_cells` on
-    axis q at order a.m[q], and ``cells_b[q]`` the same at b.m[q].
+def histogram_section_inner(grams, cells_a, cells_b) -> np.ndarray:
+    """:func:`section_inner_pointwise` of two histogram kernels a and b,
+    from the cells of the paired points: ``grams[q]`` is
+    :func:`weighted_cross_gram` of the pair on axis q, ``cells_a[q]`` the
+    (cell index, in-support mask) pair of
+    :func:`~pcoselect.bases.histogram_cells` on axis q at order a.m[q], and
+    ``cells_b[q]`` the same at b.m[q].
 
     A point in cell c has the section w_c sqrt(m) phi_c, so per axis the
-    inner product is sqrt(m m') times the entry (c, c') of
-    :func:`weighted_cross_gram`, and 0 for a point outside [0, 1).
+    inner product is sqrt(m m') times the entry (c, c') of the weighted
+    cross-Gram, and 0 for a point outside [0, 1).
     """
-    out = np.ones(cells_a[0][0].shape[0])
-    for q, ((ca, ok_a), (cb, ok_b)) in enumerate(zip(cells_a, cells_b)):
-        gram = weighted_cross_gram(a, b, q) * math.sqrt(a.m[q] * b.m[q])
-        out *= gram[ca, cb] * (ok_a & ok_b)
+    out = None
+    for gram, (ca, ok_a), (cb, ok_b) in zip(grams, cells_a, cells_b):
+        factor = (gram * math.sqrt(gram.size)).ravel().take(ca * gram.shape[1] + cb)
+        factor *= ok_a & ok_b
+        out = factor if out is None else np.multiply(out, factor, out=out)
     return out
 
 
@@ -511,8 +521,10 @@ def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
 class KernelFamily:
     """An ordered collection of candidate kernels plus its overfitting member.
 
-    ``k0_index`` points at the member maximizing sup_x K(x, x); ties go to
-    the lowest index.  ``sample_cap`` is the sample size n the family was
+    ``k0_index`` points at the member maximizing sup_x K(x, x) as
+    :func:`find_overfitting_k0` computes it: the first of exactly equal
+    values, where rounding often decides between members that tie in
+    exact arithmetic.  ``sample_cap`` is the sample size n the family was
     sized against (the family never holds more than n members).  Every
     member has the variant, d and base kernel or basis kind of the first.
     """
@@ -542,12 +554,20 @@ class KernelFamily:
 
 
 def find_overfitting_k0(specs) -> int:
-    """Index of the member with the largest diagonal supremum (first on ties).
+    """Index of the member with the largest computed diagonal supremum.
 
     Nested projection members share one diagonal scan per basis, taken at
     the largest order among them.  A member's supremum is the product, in
     dimension order, of the suprema of its one-dimensional factors, so
     each distinct (basis, order, weights) factor is scanned once.
+
+    The first of exactly equal values wins, but members whose suprema tie
+    in exact arithmetic are decided by the scan's rounding, not by their
+    index.  Unweighted trigonometric orders 2j and 2j + 1 both peak at
+    2j + 1, and the scan of the even order reads a few ulps above or below
+    the odd one: m_max = 19 gives k0 = (18,), m_max = 21 gives (21,), and
+    the 5 x 5 family gets (5, 5) at 25.000000000000018 against
+    25.000000000000014 for (5, 4).
     """
     specs = list(specs)
     if not specs:

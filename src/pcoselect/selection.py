@@ -23,10 +23,12 @@ CPUs (``taskset`` restricts them, and inside a report replication it runs
 serially), with the same bits at any worker count; see
 :mod:`~pcoselect.estimator`.  The diagonal is a
 constant.  For projection kernels the totals are quadratic forms in the
-coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq), and the
-diagonal is an O(n sum_q m_q) row sum over basis values at the sample.
-Each nested basis is evaluated once per sample and dimension, at the
-family's largest order; memory stays at n sum_q m_q values plus
+coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq).  Each nested
+basis is evaluated once per sample and dimension, at the family's
+largest order, and every member's totals and diagonal are entries of
+prefix tables over the basis index, filled in one pass before the rows
+are read; each histogram (K, K0) cell-overlap table is built once for
+the total and the diagonal.  Memory stays at 2 n sum_q m_q values plus
 prod_q m_q <= n per tensor.
 """
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 from .estimator import GramTables, LossKind, Sample, _kernel_sums, criterion_distance
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import pairwise_sum
@@ -142,7 +144,9 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
     bandwidth product, or smallest order product), then to the lowest
     index.  Cross sections of the shipped kernel families are pointwise
     nonnegative, so a negative penalty can only come from a broken Gram
-    table and raises instead of being silently accepted.
+    table and raises instead of being silently accepted.  A sample whose
+    values overflow the criterion's sums, such as a response near 1e154
+    under the identity loss, raises a DataError.
     """
     if sample.d != family.d:
         raise DimensionError(f"sample dimension {sample.d} != family dimension {family.d}")
@@ -160,6 +164,9 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
     for idx, spec in enumerate(family.specs):
         dist = criterion_distance(spec, k0, sample, tables)
         pen = penalty(spec, k0, sample, tables)
+        if not (math.isfinite(dist) and math.isfinite(pen)):
+            raise DataError(f"the criterion of {spec_id(spec)} is not finite (distance {dist!r}, penalty {pen!r}):"
+                            " the sample's values are too large for float64 sums")
         if pen < 0.0:
             raise RuntimeError(
                 f"negative penalty {pen!r} for {spec_id(spec)}: Gram tables are inconsistent"

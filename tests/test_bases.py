@@ -86,6 +86,22 @@ def test_basis_matrix_agrees_with_eval(family):
         assert_allclose(mat[:, j - 1], eval_basis(family, m, j, x), atol=1e-13)
 
 
+@pytest.mark.parametrize("family", [TRIG, HIST, LEG])
+def test_members_vanish_at_far_points(family):
+    # a cosine argument or a Legendre polynomial at such points overflows to
+    # inf, and inf * 0 was nan; every in-support value keeps its bits
+    lo, hi = family.support
+    far = np.array([2.1e61, -3e200, 1e308, -1.7e308])
+    inside = np.linspace(lo, hi, 9)
+    with np.errstate(all="ignore"):
+        mat = basis_matrix(family, 12, np.concatenate([far, inside]))
+        assert np.array_equal(mat[: far.size], np.zeros((far.size, 12)))
+        assert mat[far.size :].tobytes() == basis_matrix(family, 12, inside).tobytes()
+        for j in (1, 2, 12):
+            assert np.array_equal(eval_basis(family, 12, j, far), np.zeros(far.size))
+    assert np.array_equal(normalized_legendre(9, far), np.zeros(far.size))
+
+
 # ---------------------------------------------------------------------------
 # orthonormality and cross-Grams
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import csv
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcoselect import CheckReport, scenario_from_config, write_sample_csv
 from pcoselect.cli import main
@@ -163,6 +166,22 @@ def test_select_empty_dataset_is_a_data_error(tmp_path, capsys):
     rc = main(["select", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,row", [
+    # the loss products overflow the totals
+    ({"variant": "bandwidth", "h_min": 0.5, "grid": [1.0], "d": 1}, "0.0,1.3407807929942597e+154"),
+    ({"variant": "projection", "basis": "trigonometric", "m_max": 3, "d": 1}, "0.5,1e200"),
+])
+def test_select_with_overflowing_sums_is_a_data_error(tmp_path, capsys, family, row):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n" + row + "\n" + "0.25,0.0\n" * 10, encoding="utf-8")
+    cfg = _write_json(tmp_path / "family.json", {"family": family})
+    with np.errstate(all="ignore"):
+        rc = main(["select", "--config", cfg, "--data", str(data), "--loss", "identity", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "selection.json").exists()
 
 
 def test_select_dimension_mismatch(tmp_path, dataset, capsys):
@@ -883,3 +902,81 @@ def test_malformed_json_values_never_raise(tmp_path, dataset, capsys, name, fiel
         argv += ["--spec", _write_json(tmp_path / "s.json", spec)]
     assert main(argv) in (0, 2, 3, 4, 5)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# select on generated configs and data
+# ---------------------------------------------------------------------------
+
+# numbers, and the junk a hand-written config or data file may hold instead
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                  st.integers(-3, 70), st.floats(allow_nan=True, allow_infinity=True))
+_MISSING = object()
+
+
+def _field(draw, valid):
+    """A config field: a valid value nine times in ten, else junk or missing."""
+    if draw(st.integers(0, 9)):
+        return draw(valid)
+    return draw(st.one_of(_JUNK, st.just(_MISSING)))
+
+
+@st.composite
+def _select_inputs(draw):
+    """A family config of either variant, and a sample file: the x1..xd,y
+    header and rows of numbers in and out of the supports, among a few
+    rows with non-finite values, too few or too many fields, or text."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        h_min = draw(st.floats(0.05, 0.5))
+        fields = {"variant": st.just("bandwidth"), "base": st.sampled_from(["gaussian", "epanechnikov"]),
+                  "h_min": st.just(h_min), "grid": st.lists(st.floats(h_min, 1.0), min_size=1, max_size=4),
+                  "d": st.just(d)}
+    else:
+        weights = st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+        fields = {"variant": st.just("projection"),
+                  "basis": st.sampled_from(["trigonometric", "regular_histogram", "legendre"]),
+                  "m_max": st.integers(1, 8), "m_cap": st.integers(1, 80), "w": weights, "d": st.just(d)}
+    family = {name: _field(draw, value) for name, value in fields.items()}
+    family = {name: value for name, value in family.items() if value is not _MISSING}
+    if not draw(st.integers(0, 9)):
+        d = draw(st.integers(1, 3))
+    good = st.lists(st.floats(-1.2, 1.2), min_size=d + 1, max_size=d + 1)
+    bad = st.one_of(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=d + 1, max_size=d + 1),
+                    st.lists(st.floats(-1.0, 1.0), max_size=d + 2), st.text(alphabet="0123456789.,-eax", max_size=8))
+    count = draw(st.integers(10, 60)) if draw(st.integers(0, 9)) else 0
+    rows = [",".join(map(repr, row)) for row in draw(st.lists(good, min_size=count, max_size=count))]
+    for row in draw(st.lists(bad, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), row if isinstance(row, str) else ",".join(map(repr, row)))
+    return family, "\n".join([",".join([f"x{q + 1}" for q in range(d)] + ["y"])] + rows) + "\n"
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+# Measured: 60 examples add 3-5 s to the tier-1 run.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_select_inputs(), loss=st.sampled_from(["one", "identity", "square"]))
+def test_select_on_generated_configs_and_data_keeps_the_exit_contract(tmp_path, capsys, inputs, loss):
+    family, data = inputs
+    work = tmp_path / f"case{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    (work / "data.csv").write_text(data, encoding="utf-8")
+    argv = ["select", "--config", _write_json(work / "family.json", {"family": family}),
+            "--data", str(work / "data.csv"), "--loss", loss, "--out", str(work / "out")]
+    rc = main(argv)
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    if rc == 0:
+        report = json.loads((work / "out" / "selection.json").read_text(encoding="utf-8"),
+                            parse_constant=lambda name: pytest.fail(f"selection.json holds {name}"))
+        assert _finite_numbers(report)
+        with open(work / "out" / "selection.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(np.isfinite(float(row[name])) for row in rows for name in ("distance", "penalty", "total"))

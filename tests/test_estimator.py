@@ -1290,7 +1290,8 @@ _W_OTHER = (0.8, 0.0, 0.7, 0.5, 0.45, 0.3, 0.25, 0.2, 0.1, 0.05, 0.04, 0.01) * 2
 @pytest.mark.parametrize("basis", [TRIG, LEG], ids=["trigonometric", "legendre"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("loss", [LossKind.ONE, LossKind.IDENTITY], ids=["one", "y"])
-def test_nested_projection_totals_and_diagonals_are_identical_to_cross_gram_form(basis, d, loss):
+def test_nested_totals_and_diagonals_match_the_cross_gram_form(basis, d, loss):
+    # the prefix tables sum in index order, the cross-Gram form pairwise
     s = _sample_for(ProjectionSpec(basis, (1,) * d), 300, seed=36)
     s = s.with_loss(loss)
     tables = GramTables(s)
@@ -1300,9 +1301,110 @@ def test_nested_projection_totals_and_diagonals_are_identical_to_cross_gram_form
             for wb in weights:
                 a, b = ProjectionSpec(basis, ma, wa), ProjectionSpec(basis, mb, wb)
                 total = tables.weighted_total(a, b)
-                assert total.hex() == cross_gram_total(tables, *GramTables._canonical(a, b)).hex()
-                diag = tables.diag(a, b)
-                assert diag.tobytes() == weighted_values_diag(tables, *GramTables._canonical(a, b)).tobytes()
+                assert_allclose(total, cross_gram_total(tables, a, b), rtol=1e-12, atol=0)
+                assert_allclose(tables.diag(a, b), weighted_values_diag(tables, a, b), rtol=1e-12, atol=0)
+                # the same bits in either order, and from fresh tables
+                fresh = GramTables(s)
+                assert fresh.weighted_total(b, a).hex() == total.hex()
+                assert fresh.diag(b, a).tobytes() == tables.diag(a, b).tobytes()
+
+
+def _dense_rows(family, s):
+    """The (a, a) and (a, k0) totals and (a, k0) diagonals of every member
+    from the dense section tables."""
+    ell, k0 = s.loss_values, family.k0
+    own = [float(ell @ section_inner_matrix(a, s.x, a, s.x) @ ell) for a in family.specs]
+    cross = [section_inner_matrix(a, s.x, k0, s.x) for a in family.specs]
+    return own, [float(ell @ g @ ell) for g in cross], [np.diagonal(g) for g in cross]
+
+
+def _hand_built(basis, orders, w, k0_index):
+    specs = tuple(ProjectionSpec(basis, m, w) for m in orders)
+    return KernelFamily(specs, 1000, k0_index)
+
+
+# nested d = 1, 2, 3 and histogram d = 1, 2, weighted and not; k0 at the
+# top, and below it with members of larger orders; histogram orders cross
+_RESERVED_FAMILIES = {
+    "trigonometric-d1": (TRIG, [(1,), (4,), (9,), (6,)], 2),
+    "trigonometric-d1-w-k0-inside": (TRIG, [(2,), (7,), (5,), (12,)], 2, _W_OTHER),
+    "legendre-d2-w": (LEG, [(1, 1), (3, 2), (2, 4), (4, 4)], 3, _W),
+    "legendre-d2-k0-inside": (LEG, [(1, 3), (3, 2), (2, 4), (5, 1)], 1),
+    "trigonometric-d3": (TRIG, [(1, 1, 1), (2, 3, 1), (3, 3, 3), (3, 1, 2)], 2),
+    "trigonometric-d3-w-k0-inside": (TRIG, [(1, 2, 1), (2, 3, 1), (3, 3, 3), (3, 1, 2)], 1, _W),
+    "histogram-d1": (HIST, [(3,), (7,), (5,), (9,)], 3),
+    "histogram-d1-w-k0-inside": (HIST, [(3,), (7,), (5,), (9,)], 1, _W),
+    "histogram-d2-crossing": (HIST, [(5, 2), (3, 7), (2, 2), (4, 6)], 1, _W),
+    "histogram-d2-crossing-k0-inside": (HIST, [(5, 2), (3, 7), (2, 2), (6, 4)], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_RESERVED_FAMILIES))
+def test_reserved_projection_pairs_match_the_dense_tables(case):
+    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    family = _hand_built(basis, orders, w[0] if w else None, k0_index)
+    s = _sample_for(family.k0, 60, seed=42)
+    tables = GramTables(s)
+    tables.reserve(family.specs, family.k0)
+    k0 = family.k0
+    own, cross, diags = _dense_rows(family, s)
+    for a, t_own, t_cross, diag in zip(family.specs, own, cross, diags):
+        assert_allclose(tables.weighted_total(a, a), t_own, rtol=1e-12, atol=0)
+        assert_allclose(tables.weighted_total(a, k0), t_cross, rtol=1e-12, atol=0)
+        assert_allclose(tables.diag(a, k0), diag, rtol=1e-12, atol=1e-14 * np.max(diag))
+        # reserved or read one pair at a time, in either order: the same bits
+        single = GramTables(s)
+        assert single.weighted_total(k0, a).hex() == tables.weighted_total(a, k0).hex()
+        assert single.weighted_total(a, a).hex() == tables.weighted_total(a, a).hex()
+        assert single.diag(k0, a).tobytes() == tables.diag(a, k0).tobytes()
+
+
+@pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
+                                  "histogram-d2-crossing-k0-inside"])
+def test_reserved_projection_pairs_match_quadrature(case):
+    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    family = _hand_built(basis, orders, w[0] if w else None, k0_index)
+    s = _sample_for(family.k0, 5, seed=43)
+    ell, k0 = s.loss_values, family.k0
+    tables = GramTables(s)
+    tables.reserve(family.specs, k0)
+    for a in family.specs:
+        for b in (a, k0):
+            quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
+            assert_allclose(tables.weighted_total(a, b), float(ell @ quad @ ell), rtol=1e-12)
+        # quad is now the (a, k0) table
+        assert_allclose(tables.diag(a, k0), np.diagonal(quad), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(quad)))
+
+
+@pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
+                                  "histogram-d2-crossing-k0-inside", "trigonometric-d3-w-k0-inside"])
+def test_pco_select_with_k0_below_the_top_member_matches_the_dense_rows(case):
+    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    family = _hand_built(basis, orders, w[0] if w else None, k0_index)
+    assert any(mq > m0 for spec in family.specs for mq, m0 in zip(spec.m, family.k0.m))
+    s = _sample_for(family.k0, 80, seed=44)
+    report = pco_select(family, s)
+    own, cross, diags = _dense_rows(family, s)
+    ell, n, top = s.loss_values, s.n, max(own)
+    for row, t_own, t_cross, diag in zip(report.rows, own, cross, diags):
+        distance = max(0.0, (t_own - 2.0 * t_cross + own[family.k0_index]) / n**2)
+        assert abs(row.distance - distance) <= 1e-12 * top / n**2
+        assert_allclose(row.penalty, 2.0 * float(np.sum(diag * ell * ell)) / n**2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("basis,orders", [(TRIG, ((3, 2), (5, 4))), (LEG, ((6,), (2,))), (HIST, ((3, 5), (4, 2))),
+                                          (HIST, ((4,), (4,)))])
+def test_projection_pair_with_two_weight_vectors_matches_the_dense_table(basis, orders):
+    a = ProjectionSpec(basis, orders[0], _W)
+    b = ProjectionSpec(basis, orders[1], _W_OTHER)
+    s = _sample_for(a, 50, seed=45)
+    ell = s.loss_values
+    dense = section_inner_matrix(a, s.x, b, s.x)
+    tables = GramTables(s)
+    assert_allclose(tables.weighted_total(a, b), float(ell @ dense @ ell), rtol=1e-12)
+    assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(dense)))
+    assert GramTables(s).weighted_total(b, a).hex() == tables.weighted_total(a, b).hex()
+    assert GramTables(s).diag(b, a).tobytes() == tables.diag(a, b).tobytes()
 
 
 def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
@@ -1322,13 +1424,17 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
         monkeypatch.setattr(module, "section_inner_pointwise", forbidden, raising=False)
-    calls, cells = [], []
+    calls, cells, grams = [], [], []
     real_basis_matrix, real_cells = estimator_mod.basis_matrix, estimator_mod.histogram_cells
+    real_gram = estimator_mod.weighted_cross_gram
     monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: calls.append(a[1]) or real_basis_matrix(*a))
     monkeypatch.setattr(estimator_mod, "histogram_cells", lambda m, x: cells.append(m) or real_cells(m, x))
+    monkeypatch.setattr(estimator_mod, "weighted_cross_gram",
+                        lambda a, b, q: grams.append((a.m[q], b.m[q])) or real_gram(a, b, q))
     for (kind, d), (fam, s, want) in reference.items():
         calls.clear()
         cells.clear()
+        grams.clear()
         got = pco_select(fam, s)
         assert got.to_json() == want.to_json()
         # nested bases: one evaluation per dimension, at the family's top order
@@ -1336,6 +1442,10 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
         # histograms: the cells of each axis and order, once
         orders = sorted({m for spec in fam.specs for m in spec.m}) * d
         assert sorted(cells) == (sorted(orders) if kind is BasisKind.REGULAR_HISTOGRAM else [])
+        # histograms: one cross-Gram per (m, m0), shared by the axes, the
+        # (K, K0) total and its diagonal; (K, K) totals build none
+        m0 = fam.k0.m[0]
+        assert sorted(grams) == ([(m, m0) for m in range(1, m0 + 1)] if kind is BasisKind.REGULAR_HISTOGRAM else [])
 
 
 def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):

@@ -491,6 +491,7 @@ def test_find_overfitting_k0_scans_members_at_the_basis_top_order():
     (TRIG, 3, 3, None, 26),
     (TRIG, 4, 2, (1.0, 0.5, 0.5, 1.0), 15),
     (LEG, 6, 2, None, 35),
+    (TRIG, 19, 1, None, 17),
 ])
 def test_overfitting_k0_is_identical_to_the_member_by_member_scan(basis, m_max, d, w, k0):
     import pcoselect.kernels as kernels_mod
