@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 dimension error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -310,7 +311,10 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="pcoselect",
         description="Kernel estimation with data-driven kernel selection by comparison to overfitting.",

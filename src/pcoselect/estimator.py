@@ -841,10 +841,17 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     return block_partial
 
 
-def _oriented(a, b):
-    """A projection pair in a fixed order, by weights and then orders, so
-    that its total and diagonal do not depend on the order it is given in."""
-    return (a, b) if (a.w or (), a.m) <= (b.w or (), b.m) else (b, a)
+def _ordered(a, b):
+    """A pair in the one order its total and diagonal are computed in, so
+    that they do not depend on the order the pair is given in.
+
+    Projection pairs go by weights and then orders, which costs no string.
+    Bandwidth pairs go by ``spec_id``: the sweep's bits follow which member
+    is first, and select-bandwidth's artifacts were fixed in that order.
+    """
+    if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
+        return (a, b) if (a.w or (), a.m) <= (b.w or (), b.m) else (b, a)
+    return (a, b) if spec_id(a) <= spec_id(b) else (b, a)
 
 
 class GramTables:
@@ -863,13 +870,16 @@ class GramTables:
     dimension at the largest order requested (:meth:`reserve` sets that
     order up front), and every smaller order is a slice of it, bit for
     bit.  Its totals and diagonals are partial sums over the basis index,
-    read off prefix tables (:meth:`_prefix_table`).  A histogram sample's
-    (cell index, in-support mask) is kept per axis and order, and tensors
-    sum over it; a pair's W_a C_q W_b is built once and serves both its
-    total and its diagonal (:meth:`_projection_total`).  Every pair,
-    reserved or not, reads the same tables.  Memory is 2 n sum_q m_q
-    basis values and prefix sums, or cells, plus prod_q m_q per tensor,
-    with prod_q m_q <= n, and n m_q is bounded before it is allocated.
+    read off prefix tables (:meth:`_prefix_table`), and every pair,
+    reserved or not, is read by one gather (:meth:`_nested_reads`).  A
+    histogram sample's (cell index, in-support mask) is kept per axis and
+    order, and tensors sum over it; a pair's W_a C_q W_b is built once and
+    serves both its total and its diagonal (:meth:`_projection_total`).
+    Memory per axis is n m_q basis values and n m_q prefix sums per
+    distinct pair of weight vectors, or n cells per order, plus
+    prod_q m_q per tensor, with prod_q m_q <= n.  The values and prefix
+    sums of an axis are bounded together, and cells per order, before
+    they are allocated.
 
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
@@ -882,8 +892,9 @@ class GramTables:
     dense table of any pair, uncached; it is the reference the sweep and
     the coefficient form are tested against.
 
-    A pair's total and diagonal are kept under both of its orders, so a
-    repeated read is one dict lookup.
+    A pair is computed in one order (:func:`_ordered`), and its total and
+    diagonal are kept under both of its orders, so a repeated read is one
+    dict lookup.
     """
 
     def __init__(self, sample: Sample):
@@ -897,10 +908,6 @@ class GramTables:
         self._prefix: dict = {}  # nested (kind, q, w_a, w_b) -> prefix table; q None for totals
         self._grams: dict = {}  # histogram (m_a, m_b, w_a, w_b) -> weighted cross-Gram
 
-    @staticmethod
-    def _canonical(a, b):
-        return (a, b) if spec_id(a) <= spec_id(b) else (b, a)
-
     def matrix(self, a, b) -> np.ndarray:
         """The dense n x n table for (a, b), built on every call."""
         return section_inner_matrix(a, self.sample.x, b, self.sample.x)
@@ -910,20 +917,21 @@ class GramTables:
 
         Nested bases are evaluated once, at the largest orders among
         ``specs``.  Given the overfitting member ``k0``, the pairs (a, a)
-        and (a, k0) of every member a are filled.  Projection pairs are
-        read off their prefix tables or cross-Grams at once, with the
-        (a, k0) diagonals.  Bandwidth pairs are queued, and the first
+        and (a, k0) of every member a are filled.  Nested projection pairs
+        are read off their prefix tables at once, with the (a, k0)
+        diagonals.  Bandwidth pairs are queued, and the first
         :meth:`weighted_total` that needs one of them fills them all in one
-        sweep.
+        sweep.  Histogram pairs are read one at a time, as the criterion
+        asks for them.
         """
         for basis, orders in _nested_top_orders(specs).items():
             self.coefficients(ProjectionSpec(basis, orders))
         if isinstance(k0, BandwidthSpec):
             for s in specs:
                 for pair in ((s, s), (s, k0)):
-                    self._pending[self._canonical(*pair)] = None
-        elif k0 is not None:
-            self._fill_projection(specs, k0)
+                    self._pending[_ordered(*pair)] = None
+        elif k0 is not None and k0.basis.nested:
+            self._fill_nested(specs, k0)
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -989,7 +997,9 @@ class GramTables:
         the axis-q factor of the diagonal of every pair with
         min(m_aq, m_bq) = k.  The sums run in index order, so an entry does
         not depend on how wide the table is, and a table grown with the
-        tensor or the basis values keeps its entries' bits.
+        tensor or the basis values keeps its entries' bits.  An axis's
+        basis values and all its prefix tables, n x m_max entries each,
+        are bounded together before a new table is allocated.
         """
         if q is None:
             self.coefficients(a)
@@ -1005,6 +1015,10 @@ class GramTables:
         key = (a.basis.kind, q, a.w, b.w)
         table = self._prefix.get(key)
         if table is None or table.shape != shape:
+            if q is not None:
+                others = sum(k[:2] == key[:2] for k in self._prefix if k != key)
+                check_table_size("basis values and prefix sums at the sample",
+                                 tables=others + 2, n=self.sample.n, m_max=source.shape[0])
             table = np.square(source[tuple(slice(0, k) for k in shape)], order="C")
             for p in axes:
                 if a.w is not None or b.w is not None:
@@ -1014,32 +1028,32 @@ class GramTables:
             self._prefix[key] = table
         return table
 
-    def _fill_projection(self, specs, k0):
-        """The (a, a) and (a, k0) totals and (a, k0) diagonal of every member a.
+    def _nested_reads(self, pairs, diagonal: bool = True):
+        """Totals, and diagonals if asked, of nested pairs with one pair of
+        weight vectors, in one gather per prefix table.
 
-        Nested members read them off the prefix tables of their weights in
-        one gather per table: the entries and rows that :meth:`weighted_total`
-        and :meth:`diag` read one pair at a time, so the bits are the same.
-        Histogram members take their pairs one by one, each (a, k0)
-        cross-Gram built once for the total and the diagonal.
+        A pair's total is the entry of the total table at its box
+        min(m_a, m_b), and its diagonal is the product over axes of row
+        min(m_aq, m_bq) of each axis's table.  Single reads and
+        :meth:`reserve` both come here, so their bits are the same.
         """
-        if not k0.basis.nested:
-            for s in specs:
-                pair = _oriented(s, k0)
-                self._totals[s, s] = self._projection_total(s, s)
-                self._keep(self._totals, pair, self._projection_total(*pair))
-                self._keep(self._diags, pair, self._projection_diag(*pair))
-            return
+        a, b = _ordered(*pairs[0])
+        boxes = np.minimum([p[0].m for p in pairs], [p[1].m for p in pairs]) - 1
+        totals = self._prefix_table(a, b)[tuple(boxes.T)].tolist()
+        if not diagonal:
+            return totals, None
+        diags = self._prefix_table(a, b, 0)[boxes[:, 0]]
+        for q in range(1, a.d):
+            diags *= self._prefix_table(a, b, q)[boxes[:, q]]
+        return totals, diags
+
+    def _fill_nested(self, specs, k0):
+        """The (a, a) and (a, k0) totals and (a, k0) diagonal of every
+        member a of a nested family, gathered per weight vector."""
         for w in dict.fromkeys(s.w for s in specs):
             members = [s for s in specs if s.w == w]
-            pair = _oriented(members[0], k0)
-            boxes = np.array([s.m for s in members]) - 1
-            near = np.minimum(boxes, np.array(k0.m) - 1)
-            own = self._prefix_table(members[0], members[0])[tuple(boxes.T)].tolist()
-            cross = self._prefix_table(*pair)[tuple(near.T)].tolist()
-            diags = self._prefix_table(*pair, 0)[near[:, 0]]
-            for q in range(1, k0.d):
-                diags *= self._prefix_table(*pair, q)[near[:, q]]
+            own, _ = self._nested_reads([(s, s) for s in members], diagonal=False)
+            cross, diags = self._nested_reads([(s, k0) for s in members])
             for s, t_own, t_cross, diag in zip(members, own, cross, diags):
                 self._totals[s, s] = t_own
                 self._keep(self._totals, (s, k0), t_cross)
@@ -1065,7 +1079,7 @@ class GramTables:
         """
         self._check_projection_pair(a, b)
         if a.basis.nested:
-            return float(self._prefix_table(a, b)[tuple(min(ma, mb) - 1 for ma, mb in zip(a.m, b.m))])
+            return self._nested_reads([(a, b)], diagonal=False)[0][0]
         y = self.coefficients(b)
         axes = list(range(a.d))
         for q, (ma, mb) in enumerate(zip(a.m, b.m)):
@@ -1082,13 +1096,10 @@ class GramTables:
         cross-Grams at each point's two cells."""
         self._check_projection_pair(a, b)
         _check_dim(a, self.sample.x)
-        if not a.basis.nested:
-            return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
-                                           self._histogram_cells(a), self._histogram_cells(b))
-        out = self._prefix_table(a, b, 0)[min(a.m[0], b.m[0]) - 1].copy()
-        for q in range(1, a.d):
-            out *= self._prefix_table(a, b, q)[min(a.m[q], b.m[q]) - 1]
-        return out
+        if a.basis.nested:
+            return self._nested_reads([(a, b)])[1][0]
+        return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
+                                       self._histogram_cells(a), self._histogram_cells(b))
 
     # -- public reductions ----------------------------------------------------
 
@@ -1101,10 +1112,11 @@ class GramTables:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
         diag = self._diags.get((a, b))
         if diag is None:
+            pair = _ordered(a, b)
             if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-                diag = self._projection_diag(*_oriented(a, b))
+                diag = self._projection_diag(*pair)
             else:
-                diag = np.full(self.sample.n, _bandwidth_diag_value(*self._canonical(a, b)))
+                diag = np.full(self.sample.n, _bandwidth_diag_value(*pair))
             self._keep(self._diags, (a, b), diag)
         return diag
 
@@ -1114,9 +1126,9 @@ class GramTables:
         if total is not None:
             return total
         if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-            self._keep(self._totals, (a, b), self._projection_total(*_oriented(a, b)))
+            self._keep(self._totals, (a, b), self._projection_total(*_ordered(a, b)))
         else:
-            self._pending[self._canonical(a, b)] = None
+            self._pending[_ordered(a, b)] = None
             pairs = [pair for pair in self._pending if pair not in self._totals]
             self._pending.clear()
             for pair, total in zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)):

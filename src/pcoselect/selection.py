@@ -28,8 +28,9 @@ basis is evaluated once per sample and dimension, at the family's
 largest order, and every member's totals and diagonal are entries of
 prefix tables over the basis index, filled in one pass before the rows
 are read; each histogram (K, K0) cell-overlap table is built once for
-the total and the diagonal.  Memory stays at 2 n sum_q m_q values plus
-prod_q m_q <= n per tensor.
+the total and the diagonal.  Memory stays at n sum_q m_q basis values,
+as many prefix sums per pair of weight vectors, and prod_q m_q <= n per
+tensor.
 """
 
 from __future__ import annotations

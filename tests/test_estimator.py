@@ -1232,6 +1232,25 @@ def test_sample_tables_are_bounded_before_they_are_allocated(monkeypatch):
         GramTables(s).diag(hist, hist)
 
 
+def test_prefix_tables_are_bounded_with_the_basis_values(monkeypatch):
+    import pcoselect.errors as errors_mod
+
+    # 50 x 9 values and one 50 x 9 prefix table per pair of weight vectors
+    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 1000)
+    s = _uniform_sample(50, seed=47)
+    plain, weighted = ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (9,), _W)
+    tables = GramTables(s)
+    tables.diag(plain, plain)
+    axis_tables = lambda: {key for key in tables._prefix if key[1] is not None}
+    held = axis_tables()
+    with pytest.raises(ConfigError, match="basis values and prefix sums at the sample: tables 3 x n 50 x m_max 9 "
+                                          "asks for a table of 1350 entries, above the limit of 1000"):
+        tables.diag(plain, weighted)
+    assert axis_tables() == held
+    # a table that replaces one of its own key counts once
+    tables.diag(ProjectionSpec(TRIG, (4,)), ProjectionSpec(TRIG, (6,)))
+
+
 def test_bandwidth_sweep_rejects_mixed_variants():
     s = _uniform_sample(5, seed=37)
     with pytest.raises(ValueError, match="mixed"):
