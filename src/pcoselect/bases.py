@@ -150,10 +150,12 @@ def histogram_cells(m: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Order-m histogram cell of each x (0-based, clipped) and the in-support mask.
 
     Member j of order m is sqrt(m) on cell j - 1 and zero elsewhere, so
-    these two arrays carry every histogram basis value at x.
+    these two arrays carry every histogram basis value at x.  x is clipped
+    to [0, 1] before it is scaled, so a huge |x| cannot overflow to inf,
+    whose integer cast is undefined.
     """
     x = np.asarray(x, dtype=np.float64)
-    cells = np.clip(np.floor(x * m).astype(np.int64), 0, m - 1)
+    cells = np.clip(np.floor(np.clip(x, 0.0, 1.0) * m).astype(np.int64), 0, m - 1)
     return cells, (x >= 0.0) & (x < 1.0)
 
 

@@ -51,7 +51,7 @@ from .kernels import (
     diag_sup,
     section_inner_pointwise,
     section_l1_norm,
-    section_sq_norm,
+    section_sq_norm_points,
     spec_id,
 )
 from .numerics import mean_se
@@ -103,7 +103,7 @@ def _section_sup(spec, scan_squares=None) -> float:
     diagonal; ``scan_squares`` is passed on to it.
     """
     if isinstance(spec, BandwidthSpec):
-        return section_sq_norm(spec, np.zeros(spec.d))
+        return float(section_sq_norm_points(spec, np.zeros((1, spec.d)))[0])
     if spec.w is not None:
         spec = ProjectionSpec(spec.basis, spec.m, tuple(v * v for v in spec.w))
     return diag_sup(spec, scan_squares)

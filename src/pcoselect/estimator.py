@@ -104,13 +104,14 @@ from .kernels import (
     BaseKind,
     ProjectionSpec,
     bandwidth_gram_entries,
+    check_pair,
     histogram_section_inner,
     section_inner_matrix,
     section_sq_norm_points,
     spec_id,
     weighted_cross_gram,
 )
-from .numerics import combine_partials, pairwise_sum
+from .numerics import pairwise_sum
 
 log = logging.getLogger(__name__)
 
@@ -633,12 +634,6 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def estimate(spec, sample: Sample, x) -> float:
-    """shat_K(x) = (1/n) sum_i K(X_i, x) ell(Y_i) at one point."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(estimate_on_grid(spec, sample, x[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # Gram tables
 # ---------------------------------------------------------------------------
@@ -669,11 +664,9 @@ def _gaussian_scales(a, b):
 
 
 def _bandwidth_diag_value(a, b) -> float:
-    """G_ab[i, i] = <K_a(x, .), K_b(x, .)>_2, the same at every x."""
-    if not (isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec)):
-        raise ValueError("no closed form for mixed bandwidth/projection sections")
-    if a.d != b.d:
-        raise ValueError("kernel dimensions differ")
+    """G_ab[i, i] = <K_a(x, .), K_b(x, .)>_2, the same at every x; a pair
+    without a closed form (:func:`~pcoselect.kernels.check_pair`) raises."""
+    check_pair(a, b)
     return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
 
 
@@ -714,7 +707,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
         out += np.vecdot(a[:, lo : lo + _CONTRACT_COLS], b[:, lo : lo + _CONTRACT_COLS])
 
 
-def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = True) -> list:
+def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
     """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b), in one sweep.
 
     A bandwidth Gram table is symmetric with the constant diagonal
@@ -741,8 +734,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     memory is O(n) whatever the family size.  A pair's total depends on n,
     d and its own kernels alone, so a pair swept with its family or alone
     gets the same bits, unless the family has too many tables for one row
-    of the budget and none is built.  With ``diagonal=False`` the sums run
-    over i != j only.
+    of the budget and none is built.  Each pair is checked once, by
+    :func:`_bandwidth_diag_value`, before the blocks are computed.
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on the
@@ -755,18 +748,18 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diagonal: bool = Tru
     n, d = x.shape
     if not pairs:
         return []
+    diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     for a, _ in pairs:
         _check_dim(a, x)
-    diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     scales = [_gaussian_scales(a, b) for a, b in pairs]
     args = (pairs, np.ascontiguousarray(x), np.ascontiguousarray(ell))
     starts = range(0, n - 1, _SWEEP_ROWS)
     work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
     partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(pairs)))
-    sum_sq = pairwise_sum(ell * ell) if diagonal else 0.0
+    sum_sq = pairwise_sum(ell * ell)
     totals = []
     for c, scale, column in zip(diag, scales, partials.T):
-        upper = combine_partials(column)
+        upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
         totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
     return totals
@@ -979,13 +972,6 @@ class GramTables:
             full = self._coeffs[kind] = _product_tensor(values, self.sample.loss_values)
         return full[tuple(slice(0, mq) for mq in spec.m)]
 
-    @staticmethod
-    def _check_projection_pair(a, b):
-        if a.d != b.d:
-            raise ValueError("kernel dimensions differ")
-        if a.basis.kind is not b.basis.kind:
-            raise ValueError("projection kernels use different basis families")
-
     def _prefix_table(self, a, b, q=None) -> np.ndarray:
         """A nested pair's prefix table, shared by every pair with its weights.
 
@@ -1077,7 +1063,7 @@ class GramTables:
         an axis of equal orders, whose cells coincide: there C_q is the
         identity, so a (K, K) total needs no overlap table.
         """
-        self._check_projection_pair(a, b)
+        check_pair(a, b)
         if a.basis.nested:
             return self._nested_reads([(a, b)], diagonal=False)[0][0]
         y = self.coefficients(b)
@@ -1094,7 +1080,7 @@ class GramTables:
         """G_ab[i, i]: for a nested basis the product over axes of one row
         of each axis's prefix table, for a histogram pair the gather of its
         cross-Grams at each point's two cells."""
-        self._check_projection_pair(a, b)
+        check_pair(a, b)
         _check_dim(a, self.sample.x)
         if a.basis.nested:
             return self._nested_reads([(a, b)])[1][0]
@@ -1192,19 +1178,15 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     as vectorized callables or as their values at ``grid.points`` (None
     means the zero function).  Cross terms against s_a, s_b are integrated
     on ``grid``, which is required as soon as either function is present.
-    Centering makes E(U) = 0.  Neither variant builds an n x n table: a
-    bandwidth pair takes its sum over i != j from :func:`bandwidth_totals`,
-    and a projection pair takes the coefficient-space total of
-    :class:`GramTables` less its diagonal term.
+    Centering makes E(U) = 0.  No n x n table is built: the sum over
+    i != j is the total of :class:`GramTables` less its diagonal term, for
+    either variant.
     """
     if sample.n < 2:
         raise ValueError("the pair statistic needs at least two observations")
     ell = sample.loss_values
-    if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
-        total = bandwidth_totals([(a, b)], sample.x, ell, diagonal=False)[0]
-    else:
-        tables = GramTables(sample)
-        total = tables.weighted_total(a, b) - pairwise_sum(ell * ell * tables.diag(a, b))
+    tables = GramTables(sample)
+    total = tables.weighted_total(a, b) - pairwise_sum(ell * ell * tables.diag(a, b))
     if s_mean_a is None and s_mean_b is None:
         return total
     if grid is None:

@@ -238,13 +238,6 @@ def kernel_matrix(spec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_eval(spec, x_prime, x) -> float:
-    """K(x', x) at a single pair of d-vectors."""
-    a = np.atleast_1d(np.asarray(x_prime, dtype=np.float64))[None, :]
-    b = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
-    return float(kernel_matrix(spec, a, b)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # closed-form section inner products
 # ---------------------------------------------------------------------------
@@ -306,78 +299,81 @@ def _epanechnikov_conv(h_a: float, h_b: float, delta: np.ndarray) -> np.ndarray:
     return np.multiply(out, 0.5625 / (h_a * h_b) ** 3, out=out)
 
 
+def check_pair(a, b):
+    """Raise ValueError unless the pair (a, b) has a closed-form section
+    product: both kernels of one variant, one d, and one base kernel or
+    basis kind."""
+    if isinstance(a, BandwidthSpec) != isinstance(b, BandwidthSpec):
+        raise ValueError("no closed form for mixed bandwidth/projection sections")
+    if a.d != b.d:
+        raise ValueError(f"kernel dimensions differ ({a.d} and {b.d})")
+    kind_a, kind_b = (a.base.kind, b.base.kind) if isinstance(a, BandwidthSpec) else (a.basis.kind, b.basis.kind)
+    if kind_a is not kind_b:
+        raise ValueError(f"no closed form for a pair of two bases ({kind_a.value} x {kind_b.value}): both"
+                         " kernels of a pair must have the same base kernel or basis kind")
+
+
 def bandwidth_gram_entries(a: BandwidthSpec, b: BandwidthSpec, deltas) -> np.ndarray:
-    """<K_a(x, .), K_b(x', .)>_2 from the differences deltas[q] = x_q - x'_q.
+    """<K_a(x, .), K_b(x', .)>_2 from the differences deltas[q] = x_q - x'_q,
+    for a pair that passes :func:`check_pair`.
 
     The section inner product of two product kernels is the product over
     dimensions of the 1-d convolutions :func:`_bandwidth_conv_1d` of their one base.
     """
-    if a.base != b.base:
-        raise ValueError(f"no closed form for a bandwidth pair of two bases ({a.base.kind.value} x"
-                         f" {b.base.kind.value}): both kernels of a pair must have the same base")
     out = _bandwidth_conv_1d(a.base, a.h[0], b.h[0], deltas[0])
     for q in range(1, a.d):
         out *= _bandwidth_conv_1d(a.base, a.h[q], b.h[q], deltas[q])
     return out
 
 
+def _section_points(a, xa, b, xb) -> tuple:
+    """The points of a section product as float arrays of rows, once the
+    pair passes :func:`check_pair` and the points have the kernels' d."""
+    check_pair(a, b)
+    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
+    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
+    if xa.shape[1] != a.d or xb.shape[1] != a.d:
+        raise ValueError("point dimension does not match the kernels")
+    return xa, xb
+
+
 def section_inner_matrix(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     """Gram block <K_a(xa_i, .), K_b(xb_j, .)>_2, shape (len(xa), len(xb)).
 
-    Both specs must share the variant (bandwidth with bandwidth, projection
-    with projection on the same basis family kind); mixing variants has no
-    closed form here and raises ValueError.
+    The pair must pass :func:`check_pair`, else ValueError.
     """
-    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
-    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-    if a.d != b.d:
-        raise ValueError("kernel dimensions differ")
-    if xa.shape[1] != a.d or xb.shape[1] != b.d:
-        raise ValueError("point dimension does not match the kernels")
-    if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
+    xa, xb = _section_points(a, xa, b, xb)
+    if isinstance(a, BandwidthSpec):
         return bandwidth_gram_entries(a, b, [xa[:, q, None] - xb[None, :, q] for q in range(a.d)])
-    if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-        if a.basis.kind is not b.basis.kind:
-            raise ValueError("projection kernels use different basis families")
-        out = np.ones((xa.shape[0], xb.shape[0]))
-        for q in range(a.d):
-            va, vb = basis_matrix(a.basis, a.m[q], xa[:, q]), basis_matrix(b.basis, b.m[q], xb[:, q])
-            out *= va @ weighted_cross_gram(a, b, q) @ vb.T
-        return out
-    raise ValueError("no closed form for mixed bandwidth/projection sections")
-
-
-def section_inner(a, xa, b, xb) -> float:
-    """<K_a(xa, .), K_b(xb, .)>_2 at single points."""
-    pa = np.atleast_1d(np.asarray(xa, dtype=np.float64))[None, :]
-    pb = np.atleast_1d(np.asarray(xb, dtype=np.float64))[None, :]
-    return float(section_inner_matrix(a, pa, b, pb)[0, 0])
+    out = np.ones((xa.shape[0], xb.shape[0]))
+    for q in range(a.d):
+        va, vb = basis_matrix(a.basis, a.m[q], xa[:, q]), basis_matrix(b.basis, b.m[q], xb[:, q])
+        out *= va @ weighted_cross_gram(a, b, q) @ vb.T
+    return out
 
 
 def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
-    """<K_a(xa_i, .), K_b(xb_i, .)>_2 row by row (no cross terms); shape (n,)."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=np.float64))
-    xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
+    """<K_a(xa_i, .), K_b(xb_i, .)>_2 row by row (no cross terms); shape (n,).
+
+    The pair must pass :func:`check_pair`, else ValueError.
+    """
+    xa, xb = _section_points(a, xa, b, xb)
     if xa.shape != xb.shape:
         raise ValueError("paired point arrays must share a shape")
-    if isinstance(a, BandwidthSpec) and isinstance(b, BandwidthSpec):
+    if isinstance(a, BandwidthSpec):
         return bandwidth_gram_entries(a, b, [xa[:, q] - xb[:, q] for q in range(a.d)])
-    if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-        if a.basis.kind is not b.basis.kind:
-            raise ValueError("projection kernels use different basis families")
-        if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-            return histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
-                                           [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
-                                           [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
-        out = np.ones(xa.shape[0])
-        for q in range(a.d):
-            ma, mb = a.m[q], b.m[q]
-            k = min(ma, mb)
-            va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
-            vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]
-            out *= np.sum(va * vb, axis=1)
-        return out
-    raise ValueError("no closed form for mixed bandwidth/projection sections")
+    if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
+        return histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
+                                       [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
+                                       [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
+    out = np.ones(xa.shape[0])
+    for q in range(a.d):
+        ma, mb = a.m[q], b.m[q]
+        k = min(ma, mb)
+        va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
+        vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]
+        out *= np.sum(va * vb, axis=1)
+    return out
 
 
 def weighted_cross_gram(a: ProjectionSpec, b: ProjectionSpec, q: int) -> np.ndarray:
@@ -411,12 +407,6 @@ def histogram_section_inner(grams, cells_a, cells_b) -> np.ndarray:
         factor *= ok_a & ok_b
         out = factor if out is None else np.multiply(out, factor, out=out)
     return out
-
-
-def section_sq_norm(spec, x_prime) -> float:
-    """||K(x', .)||_2^2 at one point, the one-row case of :func:`section_sq_norm_points`."""
-    xp = np.atleast_1d(np.asarray(x_prime, dtype=np.float64))
-    return float(section_sq_norm_points(spec, xp[None, :])[0])
 
 
 def section_sq_norm_points(spec, pts: np.ndarray) -> np.ndarray:
@@ -534,12 +524,12 @@ class KernelFamily:
     k0_index: int
 
     def __post_init__(self):
-        kinds = [(type(s), s.d, getattr(s, "base", None) or s.basis.kind) for s in self.specs]
-        for index, kind in enumerate(kinds):
-            if kind != kinds[0]:
-                raise ValueError(f"family member {index} ({spec_id(self.specs[index])}) differs from member 0"
-                                 f" ({spec_id(self.specs[0])}): a family has one variant, d and base kernel"
-                                 " or basis kind")
+        for index, spec in enumerate(self.specs):
+            try:
+                check_pair(self.specs[0], spec)
+            except ValueError as exc:
+                raise ValueError(f"family member {index} ({spec_id(spec)}) differs from member 0"
+                                 f" ({spec_id(self.specs[0])}): {exc}") from None
 
     def __len__(self):
         return len(self.specs)

@@ -44,11 +44,6 @@ def weighted_gram_total(gram: np.ndarray, left: np.ndarray, right: np.ndarray) -
     return pairwise_sum(scaled)
 
 
-def combine_partials(partials) -> float:
-    """Combine per-block partial sums; fixed order regardless of scheduling."""
-    return pairwise_sum(np.asarray(partials, dtype=np.float64))
-
-
 def mean_se(values) -> tuple[float, float]:
     """Mean and standard error of the mean, both reduced by :func:`pairwise_sum`.
 

@@ -192,23 +192,6 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
 # ---------------------------------------------------------------------------
 
 
-class OutsideDomain:
-    """Marker for evaluation points where the density estimate is too small."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OutsideDomain"
-
-
-OUTSIDE_DOMAIN = OutsideDomain()
-
-
 @dataclass(frozen=True)
 class QuotientConfig:
     """Threshold policy for quotient estimates.
@@ -229,17 +212,6 @@ class QuotientConfig:
         if self.beta is not None:
             return self.beta
         return float(n) ** -0.25
-
-
-def quotient_estimate(k_num, k_den, sample: Sample, cfg: QuotientConfig, x):
-    """Ratio estimate shat_num(x) / shat_den(x), or OUTSIDE_DOMAIN.
-
-    :func:`quotient_on_grid` at the one point x: OUTSIDE_DOMAIN where the
-    density estimate falls below the threshold, and the float otherwise.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    values, inside = quotient_on_grid(k_num, k_den, sample, cfg, x[None, :])
-    return float(values[0]) if inside[0] else OUTSIDE_DOMAIN
 
 
 def quotient_on_grid(k_num, k_den, sample: Sample, cfg: QuotientConfig, points):

@@ -14,6 +14,7 @@ from pcoselect import (
     normalized_legendre,
     sine_tail_max_violation,
 )
+from pcoselect.bases import histogram_cells
 from pcoselect.kernels import ProjectionSpec, diag_sup, section_sq_norm_points
 from pcoselect.quadrature import composite_rule
 
@@ -213,6 +214,15 @@ def test_histogram_mean_kernel_bounded_by_density_sup():
 def test_breakpoints_histogram():
     assert_allclose(breakpoints(HIST, 4), [0.25, 0.5, 0.75])
     assert list(breakpoints(TRIG, 4)) == []
+
+
+def test_histogram_cells_of_huge_inputs_do_not_overflow():
+    # x * m would overflow to inf, whose integer cast is undefined
+    x = np.array([0.5, 1e308, -1e308, 1.0, 0.999999])
+    with np.errstate(all="raise"):
+        cells, ok = histogram_cells(20, x)
+    assert cells.tolist() == [10, 19, 0, 19, 19]
+    assert ok.tolist() == [True, False, False, False, True]
 
 
 def test_check_order_validation():

@@ -28,7 +28,6 @@ from pcoselect import (
     Sample,
     concentration_experiment,
     criterion_distance,
-    estimate,
     estimate_on_grid,
     estimator_inner,
     kernel_matrix,
@@ -39,7 +38,6 @@ from pcoselect import (
     sbar_empirical,
     scenario_from_config,
     section_inner_matrix,
-    section_sq_norm,
     stream,
     u_statistic,
     v_statistic,
@@ -59,7 +57,7 @@ from pcoselect.estimator import (
     bandwidth_totals,
 )
 from pcoselect.experiments import statistic_grid
-from pcoselect.kernels import section_inner_pointwise
+from pcoselect.kernels import section_inner_pointwise, section_sq_norm_points
 from pcoselect.quadrature import composite_grid, trapezoid_grid
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
@@ -307,16 +305,16 @@ def test_csv_reader_matches_row_by_row_reference(text):
 def test_estimate_single_observation_is_kernel_section():
     spec = BandwidthSpec(GAUSSIAN, (0.3,))
     s = Sample(np.array([[0.4]]), np.array([7.0]), LossKind.ONE)
-    x = np.array([0.55])
-    want = kernel_matrix(spec, s.x, x.reshape(1, 1))[0, 0]
-    assert estimate(spec, s, x) == pytest.approx(want, rel=1e-14)
+    x = np.array([[0.55]])
+    want = kernel_matrix(spec, s.x, x)[0, 0]
+    assert estimate_on_grid(spec, s, x)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_estimate_histogram_hand_count():
     # two of four points share the anchor's cell of width 1/2
     spec = ProjectionSpec(HIST, (2,))
     s = Sample(np.array([[0.1], [0.2], [0.6], [0.8]]), np.zeros(4), LossKind.ONE)
-    assert estimate(spec, s, np.array([0.25])) == pytest.approx(1.0)
+    assert estimate_on_grid(spec, s, np.array([[0.25]]))[0] == pytest.approx(1.0)
 
 
 def test_estimate_zero_responses():
@@ -332,7 +330,7 @@ def test_estimate_on_grid_matches_pointwise():
     grid = np.linspace(0, 1, 31).reshape(-1, 1)
     vals = estimate_on_grid(spec, s, grid)
     for k in (0, 11, 30):
-        assert_allclose(vals[k], estimate(spec, s, grid[k]), rtol=1e-12)
+        assert_allclose(vals[k], estimate_on_grid(spec, s, grid[k : k + 1])[0], rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -534,7 +532,7 @@ def test_estimate_dimension_mismatch():
     spec = BandwidthSpec(GAUSSIAN, (0.2, 0.2))
     s = _uniform_sample(5, d=1)
     with pytest.raises(ValueError):
-        estimate(spec, s, np.array([0.5, 0.5]))
+        estimate_on_grid(spec, s, np.array([[0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +543,7 @@ def test_estimate_dimension_mismatch():
 def test_estimator_inner_single_observation():
     spec = BandwidthSpec(GAUSSIAN, (0.4,))
     s = Sample(np.array([[0.6]]), np.array([1.0]), LossKind.ONE)
-    want = section_sq_norm(spec, np.array([0.6]))
+    want = section_sq_norm_points(spec, np.array([[0.6]]))[0]
     assert estimator_inner(spec, spec, s) == pytest.approx(want, rel=1e-13)
 
 
@@ -656,7 +654,7 @@ def test_sbar_empirical_projection_bound():
 def test_sbar_empirical_single_point():
     spec = ProjectionSpec(TRIG, (4,))
     s = Sample(np.array([[0.3]]), np.array([2.0]), LossKind.IDENTITY)
-    want = section_sq_norm(spec, np.array([0.3])) * 4.0
+    want = section_sq_norm_points(spec, np.array([[0.3]]))[0] * 4.0
     assert sbar_empirical(spec, s) == pytest.approx(want, rel=1e-13)
 
 
@@ -961,11 +959,12 @@ def test_gaussian_exponent_floor_keeps_to_the_exact_references():
     # far from every observation each entry reads e^-700 where the exact kernel is 0
     ones = s.with_loss(LossKind.ONE)
     assert kernel_matrix(a, s.x, np.array([[3.0]])).max() == 0.0
-    assert_allclose(estimate(a, ones, [3.0]), math.exp(-700.0) * a.base.at_zero / a.h[0], rtol=1e-12)
+    assert_allclose(estimate_on_grid(a, ones, [[3.0]])[0], math.exp(-700.0) * a.base.at_zero / a.h[0], rtol=1e-12)
     # the floor is decided on the span of sample and points together
     tight = Sample(np.linspace(0.0, 0.01, 5)[:, None], np.ones(5))
     wide = BandwidthSpec(GAUSSIAN, (0.05,))
-    assert_allclose(estimate(wide, tight, [3.0]), math.exp(-700.0) * wide.base.at_zero / 0.05, rtol=1e-12)
+    assert_allclose(estimate_on_grid(wide, tight, [[3.0]])[0], math.exp(-700.0) * wide.base.at_zero / 0.05,
+                    rtol=1e-12)
 
 
 def _family_pairs(fam):
@@ -1094,9 +1093,13 @@ def _sweep_cases():
 @pytest.mark.parametrize("diagonal", [True, False])
 @pytest.mark.parametrize("case", sorted(_sweep_cases()))
 def test_forked_sweep_is_bit_identical_to_serial(monkeypatch, case, diagonal):
+    # without the diagonal: the sums over i != j that u_statistic reads, one sweep per pair
     pairs, s = _sweep_cases()[case]
-    serial, forked = _serial_and_forked(
-        monkeypatch, lambda: np.array(bandwidth_totals(pairs, s.x, s.loss_values, diagonal=diagonal)))
+    if diagonal:
+        compute = lambda: np.array(bandwidth_totals(pairs, s.x, s.loss_values))
+    else:
+        compute = lambda: np.array([u_statistic(a, b, s) for a, b in pairs])
+    serial, forked = _serial_and_forked(monkeypatch, compute)
     assert np.array_equal(serial, forked)
 
 
@@ -1172,7 +1175,7 @@ for fam, s in cases:
 
 
 def test_selection_is_byte_identical_across_blas_thread_counts():
-    src = os.path.dirname(os.path.dirname(estimate.__code__.co_filename))
+    src = os.path.dirname(os.path.dirname(estimate_on_grid.__code__.co_filename))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,

@@ -13,25 +13,24 @@ from pcoselect import (
     BasisFamily,
     BasisKind,
     ConfigError,
+    GramTables,
     KernelFamily,
     ProjectionSpec,
+    Sample,
     diag_sup,
     find_overfitting_k0,
-    kernel_eval,
     kernel_matrix,
     make_bandwidth_family,
     make_projection_family,
-    section_inner,
     section_inner_matrix,
     section_l1_norm,
-    section_sq_norm,
     spec_from_config,
     spec_id,
     spec_to_config,
     stream,
 )
 from pcoselect.bases import basis_matrix
-from pcoselect.kernels import DIAG_SCAN_POINTS, section_inner_pointwise
+from pcoselect.kernels import DIAG_SCAN_POINTS, section_inner_pointwise, section_sq_norm_points
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -144,15 +143,14 @@ def test_kernel_matrix_symmetry():
 
 def test_bandwidth_kernel_value():
     spec = BandwidthSpec(GAUSSIAN, (0.5,))
-    got = kernel_eval(spec, np.array([0.3]), np.array([0.3]))
+    got = kernel_matrix(spec, np.array([[0.3]]), np.array([[0.3]]))[0, 0]
     assert_allclose(got, ONE_OVER_SQRT_TWO_PI / 0.5, rtol=1e-14)
 
 
 def test_projection_kernel_value():
     # histogram kernel: m on the shared cell, 0 across cells
     spec = ProjectionSpec(HIST, (4,))
-    assert kernel_eval(spec, np.array([0.26]), np.array([0.49])) == pytest.approx(4.0)
-    assert kernel_eval(spec, np.array([0.26]), np.array([0.51])) == pytest.approx(0.0)
+    assert kernel_matrix(spec, np.array([[0.26]]), np.array([[0.49], [0.51]]))[0] == pytest.approx([4.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def test_gaussian_sections_match_quadrature():
     rng = stream(101)
     specs = [BandwidthSpec(GAUSSIAN, (h,)) for h in (0.05, 0.17, 0.4, 1.0)]
     for a, b, xa, xb in _pairs_1d(rng, specs):
-        got = section_inner(a, xa, b, xb)
+        got = section_inner_matrix(a, xa[None], b, xb[None])[0, 0]
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
 
@@ -182,7 +180,7 @@ def test_epanechnikov_sections_match_quadrature():
     rng = stream(102)
     specs = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.08, 0.25, 0.6)]
     for a, b, xa, xb in _pairs_1d(rng, specs):
-        got = section_inner(a, xa, b, xb)
+        got = section_inner_matrix(a, xa[None], b, xb[None])[0, 0]
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
 
@@ -199,8 +197,8 @@ def test_epanechnikov_three_node_rule_matches_quadrature(ha, hb):
         for sign in (1.0, -1.0):
             xb = np.array([sign * frac * (ha + hb)])
             want = quad_section_inner(a, np.zeros(1), b, xb)
-            assert_allclose(section_inner(a, np.zeros(1), b, xb), want, rtol=1e-12)
-    assert section_inner(a, np.zeros(1), b, np.array([1.0001 * (ha + hb)])) == 0.0
+            assert_allclose(section_inner_matrix(a, np.zeros((1, 1)), b, xb[None])[0, 0], want, rtol=1e-12)
+    assert section_inner_matrix(a, np.zeros((1, 1)), b, np.array([[1.0001 * (ha + hb)]]))[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("basis,orders", [(TRIG, (2, 5, 9)), (HIST, (3, 4, 7)), (LEG, (1, 4, 8))])
@@ -211,7 +209,7 @@ def test_projection_sections_match_quadrature(basis, orders):
     for a, b, _, _ in _pairs_1d(rng, specs, count=15):
         xa = lo + (hi - lo) * rng.random(1)
         xb = lo + (hi - lo) * rng.random(1)
-        got = section_inner(a, xa, b, xb)
+        got = section_inner_matrix(a, xa[None], b, xb[None])[0, 0]
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
 
@@ -221,7 +219,7 @@ def test_weighted_projection_sections_match_quadrature():
     w = np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05])
     specs = [ProjectionSpec(TRIG, (m,), w=w) for m in (3, 6, 8)]
     for a, b, xa, xb in _pairs_1d(rng, specs, count=10):
-        got = section_inner(a, xa, b, xb)
+        got = section_inner_matrix(a, xa[None], b, xb[None])[0, 0]
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
 
@@ -235,7 +233,7 @@ def test_sections_match_quadrature_d2():
     for a, b, _, _ in _pairs_1d(rng, specs, count=6):
         xa = rng.random(2)
         xb = rng.random(2)
-        got = section_inner(a, xa, b, xb)
+        got = section_inner_matrix(a, xa[None], b, xb[None])[0, 0]
         want = quad_section_inner(a, xa, b, xb)
         assert_allclose(got, want, atol=1e-10)
     hspecs = [ProjectionSpec(HIST, (2, 5)), ProjectionSpec(HIST, (4, 3))]
@@ -243,7 +241,7 @@ def test_sections_match_quadrature_d2():
         xa = rng.random(2)
         xb = rng.random(2)
         assert_allclose(
-            section_inner(a, xa, b, xb), quad_section_inner(a, xa, b, xb), atol=1e-10
+            section_inner_matrix(a, xa[None], b, xb[None])[0, 0], quad_section_inner(a, xa, b, xb), atol=1e-10
         )
 
 
@@ -257,7 +255,7 @@ def test_section_inner_matrix_consistency():
     assert mat.shape == (5, 4)
     for i in range(5):
         for j in range(4):
-            assert_allclose(mat[i, j], section_inner(a, xa[i], b, xb[j]), rtol=1e-12)
+            assert_allclose(mat[i, j], section_inner_matrix(a, xa[i : i + 1], b, xb[j : j + 1])[0, 0], rtol=1e-12)
 
 
 def test_section_inner_pointwise_matches_matrix_diagonal():
@@ -290,14 +288,49 @@ def test_variant_mixing_rejected():
     a = BandwidthSpec(GAUSSIAN, (0.2,))
     b = ProjectionSpec(TRIG, (4,))
     with pytest.raises(ValueError):
-        section_inner(a, np.array([0.3]), b, np.array([0.4]))
+        section_inner_matrix(a, np.array([[0.3]]), b, np.array([[0.4]]))
 
 
 def test_cross_basis_projection_rejected():
     a = ProjectionSpec(TRIG, (4,))
     b = ProjectionSpec(HIST, (4,))
     with pytest.raises(ValueError):
-        section_inner(a, np.array([0.3]), b, np.array([0.4]))
+        section_inner_matrix(a, np.array([[0.3]]), b, np.array([[0.4]]))
+
+
+# pairs without a closed form: one rule, the same message at every entry point
+_BAD_PAIRS = {
+    "mixed": (BandwidthSpec(GAUSSIAN, (0.1,)), ProjectionSpec(TRIG, (3,)), "mixed"),
+    "bandwidth-dimensions": (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.1, 0.2)), "dimensions"),
+    "projection-dimensions": (ProjectionSpec(TRIG, (3,)), ProjectionSpec(TRIG, (3, 4)), "dimensions"),
+    "two-bases": (BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(EPANECHNIKOV, (0.1,)),
+                  r"two bases \((gaussian x epanechnikov|epanechnikov x gaussian)\)"),
+    "two-basis-kinds": (ProjectionSpec(TRIG, (3,)), ProjectionSpec(HIST, (3,)),
+                        r"two bases \((trigonometric x regular_histogram|regular_histogram x trigonometric)\)"),
+}
+
+
+@pytest.mark.parametrize("entry", ["matrix", "pointwise", "total", "diag"])
+@pytest.mark.parametrize("case", sorted(_BAD_PAIRS))
+def test_pairs_without_a_closed_form_raise_at_every_entry(case, entry):
+    a, b, message = _BAD_PAIRS[case]
+    x = np.array([[0.3], [0.6]])
+    calls = {
+        "matrix": lambda: section_inner_matrix(a, x, b, x),
+        "pointwise": lambda: section_inner_pointwise(a, x, b, x),
+        "total": lambda: GramTables(Sample(x, np.ones(2))).weighted_total(a, b),
+        "diag": lambda: GramTables(Sample(x, np.ones(2))).diag(a, b),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("product", [section_inner_matrix, section_inner_pointwise])
+def test_section_products_reject_points_of_another_width(product):
+    x = np.array([[0.3, 0.4], [0.6, 0.1]])
+    for spec in (BandwidthSpec(GAUSSIAN, (0.1,)), ProjectionSpec(TRIG, (3,))):
+        with pytest.raises(ValueError, match="point dimension"):
+            product(spec, x, spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +341,16 @@ def test_cross_basis_projection_rejected():
 def test_section_sq_norm_closed_forms():
     spec = BandwidthSpec(GAUSSIAN, (0.5, 0.25))
     want = ONE_OVER_TWO_SQRT_PI / 0.5 * ONE_OVER_TWO_SQRT_PI / 0.25
-    assert section_sq_norm(spec, np.array([0.3, 0.7])) == pytest.approx(want, rel=1e-14)
+    x = np.array([[0.3, 0.7]])
+    assert section_sq_norm_points(spec, x)[0] == pytest.approx(want, rel=1e-14)
     # consistency with the pairwise inner product of a section with itself
-    x = np.array([0.3, 0.7])
-    assert_allclose(section_inner(spec, x, spec, x), want, rtol=1e-13)
+    assert_allclose(section_inner_matrix(spec, x, spec, x)[0, 0], want, rtol=1e-13)
 
 
 def test_section_sq_norm_projection_matches_inner():
     spec = ProjectionSpec(TRIG, (6,))
-    x = np.array([0.37])
-    assert_allclose(section_sq_norm(spec, x), section_inner(spec, x, spec, x), rtol=1e-12)
+    x = np.array([[0.37]])
+    assert_allclose(section_sq_norm_points(spec, x), section_inner_matrix(spec, x, spec, x)[0], rtol=1e-12)
 
 
 def test_section_l1_norm_bandwidth_exact_one():

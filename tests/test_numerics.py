@@ -13,13 +13,16 @@ from numpy.testing import assert_allclose
 
 import pcoselect
 from pcoselect import numerics
-from pcoselect.numerics import combine_partials, mean_se, pairwise_sum, pooled_map, weighted_gram_total
+from pcoselect.numerics import mean_se, pairwise_sum, pooled_map, weighted_gram_total
 
 
 def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(42)
     values = rng.standard_normal(10_001) * 1e6
     assert_allclose(pairwise_sum(values), math.fsum(values), rtol=1e-12)
+    # a list of block partials that cancel
+    parts = [1e10, -1e10, 1e-3, 2e-3]
+    assert_allclose(pairwise_sum(parts), math.fsum(parts), rtol=1e-15)
 
 
 def test_pairwise_sum_is_order_stable():
@@ -48,11 +51,6 @@ def test_mean_se_is_the_mean_and_its_standard_error():
     assert mean == 3.5
     assert_allclose(se, math.sqrt(np.var(values, ddof=1) / 4), rtol=1e-15)
     assert mean_se([2.5]) == (2.5, 0.0)
-
-
-def test_combine_partials_matches_direct():
-    parts = [1e10, -1e10, 1e-3, 2e-3]
-    assert_allclose(combine_partials(parts), math.fsum(parts), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from pcoselect import (
     GAUSSIAN,
-    OUTSIDE_DOMAIN,
     BandwidthSpec,
     BasisFamily,
     BasisKind,
@@ -16,13 +15,11 @@ from pcoselect import (
     ProjectionSpec,
     QuotientConfig,
     Sample,
-    estimate,
     estimate_on_grid,
     make_bandwidth_family,
     make_projection_family,
     pco_select,
     penalty,
-    quotient_estimate,
     quotient_on_grid,
     sbar_empirical,
     scenario_from_config,
@@ -178,25 +175,26 @@ def test_quotient_exact_for_constant_responses():
     k = BandwidthSpec(GAUSSIAN, (0.2,))
     cfg = QuotientConfig(beta=1e-6)
     for pt in (0.1, 0.5, 0.9):
-        got = quotient_estimate(k, k, s, cfg, np.array([pt]))
-        assert got == pytest.approx(2.0, rel=1e-12)
+        values, inside = quotient_on_grid(k, k, s, cfg, np.array([[pt]]))
+        assert inside[0] and values[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_quotient_boundary_is_inclusive():
     s = Sample(np.array([[0.5]]), np.array([3.0]), LossKind.IDENTITY)
     k = BandwidthSpec(GAUSSIAN, (0.25,))
-    den = estimate(k, s.with_loss(LossKind.ONE), np.array([0.5]))
-    got = quotient_estimate(k, k, s, QuotientConfig(beta=den), np.array([0.5]))
-    assert got == pytest.approx(3.0, rel=1e-12)
-    below = quotient_estimate(k, k, s, QuotientConfig(beta=den * (1 + 1e-9)), np.array([0.5]))
-    assert below is OUTSIDE_DOMAIN
+    pt = np.array([[0.5]])
+    den = estimate_on_grid(k, s.with_loss(LossKind.ONE), pt)[0]
+    values, inside = quotient_on_grid(k, k, s, QuotientConfig(beta=den), pt)
+    assert inside[0] and values[0] == pytest.approx(3.0, rel=1e-12)
+    values, inside = quotient_on_grid(k, k, s, QuotientConfig(beta=den * (1 + 1e-9)), pt)
+    assert not inside[0] and np.isnan(values[0])
 
 
 def test_quotient_outside_domain_far_from_data():
     s = Sample(np.array([[0.5]]), np.array([3.0]), LossKind.IDENTITY)
     k = BandwidthSpec(GAUSSIAN, (0.05,))
-    got = quotient_estimate(k, k, s, QuotientConfig(beta=0.1), np.array([25.0]))
-    assert got is OUTSIDE_DOMAIN
+    values, inside = quotient_on_grid(k, k, s, QuotientConfig(beta=0.1), np.array([[25.0]]))
+    assert not inside[0] and np.isnan(values[0])
 
 
 def test_quotient_config_validation():
@@ -235,10 +233,6 @@ def test_quotient_on_grid_is_identical_to_two_estimates(case):
     assert inside.any() and not inside.all()
     assert np.array_equal(mask, inside)
     assert np.array_equal(values, expected, equal_nan=True)
-    for p in pts[::500]:
-        got = quotient_estimate(k_num, k_den, s, cfg, p)
-        want = quotient_on_grid(k_num, k_den, s, cfg, p[None, :])[0][0]
-        assert got is OUTSIDE_DOMAIN if np.isnan(want) else got == want
 
 
 def test_quotient_on_grid_masks_low_density():
