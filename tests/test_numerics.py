@@ -20,9 +20,6 @@ def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(42)
     values = rng.standard_normal(10_001) * 1e6
     assert_allclose(pairwise_sum(values), math.fsum(values), rtol=1e-12)
-    # a list of block partials that cancel
-    parts = [1e10, -1e10, 1e-3, 2e-3]
-    assert_allclose(pairwise_sum(parts), math.fsum(parts), rtol=1e-15)
 
 
 def test_pairwise_sum_is_order_stable():
@@ -51,6 +48,12 @@ def test_mean_se_is_the_mean_and_its_standard_error():
     assert mean == 3.5
     assert_allclose(se, math.sqrt(np.var(values, ddof=1) / 4), rtol=1e-15)
     assert mean_se([2.5]) == (2.5, 0.0)
+
+
+def test_combine_partials_matches_direct():
+    # block partials that cancel, combined as bandwidth_totals combines them
+    parts = [1e10, -1e10, 1e-3, 2e-3]
+    assert_allclose(pairwise_sum(parts), math.fsum(parts), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
