@@ -154,6 +154,8 @@ def cmd_estimate(args) -> int:
         raise DimensionError(f"spec dimension {spec.d} != data dimension {sample.d}")
     points = _grid_from_config(cfg.get("grid", cfg), sample.d)
     values = estimate_on_grid(spec, sample, points)
+    if not np.all(np.isfinite(values)):
+        raise DataError("the estimate is not finite: the sample's values are too large for float64 sums")
     out = _out_dir(args)
     lines = [",".join([f"x{q + 1}" for q in range(sample.d)] + ["estimate"])]
     for row, val in zip(points, values):

@@ -32,9 +32,9 @@ with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 so the totals are small quadratic forms in T and risk-grid values expand
 T at the grid points.  For a nested basis every order's totals and
 penalty diagonals are partial sums over the basis index, which
-:class:`GramTables` keeps as prefix tables: a family's whole criterion is
-read off them in one pass.  These cost O(n prod_q m_q) time and
-O(n sum_q m_q) memory, and the families keep prod_q m_q <= n.  No path
+:class:`GramTables` keeps as prefix tables: a family's whole criterion
+is one gather from them (:meth:`GramTables.family_rows`).  These cost
+O(n prod_q m_q) time and O(n sum_q m_q) memory, and the families keep prod_q m_q <= n.  No path
 on selection or experiments builds an n x n table.
 
 :func:`estimate_on_grid` evaluates any number of members of a family at
@@ -372,6 +372,8 @@ def _projection_rows(specs, tables, points: np.ndarray, divisor) -> np.ndarray:
     with the tensor of every weight row.
     """
     top = _nested_top_orders(specs)
+    for tab in tables:
+        tab._widen(top)
     widest = max(max(spec.m) for spec in specs)
     size = _EVAL_BLOCK * max(1, _BASIS_VALUES // (_EVAL_BLOCK * widest))
     rows = np.empty((len(specs), len(tables), points.shape[0]))
@@ -603,14 +605,8 @@ def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=
     if bandwidth:
         out[bandwidth] = _bandwidth_rows([specs[k] for k in bandwidth], x, stack, points, divisor, axis)
     if projection:
-        members = [specs[k] for k in projection]
-        if tables is None:
-            tables = [GramTables(Sample(x, wj, LossKind.IDENTITY)) for wj in stack]
-            for tab in tables:
-                tab.reserve(members)
-        else:
-            tables = [tables]
-        out[projection] = _projection_rows(members, tables, points, divisor)
+        tables = [tables] if tables is not None else [GramTables(Sample(x, wj, LossKind.IDENTITY)) for wj in stack]
+        out[projection] = _projection_rows([specs[k] for k in projection], tables, points, divisor)
     return out[:, 0] if np.ndim(w) == 1 else out
 
 
@@ -853,18 +849,19 @@ class GramTables:
     PCO needs, for kernel pairs (a, b), the totals
     sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonals G_ab[i, i] of the
     table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Each unordered pair
-    is computed once and kept as a scalar (totals) or an n-vector
-    (diagonals); no n x n table is kept.
+    is computed once, in one order (:func:`_ordered`), and kept as a scalar
+    (totals) or an n-vector (diagonals); no n x n table is kept.
+    :meth:`family_rows` reads a family's whole PCO criterion at once, with
+    the bits of one-pair reads (:meth:`weighted_total`, :meth:`diag`).
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     (see :meth:`coefficients`) the total is the quadratic form
     T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
     C_q is the basis cross-Gram.  A nested basis is evaluated once per
-    dimension at the largest order requested (:meth:`reserve` sets that
-    order up front), and every smaller order is a slice of it, bit for
-    bit.  Its totals and diagonals are partial sums over the basis index,
-    read off prefix tables (:meth:`_prefix_table`), and every pair,
-    reserved or not, is read by one gather (:meth:`_nested_reads`).  A
+    dimension at the largest order requested, and every smaller order is a
+    slice of it, bit for bit.  Its totals and diagonals are partial sums
+    over the basis index, read off prefix tables (:meth:`_prefix_table`)
+    by one gather (:meth:`_nested_reads`).  A
     histogram sample's (cell index, in-support mask) is kept per axis and
     order, and tensors sum over it; a pair's W_a C_q W_b is built once and
     serves both its total and its diagonal (:meth:`_projection_total`).
@@ -877,24 +874,16 @@ class GramTables:
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
     fixed row blocks, with scratch allocated once and per-dimension
-    Gaussian tables shared between pairs at d >= 2: after :meth:`reserve`
-    with the overfitting member k0, the first :meth:`weighted_total` fills
-    every (a, a) and (a, k0) total of the family in one sweep, and an
-    unreserved pair takes a sweep of its own.  Their diagonal is a
-    constant.  :meth:`matrix` builds the
-    dense table of any pair, uncached; it is the reference the sweep and
-    the coefficient form are tested against.
-
-    A pair is computed in one order (:func:`_ordered`), and its total and
-    diagonal are kept under both of its orders, so a repeated read is one
-    dict lookup.
+    Gaussian tables shared between pairs at d >= 2; a family's 2N - 1
+    pairs take one sweep.  Their diagonal is a constant.  :meth:`matrix`
+    builds the dense table of any pair, uncached; it is the reference the
+    sweep and the coefficient form are tested against.
     """
 
     def __init__(self, sample: Sample):
         self.sample = sample
-        self._totals: dict = {}
-        self._pending: dict = {}  # bandwidth pairs queued by reserve, in order
-        self._diags: dict = {}
+        self._totals: dict = {}  # _ordered pair -> total
+        self._diags: dict = {}  # _ordered pair -> diagonal
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
         self._cells: dict = {}  # histogram (q, m) -> (cell index, in-support mask)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
@@ -905,26 +894,36 @@ class GramTables:
         """The dense n x n table for (a, b), built on every call."""
         return section_inner_matrix(a, self.sample.x, b, self.sample.x)
 
-    def reserve(self, specs, k0=None):
-        """Prepare the tables for a family before its criterion is read.
+    def family_rows(self, specs, k0):
+        """The (a, a) total, (a, k0) total and (a, k0) diagonal of every member a.
 
-        Nested bases are evaluated once, at the largest orders among
-        ``specs``.  Given the overfitting member ``k0``, the pairs (a, a)
-        and (a, k0) of every member a are filled.  Nested projection pairs
-        are read off their prefix tables at once, with the (a, k0)
-        diagonals.  Bandwidth pairs are queued, and the first
-        :meth:`weighted_total` that needs one of them fills them all in one
-        sweep.  Histogram pairs are read one at a time, as the criterion
-        asks for them.
+        Returns the two lists of totals and the diagonals as an (N, n)
+        array, in the order of ``specs``.  Bandwidth pairs take one sweep
+        (:func:`bandwidth_totals`) over every pair not yet computed.  Nested
+        projection pairs are gathered from the prefix tables, one gather per
+        weight vector, with the bases evaluated once at the top orders.
+        Histogram pairs are read one at a time.  Every value is kept, and
+        is the bits a read of its pair alone gives.
         """
-        for basis, orders in _nested_top_orders(specs).items():
-            self.coefficients(ProjectionSpec(basis, orders))
         if isinstance(k0, BandwidthSpec):
-            for s in specs:
-                for pair in ((s, s), (s, k0)):
-                    self._pending[_ordered(*pair)] = None
-        elif k0 is not None and k0.basis.nested:
-            self._fill_nested(specs, k0)
+            pairs = dict.fromkeys(_ordered(*pair) for s in specs for pair in ((s, s), (s, k0)))
+            pairs = [pair for pair in pairs if pair not in self._totals]
+            if pairs:
+                self._totals.update(zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)))
+        elif k0.basis.nested:
+            self._widen(_nested_top_orders([*specs, k0]))
+            for w in dict.fromkeys(s.w for s in specs):
+                members = [s for s in specs if s.w == w]
+                for s in members:
+                    check_pair(s, k0)
+                own, _ = self._nested_reads([(s, s) for s in members], diagonal=False)
+                cross, diags = self._nested_reads([(s, k0) for s in members])
+                self._totals.update(zip([(s, s) for s in members], own))
+                self._totals.update(zip([_ordered(s, k0) for s in members], cross))
+                self._diags.update(zip([_ordered(s, k0) for s in members], diags))
+        own = [self.weighted_total(s, s) for s in specs]
+        cross = [self.weighted_total(s, k0) for s in specs]
+        return own, cross, np.array([self.diag(s, k0) for s in specs])
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -937,6 +936,11 @@ class GramTables:
             vals = basis_matrix(basis, m, self.sample.x[:, q])
             self._basis_values[key] = vals
         return vals[:, :m]
+
+    def _widen(self, top: dict):
+        """Evaluate each nested basis once, at its top orders (:func:`_nested_top_orders`)."""
+        for basis, orders in top.items():
+            self.coefficients(ProjectionSpec(basis, orders))
 
     def _histogram_cells(self, spec: ProjectionSpec) -> list:
         """The (cell index, in-support mask) of every X_iq at order spec.m[q], per axis q."""
@@ -1021,7 +1025,7 @@ class GramTables:
         A pair's total is the entry of the total table at its box
         min(m_a, m_b), and its diagonal is the product over axes of row
         min(m_aq, m_bq) of each axis's table.  Single reads and
-        :meth:`reserve` both come here, so their bits are the same.
+        :meth:`family_rows` both come here, so their bits are the same.
         """
         a, b = _ordered(*pairs[0])
         boxes = np.minimum([p[0].m for p in pairs], [p[1].m for p in pairs]) - 1
@@ -1032,18 +1036,6 @@ class GramTables:
         for q in range(1, a.d):
             diags *= self._prefix_table(a, b, q)[boxes[:, q]]
         return totals, diags
-
-    def _fill_nested(self, specs, k0):
-        """The (a, a) and (a, k0) totals and (a, k0) diagonal of every
-        member a of a nested family, gathered per weight vector."""
-        for w in dict.fromkeys(s.w for s in specs):
-            members = [s for s in specs if s.w == w]
-            own, _ = self._nested_reads([(s, s) for s in members], diagonal=False)
-            cross, diags = self._nested_reads([(s, k0) for s in members])
-            for s, t_own, t_cross, diag in zip(members, own, cross, diags):
-                self._totals[s, s] = t_own
-                self._keep(self._totals, (s, k0), t_cross)
-                self._keep(self._diags, (s, k0), diag)
 
     def _overlap(self, a, b, q: int) -> np.ndarray:
         """W_a C_q W_b of a histogram pair on axis q, built once per (orders, weights)."""
@@ -1089,37 +1081,31 @@ class GramTables:
 
     # -- public reductions ----------------------------------------------------
 
-    @staticmethod
-    def _keep(cache: dict, pair, value):
-        """Keep a pair's value under both of its orders."""
-        cache[pair] = cache[pair[::-1]] = value
-
     def diag(self, a, b) -> np.ndarray:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
-        diag = self._diags.get((a, b))
+        pair = _ordered(a, b)
+        diag = self._diags.get(pair)
         if diag is None:
-            pair = _ordered(a, b)
             if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
                 diag = self._projection_diag(*pair)
             else:
-                diag = np.full(self.sample.n, _bandwidth_diag_value(*pair))
-            self._keep(self._diags, (a, b), diag)
+                value = _bandwidth_diag_value(*pair)
+                _check_dim(a, self.sample.x)
+                diag = np.full(self.sample.n, value)
+            self._diags[pair] = diag
         return diag
 
     def weighted_total(self, a, b) -> float:
         """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
-        total = self._totals.get((a, b))
-        if total is not None:
-            return total
-        if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-            self._keep(self._totals, (a, b), self._projection_total(*_ordered(a, b)))
-        else:
-            self._pending[_ordered(a, b)] = None
-            pairs = [pair for pair in self._pending if pair not in self._totals]
-            self._pending.clear()
-            for pair, total in zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)):
-                self._keep(self._totals, pair, total)
-        return self._totals[a, b]
+        pair = _ordered(a, b)
+        total = self._totals.get(pair)
+        if total is None:
+            if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
+                total = self._projection_total(*pair)
+            else:
+                total = bandwidth_totals([pair], self.sample.x, self.sample.loss_values)[0]
+            self._totals[pair] = total
+        return total
 
 
 def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> float:
@@ -1129,25 +1115,27 @@ def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> f
     return tables.weighted_total(a, b) / sample.n**2
 
 
-def criterion_distance(a, k0, sample: Sample, tables: GramTables | None = None) -> float:
-    """||shat_a - shat_k0||_2^2 expanded through the Gram tables.
+def _distance(own: float, cross: float, anchor: float, n: int) -> float:
+    """||shat_a - shat_k0||_2^2 from the totals (a, a), (a, k0) and (k0, k0).
 
     Exact arithmetic gives a nonnegative number; floating point can land a
     few ulp below zero, which is clamped to zero.  A drop beyond 1e-10 is
     clamped too but logged, since it would indicate an inconsistent table.
     """
-    if tables is None:
-        tables = GramTables(sample)
-    value = (
-        estimator_inner(a, a, sample, tables)
-        - 2.0 * estimator_inner(a, k0, sample, tables)
-        + estimator_inner(k0, k0, sample, tables)
-    )
+    value = own / n**2 - 2.0 * (cross / n**2) + anchor / n**2
     if value < 0.0:
         if value < -NEGATIVE_DISTANCE_TOL:
             log.warning("criterion distance %.3e clamped to 0 beyond tolerance", value)
         value = 0.0
     return value
+
+
+def criterion_distance(a, k0, sample: Sample, tables: GramTables | None = None) -> float:
+    """||shat_a - shat_k0||_2^2 expanded through the Gram tables (:func:`_distance`)."""
+    if tables is None:
+        tables = GramTables(sample)
+    return _distance(tables.weighted_total(a, a), tables.weighted_total(a, k0), tables.weighted_total(k0, k0),
+                     sample.n)
 
 
 def sbar_empirical(spec, sample: Sample) -> float:

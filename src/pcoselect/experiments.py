@@ -14,6 +14,9 @@ experiments fork no new process.  A replication's own bandwidth sweep
 and grid evaluation run serially in whichever process computes it, so no
 more than ``threads`` processes compute at once.
 
+A replication selects on a fresh :class:`~pcoselect.estimator.GramTables`
+of its sample and evaluates its risk grid on the same tables, so a
+projection family expands the coefficient tensors its selection built.
 Risk grids are evaluated for many members at once by
 :func:`~pcoselect.estimator.estimate_on_grid`, whose block widths depend
 on the sample size and dimension only, so the worker count never changes
@@ -163,7 +166,6 @@ def _oracle_replication(family: KernelFamily, scn: Scenario, loss: LossKind, gri
     def one(rep: int):
         sample = scn.generate(rep, loss)
         tables = GramTables(sample)
-        tables.reserve(family.specs, family.k0)
         report = pco_select(family, sample, tables)
         risks = []
         for start in range(0, len(family), group):

@@ -9,28 +9,29 @@ and the penalty is the sampled cross-section inner product
 
     pen(K) = (2 / n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2.
 
-Both terms come from one :class:`GramTables`.  The distance expands into
-three loss-weighted totals and the penalty is the diagonal of the (K, K0)
-table; no n x n table is formed for either kind of family.  For bandwidth
-kernels the 2N - 1 totals (K, K) and (K, K0) of an N-member family are
-reduced in one sweep over the pairwise differences of the sample, in
-fixed row blocks with O(n) scratch memory allocated once: each block's
-entries are contracted with the loss weights by BLAS dot products, and at
-d >= 2 each per-dimension Gaussian factor is evaluated once per block and
-shared by the pairs that use it.  A large sweep spreads its blocks over
-the worker pool, processes forked once and kept, up to the usable
-CPUs (``taskset`` restricts them, and inside a report replication it runs
-serially), with the same bits at any worker count; see
-:mod:`~pcoselect.estimator`.  The diagonal is a
-constant.  For projection kernels the totals are quadratic forms in the
-coefficient tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq).  Each nested
-basis is evaluated once per sample and dimension, at the family's
-largest order, and every member's totals and diagonal are entries of
-prefix tables over the basis index, filled in one pass before the rows
-are read; each histogram (K, K0) cell-overlap table is built once for
-the total and the diagonal.  Memory stays at n sum_q m_q basis values,
-as many prefix sums per pair of weight vectors, and prod_q m_q <= n per
-tensor.
+Both terms come from one call, :meth:`GramTables.family_rows
+<pcoselect.estimator.GramTables.family_rows>`, whether the tables are
+:func:`pco_select`'s own or the caller's: the distance expands into three
+loss-weighted totals and the penalty is the diagonal of the (K, K0)
+table.  No n x n table is formed for either kind of family.  For
+bandwidth kernels the 2N - 1 totals (K, K) and (K, K0) of an N-member
+family are reduced in one sweep over the pairwise differences of the
+sample, in fixed row blocks with O(n) scratch memory allocated once:
+each block's entries are contracted with the loss weights by BLAS dot
+products, and at d >= 2 each per-dimension Gaussian factor is evaluated
+once per block and shared by the pairs that use it.  A large sweep
+spreads its blocks over the worker pool, processes forked once and kept,
+up to the usable CPUs (``taskset`` restricts them, and inside a report
+replication it runs serially), with the same bits at any worker count;
+see :mod:`~pcoselect.estimator`.  The diagonal is a constant.  For
+projection kernels the totals are quadratic forms in the coefficient
+tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq).  Each nested basis is
+evaluated once per sample and dimension, at the family's largest order,
+and every member's totals and diagonal are gathered from prefix tables
+over the basis index; each histogram (K, K0) cell-overlap table is built
+once for the total and the diagonal.  Memory stays at n sum_q m_q basis
+values, as many prefix sums per pair of weight vectors, and
+prod_q m_q <= n per tensor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .estimator import GramTables, LossKind, Sample, _kernel_sums, criterion_distance
+from .estimator import GramTables, LossKind, Sample, _distance, _kernel_sums
 from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
 from .numerics import pairwise_sum
 
@@ -54,13 +55,16 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 
+def _penalty(diag: np.ndarray, ell: np.ndarray, n: int) -> float:
+    """(2/n^2) sum_i diag_i ell_i^2, from the (K, K0) diagonal."""
+    return 2.0 * pairwise_sum(diag * ell * ell) / n**2
+
+
 def penalty(spec, k0, sample: Sample, tables: GramTables | None = None) -> float:
     """(2/n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2."""
     if tables is None:
         tables = GramTables(sample)
-    diag = tables.diag(spec, k0)
-    ell = sample.loss_values
-    return 2.0 * pairwise_sum(diag * ell * ell) / sample.n**2
+    return _penalty(tables.diag(spec, k0), sample.loss_values, sample.n)
 
 
 def _smoothness_key(spec):
@@ -159,12 +163,11 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
         )
     if tables is None:
         tables = GramTables(sample)
-        tables.reserve(family.specs, family.k0)
-    k0 = family.k0
+    own, cross, diags = tables.family_rows(family.specs, family.k0)
     rows = []
     for idx, spec in enumerate(family.specs):
-        dist = criterion_distance(spec, k0, sample, tables)
-        pen = penalty(spec, k0, sample, tables)
+        dist = _distance(own[idx], cross[idx], own[family.k0_index], sample.n)
+        pen = _penalty(diags[idx], sample.loss_values, sample.n)
         if not (math.isfinite(dist) and math.isfinite(pen)):
             raise DataError(f"the criterion of {spec_id(spec)} is not finite (distance {dist!r}, penalty {pen!r}):"
                             " the sample's values are too large for float64 sums")

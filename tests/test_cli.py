@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcoselect import CheckReport, scenario_from_config, write_sample_csv
@@ -937,11 +937,29 @@ def _field(draw, valid):
     return draw(st.one_of(_JUNK, st.just(_MISSING)))
 
 
+def _sample_csv(draw, d):
+    """A sample file: the x1..xd,y header and rows of numbers in and out of
+    the supports, among a few rows with non-finite values, too few or too
+    many fields, or text."""
+    good = st.lists(st.floats(-1.2, 1.2), min_size=d + 1, max_size=d + 1)
+    bad = st.one_of(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=d + 1, max_size=d + 1),
+                    st.lists(st.floats(-1.0, 1.0), max_size=d + 2), st.text(alphabet="0123456789.,-eax", max_size=8))
+    count = draw(st.integers(10, 60)) if draw(st.integers(0, 9)) else 0
+    rows = [",".join(map(repr, row)) for row in draw(st.lists(good, min_size=count, max_size=count))]
+    for row in draw(st.lists(bad, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), row if isinstance(row, str) else ",".join(map(repr, row)))
+    return "\n".join([",".join([f"x{q + 1}" for q in range(d)] + ["y"])] + rows) + "\n"
+
+
+def _config(draw, fields):
+    """A config of the given field strategies, each one valid nine times in ten (:func:`_field`)."""
+    cfg = {name: _field(draw, value) for name, value in fields.items()}
+    return {name: value for name, value in cfg.items() if value is not _MISSING}
+
+
 @st.composite
 def _select_inputs(draw):
-    """A family config of either variant, and a sample file: the x1..xd,y
-    header and rows of numbers in and out of the supports, among a few
-    rows with non-finite values, too few or too many fields, or text."""
+    """A family config of either variant, and a sample file (:func:`_sample_csv`)."""
     d = draw(st.integers(1, 3))
     if draw(st.booleans()):
         h_min = draw(st.floats(0.05, 0.5))
@@ -953,18 +971,10 @@ def _select_inputs(draw):
         fields = {"variant": st.just("projection"),
                   "basis": st.sampled_from(["trigonometric", "regular_histogram", "legendre"]),
                   "m_max": st.integers(1, 8), "m_cap": st.integers(1, 80), "w": weights, "d": st.just(d)}
-    family = {name: _field(draw, value) for name, value in fields.items()}
-    family = {name: value for name, value in family.items() if value is not _MISSING}
+    family = _config(draw, fields)
     if not draw(st.integers(0, 9)):
         d = draw(st.integers(1, 3))
-    good = st.lists(st.floats(-1.2, 1.2), min_size=d + 1, max_size=d + 1)
-    bad = st.one_of(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=d + 1, max_size=d + 1),
-                    st.lists(st.floats(-1.0, 1.0), max_size=d + 2), st.text(alphabet="0123456789.,-eax", max_size=8))
-    count = draw(st.integers(10, 60)) if draw(st.integers(0, 9)) else 0
-    rows = [",".join(map(repr, row)) for row in draw(st.lists(good, min_size=count, max_size=count))]
-    for row in draw(st.lists(bad, max_size=3)):
-        rows.insert(draw(st.integers(0, len(rows))), row if isinstance(row, str) else ",".join(map(repr, row)))
-    return family, "\n".join([",".join([f"x{q + 1}" for q in range(d)] + ["y"])] + rows) + "\n"
+    return family, _sample_csv(draw, d)
 
 
 def _finite_numbers(value) -> bool:
@@ -995,3 +1005,50 @@ def test_select_on_generated_configs_and_data_keeps_the_exit_contract(tmp_path, 
         with open(work / "out" / "selection.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert all(np.isfinite(float(row[name])) for row in rows for name in ("distance", "penalty", "total"))
+
+
+@st.composite
+def _estimate_inputs(draw):
+    """A spec config of either variant, a grid config, and a sample file
+    (:func:`_sample_csv`); grid bounds may be reversed, and the grid, spec
+    and data dimensions may differ."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 3)) if not draw(st.integers(0, 9)) else d
+    if draw(st.booleans()):
+        fields = {"variant": st.just("bandwidth"), "base": st.sampled_from(["gaussian", "epanechnikov"]),
+                  "h": st.lists(st.floats(1e-4, 2.0), min_size=size, max_size=size)}
+    else:
+        fields = {"variant": st.just("projection"),
+                  "basis": st.sampled_from(["trigonometric", "regular_histogram", "legendre"]),
+                  "m": st.lists(st.integers(1, 12), min_size=size, max_size=size), "m_cap": st.integers(1, 80),
+                  "w": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)}
+    spec = _config(draw, fields)
+    bound = st.one_of(st.floats(-1.5, 1.5), st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d))
+    points = st.one_of(st.integers(1, 9), st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    grid = _config(draw, {"lo": bound, "hi": bound, "points": points})
+    if not draw(st.integers(0, 9)):
+        d = draw(st.integers(1, 3))
+    return spec, grid, _sample_csv(draw, d)
+
+
+# 40 examples take 0.4-0.5 s of the tier-1 run on 2 CPUs.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_estimate_inputs(), loss=st.sampled_from(["one", "identity", "square"]))
+# y^2 overflows under the square loss: an infinite estimate, once written with exit 0
+@example(inputs=({"variant": "bandwidth", "base": "gaussian", "h": [1.0]}, {"lo": 0.0, "hi": 0.0, "points": 1},
+                 "x1,y\n0.0,1.3407807929942597e+154\n\n0.0,0.0\n"), loss="square")
+def test_estimate_on_generated_configs_and_data_keeps_the_exit_contract(tmp_path, capsys, inputs, loss):
+    spec, grid, data = inputs
+    work = tmp_path / f"case{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    (work / "data.csv").write_text(data, encoding="utf-8")
+    argv = ["estimate", "--config", _write_json(work / "grid.json", {"grid": grid}),
+            "--spec", _write_json(work / "spec.json", {"spec": spec}),
+            "--data", str(work / "data.csv"), "--loss", loss, "--out", str(work / "out")]
+    rc = main(argv)
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    if rc == 0:
+        with open(work / "out" / "estimate.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(np.isfinite(float(v)) for row in rows for v in row)

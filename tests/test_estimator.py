@@ -34,6 +34,7 @@ from pcoselect import (
     make_bandwidth_family,
     make_projection_family,
     pco_select,
+    penalty,
     read_sample_csv,
     sbar_empirical,
     scenario_from_config,
@@ -968,7 +969,7 @@ def test_gaussian_exponent_floor_keeps_to_the_exact_references():
 
 
 def _family_pairs(fam):
-    """The (K, K) and (K, K0) pairs of a family, as a reserved sweep takes them."""
+    """The (K, K) and (K, K0) pairs of a family, as its one sweep takes them."""
     return list(dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0))))
 
 
@@ -1289,7 +1290,9 @@ def test_projection_coefficient_form_matches_quadrature(a, b):
 def test_nested_coefficients_are_slices_of_the_widest_evaluation():
     s = _sample_for(ProjectionSpec(TRIG, (1, 1)), 50, seed=34)
     tables = GramTables(s)
-    tables.reserve([ProjectionSpec(TRIG, (6, 2)), ProjectionSpec(TRIG, (2, 5))])
+    # a family read evaluates the basis once, at the top orders (6, 5)
+    specs = [ProjectionSpec(TRIG, (6, 2)), ProjectionSpec(TRIG, (2, 5))]
+    tables.family_rows(specs, specs[0])
     for m in [(1, 1), (6, 5), (3, 4), (6, 1)]:
         spec = ProjectionSpec(TRIG, m)
         # fresh tables evaluate the basis at the member's own orders
@@ -1347,7 +1350,7 @@ def _hand_built(basis, orders, w, k0_index):
 
 # nested d = 1, 2, 3 and histogram d = 1, 2, weighted and not; k0 at the
 # top, and below it with members of larger orders; histogram orders cross
-_RESERVED_FAMILIES = {
+_FAMILY_ROWS_CASES = {
     "trigonometric-d1": (TRIG, [(1,), (4,), (9,), (6,)], 2),
     "trigonometric-d1-w-k0-inside": (TRIG, [(2,), (7,), (5,), (12,)], 2, _W_OTHER),
     "legendre-d2-w": (LEG, [(1, 1), (3, 2), (2, 4), (4, 4)], 3, _W),
@@ -1361,47 +1364,46 @@ _RESERVED_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_RESERVED_FAMILIES))
+@pytest.mark.parametrize("case", list(_FAMILY_ROWS_CASES))
 def test_reserved_projection_pairs_match_the_dense_tables(case):
-    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    # the rows of GramTables.family_rows, against the dense tables and against
+    # reads of one pair at a time
+    basis, orders, k0_index, *w = _FAMILY_ROWS_CASES[case]
     family = _hand_built(basis, orders, w[0] if w else None, k0_index)
     s = _sample_for(family.k0, 60, seed=42)
-    tables = GramTables(s)
-    tables.reserve(family.specs, family.k0)
     k0 = family.k0
-    own, cross, diags = _dense_rows(family, s)
-    for a, t_own, t_cross, diag in zip(family.specs, own, cross, diags):
-        assert_allclose(tables.weighted_total(a, a), t_own, rtol=1e-12, atol=0)
-        assert_allclose(tables.weighted_total(a, k0), t_cross, rtol=1e-12, atol=0)
-        assert_allclose(tables.diag(a, k0), diag, rtol=1e-12, atol=1e-14 * np.max(diag))
-        # reserved or read one pair at a time, in either order: the same bits
+    rows = GramTables(s).family_rows(family.specs, k0)
+    assert rows[2].shape == (len(family), s.n)
+    for a, r_own, r_cross, r_diag, t_own, t_cross, diag in zip(family.specs, *rows, *_dense_rows(family, s)):
+        assert_allclose(r_own, t_own, rtol=1e-12, atol=0)
+        assert_allclose(r_cross, t_cross, rtol=1e-12, atol=0)
+        assert_allclose(r_diag, diag, rtol=1e-12, atol=1e-14 * np.max(diag))
+        # a family read or one pair at a time, in either order: the same bits
         single = GramTables(s)
-        assert single.weighted_total(k0, a).hex() == tables.weighted_total(a, k0).hex()
-        assert single.weighted_total(a, a).hex() == tables.weighted_total(a, a).hex()
-        assert single.diag(k0, a).tobytes() == tables.diag(a, k0).tobytes()
+        assert single.weighted_total(k0, a).hex() == r_cross.hex()
+        assert single.weighted_total(a, a).hex() == r_own.hex()
+        assert single.diag(k0, a).tobytes() == r_diag.tobytes()
 
 
 @pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
                                   "histogram-d2-crossing-k0-inside"])
 def test_reserved_projection_pairs_match_quadrature(case):
-    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    basis, orders, k0_index, *w = _FAMILY_ROWS_CASES[case]
     family = _hand_built(basis, orders, w[0] if w else None, k0_index)
     s = _sample_for(family.k0, 5, seed=43)
     ell, k0 = s.loss_values, family.k0
-    tables = GramTables(s)
-    tables.reserve(family.specs, k0)
-    for a in family.specs:
-        for b in (a, k0):
+    for a, *row in zip(family.specs, *GramTables(s).family_rows(family.specs, k0)):
+        for b, total in ((a, row[0]), (k0, row[1])):
             quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
-            assert_allclose(tables.weighted_total(a, b), float(ell @ quad @ ell), rtol=1e-12)
+            assert_allclose(total, float(ell @ quad @ ell), rtol=1e-12)
         # quad is now the (a, k0) table
-        assert_allclose(tables.diag(a, k0), np.diagonal(quad), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(quad)))
+        assert_allclose(row[2], np.diagonal(quad), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(quad)))
 
 
 @pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
                                   "histogram-d2-crossing-k0-inside", "trigonometric-d3-w-k0-inside"])
 def test_pco_select_with_k0_below_the_top_member_matches_the_dense_rows(case):
-    basis, orders, k0_index, *w = _RESERVED_FAMILIES[case]
+    basis, orders, k0_index, *w = _FAMILY_ROWS_CASES[case]
     family = _hand_built(basis, orders, w[0] if w else None, k0_index)
     assert any(mq > m0 for spec in family.specs for mq, m0 in zip(spec.m, family.k0.m))
     s = _sample_for(family.k0, 80, seed=44)
@@ -1429,6 +1431,18 @@ def test_projection_pair_with_two_weight_vectors_matches_the_dense_table(basis, 
     assert GramTables(s).diag(b, a).tobytes() == tables.diag(a, b).tobytes()
 
 
+def _per_pair_rows(fam, s):
+    """Every member's (distance, penalty) as hex, read one pair at a time
+    through criterion_distance and penalty on one fresh GramTables."""
+    tables = GramTables(s)
+    return [(criterion_distance(a, fam.k0, s, tables).hex(), penalty(a, fam.k0, s, tables).hex())
+            for a in fam.specs]
+
+
+def _report_rows(report):
+    return [(row.distance.hex(), row.penalty.hex()) for row in report.rows]
+
+
 def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
     import pcoselect.estimator as estimator_mod
     import pcoselect.kernels as kernels_mod
@@ -1441,8 +1455,8 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
     for basis, d, m_max in cases:
         s = _sample_for(ProjectionSpec(basis, (1,) * d), 80, seed=35)
         fam = make_projection_family(basis, m_max, d, s.n)
-        # tables passed in are not reserved, so they grow order by order
-        reference[basis.kind, d] = (fam, s, pco_select(fam, s, GramTables(s)))
+        # read pair by pair, the tables grow order by order
+        reference[basis.kind, d] = (fam, s, _per_pair_rows(fam, s))
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
         monkeypatch.setattr(module, "section_inner_pointwise", forbidden, raising=False)
@@ -1457,8 +1471,7 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
         calls.clear()
         cells.clear()
         grams.clear()
-        got = pco_select(fam, s)
-        assert got.to_json() == want.to_json()
+        assert _report_rows(pco_select(fam, s)) == want
         # nested bases: one evaluation per dimension, at the family's top order
         assert calls == ([] if kind is BasisKind.REGULAR_HISTOGRAM else [fam.k0.m[0]] * d)
         # histograms: the cells of each axis and order, once
@@ -1482,8 +1495,8 @@ def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
     for base, d, grid in cases:
         s = _uniform_sample(2 * _SWEEP_ROWS + 9, d=d, seed=38, loss=LossKind.IDENTITY)
         fam = make_bandwidth_family(base, grid[0], grid, d, s.n)
-        # tables passed in are not reserved, so every total takes its own sweep
-        reference[base.kind, d] = (fam, s, pco_select(fam, s, GramTables(s)))
+        # read pair by pair, every total takes its own sweep
+        reference[base.kind, d] = (fam, s, _per_pair_rows(fam, s))
     monkeypatch.setattr(GramTables, "matrix", forbidden)
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
@@ -1493,10 +1506,56 @@ def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
     monkeypatch.setattr(estimator_mod, "bandwidth_totals", lambda pairs, *a: sweeps.append(pairs) or real_totals(pairs, *a))
     for fam, s, want in reference.values():
         sweeps.clear()
-        got = pco_select(fam, s)
-        assert got.to_json() == want.to_json()
+        assert _report_rows(pco_select(fam, s)) == want
         # one sweep fills the 2N - 1 totals (K, K) and (K, K0)
         assert [len(pairs) for pairs in sweeps] == [2 * len(fam) - 1]
+
+
+# bandwidth families as (base, d, grid, n); the d = 1 Gaussian sweep is past
+# _FORK_WORK, so it runs on the worker pool where there is more than one CPU,
+# and each of its single pairs runs serially
+_BANDWIDTH_SELECTIONS = {
+    "gaussian-d1": (GAUSSIAN, 1, [0.01, 0.03, 0.1, 0.3, 0.5], 500),
+    "gaussian-d2": (GAUSSIAN, 2, [0.1, 0.2, 0.4], 150),
+    "epanechnikov-d1": (EPANECHNIKOV, 1, [0.03, 0.1, 0.3], 150),
+}
+
+
+@pytest.mark.parametrize("case", [*_BANDWIDTH_SELECTIONS, "trigonometric-d1-w-k0-inside", "legendre-d2-w",
+                                  "histogram-d2-crossing"])
+def test_pco_select_rows_are_identical_to_per_pair_reads(case):
+    if case in _BANDWIDTH_SELECTIONS:
+        base, d, grid, n = _BANDWIDTH_SELECTIONS[case]
+        s = _uniform_sample(n, d=d, seed=47, loss=LossKind.IDENTITY)
+        fam = make_bandwidth_family(base, grid[0], grid, d, n)
+    else:
+        basis, orders, k0_index, *w = _FAMILY_ROWS_CASES[case]
+        fam = _hand_built(basis, orders, w[0] if w else None, k0_index)
+        s = _sample_for(fam.k0, 80, seed=47)
+    want = _per_pair_rows(fam, s)
+    assert _report_rows(pco_select(fam, s)) == want
+    assert _report_rows(pco_select(fam, s, GramTables(s))) == want
+
+
+def test_pco_select_on_passed_tables_sweeps_once_with_identical_rows(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    s = _uniform_sample(300, seed=48, loss=LossKind.IDENTITY)
+    grid = [0.01, 0.015, 0.025, 0.04, 0.06, 0.1, 0.16, 0.25, 0.4]
+    fam = make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, s.n)
+    sweeps = []
+    real_totals = estimator_mod.bandwidth_totals
+    monkeypatch.setattr(estimator_mod, "bandwidth_totals",
+                        lambda pairs, *a: sweeps.append(len(pairs)) or real_totals(pairs, *a))
+    tables = GramTables(s)
+    report = pco_select(fam, s, tables)
+    # tables passed in take the same one sweep of the 2N - 1 pairs as pco_select's own
+    assert sweeps == [2 * len(fam) - 1]
+    assert pco_select(fam, s).to_json() == report.to_json()
+    assert sweeps == [2 * len(fam) - 1] * 2
+    # a second selection on the same tables needs no sweep
+    assert pco_select(fam, s, tables).to_json() == report.to_json()
+    assert sweeps == [2 * len(fam) - 1] * 2
 
 
 # A dense n x n table would take 200 MB at n = 5000 and 32 MB at n = 2000;

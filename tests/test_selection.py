@@ -10,6 +10,7 @@ from pcoselect import (
     BasisFamily,
     BasisKind,
     DimensionError,
+    GramTables,
     KernelFamily,
     LossKind,
     ProjectionSpec,
@@ -64,16 +65,26 @@ def test_penalty_zero_responses():
 
 def test_penalty_negative_diag_guard():
     class BrokenTables:
-        def diag(self, a, b):
-            return -np.ones(5)
-
-        def weighted_total(self, a, b):
-            return 0.0
+        def family_rows(self, specs, k0):
+            return [0.0] * len(specs), [0.0] * len(specs), -np.ones((len(specs), 5))
 
     s = _sample(5, seed=4)
     fam = make_bandwidth_family(GAUSSIAN, 0.3, [0.3, 0.6], 1, 5)
     with pytest.raises(RuntimeError):
         pco_select(fam, s, tables=BrokenTables())
+
+
+def test_bandwidth_diagonal_checks_the_sample_dimension():
+    # a bandwidth diagonal is a constant, but a kernel of another d than the
+    # sample's is an error, as in the sweep and every projection path
+    s = _sample(4, seed=8, d=2)
+    spec = BandwidthSpec(GAUSSIAN, (0.1,))
+    with pytest.raises(ValueError, match="point dimension does not match the kernel"):
+        penalty(spec, spec, s)
+    with pytest.raises(ValueError, match="point dimension does not match the kernel"):
+        GramTables(s).diag(spec, BandwidthSpec(GAUSSIAN, (0.2,)))
+    with pytest.raises(ValueError, match="point dimension does not match the kernel"):
+        GramTables(s).family_rows([spec], spec)
 
 
 # ---------------------------------------------------------------------------
