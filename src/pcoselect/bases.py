@@ -22,8 +22,9 @@ Three families ship:
 The squared sums sum_j w_j phi_j(x)^2 and their suprema are kernel
 quantities, the diagonal of a projection kernel: they live in
 :mod:`pcoselect.kernels` (:func:`~pcoselect.kernels.section_sq_norm_points`
-pointwise, :func:`~pcoselect.kernels.diag_sup` on the scan table of
-:func:`~pcoselect.kernels.diag_scan_squares`).
+pointwise, :func:`~pcoselect.kernels.diag_sup` on the table of
+:func:`~pcoselect.kernels.sup_squares`: the squared members at the two
+support endpoints, where Legendre and unweighted trigonometric sums peak).
 """
 
 from __future__ import annotations
@@ -146,17 +147,22 @@ def eval_basis(family: BasisFamily, m: int, j: int, x) -> np.ndarray:
     return normalized_legendre(j, x)
 
 
-def histogram_cells(m: int, x) -> tuple[np.ndarray, np.ndarray]:
+def histogram_cells(m, x) -> tuple[np.ndarray, np.ndarray]:
     """Order-m histogram cell of each x (0-based, clipped) and the in-support mask.
 
     Member j of order m is sqrt(m) on cell j - 1 and zero elsewhere, so
     these two arrays carry every histogram basis value at x.  x is clipped
     to [0, 1] before it is scaled, so a huge |x| cannot overflow to inf,
-    whose integer cast is undefined.
+    whose integer cast is undefined.  ``m`` may be a 1-d array of orders:
+    the cells then have one row per order, from one pass over x, and the
+    mask, which no order changes, is returned once.
     """
     x = np.asarray(x, dtype=np.float64)
-    cells = np.clip(np.floor(np.clip(x, 0.0, 1.0) * m).astype(np.int64), 0, m - 1)
-    return cells, (x >= 0.0) & (x < 1.0)
+    m = np.asarray(m, dtype=np.int64)
+    if m.ndim:
+        m = m[:, None]
+    cells = np.floor(np.clip(x, 0.0, 1.0) * m.astype(np.float64)).astype(np.int64)
+    return np.clip(cells, 0, m - 1, out=cells), (x >= 0.0) & (x < 1.0)
 
 
 def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:

@@ -14,7 +14,7 @@ The suites:
   test functions controlled by their norms.  Item (1) takes the supremum
   of a projection member's section norm as
   :func:`~pcoselect.kernels.diag_sup` of the member with squared weights,
-  on one scan table per basis.
+  on one table of suprema per basis.
 * :func:`check_l1_section_bound` - the uniform bound on squared L1 norms
   of kernel sections.  Bandwidth and histogram families satisfy it with
   explicit constants; trigonometric families do not (their section L1
@@ -47,8 +47,7 @@ from .kernels import (
     BandwidthSpec,
     KernelFamily,
     ProjectionSpec,
-    diag_scan_squares,
-    diag_sup,
+    diag_sups,
     section_inner_pointwise,
     section_l1_norm,
     section_sq_norm_points,
@@ -94,19 +93,18 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _section_sup(spec, scan_squares=None) -> float:
-    """sup over x' of ||K(x', .)||_2^2.
+def _section_sups(specs) -> list:
+    """sup over x' of ||K(x', .)||_2^2 for every member of ``specs``.
 
     Bandwidth kernels: the closed form, the same at every x'.  Projection
-    kernels: :func:`~pcoselect.kernels.diag_sup` of the member with squared
-    weights, since prod_q sum_j w_j^2 phi_j(x'_q)^2 is that kernel's
-    diagonal; ``scan_squares`` is passed on to it.
+    kernels: :func:`~pcoselect.kernels.diag_sups` of the members with
+    squared weights, since prod_q sum_j w_j^2 phi_j(x'_q)^2 is that
+    kernel's diagonal; they share one table of suprema per basis.
     """
-    if isinstance(spec, BandwidthSpec):
-        return float(section_sq_norm_points(spec, np.zeros((1, spec.d)))[0])
-    if spec.w is not None:
-        spec = ProjectionSpec(spec.basis, spec.m, tuple(v * v for v in spec.w))
-    return diag_sup(spec, scan_squares)
+    if isinstance(specs[0], BandwidthSpec):
+        return [float(section_sq_norm_points(spec, np.zeros((1, spec.d)))[0]) for spec in specs]
+    return diag_sups([spec if spec.w is None else ProjectionSpec(spec.basis, spec.m, tuple(v * v for v in spec.w))
+                      for spec in specs])
 
 
 class _PsiShape:
@@ -198,10 +196,7 @@ def check_kernel_moment_conditions(
         c1 = first.base.l2_norm_sq**family.d
     else:
         c1 = first.basis.sup_bound_const**family.d
-    scan = None
-    if isinstance(first, ProjectionSpec) and first.basis.nested:
-        scan = diag_scan_squares(first.basis, max(max(s.m) for s in family.specs))
-    sup_sections = max(_section_sup(s, scan) for s in family.specs)
+    sup_sections = max(_section_sups(family.specs))
     margin1 = c1 * n - sup_sections
     details["item1"] = {"bound": c1 * n, "observed": sup_sections, "margin": margin1}
 

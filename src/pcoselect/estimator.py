@@ -97,7 +97,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .bases import basis_matrix, histogram_cells
+from .bases import BasisKind, basis_matrix, histogram_cells
 from .errors import DataError, check_table_size
 from .kernels import (
     BandwidthSpec,
@@ -862,14 +862,15 @@ class GramTables:
     slice of it, bit for bit.  Its totals and diagonals are partial sums
     over the basis index, read off prefix tables (:meth:`_prefix_table`)
     by one gather (:meth:`_nested_reads`).  A
-    histogram sample's (cell index, in-support mask) is kept per axis and
-    order, and tensors sum over it; a pair's W_a C_q W_b is built once and
-    serves both its total and its diagonal (:meth:`_projection_total`).
-    Memory per axis is n m_q basis values and n m_q prefix sums per
-    distinct pair of weight vectors, or n cells per order, plus
-    prod_q m_q per tensor, with prod_q m_q <= n.  The values and prefix
-    sums of an axis are bounded together, and cells per order, before
-    they are allocated.
+    histogram family computes each axis's cells at every order it uses in
+    one pass, and every member's tensor and diagonal reads them
+    (:meth:`_histogram_rows`); a pair's W_a C_q W_b is built once and
+    serves both its total and its diagonal.  Memory per axis is n m_q
+    basis values and n m_q prefix sums per distinct pair of weight
+    vectors, or n cells per order used, plus prod_q m_q per tensor, with
+    prod_q m_q <= n.  The values and prefix sums of an axis are bounded
+    together, and its cells as n times its largest order, before they are
+    allocated.
 
     Bandwidth pairs never form G either.  Their totals come from
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
@@ -885,7 +886,6 @@ class GramTables:
         self._totals: dict = {}  # _ordered pair -> total
         self._diags: dict = {}  # _ordered pair -> diagonal
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
-        self._cells: dict = {}  # histogram (q, m) -> (cell index, in-support mask)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
         self._prefix: dict = {}  # nested (kind, q, w_a, w_b) -> prefix table; q None for totals
         self._grams: dict = {}  # histogram (m_a, m_b, w_a, w_b) -> weighted cross-Gram
@@ -898,32 +898,38 @@ class GramTables:
         """The (a, a) total, (a, k0) total and (a, k0) diagonal of every member a.
 
         Returns the two lists of totals and the diagonals as an (N, n)
-        array, in the order of ``specs``.  Bandwidth pairs take one sweep
-        (:func:`bandwidth_totals`) over every pair not yet computed.  Nested
-        projection pairs are gathered from the prefix tables, one gather per
-        weight vector, with the bases evaluated once at the top orders.
-        Histogram pairs are read one at a time.  Every value is kept, and
-        is the bits a read of its pair alone gives.
+        array, in the order of ``specs``; every value is the bits a read of
+        its pair alone gives.  Bandwidth pairs take one sweep
+        (:func:`bandwidth_totals`) over every pair not yet computed, and are
+        kept.  Nested projection pairs are gathered from the prefix tables,
+        one gather per weight vector, with the bases evaluated once at the
+        top orders.  Histogram pairs are read from one pass over each
+        axis's cells (:meth:`_histogram_rows`).  Projection rows are
+        returned as computed, not kept per pair, so no spec is hashed.
         """
         if isinstance(k0, BandwidthSpec):
             pairs = dict.fromkeys(_ordered(*pair) for s in specs for pair in ((s, s), (s, k0)))
             pairs = [pair for pair in pairs if pair not in self._totals]
             if pairs:
                 self._totals.update(zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)))
-        elif k0.basis.nested:
-            self._widen(_nested_top_orders([*specs, k0]))
-            for w in dict.fromkeys(s.w for s in specs):
-                members = [s for s in specs if s.w == w]
-                for s in members:
-                    check_pair(s, k0)
-                own, _ = self._nested_reads([(s, s) for s in members], diagonal=False)
-                cross, diags = self._nested_reads([(s, k0) for s in members])
-                self._totals.update(zip([(s, s) for s in members], own))
-                self._totals.update(zip([_ordered(s, k0) for s in members], cross))
-                self._diags.update(zip([_ordered(s, k0) for s in members], diags))
-        own = [self.weighted_total(s, s) for s in specs]
-        cross = [self.weighted_total(s, k0) for s in specs]
-        return own, cross, np.array([self.diag(s, k0) for s in specs])
+            own = [self.weighted_total(s, s) for s in specs]
+            cross = [self.weighted_total(s, k0) for s in specs]
+            return own, cross, np.array([self.diag(s, k0) for s in specs])
+        for s in specs:
+            check_pair(s, k0)
+        _check_dim(k0, self.sample.x)
+        if not k0.basis.nested:
+            return self._histogram_rows(specs, k0)
+        self._widen(_nested_top_orders([*specs, k0]))
+        own, cross, diags = [0.0] * len(specs), [0.0] * len(specs), np.empty((len(specs), self.sample.n))
+        for w in dict.fromkeys(s.w for s in specs):
+            index = [i for i, s in enumerate(specs) if s.w == w]
+            totals, _ = self._nested_reads([(specs[i], specs[i]) for i in index], diagonal=False)
+            cross_totals, cross_diags = self._nested_reads([(specs[i], k0) for i in index])
+            diags[index] = cross_diags
+            for i, total, cross_total in zip(index, totals, cross_totals):
+                own[i], cross[i] = total, cross_total
+        return own, cross, diags
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -942,33 +948,45 @@ class GramTables:
         for basis, orders in top.items():
             self.coefficients(ProjectionSpec(basis, orders))
 
-    def _histogram_cells(self, spec: ProjectionSpec) -> list:
-        """The (cell index, in-support mask) of every X_iq at order spec.m[q], per axis q."""
-        out = []
-        for q, mq in enumerate(spec.m):
-            if (q, mq) not in self._cells:
-                check_table_size("histogram cells at the sample", n=self.sample.n, m_max=mq)
-                self._cells[q, mq] = histogram_cells(mq, self.sample.x[:, q])
-            out.append(self._cells[q, mq])
-        return out
+    def _cell_tables(self, orders) -> tuple:
+        """Per axis q, {m: (cells of every X_iq at order m, in-support mask)}
+        for each m in orders[q], from one bounded pass of
+        :func:`~pcoselect.bases.histogram_cells` per axis, and the mask of
+        points inside the support on every axis."""
+        cells, oks = [], []
+        for q, m_q in enumerate(orders):
+            check_table_size("histogram cells at the sample", n=self.sample.n, m_max=max(m_q))
+            table, ok = histogram_cells(np.asarray(m_q), self.sample.x[:, q])
+            cells.append({m: (row, ok) for m, row in zip(m_q, table)})
+            oks.append(ok)
+        return cells, np.logical_and.reduce(oks)
+
+    def _histogram_tensors(self, members, cells, ok):
+        """Cache the tensor of each histogram order tuple in ``members`` not
+        yet cached, from :meth:`_cell_tables` ``cells`` and ``ok``: per-cell
+        sums of ell in sample order, times prod_q sqrt(m_q).  A point off
+        the support adds +0.0 to its clipped cell, which changes no sum,
+        since a sum from +0.0 is never -0.0."""
+        ell = np.where(ok, self.sample.loss_values, 0.0)
+        for m in members:
+            if (BasisKind.REGULAR_HISTOGRAM, m) not in self._coeffs:
+                index = np.ravel_multi_index([axis[mq][0] for axis, mq in zip(cells, m)], m)
+                sums = np.bincount(index, weights=ell, minlength=math.prod(m))
+                self._coeffs[BasisKind.REGULAR_HISTOGRAM, m] = (sums * math.sqrt(math.prod(m))).reshape(m)
 
     def coefficients(self, spec: ProjectionSpec) -> np.ndarray:
         """T = sum_i ell_i (x)_q phi^{m_q}(X_iq) of ``spec``, shape spec.m, before the weights w.
 
         Histogram members are cell indicators, so their tensor is a per-cell
-        sum of ell times prod_q sqrt(m_q), in sample order.
+        sum of ell times prod_q sqrt(m_q), in sample order
+        (:meth:`_histogram_tensors`).
         """
         _check_dim(spec, self.sample.x)
         kind = spec.basis.kind
         if not spec.basis.nested:
-            key = (kind, spec.m)
-            if key not in self._coeffs:
-                cells, oks = zip(*self._histogram_cells(spec))
-                ok = np.logical_and.reduce(oks)
-                sums = np.bincount(np.ravel_multi_index(cells, spec.m)[ok], weights=self.sample.loss_values[ok],
-                                   minlength=math.prod(spec.m))
-                self._coeffs[key] = (sums * math.sqrt(math.prod(spec.m))).reshape(spec.m)
-            return self._coeffs[key]
+            if (kind, spec.m) not in self._coeffs:
+                self._histogram_tensors([spec.m], *self._cell_tables([[mq] for mq in spec.m]))
+            return self._coeffs[kind, spec.m]
         full = self._coeffs.get(kind)
         if full is None or any(mq > size for mq, size in zip(spec.m, full.shape)):
             orders = spec.m if full is None else tuple(map(max, spec.m, full.shape))
@@ -1050,15 +1068,19 @@ class GramTables:
 
         For a nested basis C_q is the truncated identity, so the form is the
         sum of (x)_q (w_a w_b) T^2 over the box min(m_a, m_b): one entry of
-        the pair's prefix table.  A histogram pair contracts T_b with its
-        cross-Gram along each axis, in ``einsum`` and not BLAS, except on
-        an axis of equal orders, whose cells coincide: there C_q is the
-        identity, so a (K, K) total needs no overlap table.
+        the pair's prefix table.  A histogram pair is :meth:`_histogram_total`.
         """
         check_pair(a, b)
         if a.basis.nested:
             return self._nested_reads([(a, b)], diagonal=False)[0][0]
-        y = self.coefficients(b)
+        return self._histogram_total(a, b, self.coefficients(a), self.coefficients(b))
+
+    def _histogram_total(self, a, b, t_a: np.ndarray, t_b: np.ndarray) -> float:
+        """The form of a histogram pair with tensors t_a, t_b: T_b contracted
+        with the cross-Gram along each axis in ``einsum``, not BLAS, except
+        on an axis of equal orders, whose cells coincide (C_q = I), so a
+        (K, K) total needs no overlap table."""
+        y = t_b
         axes = list(range(a.d))
         for q, (ma, mb) in enumerate(zip(a.m, b.m)):
             if ma == mb:
@@ -1066,7 +1088,28 @@ class GramTables:
                     y = y * (a.weights_for(ma) * b.weights_for(mb)).reshape((ma,) + (1,) * (a.d - 1 - q))
             else:
                 y = np.einsum(self._overlap(a, b, q), [a.d, q], y, axes, axes[:q] + [a.d] + axes[q + 1 :])
-        return pairwise_sum(self.coefficients(a) * y)
+        return pairwise_sum(t_a * y)
+
+    def _histogram_rows(self, specs, k0):
+        """:meth:`family_rows` of a histogram family: each axis's cells at
+        every order the family uses come from one pass (:meth:`_cell_tables`)
+        and serve every tensor and diagonal, and each total contracts its
+        own tensors in its own order (:meth:`_histogram_total`)."""
+        members = [*specs, k0]
+        cells, ok = self._cell_tables([sorted({s.m[q] for s in members}) for q in range(k0.d)])
+        self._histogram_tensors([s.m for s in members], cells, ok)
+        tensors = {s.m: self._coeffs[BasisKind.REGULAR_HISTOGRAM, s.m] for s in members}
+        pairs = [_ordered(s, k0) for s in specs]
+        own = [self._histogram_total(s, s, tensors[s.m], tensors[s.m]) for s in specs]
+        cross = [self._histogram_total(a, b, tensors[a.m], tensors[b.m]) for a, b in pairs]
+        return own, cross, np.array([self._histogram_diag(a, b, cells) for a, b in pairs])
+
+    def _histogram_diag(self, a, b, cells) -> np.ndarray:
+        """G_ab[i, i] of a histogram pair from :meth:`_cell_tables` ``cells``
+        (:func:`~pcoselect.kernels.histogram_section_inner`)."""
+        return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
+                                       [axis[mq] for axis, mq in zip(cells, a.m)],
+                                       [axis[mq] for axis, mq in zip(cells, b.m)])
 
     def _projection_diag(self, a, b) -> np.ndarray:
         """G_ab[i, i]: for a nested basis the product over axes of one row
@@ -1076,8 +1119,7 @@ class GramTables:
         _check_dim(a, self.sample.x)
         if a.basis.nested:
             return self._nested_reads([(a, b)])[1][0]
-        return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
-                                       self._histogram_cells(a), self._histogram_cells(b))
+        return self._histogram_diag(a, b, self._cell_tables([sorted({ma, mb}) for ma, mb in zip(a.m, b.m)])[0])
 
     # -- public reductions ----------------------------------------------------
 

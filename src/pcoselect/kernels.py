@@ -30,10 +30,13 @@ Pointwise norms and suprema rest on two primitives.
 :func:`section_inner_pointwise` is the only pointwise section product:
 a squared section norm pairs a point with itself, and its histogram case,
 :func:`histogram_section_inner`, also gives the Gram diagonal of a
-histogram family.
-:func:`diag_scan_squares` is the only scan table: :func:`diag_sup` reads it for sup_x K(x, x), and
-the supremum of a squared section norm is :func:`diag_sup` of the same
-member with squared weights.
+histogram pair.
+:func:`sup_squares` is the only table of suprema: :func:`diag_sup` reads
+sup_x K(x, x) off it, and the supremum of a squared section norm is
+:func:`diag_sup` of the same member with squared weights.  The table holds
+the squared basis values at the two support endpoints, where Legendre and
+unweighted trigonometric members peak, and only a weighted trigonometric
+member scans a grid (:func:`diag_scan_squares`).
 """
 
 from __future__ import annotations
@@ -456,27 +459,48 @@ def diag_scan_squares(basis: BasisFamily, m: int) -> np.ndarray:
     return mat * mat
 
 
-def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
+def _sup_table_key(spec: ProjectionSpec) -> tuple:
+    """The sup table a nested member reads: its basis, and whether it needs the scan."""
+    return spec.basis, spec.basis.kind is BasisKind.TRIGONOMETRIC and spec.w is not None
+
+
+def sup_squares(basis: BasisFamily, m: int, scan: bool = False) -> np.ndarray:
+    """The table :func:`diag_sup` reads for nested members of orders at most m:
+    phi_j(t)^2, j <= m, at the two support endpoints, or with ``scan`` on the
+    grid of :func:`diag_scan_squares`; bounded before it is allocated."""
+    if scan:
+        return diag_scan_squares(basis, m)
+    check_table_size("overfitting supremum", endpoints=2, m_max=m)
+    mat = basis_matrix(basis, m, np.array(basis.support))
+    return mat * mat
+
+
+def diag_sup(spec, squares: np.ndarray | None = None) -> float:
     """sup_x K(x, x), the overfitting score of a kernel.
 
     Bandwidth: prod_q k(0)/h_q exactly.  Histogram projection:
     prod_q m_q max_j w_j exactly.  Other projection kernels take, per
-    dimension, the largest value of sum_j w_j phi_j(t)^2 on a 10^4-point
-    grid t that includes both support endpoints.  Up to rounding the scan
-    is exact for Legendre members, weighted or not (each phi_j^2 peaks at
-    the endpoints, since |Q_j| <= Q_j(1) = 1), and for unweighted
-    trigonometric members (the sum is constant at odd m and peaks at
-    t = 0 at even m).  A weighted trigonometric member can peak between
-    grid points, and the scan then reads low: per dimension it is within
-    a relative pi^2 m^2 / (2 (P - 1)^2) of the supremum, P = 10^4 the
-    grid size, since the second derivative of the sum is at most
+    dimension, the largest row of sum_j w_j phi_j(t)^2 over a table of
+    squared basis values (:func:`sup_squares`).  Legendre members,
+    weighted or not, and unweighted trigonometric members read the two
+    support endpoints, where their supremum sits: each Legendre phi_j^2
+    peaks there, since |Q_j| <= Q_j(1) = 1, and the unweighted
+    trigonometric sum is constant at odd m and peaks at t = 0 at even m,
+    with the value m + 1.  The sine columns vanish at t = 0, so orders 2j
+    and 2j + 1 read the same sum, bit for bit.
+
+    A weighted trigonometric member can peak anywhere, so it reads the
+    10^4-point scan grid of :func:`diag_scan_squares`, which includes both
+    endpoints, and can read low between grid points: per dimension it is
+    within a relative pi^2 m^2 / (2 (P - 1)^2) of the supremum, P = 10^4
+    the grid size, since the second derivative of the sum is at most
     4 pi^2 m^2 times its mean.  That is 4.4e-7 at m = 3 and 2.0e-4 at
     m = 64; for ``ProjectionSpec(trig, (3,), (1, 0, 1))`` the scan gives
     2.99999995 against the supremum 3.
 
-    Nested bases may pass ``scan_squares`` from :func:`diag_scan_squares`
-    at any order of at least max(m); its leading columns are the same
-    numbers the scan would compute at each order.
+    Nested bases may pass ``squares``, the member's kind of
+    :func:`sup_squares` table at any order of at least max(m); its leading
+    columns are the same numbers as a table at each order.
 
     With the weights squared this is the supremum over x' of
     ||K(x', .)||_2^2 = prod_q sum_j w_j^2 phi_j(x'_q)^2, the diagonal of the
@@ -492,14 +516,38 @@ def diag_sup(spec, scan_squares: np.ndarray | None = None) -> float:
         for mq in spec.m:
             out *= mq * float(np.max(spec.weights_for(mq)))
         return out
-    if scan_squares is None:
-        scan_squares = diag_scan_squares(spec.basis, max(spec.m))
+    if squares is None:
+        basis, scan = _sup_table_key(spec)
+        squares = sup_squares(basis, max(spec.m), scan)
     out = 1.0
     for mq in spec.m:
         # A view, not a copy: it keeps the memory layout basis_matrix gives
         # (Fortran order for Legendre), and BLAS rounds by layout.
-        out *= float(np.max(scan_squares[:, :mq] @ spec.weights_for(mq)))
+        out *= float(np.max(squares[:, :mq] @ spec.weights_for(mq)))
     return out
+
+
+def diag_sups(specs) -> list:
+    """:func:`diag_sup` of every member, in order.  Nested members share one
+    :func:`sup_squares` table per basis and kind, at their largest order,
+    and each distinct (basis, order, weights) factor is computed once; a
+    member's supremum is the product of its factors in dimension order."""
+    top = {}
+    for s in specs:
+        if isinstance(s, ProjectionSpec) and s.basis.nested:
+            key = _sup_table_key(s)
+            top[key] = max(top.get(key, 0), *s.m)
+    tables = {key: sup_squares(key[0], m, key[1]) for key, m in top.items()}
+    factor = functools.cache(lambda key, mq, w: diag_sup(ProjectionSpec(key[0], (mq,), w), tables[key]))
+    return [math.prod(factor(_sup_table_key(s), mq, s.w) for mq in s.m)
+            if isinstance(s, ProjectionSpec) and s.basis.nested else diag_sup(s) for s in specs]
+
+
+def smoothness_key(spec):
+    """Smaller key = smoother: large bandwidth products, small order products."""
+    if isinstance(spec, BandwidthSpec):
+        return -float(np.prod(spec.h))
+    return float(np.prod(spec.m))
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +560,11 @@ class KernelFamily:
     """An ordered collection of candidate kernels plus its overfitting member.
 
     ``k0_index`` points at the member maximizing sup_x K(x, x) as
-    :func:`find_overfitting_k0` computes it: the first of exactly equal
-    values, where rounding often decides between members that tie in
-    exact arithmetic.  ``sample_cap`` is the sample size n the family was
-    sized against (the family never holds more than n members).  Every
-    member has the variant, d and base kernel or basis kind of the first.
+    :func:`find_overfitting_k0` computes it: among equal values the
+    roughest member, then the lowest index.  ``sample_cap`` is the sample
+    size n the family was sized against (the family never holds more than
+    n members).  Every member has the variant, d and base kernel or basis
+    kind of the first.
     """
 
     specs: tuple
@@ -544,35 +592,23 @@ class KernelFamily:
 
 
 def find_overfitting_k0(specs) -> int:
-    """Index of the member with the largest computed diagonal supremum.
+    """Index of the member with the largest diagonal supremum (:func:`diag_sups`).
 
-    Nested projection members share one diagonal scan per basis, taken at
-    the largest order among them.  A member's supremum is the product, in
-    dimension order, of the suprema of its one-dimensional factors, so
-    each distinct (basis, order, weights) factor is scanned once.
-
-    The first of exactly equal values wins, but members whose suprema tie
-    in exact arithmetic are decided by the scan's rounding, not by their
-    index.  Unweighted trigonometric orders 2j and 2j + 1 both peak at
-    2j + 1, and the scan of the even order reads a few ulps above or below
-    the odd one: m_max = 19 gives k0 = (18,), m_max = 21 gives (21,), and
-    the 5 x 5 family gets (5, 5) at 25.000000000000018 against
-    25.000000000000014 for (5, 4).
+    Equal suprema go to the roughest member, the largest order product or
+    the smallest bandwidth product (:func:`smoothness_key`), and then to
+    the lowest index.  This is the projection analogue of the smallest
+    bandwidth that PCO compares against.  The suprema of Legendre and
+    unweighted trigonometric members are exact (:func:`diag_sup`), so
+    their ties are exact too: unweighted trigonometric orders 2j and
+    2j + 1 both peak at 2j + 1, and the odd order wins.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("empty kernel collection")
-    top = {}
-    for s in specs:
-        if isinstance(s, ProjectionSpec) and s.basis.nested:
-            top[s.basis] = max(top.get(s.basis, 0), *s.m)
-    scans = {basis: diag_scan_squares(basis, m) for basis, m in top.items()}
-    factor = functools.cache(lambda basis, mq, w: diag_sup(ProjectionSpec(basis, (mq,), w), scans[basis]))
-    values = [
-        math.prod(factor(s.basis, mq, s.w) for mq in s.m) if getattr(s, "basis", None) in scans else diag_sup(s)
-        for s in specs
-    ]
-    return max(range(len(values)), key=values.__getitem__)
+    values = diag_sups(specs)
+    top = max(values)
+    tied = [i for i, v in enumerate(values) if v == top]
+    return max(tied, key=lambda i: (smoothness_key(specs[i]), -i))
 
 
 # Entries (tuples times d) of the largest product grid a family builder

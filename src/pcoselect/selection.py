@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .estimator import GramTables, LossKind, Sample, _distance, _kernel_sums
-from .kernels import BandwidthSpec, KernelFamily, spec_id, spec_to_config
+from .kernels import KernelFamily, smoothness_key, spec_id, spec_to_config
 from .numerics import pairwise_sum
 
 log = logging.getLogger(__name__)
@@ -65,13 +65,6 @@ def penalty(spec, k0, sample: Sample, tables: GramTables | None = None) -> float
     if tables is None:
         tables = GramTables(sample)
     return _penalty(tables.diag(spec, k0), sample.loss_values, sample.n)
-
-
-def _smoothness_key(spec):
-    # Smaller key = smoother: large bandwidth products, small order products.
-    if isinstance(spec, BandwidthSpec):
-        return -float(np.prod(spec.h))
-    return float(np.prod(spec.m))
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
         rows.append(SelectionRow(idx, spec, dist, pen, dist + pen))
     chosen = min(
         range(len(rows)),
-        key=lambda i: (rows[i].total, _smoothness_key(rows[i].spec), i),
+        key=lambda i: (rows[i].total, smoothness_key(rows[i].spec), i),
     )
     return SelectionReport(
         loss=sample.loss,

@@ -373,6 +373,31 @@ def test_verify_moment_conditions_passes(tmp_path):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("family", [
+    {"variant": "projection", "basis": "trigonometric", "m_max": 6, "d": 1},
+    {"variant": "projection", "basis": "trigonometric", "m_max": 3, "d": 2},
+    {"variant": "projection", "basis": "legendre", "m_max": 5, "d": 1},
+    {"variant": "projection", "basis": "legendre", "m_max": 3, "d": 2, "w": [1.0, 0.6, 0.3]},
+], ids=["trigonometric-d1", "trigonometric-d2", "legendre-d1", "legendre-d2-w"])
+def test_verify_moment_conditions_reads_no_scan_for_the_shipped_nested_bases(tmp_path, monkeypatch, family):
+    import pcoselect.kernels as kernels_mod
+
+    # the overfitting member and the item-1 supremum both read the two support endpoints
+    monkeypatch.setattr(kernels_mod, "diag_scan_squares", lambda *a: pytest.fail("a member was scanned"))
+    support = [-1.0, 1.0] if family["basis"] == "legendre" else [0.0, 1.0]
+    scenario = _scn_cfg(d=family["d"], n=50 if family["d"] == 1 else 9, support=support)
+    cfg = _write_json(tmp_path / "v.json", {"scenario": scenario, "family": family, "draws": 200})
+    rc = main(["verify", "--suite", "moment-conditions", "--config", cfg, "--out", str(tmp_path / "ver")])
+    assert rc in (0, 5)
+    doc = json.loads((tmp_path / "ver" / "verify_moment-conditions.json").read_text())
+    m_max, d = family["m_max"], family["d"]
+    # without weights the supremum per axis is m (m + 2) / 2 for Legendre, at
+    # the endpoints, and m + 1 at even and m at odd trigonometric orders
+    if "w" not in family:
+        per_axis = m_max * (m_max + 2) / 2 if family["basis"] == "legendre" else m_max + (m_max + 1) % 2
+        assert doc["details"]["item1"]["observed"] == pytest.approx(per_axis**d, rel=1e-14)
+
+
 def test_verify_legendre_bound_from_density(tmp_path):
     cfg = _write_json(tmp_path / "v.json", {"density": {"kind": "raised_cosine"}, "m_max": 30})
     out = tmp_path / "ver"
@@ -705,12 +730,14 @@ def test_verify_rejects_an_oversized_table_before_allocating_it(tmp_path, capsys
 
 
 # the overfitting scan asked for two 10^4 x 2000 float64 tables (320 MB)
-# before anything compared their size with the limit
+# before anything compared their size with the limit; only a weighted
+# trigonometric family scans
 def test_select_bounds_projection_orders_before_their_tables(tmp_path, capsys):
     rng = np.random.default_rng(3)
     data = tmp_path / "data.csv"
     write_sample_csv(data, rng.random((3000, 1)), rng.standard_normal(3000))
-    family = {"variant": "projection", "basis": "trigonometric", "m_cap": 100000, "m_max": 2000, "d": 1}
+    family = {"variant": "projection", "basis": "trigonometric", "m_cap": 100000, "m_max": 2000, "d": 1,
+              "w": [1.0] * 2000}
     cfg = _write_json(tmp_path / "f.json", {"family": family})
     start = time.perf_counter()
     rc = main(["select", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
@@ -957,10 +984,9 @@ def _config(draw, fields):
     return {name: value for name, value in cfg.items() if value is not _MISSING}
 
 
-@st.composite
-def _select_inputs(draw):
-    """A family config of either variant, and a sample file (:func:`_sample_csv`)."""
-    d = draw(st.integers(1, 3))
+def _family_config(draw, d, m_max=8, config=None):
+    """A family config of either variant in dimension d, from ``config``
+    (default :func:`_config`)."""
     if draw(st.booleans()):
         h_min = draw(st.floats(0.05, 0.5))
         fields = {"variant": st.just("bandwidth"), "base": st.sampled_from(["gaussian", "epanechnikov"]),
@@ -970,8 +996,15 @@ def _select_inputs(draw):
         weights = st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
         fields = {"variant": st.just("projection"),
                   "basis": st.sampled_from(["trigonometric", "regular_histogram", "legendre"]),
-                  "m_max": st.integers(1, 8), "m_cap": st.integers(1, 80), "w": weights, "d": st.just(d)}
-    family = _config(draw, fields)
+                  "m_max": st.integers(1, m_max), "m_cap": st.integers(1, 80), "w": weights, "d": st.just(d)}
+    return (config or _config)(draw, fields)
+
+
+@st.composite
+def _select_inputs(draw):
+    """A family config of either variant, and a sample file (:func:`_sample_csv`)."""
+    d = draw(st.integers(1, 3))
+    family = _family_config(draw, d)
     if not draw(st.integers(0, 9)):
         d = draw(st.integers(1, 3))
     return family, _sample_csv(draw, d)
@@ -1052,3 +1085,103 @@ def test_estimate_on_generated_configs_and_data_keeps_the_exit_contract(tmp_path
         with open(work / "out" / "estimate.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows and all(np.isfinite(float(v)) for row in rows for v in row)
+
+
+def _run_config(draw, fields):
+    """A config of the given field strategies: every field valid in half the
+    examples, else each field valid nine times in ten (:func:`_config`).  A
+    config of many fields is then still often valid, and its command runs."""
+    if draw(st.booleans()):
+        return {name: draw(value) for name, value in fields.items()}
+    return _config(draw, fields)
+
+
+def _strict_finite_json(path):
+    """The artifact at ``path`` read as strict JSON, which must hold no non-finite number."""
+    doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
+    assert _finite_numbers(doc), path.name
+    return doc
+
+
+def _scenario_config(draw, d):
+    """A small scenario config in dimension d (:func:`_config`): n, replications
+    and risk points stay small, so a report of it takes milliseconds."""
+    from pcoselect.simulation import DensityKind, MeanKind, NoiseKind, SigmaKind
+
+    kinds = lambda kind: st.sampled_from([k.value for k in kind])
+    fields = {"d": st.just(d), "f": kinds(DensityKind), "n": st.integers(10, 40), "replications": st.integers(1, 3),
+              "seed": st.integers(0, 2**31), "risk_points": st.integers(2, 12),
+              "b": st.fixed_dictionaries({"kind": kinds(MeanKind), "c": st.floats(-2.0, 2.0)}),
+              "sigma": st.fixed_dictionaries({"kind": kinds(SigmaKind), "c": st.floats(0.0, 1.0)})}
+    if draw(st.booleans()):
+        fields["noise"] = kinds(NoiseKind)
+    if draw(st.booleans()):
+        fields["support"] = st.one_of(st.sampled_from([[0.0, 1.0], [-1.0, 1.0]]),
+                                      st.tuples(st.floats(-1.5, 0.2), st.floats(0.5, 1.5)).map(list))
+    return _run_config(draw, fields)
+
+
+@st.composite
+def _report_inputs(draw):
+    """A report config: a scenario, a family (4 members at most per axis), a
+    loss and sometimes a list of sample sizes; the scenario and family
+    dimensions may differ."""
+    d = draw(st.integers(1, 2))
+    fields = {"scenario": st.just(_scenario_config(draw, d)),
+              "family": st.just(_family_config(draw, d if draw(st.integers(0, 9)) else 3 - d, 4, _run_config)),
+              "loss": st.sampled_from(["one", "identity", "square"])}
+    if draw(st.booleans()):
+        fields["n_values"] = st.lists(st.integers(1, 40), max_size=2)
+    return _run_config(draw, fields)
+
+
+# 30 examples take 2-4 s of the tier-1 run on 2 CPUs.
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_report_inputs())
+def test_report_on_generated_configs_keeps_the_exit_contract(tmp_path, capsys, cfg):
+    work = tmp_path / f"case{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    rc = main(["report", "--config", _write_json(work / "report.json", cfg), "--out", str(work / "out")])
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    if rc == 0:
+        _strict_finite_json(work / "out" / "risk.json")
+
+
+@st.composite
+def _verify_inputs(draw):
+    """A suite and its config, from fields each valid nine times in ten (:func:`_config`)."""
+    suite = draw(st.sampled_from(["sine-tail", "moment-conditions", "l1-bound", "trig-bound", "legendre-bound"]))
+    d = draw(st.integers(1, 2))
+    seed = st.integers(0, 2**31)
+    loss = st.sampled_from(["one", "identity", "square"])
+    fields = {
+        "sine-tail": lambda: {"p_max": st.integers(2, 30), "grid_points": st.integers(1, 300), "seed": seed},
+        "moment-conditions": lambda: {"scenario": st.just(_scenario_config(draw, d)),
+                                      "family": st.just(_family_config(draw, d, 3, _run_config)), "loss": loss,
+                                      "draws": st.integers(2, 200), "seed": seed},
+        "l1-bound": lambda: {"n": st.integers(1, 60), "family": st.just(_family_config(draw, d, 4, _run_config)),
+                             "seed": seed},
+        "trig-bound": lambda: {"scenario": st.just(_scenario_config(draw, 1)), "loss": loss,
+                               "m_values": st.lists(st.integers(1, 12), min_size=3, max_size=4, unique=True),
+                               "draws": st.integers(2, 200), "seed": seed},
+        "legendre-bound": lambda: {"density": st.fixed_dictionaries({"kind": st.sampled_from(
+                                       ["uniform", "triangle", "truncated_gaussian", "raised_cosine"]),
+                                       "lo": st.just(-1.0), "hi": st.just(1.0)}),
+                                   "m_max": st.integers(1, 20)},
+    }[suite]()
+    return suite, _run_config(draw, fields)
+
+
+# 40 examples take 2-4 s of the tier-1 run on 2 CPUs.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_verify_inputs())
+def test_verify_on_generated_configs_keeps_the_exit_contract(tmp_path, capsys, inputs):
+    suite, cfg = inputs
+    work = tmp_path / f"case{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    rc = main(["verify", "--suite", suite, "--config", _write_json(work / "verify.json", cfg), "--out", str(work / "out")])
+    assert rc in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    if rc in (0, 5):
+        _strict_finite_json(work / "out" / f"verify_{suite}.json")

@@ -1474,9 +1474,9 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
         assert _report_rows(pco_select(fam, s)) == want
         # nested bases: one evaluation per dimension, at the family's top order
         assert calls == ([] if kind is BasisKind.REGULAR_HISTOGRAM else [fam.k0.m[0]] * d)
-        # histograms: the cells of each axis and order, once
-        orders = sorted({m for spec in fam.specs for m in spec.m}) * d
-        assert sorted(cells) == (sorted(orders) if kind is BasisKind.REGULAR_HISTOGRAM else [])
+        # histograms: the cells of every order of an axis, in one pass per axis
+        orders = [sorted({m for spec in fam.specs for m in spec.m})] * d
+        assert [list(m) for m in cells] == (orders if kind is BasisKind.REGULAR_HISTOGRAM else [])
         # histograms: one cross-Gram per (m, m0), shared by the axes, the
         # (K, K0) total and its diagonal; (K, K) totals build none
         m0 = fam.k0.m[0]
@@ -1519,15 +1519,28 @@ _BANDWIDTH_SELECTIONS = {
     "gaussian-d2": (GAUSSIAN, 2, [0.1, 0.2, 0.4], 150),
     "epanechnikov-d1": (EPANECHNIKOV, 1, [0.03, 0.1, 0.3], 150),
 }
+# histogram families built by make_projection_family as (m_max, d, w, n),
+# on samples with points off the support [0, 1)
+_HISTOGRAM_SELECTIONS = {
+    "histogram-family-d1": (20, 1, None, 400),
+    "histogram-family-d2-w": (4, 2, _W, 200),
+    "histogram-family-d3": (3, 3, None, 100),
+}
 
 
-@pytest.mark.parametrize("case", [*_BANDWIDTH_SELECTIONS, "trigonometric-d1-w-k0-inside", "legendre-d2-w",
-                                  "histogram-d2-crossing"])
+@pytest.mark.parametrize("case", [*_BANDWIDTH_SELECTIONS, *_HISTOGRAM_SELECTIONS, "trigonometric-d1-w-k0-inside",
+                                  "legendre-d2-w", "histogram-d1", "histogram-d1-w-k0-inside", "histogram-d2-crossing",
+                                  "histogram-d2-crossing-k0-inside"])
 def test_pco_select_rows_are_identical_to_per_pair_reads(case):
     if case in _BANDWIDTH_SELECTIONS:
         base, d, grid, n = _BANDWIDTH_SELECTIONS[case]
         s = _uniform_sample(n, d=d, seed=47, loss=LossKind.IDENTITY)
         fam = make_bandwidth_family(base, grid[0], grid, d, n)
+    elif case in _HISTOGRAM_SELECTIONS:
+        m_max, d, w, n = _HISTOGRAM_SELECTIONS[case]
+        gen = stream(47, 1, 0)
+        s = Sample(gen.random((n, d)) * 1.2 - 0.1, gen.standard_normal(n), LossKind.IDENTITY)
+        fam = make_projection_family(HIST, m_max, d, n, w)
     else:
         basis, orders, k0_index, *w = _FAMILY_ROWS_CASES[case]
         fam = _hand_built(basis, orders, w[0] if w else None, k0_index)

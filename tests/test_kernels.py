@@ -397,19 +397,22 @@ def test_k0_scan_runs_once_per_family_and_matches_per_order_scan(monkeypatch, ba
     import pcoselect.kernels as kernels_mod
     from pcoselect.bases import basis_matrix
 
-    grid = np.linspace(*basis.support, kernels_mod.DIAG_SCAN_POINTS)
+    # one table of suprema per family, at its top order: the scan grid for a
+    # weighted trigonometric family, the two support endpoints for Legendre
+    scan = basis is TRIG
+    points = np.linspace(*basis.support, kernels_mod.DIAG_SCAN_POINTS) if scan else np.array(basis.support)
     w = np.linspace(1.0, 0.2, m_max)
     calls = []
-    monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: calls.append(a[1]) or basis_matrix(*a))
+    monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: calls.append((a[1], len(a[2]))) or basis_matrix(*a))
     fam = make_projection_family(basis, m_max, d, m_max**d, w)
-    assert calls == [m_max]
+    assert calls == [(m_max, len(points))]
     for spec in fam.specs:
         want = 1.0
         for mq in spec.m:
-            mat = basis_matrix(basis, mq, grid)
+            mat = basis_matrix(basis, mq, points)
             want *= float(np.max((mat * mat) @ spec.weights_for(mq)))
         assert diag_sup(spec) == want
-        assert diag_sup(spec, kernels_mod.diag_scan_squares(basis, m_max)) == want
+        assert diag_sup(spec, kernels_mod.sup_squares(basis, m_max, scan)) == want
 
 
 def _refined_sup(spec_1d):
@@ -452,12 +455,63 @@ def test_diag_sup_scan_reads_low_between_grid_points():
 @pytest.mark.parametrize("spec", [ProjectionSpec(LEG, (5,), (0.3, 1.0, 0.0, 0.5, 0.9)), ProjectionSpec(LEG, (6,)),
                                   ProjectionSpec(TRIG, (4,)), ProjectionSpec(TRIG, (7,))])
 def test_diag_sup_scan_is_exact_for_legendre_and_unweighted_trigonometric(spec):
-    # the supremum sits at a support endpoint, which the grid includes (an
-    # odd trigonometric order's diagonal is constant), so only rounding is left
+    # the supremum sits at a support endpoint (an odd trigonometric order's
+    # diagonal is constant), and these members read the endpoints alone
     lo, hi = spec.basis.support
     ends = basis_matrix(spec.basis, spec.m[0], np.array([lo, hi])) ** 2 @ spec.weights_for(spec.m[0])
-    assert diag_sup(spec) == pytest.approx(float(np.max(ends)), rel=1e-14, abs=0)
+    assert diag_sup(spec) == float(np.max(ends))
     assert _refined_sup(spec) <= diag_sup(spec) * (1 + 1e-14)
+
+
+_RNG_WEIGHTS = np.random.default_rng(61).random(64)
+
+
+@pytest.mark.parametrize("basis,w", [(LEG, None), (LEG, tuple(_RNG_WEIGHTS)), (LEG, tuple(np.linspace(0.0, 1.0, 64) ** 3)),
+                                     (TRIG, None)], ids=["legendre", "legendre-w", "legendre-w-rising", "trigonometric"])
+def test_endpoint_suprema_match_the_refined_scan(basis, w):
+    # the refined scan is the oracle: the best grid interval refined by a
+    # 20001-point grid, which reads the true supremum up to rounding
+    for m in (1, 2, 3, 4, 5, 8, 13, 20, 21, 33, 64):
+        spec = ProjectionSpec(BasisFamily(basis.kind, 64), (m,), w)
+        assert diag_sup(spec) == pytest.approx(_refined_sup(spec), rel=1e-14, abs=0)
+
+
+def test_unweighted_trigonometric_and_legendre_k0_is_the_top_order():
+    # every family of d <= 3 up to m_max = 64, 8 and 4: the roughest member
+    for basis in (BasisFamily(BasisKind.TRIGONOMETRIC, 64), BasisFamily(BasisKind.LEGENDRE, 64)):
+        for d, top in ((1, 64), (2, 8), (3, 4)):
+            for m_max in range(1, top + 1):
+                fam = make_projection_family(basis, m_max, d, m_max**d)
+                assert fam.k0.m == (m_max,) * d
+
+
+def test_trigonometric_orders_2j_and_2j_plus_1_tie_and_the_rougher_wins():
+    # the sine columns vanish at t = 0, where both orders peak at 2j + 1
+    for j in range(1, 32):
+        even, odd = ProjectionSpec(TRIG, (2 * j,)), ProjectionSpec(TRIG, (2 * j + 1,))
+        assert diag_sup(even) == diag_sup(odd)
+        assert find_overfitting_k0([odd, even]) == 0
+        assert find_overfitting_k0([even, odd]) == 1
+    # d = 2: (5, 4), (5, 5) and (4, 5) tie; the largest order product wins,
+    # and among equal products the lowest index
+    specs = [ProjectionSpec(TRIG, (5, 4)), ProjectionSpec(TRIG, (5, 5)), ProjectionSpec(TRIG, (4, 5))]
+    assert len({diag_sup(s) for s in specs}) == 1
+    assert find_overfitting_k0(specs) == 1
+    assert find_overfitting_k0([specs[2], specs[0]]) == 0
+    # bandwidths: equal suprema go to the smallest bandwidth product
+    pair = [BandwidthSpec(GAUSSIAN, (0.1, 0.2)), BandwidthSpec(GAUSSIAN, (0.2, 0.1))]
+    assert diag_sup(pair[0]) == diag_sup(pair[1])
+    assert find_overfitting_k0(pair) == 0
+
+
+def test_projection_families_of_the_shipped_nested_bases_never_scan(monkeypatch):
+    import pcoselect.kernels as kernels_mod
+
+    monkeypatch.setattr(kernels_mod, "diag_scan_squares", lambda *a: pytest.fail("a member was scanned"))
+    for basis, w in ((TRIG, None), (LEG, None), (LEG, tuple(np.linspace(1.0, 0.1, 20)))):
+        for m_max, d in ((20, 1), (19, 1), (5, 2), (3, 3)):
+            fam = make_projection_family(basis, m_max, d, m_max**d, w)
+            assert fam.k0.m == (m_max,) * d
 
 
 # ---------------------------------------------------------------------------
@@ -511,29 +565,28 @@ def test_find_overfitting_k0_scans_members_at_the_basis_top_order():
     specs = [ProjectionSpec(TRIG, (3,), (1.0, 0.0, 1.0)), ProjectionSpec(TRIG, (2,), (0.5, 1.0)),
              ProjectionSpec(TRIG, (9,), tuple(np.linspace(1.0, 0.1, 9))), ProjectionSpec(LEG, (2,), (0.5, 1.0)),
              ProjectionSpec(HIST, (4,))]
-    scans = {basis: kernels_mod.diag_scan_squares(basis, top) for basis, top in ((TRIG, 9), (LEG, 2))}
-    want = [diag_sup(s, scans.get(s.basis)) for s in specs]
+    tables = {TRIG: kernels_mod.sup_squares(TRIG, 9, True), LEG: kernels_mod.sup_squares(LEG, 2)}
+    want = [diag_sup(s, tables.get(s.basis)) for s in specs]
     assert find_overfitting_k0(specs) == int(np.argmax(want))
 
 
-# Rounding decides ties: trigonometric orders 2j and 2j + 1 both peak at
-# 2j + 1, and the scan of the even order reads a few ulps above or below.
+# Each member reads its own table of suprema, and equal suprema go to the
+# roughest member: trigonometric orders 2j and 2j + 1 both peak at 2j + 1,
+# so m_max = 19 gives k0 = (19,) and the 5 x 5 family (5, 5).
 @pytest.mark.parametrize(("basis", "m_max", "d", "w", "k0"), [
     (TRIG, 5, 2, None, 24),
     (TRIG, 21, 1, None, 20),
     (TRIG, 3, 3, None, 26),
     (TRIG, 4, 2, (1.0, 0.5, 0.5, 1.0), 15),
     (LEG, 6, 2, None, 35),
-    (TRIG, 19, 1, None, 17),
+    (TRIG, 19, 1, None, 18),
 ])
 def test_overfitting_k0_is_identical_to_the_member_by_member_scan(basis, m_max, d, w, k0):
-    import pcoselect.kernels as kernels_mod
-
     fam = make_projection_family(basis, m_max, d, m_max**d, w)
     assert fam.k0_index == k0
-    scan = kernels_mod.diag_scan_squares(basis, m_max)
-    values = [diag_sup(s, scan) for s in fam.specs]
-    assert values.index(max(values)) == k0
+    values = [diag_sup(s) for s in fam.specs]
+    tied = [i for i, v in enumerate(values) if v == max(values)]
+    assert max(tied, key=lambda i: (math.prod(fam.specs[i].m), -i)) == k0
 
 
 def test_find_overfitting_k0_scans_each_factor_once(monkeypatch):
@@ -576,10 +629,15 @@ def test_kernel_family_rejects_members_of_another_kind(specs, offender):
 def test_overfitting_scan_is_bounded_before_its_table(monkeypatch):
     import pcoselect.kernels as kernels_mod
 
-    # 10^4 scan points x m_max entries, allocated twice by the scan
+    # 10^4 scan points x m_max entries, allocated twice by the scan of a
+    # weighted trigonometric member
     monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: pytest.fail("the scan table was allocated"))
-    wide = BasisFamily(BasisKind.LEGENDRE, m_cap=100_000)
+    wide = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=100_000)
     with pytest.raises(ConfigError, match="overfitting scan: scan_points 10000 x m_max 1678 .* limit of 16777216"):
-        find_overfitting_k0([ProjectionSpec(wide, (1678,))])
+        find_overfitting_k0([ProjectionSpec(wide, (1678,), (1.0,) * 1678)])
     with pytest.raises(ConfigError, match="m_max 2000"):
-        make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=100_000), 2000, 1, 3000)
+        make_projection_family(wide, 2000, 1, 3000, (1.0,) * 2000)
+    # the two support endpoints x m_max entries of any other nested member
+    huge = BasisFamily(BasisKind.LEGENDRE, m_cap=2**24)
+    with pytest.raises(ConfigError, match="overfitting supremum: endpoints 2 x m_max 8388609 .* limit of 16777216"):
+        find_overfitting_k0([ProjectionSpec(huge, (2**23 + 1,))])
