@@ -19,7 +19,12 @@ multi-process runs, and runs at any BLAS thread count, agree bit for bit.
 A bandwidth Gram table is a function of the pairwise differences
 X_i - X_j, symmetric with a constant diagonal; :func:`bandwidth_totals`
 reduces many pairs in one sweep over the strict upper triangle, in fixed
-row blocks.  The sweep allocates its O(n) scratch once, forms each
+row blocks.  A wide Gaussian pair at d = 1 skips the sweep: its total is
+the series sum_k tau^k / k! M_k^2 of squared moments of the sample
+(:func:`_series_sum`), whose terms are all >= 0 and so cannot cancel, at
+O(n) per term instead of one ``exp`` per pair of points; which pairs take
+it depends on n, the sample's range and the pair alone
+(:func:`_series_plan`).  The sweep allocates its O(n) scratch once, forms each
 block's differences once for every pair, and contracts each pair's block
 with the loss weights in BLAS dot products.  At d >= 2 the Gaussian
 factor exp(-delta_q^2 / (2 v_q)) of each distinct (q, v_q) is evaluated
@@ -645,6 +650,26 @@ _SWEEP_ROWS = 32
 # dot product is the same whichever rows share a pass, so this changes the
 # memory and not the numbers.
 _TABLE_SCRATCH = 1 << 18
+# The series of :func:`_series_sum`: a point leaves it once its terms are at
+# most 2^-128 (``_SERIES_LOG_DROP``), and no entry of its power table falls
+# below 2^-600 |ell_i| (``_SERIES_LOG_FLOOR``).  At most _SERIES_MAX_TERMS
+# terms, which reach tau = 346.9, where tau^k / k! <= e^tau < 1e151 is far
+# from overflow and the pair's swept exponents could not reach
+# ``_EXP_FLOOR`` (they stop at -2 tau).
+_SERIES_LOG_DROP = -128.0 * math.log(2.0)
+_SERIES_LOG_FLOOR = -600.0 * math.log(2.0)
+_SERIES_MAX_TERMS = 1024
+# Scratch budget, in float64 entries, of the series' power table (512 KB).
+_SERIES_SCRATCH = 1 << 16
+# A Gaussian pair at d = 1 takes the series where its terms times
+# _SERIES_BREAK_EVEN are at most n^2.  A series pair costs about 30 us plus
+# 0.5-1 ns per term and point, a swept one 0.5-1 ns per entry of its
+# triangle on a pool of 2 CPUs.  The marginal pair of a 40-pair sweep
+# against the series, medians on a 2-CPU VM: n = 256, 90-111 us against
+# 61-144 us at 32 terms; n = 512, 217-246 us against 143-239 us at 127
+# terms; n = 1000, 630-697 us against 443-806 us at 503 terms; n = 1500,
+# 1.2-1.4 ms against 1.0 ms at 1022 terms.
+_SERIES_BREAK_EVEN = 2048
 # Columns per BLAS dot product of the sweep.  OpenBLAS splits a dot product
 # of more than 10000 entries across its threads, which changes its
 # rounding; shorter chunks, added in order, keep the totals independent of
@@ -703,8 +728,125 @@ def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
         out += np.vecdot(a[:, lo : lo + _CONTRACT_COLS], b[:, lo : lo + _CONTRACT_COLS])
 
 
-def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
-    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b), in one sweep.
+def _series_threshold(k: int) -> float:
+    """x_k = (2^-128 k!)^(1 / k), which grows with k: from step k of the
+    series on, every term (tau t^2)^j / j! of a point with tau t^2 <= x_k
+    is at most 2^-128."""
+    return math.exp((math.lgamma(k + 1) + _SERIES_LOG_DROP) / k)
+
+
+def _series_terms(tau: float) -> int:
+    """The number of terms of :func:`_series_sum` at tau: the first k with
+    x_k >= tau, where every point of [-1, 1] has left the series, or
+    ``_SERIES_MAX_TERMS`` + 1 where there is none up to that cap."""
+    lo, hi = 1, _SERIES_MAX_TERMS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _series_threshold(mid) >= tau:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _centre_and_half_range(x: np.ndarray) -> tuple:
+    """The midpoint c and the half-range rho of a d = 1 sample."""
+    lo, hi = float(x.min()), float(x.max())
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+
+
+def _series_points(x: np.ndarray, ell: np.ndarray) -> tuple:
+    """The sample as :func:`_series_sum` reads it: t = (x - c) / rho in
+    [-1, 1] (:func:`_centre_and_half_range`; t = 0 where rho = 0), and
+    ell, both in order of decreasing t^2, and -t^2 (ascending)."""
+    c, rho = _centre_and_half_range(x)
+    t = (x[:, 0] - c) / rho if rho > 0.0 else np.zeros(x.shape[0])
+    order = np.argsort(-(t * t), kind="stable")
+    t = t[order]
+    return t, ell[order], -(t * t)
+
+
+def _series_sum(points: tuple, tau: float, terms: int, scratch: np.ndarray) -> float:
+    """sum_{i,j} ell_i ell_j exp(-tau (t_i - t_j)^2 / 2) as
+    sum_k tau^k / k! M_k^2 with M_k = sum_i w_i t_i^k and
+    w_i = ell_i exp(-tau t_i^2 / 2), over the first ``terms`` terms;
+    ``points`` is :func:`_series_points`.
+
+    Every term of the outer sum is >= 0, so it never cancels.  Point i
+    leaves the moments from the first pass at a step k with
+    tau t_i^2 <= x_k (:func:`_series_threshold`); each term it would still
+    add is then at most 2^-128, and all the terms left out come to at most
+    2^-63 sqrt(terms) sum_{i,j} |ell_i ell_j| exp(-tau (t_i - t_j)^2 / 2).
+    The points go by decreasing t^2, so the ones left are a prefix.  The
+    powers w_i t_i^k are built in passes of rows k, k + 1, ... in the
+    ``scratch`` table: the first row from the last row of the pass
+    before, and each further run of rows from the rows above it times a
+    power of t by repeated squaring.  A pass ends before any entry can fall
+    below 2^-600 |ell_i|, so that no product is subnormal.  Each M_k is the
+    ``np.sum`` of its row, a pairwise sum that involves neither BLAS nor
+    any other pair.
+    """
+    t, ell, neg_sq = points
+    w = ell * np.exp(neg_sq * (0.5 * tau))
+    moments = np.zeros(terms)
+    moments[0] = np.sum(w)
+    k = 1
+    while k < terms:
+        low = _series_threshold(k)
+        m = int(np.searchsorted(neg_sq, -low / tau))
+        if not m:
+            break
+        # with tau t^2 in (low, tau], an entry of row j is at least
+        # min(exp(-tau / 2), exp(-low / 2) (low / tau)^(j / 2)) |ell|, and tau <= 347
+        reach = (-2.0 * _SERIES_LOG_FLOOR - low) / math.log(tau / low) if low < tau else math.inf
+        rows = max(1, min(terms - k, scratch.size // m, int(reach) - k + 1))
+        table = scratch[: rows * m].reshape(rows, m)
+        np.multiply(w[:m], t[:m], out=table[0])
+        power, done = t[:m], 1
+        while done < rows:
+            step = min(done, rows - done)
+            np.multiply(table[:step], power, out=table[done : done + step])
+            done += step
+            if done < rows:
+                power = power * power
+        np.sum(table, axis=1, out=moments[k : k + rows])
+        # the last row, in the scratch: the next pass reads it before it writes there
+        w = table[-1]
+        k += rows
+    coefs = np.ones(terms)
+    np.cumprod(tau / np.arange(1.0, terms), out=coefs[1:])
+    return pairwise_sum(coefs * (moments * moments))
+
+
+def _series_plan(pairs, x: np.ndarray) -> list:
+    """Per pair, (tau, terms) where the pair takes :func:`_series_sum`, else None.
+
+    Only Gaussian pairs at d = 1 qualify, and only where the series has at
+    most ``_SERIES_MAX_TERMS`` terms and no more than the sweep's
+    break-even at this n, n^2 / ``_SERIES_BREAK_EVEN``.  With rho the
+    half-range of the sample, tau = rho^2 / (h_a^2 + h_b^2), so the plan
+    follows from n, the range and the pair alone.
+    """
+    n, d = x.shape
+    if d != 1:
+        return [None] * len(pairs)
+    rho = _centre_and_half_range(x)[1]
+    limit = min(_SERIES_MAX_TERMS, n * n // _SERIES_BREAK_EVEN)
+    plan = []
+    for a, b in pairs:
+        entry = None
+        if a.base.kind is BaseKind.GAUSSIAN and b.base.kind is BaseKind.GAUSSIAN:
+            tau = rho * rho / (a.h[0] * a.h[0] + b.h[0] * b.h[0])
+            terms = _series_terms(tau)
+            if terms <= limit:
+                entry = (tau, terms)
+        plan.append(entry)
+    return plan
+
+
+def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
+    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): one
+    series each for the wide Gaussian pairs at d = 1, one sweep for the rest.
 
     A bandwidth Gram table is symmetric with the constant diagonal
     c_ab = G_ab[i, i], so its total is c_ab sum_i ell_i^2 plus twice the
@@ -731,7 +873,25 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
     d and its own kernels alone, so a pair swept with its family or alone
     gets the same bits, unless the family has too many tables for one row
     of the budget and none is built.  Each pair is checked once, by
-    :func:`_bandwidth_diag_value`, before the blocks are computed.
+    :func:`_bandwidth_diag_value`, before the blocks are computed, unless
+    ``diag`` already holds every pair's constant c_ab from it.
+
+    At d = 1 a Gaussian pair whose series has few enough terms
+    (:func:`_series_plan`) skips the sweep.  With c the midpoint of the
+    sample's range, rho its half-range, t_i = (x_i - c) / rho and
+    tau = rho^2 / (h_a^2 + h_b^2), its sum of exponentials is exactly
+    sum_k tau^k / k! M_k^2 with M_k = sum_i ell_i exp(-tau t_i^2 / 2) t_i^k,
+    the one-cluster case of the fast Gauss transform (Greengard and
+    Strain, 1991).  Every term is a square times a positive number, so the
+    outer sum never cancels, whatever the signs of ell, and each term costs
+    O(n) where the sweep evaluates n (n - 1) / 2 exponentials
+    (:func:`_series_sum`).  The series runs in this process with a scratch
+    table of ``_SERIES_SCRATCH`` entries; which pairs take it depends on n,
+    the sample's range and the pair alone, so such a pair, too, has the
+    same bits alone as in its family.  Narrow Gaussian pairs,
+    Epanechnikov pairs and every pair at d >= 2 are swept.  A debug event
+    on this module's logger gives the number of pairs on each path and the
+    largest term count.
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on the
@@ -744,20 +904,33 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray) -> list:
     n, d = x.shape
     if not pairs:
         return []
-    diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
+    if diag is None:
+        diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     for a, _ in pairs:
         _check_dim(a, x)
-    scales = [_gaussian_scales(a, b) for a, b in pairs]
-    args = (pairs, np.ascontiguousarray(x), np.ascontiguousarray(ell))
+    plan = _series_plan(pairs, x)
+    totals = [0.0] * len(pairs)
+    series = [k for k, entry in enumerate(plan) if entry is not None]
+    if series:
+        points = _series_points(x, ell)
+        scratch = np.empty(max(_SERIES_SCRATCH, n))
+        for k in series:
+            totals[k] = diag[k] * _series_sum(points, *plan[k], scratch)
+    swept = [k for k, entry in enumerate(plan) if entry is None]
+    log.debug("bandwidth totals: n %d, %d pairs by series (at most %d terms), %d pairs swept", n, len(series),
+              max((plan[k][1] for k in series), default=0), len(swept))
+    if not swept:
+        return totals
+    args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell))
+    scales = [_gaussian_scales(*pairs[k]) for k in swept]
     starts = range(0, n - 1, _SWEEP_ROWS)
     work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
-    partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(pairs)))
+    partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(swept)))
     sum_sq = pairwise_sum(ell * ell)
-    totals = []
-    for c, scale, column in zip(diag, scales, partials.T):
+    for k, scale, column in zip(swept, scales, partials.T):
         upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
-        totals.append(c * (sum_sq + 2.0 * upper) if scale else c * sum_sq + 2.0 * upper)
+        totals[k] = diag[k] * (sum_sq + 2.0 * upper) if scale else diag[k] * sum_sq + 2.0 * upper
     return totals
 
 
@@ -876,7 +1049,10 @@ class GramTables:
     :func:`bandwidth_totals`, one sweep over the pairwise differences in
     fixed row blocks, with scratch allocated once and per-dimension
     Gaussian tables shared between pairs at d >= 2; a family's 2N - 1
-    pairs take one sweep.  Their diagonal is a constant.  :meth:`matrix`
+    pairs take one call.  In it the wide Gaussian pairs at d = 1 each take
+    a series of squared moments instead, whose terms are all >= 0 and so
+    cannot cancel, and the other pairs one sweep.  Their diagonal is a
+    constant.  :meth:`matrix`
     builds the dense table of any pair, uncached; it is the reference the
     sweep and the coefficient form are tested against.
     """
@@ -899,37 +1075,60 @@ class GramTables:
 
         Returns the two lists of totals and the diagonals as an (N, n)
         array, in the order of ``specs``; every value is the bits a read of
-        its pair alone gives.  Bandwidth pairs take one sweep
-        (:func:`bandwidth_totals`) over every pair not yet computed, and are
-        kept.  Nested projection pairs are gathered from the prefix tables,
-        one gather per weight vector, with the bases evaluated once at the
+        its pair alone gives.  Bandwidth pairs take one call of
+        :func:`bandwidth_totals` (a series each for the wide d = 1 Gaussian
+        pairs, one sweep for the rest) over every pair not yet computed, and
+        are kept (:meth:`_bandwidth_family_rows`).  Nested projection pairs
+        are gathered from the prefix tables straight into the result, one
+        gather per weight vector, after their tables and the result are
+        bounded together, with the bases evaluated once at the
         top orders.  Histogram pairs are read from one pass over each
         axis's cells (:meth:`_histogram_rows`).  Projection rows are
         returned as computed, not kept per pair, so no spec is hashed.
         """
         if isinstance(k0, BandwidthSpec):
-            pairs = dict.fromkeys(_ordered(*pair) for s in specs for pair in ((s, s), (s, k0)))
-            pairs = [pair for pair in pairs if pair not in self._totals]
-            if pairs:
-                self._totals.update(zip(pairs, bandwidth_totals(pairs, self.sample.x, self.sample.loss_values)))
-            own = [self.weighted_total(s, s) for s in specs]
-            cross = [self.weighted_total(s, k0) for s in specs]
-            return own, cross, np.array([self.diag(s, k0) for s in specs])
+            return self._bandwidth_family_rows(specs, k0)
         for s in specs:
             check_pair(s, k0)
         _check_dim(k0, self.sample.x)
         if not k0.basis.nested:
             return self._histogram_rows(specs, k0)
-        self._widen(_nested_top_orders([*specs, k0]))
+        top = _nested_top_orders([*specs, k0])
+        weights = dict.fromkeys(s.w for s in specs)
+        # the (N, n) diagonals, and per axis the basis values and one prefix table per weight vector
+        check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
+                         **{"members + axis tables": len(specs) + (1 + len(weights)) * sum(map(sum, top.values()))})
+        self._widen(top)
         own, cross, diags = [0.0] * len(specs), [0.0] * len(specs), np.empty((len(specs), self.sample.n))
-        for w in dict.fromkeys(s.w for s in specs):
+        for w in weights:
             index = [i for i, s in enumerate(specs) if s.w == w]
             totals, _ = self._nested_reads([(specs[i], specs[i]) for i in index], diagonal=False)
-            cross_totals, cross_diags = self._nested_reads([(specs[i], k0) for i in index])
-            diags[index] = cross_diags
+            # a run of members gathers its diagonals in place
+            run = index[-1] - index[0] + 1 == len(index)
+            cross_totals, cross_diags = self._nested_reads([(specs[i], k0) for i in index],
+                                                           out=diags[index[0] : index[-1] + 1] if run else None)
+            if not run:
+                diags[index] = cross_diags
             for i, total, cross_total in zip(index, totals, cross_totals):
                 own[i], cross[i] = total, cross_total
         return own, cross, diags
+
+    def _bandwidth_family_rows(self, specs, k0):
+        """:meth:`family_rows` of a bandwidth family.  Each (a, k0) pair is
+        put in :func:`_ordered`'s order once, from one ``spec_id`` per member
+        ((a, a) needs none), and each pair's constant diagonal c_ab once: it
+        serves both the pair's total and, for (a, k0), its diagonal row."""
+        first = spec_id(k0)
+        own = [(s, s) for s in specs]
+        cross = [(s, k0) if spec_id(s) <= first else (k0, s) for s in specs]
+        consts = {pair: _bandwidth_diag_value(*pair) for pair in own + cross}
+        new = [pair for pair in consts if pair not in self._totals]
+        if new:
+            totals = bandwidth_totals(new, self.sample.x, self.sample.loss_values, [consts[pair] for pair in new])
+            self._totals.update(zip(new, totals))
+        diags = np.empty((len(specs), self.sample.n))
+        diags[:] = np.array([consts[pair] for pair in cross])[:, None]
+        return [self._totals[pair] for pair in own], [self._totals[pair] for pair in cross], diags
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -1036,23 +1235,29 @@ class GramTables:
             self._prefix[key] = table
         return table
 
-    def _nested_reads(self, pairs, diagonal: bool = True):
+    def _nested_reads(self, pairs, diagonal: bool = True, out=None):
         """Totals, and diagonals if asked, of nested pairs with one pair of
         weight vectors, in one gather per prefix table.
 
         A pair's total is the entry of the total table at its box
         min(m_a, m_b), and its diagonal is the product over axes of row
-        min(m_aq, m_bq) of each axis's table.  Single reads and
-        :meth:`family_rows` both come here, so their bits are the same.
+        min(m_aq, m_bq) of each axis's table, gathered into ``out`` when
+        given; the rows of the other axes come in chunks of
+        ``_COEFF_ENTRIES`` entries.  Single reads and :meth:`family_rows`
+        both come here, so their bits are the same.
         """
         a, b = _ordered(*pairs[0])
         boxes = np.minimum([p[0].m for p in pairs], [p[1].m for p in pairs]) - 1
         totals = self._prefix_table(a, b)[tuple(boxes.T)].tolist()
         if not diagonal:
             return totals, None
-        diags = self._prefix_table(a, b, 0)[boxes[:, 0]]
+        # mode "clip" writes straight into out; the default mode buffers a copy
+        diags = np.take(self._prefix_table(a, b, 0), boxes[:, 0], axis=0, out=out, mode="clip")
+        rows = max(1, _COEFF_ENTRIES // self.sample.n)
         for q in range(1, a.d):
-            diags *= self._prefix_table(a, b, q)[boxes[:, q]]
+            table = self._prefix_table(a, b, q)
+            for lo in range(0, len(pairs), rows):
+                diags[lo : lo + rows] *= table[boxes[lo : lo + rows, q]]
         return totals, diags
 
     def _overlap(self, a, b, q: int) -> np.ndarray:

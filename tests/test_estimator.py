@@ -48,12 +48,16 @@ from pcoselect import (
 from pcoselect import numerics
 from pcoselect.bases import basis_matrix
 from pcoselect.estimator import (
+    _SERIES_BREAK_EVEN,
+    _SERIES_MAX_TERMS,
     _SWEEP_ROWS,
     _bandwidth_rows,
     _gaussian_scales,
     _grid_width,
     _kernel_sums,
     _product_tensor,
+    _series_plan,
+    _series_terms,
     _sweep_tables,
     bandwidth_totals,
 )
@@ -1060,6 +1064,161 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
 
 
+def _series_sample(case):
+    """A d = 1 sample for the series tests, by name: its points and loss."""
+    rng = stream(65)
+    if case == "signed":
+        return Sample(rng.random((7, 1)), rng.standard_normal(7), LossKind.IDENTITY)
+    if case == "shifted":
+        # on [5, 6]: t = (x - 5.5) / 0.5 loses nothing to the offset
+        return Sample(5.0 + rng.random((7, 1)), rng.standard_normal(7), LossKind.IDENTITY)
+    if case == "constant":
+        # rho = 0: every t is 0, not 0 / 0
+        return Sample(np.full((6, 1), 0.3), rng.standard_normal(6), LossKind.IDENTITY)
+    n = {"one-point": 1, "two-points": 2}[case]
+    return Sample(rng.random((n, 1)), rng.standard_normal(n), LossKind.IDENTITY)
+
+
+_SERIES_PAIRS = [(0.05, 0.3), (0.2, 0.2), (0.5, 0.9), (0.03, 0.03)]
+
+
+@pytest.mark.parametrize("case", ["signed", "shifted", "constant", "one-point", "two-points"])
+def test_series_matches_dense_and_quadrature(monkeypatch, case):
+    import pcoselect.estimator as estimator_mod
+
+    # every Gaussian pair under the term cap takes the series, even at n = 1 and 2
+    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", 2.0**-40)
+    s = _series_sample(case)
+    pairs = [(BandwidthSpec(GAUSSIAN, (ha,)), BandwidthSpec(GAUSSIAN, (hb,))) for ha, hb in _SERIES_PAIRS]
+    plan = _series_plan(pairs, s.x)
+    assert all(entry is not None for entry in plan)
+    if case == "constant":
+        assert [terms for _, terms in plan] == [1] * len(pairs)
+    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    assert np.all(np.isfinite(got))
+    assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    ell = s.loss_values
+    for (a, b), total in zip(pairs, got):
+        assert_allclose(total, float(ell @ GramTables(s).matrix(a, b) @ ell), rtol=1e-12, atol=0)
+        quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
+        assert_allclose(total, float(ell @ quad @ ell), rtol=1e-12)
+
+
+def _pair_at_terms(s, terms):
+    """A Gaussian (h, h) pair whose series on the sample ``s`` has ``terms`` terms."""
+    rho = 0.5 * np.ptp(s.x)
+    lo, hi = 0.0, 400.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _series_terms(mid) <= terms else (lo, mid)
+    # a little inside the boundary, so that the rounding of tau cannot cross it
+    tau = lo * (1.0 - 1e-9)
+    assert _series_terms(tau) == terms
+    h = BandwidthSpec(GAUSSIAN, (rho / math.sqrt(2.0 * tau),))
+    return h, h
+
+
+@pytest.mark.parametrize("n", [300, 700])
+def test_series_pairs_on_both_sides_of_the_break_even(n):
+    s = _uniform_sample(n, seed=66, loss=LossKind.IDENTITY)
+    limit = n * n // _SERIES_BREAK_EVEN
+    assert limit < _SERIES_MAX_TERMS
+    pairs = [_pair_at_terms(s, limit), _pair_at_terms(s, limit + 1)]
+    below, above = _series_plan(pairs, s.x)
+    assert below[1] == limit and above is None
+    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+def test_series_power_tables_hold_no_subnormal(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    # points at every scale from the centre: the powers of the inner ones would underflow
+    offsets = 10.0 ** -np.arange(1.0, 300.0, 3.0)
+    x = np.concatenate([[0.0, 1.0, 0.5], 0.5 + offsets, 0.5 - offsets / 3.0])[:, None]
+    s = Sample(x, np.ones(len(x)))
+    pairs = [_pair_at_terms(s, terms) for terms in (40, 300, _SERIES_MAX_TERMS)]
+    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", 2.0**-40)
+    assert all(entry is not None for entry in _series_plan(pairs, s.x))
+
+    class CheckingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sum(self, a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                tables.append(a.size)
+                assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny))
+            return np.sum(a, *args, **kwargs)
+
+    tables = []
+    monkeypatch.setattr(estimator_mod, "np", CheckingNumpy())
+    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    monkeypatch.undo()
+    assert len(tables) >= 3
+    assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+def test_series_pair_total_does_not_depend_on_the_rest_of_its_family():
+    n = 600
+    s = _uniform_sample(n, seed=67, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.01, 0.5, 20))
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
+    plan = _series_plan(pairs, s.x)
+    assert None in plan and any(plan)
+    together = bandwidth_totals(pairs, s.x, s.loss_values)
+    assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs] == together
+    assert_allclose(together, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+def test_bandwidth_totals_log_the_pairs_on_each_path(caplog):
+    n = 600
+    s = _uniform_sample(n, seed=69, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.01, 0.5, 20))
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
+    terms = [entry[1] for entry in _series_plan(pairs, s.x) if entry is not None]
+    with caplog.at_level(logging.DEBUG, logger="pcoselect.estimator"):
+        bandwidth_totals(pairs, s.x, s.loss_values)
+    assert caplog.messages == [f"bandwidth totals: n {n}, {len(terms)} pairs by series (at most {max(terms)} terms),"
+                               f" {len(pairs) - len(terms)} pairs swept"]
+
+
+def test_wide_pairs_of_the_d1_family_leave_the_sweep(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    # the 20-member family of the d = 1 select benchmark and CI, on [0, 1] at n = 2000
+    n = 2000
+    s = _uniform_sample(n, seed=68, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.01, 0.5, 20))
+    fam = make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n)
+    pairs = _family_pairs(fam)
+    assert len(pairs) == 39
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
+    want = bandwidth_totals(pairs, s.x, s.loss_values)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            exps.append(args[0].shape)
+            return np.exp(*args, **kwargs)
+
+    exps = []
+    monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
+    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    monkeypatch.undo()
+    assert got == want
+    # tau = rho^2 / (h_a^2 + h_b^2) <= 346.9: (h, h) from h = grid[4], (h, grid[0]) from h = grid[5]
+    series = [pair for pair, entry in zip(pairs, _series_plan(pairs, s.x)) if entry is not None]
+    wide = {(g, g) for g in fam.specs[4:]} | {(g, fam.k0) for g in fam.specs[5:]}
+    assert len(wide) == 31 and series == [pair for pair in pairs if pair in wide]
+    # one exp over the sample per series pair, one per block for each of the 8 swept pairs
+    blocks = math.ceil((n - 1) / _SWEEP_ROWS)
+    assert exps.count((n,)) == 31
+    assert len(exps) == 31 + 8 * blocks
+    assert_allclose(got[::4], _dense_totals(pairs[::4], s), rtol=1e-12, atol=0)
+
+
 def _serial_and_forked(monkeypatch, compute):
     """``compute()`` on the serial path, then with every block map on a
     pool of three workers; asserts that the second run used that pool."""
@@ -1155,7 +1314,7 @@ def test_weight_rows_are_identical_to_single_row_calls(monkeypatch, case):
 _BLAS_THREADS_SCRIPT = """
 import hashlib
 from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream
-from pcoselect.estimator import bandwidth_totals
+from pcoselect.estimator import _series_plan, bandwidth_totals
 
 def sample(n, d, seed):
     rng = stream(seed)
@@ -1170,8 +1329,12 @@ cases = [
 for fam, s in cases:
     print(hashlib.sha256(pco_select(fam, s).to_json().encode()).hexdigest())
     # the criterion rounds away most of the totals' last bits, so they are compared too
-    pairs = dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0)))
-    print(*(t.hex() for t in bandwidth_totals(list(pairs), s.x, s.loss_values)))
+    pairs = list(dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0))))
+    if s.d == 1 and fam.k0.base is GAUSSIAN:
+        # the d = 1 Gaussian family has series pairs as well as swept ones
+        plan = _series_plan(pairs, s.x)
+        assert None in plan and any(plan), plan
+    print(*(t.hex() for t in bandwidth_totals(pairs, s.x, s.loss_values)))
 """
 
 
@@ -1600,3 +1763,34 @@ def test_pco_select_memory_is_bounded(monkeypatch, base, n, grid):
 def test_pco_select_memory_is_bounded_at_d2(monkeypatch):
     # the family's 10 per-dimension tables share their budget a few rows at a time
     assert _selection_peak(monkeypatch, GAUSSIAN, 5000, 2, [0.02, 0.1, 0.4]) < SELECTION_PEAK_BOUND
+
+
+@pytest.mark.parametrize("m_max,d", [(500, 1), (20, 2)])
+def test_nested_selection_gathers_its_diagonals_into_the_result(m_max, d):
+    import tracemalloc
+
+    # the (N, n) diagonals, and at d = 1 the n x 500 basis values and prefix sums
+    # beside them; a gathered copy of the diagonals would add one more (N, n) table
+    n = 2000
+    rng = stream(49)
+    s = Sample(rng.random((n, d)), rng.standard_normal(n), LossKind.IDENTITY)
+    fam = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000), m_max, d, n)
+    tracemalloc.start()
+    try:
+        report = pco_select(fam, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = len(fam) * n * 8
+    assert peak < (3.3 if d == 1 else 1.6) * table
+    assert _report_rows(report) == _per_pair_rows(fam, s)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_nested_rows_of_interleaved_weight_vectors_are_identical_to_per_pair_reads(d):
+    # members alternate between two weight vectors, so neither group is a run of rows
+    orders = [(m,) * d for m in range(1, 7)]
+    specs = tuple(ProjectionSpec(LEG, m, None if i % 2 else _W) for i, m in enumerate(orders))
+    fam = KernelFamily(specs, 1000, len(specs) - 1)
+    s = _sample_for(fam.k0, 80, seed=50)
+    assert _report_rows(pco_select(fam, s)) == _per_pair_rows(fam, s)

@@ -315,7 +315,9 @@ def _sweeping(n):
 
     rng = np.random.default_rng(11)
     x, ell = rng.random((n, 1)), rng.standard_normal(n)
-    pairs = [(BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.2,)))]
+    # narrow enough to stay in the sweep: a wider d = 1 pair takes the moment series
+    pairs = [(BandwidthSpec(GAUSSIAN, (0.005,)), BandwidthSpec(GAUSSIAN, (0.02,)))]
+    assert estimator._series_plan(pairs, x) == [None]
     assert n * (n - 1) // 2 * len(pairs) >= estimator._FORK_WORK
     return lambda i: estimator.bandwidth_totals(pairs, x, ell)
 
