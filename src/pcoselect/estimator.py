@@ -661,15 +661,19 @@ _SERIES_LOG_FLOOR = -600.0 * math.log(2.0)
 _SERIES_MAX_TERMS = 1024
 # Scratch budget, in float64 entries, of the series' power table (512 KB).
 _SERIES_SCRATCH = 1 << 16
-# A Gaussian pair at d = 1 takes the series where its terms times
-# _SERIES_BREAK_EVEN are at most n^2.  A series pair costs about 30 us plus
-# 0.5-1 ns per term and point, a swept one 0.5-1 ns per entry of its
-# triangle on a pool of 2 CPUs.  The marginal pair of a 40-pair sweep
-# against the series, medians on a 2-CPU VM: n = 256, 90-111 us against
-# 61-144 us at 32 terms; n = 512, 217-246 us against 143-239 us at 127
-# terms; n = 1000, 630-697 us against 443-806 us at 503 terms; n = 1500,
-# 1.2-1.4 ms against 1.0 ms at 1022 terms.
-_SERIES_BREAK_EVEN = 2048
+# A Gaussian pair at d = 1 takes the series where it has at most
+# n - _SERIES_BREAK_EVEN terms.  A series pair costs a fixed 100-250 us plus
+# 0.6-0.9 ns per term and point, a swept one 1.7-2.1 ns per entry of its
+# triangle on a pool of 2 CPUs (more on one), so the break-even in terms
+# grows about linearly in n, less a share of the fixed cost that falls as
+# 1 / n.  The marginal pair of a 40-pair sweep against the series, medians
+# (ranges) of five alternating rounds on a 2-CPU VM: n = 500, 262 (212-301)
+# us against 256 (182-303) us at 200 terms and 329 (214-354) us at 250;
+# n = 750, 533 (400-697) us against 506 (382-578) us at 450 terms and 591
+# (431-751) us at 550; n = 1000, 852 (756-1246) us against 799 (514-868)
+# us at 600 terms and 879 (623-1021) us at 700.  That puts the break-even
+# near 200, 450 and 650 terms.
+_SERIES_BREAK_EVEN = 300
 # Columns per BLAS dot product of the sweep.  OpenBLAS splits a dot product
 # of more than 10000 entries across its threads, which changes its
 # rounding; shorter chunks, added in order, keep the totals independent of
@@ -823,7 +827,7 @@ def _series_plan(pairs, x: np.ndarray) -> list:
 
     Only Gaussian pairs at d = 1 qualify, and only where the series has at
     most ``_SERIES_MAX_TERMS`` terms and no more than the sweep's
-    break-even at this n, n^2 / ``_SERIES_BREAK_EVEN``.  With rho the
+    break-even at this n, n - ``_SERIES_BREAK_EVEN``.  With rho the
     half-range of the sample, tau = rho^2 / (h_a^2 + h_b^2), so the plan
     follows from n, the range and the pair alone.
     """
@@ -831,7 +835,7 @@ def _series_plan(pairs, x: np.ndarray) -> list:
     if d != 1:
         return [None] * len(pairs)
     rho = _centre_and_half_range(x)[1]
-    limit = min(_SERIES_MAX_TERMS, n * n // _SERIES_BREAK_EVEN)
+    limit = min(_SERIES_MAX_TERMS, n - _SERIES_BREAK_EVEN)
     plan = []
     for a, b in pairs:
         entry = None
@@ -844,7 +848,7 @@ def _series_plan(pairs, x: np.ndarray) -> list:
     return plan
 
 
-def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
+def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): one
     series each for the wide Gaussian pairs at d = 1, one sweep for the rest.
 
@@ -872,9 +876,10 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
     memory is O(n) whatever the family size.  A pair's total depends on n,
     d and its own kernels alone, so a pair swept with its family or alone
     gets the same bits, unless the family has too many tables for one row
-    of the budget and none is built.  Each pair is checked once, by
-    :func:`_bandwidth_diag_value`, before the blocks are computed, unless
-    ``diag`` already holds every pair's constant c_ab from it.
+    of the budget and none is built.  ``consts`` holds each pair's c_ab
+    from :func:`_bandwidth_diag_value`, which checks the pair, so every
+    pair is checked before any block is computed, and a caller that also
+    needs the diagonal computes c_ab once.
 
     At d = 1 a Gaussian pair whose series has few enough terms
     (:func:`_series_plan`) skips the sweep.  With c the midpoint of the
@@ -904,8 +909,6 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
     n, d = x.shape
     if not pairs:
         return []
-    if diag is None:
-        diag = [_bandwidth_diag_value(a, b) for a, b in pairs]
     for a, _ in pairs:
         _check_dim(a, x)
     plan = _series_plan(pairs, x)
@@ -915,7 +918,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
         points = _series_points(x, ell)
         scratch = np.empty(max(_SERIES_SCRATCH, n))
         for k in series:
-            totals[k] = diag[k] * _series_sum(points, *plan[k], scratch)
+            totals[k] = consts[k] * _series_sum(points, *plan[k], scratch)
     swept = [k for k, entry in enumerate(plan) if entry is None]
     log.debug("bandwidth totals: n %d, %d pairs by series (at most %d terms), %d pairs swept", n, len(series),
               max((plan[k][1] for k in series), default=0), len(swept))
@@ -930,7 +933,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, diag=None) -> list:
     for k, scale, column in zip(swept, scales, partials.T):
         upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
-        totals[k] = diag[k] * (sum_sq + 2.0 * upper) if scale else diag[k] * sum_sq + 2.0 * upper
+        totals[k] = consts[k] * (sum_sq + 2.0 * upper) if scale else consts[k] * sum_sq + 2.0 * upper
     return totals
 
 
@@ -1079,11 +1082,11 @@ class GramTables:
         :func:`bandwidth_totals` (a series each for the wide d = 1 Gaussian
         pairs, one sweep for the rest) over every pair not yet computed, and
         are kept (:meth:`_bandwidth_family_rows`).  Nested projection pairs
-        are gathered from the prefix tables straight into the result, one
-        gather per weight vector, after their tables and the result are
-        bounded together, with the bases evaluated once at the
-        top orders.  Histogram pairs are read from one pass over each
-        axis's cells (:meth:`_histogram_rows`).  Projection rows are
+        are gathered from the prefix tables straight into the result, in
+        fixed chunks of rows per weight vector (:meth:`_nested_reads`),
+        after their tables and the result are bounded together, with the
+        bases evaluated once at the top orders.  Histogram pairs are read
+        from one pass over each axis's cells (:meth:`_histogram_rows`).  Projection rows are
         returned as computed, not kept per pair, so no spec is hashed.
         """
         if isinstance(k0, BandwidthSpec):
@@ -1102,13 +1105,8 @@ class GramTables:
         own, cross, diags = [0.0] * len(specs), [0.0] * len(specs), np.empty((len(specs), self.sample.n))
         for w in weights:
             index = [i for i, s in enumerate(specs) if s.w == w]
-            totals, _ = self._nested_reads([(specs[i], specs[i]) for i in index], diagonal=False)
-            # a run of members gathers its diagonals in place
-            run = index[-1] - index[0] + 1 == len(index)
-            cross_totals, cross_diags = self._nested_reads([(specs[i], k0) for i in index],
-                                                           out=diags[index[0] : index[-1] + 1] if run else None)
-            if not run:
-                diags[index] = cross_diags
+            totals = self._nested_reads([(specs[i], specs[i]) for i in index])
+            cross_totals = self._nested_reads([(specs[i], k0) for i in index], diags, index)
             for i, total, cross_total in zip(index, totals, cross_totals):
                 own[i], cross[i] = total, cross_total
         return own, cross, diags
@@ -1235,30 +1233,31 @@ class GramTables:
             self._prefix[key] = table
         return table
 
-    def _nested_reads(self, pairs, diagonal: bool = True, out=None):
-        """Totals, and diagonals if asked, of nested pairs with one pair of
-        weight vectors, in one gather per prefix table.
+    def _nested_reads(self, pairs, out=None, rows=None) -> list:
+        """Totals of nested pairs with one pair of weight vectors, in one
+        gather per prefix table, and their diagonals into rows ``rows`` of
+        ``out`` when it is given.
 
         A pair's total is the entry of the total table at its box
         min(m_a, m_b), and its diagonal is the product over axes of row
-        min(m_aq, m_bq) of each axis's table, gathered into ``out`` when
-        given; the rows of the other axes come in chunks of
-        ``_COEFF_ENTRIES`` entries.  Single reads and :meth:`family_rows`
-        both come here, so their bits are the same.
+        min(m_aq, m_bq) of each axis's table, formed in chunks of rows.  A
+        chunk's gathered rows and one table's rows come to at most
+        ``_COEFF_ENTRIES`` entries, so the scratch is fixed.  Single reads
+        and :meth:`family_rows` both come here, so their bits are the same.
         """
         a, b = _ordered(*pairs[0])
         boxes = np.minimum([p[0].m for p in pairs], [p[1].m for p in pairs]) - 1
         totals = self._prefix_table(a, b)[tuple(boxes.T)].tolist()
-        if not diagonal:
-            return totals, None
-        # mode "clip" writes straight into out; the default mode buffers a copy
-        diags = np.take(self._prefix_table(a, b, 0), boxes[:, 0], axis=0, out=out, mode="clip")
-        rows = max(1, _COEFF_ENTRIES // self.sample.n)
-        for q in range(1, a.d):
-            table = self._prefix_table(a, b, q)
-            for lo in range(0, len(pairs), rows):
-                diags[lo : lo + rows] *= table[boxes[lo : lo + rows, q]]
-        return totals, diags
+        if out is None:
+            return totals
+        tables = [self._prefix_table(a, b, q) for q in range(a.d)]
+        step = max(1, _COEFF_ENTRIES // (2 * self.sample.n))
+        for lo in range(0, len(pairs), step):
+            at = rows[lo : lo + step]
+            out[at] = tables[0][boxes[lo : lo + step, 0]]
+            for q in range(1, a.d):
+                out[at] *= tables[q][boxes[lo : lo + step, q]]
+        return totals
 
     def _overlap(self, a, b, q: int) -> np.ndarray:
         """W_a C_q W_b of a histogram pair on axis q, built once per (orders, weights)."""
@@ -1277,7 +1276,7 @@ class GramTables:
         """
         check_pair(a, b)
         if a.basis.nested:
-            return self._nested_reads([(a, b)], diagonal=False)[0][0]
+            return self._nested_reads([(a, b)])[0]
         return self._histogram_total(a, b, self.coefficients(a), self.coefficients(b))
 
     def _histogram_total(self, a, b, t_a: np.ndarray, t_b: np.ndarray) -> float:
@@ -1323,7 +1322,9 @@ class GramTables:
         check_pair(a, b)
         _check_dim(a, self.sample.x)
         if a.basis.nested:
-            return self._nested_reads([(a, b)])[1][0]
+            diag = np.empty((1, self.sample.n))
+            self._nested_reads([(a, b)], diag, [0])
+            return diag[0]
         return self._histogram_diag(a, b, self._cell_tables([sorted({ma, mb}) for ma, mb in zip(a.m, b.m)])[0])
 
     # -- public reductions ----------------------------------------------------
@@ -1350,7 +1351,8 @@ class GramTables:
             if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
                 total = self._projection_total(*pair)
             else:
-                total = bandwidth_totals([pair], self.sample.x, self.sample.loss_values)[0]
+                total = bandwidth_totals([pair], self.sample.x, self.sample.loss_values,
+                                         [_bandwidth_diag_value(*pair)])[0]
             self._totals[pair] = total
         return total
 

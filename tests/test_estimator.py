@@ -51,6 +51,7 @@ from pcoselect.estimator import (
     _SERIES_BREAK_EVEN,
     _SERIES_MAX_TERMS,
     _SWEEP_ROWS,
+    _bandwidth_diag_value,
     _bandwidth_rows,
     _gaussian_scales,
     _grid_width,
@@ -932,6 +933,11 @@ BANDWIDTH_PAIRS = [
 ]
 
 
+def _totals(pairs, x, ell):
+    """:func:`bandwidth_totals` of ``pairs``, with each pair's constant diagonal."""
+    return bandwidth_totals(pairs, x, ell, [_bandwidth_diag_value(a, b) for a, b in pairs])
+
+
 @pytest.mark.parametrize("n", [1, _SWEEP_ROWS + 13, 3 * _SWEEP_ROWS])
 @pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)
 def test_bandwidth_sweep_matches_dense(a, b, n):
@@ -939,7 +945,7 @@ def test_bandwidth_sweep_matches_dense(a, b, n):
     s = _uniform_sample(n, d=a.d, seed=36, loss=LossKind.IDENTITY)
     ell = s.loss_values
     dense = section_inner_matrix(a, s.x, b, s.x)
-    totals = bandwidth_totals([(a, b), (a, a), (b, b)], s.x, ell)
+    totals = _totals([(a, b), (a, a), (b, b)], s.x, ell)
     want = [float(ell @ m @ ell) for m in (dense, section_inner_matrix(a, s.x, a, s.x),
                                             section_inner_matrix(b, s.x, b, s.x))]
     assert_allclose(totals, want, rtol=1e-12)
@@ -956,7 +962,7 @@ def test_gaussian_exponent_floor_keeps_to_the_exact_references():
     ell = s.loss_values
     a, b = BandwidthSpec(GAUSSIAN, (1.0 / n,)), BandwidthSpec(GAUSSIAN, (2.5 / n,))
     want = [float(ell @ section_inner_matrix(p, s.x, q, s.x) @ ell) for p, q in ((a, b), (a, a), (b, b))]
-    assert_allclose(bandwidth_totals([(a, b), (a, a), (b, b)], s.x, ell), want, rtol=1e-12)
+    assert_allclose(_totals([(a, b), (a, a), (b, b)], s.x, ell), want, rtol=1e-12)
     pts = np.linspace(-0.05, 1.05, 1001).reshape(-1, 1)
     for spec, row in zip((a, b), estimate_on_grid([a, b], s, pts)):
         ref = ell @ kernel_matrix(spec, s.x, pts) / n
@@ -999,7 +1005,7 @@ def test_sweep_shares_per_dimension_tables_and_matches_dense(fam, n):
     keys, uses, _ = _sweep_tables(scales, [False] * len(pairs), n, d)
     # every pair is factored, and the pairs share their tables
     assert all(use is not None for use in uses) and len(keys) < d * len(pairs)
-    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [33, 200])
@@ -1015,12 +1021,12 @@ def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
     assert floors == [True, False, False, False, False]
     _, uses, _ = _sweep_tables(scales, floors, n, 2)
     assert [use is not None for use in uses] == [False, True, True, False, False]
-    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
     # at d = 1 the floored pair and the plain one share a sweep as well
     s1 = _uniform_sample(n, seed=62, loss=LossKind.IDENTITY)
     c, g = BandwidthSpec(GAUSSIAN, (1.0 / 400,)), BandwidthSpec(GAUSSIAN, (0.3,))
     pairs1 = [(c, c), (c, g), (g, g)]
-    assert_allclose(bandwidth_totals(pairs1, s1.x, s1.loss_values), _dense_totals(pairs1, s1), rtol=1e-12, atol=0)
+    assert_allclose(_totals(pairs1, s1.x, s1.loss_values), _dense_totals(pairs1, s1), rtol=1e-12, atol=0)
 
 
 def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
@@ -1031,7 +1037,7 @@ def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
     grid = list(np.geomspace(0.05, 0.4, 5))
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 1000))
     assert len(pairs) == 49
-    want = bandwidth_totals(pairs, s.x, s.loss_values)
+    want = _totals(pairs, s.x, s.loss_values)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -1043,7 +1049,7 @@ def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
 
     exps = []
     monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
-    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    got = _totals(pairs, s.x, s.loss_values)
     monkeypatch.undo()
     assert got == want
     # 5 + 4 distinct variances per dimension: 18 tables per block, not 49 pair exponentials
@@ -1060,8 +1066,8 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, n))
     scales = [_gaussian_scales(a, b) for a, b in pairs]
     assert _sweep_tables(scales, [False] * len(pairs), n, 2)[2] < _SWEEP_ROWS
-    together = bandwidth_totals(pairs, s.x, s.loss_values)
-    assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
+    together = _totals(pairs, s.x, s.loss_values)
+    assert [_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
 
 
 def _series_sample(case):
@@ -1087,14 +1093,14 @@ def test_series_matches_dense_and_quadrature(monkeypatch, case):
     import pcoselect.estimator as estimator_mod
 
     # every Gaussian pair under the term cap takes the series, even at n = 1 and 2
-    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", 2.0**-40)
+    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", -_SERIES_MAX_TERMS)
     s = _series_sample(case)
     pairs = [(BandwidthSpec(GAUSSIAN, (ha,)), BandwidthSpec(GAUSSIAN, (hb,))) for ha, hb in _SERIES_PAIRS]
     plan = _series_plan(pairs, s.x)
     assert all(entry is not None for entry in plan)
     if case == "constant":
         assert [terms for _, terms in plan] == [1] * len(pairs)
-    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    got = _totals(pairs, s.x, s.loss_values)
     assert np.all(np.isfinite(got))
     assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
     ell = s.loss_values
@@ -1118,15 +1124,15 @@ def _pair_at_terms(s, terms):
     return h, h
 
 
-@pytest.mark.parametrize("n", [300, 700])
+@pytest.mark.parametrize("n", [400, 700])
 def test_series_pairs_on_both_sides_of_the_break_even(n):
     s = _uniform_sample(n, seed=66, loss=LossKind.IDENTITY)
-    limit = n * n // _SERIES_BREAK_EVEN
-    assert limit < _SERIES_MAX_TERMS
+    limit = n - _SERIES_BREAK_EVEN
+    assert 0 < limit < _SERIES_MAX_TERMS
     pairs = [_pair_at_terms(s, limit), _pair_at_terms(s, limit + 1)]
     below, above = _series_plan(pairs, s.x)
     assert below[1] == limit and above is None
-    assert_allclose(bandwidth_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
 def test_series_power_tables_hold_no_subnormal(monkeypatch):
@@ -1137,7 +1143,7 @@ def test_series_power_tables_hold_no_subnormal(monkeypatch):
     x = np.concatenate([[0.0, 1.0, 0.5], 0.5 + offsets, 0.5 - offsets / 3.0])[:, None]
     s = Sample(x, np.ones(len(x)))
     pairs = [_pair_at_terms(s, terms) for terms in (40, 300, _SERIES_MAX_TERMS)]
-    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", 2.0**-40)
+    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", -_SERIES_MAX_TERMS)
     assert all(entry is not None for entry in _series_plan(pairs, s.x))
 
     class CheckingNumpy:
@@ -1152,7 +1158,7 @@ def test_series_power_tables_hold_no_subnormal(monkeypatch):
 
     tables = []
     monkeypatch.setattr(estimator_mod, "np", CheckingNumpy())
-    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    got = _totals(pairs, s.x, s.loss_values)
     monkeypatch.undo()
     assert len(tables) >= 3
     assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
@@ -1165,8 +1171,8 @@ def test_series_pair_total_does_not_depend_on_the_rest_of_its_family():
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
     plan = _series_plan(pairs, s.x)
     assert None in plan and any(plan)
-    together = bandwidth_totals(pairs, s.x, s.loss_values)
-    assert [bandwidth_totals([p], s.x, s.loss_values)[0] for p in pairs] == together
+    together = _totals(pairs, s.x, s.loss_values)
+    assert [_totals([p], s.x, s.loss_values)[0] for p in pairs] == together
     assert_allclose(together, _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
@@ -1177,7 +1183,7 @@ def test_bandwidth_totals_log_the_pairs_on_each_path(caplog):
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
     terms = [entry[1] for entry in _series_plan(pairs, s.x) if entry is not None]
     with caplog.at_level(logging.DEBUG, logger="pcoselect.estimator"):
-        bandwidth_totals(pairs, s.x, s.loss_values)
+        _totals(pairs, s.x, s.loss_values)
     assert caplog.messages == [f"bandwidth totals: n {n}, {len(terms)} pairs by series (at most {max(terms)} terms),"
                                f" {len(pairs) - len(terms)} pairs swept"]
 
@@ -1193,7 +1199,7 @@ def test_wide_pairs_of_the_d1_family_leave_the_sweep(monkeypatch):
     pairs = _family_pairs(fam)
     assert len(pairs) == 39
     monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
-    want = bandwidth_totals(pairs, s.x, s.loss_values)
+    want = _totals(pairs, s.x, s.loss_values)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -1205,7 +1211,7 @@ def test_wide_pairs_of_the_d1_family_leave_the_sweep(monkeypatch):
 
     exps = []
     monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
-    got = bandwidth_totals(pairs, s.x, s.loss_values)
+    got = _totals(pairs, s.x, s.loss_values)
     monkeypatch.undo()
     assert got == want
     # tau = rho^2 / (h_a^2 + h_b^2) <= 346.9: (h, h) from h = grid[4], (h, grid[0]) from h = grid[5]
@@ -1256,7 +1262,7 @@ def test_forked_sweep_is_bit_identical_to_serial(monkeypatch, case, diagonal):
     # without the diagonal: the sums over i != j that u_statistic reads, one sweep per pair
     pairs, s = _sweep_cases()[case]
     if diagonal:
-        compute = lambda: np.array(bandwidth_totals(pairs, s.x, s.loss_values))
+        compute = lambda: np.array(_totals(pairs, s.x, s.loss_values))
     else:
         compute = lambda: np.array([u_statistic(a, b, s) for a, b in pairs])
     serial, forked = _serial_and_forked(monkeypatch, compute)
@@ -1314,7 +1320,7 @@ def test_weight_rows_are_identical_to_single_row_calls(monkeypatch, case):
 _BLAS_THREADS_SCRIPT = """
 import hashlib
 from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream
-from pcoselect.estimator import _series_plan, bandwidth_totals
+from pcoselect.estimator import _bandwidth_diag_value, _series_plan, bandwidth_totals
 
 def sample(n, d, seed):
     rng = stream(seed)
@@ -1334,7 +1340,8 @@ for fam, s in cases:
         # the d = 1 Gaussian family has series pairs as well as swept ones
         plan = _series_plan(pairs, s.x)
         assert None in plan and any(plan), plan
-    print(*(t.hex() for t in bandwidth_totals(pairs, s.x, s.loss_values)))
+    consts = [_bandwidth_diag_value(*pair) for pair in pairs]
+    print(*(t.hex() for t in bandwidth_totals(pairs, s.x, s.loss_values, consts)))
 """
 
 
@@ -1368,7 +1375,7 @@ def test_mixed_base_pairs_raise_naming_both_bases():
     with pytest.raises(ValueError, match=r"member 1 \(bandwidth:epanechnikov:.*member 0 \(bandwidth:gaussian:"):
         KernelFamily((g, e), s.n, 0)
     with pytest.raises(ValueError, match=both):
-        bandwidth_totals([(g, g), (g, e)], s.x, s.loss_values)
+        _totals([(g, g), (g, e)], s.x, s.loss_values)
     with pytest.raises(ValueError, match=both):
         section_inner_matrix(e, s.x, g, s.x)
     with pytest.raises(ValueError, match=both):
@@ -1788,7 +1795,7 @@ def test_nested_selection_gathers_its_diagonals_into_the_result(m_max, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_nested_rows_of_interleaved_weight_vectors_are_identical_to_per_pair_reads(d):
-    # members alternate between two weight vectors, so neither group is a run of rows
+    # members alternate between two weight vectors, so each vector gathers into every other row
     orders = [(m,) * d for m in range(1, 7)]
     specs = tuple(ProjectionSpec(LEG, m, None if i % 2 else _W) for i, m in enumerate(orders))
     fam = KernelFamily(specs, 1000, len(specs) - 1)

@@ -319,7 +319,8 @@ def _sweeping(n):
     pairs = [(BandwidthSpec(GAUSSIAN, (0.005,)), BandwidthSpec(GAUSSIAN, (0.02,)))]
     assert estimator._series_plan(pairs, x) == [None]
     assert n * (n - 1) // 2 * len(pairs) >= estimator._FORK_WORK
-    return lambda i: estimator.bandwidth_totals(pairs, x, ell)
+    consts = [estimator._bandwidth_diag_value(*pair) for pair in pairs]
+    return lambda i: estimator.bandwidth_totals(pairs, x, ell, consts)
 
 
 def test_pooled_map_with_one_worker_forks_nothing_and_nests_serially(four_cpus, alarm, spawns):
@@ -388,7 +389,7 @@ def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_c
     monkeypatch.setattr(estimator, "_FORK_WORK", 0)
     pairs = [(BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,)))]
     with pytest.raises(ArithmeticError, match="^sweep block failed in the parent: False$"):
-        estimator.bandwidth_totals(pairs, x, ell)
+        estimator.bandwidth_totals(pairs, x, ell, [estimator._bandwidth_diag_value(*pairs[0])])
     _assert_no_child_left()
 
 
@@ -482,12 +483,13 @@ def sweep(monkeypatch):
     rng = np.random.default_rng(9)
     x, ell = rng.random((300, 1)), rng.standard_normal(300)
     pairs = [(BandwidthSpec(GAUSSIAN, (h,)), BandwidthSpec(GAUSSIAN, (0.2,))) for h in (0.01, 0.05, 0.2)]
+    consts = [estimator._bandwidth_diag_value(*pair) for pair in pairs]
     with monkeypatch.context() as serial_path:
         serial_path.setattr(numerics, "usable_cpus", lambda: 1)
-        serial = estimator.bandwidth_totals(pairs, x, ell)
+        serial = estimator.bandwidth_totals(pairs, x, ell, consts)
     monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
     monkeypatch.setattr(estimator, "_FORK_WORK", 0)
-    return lambda: estimator.bandwidth_totals(pairs, x, ell), serial
+    return lambda: estimator.bandwidth_totals(pairs, x, ell, consts), serial
 
 
 def test_pooled_map_forks_its_workers_once(monkeypatch, sweep, alarm):
