@@ -153,7 +153,8 @@ def cmd_estimate(args) -> int:
     if spec.d != sample.d:
         raise DimensionError(f"spec dimension {spec.d} != data dimension {sample.d}")
     points = _grid_from_config(cfg.get("grid", cfg), sample.d)
-    values = estimate_on_grid(spec, sample, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = estimate_on_grid(spec, sample, points)
     if not np.all(np.isfinite(values)):
         raise DataError("the estimate is not finite: the sample's values are too large for float64 sums")
     out = _out_dir(args)

@@ -13,9 +13,10 @@ regression model Y = b(X) + noise, and ell = square estimates the second
 conditional moment times f (the noise-variance component when b = 0).
 
 Empirical inner products <shat_a, shat_b>_2 are double sums over the Gram
-entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` keeps these
-totals per kernel pair and reduces them in a fixed order, so repeated and
-multi-process runs, and runs at any BLAS thread count, agree bit for bit.
+entries <K_a(X_i, .), K_b(X_j, .)>_2.  :class:`GramTables` reads these
+totals through one reader, keeps nothing per kernel pair and reduces in a
+fixed order, so repeated and multi-process runs, and runs at any BLAS
+thread count, agree bit for bit.
 A bandwidth Gram table is a function of the pairwise differences
 X_i - X_j, symmetric with a constant diagonal; :func:`bandwidth_totals`
 reduces many pairs in one sweep over the strict upper triangle, in fixed
@@ -96,6 +97,7 @@ import enum
 import itertools
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -297,6 +299,10 @@ _FORK_WORK = 1_000_000
 # Cost of an Epanechnikov sweep entry in Gaussian entries: each is the exact
 # 3-node convolution rule per dimension, about 40 ns against 2.3 ns.
 _CONVOLUTION_COST = 16
+# Overflow in the block builders leaves an inf or nan, which pco_select and the
+# CLI's estimate turn into a DataError, or a kernel entry at its exact limit;
+# pool workers do not inherit the caller's np.errstate, so the builders carry it.
+_OVERFLOW_IGNORED = np.errstate(over="ignore", invalid="ignore")
 
 
 def _map_blocks(build, args: tuple, starts, work: int) -> list:
@@ -530,6 +536,7 @@ def _axis_rows(spec, u: np.ndarray, w: np.ndarray, step: float, count: int, span
     return sums.reshape(len(w), -1)[:, :count]
 
 
+@_OVERFLOW_IGNORED
 def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor):
     """The block function of :func:`_bandwidth_rows`, with its scratch:
     the rows of every member and weight row at the points of the block
@@ -543,6 +550,7 @@ def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray,
     floors = [spec.base.kind is BaseKind.GAUSSIAN
               and _reaches_floor(span_sq, [-0.5 / (hq * hq) for hq in spec.h]) for spec in specs]
 
+    @_OVERFLOW_IGNORED
     def block_rows(start):
         cols = min(width, points.shape[0] - start)
         sq = [buf[: n * cols].reshape(n, cols) for buf in squares]
@@ -937,6 +945,7 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     return totals
 
 
+@_OVERFLOW_IGNORED
 def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     """The block function of :func:`bandwidth_totals`, with the sweep's
     scratch: every pair's partial over the rows of the block from ``start``."""
@@ -955,6 +964,7 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     weight_buf = np.empty(size)
     lower = np.tri(_SWEEP_ROWS, _SWEEP_ROWS, -1, dtype=bool)
 
+    @_OVERFLOW_IGNORED
     def block_partial(start):
         stop = min(start + _SWEEP_ROWS, n - 1)
         w = n - 1 - start
@@ -1006,64 +1016,48 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     return block_partial
 
 
-def _ordered(a, b):
-    """A pair in the one order its total and diagonal are computed in, so
-    that they do not depend on the order the pair is given in.
-
-    Projection pairs go by weights and then orders, which costs no string.
-    Bandwidth pairs go by ``spec_id``: the sweep's bits follow which member
-    is first, and select-bandwidth's artifacts were fixed in that order.
-    """
-    if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-        return (a, b) if (a.w or (), a.m) <= (b.w or (), b.m) else (b, a)
-    return (a, b) if spec_id(a) <= spec_id(b) else (b, a)
-
-
 class GramTables:
-    """Loss-weighted section geometry of one sample, cached per kernel pair.
+    """Loss-weighted section geometry of one sample, read through one reader.
 
     PCO needs, for kernel pairs (a, b), the totals
     sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonals G_ab[i, i] of the
-    table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Each unordered pair
-    is computed once, in one order (:func:`_ordered`), and kept as a scalar
-    (totals) or an n-vector (diagonals); no n x n table is kept.
-    :meth:`family_rows` reads a family's whole PCO criterion at once, with
-    the bits of one-pair reads (:meth:`weighted_total`, :meth:`diag`).
+    table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Every read, of one
+    pair (:meth:`weighted_total`, :meth:`diag`) or of a family's criterion
+    (:meth:`family_rows`), is one call of :meth:`_reads`, with one reader
+    per kernel kind, so a pair read alone or with its family gets the same
+    bits.  Nothing is kept per pair, and no n x n table is formed.
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     (see :meth:`coefficients`) the total is the quadratic form
     T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
     C_q is the basis cross-Gram.  A nested basis is evaluated once per
-    dimension at the largest order requested, and every smaller order is a
+    dimension at the largest order of a read, and every smaller order is a
     slice of it, bit for bit.  Its totals and diagonals are partial sums
     over the basis index, read off prefix tables (:meth:`_prefix_table`)
-    by one gather (:meth:`_nested_reads`).  A
-    histogram family computes each axis's cells at every order it uses in
-    one pass, and every member's tensor and diagonal reads them
-    (:meth:`_histogram_rows`); a pair's W_a C_q W_b is built once and
-    serves both its total and its diagonal.  Memory per axis is n m_q
-    basis values and n m_q prefix sums per distinct pair of weight
-    vectors, or n cells per order used, plus prod_q m_q per tensor, with
-    prod_q m_q <= n.  The values and prefix sums of an axis are bounded
-    together, and its cells as n times its largest order, before they are
-    allocated.
+    by one gather (:meth:`_nested_reads`).  A histogram read computes each
+    axis's cells at every order it uses in one pass, and every member's
+    tensor and diagonal reads them (:meth:`_histogram_reads`); a pair's
+    W_a C_q W_b is built once and serves both its total and its diagonal.
+    Memory per axis is n m_q basis values and n m_q prefix sums per
+    distinct pair of weight vectors, or n cells per order used, plus
+    prod_q m_q per tensor, with prod_q m_q <= n.  The values and prefix
+    sums of an axis are bounded together, and its cells as n times its
+    largest order, before they are allocated.
 
-    Bandwidth pairs never form G either.  Their totals come from
-    :func:`bandwidth_totals`, one sweep over the pairwise differences in
-    fixed row blocks, with scratch allocated once and per-dimension
-    Gaussian tables shared between pairs at d >= 2; a family's 2N - 1
-    pairs take one call.  In it the wide Gaussian pairs at d = 1 each take
-    a series of squared moments instead, whose terms are all >= 0 and so
-    cannot cancel, and the other pairs one sweep.  Their diagonal is a
-    constant.  :meth:`matrix`
-    builds the dense table of any pair, uncached; it is the reference the
-    sweep and the coefficient form are tested against.
+    Bandwidth pairs never form G either.  A read's totals come from one
+    call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`), one sweep
+    over the pairwise differences in fixed row blocks, with scratch
+    allocated once and per-dimension Gaussian tables shared between pairs
+    at d >= 2; a family's 2N - 1 pairs take one call.  In it the wide
+    Gaussian pairs at d = 1 each take a series of squared moments instead,
+    whose terms are all >= 0 and so cannot cancel, and the other pairs one
+    sweep.  Their diagonal is a constant.  :meth:`matrix` builds the dense
+    table of any pair, uncached; it is the reference the sweep and the
+    coefficient form are tested against.
     """
 
     def __init__(self, sample: Sample):
         self.sample = sample
-        self._totals: dict = {}  # _ordered pair -> total
-        self._diags: dict = {}  # _ordered pair -> diagonal
         self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
         self._prefix: dict = {}  # nested (kind, q, w_a, w_b) -> prefix table; q None for totals
@@ -1077,56 +1071,62 @@ class GramTables:
         """The (a, a) total, (a, k0) total and (a, k0) diagonal of every member a.
 
         Returns the two lists of totals and the diagonals as an (N, n)
-        array, in the order of ``specs``; every value is the bits a read of
-        its pair alone gives.  Bandwidth pairs take one call of
-        :func:`bandwidth_totals` (a series each for the wide d = 1 Gaussian
-        pairs, one sweep for the rest) over every pair not yet computed, and
-        are kept (:meth:`_bandwidth_family_rows`).  Nested projection pairs
-        are gathered from the prefix tables straight into the result, in
-        fixed chunks of rows per weight vector (:meth:`_nested_reads`),
-        after their tables and the result are bounded together, with the
-        bases evaluated once at the top orders.  Histogram pairs are read
-        from one pass over each axis's cells (:meth:`_histogram_rows`).  Projection rows are
-        returned as computed, not kept per pair, so no spec is hashed.
+        array, in the order of ``specs``, from one :meth:`_reads` call.
         """
-        if isinstance(k0, BandwidthSpec):
-            return self._bandwidth_family_rows(specs, k0)
-        for s in specs:
-            check_pair(s, k0)
-        _check_dim(k0, self.sample.x)
-        if not k0.basis.nested:
-            return self._histogram_rows(specs, k0)
-        top = _nested_top_orders([*specs, k0])
-        weights = dict.fromkeys(s.w for s in specs)
-        # the (N, n) diagonals, and per axis the basis values and one prefix table per weight vector
-        check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
-                         **{"members + axis tables": len(specs) + (1 + len(weights)) * sum(map(sum, top.values()))})
-        self._widen(top)
-        own, cross, diags = [0.0] * len(specs), [0.0] * len(specs), np.empty((len(specs), self.sample.n))
-        for w in weights:
-            index = [i for i, s in enumerate(specs) if s.w == w]
-            totals = self._nested_reads([(specs[i], specs[i]) for i in index])
-            cross_totals = self._nested_reads([(specs[i], k0) for i in index], diags, index)
-            for i, total, cross_total in zip(index, totals, cross_totals):
-                own[i], cross[i] = total, cross_total
-        return own, cross, diags
+        n = len(specs)
+        totals, diags = self._reads([*specs, k0], [(i, i) for i in range(n)] + [(i, n) for i in range(n)], 2 * n, n)
+        return totals[:n], totals[n:], diags
 
-    def _bandwidth_family_rows(self, specs, k0):
-        """:meth:`family_rows` of a bandwidth family.  Each (a, k0) pair is
-        put in :func:`_ordered`'s order once, from one ``spec_id`` per member
-        ((a, a) needs none), and each pair's constant diagonal c_ab once: it
-        serves both the pair's total and, for (a, k0), its diagonal row."""
-        first = spec_id(k0)
-        own = [(s, s) for s in specs]
-        cross = [(s, k0) if spec_id(s) <= first else (k0, s) for s in specs]
-        consts = {pair: _bandwidth_diag_value(*pair) for pair in own + cross}
-        new = [pair for pair in consts if pair not in self._totals]
-        if new:
-            totals = bandwidth_totals(new, self.sample.x, self.sample.loss_values, [consts[pair] for pair in new])
-            self._totals.update(zip(new, totals))
-        diags = np.empty((len(specs), self.sample.n))
-        diags[:] = np.array([consts[pair] for pair in cross])[:, None]
-        return [self._totals[pair] for pair in own], [self._totals[pair] for pair in cross], diags
+    def _reads(self, specs, pairs, totals: int, diagonals: int) -> tuple:
+        """The totals of the first ``totals`` pairs, as a list, and the
+        diagonals of the last ``diagonals`` pairs, as a (diagonals, n)
+        array; each pair is two indices into ``specs``.
+
+        Every spec is checked against the first
+        (:func:`~pcoselect.kernels.check_pair`), so a read has one kernel
+        kind, and a spec given twice is one.  Each pair is put in one order,
+        smaller key first, from one key per spec, so its numbers do not
+        depend on the order it is given in, and a pair given twice is read
+        once; pairs go by their indices, so no spec is hashed.  The distinct
+        pairs go to the reader of the kind, :meth:`_bandwidth_reads`,
+        :meth:`_nested_reads` or :meth:`_histogram_reads`, with the distinct
+        specs, the number of pairs, from the first, whose totals are asked
+        for, and per diagonal row the index of its pair; it returns those
+        totals and the rows.
+        """
+        first = {}
+        index = [first.setdefault(id(s), i) for i, s in enumerate(specs)]
+        for s in specs:
+            check_pair(specs[0], s)
+        _check_dim(specs[0], self.sample.x)
+        # projection specs go by weights and then orders, which costs no
+        # string; bandwidth specs by ``spec_id``, since the sweep's bits follow
+        # which member is first and select-bandwidth's artifacts were fixed so
+        keys = [(s.w or (), s.m) if isinstance(s, ProjectionSpec) else spec_id(s) for s in specs]
+        slots, distinct, at = {}, [], []
+        for i, j in pairs:
+            i, j = index[i], index[j]
+            if keys[j] < keys[i]:
+                i, j = j, i
+            k = slots.setdefault(i * len(specs) + j, len(distinct))
+            if k == len(distinct):
+                distinct.append((specs[i], specs[j]))
+            at.append(k)
+        if isinstance(specs[0], BandwidthSpec):
+            reader = self._bandwidth_reads
+        else:
+            reader = self._nested_reads if specs[0].basis.nested else self._histogram_reads
+        sums, diags = reader([specs[i] for i in first.values()], distinct, max(at[:totals], default=-1) + 1,
+                             at[len(at) - diagonals :])
+        return [sums[k] for k in at[:totals]], diags
+
+    def _bandwidth_reads(self, specs, pairs, summed: int, rows) -> tuple:
+        """:meth:`_reads` of bandwidth pairs.  Each pair's constant diagonal
+        c_ab is computed once: it is the pair's diagonal row and scales its
+        total in the one :func:`bandwidth_totals` call of the read."""
+        consts = [_bandwidth_diag_value(a, b) for a, b in pairs]
+        diags = np.repeat(np.array(consts)[rows, None], self.sample.n, axis=1)
+        return bandwidth_totals(pairs[:summed], self.sample.x, self.sample.loss_values, consts[:summed]), diags
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -1158,18 +1158,25 @@ class GramTables:
             oks.append(ok)
         return cells, np.logical_and.reduce(oks)
 
-    def _histogram_tensors(self, members, cells, ok):
-        """Cache the tensor of each histogram order tuple in ``members`` not
-        yet cached, from :meth:`_cell_tables` ``cells`` and ``ok``: per-cell
-        sums of ell in sample order, times prod_q sqrt(m_q).  A point off
-        the support adds +0.0 to its clipped cell, which changes no sum,
-        since a sum from +0.0 is never -0.0."""
+    def _histogram_tensors(self, members, cells, ok) -> dict:
+        """The tensor of each histogram order tuple in ``members``, by order
+        tuple, cached once computed from :meth:`_cell_tables` ``cells`` and
+        ``ok``: per-cell sums of ell in sample order, times
+        prod_q sqrt(m_q).  A point off the support adds +0.0 to its clipped
+        cell, which changes no sum, since a sum from +0.0 is never -0.0."""
         ell = np.where(ok, self.sample.loss_values, 0.0)
+        tensors = {}
         for m in members:
-            if (BasisKind.REGULAR_HISTOGRAM, m) not in self._coeffs:
-                index = np.ravel_multi_index([axis[mq][0] for axis, mq in zip(cells, m)], m)
+            tensor = self._coeffs.get((BasisKind.REGULAR_HISTOGRAM, m))
+            if tensor is None:
+                # the cells raveled in C order: at d = 1 they are the index
+                index = cells[0][m[0]][0]
+                for axis, mq in zip(cells[1:], m[1:]):
+                    index = index * mq + axis[mq][0]
                 sums = np.bincount(index, weights=ell, minlength=math.prod(m))
-                self._coeffs[BasisKind.REGULAR_HISTOGRAM, m] = (sums * math.sqrt(math.prod(m))).reshape(m)
+                tensor = self._coeffs[BasisKind.REGULAR_HISTOGRAM, m] = (sums * math.sqrt(math.prod(m))).reshape(m)
+            tensors[m] = tensor
+        return tensors
 
     def coefficients(self, spec: ProjectionSpec) -> np.ndarray:
         """T = sum_i ell_i (x)_q phi^{m_q}(X_iq) of ``spec``, shape spec.m, before the weights w.
@@ -1204,15 +1211,10 @@ class GramTables:
         not depend on how wide the table is, and a table grown with the
         tensor or the basis values keeps its entries' bits.  An axis's
         basis values and all its prefix tables, n x m_max entries each,
-        are bounded together before a new table is allocated.
+        are bounded together before a new table is allocated.  The read
+        (:meth:`_nested_reads`) has evaluated the basis at the pair's orders.
         """
-        if q is None:
-            self.coefficients(a)
-            self.coefficients(b)
-            source = self._coeffs[a.basis.kind]
-        else:
-            self._values(a.basis, q, min(a.m[q], b.m[q]))
-            source = self._basis_values[a.basis.kind, q].T
+        source = self._coeffs[a.basis.kind] if q is None else self._basis_values[a.basis.kind, q].T
         # the order axes end where the weights do
         axes = range(source.ndim) if q is None else [0]
         cap = min([len(s.w) for s in (a, b) if s.w is not None], default=max(source.shape))
@@ -1233,31 +1235,48 @@ class GramTables:
             self._prefix[key] = table
         return table
 
-    def _nested_reads(self, pairs, out=None, rows=None) -> list:
-        """Totals of nested pairs with one pair of weight vectors, in one
-        gather per prefix table, and their diagonals into rows ``rows`` of
-        ``out`` when it is given.
+    def _nested_reads(self, specs, pairs, summed: int, rows) -> tuple:
+        """:meth:`_reads` of nested projection pairs, gathered from the
+        prefix tables (:meth:`_prefix_table`) of each pair of weight vectors.
 
-        A pair's total is the entry of the total table at its box
-        min(m_a, m_b), and its diagonal is the product over axes of row
-        min(m_aq, m_bq) of each axis's table, formed in chunks of rows.  A
-        chunk's gathered rows and one table's rows come to at most
-        ``_COEFF_ENTRIES`` entries, so the scratch is fixed.  Single reads
-        and :meth:`family_rows` both come here, so their bits are the same.
+        C_q is the truncated identity, so a pair's total is the sum of
+        (x)_q (w_a w_b) T^2 over its box min(m_a, m_b), one entry of the
+        total table, and a diagonal row is the product over axes of row
+        min(m_aq, m_bq) of each axis's table, gathered straight into the
+        result in chunks of rows.  A chunk's gathered rows and one table's
+        rows come to at most ``_COEFF_ENTRIES`` entries, so the scratch is
+        fixed.  The basis is evaluated once, at the top orders of the read,
+        after the diagonal rows, the basis values and one prefix table per
+        axis and pair of weight vectors are bounded together.
         """
-        a, b = _ordered(*pairs[0])
-        boxes = np.minimum([p[0].m for p in pairs], [p[1].m for p in pairs]) - 1
-        totals = self._prefix_table(a, b)[tuple(boxes.T)].tolist()
-        if out is None:
-            return totals
-        tables = [self._prefix_table(a, b, q) for q in range(a.d)]
+        groups, group_rows = defaultdict(lambda: ([], [])), []  # (w_a, w_b) -> (its pairs, its rows)
+        for k, (a, b) in enumerate(pairs):
+            members, at = groups[a.w, b.w]
+            members.append(k)
+            group_rows.append(at)
+        for r, k in enumerate(rows):
+            group_rows[k].append(r)
+        orders = tuple(map(max, zip(*(s.m for s in specs))))
+        if rows:
+            axis_tables = (1 + sum(1 for _, at in groups.values() if at)) * sum(orders)
+            check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
+                             **{"members + axis tables": len(rows) + axis_tables})
+        # one kind per read: the basis of the largest cap takes every top order
+        self._widen({max((s.basis for s in specs), key=lambda basis: basis.m_cap): orders})
+        boxes = np.minimum([a.m for a, _ in pairs], [b.m for _, b in pairs]) - 1
+        row_boxes = boxes[rows]
+        totals, diags = np.empty(len(pairs)), np.empty((len(rows), self.sample.n))
         step = max(1, _COEFF_ENTRIES // (2 * self.sample.n))
-        for lo in range(0, len(pairs), step):
-            at = rows[lo : lo + step]
-            out[at] = tables[0][boxes[lo : lo + step, 0]]
-            for q in range(1, a.d):
-                out[at] *= tables[q][boxes[lo : lo + step, q]]
-        return totals
+        for members, at in groups.values():
+            a, b = pairs[members[0]]
+            totals[members] = self._prefix_table(a, b)[tuple(boxes[members].T)]
+            tables = [self._prefix_table(a, b, q) for q in range(a.d)] if at else []
+            for lo in range(0, len(at), step):
+                chunk, box = at[lo : lo + step], row_boxes[at[lo : lo + step]]
+                diags[chunk] = tables[0][box[:, 0]]
+                for q in range(1, a.d):
+                    diags[chunk] *= tables[q][box[:, q]]
+        return totals[:summed].tolist(), diags
 
     def _overlap(self, a, b, q: int) -> np.ndarray:
         """W_a C_q W_b of a histogram pair on axis q, built once per (orders, weights)."""
@@ -1267,23 +1286,21 @@ class GramTables:
             gram = self._grams[key] = weighted_cross_gram(a, b, q)
         return gram
 
-    def _projection_total(self, a, b) -> float:
-        """T_a^T ((x)_q W_a C_q W_b) T_b.
-
-        For a nested basis C_q is the truncated identity, so the form is the
-        sum of (x)_q (w_a w_b) T^2 over the box min(m_a, m_b): one entry of
-        the pair's prefix table.  A histogram pair is :meth:`_histogram_total`.
-        """
-        check_pair(a, b)
-        if a.basis.nested:
-            return self._nested_reads([(a, b)])[0]
-        return self._histogram_total(a, b, self.coefficients(a), self.coefficients(b))
+    def _histogram_reads(self, specs, pairs, summed: int, rows) -> tuple:
+        """:meth:`_reads` of histogram pairs: each axis's cells at every
+        order of the read come from one pass (:meth:`_cell_tables`) and
+        serve every tensor and diagonal, and each total contracts its own
+        tensors in its own order (:meth:`_histogram_total`)."""
+        cells, ok = self._cell_tables([sorted({s.m[q] for s in specs}) for q in range(specs[0].d)])
+        tensors = self._histogram_tensors([s.m for s in specs], cells, ok)
+        diags = np.reshape([self._histogram_diag(*pairs[k], cells) for k in rows], (len(rows), self.sample.n))
+        return [self._histogram_total(a, b, tensors[a.m], tensors[b.m]) for a, b in pairs[:summed]], diags
 
     def _histogram_total(self, a, b, t_a: np.ndarray, t_b: np.ndarray) -> float:
-        """The form of a histogram pair with tensors t_a, t_b: T_b contracted
-        with the cross-Gram along each axis in ``einsum``, not BLAS, except
-        on an axis of equal orders, whose cells coincide (C_q = I), so a
-        (K, K) total needs no overlap table."""
+        """The form T_a^T ((x)_q W_a C_q W_b) T_b of a histogram pair with
+        tensors t_a, t_b: T_b contracted with the cross-Gram along each axis
+        in ``einsum``, not BLAS, except on an axis of equal orders, whose
+        cells coincide (C_q = I), so a (K, K) total needs no overlap table."""
         y = t_b
         axes = list(range(a.d))
         for q, (ma, mb) in enumerate(zip(a.m, b.m)):
@@ -1294,20 +1311,6 @@ class GramTables:
                 y = np.einsum(self._overlap(a, b, q), [a.d, q], y, axes, axes[:q] + [a.d] + axes[q + 1 :])
         return pairwise_sum(t_a * y)
 
-    def _histogram_rows(self, specs, k0):
-        """:meth:`family_rows` of a histogram family: each axis's cells at
-        every order the family uses come from one pass (:meth:`_cell_tables`)
-        and serve every tensor and diagonal, and each total contracts its
-        own tensors in its own order (:meth:`_histogram_total`)."""
-        members = [*specs, k0]
-        cells, ok = self._cell_tables([sorted({s.m[q] for s in members}) for q in range(k0.d)])
-        self._histogram_tensors([s.m for s in members], cells, ok)
-        tensors = {s.m: self._coeffs[BasisKind.REGULAR_HISTOGRAM, s.m] for s in members}
-        pairs = [_ordered(s, k0) for s in specs]
-        own = [self._histogram_total(s, s, tensors[s.m], tensors[s.m]) for s in specs]
-        cross = [self._histogram_total(a, b, tensors[a.m], tensors[b.m]) for a, b in pairs]
-        return own, cross, np.array([self._histogram_diag(a, b, cells) for a, b in pairs])
-
     def _histogram_diag(self, a, b, cells) -> np.ndarray:
         """G_ab[i, i] of a histogram pair from :meth:`_cell_tables` ``cells``
         (:func:`~pcoselect.kernels.histogram_section_inner`)."""
@@ -1315,46 +1318,15 @@ class GramTables:
                                        [axis[mq] for axis, mq in zip(cells, a.m)],
                                        [axis[mq] for axis, mq in zip(cells, b.m)])
 
-    def _projection_diag(self, a, b) -> np.ndarray:
-        """G_ab[i, i]: for a nested basis the product over axes of one row
-        of each axis's prefix table, for a histogram pair the gather of its
-        cross-Grams at each point's two cells."""
-        check_pair(a, b)
-        _check_dim(a, self.sample.x)
-        if a.basis.nested:
-            diag = np.empty((1, self.sample.n))
-            self._nested_reads([(a, b)], diag, [0])
-            return diag[0]
-        return self._histogram_diag(a, b, self._cell_tables([sorted({ma, mb}) for ma, mb in zip(a.m, b.m)])[0])
-
     # -- public reductions ----------------------------------------------------
 
     def diag(self, a, b) -> np.ndarray:
         """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
-        pair = _ordered(a, b)
-        diag = self._diags.get(pair)
-        if diag is None:
-            if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-                diag = self._projection_diag(*pair)
-            else:
-                value = _bandwidth_diag_value(*pair)
-                _check_dim(a, self.sample.x)
-                diag = np.full(self.sample.n, value)
-            self._diags[pair] = diag
-        return diag
+        return self._reads([a, b], [(0, 1)], 0, 1)[1][0]
 
     def weighted_total(self, a, b) -> float:
         """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
-        pair = _ordered(a, b)
-        total = self._totals.get(pair)
-        if total is None:
-            if isinstance(a, ProjectionSpec) and isinstance(b, ProjectionSpec):
-                total = self._projection_total(*pair)
-            else:
-                total = bandwidth_totals([pair], self.sample.x, self.sample.loss_values,
-                                         [_bandwidth_diag_value(*pair)])[0]
-            self._totals[pair] = total
-        return total
+        return self._reads([a, b], [(0, 1)], 1, 0)[0][0]
 
 
 def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> float:
@@ -1380,11 +1352,12 @@ def _distance(own: float, cross: float, anchor: float, n: int) -> float:
 
 
 def criterion_distance(a, k0, sample: Sample, tables: GramTables | None = None) -> float:
-    """||shat_a - shat_k0||_2^2 expanded through the Gram tables (:func:`_distance`)."""
+    """||shat_a - shat_k0||_2^2 expanded through the Gram tables (:func:`_distance`),
+    from one read of the three totals."""
     if tables is None:
         tables = GramTables(sample)
-    return _distance(tables.weighted_total(a, a), tables.weighted_total(a, k0), tables.weighted_total(k0, k0),
-                     sample.n)
+    (own, cross, anchor), _ = tables._reads([a, k0], [(0, 0), (0, 1), (1, 1)], 3, 0)
+    return _distance(own, cross, anchor, sample.n)
 
 
 def sbar_empirical(spec, sample: Sample) -> float:
@@ -1416,14 +1389,14 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     means the zero function).  Cross terms against s_a, s_b are integrated
     on ``grid``, which is required as soon as either function is present.
     Centering makes E(U) = 0.  No n x n table is built: the sum over
-    i != j is the total of :class:`GramTables` less its diagonal term, for
-    either variant.
+    i != j is the total of :class:`GramTables` less its diagonal term, both
+    from one read, for either variant.
     """
     if sample.n < 2:
         raise ValueError("the pair statistic needs at least two observations")
     ell = sample.loss_values
-    tables = GramTables(sample)
-    total = tables.weighted_total(a, b) - pairwise_sum(ell * ell * tables.diag(a, b))
+    (total,), diags = GramTables(sample)._reads([a, b], [(0, 1)], 1, 1)
+    total -= pairwise_sum(ell * ell * diags[0])
     if s_mean_a is None and s_mean_b is None:
         return total
     if grid is None:

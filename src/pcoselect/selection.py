@@ -13,25 +13,19 @@ Both terms come from one call, :meth:`GramTables.family_rows
 <pcoselect.estimator.GramTables.family_rows>`, whether the tables are
 :func:`pco_select`'s own or the caller's: the distance expands into three
 loss-weighted totals and the penalty is the diagonal of the (K, K0)
-table.  No n x n table is formed for either kind of family.  For
-bandwidth kernels the 2N - 1 totals (K, K) and (K, K0) of an N-member
-family are reduced in one sweep over the pairwise differences of the
-sample, in fixed row blocks with O(n) scratch memory allocated once:
-each block's entries are contracted with the loss weights by BLAS dot
-products, and at d >= 2 each per-dimension Gaussian factor is evaluated
-once per block and shared by the pairs that use it.  A large sweep
-spreads its blocks over the worker pool, processes forked once and kept,
-up to the usable CPUs (``taskset`` restricts them, and inside a report
-replication it runs serially), with the same bits at any worker count;
-see :mod:`~pcoselect.estimator`.  The diagonal is a constant.  For
-projection kernels the totals are quadratic forms in the coefficient
-tensors T = sum_i ell_i (x)_q phi^{m_q}(X_iq).  Each nested basis is
-evaluated once per sample and dimension, at the family's largest order,
-and every member's totals and diagonal are gathered from prefix tables
-over the basis index; each histogram (K, K0) cell-overlap table is built
-once for the total and the diagonal.  Memory stays at n sum_q m_q basis
-values, as many prefix sums per pair of weight vectors, and
-prod_q m_q <= n per tensor.
+table.  That call and the one-pair reads of :func:`penalty` and
+:func:`~pcoselect.estimator.criterion_distance` go through the one reader
+of :class:`~pcoselect.estimator.GramTables`, which keeps nothing per pair,
+so a pair gets the same bits alone as in its family.  No n x n table is
+formed for either kind of family.  Bandwidth totals are one call of
+:func:`~pcoselect.estimator.bandwidth_totals` per family, a moment series
+for each wide Gaussian pair at d = 1 and one sweep over the pairwise
+differences for the rest, spread over the worker pool once it is large,
+with the same bits at any worker count; the diagonal is a constant.
+Projection totals are quadratic forms in the coefficient tensors
+T = sum_i ell_i (x)_q phi^{m_q}(X_iq), read with the diagonals off prefix
+tables over the basis index for nested bases and off cell overlaps for
+histograms; see :mod:`~pcoselect.estimator` for both and their memory.
 """
 
 from __future__ import annotations
@@ -156,11 +150,12 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
         )
     if tables is None:
         tables = GramTables(sample)
-    own, cross, diags = tables.family_rows(family.specs, family.k0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        own, cross, diags = tables.family_rows(family.specs, family.k0)
+        pens = [_penalty(diag, sample.loss_values, sample.n) for diag in diags]
     rows = []
-    for idx, spec in enumerate(family.specs):
+    for idx, (spec, pen) in enumerate(zip(family.specs, pens)):
         dist = _distance(own[idx], cross[idx], own[family.k0_index], sample.n)
-        pen = _penalty(diags[idx], sample.loss_values, sample.n)
         if not (math.isfinite(dist) and math.isfinite(pen)):
             raise DataError(f"the criterion of {spec_id(spec)} is not finite (distance {dist!r}, penalty {pen!r}):"
                             " the sample's values are too large for float64 sums")

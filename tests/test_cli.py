@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pcoselect
 from pcoselect import CheckReport, scenario_from_config, write_sample_csv
 from pcoselect.cli import main
 
@@ -188,15 +192,34 @@ def test_select_empty_dataset_is_a_data_error(tmp_path, capsys):
     ({"variant": "bandwidth", "h_min": 0.5, "grid": [1.0], "d": 1}, "0.0,1.3407807929942597e+154"),
     ({"variant": "projection", "basis": "trigonometric", "m_max": 3, "d": 1}, "0.5,1e200"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_with_overflowing_sums_is_a_data_error(tmp_path, capsys, family, row):
     data = tmp_path / "data.csv"
     data.write_text("x1,y\n" + row + "\n" + "0.25,0.0\n" * 10, encoding="utf-8")
     cfg = _write_json(tmp_path / "family.json", {"family": family})
-    with np.errstate(all="ignore"):
-        rc = main(["select", "--config", cfg, "--data", str(data), "--loss", "identity", "--out", str(tmp_path / "o")])
+    rc = main(["select", "--config", cfg, "--data", str(data), "--loss", "identity", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "is not finite" in capsys.readouterr().err
     assert not (tmp_path / "o" / "selection.json").exists()
+
+
+# the sums overflow in this process, in the series of the wide pairs, and in
+# the pool's workers, which sweep the narrow pairs of this n = 2000 family
+def test_select_with_overflowing_sums_prints_only_the_data_error(tmp_path):
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    write_sample_csv(data, rng.random((2000, 1)), 1e154 * rng.standard_normal(2000))
+    family = {"variant": "bandwidth", "base": "gaussian", "h_min": 0.001,
+              "grid": [0.002, 0.005, 0.01, 0.05, 0.2, 0.5], "d": 1}
+    cfg = _write_json(tmp_path / "family.json", {"family": family})
+    src = os.path.dirname(os.path.dirname(pcoselect.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "pcoselect.cli", "select", "--config", cfg, "--data", str(data),
+                           "--loss", "identity", "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("data error: the criterion of bandwidth:gaussian:h=0.002 is not finite")
 
 
 def test_select_dimension_mismatch(tmp_path, dataset, capsys):
@@ -1039,7 +1062,9 @@ def _finite_numbers(value) -> bool:
     return not isinstance(value, float) or np.isfinite(value)
 
 
-# 60 examples take 0.9-1.5 s of the tier-1 run on 2 CPUs.
+# 60 examples take 0.9-1.5 s of the tier-1 run on 2 CPUs.  An overflow is
+# either silent or a data error, never a warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_select_inputs(), loss=st.sampled_from(["one", "identity", "square"]))
 def test_select_on_generated_configs_and_data_keeps_the_exit_contract(tmp_path, capsys, inputs, loss):
@@ -1086,6 +1111,7 @@ def _estimate_inputs(draw):
 
 
 # 40 examples take 0.4-0.5 s of the tier-1 run on 2 CPUs.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_estimate_inputs(), loss=st.sampled_from(["one", "identity", "square"]))
 # y^2 overflows under the square loss: an infinite estimate, once written with exit 0

@@ -53,6 +53,7 @@ from pcoselect.estimator import (
     _SWEEP_ROWS,
     _bandwidth_diag_value,
     _bandwidth_rows,
+    _distance,
     _gaussian_scales,
     _grid_width,
     _kernel_sums,
@@ -1736,9 +1737,36 @@ def test_pco_select_on_passed_tables_sweeps_once_with_identical_rows(monkeypatch
     assert sweeps == [2 * len(fam) - 1]
     assert pco_select(fam, s).to_json() == report.to_json()
     assert sweeps == [2 * len(fam) - 1] * 2
-    # a second selection on the same tables needs no sweep
+    # nothing is kept per pair: a second selection on the same tables sweeps again, to the same rows
     assert pco_select(fam, s, tables).to_json() == report.to_json()
-    assert sweeps == [2 * len(fam) - 1] * 2
+    assert sweeps == [2 * len(fam) - 1] * 3
+
+
+@pytest.mark.parametrize("a,k0", [(BandwidthSpec(GAUSSIAN, (0.02,)), BandwidthSpec(GAUSSIAN, (0.3,))),
+                                  (BandwidthSpec(EPANECHNIKOV, (0.3, 0.2)), BandwidthSpec(EPANECHNIKOV, (0.05, 0.1)))],
+                         ids=["gaussian-d1", "epanechnikov-d2"])
+def test_per_pair_statistics_take_one_read_with_identical_values(monkeypatch, a, k0):
+    import pcoselect.estimator as estimator_mod
+
+    s = _uniform_sample(300, d=a.d, seed=51, loss=LossKind.IDENTITY)
+    tables = GramTables(s)
+    own, cross, anchor = (tables.weighted_total(*pair) for pair in ((a, a), (a, k0), (k0, k0)))
+    diag = tables.diag(a, k0)
+    sweeps, consts = [], []
+    real_totals, real_const = estimator_mod.bandwidth_totals, estimator_mod._bandwidth_diag_value
+    monkeypatch.setattr(estimator_mod, "bandwidth_totals",
+                        lambda pairs, *rest: sweeps.append(len(pairs)) or real_totals(pairs, *rest))
+    monkeypatch.setattr(estimator_mod, "_bandwidth_diag_value", lambda *pair: consts.append(pair) or real_const(*pair))
+    # the distance's three totals take one call, with the bits of three single reads
+    assert criterion_distance(a, k0, s, tables).hex() == _distance(own, cross, anchor, s.n).hex()
+    assert sweeps == [3] and len(consts) == 3
+    # U's total and diagonal are one read of one pair, whose c_ab is computed once
+    ell = s.loss_values
+    assert u_statistic(a, k0, s).hex() == (cross - numerics.pairwise_sum(ell * ell * diag)).hex()
+    assert sweeps == [3, 1] and len(consts) == 4
+    # a pair given three times is read once
+    assert criterion_distance(k0, k0, s, tables) == 0.0
+    assert sweeps == [3, 1, 1]
 
 
 # A dense n x n table would take 200 MB at n = 5000 and 32 MB at n = 2000;

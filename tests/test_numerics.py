@@ -534,8 +534,9 @@ def test_pooled_map_in_a_mapped_item_runs_serially(four_cpus, alarm, spawns, out
         assert dropped == in_worker
         assert inner == [(j, False, dropped) for j in range(6)]
     assert _pool_pids() == pids == spawns
-    # outside a mapped item, workers take items again
-    assert any(in_worker for _, in_worker, _ in pooled_map(_in_worker, (parent,), range(400)))
+    # outside a mapped item, workers take items again: the caller's items are
+    # slow, so it cannot empty the queue before a worker wakes up
+    assert any(pid != parent for _, pid in pooled_map(_with_pid, (parent,), range(40)))
 
 
 @pytest.mark.parametrize("death,status", [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(7), 7)])
