@@ -19,13 +19,12 @@ fixed order, so repeated and multi-process runs, and runs at any BLAS
 thread count, agree bit for bit.
 A bandwidth Gram table is a function of the pairwise differences
 X_i - X_j, symmetric with a constant diagonal; :func:`bandwidth_totals`
-reduces many pairs in one sweep over the strict upper triangle, in fixed
-row blocks.  A wide Gaussian pair at d = 1 skips the sweep: its total is
-the series sum_k tau^k / k! M_k^2 of squared moments of the sample
-(:func:`_series_sum`), whose terms are all >= 0 and so cannot cancel, at
-O(n) per term instead of one ``exp`` per pair of points; which pairs take
-it depends on n, the sample's range and the pair alone
-(:func:`_series_plan`).  The sweep allocates its O(n) scratch once, forms each
+reduces many pairs at once.  A Gaussian pair at d = 1 is a trapezoid sum
+of squares on a uniform grid, sqrt(2 / (pi v)) step sum_p F_p^2 with
+F_p = sum_i ell_i exp(-(x_i - p step)^2 / v) (:func:`_gaussian_total`),
+which cannot cancel and costs O(n) ``exp`` calls, not one per pair of
+points.  The other pairs take one sweep over the strict upper triangle,
+in fixed row blocks.  The sweep allocates its O(n) scratch once, forms each
 block's differences once for every pair, and contracts each pair's block
 with the loss weights in BLAS dot products.  At d >= 2 the Gaussian
 factor exp(-delta_q^2 / (2 v_q)) of each distinct (q, v_q) is evaluated
@@ -306,10 +305,11 @@ _OVERFLOW_IGNORED = np.errstate(over="ignore", invalid="ignore")
 
 
 def _map_blocks(build, args: tuple, starts, work: int) -> list:
-    """``fn(start)`` at every block start, in order, with ``fn = build(*args)``;
-    on the worker pool of :func:`~pcoselect.numerics.pooled_map` once
-    ``work`` reaches ``_FORK_WORK``.  Each block is a pure function of its
-    start and ``args``, so the worker count never changes a number."""
+    """``fn(start)`` at every block start (or pair index), in order, with
+    ``fn = build(*args)``; on the worker pool of
+    :func:`~pcoselect.numerics.pooled_map` once ``work`` reaches
+    ``_FORK_WORK``.  Each block is a pure function of its start and
+    ``args``, so the worker count never changes a number."""
     if work < _FORK_WORK:
         fn = build(*args)
         return [fn(start) for start in starts]
@@ -352,11 +352,19 @@ def _check_dim(spec, x: np.ndarray):
 
 
 def _nested_top_orders(specs) -> dict:
-    """The largest order per dimension of every nested basis among ``specs``."""
-    top = {}
+    """The largest order per dimension of every nested basis among ``specs``.
+
+    The specs are grouped by the identity of their basis, an int that
+    hashes in C, and each distinct basis object is hashed once.
+    """
+    groups = {}
     for s in specs:
-        if isinstance(s, ProjectionSpec) and s.basis.nested:
-            top[s.basis] = tuple(map(max, top.get(s.basis, s.m), s.m))
+        if isinstance(s, ProjectionSpec):
+            groups.setdefault(id(s.basis), (s.basis, []))[1].append(s.m)
+    top = {}
+    for basis, orders in groups.values():
+        if basis.nested:
+            top[basis] = tuple(map(max, top.get(basis, orders[0]), *orders))
     return top
 
 
@@ -658,30 +666,21 @@ _SWEEP_ROWS = 32
 # dot product is the same whichever rows share a pass, so this changes the
 # memory and not the numbers.
 _TABLE_SCRATCH = 1 << 18
-# The series of :func:`_series_sum`: a point leaves it once its terms are at
-# most 2^-128 (``_SERIES_LOG_DROP``), and no entry of its power table falls
-# below 2^-600 |ell_i| (``_SERIES_LOG_FLOOR``).  At most _SERIES_MAX_TERMS
-# terms, which reach tau = 346.9, where tau^k / k! <= e^tau < 1e151 is far
-# from overflow and the pair's swept exponents could not reach
-# ``_EXP_FLOOR`` (they stop at -2 tau).
-_SERIES_LOG_DROP = -128.0 * math.log(2.0)
-_SERIES_LOG_FLOOR = -600.0 * math.log(2.0)
-_SERIES_MAX_TERMS = 1024
-# Scratch budget, in float64 entries, of the series' power table (512 KB).
-_SERIES_SCRATCH = 1 << 16
-# A Gaussian pair at d = 1 takes the series where it has at most
-# n - _SERIES_BREAK_EVEN terms.  A series pair costs a fixed 100-250 us plus
-# 0.6-0.9 ns per term and point, a swept one 1.7-2.1 ns per entry of its
-# triangle on a pool of 2 CPUs (more on one), so the break-even in terms
-# grows about linearly in n, less a share of the fixed cost that falls as
-# 1 / n.  The marginal pair of a 40-pair sweep against the series, medians
-# (ranges) of five alternating rounds on a 2-CPU VM: n = 500, 262 (212-301)
-# us against 256 (182-303) us at 200 terms and 329 (214-354) us at 250;
-# n = 750, 533 (400-697) us against 506 (382-578) us at 450 terms and 591
-# (431-751) us at 550; n = 1000, 852 (756-1246) us against 799 (514-868)
-# us at 600 terms and 879 (623-1021) us at 700.  That puts the break-even
-# near 200, 450 and 650 terms.
-_SERIES_BREAK_EVEN = 300
+# The trapezoid sum of :func:`_gaussian_total`.  Its grid step is
+# _TRAPEZOID_STEP sqrt(v) rounded down to 6 significant bits: the rule's
+# aliasing error is then at most 2 exp(-pi^2 / (2 * 0.3416^2)), about 2^-60,
+# of sum_ij |ell_i ell_j| exp(-(x_i - x_j)^2 / (2 v)), and every node
+# q * step is an exact double.  Each point adds to the nodes whose entries
+# exp(-(x - node)^2 / v) it can make at least e^-_TRAPEZOID_DROP = 2^-60 of
+# its peak, the aliasing bound: the 19 nearest on each side, whatever the
+# rounding of the step.
+_TRAPEZOID_STEP = 0.3416
+_TRAPEZOID_DROP = 60.0 * math.log(2.0)
+# Points per pass of :func:`_gaussian_total`: a pass holds their entries and
+# node indices, 39 of each per point (640 KB in all).  On the 2-CPU VM, a
+# pair of a 2000-point sample took 0.55-0.59 ms in passes of 1024 points and
+# 0.97-1.2 ms in one pass of 2000, whose arrays fall out of cache.
+_TRAPEZOID_POINTS = 1024
 # Columns per BLAS dot product of the sweep.  OpenBLAS splits a dot product
 # of more than 10000 entries across its threads, which changes its
 # rounding; shorter chunks, added in order, keep the totals independent of
@@ -740,171 +739,124 @@ def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray):
         out += np.vecdot(a[:, lo : lo + _CONTRACT_COLS], b[:, lo : lo + _CONTRACT_COLS])
 
 
-def _series_threshold(k: int) -> float:
-    """x_k = (2^-128 k!)^(1 / k), which grows with k: from step k of the
-    series on, every term (tau t^2)^j / j! of a point with tau t^2 <= x_k
-    is at most 2^-128."""
-    return math.exp((math.lgamma(k + 1) + _SERIES_LOG_DROP) / k)
+def _trapezoid_grid(v: float) -> tuple:
+    """The grid of :func:`_gaussian_total` at variance v: its step,
+    ``_TRAPEZOID_STEP`` sqrt(v) rounded down to 6 significant bits, the
+    ratio rho of the step to sqrt(v), and the reach r, in steps, beyond
+    which an entry exp(-(x - node)^2 / v) is below e^-``_TRAPEZOID_DROP``."""
+    s = math.sqrt(v)
+    frac, exp2 = math.frexp(_TRAPEZOID_STEP * s)
+    step = math.ldexp(math.floor(frac * 64.0) / 64.0, exp2)
+    rho = step / s
+    return step, rho, math.ceil(math.sqrt(_TRAPEZOID_DROP) / rho - 0.5)
 
 
-def _series_terms(tau: float) -> int:
-    """The number of terms of :func:`_series_sum` at tau: the first k with
-    x_k >= tau, where every point of [-1, 1] has left the series, or
-    ``_SERIES_MAX_TERMS`` + 1 where there is none up to that cap."""
-    lo, hi = 1, _SERIES_MAX_TERMS + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _series_threshold(mid) >= tau:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+@_OVERFLOW_IGNORED
+def _gaussian_total(x: np.ndarray, ell: np.ndarray, v: float) -> float:
+    """sum_{i,j} ell_i ell_j exp(-(x_i - x_j)^2 / (2 v)) over the points x
+    of a d = 1 sample, sorted, as a trapezoid sum of squares.
 
+    By the convolution of two Gaussians the total is
+    sqrt(2 / (pi v)) int F(u)^2 du with F(u) = sum_i ell_i exp(-(x_i - u)^2 / v),
+    and the trapezoid rule on a uniform grid is spectrally exact for it:
+    with the step of :func:`_trapezoid_grid` the total is
+    sqrt(2 / (pi v)) step sum_p F(p step)^2 to about 2^-60 of the sum over
+    |ell_i ell_j|.  Each point adds exp(-(x_i - p step)^2 / v) to the
+    2 r + 1 = 39 nodes p nearest it, and F is one ``bincount`` of those
+    entries per pass of ``_TRAPEZOID_POINTS`` points, so a pair costs 39 n
+    exponentials and O(n) memory whatever v.  The sum is of squares, so it
+    cannot cancel, whatever the signs of ell.
 
-def _centre_and_half_range(x: np.ndarray) -> tuple:
-    """The midpoint c and the half-range rho of a d = 1 sample."""
-    lo, hi = float(x.min()), float(x.max())
-    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-
-
-def _series_points(x: np.ndarray, ell: np.ndarray) -> tuple:
-    """The sample as :func:`_series_sum` reads it: t = (x - c) / rho in
-    [-1, 1] (:func:`_centre_and_half_range`; t = 0 where rho = 0), and
-    ell, both in order of decreasing t^2, and -t^2 (ascending)."""
-    c, rho = _centre_and_half_range(x)
-    t = (x[:, 0] - c) / rho if rho > 0.0 else np.zeros(x.shape[0])
-    order = np.argsort(-(t * t), kind="stable")
-    t = t[order]
-    return t, ell[order], -(t * t)
-
-
-def _series_sum(points: tuple, tau: float, terms: int, scratch: np.ndarray) -> float:
-    """sum_{i,j} ell_i ell_j exp(-tau (t_i - t_j)^2 / 2) as
-    sum_k tau^k / k! M_k^2 with M_k = sum_i w_i t_i^k and
-    w_i = ell_i exp(-tau t_i^2 / 2), over the first ``terms`` terms;
-    ``points`` is :func:`_series_points`.
-
-    Every term of the outer sum is >= 0, so it never cancels.  Point i
-    leaves the moments from the first pass at a step k with
-    tau t_i^2 <= x_k (:func:`_series_threshold`); each term it would still
-    add is then at most 2^-128, and all the terms left out come to at most
-    2^-63 sqrt(terms) sum_{i,j} |ell_i ell_j| exp(-tau (t_i - t_j)^2 / 2).
-    The points go by decreasing t^2, so the ones left are a prefix.  The
-    powers w_i t_i^k are built in passes of rows k, k + 1, ... in the
-    ``scratch`` table: the first row from the last row of the pass
-    before, and each further run of rows from the rows above it times a
-    power of t by repeated squaring.  A pass ends before any entry can fall
-    below 2^-600 |ell_i|, so that no product is subnormal.  Each M_k is the
-    ``np.sum`` of its row, a pairwise sum that involves neither BLAS nor
-    any other pair.
+    The points split into clusters wherever two neighbours are more than
+    2 r + 1 steps apart, which drops only cross terms below e^-80, and the
+    nodes of each cluster are numbered from its first point, so that a
+    narrow pair allocates no node between clusters.  Node positions are
+    exact: a cluster within 2^46 steps of 0 keeps its points' coordinates,
+    and a farther one is taken relative to its first point, which is
+    exact there (Sterbenz), so the offset of each point from its node
+    carries one rounding whatever the offset of the sample.
     """
-    t, ell, neg_sq = points
-    w = ell * np.exp(neg_sq * (0.5 * tau))
-    moments = np.zeros(terms)
-    moments[0] = np.sum(w)
-    k = 1
-    while k < terms:
-        low = _series_threshold(k)
-        m = int(np.searchsorted(neg_sq, -low / tau))
-        if not m:
-            break
-        # with tau t^2 in (low, tau], an entry of row j is at least
-        # min(exp(-tau / 2), exp(-low / 2) (low / tau)^(j / 2)) |ell|, and tau <= 347
-        reach = (-2.0 * _SERIES_LOG_FLOOR - low) / math.log(tau / low) if low < tau else math.inf
-        rows = max(1, min(terms - k, scratch.size // m, int(reach) - k + 1))
-        table = scratch[: rows * m].reshape(rows, m)
-        np.multiply(w[:m], t[:m], out=table[0])
-        power, done = t[:m], 1
-        while done < rows:
-            step = min(done, rows - done)
-            np.multiply(table[:step], power, out=table[done : done + step])
-            done += step
-            if done < rows:
-                power = power * power
-        np.sum(table, axis=1, out=moments[k : k + rows])
-        # the last row, in the scratch: the next pass reads it before it writes there
-        w = table[-1]
-        k += rows
-    coefs = np.ones(terms)
-    np.cumprod(tau / np.arange(1.0, terms), out=coefs[1:])
-    return pairwise_sum(coefs * (moments * moments))
+    if math.isinf(v):
+        # every entry is exp(0)
+        return pairwise_sum(ell) ** 2
+    step, rho, reach = _trapezoid_grid(v)
+    width = 2 * reach + 1
+    n = x.size
+    breaks = np.flatnonzero(x[1:] - x[:-1] > width * step) + 1
+    starts, stops = np.concatenate([[0], breaks]), np.concatenate([breaks, [n]])
+    sizes = stops - starts
+    first = x[starts]
+    u = x - np.repeat(np.where(np.abs(first) < 2.0**46 * step, 0.0, first), sizes)
+    q = np.rint(u / step)
+    offset = (u - q * step) / step
+    # each point's nearest node, numbered within its cluster from reach nodes before the first point's
+    q -= np.repeat(q[starts], sizes)
+    ends = q[stops - 1] + width
+    nodes = (np.repeat(np.cumsum(ends) - ends, sizes) + q).astype(np.intp)
+    F = np.zeros(int(ends.sum()))
+    shifts = np.arange(width) - float(reach)
+    for lo in range(0, n, _TRAPEZOID_POINTS):
+        hi = min(lo + _TRAPEZOID_POINTS, n)
+        entries = np.subtract.outer(offset[lo:hi], shifts)
+        np.square(entries, out=entries)
+        entries *= -rho * rho
+        np.exp(entries, out=entries)
+        entries *= ell[lo:hi, None]
+        index = (nodes[lo:hi, None] - nodes[lo]) + np.arange(width)
+        part = np.bincount(index.ravel(), entries.ravel())
+        F[nodes[lo] : nodes[lo] + part.size] += part
+    return math.sqrt(2.0 / math.pi) * rho * pairwise_sum(F * F)
 
 
-def _series_plan(pairs, x: np.ndarray) -> list:
-    """Per pair, (tau, terms) where the pair takes :func:`_series_sum`, else None.
-
-    Only Gaussian pairs at d = 1 qualify, and only where the series has at
-    most ``_SERIES_MAX_TERMS`` terms and no more than the sweep's
-    break-even at this n, n - ``_SERIES_BREAK_EVEN``.  With rho the
-    half-range of the sample, tau = rho^2 / (h_a^2 + h_b^2), so the plan
-    follows from n, the range and the pair alone.
-    """
-    n, d = x.shape
-    if d != 1:
-        return [None] * len(pairs)
-    rho = _centre_and_half_range(x)[1]
-    limit = min(_SERIES_MAX_TERMS, n - _SERIES_BREAK_EVEN)
-    plan = []
-    for a, b in pairs:
-        entry = None
-        if a.base.kind is BaseKind.GAUSSIAN and b.base.kind is BaseKind.GAUSSIAN:
-            tau = rho * rho / (a.h[0] * a.h[0] + b.h[0] * b.h[0])
-            terms = _series_terms(tau)
-            if terms <= limit:
-                entry = (tau, terms)
-        plan.append(entry)
-    return plan
+def _trapezoid_builder(x: np.ndarray, ell: np.ndarray, variances):
+    """The block function of the trapezoid sums of :func:`bandwidth_totals`:
+    pair k's :func:`_gaussian_total` at variance ``variances[k]``."""
+    return lambda k: _gaussian_total(x, ell, variances[k])
 
 
 def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
-    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): one
-    series each for the wide Gaussian pairs at d = 1, one sweep for the rest.
-
-    A bandwidth Gram table is symmetric with the constant diagonal
-    c_ab = G_ab[i, i], so its total is c_ab sum_i ell_i^2 plus twice the
-    strict upper triangle.  The sweep walks that triangle in fixed blocks
-    of ``_SWEEP_ROWS`` rows, with scratch allocated once per sweep.  A
-    block forms the differences (their squares for Gaussian pairs) once,
-    and a weight table that holds ell_j where j > i and 0 elsewhere.  Each
-    pair writes its entries into one reused value buffer and contracts
-    each row with the weight table in BLAS dot products
-    (:func:`_row_dots`); the block's partial is ell_rows @ those row sums,
-    and partials are combined in block order.
+    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): a
+    trapezoid sum of squares for each Gaussian pair at d = 1, one sweep for
+    the rest.
 
     A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
-    v_q = h_aq^2 + h_bq^2, so the sweep sums the exponentials alone.  The
-    exponent is floored at ``_EXP_FLOOR`` for the pairs that can reach it
-    given the sample's span.  At d >= 2 every other Gaussian pair is a
-    product of per-dimension tables exp(delta_q^2 (-1 / (2 v_q))), each
-    evaluated once per block and shared by every pair with that v_q
-    (:func:`_sweep_tables`): a 5 x 5 tensor family has 18 tables for its
-    49 pairs.  The tables of the last dimension are multiplied by the
-    weight table once, so a pair at d = 2 is one row-wise dot product of
-    two tables.  Other pairs take :func:`bandwidth_gram_entries`.  Scratch
-    memory is O(n) whatever the family size.  A pair's total depends on n,
-    d and its own kernels alone, so a pair swept with its family or alone
-    gets the same bits, unless the family has too many tables for one row
-    of the budget and none is built.  ``consts`` holds each pair's c_ab
-    from :func:`_bandwidth_diag_value`, which checks the pair, so every
-    pair is checked before any block is computed, and a caller that also
-    needs the diagonal computes c_ab once.
+    v_q = h_aq^2 + h_bq^2 and the constant diagonal c_ab = G_ab[i, i].  At
+    d = 1 the sample is sorted once, and each Gaussian pair's sum of
+    exponentials is :func:`_gaussian_total`: 39 n exponentials of the
+    points against a uniform grid, where the sweep evaluates
+    n (n - 1) / 2, and a sum of squares that cannot cancel.
+    Which pairs take it follows from d and the base kernel alone.  Each
+    pair is one item of :func:`_map_blocks`, computed alone, on the worker
+    pool once those exponentials come to ``_FORK_WORK``, so a pair has the
+    same bits alone as in its family and at any worker count.
 
-    At d = 1 a Gaussian pair whose series has few enough terms
-    (:func:`_series_plan`) skips the sweep.  With c the midpoint of the
-    sample's range, rho its half-range, t_i = (x_i - c) / rho and
-    tau = rho^2 / (h_a^2 + h_b^2), its sum of exponentials is exactly
-    sum_k tau^k / k! M_k^2 with M_k = sum_i ell_i exp(-tau t_i^2 / 2) t_i^k,
-    the one-cluster case of the fast Gauss transform (Greengard and
-    Strain, 1991).  Every term is a square times a positive number, so the
-    outer sum never cancels, whatever the signs of ell, and each term costs
-    O(n) where the sweep evaluates n (n - 1) / 2 exponentials
-    (:func:`_series_sum`).  The series runs in this process with a scratch
-    table of ``_SERIES_SCRATCH`` entries; which pairs take it depends on n,
-    the sample's range and the pair alone, so such a pair, too, has the
-    same bits alone as in its family.  Narrow Gaussian pairs,
-    Epanechnikov pairs and every pair at d >= 2 are swept.  A debug event
-    on this module's logger gives the number of pairs on each path and the
-    largest term count.
+    The sweep takes the other pairs: Epanechnikov pairs, and every pair
+    at d >= 2.  A bandwidth Gram table is symmetric, so its total is
+    c_ab sum_i ell_i^2 plus twice the strict upper triangle.  The sweep
+    walks that triangle in fixed blocks of ``_SWEEP_ROWS`` rows, with
+    scratch allocated once per sweep.  A block forms the differences
+    (their squares for Gaussian pairs) once, and a weight table that holds
+    ell_j where j > i and 0 elsewhere.  Each pair writes its entries into
+    one reused value buffer and contracts each row with the weight table
+    in BLAS dot products (:func:`_row_dots`); the block's partial is
+    ell_rows @ those row sums, and partials are combined in block order.
+    A Gaussian pair sums the exponentials alone; its exponent is floored
+    at ``_EXP_FLOOR`` for the pairs that can reach it given the sample's
+    span.  Every other Gaussian pair is a product of per-dimension tables
+    exp(delta_q^2 (-1 / (2 v_q))), each evaluated once per block and
+    shared by every pair with that v_q (:func:`_sweep_tables`): a 5 x 5
+    tensor family has 18 tables for its 49 pairs.  The tables of the last
+    dimension are multiplied by the weight table once, so a pair at d = 2
+    is one row-wise dot product of two tables.  Epanechnikov pairs take
+    :func:`bandwidth_gram_entries`.  Scratch memory is O(n) whatever the
+    family size.  A swept pair's total depends on n, d and its own kernels
+    alone, so it, too, gets the same bits swept with its family or alone,
+    unless the family has too many tables for one row of the budget and
+    none is built.  ``consts`` holds each pair's c_ab from
+    :func:`_bandwidth_diag_value`, which checks the pair, so every pair is
+    checked before any total is computed, and a caller that also needs
+    the diagonal computes c_ab once.  A debug event on this module's
+    logger gives the number of pairs on each path.
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on the
@@ -919,29 +871,29 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
         return []
     for a, _ in pairs:
         _check_dim(a, x)
-    plan = _series_plan(pairs, x)
     totals = [0.0] * len(pairs)
-    series = [k for k, entry in enumerate(plan) if entry is not None]
-    if series:
-        points = _series_points(x, ell)
-        scratch = np.empty(max(_SERIES_SCRATCH, n))
-        for k in series:
-            totals[k] = consts[k] * _series_sum(points, *plan[k], scratch)
-    swept = [k for k, entry in enumerate(plan) if entry is None]
-    log.debug("bandwidth totals: n %d, %d pairs by series (at most %d terms), %d pairs swept", n, len(series),
-              max((plan[k][1] for k in series), default=0), len(swept))
+    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    summed = [k for k, scale in enumerate(scales) if scale is not None and d == 1]
+    if summed:
+        order = np.argsort(x[:, 0], kind="stable")
+        variances = [pairs[k][0].h[0] ** 2 + pairs[k][1].h[0] ** 2 for k in summed]
+        work = sum(n * (2 * _trapezoid_grid(v)[2] + 1) for v in variances if math.isfinite(v))
+        sums = _map_blocks(_trapezoid_builder, (x[order, 0], ell[order], variances), range(len(summed)), work)
+        for k, total in zip(summed, sums):
+            totals[k] = consts[k] * total
+    swept = [k for k, scale in enumerate(scales) if scale is None or d > 1]
+    log.debug("bandwidth totals: n %d, %d pairs by trapezoid sum, %d pairs swept", n, len(summed), len(swept))
     if not swept:
         return totals
     args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell))
-    scales = [_gaussian_scales(*pairs[k]) for k in swept]
     starts = range(0, n - 1, _SWEEP_ROWS)
-    work = sum(1 if scale else _CONVOLUTION_COST for scale in scales) * n * (n - 1) // 2
+    work = sum(_CONVOLUTION_COST if scales[k] is None else 1 for k in swept) * n * (n - 1) // 2
     partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(swept)))
     sum_sq = pairwise_sum(ell * ell)
-    for k, scale, column in zip(swept, scales, partials.T):
+    for k, column in zip(swept, partials.T):
         upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
-        totals[k] = consts[k] * (sum_sq + 2.0 * upper) if scale else consts[k] * sum_sq + 2.0 * upper
+        totals[k] = consts[k] * (sum_sq + 2.0 * upper) if scales[k] else consts[k] * sum_sq + 2.0 * upper
     return totals
 
 
@@ -1045,13 +997,12 @@ class GramTables:
     largest order, before they are allocated.
 
     Bandwidth pairs never form G either.  A read's totals come from one
-    call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`), one sweep
-    over the pairwise differences in fixed row blocks, with scratch
-    allocated once and per-dimension Gaussian tables shared between pairs
-    at d >= 2; a family's 2N - 1 pairs take one call.  In it the wide
-    Gaussian pairs at d = 1 each take a series of squared moments instead,
-    whose terms are all >= 0 and so cannot cancel, and the other pairs one
-    sweep.  Their diagonal is a constant.  :meth:`matrix` builds the dense
+    call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`); a family's
+    2N - 1 pairs take one call.  In it each Gaussian pair at d = 1 is a
+    trapezoid sum of squares over a uniform grid, which cannot cancel,
+    and the other pairs one sweep over the pairwise differences in fixed
+    row blocks, with scratch allocated once and per-dimension Gaussian
+    tables shared between pairs at d >= 2.  Their diagonal is a constant.  :meth:`matrix` builds the dense
     table of any pair, uncached; it is the reference the sweep and the
     coefficient form are tested against.
     """
@@ -1146,15 +1097,15 @@ class GramTables:
             self.coefficients(ProjectionSpec(basis, orders))
 
     def _cell_tables(self, orders) -> tuple:
-        """Per axis q, {m: (cells of every X_iq at order m, in-support mask)}
-        for each m in orders[q], from one bounded pass of
+        """Per axis q, {m: cells of every X_iq at order m} for each m in
+        orders[q], from one bounded pass of
         :func:`~pcoselect.bases.histogram_cells` per axis, and the mask of
         points inside the support on every axis."""
         cells, oks = [], []
         for q, m_q in enumerate(orders):
             check_table_size("histogram cells at the sample", n=self.sample.n, m_max=max(m_q))
             table, ok = histogram_cells(np.asarray(m_q), self.sample.x[:, q])
-            cells.append({m: (row, ok) for m, row in zip(m_q, table)})
+            cells.append(dict(zip(m_q, table)))
             oks.append(ok)
         return cells, np.logical_and.reduce(oks)
 
@@ -1170,9 +1121,9 @@ class GramTables:
             tensor = self._coeffs.get((BasisKind.REGULAR_HISTOGRAM, m))
             if tensor is None:
                 # the cells raveled in C order: at d = 1 they are the index
-                index = cells[0][m[0]][0]
+                index = cells[0][m[0]]
                 for axis, mq in zip(cells[1:], m[1:]):
-                    index = index * mq + axis[mq][0]
+                    index = index * mq + axis[mq]
                 sums = np.bincount(index, weights=ell, minlength=math.prod(m))
                 tensor = self._coeffs[BasisKind.REGULAR_HISTOGRAM, m] = (sums * math.sqrt(math.prod(m))).reshape(m)
             tensors[m] = tensor
@@ -1294,6 +1245,7 @@ class GramTables:
         cells, ok = self._cell_tables([sorted({s.m[q] for s in specs}) for q in range(specs[0].d)])
         tensors = self._histogram_tensors([s.m for s in specs], cells, ok)
         diags = np.reshape([self._histogram_diag(*pairs[k], cells) for k in rows], (len(rows), self.sample.n))
+        diags *= ok
         return [self._histogram_total(a, b, tensors[a.m], tensors[b.m]) for a, b in pairs[:summed]], diags
 
     def _histogram_total(self, a, b, t_a: np.ndarray, t_b: np.ndarray) -> float:
@@ -1313,7 +1265,8 @@ class GramTables:
 
     def _histogram_diag(self, a, b, cells) -> np.ndarray:
         """G_ab[i, i] of a histogram pair from :meth:`_cell_tables` ``cells``
-        (:func:`~pcoselect.kernels.histogram_section_inner`)."""
+        (:func:`~pcoselect.kernels.histogram_section_inner`), before the
+        in-support mask."""
         return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
                                        [axis[mq] for axis, mq in zip(cells, a.m)],
                                        [axis[mq] for axis, mq in zip(cells, b.m)])

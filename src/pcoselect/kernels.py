@@ -366,9 +366,11 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     if isinstance(a, BandwidthSpec):
         return bandwidth_gram_entries(a, b, [xa[:, q] - xb[:, q] for q in range(a.d)])
     if a.basis.kind is BasisKind.REGULAR_HISTOGRAM:
-        return histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
-                                       [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)],
-                                       [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)])
+        cells_a = [histogram_cells(mq, xa[:, q]) for q, mq in enumerate(a.m)]
+        cells_b = [histogram_cells(mq, xb[:, q]) for q, mq in enumerate(b.m)]
+        inner = histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
+                                        [cells for cells, _ in cells_a], [cells for cells, _ in cells_b])
+        return inner * np.logical_and.reduce([ok for _, ok in cells_a + cells_b])
     out = np.ones(xa.shape[0])
     for q in range(a.d):
         ma, mb = a.m[q], b.m[q]
@@ -393,21 +395,20 @@ def weighted_cross_gram(a: ProjectionSpec, b: ProjectionSpec, q: int) -> np.ndar
 
 
 def histogram_section_inner(grams, cells_a, cells_b) -> np.ndarray:
-    """:func:`section_inner_pointwise` of two histogram kernels a and b,
-    from the cells of the paired points: ``grams[q]`` is
+    """:func:`section_inner_pointwise` of two histogram kernels a and b at
+    paired points inside the support, from their cells: ``grams[q]`` is
     :func:`weighted_cross_gram` of the pair on axis q, ``cells_a[q]`` the
-    (cell index, in-support mask) pair of
-    :func:`~pcoselect.bases.histogram_cells` on axis q at order a.m[q], and
-    ``cells_b[q]`` the same at b.m[q].
+    cell indices of :func:`~pcoselect.bases.histogram_cells` on axis q at
+    order a.m[q], and ``cells_b[q]`` the same at b.m[q].
 
     A point in cell c has the section w_c sqrt(m) phi_c, so per axis the
     inner product is sqrt(m m') times the entry (c, c') of the weighted
-    cross-Gram, and 0 for a point outside [0, 1).
+    cross-Gram.  A point outside [0, 1) reads its clipped cell here; the
+    caller multiplies by the in-support mask, once for all axes.
     """
     out = None
-    for gram, (ca, ok_a), (cb, ok_b) in zip(grams, cells_a, cells_b):
+    for gram, ca, cb in zip(grams, cells_a, cells_b):
         factor = (gram * math.sqrt(gram.size)).ravel().take(ca * gram.shape[1] + cb)
-        factor *= ok_a & ok_b
         out = factor if out is None else np.multiply(out, factor, out=out)
     return out
 

@@ -18,8 +18,8 @@ table.  That call and the one-pair reads of :func:`penalty` and
 of :class:`~pcoselect.estimator.GramTables`, which keeps nothing per pair,
 so a pair gets the same bits alone as in its family.  No n x n table is
 formed for either kind of family.  Bandwidth totals are one call of
-:func:`~pcoselect.estimator.bandwidth_totals` per family, a moment series
-for each wide Gaussian pair at d = 1 and one sweep over the pairwise
+:func:`~pcoselect.estimator.bandwidth_totals` per family, a trapezoid sum
+of squares for each Gaussian pair at d = 1 and one sweep over the pairwise
 differences for the rest, spread over the worker pool once it is large,
 with the same bits at any worker count; the diagonal is a constant.
 Projection totals are quadratic forms in the coefficient tensors

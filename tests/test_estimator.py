@@ -48,9 +48,8 @@ from pcoselect import (
 from pcoselect import numerics
 from pcoselect.bases import basis_matrix
 from pcoselect.estimator import (
-    _SERIES_BREAK_EVEN,
-    _SERIES_MAX_TERMS,
     _SWEEP_ROWS,
+    _TRAPEZOID_POINTS,
     _bandwidth_diag_value,
     _bandwidth_rows,
     _distance,
@@ -58,8 +57,6 @@ from pcoselect.estimator import (
     _grid_width,
     _kernel_sums,
     _product_tensor,
-    _series_plan,
-    _series_terms,
     _sweep_tables,
     bandwidth_totals,
 )
@@ -918,8 +915,8 @@ def test_gram_tables_weighted_total_matches_dense(a, b):
 def test_gram_tables_streaming_matches_dense():
     # the sweep streams the strict upper triangle over several row blocks
     s = _uniform_sample(3 * _SWEEP_ROWS + 5, seed=22, loss=LossKind.IDENTITY)
-    a = BandwidthSpec(GAUSSIAN, (0.2,))
-    b = BandwidthSpec(GAUSSIAN, (0.45,))
+    a = BandwidthSpec(EPANECHNIKOV, (0.2,))
+    b = BandwidthSpec(EPANECHNIKOV, (0.45,))
     tables = GramTables(s)
     ell = s.loss_values
     assert_allclose(tables.weighted_total(a, b), float(ell @ tables.matrix(a, b) @ ell), rtol=1e-12)
@@ -1023,11 +1020,25 @@ def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
     _, uses, _ = _sweep_tables(scales, floors, n, 2)
     assert [use is not None for use in uses] == [False, True, True, False, False]
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
-    # at d = 1 the floored pair and the plain one share a sweep as well
+    # at d = 1 the narrow Gaussian pairs and the wide one take the trapezoid sum
     s1 = _uniform_sample(n, seed=62, loss=LossKind.IDENTITY)
     c, g = BandwidthSpec(GAUSSIAN, (1.0 / 400,)), BandwidthSpec(GAUSSIAN, (0.3,))
     pairs1 = [(c, c), (c, g), (g, g)]
     assert_allclose(_totals(pairs1, s1.x, s1.loss_values), _dense_totals(pairs1, s1), rtol=1e-12, atol=0)
+
+
+class _CountingExp:
+    """A stand-in for the estimator's ``np`` that records the size of every ``exp`` argument."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.sizes.append(np.size(args[0]))
+        return np.exp(*args, **kwargs)
 
 
 def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
@@ -1039,23 +1050,14 @@ def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 1000))
     assert len(pairs) == 49
     want = _totals(pairs, s.x, s.loss_values)
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def exp(self, *args, **kwargs):
-            exps.append(args[0].shape)
-            return np.exp(*args, **kwargs)
-
-    exps = []
-    monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
+    exps = _CountingExp()
+    monkeypatch.setattr(estimator_mod, "np", exps)
     got = _totals(pairs, s.x, s.loss_values)
     monkeypatch.undo()
     assert got == want
     # 5 + 4 distinct variances per dimension: 18 tables per block, not 49 pair exponentials
     blocks = math.ceil((n - 1) / _SWEEP_ROWS)
-    assert len(exps) == 18 * blocks
+    assert len(exps.sizes) == 18 * blocks
     assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
@@ -1071,36 +1073,28 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     assert [_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
 
 
-def _series_sample(case):
-    """A d = 1 sample for the series tests, by name: its points and loss."""
+def _d1_sample(case):
+    """A d = 1 sample for the trapezoid tests, by name: its points and loss."""
     rng = stream(65)
     if case == "signed":
         return Sample(rng.random((7, 1)), rng.standard_normal(7), LossKind.IDENTITY)
     if case == "shifted":
-        # on [5, 6]: t = (x - 5.5) / 0.5 loses nothing to the offset
         return Sample(5.0 + rng.random((7, 1)), rng.standard_normal(7), LossKind.IDENTITY)
     if case == "constant":
-        # rho = 0: every t is 0, not 0 / 0
+        # every point on one node
         return Sample(np.full((6, 1), 0.3), rng.standard_normal(6), LossKind.IDENTITY)
     n = {"one-point": 1, "two-points": 2}[case]
     return Sample(rng.random((n, 1)), rng.standard_normal(n), LossKind.IDENTITY)
 
 
-_SERIES_PAIRS = [(0.05, 0.3), (0.2, 0.2), (0.5, 0.9), (0.03, 0.03)]
+_D1_PAIRS = [(0.05, 0.3), (0.2, 0.2), (0.5, 0.9), (0.03, 0.03)]
 
 
 @pytest.mark.parametrize("case", ["signed", "shifted", "constant", "one-point", "two-points"])
-def test_series_matches_dense_and_quadrature(monkeypatch, case):
-    import pcoselect.estimator as estimator_mod
-
-    # every Gaussian pair under the term cap takes the series, even at n = 1 and 2
-    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", -_SERIES_MAX_TERMS)
-    s = _series_sample(case)
-    pairs = [(BandwidthSpec(GAUSSIAN, (ha,)), BandwidthSpec(GAUSSIAN, (hb,))) for ha, hb in _SERIES_PAIRS]
-    plan = _series_plan(pairs, s.x)
-    assert all(entry is not None for entry in plan)
-    if case == "constant":
-        assert [terms for _, terms in plan] == [1] * len(pairs)
+def test_gaussian_d1_totals_match_dense_and_quadrature(case):
+    # every Gaussian pair at d = 1 takes the trapezoid sum, even at n = 1 and 2
+    s = _d1_sample(case)
+    pairs = [(BandwidthSpec(GAUSSIAN, (ha,)), BandwidthSpec(GAUSSIAN, (hb,))) for ha, hb in _D1_PAIRS]
     got = _totals(pairs, s.x, s.loss_values)
     assert np.all(np.isfinite(got))
     assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
@@ -1111,67 +1105,39 @@ def test_series_matches_dense_and_quadrature(monkeypatch, case):
         assert_allclose(total, float(ell @ quad @ ell), rtol=1e-12)
 
 
-def _pair_at_terms(s, terms):
-    """A Gaussian (h, h) pair whose series on the sample ``s`` has ``terms`` terms."""
-    rho = 0.5 * np.ptp(s.x)
-    lo, hi = 0.0, 400.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _series_terms(mid) <= terms else (lo, mid)
-    # a little inside the boundary, so that the rounding of tau cannot cross it
-    tau = lo * (1.0 - 1e-9)
-    assert _series_terms(tau) == terms
-    h = BandwidthSpec(GAUSSIAN, (rho / math.sqrt(2.0 * tau),))
-    return h, h
+@pytest.mark.parametrize("loss", [LossKind.ONE, LossKind.IDENTITY])
+@pytest.mark.parametrize("offset", [100.0, 1e12])
+def test_gaussian_d1_totals_hold_at_an_offset(loss, offset):
+    # on [offset, offset + 1] at h = 1/n: the nodes are exact doubles and each
+    # point's offset from its node carries one rounding, so the offset costs no
+    # digits; at 1e12, past 2^46 grid steps, the points are taken relative to the first
+    n = 500
+    rng = stream(66)
+    s = Sample(offset + rng.random((n, 1)), rng.standard_normal(n), loss)
+    narrow, wide = BandwidthSpec(GAUSSIAN, (1.0 / n,)), BandwidthSpec(GAUSSIAN, (0.05,))
+    pairs = [(narrow, narrow), (narrow, wide), (wide, wide)]
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n", [400, 700])
-def test_series_pairs_on_both_sides_of_the_break_even(n):
-    s = _uniform_sample(n, seed=66, loss=LossKind.IDENTITY)
-    limit = n - _SERIES_BREAK_EVEN
-    assert 0 < limit < _SERIES_MAX_TERMS
-    pairs = [_pair_at_terms(s, limit), _pair_at_terms(s, limit + 1)]
-    below, above = _series_plan(pairs, s.x)
-    assert below[1] == limit and above is None
+def test_gaussian_d1_totals_of_clusters_and_lone_points_match_dense():
+    # tight clusters and lone points, far apart at the narrow bandwidths and not at the wide ones
+    rng = stream(67)
+    x = np.concatenate([0.1 + 0.01 * rng.random(40), 0.5 + 0.002 * rng.random(30), [0.3, 0.8, 0.9, 0.9],
+                        5.0 + 0.01 * rng.random(20)])
+    s = Sample(x[:, None], rng.standard_normal(x.size), LossKind.IDENTITY)
+    specs = [BandwidthSpec(GAUSSIAN, (h,)) for h in (1e-4, 1e-3, 0.02, 0.3)]
+    pairs = [(a, b) for a in specs for b in specs]
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+    # h_a^2 + h_b^2 overflows: every entry is exp(0) and the pair's constant is 0
+    huge = BandwidthSpec(GAUSSIAN, (1e154,))
+    assert _totals([(huge, huge)], s.x, s.loss_values) == _dense_totals([(huge, huge)], s) == [0.0]
 
 
-def test_series_power_tables_hold_no_subnormal(monkeypatch):
-    import pcoselect.estimator as estimator_mod
-
-    # points at every scale from the centre: the powers of the inner ones would underflow
-    offsets = 10.0 ** -np.arange(1.0, 300.0, 3.0)
-    x = np.concatenate([[0.0, 1.0, 0.5], 0.5 + offsets, 0.5 - offsets / 3.0])[:, None]
-    s = Sample(x, np.ones(len(x)))
-    pairs = [_pair_at_terms(s, terms) for terms in (40, 300, _SERIES_MAX_TERMS)]
-    monkeypatch.setattr(estimator_mod, "_SERIES_BREAK_EVEN", -_SERIES_MAX_TERMS)
-    assert all(entry is not None for entry in _series_plan(pairs, s.x))
-
-    class CheckingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def sum(self, a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                tables.append(a.size)
-                assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny))
-            return np.sum(a, *args, **kwargs)
-
-    tables = []
-    monkeypatch.setattr(estimator_mod, "np", CheckingNumpy())
-    got = _totals(pairs, s.x, s.loss_values)
-    monkeypatch.undo()
-    assert len(tables) >= 3
-    assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
-
-
-def test_series_pair_total_does_not_depend_on_the_rest_of_its_family():
+def test_gaussian_d1_pair_total_does_not_depend_on_the_rest_of_its_family():
     n = 600
     s = _uniform_sample(n, seed=67, loss=LossKind.IDENTITY)
     grid = list(np.geomspace(0.01, 0.5, 20))
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
-    plan = _series_plan(pairs, s.x)
-    assert None in plan and any(plan)
     together = _totals(pairs, s.x, s.loss_values)
     assert [_totals([p], s.x, s.loss_values)[0] for p in pairs] == together
     assert_allclose(together, _dense_totals(pairs, s), rtol=1e-12, atol=0)
@@ -1182,48 +1148,58 @@ def test_bandwidth_totals_log_the_pairs_on_each_path(caplog):
     s = _uniform_sample(n, seed=69, loss=LossKind.IDENTITY)
     grid = list(np.geomspace(0.01, 0.5, 20))
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
-    terms = [entry[1] for entry in _series_plan(pairs, s.x) if entry is not None]
+    e, f = BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.2,))
     with caplog.at_level(logging.DEBUG, logger="pcoselect.estimator"):
-        _totals(pairs, s.x, s.loss_values)
-    assert caplog.messages == [f"bandwidth totals: n {n}, {len(terms)} pairs by series (at most {max(terms)} terms),"
-                               f" {len(pairs) - len(terms)} pairs swept"]
+        _totals(pairs + [(e, e), (e, f)], s.x, s.loss_values)
+    assert caplog.messages == [f"bandwidth totals: n {n}, {len(pairs)} pairs by trapezoid sum, 2 pairs swept"]
 
 
-def test_wide_pairs_of_the_d1_family_leave_the_sweep(monkeypatch):
+def test_d1_gaussian_family_takes_no_sweep(monkeypatch):
     import pcoselect.estimator as estimator_mod
 
     # the 20-member family of the d = 1 select benchmark and CI, on [0, 1] at n = 2000
     n = 2000
     s = _uniform_sample(n, seed=68, loss=LossKind.IDENTITY)
     grid = list(np.geomspace(0.01, 0.5, 20))
-    fam = make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n)
-    pairs = _family_pairs(fam)
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
     assert len(pairs) == 39
+    monkeypatch.setattr(estimator_mod, "_sweep_block_builder", lambda *args: pytest.fail("a d = 1 Gaussian pair swept"))
+    # every exp in this process
     monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
-    want = _totals(pairs, s.x, s.loss_values)
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def exp(self, *args, **kwargs):
-            exps.append(args[0].shape)
-            return np.exp(*args, **kwargs)
-
-    exps = []
-    monkeypatch.setattr(estimator_mod, "np", CountingNumpy())
+    exps = _CountingExp()
+    monkeypatch.setattr(estimator_mod, "np", exps)
     got = _totals(pairs, s.x, s.loss_values)
     monkeypatch.undo()
-    assert got == want
-    # tau = rho^2 / (h_a^2 + h_b^2) <= 346.9: (h, h) from h = grid[4], (h, grid[0]) from h = grid[5]
-    series = [pair for pair, entry in zip(pairs, _series_plan(pairs, s.x)) if entry is not None]
-    wide = {(g, g) for g in fam.specs[4:]} | {(g, fam.k0) for g in fam.specs[5:]}
-    assert len(wide) == 31 and series == [pair for pair in pairs if pair in wide]
-    # one exp over the sample per series pair, one per block for each of the 8 swept pairs
-    blocks = math.ceil((n - 1) / _SWEEP_ROWS)
-    assert exps.count((n,)) == 31
-    assert len(exps) == 31 + 8 * blocks
+    # one exp per pair and pass of points, over the 39 nodes nearest each point
+    assert len(exps.sizes) == len(pairs) * math.ceil(n / _TRAPEZOID_POINTS)
+    assert sum(exps.sizes) == 39 * n * len(pairs)
+    assert got == _totals(pairs, s.x, s.loss_values)
     assert_allclose(got[::4], _dense_totals(pairs[::4], s), rtol=1e-12, atol=0)
+
+
+def test_gaussian_d1_pair_work_and_memory_stay_bounded_as_h_falls(monkeypatch):
+    import tracemalloc
+
+    import pcoselect.estimator as estimator_mod
+
+    # at h = 1e-9 a grid of step 0.3416 sqrt(2) h over [0, 1] would have about 2e9 nodes
+    n = 2000
+    s = _uniform_sample(n, seed=70, loss=LossKind.IDENTITY)
+    # no two points close enough for their entry to reach 1e-12 of a diagonal one
+    assert np.min(np.diff(np.sort(s.x[:, 0]))) > 1e-8
+    a = BandwidthSpec(GAUSSIAN, (1e-9,))
+    exps = _CountingExp()
+    monkeypatch.setattr(estimator_mod, "np", exps)
+    tracemalloc.start()
+    try:
+        (total,) = _totals([(a, a)], s.x, s.loss_values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert_allclose(total, _bandwidth_diag_value(a, a) * np.sum(s.loss_values**2), rtol=1e-12, atol=0)
+    assert sum(exps.sizes) == 39 * n
+    assert peak < 8 * 2**20
 
 
 def _serial_and_forked(monkeypatch, compute):
@@ -1244,15 +1220,16 @@ def _serial_and_forked(monkeypatch, compute):
 
 def _sweep_cases():
     n = 4 * _SWEEP_ROWS + 7
-    g = [BandwidthSpec(GAUSSIAN, (h,)) for h in (1.0 / n, 0.05, 0.3)]
+    g = [BandwidthSpec(GAUSSIAN, (h, 0.3)) for h in (1.0 / n, 0.05, 0.3)]
     e = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.03, 0.2)]
     return {
-        # (g0, g0) and (g0, g1) reach the exponent floor
-        "gaussian-d1-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, seed=70, loss=LossKind.IDENTITY)),
+        # (g0, g0) and (g0, g1) reach the exponent floor and are summed, the others factored
+        "gaussian-d2-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, d=2, seed=70, loss=LossKind.IDENTITY)),
         "gaussian-d2-factored": (_family_pairs(TENSOR_FAMILIES[0]), _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)),
         "gaussian-d3": (_family_pairs(TENSOR_FAMILIES[1]), _uniform_sample(n, d=3, seed=72, loss=LossKind.IDENTITY)),
-        # both kinds of pair in one map
-        "epanechnikov-and-gaussian": ([(e[0], e[0]), (e[0], e[1]), (e[1], e[1]), (g[1], g[2])],
+        # both kinds of pair in one call: the sweep and the trapezoid sum
+        "epanechnikov-and-gaussian": ([(e[0], e[0]), (e[0], e[1]), (e[1], e[1]),
+                                       (BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.3,)))],
                                       _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
     }
 
@@ -1267,6 +1244,15 @@ def test_forked_sweep_is_bit_identical_to_serial(monkeypatch, case, diagonal):
     else:
         compute = lambda: np.array([u_statistic(a, b, s) for a, b in pairs])
     serial, forked = _serial_and_forked(monkeypatch, compute)
+    assert np.array_equal(serial, forked)
+
+
+def test_pooled_trapezoid_sums_are_bit_identical_to_serial(monkeypatch):
+    # a d = 1 Gaussian family: one pair per item of the pool, narrow pairs reaching the exponent floor among them
+    n = 4 * _SWEEP_ROWS + 7
+    g = [BandwidthSpec(GAUSSIAN, (h,)) for h in (1.0 / n, 0.05, 0.3)]
+    pairs, s = [(a, b) for a in g for b in g], _uniform_sample(n, seed=70, loss=LossKind.IDENTITY)
+    serial, forked = _serial_and_forked(monkeypatch, lambda: np.array(_totals(pairs, s.x, s.loss_values)))
     assert np.array_equal(serial, forked)
 
 
@@ -1320,29 +1306,38 @@ def test_weight_rows_are_identical_to_single_row_calls(monkeypatch, case):
 
 _BLAS_THREADS_SCRIPT = """
 import hashlib
+import logging
 from pcoselect import EPANECHNIKOV, GAUSSIAN, LossKind, Sample, make_bandwidth_family, pco_select, stream
-from pcoselect.estimator import _bandwidth_diag_value, _series_plan, bandwidth_totals
+from pcoselect import estimator
+from pcoselect.estimator import _bandwidth_diag_value, bandwidth_totals
 
 def sample(n, d, seed):
     rng = stream(seed)
     return Sample(rng.random((n, d)), rng.standard_normal(n), LossKind.IDENTITY)
 
+class Paths(logging.Handler):
+    def emit(self, record):
+        paths.append(record.getMessage())
+
+paths = []
+estimator.log.addHandler(Paths())
+estimator.log.setLevel(logging.DEBUG)
 cases = [
-    # d = 1 from h = 1/n: floored pairs, and rows longer than OpenBLAS's threading threshold
+    # d = 1 from h = 1/n: the trapezoid sums, no sweep
     (make_bandwidth_family(GAUSSIAN, 1 / 12000, [1 / 12000, 0.02, 0.05], 1, 12000), sample(12000, 1, 1)),
-    (make_bandwidth_family(GAUSSIAN, 0.05, [0.05, 0.1, 0.3], 2, 1000), sample(1000, 2, 2)),
+    # rows longer than OpenBLAS's threading threshold, contracted in chunks of _CONTRACT_COLS
+    (make_bandwidth_family(GAUSSIAN, 0.05, [0.05, 0.3], 2, 10100), sample(10100, 2, 2)),
     (make_bandwidth_family(EPANECHNIKOV, 0.02, [0.02, 0.05, 0.2], 1, 800), sample(800, 1, 3)),
 ]
+assert cases[1][1].n - 1 > 10000 > 2 * estimator._CONTRACT_COLS
 for fam, s in cases:
     print(hashlib.sha256(pco_select(fam, s).to_json().encode()).hexdigest())
     # the criterion rounds away most of the totals' last bits, so they are compared too
     pairs = list(dict.fromkeys(p for spec in fam.specs for p in ((spec, spec), (spec, fam.k0))))
-    if s.d == 1 and fam.k0.base is GAUSSIAN:
-        # the d = 1 Gaussian family has series pairs as well as swept ones
-        plan = _series_plan(pairs, s.x)
-        assert None in plan and any(plan), plan
     consts = [_bandwidth_diag_value(*pair) for pair in pairs]
     print(*(t.hex() for t in bandwidth_totals(pairs, s.x, s.loss_values, consts)))
+    if s.d == 1 and fam.k0.base is GAUSSIAN:
+        assert paths and all(path.endswith(" 0 pairs swept") for path in paths), paths
 """
 
 
@@ -1682,9 +1677,8 @@ def test_pco_select_on_bandwidths_builds_no_gram_table(monkeypatch):
         assert [len(pairs) for pairs in sweeps] == [2 * len(fam) - 1]
 
 
-# bandwidth families as (base, d, grid, n); the d = 1 Gaussian sweep is past
-# _FORK_WORK, so it runs on the worker pool where there is more than one CPU,
-# and each of its single pairs runs serially
+# bandwidth families as (base, d, grid, n); the d = 1 Gaussian family takes
+# the trapezoid sum, the others sweep
 _BANDWIDTH_SELECTIONS = {
     "gaussian-d1": (GAUSSIAN, 1, [0.01, 0.03, 0.1, 0.3, 0.5], 500),
     "gaussian-d2": (GAUSSIAN, 2, [0.1, 0.2, 0.4], 150),

@@ -314,10 +314,9 @@ def _sweeping(n):
     from pcoselect import estimator
 
     rng = np.random.default_rng(11)
-    x, ell = rng.random((n, 1)), rng.standard_normal(n)
-    # narrow enough to stay in the sweep: a wider d = 1 pair takes the moment series
-    pairs = [(BandwidthSpec(GAUSSIAN, (0.005,)), BandwidthSpec(GAUSSIAN, (0.02,)))]
-    assert estimator._series_plan(pairs, x) == [None]
+    x, ell = rng.random((n, 2)), rng.standard_normal(n)
+    # at d = 2, since a d = 1 Gaussian pair takes the trapezoid sum and no sweep
+    pairs = [(BandwidthSpec(GAUSSIAN, (0.005, 0.1)), BandwidthSpec(GAUSSIAN, (0.02, 0.1)))]
     assert n * (n - 1) // 2 * len(pairs) >= estimator._FORK_WORK
     consts = [estimator._bandwidth_diag_value(*pair) for pair in pairs]
     return lambda i: estimator.bandwidth_totals(pairs, x, ell, consts)
@@ -373,7 +372,8 @@ def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_c
 
     n = 200
     rng = np.random.default_rng(5)
-    x, ell = rng.random((n, 1)), rng.standard_normal(n)
+    # at d = 2, since a d = 1 Gaussian pair takes the trapezoid sum and no sweep
+    x, ell = rng.random((n, 2)), rng.standard_normal(n)
     real_row_dots = estimator._row_dots
 
     def failing_row_dots(a, b, out):
@@ -387,7 +387,7 @@ def test_forked_sweep_block_exception_keeps_type_and_message(monkeypatch, four_c
 
     monkeypatch.setattr(estimator, "_row_dots", failing_row_dots)
     monkeypatch.setattr(estimator, "_FORK_WORK", 0)
-    pairs = [(BandwidthSpec(GAUSSIAN, (0.1,)), BandwidthSpec(GAUSSIAN, (0.3,)))]
+    pairs = [(BandwidthSpec(GAUSSIAN, (0.1, 0.2)), BandwidthSpec(GAUSSIAN, (0.3, 0.2)))]
     with pytest.raises(ArithmeticError, match="^sweep block failed in the parent: False$"):
         estimator.bandwidth_totals(pairs, x, ell, [estimator._bandwidth_diag_value(*pairs[0])])
     _assert_no_child_left()
@@ -481,8 +481,9 @@ def sweep(monkeypatch):
     from pcoselect import estimator
 
     rng = np.random.default_rng(9)
-    x, ell = rng.random((300, 1)), rng.standard_normal(300)
-    pairs = [(BandwidthSpec(GAUSSIAN, (h,)), BandwidthSpec(GAUSSIAN, (0.2,))) for h in (0.01, 0.05, 0.2)]
+    # at d = 2, since a d = 1 Gaussian pair takes the trapezoid sum and no sweep
+    x, ell = rng.random((300, 2)), rng.standard_normal(300)
+    pairs = [(BandwidthSpec(GAUSSIAN, (h, 0.1)), BandwidthSpec(GAUSSIAN, (0.2, 0.2))) for h in (0.01, 0.05, 0.2)]
     consts = [estimator._bandwidth_diag_value(*pair) for pair in pairs]
     with monkeypatch.context() as serial_path:
         serial_path.setattr(numerics, "usable_cpus", lambda: 1)
