@@ -263,7 +263,7 @@ def cmd_report(args) -> int:
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1 (got {threads})")
     cfg = _load_json(args.config, "config")
-    loss = config_enum("report", "loss", cfg.get("loss", args.loss or "one"), LossKind)
+    loss = config_enum("report", "loss", cfg.get("loss", "one"), LossKind)
     scn_cfg = config_object("report", "scenario", _require(cfg, "scenario", "report config"))
     n_values = cfg.get("n_values")
     if n_values:
@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="Monte Carlo risk and selection report")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--loss", default=None, choices=[k.value for k in LossKind])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--threads", type=int, default=1,
                    help="replications run on this many worker processes, at most the usable CPUs")

@@ -26,10 +26,11 @@ which cannot cancel and costs O(n) ``exp`` calls, not one per pair of
 points.  The other pairs take one sweep over the strict upper triangle,
 in fixed row blocks.  The sweep allocates its O(n) scratch once, forms each
 block's differences once for every pair, and contracts each pair's block
-with the loss weights in BLAS dot products.  At d >= 2 the Gaussian
-factor exp(-delta_q^2 / (2 v_q)) of each distinct (q, v_q) is evaluated
-once per block and shared by every pair that uses it.  A projection
-estimator is a coefficient tensor instead:
+with the loss weights in BLAS dot products.  At d >= 2 every Gaussian
+pair is the product of its factors exp(-delta_q^2 / (2 v_q)); each
+distinct (q, v_q) is evaluated once per block, floored where its own
+dimension can reach the exponent floor, and shared by every pair that
+uses it.  A projection estimator is a coefficient tensor instead:
 with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
@@ -37,10 +38,12 @@ with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 so the totals are small quadratic forms in T and risk-grid values expand
 T at the grid points.  For a nested basis every order's totals and
 penalty diagonals are partial sums over the basis index, which
-:class:`GramTables` keeps as prefix tables: a family's whole criterion
-is one gather from them (:meth:`GramTables.family_rows`).  These cost
-O(n prod_q m_q) time and O(n sum_q m_q) memory, and the families keep prod_q m_q <= n.  No path
-on selection or experiments builds an n x n table.
+a read of :class:`GramTables` forms as prefix tables: a family's whole
+criterion is one gather from them (:meth:`GramTables.family_rows`).
+These cost O(n prod_q m_q) time and O(n sum_q m_q) memory, and the
+families keep prod_q m_q <= n.  The tables keep only the coefficient
+tensors between reads.  No path on selection or experiments builds an
+n x n table.
 
 :func:`estimate_on_grid` evaluates any number of members of a family at
 once and shares the work between them.  Bandwidth members walk the
@@ -391,8 +394,9 @@ def _projection_rows(specs, tables, points: np.ndarray, divisor) -> np.ndarray:
     with the tensor of every weight row.
     """
     top = _nested_top_orders(specs)
-    for tab in tables:
-        tab._widen(top)
+    # each table builds its tensor once, at the top orders, not member by member
+    for tab, (basis, orders) in itertools.product(tables, top.items()):
+        tab._nested_tensor(basis, orders)
     widest = max(max(spec.m) for spec in specs)
     size = _EVAL_BLOCK * max(1, _BASIS_VALUES // (_EVAL_BLOCK * widest))
     rows = np.empty((len(specs), len(tables), points.shape[0]))
@@ -640,8 +644,8 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
     recorded uniform axis lets d = 1 Gaussian members take the factored
     path of :func:`_axis_rows`.  ``sample`` is a
     :class:`Sample` or the :class:`GramTables` of one; the tables left by
-    selection hold the coefficient tensors and sample basis values that
-    projection members reuse here.  The members share one pass,
+    selection hold the coefficient tensors that projection members reuse
+    here.  The members share one pass,
     :func:`_kernel_sums`.
     """
     tables = sample if isinstance(sample, GramTables) else None
@@ -662,9 +666,9 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
 _SWEEP_ROWS = 32
 # Scratch budget, in float64 entries, of the per-dimension Gaussian tables
 # of the sweep (2 MB).  When a d >= 2 family has more distinct tables than
-# fit a whole block, they are built for fewer rows at a time; every row's
-# dot product is the same whichever rows share a pass, so this changes the
-# memory and not the numbers.
+# fit a whole block, they are built for fewer rows at a time, at least one;
+# every row's dot product is the same whichever rows share a pass, so this
+# changes the memory and not the numbers.
 _TABLE_SCRATCH = 1 << 18
 # The trapezoid sum of :func:`_gaussian_total`.  Its grid step is
 # _TRAPEZOID_STEP sqrt(v) rounded down to 6 significant bits: the rule's
@@ -702,25 +706,24 @@ def _bandwidth_diag_value(a, b) -> float:
     return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
 
 
-def _sweep_tables(scales, floors, n: int, d: int):
+def _sweep_tables(scales, n: int):
     """The shared per-dimension Gaussian tables of a sweep, and its rows per pass.
 
-    At d >= 2 a Gaussian pair whose exponent cannot reach ``_EXP_FLOOR`` is
-    the product over q of exp(scale_q delta_q^2), and pairs with a common
-    (q, scale_q) share that table.  Returns {(q, scale_q): index}, per
-    pair its table indices (None for a pair that takes another path), and
-    the rows per pass, at most ``_SWEEP_ROWS``, for which the tables fit
-    ``_TABLE_SCRATCH``.  When one row of them does not fit, no pair is
-    factored.
+    A Gaussian pair in the sweep (d >= 2) is the product over q of
+    exp(scale_q delta_q^2), and pairs with a common (q, scale_q) share that
+    table.  Returns {(q, scale_q): index}, per pair its table indices (None
+    for an Epanechnikov pair), and the rows per pass: as many as fit
+    ``_TABLE_SCRATCH``, at least 1 and at most ``_SWEEP_ROWS``.  One row of
+    the tables is bounded (:func:`~pcoselect.errors.check_table_size`)
+    before any is allocated.
     """
-    keys, uses = {}, []
-    for scale, floor in zip(scales, floors):
-        factored = d > 1 and scale is not None and not floor
-        uses.append([keys.setdefault((q, sc), len(keys)) for q, sc in enumerate(scale)] if factored else None)
-    rows = _TABLE_SCRATCH // (len(keys) * max(n - 1, 1)) if keys else _SWEEP_ROWS
-    if rows < 1:
-        return {}, [None] * len(uses), _SWEEP_ROWS
-    return keys, uses, min(rows, _SWEEP_ROWS)
+    keys = {}
+    uses = [None if scale is None else [keys.setdefault((q, sc), len(keys)) for q, sc in enumerate(scale)]
+            for scale in scales]
+    if not keys:
+        return keys, uses, _SWEEP_ROWS
+    check_table_size("Gaussian tables of the bandwidth sweep", tables=len(keys), columns=max(n - 1, 1))
+    return keys, uses, max(1, min(_SWEEP_ROWS, _TABLE_SCRATCH // (len(keys) * max(n - 1, 1))))
 
 
 def _leading(buf: np.ndarray, shape) -> np.ndarray:
@@ -840,19 +843,21 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     one reused value buffer and contracts each row with the weight table
     in BLAS dot products (:func:`_row_dots`); the block's partial is
     ell_rows @ those row sums, and partials are combined in block order.
-    A Gaussian pair sums the exponentials alone; its exponent is floored
-    at ``_EXP_FLOOR`` for the pairs that can reach it given the sample's
-    span.  Every other Gaussian pair is a product of per-dimension tables
-    exp(delta_q^2 (-1 / (2 v_q))), each evaluated once per block and
-    shared by every pair with that v_q (:func:`_sweep_tables`): a 5 x 5
-    tensor family has 18 tables for its 49 pairs.  The tables of the last
+    Every Gaussian pair is a product of per-dimension tables
+    exp(delta_q^2 (-1 / (2 v_q))), each evaluated once per pass and shared
+    by every pair with that v_q (:func:`_sweep_tables`): a 5 x 5 tensor
+    family has 18 tables for its 49 pairs.  A table's exponent is floored
+    at ``_EXP_FLOOR`` when the span of the sample along its own dimension
+    can reach that far (:func:`_reaches_floor`).  The tables of the last
     dimension are multiplied by the weight table once, so a pair at d = 2
     is one row-wise dot product of two tables.  Epanechnikov pairs take
-    :func:`bandwidth_gram_entries`.  Scratch memory is O(n) whatever the
-    family size.  A swept pair's total depends on n, d and its own kernels
-    alone, so it, too, gets the same bits swept with its family or alone,
-    unless the family has too many tables for one row of the budget and
-    none is built.  ``consts`` holds each pair's c_ab from
+    :func:`bandwidth_gram_entries`.  A pass takes as many rows as fit
+    ``_TABLE_SCRATCH``, and at least one, so the tables hold at most
+    max(2 MB, keys (n - 1) 8 B) per process, where keys <= d (2N - 1) for
+    a family of N members; one row of them is bounded before any process
+    allocates it.  The other scratch is O(n).  A swept pair's total
+    depends on n, d and its own kernels alone, so it, too, gets the same
+    bits swept with its family or alone.  ``consts`` holds each pair's c_ab from
     :func:`_bandwidth_diag_value`, which checks the pair, so every pair is
     checked before any total is computed, and a caller that also needs
     the diagonal computes c_ab once.  A debug event on this module's
@@ -885,6 +890,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     log.debug("bandwidth totals: n %d, %d pairs by trapezoid sum, %d pairs swept", n, len(summed), len(swept))
     if not swept:
         return totals
+    # the tables are bounded here, before any process allocates them
+    _sweep_tables([scales[k] for k in swept], n)
     args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell))
     starts = range(0, n - 1, _SWEEP_ROWS)
     work = sum(_CONVOLUTION_COST if scales[k] is None else 1 for k in swept) * n * (n - 1) // 2
@@ -902,17 +909,14 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
     """The block function of :func:`bandwidth_totals`, with the sweep's
     scratch: every pair's partial over the rows of the block from ``start``."""
     n, d = x.shape
-    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    keys, uses, rows = _sweep_tables([_gaussian_scales(a, b) for a, b in pairs], n)
     span_sq = np.ptp(x, axis=0) ** 2
-    floors = [scale is not None and _reaches_floor(span_sq, scale) for scale in scales]
-    keys, uses, rows = _sweep_tables(scales, floors, n, d)
-    summed = any(scale is not None and use is None for scale, use in zip(scales, uses))
+    floored = [_reaches_floor([span_sq[q]], [sc]) for q, sc in keys]
     size = rows * max(n - 1, 0)
-    delta_bufs = [np.empty(size) for _ in range(d)] if any(scale is None for scale in scales) else []
-    square_bufs = [np.empty(size) for _ in range(d)] if summed or keys else []
+    delta_bufs = [np.empty(size) for _ in range(d)] if None in uses else []
+    square_bufs = [np.empty(size) for _ in range(d)] if keys else []
     table_bufs = [np.empty(size) for _ in keys]
-    value_buf = np.empty(size) if summed or (keys and d > 2) else None
-    term_buf = np.empty(size) if summed and d > 1 else None
+    value_buf = np.empty(size) if keys and d > 2 else None
     weight_buf = np.empty(size)
     lower = np.tri(_SWEEP_ROWS, _SWEEP_ROWS, -1, dtype=bool)
 
@@ -927,8 +931,6 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
             deltas = [_leading(buf, shape) for buf in delta_bufs]
             squares = [_leading(buf, shape) for buf in square_bufs]
             tables = [_leading(buf, shape) for buf in table_bufs]
-            value = None if value_buf is None else _leading(value_buf, shape)
-            term = None if term_buf is None else _leading(term_buf, shape)
             # row i = start + k against column j = start + 1 + c: ell_j where j > i (c >= k), else 0
             weights = _leading(weight_buf, shape)
             weights[...] = ell[start + 1 :]
@@ -938,34 +940,74 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
                 np.subtract(x[start + k0 : start + k1, q, None], x[None, start + 1 :, q], out=diff)
                 if squares:
                     np.square(diff, out=squares[q])
-            for (q, sc), table in zip(keys, tables):
+            for (q, sc), floor, table in zip(keys, floored, tables):
                 np.multiply(squares[q], sc, out=table)
+                if floor:
+                    np.maximum(table, _EXP_FLOOR, out=table)
                 np.exp(table, out=table)
                 if q == d - 1:
                     # the last factor of every pair carries the weights
                     np.multiply(table, weights, out=table)
-            for (a, b), scale, floor, use, out in zip(pairs, scales, floors, uses, dots[:, k0:k1]):
-                if use is not None:
-                    vals = tables[use[0]]
-                    if d > 2:
-                        vals = np.multiply(vals, tables[use[1]], out=value)
-                        for k in use[2:-1]:
-                            np.multiply(vals, tables[k], out=vals)
-                    _row_dots(vals, tables[use[-1]], out)
+            for (a, b), use, out in zip(pairs, uses, dots[:, k0:k1]):
+                if use is None:
+                    _row_dots(bandwidth_gram_entries(a, b, deltas), weights, out)
                     continue
-                if scale is None:
-                    vals = bandwidth_gram_entries(a, b, deltas)
-                else:
-                    vals = np.multiply(squares[0], scale[0], out=value)
-                    for sq, sc in zip(squares[1:], scale[1:]):
-                        np.add(vals, np.multiply(sq, sc, out=term), out=vals)
-                    if floor:
-                        np.maximum(vals, _EXP_FLOOR, out=vals)
-                    np.exp(vals, out=vals)
-                _row_dots(vals, weights, out)
+                vals = tables[use[0]]
+                if d > 2:
+                    vals = np.multiply(vals, tables[use[1]], out=_leading(value_buf, shape))
+                    for k in use[2:-1]:
+                        np.multiply(vals, tables[k], out=vals)
+                _row_dots(vals, tables[use[-1]], out)
         return np.vecdot(dots, ell[start:stop])
 
     return block_partial
+
+
+def _sample_values(basis, x: np.ndarray, orders) -> list:
+    """Per axis q, the basis values phi_j(x_iq), j <= orders[q], each
+    bounded before it is allocated."""
+    for mq in orders:
+        check_table_size("basis values at the sample", n=x.shape[0], m_max=mq)
+    return [basis_matrix(basis, mq, x[:, q]) for q, mq in enumerate(orders)]
+
+
+def _prefix_sums(source: np.ndarray, a, b, axes) -> np.ndarray:
+    """The cumulative sums, along each of ``axes`` in turn, of
+    (w_a w_b) source^2 for a nested pair (a, b).
+
+    With the coefficient tensor as ``source`` and every axis, entry k - 1 is
+    the total of every pair whose box min(m_a, m_b) is k.  With the basis
+    values of axis q, transposed, and axis 0, row k - 1 is the axis-q factor
+    of the diagonal of every pair with min(m_aq, m_bq) = k.  The order axes
+    end where the weights do.  The sums run in index order, so an entry
+    does not depend on how wide the source is.
+    """
+    cap = min([len(s.w) for s in (a, b) if s.w is not None], default=max(source.shape))
+    shape = tuple(min(k, cap) if p in axes else k for p, k in enumerate(source.shape))
+    table = np.square(source[tuple(slice(0, k) for k in shape)], order="C")
+    for p in axes:
+        if a.w is not None or b.w is not None:
+            k = shape[p]
+            table *= (a.weights_for(k) * b.weights_for(k)).reshape((k,) + (1,) * (table.ndim - 1 - p))
+        np.cumsum(table, axis=p, out=table)
+    return table
+
+
+def _histogram_total(a, b, t_a: np.ndarray, t_b: np.ndarray, overlap) -> float:
+    """The form T_a^T ((x)_q W_a C_q W_b) T_b of a histogram pair with
+    tensors t_a, t_b: T_b contracted with the cross-Gram ``overlap(a, b, q)``
+    along each axis in ``einsum``, not BLAS, except on an axis of equal
+    orders, whose cells coincide (C_q = I), so a (K, K) total needs no
+    overlap table."""
+    y = t_b
+    axes = list(range(a.d))
+    for q, (ma, mb) in enumerate(zip(a.m, b.m)):
+        if ma == mb:
+            if a.w is not None or b.w is not None:
+                y = y * (a.weights_for(ma) * b.weights_for(mb)).reshape((ma,) + (1,) * (a.d - 1 - q))
+        else:
+            y = np.einsum(overlap(a, b, q), [a.d, q], y, axes, axes[:q] + [a.d] + axes[q + 1 :])
+    return pairwise_sum(t_a * y)
 
 
 class GramTables:
@@ -977,42 +1019,42 @@ class GramTables:
     pair (:meth:`weighted_total`, :meth:`diag`) or of a family's criterion
     (:meth:`family_rows`), is one call of :meth:`_reads`, with one reader
     per kernel kind, so a pair read alone or with its family gets the same
-    bits.  Nothing is kept per pair, and no n x n table is formed.
+    bits.  The only state kept between reads is the coefficient tensors
+    (:meth:`coefficients`), which the risk grid of an experiment expands
+    after selection; no n x n table is formed.
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
-    (see :meth:`coefficients`) the total is the quadratic form
-    T_a^T ((x)_q W_a C_q W_b) T_b, where W holds the member weights and
-    C_q is the basis cross-Gram.  A nested basis is evaluated once per
-    dimension at the largest order of a read, and every smaller order is a
-    slice of it, bit for bit.  Its totals and diagonals are partial sums
-    over the basis index, read off prefix tables (:meth:`_prefix_table`)
-    by one gather (:meth:`_nested_reads`).  A histogram read computes each
-    axis's cells at every order it uses in one pass, and every member's
-    tensor and diagonal reads them (:meth:`_histogram_reads`); a pair's
-    W_a C_q W_b is built once and serves both its total and its diagonal.
-    Memory per axis is n m_q basis values and n m_q prefix sums per
-    distinct pair of weight vectors, or n cells per order used, plus
-    prod_q m_q per tensor, with prod_q m_q <= n.  The values and prefix
-    sums of an axis are bounded together, and its cells as n times its
-    largest order, before they are allocated.
+    the total is the quadratic form T_a^T ((x)_q W_a C_q W_b) T_b, where W
+    holds the member weights and C_q is the basis cross-Gram.  A read of
+    a nested basis evaluates it once per dimension at the read's largest
+    orders, and every smaller order is a slice of it, bit for bit.  Its
+    totals and diagonals are partial sums over the basis index, read off
+    prefix tables (:func:`_prefix_sums`) by one gather
+    (:meth:`_nested_reads`).  A histogram read computes each axis's cells
+    at every order it uses in one pass, and every member's tensor and
+    diagonal reads them (:meth:`_histogram_reads`); a pair's W_a C_q W_b is
+    built once per read and serves both its total and its diagonal.  The
+    basis values, prefix tables, cells and overlaps are locals of the read
+    that builds them.  Memory per axis is n m_q basis values and n m_q
+    prefix sums per distinct pair of weight vectors, or n cells per order
+    used, plus prod_q m_q per tensor, with prod_q m_q <= n; each read
+    bounds its values, prefix sums and diagonal rows together, and its
+    cells as n times its largest order, before they are allocated.
 
     Bandwidth pairs never form G either.  A read's totals come from one
     call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`); a family's
     2N - 1 pairs take one call.  In it each Gaussian pair at d = 1 is a
     trapezoid sum of squares over a uniform grid, which cannot cancel,
     and the other pairs one sweep over the pairwise differences in fixed
-    row blocks, with scratch allocated once and per-dimension Gaussian
-    tables shared between pairs at d >= 2.  Their diagonal is a constant.  :meth:`matrix` builds the dense
-    table of any pair, uncached; it is the reference the sweep and the
-    coefficient form are tested against.
+    row blocks, every Gaussian pair at d >= 2 a product of per-dimension
+    tables shared between pairs.  Their diagonal is a constant.
+    :meth:`matrix` builds the dense table of any pair, uncached; it is the
+    reference the sweep and the coefficient form are tested against.
     """
 
     def __init__(self, sample: Sample):
         self.sample = sample
-        self._basis_values: dict = {}  # (basis kind, q) -> (n, largest order so far)
         self._coeffs: dict = {}  # nested: basis kind; histogram: (kind, m) -> tensor
-        self._prefix: dict = {}  # nested (kind, q, w_a, w_b) -> prefix table; q None for totals
-        self._grams: dict = {}  # histogram (m_a, m_b, w_a, w_b) -> weighted cross-Gram
 
     def matrix(self, a, b) -> np.ndarray:
         """The dense n x n table for (a, b), built on every call."""
@@ -1081,20 +1123,20 @@ class GramTables:
 
     # -- projection pairs in coefficient space ------------------------------
 
-    def _values(self, basis, q: int, m: int) -> np.ndarray:
-        """Basis values phi_j(X_iq), j <= m, sliced from the widest evaluation."""
-        key = (basis.kind, q)
-        vals = self._basis_values.get(key)
-        if vals is None or vals.shape[1] < m:
-            check_table_size("basis values at the sample", n=self.sample.n, m_max=m)
-            vals = basis_matrix(basis, m, self.sample.x[:, q])
-            self._basis_values[key] = vals
-        return vals[:, :m]
-
-    def _widen(self, top: dict):
-        """Evaluate each nested basis once, at its top orders (:func:`_nested_top_orders`)."""
-        for basis, orders in top.items():
-            self.coefficients(ProjectionSpec(basis, orders))
+    def _nested_tensor(self, basis, orders, values=None) -> np.ndarray:
+        """The kept tensor of a nested basis, at least as wide as ``orders``:
+        built or widened from ``values``, the basis at the sample
+        (:func:`_sample_values`), when they are wide enough, and from a new
+        evaluation otherwise."""
+        full = self._coeffs.get(basis.kind)
+        if full is None or any(mq > size for mq, size in zip(orders, full.shape)):
+            if full is not None:
+                orders = tuple(map(max, orders, full.shape))
+            if values is None or any(v.shape[1] < mq for v, mq in zip(values, orders)):
+                values = _sample_values(basis, self.sample.x, orders)
+            values = [v[:, :mq] for v, mq in zip(values, orders)]
+            full = self._coeffs[basis.kind] = _product_tensor(values, self.sample.loss_values)
+        return full
 
     def _cell_tables(self, orders) -> tuple:
         """Per axis q, {m: cells of every X_iq at order m} for each m in
@@ -1111,7 +1153,7 @@ class GramTables:
 
     def _histogram_tensors(self, members, cells, ok) -> dict:
         """The tensor of each histogram order tuple in ``members``, by order
-        tuple, cached once computed from :meth:`_cell_tables` ``cells`` and
+        tuple, kept once computed from :meth:`_cell_tables` ``cells`` and
         ``ok``: per-cell sums of ell in sample order, times
         prod_q sqrt(m_q).  A point off the support adds +0.0 to its clipped
         cell, which changes no sum, since a sum from +0.0 is never -0.0."""
@@ -1134,61 +1176,20 @@ class GramTables:
 
         Histogram members are cell indicators, so their tensor is a per-cell
         sum of ell times prod_q sqrt(m_q), in sample order
-        (:meth:`_histogram_tensors`).
+        (:meth:`_histogram_tensors`).  A nested basis keeps one tensor, at
+        the widest orders asked for, and a member's is a slice of it.
         """
         _check_dim(spec, self.sample.x)
-        kind = spec.basis.kind
         if not spec.basis.nested:
-            if (kind, spec.m) not in self._coeffs:
+            key = (spec.basis.kind, spec.m)
+            if key not in self._coeffs:
                 self._histogram_tensors([spec.m], *self._cell_tables([[mq] for mq in spec.m]))
-            return self._coeffs[kind, spec.m]
-        full = self._coeffs.get(kind)
-        if full is None or any(mq > size for mq, size in zip(spec.m, full.shape)):
-            orders = spec.m if full is None else tuple(map(max, spec.m, full.shape))
-            values = [self._values(spec.basis, q, mq) for q, mq in enumerate(orders)]
-            full = self._coeffs[kind] = _product_tensor(values, self.sample.loss_values)
-        return full[tuple(slice(0, mq) for mq in spec.m)]
-
-    def _prefix_table(self, a, b, q=None) -> np.ndarray:
-        """A nested pair's prefix table, shared by every pair with its weights.
-
-        With q None: the cumulative sums, along each axis in turn, of
-        (x)_q (w_a w_b) T^2 over the widest coefficient tensor T, so that
-        entry k - 1 is the total of every pair whose box min(m_a, m_b) is k.
-        With an axis q: the cumulative sums along j of
-        w_a,j w_b,j phi_j(X_iq)^2, one row per order, so that row k - 1 is
-        the axis-q factor of the diagonal of every pair with
-        min(m_aq, m_bq) = k.  The sums run in index order, so an entry does
-        not depend on how wide the table is, and a table grown with the
-        tensor or the basis values keeps its entries' bits.  An axis's
-        basis values and all its prefix tables, n x m_max entries each,
-        are bounded together before a new table is allocated.  The read
-        (:meth:`_nested_reads`) has evaluated the basis at the pair's orders.
-        """
-        source = self._coeffs[a.basis.kind] if q is None else self._basis_values[a.basis.kind, q].T
-        # the order axes end where the weights do
-        axes = range(source.ndim) if q is None else [0]
-        cap = min([len(s.w) for s in (a, b) if s.w is not None], default=max(source.shape))
-        shape = tuple(min(k, cap) if p in axes else k for p, k in enumerate(source.shape))
-        key = (a.basis.kind, q, a.w, b.w)
-        table = self._prefix.get(key)
-        if table is None or table.shape != shape:
-            if q is not None:
-                others = sum(k[:2] == key[:2] for k in self._prefix if k != key)
-                check_table_size("basis values and prefix sums at the sample",
-                                 tables=others + 2, n=self.sample.n, m_max=source.shape[0])
-            table = np.square(source[tuple(slice(0, k) for k in shape)], order="C")
-            for p in axes:
-                if a.w is not None or b.w is not None:
-                    k = shape[p]
-                    table *= (a.weights_for(k) * b.weights_for(k)).reshape((k,) + (1,) * (table.ndim - 1 - p))
-                np.cumsum(table, axis=p, out=table)
-            self._prefix[key] = table
-        return table
+            return self._coeffs[key]
+        return self._nested_tensor(spec.basis, spec.m)[tuple(slice(0, mq) for mq in spec.m)]
 
     def _nested_reads(self, specs, pairs, summed: int, rows) -> tuple:
         """:meth:`_reads` of nested projection pairs, gathered from the
-        prefix tables (:meth:`_prefix_table`) of each pair of weight vectors.
+        prefix tables (:func:`_prefix_sums`) of each pair of weight vectors.
 
         C_q is the truncated identity, so a pair's total is the sum of
         (x)_q (w_a w_b) T^2 over its box min(m_a, m_b), one entry of the
@@ -1196,7 +1197,8 @@ class GramTables:
         min(m_aq, m_bq) of each axis's table, gathered straight into the
         result in chunks of rows.  A chunk's gathered rows and one table's
         rows come to at most ``_COEFF_ENTRIES`` entries, so the scratch is
-        fixed.  The basis is evaluated once, at the top orders of the read,
+        fixed.  The basis is evaluated at most once, at the top orders of
+        the read, when it has diagonal rows or the kept tensor is narrower,
         after the diagonal rows, the basis values and one prefix table per
         axis and pair of weight vectors are bounded together.
         """
@@ -1208,20 +1210,21 @@ class GramTables:
         for r, k in enumerate(rows):
             group_rows[k].append(r)
         orders = tuple(map(max, zip(*(s.m for s in specs))))
-        if rows:
-            axis_tables = (1 + sum(1 for _, at in groups.values() if at)) * sum(orders)
-            check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
-                             **{"members + axis tables": len(rows) + axis_tables})
+        axis_tables = (1 + sum(1 for _, at in groups.values() if at)) * sum(orders)
+        check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
+                         **{"members + axis tables": len(rows) + axis_tables})
         # one kind per read: the basis of the largest cap takes every top order
-        self._widen({max((s.basis for s in specs), key=lambda basis: basis.m_cap): orders})
+        basis = max((s.basis for s in specs), key=lambda b: b.m_cap)
+        values = _sample_values(basis, self.sample.x, orders) if rows else None
+        tensor = self._nested_tensor(basis, orders, values)[tuple(slice(0, mq) for mq in orders)]
         boxes = np.minimum([a.m for a, _ in pairs], [b.m for _, b in pairs]) - 1
         row_boxes = boxes[rows]
         totals, diags = np.empty(len(pairs)), np.empty((len(rows), self.sample.n))
         step = max(1, _COEFF_ENTRIES // (2 * self.sample.n))
         for members, at in groups.values():
             a, b = pairs[members[0]]
-            totals[members] = self._prefix_table(a, b)[tuple(boxes[members].T)]
-            tables = [self._prefix_table(a, b, q) for q in range(a.d)] if at else []
+            totals[members] = _prefix_sums(tensor, a, b, range(a.d))[tuple(boxes[members].T)]
+            tables = [_prefix_sums(v.T, a, b, [0]) for v in values] if at else []
             for lo in range(0, len(at), step):
                 chunk, box = at[lo : lo + step], row_boxes[at[lo : lo + step]]
                 diags[chunk] = tables[0][box[:, 0]]
@@ -1229,47 +1232,28 @@ class GramTables:
                     diags[chunk] *= tables[q][box[:, q]]
         return totals[:summed].tolist(), diags
 
-    def _overlap(self, a, b, q: int) -> np.ndarray:
-        """W_a C_q W_b of a histogram pair on axis q, built once per (orders, weights)."""
-        key = (a.m[q], b.m[q], a.w, b.w)
-        gram = self._grams.get(key)
-        if gram is None:
-            gram = self._grams[key] = weighted_cross_gram(a, b, q)
-        return gram
-
     def _histogram_reads(self, specs, pairs, summed: int, rows) -> tuple:
         """:meth:`_reads` of histogram pairs: each axis's cells at every
         order of the read come from one pass (:meth:`_cell_tables`) and
-        serve every tensor and diagonal, and each total contracts its own
-        tensors in its own order (:meth:`_histogram_total`)."""
+        serve every tensor and diagonal, each W_a C_q W_b is built once, and
+        each total contracts its own tensors in its own order
+        (:func:`_histogram_total`)."""
         cells, ok = self._cell_tables([sorted({s.m[q] for s in specs}) for q in range(specs[0].d)])
         tensors = self._histogram_tensors([s.m for s in specs], cells, ok)
-        diags = np.reshape([self._histogram_diag(*pairs[k], cells) for k in rows], (len(rows), self.sample.n))
+        grams = {}
+
+        def overlap(a, b, q):
+            key = (a.m[q], b.m[q], a.w, b.w)
+            if key not in grams:
+                grams[key] = weighted_cross_gram(a, b, q)
+            return grams[key]
+
+        diags = np.reshape([histogram_section_inner([overlap(a, b, q) for q in range(a.d)],
+                                                    [axis[mq] for axis, mq in zip(cells, a.m)],
+                                                    [axis[mq] for axis, mq in zip(cells, b.m)])
+                            for a, b in (pairs[k] for k in rows)], (len(rows), self.sample.n))
         diags *= ok
-        return [self._histogram_total(a, b, tensors[a.m], tensors[b.m]) for a, b in pairs[:summed]], diags
-
-    def _histogram_total(self, a, b, t_a: np.ndarray, t_b: np.ndarray) -> float:
-        """The form T_a^T ((x)_q W_a C_q W_b) T_b of a histogram pair with
-        tensors t_a, t_b: T_b contracted with the cross-Gram along each axis
-        in ``einsum``, not BLAS, except on an axis of equal orders, whose
-        cells coincide (C_q = I), so a (K, K) total needs no overlap table."""
-        y = t_b
-        axes = list(range(a.d))
-        for q, (ma, mb) in enumerate(zip(a.m, b.m)):
-            if ma == mb:
-                if a.w is not None or b.w is not None:
-                    y = y * (a.weights_for(ma) * b.weights_for(mb)).reshape((ma,) + (1,) * (a.d - 1 - q))
-            else:
-                y = np.einsum(self._overlap(a, b, q), [a.d, q], y, axes, axes[:q] + [a.d] + axes[q + 1 :])
-        return pairwise_sum(t_a * y)
-
-    def _histogram_diag(self, a, b, cells) -> np.ndarray:
-        """G_ab[i, i] of a histogram pair from :meth:`_cell_tables` ``cells``
-        (:func:`~pcoselect.kernels.histogram_section_inner`), before the
-        in-support mask."""
-        return histogram_section_inner([self._overlap(a, b, q) for q in range(a.d)],
-                                       [axis[mq] for axis, mq in zip(cells, a.m)],
-                                       [axis[mq] for axis, mq in zip(cells, b.m)])
+        return [_histogram_total(a, b, tensors[a.m], tensors[b.m], overlap) for a, b in pairs[:summed]], diags
 
     # -- public reductions ----------------------------------------------------
 
@@ -1282,11 +1266,9 @@ class GramTables:
         return self._reads([a, b], [(0, 1)], 1, 0)[0][0]
 
 
-def estimator_inner(a, b, sample: Sample, tables: GramTables | None = None) -> float:
+def estimator_inner(a, b, sample: Sample) -> float:
     """<shat_a, shat_b>_2 = (1/n^2) sum_{i,j} ell_i ell_j G_ab[i, j]."""
-    if tables is None:
-        tables = GramTables(sample)
-    return tables.weighted_total(a, b) / sample.n**2
+    return GramTables(sample).weighted_total(a, b) / sample.n**2
 
 
 def _distance(own: float, cross: float, anchor: float, n: int) -> float:
@@ -1304,12 +1286,10 @@ def _distance(own: float, cross: float, anchor: float, n: int) -> float:
     return value
 
 
-def criterion_distance(a, k0, sample: Sample, tables: GramTables | None = None) -> float:
+def criterion_distance(a, k0, sample: Sample) -> float:
     """||shat_a - shat_k0||_2^2 expanded through the Gram tables (:func:`_distance`),
     from one read of the three totals."""
-    if tables is None:
-        tables = GramTables(sample)
-    (own, cross, anchor), _ = tables._reads([a, k0], [(0, 0), (0, 1), (1, 1)], 3, 0)
+    (own, cross, anchor), _ = GramTables(sample)._reads([a, k0], [(0, 0), (0, 1), (1, 1)], 3, 0)
     return _distance(own, cross, anchor, sample.n)
 
 

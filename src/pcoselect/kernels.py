@@ -476,7 +476,7 @@ def sup_squares(basis: BasisFamily, m: int, scan: bool = False) -> np.ndarray:
     return mat * mat
 
 
-def diag_sup(spec, squares: np.ndarray | None = None) -> float:
+def diag_sup(spec) -> float:
     """sup_x K(x, x), the overfitting score of a kernel.
 
     Bandwidth: prod_q k(0)/h_q exactly.  Histogram projection:
@@ -499,10 +499,6 @@ def diag_sup(spec, squares: np.ndarray | None = None) -> float:
     m = 64; for ``ProjectionSpec(trig, (3,), (1, 0, 1))`` the scan gives
     2.99999995 against the supremum 3.
 
-    Nested bases may pass ``squares``, the member's kind of
-    :func:`sup_squares` table at any order of at least max(m); its leading
-    columns are the same numbers as a table at each order.
-
     With the weights squared this is the supremum over x' of
     ||K(x', .)||_2^2 = prod_q sum_j w_j^2 phi_j(x'_q)^2, the diagonal of the
     w^2-weighted kernel.
@@ -517,15 +513,18 @@ def diag_sup(spec, squares: np.ndarray | None = None) -> float:
         for mq in spec.m:
             out *= mq * float(np.max(spec.weights_for(mq)))
         return out
-    if squares is None:
-        basis, scan = _sup_table_key(spec)
-        squares = sup_squares(basis, max(spec.m), scan)
-    out = 1.0
-    for mq in spec.m:
-        # A view, not a copy: it keeps the memory layout basis_matrix gives
-        # (Fortran order for Legendre), and BLAS rounds by layout.
-        out *= float(np.max(squares[:, :mq] @ spec.weights_for(mq)))
-    return out
+    basis, scan = _sup_table_key(spec)
+    squares = sup_squares(basis, max(spec.m), scan)
+    return math.prod(_sup_factor(squares, mq, spec.weights_for(mq)) for mq in spec.m)
+
+
+def _sup_factor(squares: np.ndarray, mq: int, weights: np.ndarray) -> float:
+    """max over the table's points of sum_{j <= mq} w_j phi_j(t)^2, from a
+    :func:`sup_squares` table at any order of at least mq: its leading
+    columns are the same numbers as a table at order mq."""
+    # A view, not a copy: it keeps the memory layout basis_matrix gives
+    # (Fortran order for Legendre), and BLAS rounds by layout.
+    return float(np.max(squares[:, :mq] @ weights))
 
 
 def diag_sups(specs) -> list:
@@ -539,7 +538,11 @@ def diag_sups(specs) -> list:
             key = _sup_table_key(s)
             top[key] = max(top.get(key, 0), *s.m)
     tables = {key: sup_squares(key[0], m, key[1]) for key, m in top.items()}
-    factor = functools.cache(lambda key, mq, w: diag_sup(ProjectionSpec(key[0], (mq,), w), tables[key]))
+
+    @functools.cache
+    def factor(key, mq, w):
+        return _sup_factor(tables[key], mq, ProjectionSpec(key[0], (mq,), w).weights_for(mq))
+
     return [math.prod(factor(_sup_table_key(s), mq, s.w) for mq in s.m)
             if isinstance(s, ProjectionSpec) and s.basis.nested else diag_sup(s) for s in specs]
 

@@ -13,19 +13,25 @@ Both terms come from one call, :meth:`GramTables.family_rows
 <pcoselect.estimator.GramTables.family_rows>`, whether the tables are
 :func:`pco_select`'s own or the caller's: the distance expands into three
 loss-weighted totals and the penalty is the diagonal of the (K, K0)
-table.  That call and the one-pair reads of :func:`penalty` and
-:func:`~pcoselect.estimator.criterion_distance` go through the one reader
-of :class:`~pcoselect.estimator.GramTables`, which keeps nothing per pair,
-so a pair gets the same bits alone as in its family.  No n x n table is
+table.  A caller passes its own tables to keep the coefficient tensors of
+a projection family for a later
+:func:`~pcoselect.estimator.estimate_on_grid`.  That call and the
+one-pair reads of :func:`penalty` and
+:func:`~pcoselect.estimator.criterion_distance`, each on fresh tables, go
+through the one reader of :class:`~pcoselect.estimator.GramTables`, which
+keeps nothing between reads but those tensors, so a pair gets the same
+bits alone as in its family.  No n x n table is
 formed for either kind of family.  Bandwidth totals are one call of
 :func:`~pcoselect.estimator.bandwidth_totals` per family, a trapezoid sum
 of squares for each Gaussian pair at d = 1 and one sweep over the pairwise
 differences for the rest, spread over the worker pool once it is large,
-with the same bits at any worker count; the diagonal is a constant.
+with the same bits at any worker count; at d >= 2 every Gaussian pair
+is a product of per-dimension tables.  The diagonal is a constant.
 Projection totals are quadratic forms in the coefficient tensors
 T = sum_i ell_i (x)_q phi^{m_q}(X_iq), read with the diagonals off prefix
 tables over the basis index for nested bases and off cell overlaps for
-histograms; see :mod:`~pcoselect.estimator` for both and their memory.
+histograms, both built by the read and dropped with it; see
+:mod:`~pcoselect.estimator` for both and their memory.
 """
 
 from __future__ import annotations
@@ -54,11 +60,9 @@ def _penalty(diag: np.ndarray, ell: np.ndarray, n: int) -> float:
     return 2.0 * pairwise_sum(diag * ell * ell) / n**2
 
 
-def penalty(spec, k0, sample: Sample, tables: GramTables | None = None) -> float:
+def penalty(spec, k0, sample: Sample) -> float:
     """(2/n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2."""
-    if tables is None:
-        tables = GramTables(sample)
-    return _penalty(tables.diag(spec, k0), sample.loss_values, sample.n)
+    return _penalty(GramTables(sample).diag(spec, k0), sample.loss_values, sample.n)
 
 
 @dataclass(frozen=True)

@@ -345,11 +345,6 @@ class Scenario:
         """The estimation target s(x) = E(ell(Y) | X = x) f(x)."""
         return self.cond_moment1(loss, pts) * self.pdf(pts)
 
-    def loss_second_moment(self, loss: LossKind) -> float:
-        """E(ell(Y)^2) by quadrature over the design density."""
-        grid = self.quad_grid()
-        return grid.integrate(self.cond_moment2(loss, grid.points) * self.pdf(grid.points))
-
     # -- grids -----------------------------------------------------------
 
     def risk_grid(self) -> IntegrationGrid:

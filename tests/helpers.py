@@ -12,7 +12,7 @@ import numpy as np
 
 from pcoselect import BandwidthSpec, DataError, ProjectionSpec, composite_rule, kernel_matrix
 from pcoselect.bases import breakpoints as basis_breakpoints
-from pcoselect.bases import cross_gram
+from pcoselect.bases import basis_matrix, cross_gram
 from pcoselect.numerics import pairwise_sum
 
 
@@ -134,7 +134,7 @@ def weighted_values_diag(tables, a, b):
     for q in range(a.d):
         ma, mb = a.m[q], b.m[q]
         k = min(ma, mb)
-        v = tables._values(a.basis, q, k)
+        v = basis_matrix(a.basis, k, tables.sample.x[:, q])
         out *= np.sum((v * a.weights_for(ma)[None, :k]) * (v * b.weights_for(mb)[None, :k]), axis=1)
     return out
 

@@ -514,6 +514,33 @@ def test_report_threads_do_not_change_bytes(tmp_path):
     assert (a / "risk_by_kernel.csv").read_bytes() == (b / "risk_by_kernel.csv").read_bytes()
 
 
+def test_report_takes_its_loss_from_the_config(tmp_path):
+    family = {"variant": "bandwidth", "base": "gaussian", "h_min": 0.15, "grid": [0.15, 0.4], "d": 1}
+    scn = _scn_cfg(n=50, replications=3)
+    docs = {}
+    for loss in ["identity", "square", None]:
+        cfg = {"scenario": scn, "family": family} | ({} if loss is None else {"loss": loss})
+        out = tmp_path / str(loss)
+        assert main(["report", "--config", _write_json(tmp_path / f"{loss}.json", cfg), "--out", str(out)]) == 0
+        docs[loss] = json.loads((out / "risk.json").read_text())
+    assert [docs[loss]["loss"] for loss in docs] == ["identity", "square", "one"]
+    fam = pcoselect.make_bandwidth_family(pcoselect.GAUSSIAN, 0.15, [0.15, 0.4], 1, 50)
+    want = pcoselect.oracle_experiment(fam, scenario_from_config(scn), pcoselect.LossKind.IDENTITY)
+    assert docs["identity"]["oracle_risk"] == want.oracle_risk and docs["identity"]["pco_risk"] == want.pco_risk
+
+
+def test_report_has_no_loss_flag(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "r.json", {"scenario": _scn_cfg(n=50, replications=2),
+                                            "family": {"variant": "bandwidth", "h_min": 0.15, "grid": [0.2], "d": 1}})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--config", cfg, "--loss", "identity", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --loss identity" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("over,field", [({"d": 2, "risk_points": 1000000}, "risk_points (axis 2) 1000000"),
                                         ({"d": 3, "n": 6000000}, "n 6000000 x d 3")])
 def test_report_with_an_oversized_scenario_is_a_config_error(tmp_path, capsys, over, field):

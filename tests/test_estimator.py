@@ -57,6 +57,7 @@ from pcoselect.estimator import (
     _grid_width,
     _kernel_sums,
     _product_tensor,
+    _reaches_floor,
     _sweep_tables,
     bandwidth_totals,
 )
@@ -1000,7 +1001,7 @@ def test_sweep_shares_per_dimension_tables_and_matches_dense(fam, n):
     s = _uniform_sample(n, d=d, seed=60 + n, loss=LossKind.IDENTITY)
     pairs = _family_pairs(fam)
     scales = [_gaussian_scales(a, b) for a, b in pairs]
-    keys, uses, _ = _sweep_tables(scales, [False] * len(pairs), n, d)
+    keys, uses, _ = _sweep_tables(scales, n)
     # every pair is factored, and the pairs share their tables
     assert all(use is not None for use in uses) and len(keys) < d * len(pairs)
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
@@ -1008,17 +1009,17 @@ def test_sweep_shares_per_dimension_tables_and_matches_dense(fam, n):
 
 @pytest.mark.parametrize("n", [33, 200])
 def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
-    # at d = 2, (a, a) can reach the exponent floor and is summed; (a, b) and (b, b) are factored
+    # at d = 2 every Gaussian pair is factored; the first-dimension table of
+    # (a, a) can reach the exponent floor and is floored, no other table is
     s = _uniform_sample(n, d=2, seed=61, loss=LossKind.IDENTITY)
     a, b = BandwidthSpec(GAUSSIAN, (0.015, 0.3)), BandwidthSpec(GAUSSIAN, (0.3, 0.3))
     e, f = BandwidthSpec(EPANECHNIKOV, (0.2, 0.35)), BandwidthSpec(EPANECHNIKOV, (0.1, 0.5))
     pairs = [(a, a), (a, b), (b, b), (e, e), (e, f)]
     scales = [_gaussian_scales(p, q) for p, q in pairs]
+    keys, uses, _ = _sweep_tables(scales, n)
+    assert [use is not None for use in uses] == [True, True, True, False, False]
     span_sq = np.ptp(s.x, axis=0) ** 2
-    floors = [sc is not None and sum(r * c for r, c in zip(span_sq, sc)) < -699.0 for sc in scales]
-    assert floors == [True, False, False, False, False]
-    _, uses, _ = _sweep_tables(scales, floors, n, 2)
-    assert [use is not None for use in uses] == [False, True, True, False, False]
+    assert [key for key in keys if _reaches_floor([span_sq[key[0]]], [key[1]])] == [(0, scales[0][0])]
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
     # at d = 1 the narrow Gaussian pairs and the wide one take the trapezoid sum
     s1 = _uniform_sample(n, seed=62, loss=LossKind.IDENTITY)
@@ -1061,6 +1062,72 @@ def test_tensor_family_evaluates_one_exp_per_table_and_block(monkeypatch):
     assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
+def test_sweep_totals_are_identical_with_one_row_of_tables_per_pass(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    n = 200
+    s = _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.05, 0.4, 5))
+    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 1000))
+    want = _totals(pairs, s.x, s.loss_values)
+    # a budget below one row of the 18 tables: each pass takes one row, and
+    # each table takes one exp per pass, in this process
+    monkeypatch.setattr(estimator_mod, "_TABLE_SCRATCH", 18 * (n - 1) - 1)
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
+    exps = _CountingExp()
+    monkeypatch.setattr(estimator_mod, "np", exps)
+    got = _totals(pairs, s.x, s.loss_values)
+    monkeypatch.undo()
+    assert [t.hex() for t in got] == [t.hex() for t in want]
+    # row i of the block from start meets the n - 1 - start later points
+    assert len(exps.sizes) == 18 * (n - 1)
+    assert exps.sizes == [n - 1 - start for start in range(0, n - 1, _SWEEP_ROWS)
+                          for _ in range(min(_SWEEP_ROWS, n - 1 - start)) for _ in range(18)]
+
+
+# families whose narrow tables reach the exponent floor on the unit box
+FLOORED_FAMILIES = [
+    make_bandwidth_family(GAUSSIAN, 0.01, [0.01, 0.03, 0.1, 0.3], 2, 10**4),
+    make_bandwidth_family(GAUSSIAN, 0.015, [0.015, 0.05, 0.2], 3, 10**6),
+]
+
+
+@pytest.mark.parametrize("fam", FLOORED_FAMILIES, ids=["d2", "d3"])
+def test_floored_gaussian_pairs_match_dense(fam):
+    d = fam.k0.d
+    n = 150
+    s = _uniform_sample(n, d=d, seed=72, loss=LossKind.IDENTITY)
+    pairs = _family_pairs(fam)
+    keys, uses, _ = _sweep_tables([_gaussian_scales(a, b) for a, b in pairs], n)
+    span_sq = np.ptp(s.x, axis=0) ** 2
+    floored = [key for key in keys if _reaches_floor([span_sq[key[0]]], [key[1]])]
+    assert 0 < len(floored) < len(keys) and None not in uses
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+def test_sweep_tables_past_the_limit_raise_before_they_are_allocated(monkeypatch):
+    import pcoselect.errors as errors_mod
+    import pcoselect.estimator as estimator_mod
+
+    # one row of the 5 x 5 family's 18 tables, one entry above a patched limit
+    n = 200
+    s = _uniform_sample(n, d=2, seed=73, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.05, 0.4, 5))
+    fam = make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 1000)
+    pairs = _family_pairs(fam)
+    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 18 * (n - 1) - 1)
+    monkeypatch.setattr(estimator_mod, "_sweep_block_builder", lambda *args: pytest.fail("the sweep started"))
+    with pytest.raises(ConfigError, match=r"Gaussian tables of the bandwidth sweep: tables 18 x columns 199 asks "
+                                          r"for a table of 3582 entries, above the limit of 3581"):
+        _totals(pairs, s.x, s.loss_values)
+    with pytest.raises(ConfigError, match="Gaussian tables of the bandwidth sweep"):
+        pco_select(fam, s)
+    # at the limit the sweep runs, one row per pass
+    monkeypatch.undo()
+    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 18 * (n - 1))
+    assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
 def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     # the 18 tables of this family take several passes per block of rows
     n = 1000
@@ -1068,7 +1135,7 @@ def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
     grid = list(np.geomspace(0.05, 0.4, 5))
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, n))
     scales = [_gaussian_scales(a, b) for a, b in pairs]
-    assert _sweep_tables(scales, [False] * len(pairs), n, 2)[2] < _SWEEP_ROWS
+    assert _sweep_tables(scales, n)[2] < _SWEEP_ROWS
     together = _totals(pairs, s.x, s.loss_values)
     assert [_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
 
@@ -1404,21 +1471,24 @@ def test_sample_tables_are_bounded_before_they_are_allocated(monkeypatch):
 
 def test_prefix_tables_are_bounded_with_the_basis_values(monkeypatch):
     import pcoselect.errors as errors_mod
+    import pcoselect.estimator as estimator_mod
 
-    # 50 x 9 values and one 50 x 9 prefix table per pair of weight vectors
+    # one read bounds its diagonal rows, its 50 x 9 basis values and one
+    # 50 x 9 prefix table per pair of weight vectors with a diagonal together
     monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 1000)
     s = _uniform_sample(50, seed=47)
     plain, weighted = ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (9,), _W)
     tables = GramTables(s)
-    tables.diag(plain, plain)
-    axis_tables = lambda: {key for key in tables._prefix if key[1] is not None}
-    held = axis_tables()
-    with pytest.raises(ConfigError, match="basis values and prefix sums at the sample: tables 3 x n 50 x m_max 9 "
-                                          "asks for a table of 1350 entries, above the limit of 1000"):
-        tables.diag(plain, weighted)
-    assert axis_tables() == held
-    # a table that replaces one of its own key counts once
-    tables.diag(ProjectionSpec(TRIG, (4,)), ProjectionSpec(TRIG, (6,)))
+    # 1 row + (1 + 1) x 9 axis columns, read after read: nothing is held between them
+    for a, b in [(plain, plain), (plain, weighted), (weighted, weighted)] * 2:
+        tables.diag(a, b)
+    assert list(vars(tables)) == ["sample", "_coeffs"]
+    # two rows over two pairs of weight vectors: 2 + (1 + 2) x 9
+    monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: pytest.fail("the basis values were allocated"))
+    with pytest.raises(ConfigError, match="criterion diagonals, basis values and prefix sums at the sample: n 50 x "
+                                          "members \\+ axis tables 29 asks for a table of 1450 entries, above the "
+                                          "limit of 1000"):
+        GramTables(s).family_rows([plain, weighted], plain)
 
 
 def test_bandwidth_sweep_rejects_mixed_variants():
@@ -1597,12 +1667,10 @@ def test_projection_pair_with_two_weight_vectors_matches_the_dense_table(basis, 
     assert GramTables(s).diag(b, a).tobytes() == tables.diag(a, b).tobytes()
 
 
-def _per_pair_rows(fam, s):
-    """Every member's (distance, penalty) as hex, read one pair at a time
-    through criterion_distance and penalty on one fresh GramTables."""
-    tables = GramTables(s)
-    return [(criterion_distance(a, fam.k0, s, tables).hex(), penalty(a, fam.k0, s, tables).hex())
-            for a in fam.specs]
+def _per_pair_rows(fam, s, step=1):
+    """Every ``step``-th member's (distance, penalty) as hex, read one pair
+    at a time through criterion_distance and penalty, each on fresh GramTables."""
+    return [(criterion_distance(a, fam.k0, s).hex(), penalty(a, fam.k0, s).hex()) for a in fam.specs[::step]]
 
 
 def _report_rows(report):
@@ -1621,7 +1689,7 @@ def test_pco_select_on_projections_builds_no_gram_table(monkeypatch):
     for basis, d, m_max in cases:
         s = _sample_for(ProjectionSpec(basis, (1,) * d), 80, seed=35)
         fam = make_projection_family(basis, m_max, d, s.n)
-        # read pair by pair, the tables grow order by order
+        # read pair by pair, each read on fresh tables
         reference[basis.kind, d] = (fam, s, _per_pair_rows(fam, s))
     for module in (estimator_mod, kernels_mod):
         monkeypatch.setattr(module, "section_inner_matrix", forbidden)
@@ -1752,14 +1820,14 @@ def test_per_pair_statistics_take_one_read_with_identical_values(monkeypatch, a,
                         lambda pairs, *rest: sweeps.append(len(pairs)) or real_totals(pairs, *rest))
     monkeypatch.setattr(estimator_mod, "_bandwidth_diag_value", lambda *pair: consts.append(pair) or real_const(*pair))
     # the distance's three totals take one call, with the bits of three single reads
-    assert criterion_distance(a, k0, s, tables).hex() == _distance(own, cross, anchor, s.n).hex()
+    assert criterion_distance(a, k0, s).hex() == _distance(own, cross, anchor, s.n).hex()
     assert sweeps == [3] and len(consts) == 3
     # U's total and diagonal are one read of one pair, whose c_ab is computed once
     ell = s.loss_values
     assert u_statistic(a, k0, s).hex() == (cross - numerics.pairwise_sum(ell * ell * diag)).hex()
     assert sweeps == [3, 1] and len(consts) == 4
     # a pair given three times is read once
-    assert criterion_distance(k0, k0, s, tables) == 0.0
+    assert criterion_distance(k0, k0, s) == 0.0
     assert sweeps == [3, 1, 1]
 
 
@@ -1812,7 +1880,9 @@ def test_nested_selection_gathers_its_diagonals_into_the_result(m_max, d):
         tracemalloc.stop()
     table = len(fam) * n * 8
     assert peak < (3.3 if d == 1 else 1.6) * table
-    assert _report_rows(report) == _per_pair_rows(fam, s)
+    # every 20th member: a per-pair read evaluates the basis at the top order
+    step = len(fam) // 20
+    assert _report_rows(report)[::step] == _per_pair_rows(fam, s, step)
 
 
 @pytest.mark.parametrize("d", [1, 2])

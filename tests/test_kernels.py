@@ -30,7 +30,7 @@ from pcoselect import (
     stream,
 )
 from pcoselect.bases import basis_matrix
-from pcoselect.kernels import DIAG_SCAN_POINTS, section_inner_pointwise, section_sq_norm_points
+from pcoselect.kernels import DIAG_SCAN_POINTS, diag_sups, section_inner_pointwise, section_sq_norm_points
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -406,13 +406,15 @@ def test_k0_scan_runs_once_per_family_and_matches_per_order_scan(monkeypatch, ba
     monkeypatch.setattr(kernels_mod, "basis_matrix", lambda *a: calls.append((a[1], len(a[2]))) or basis_matrix(*a))
     fam = make_projection_family(basis, m_max, d, m_max**d, w)
     assert calls == [(m_max, len(points))]
-    for spec in fam.specs:
+    # the family's members read one table at m_max
+    sups = diag_sups(fam.specs)
+    for spec, sup in zip(fam.specs, sups):
         want = 1.0
         for mq in spec.m:
             mat = basis_matrix(basis, mq, points)
             want *= float(np.max((mat * mat) @ spec.weights_for(mq)))
         assert diag_sup(spec) == want
-        assert diag_sup(spec, kernels_mod.sup_squares(basis, m_max, scan)) == want
+        assert sup == want
 
 
 def _refined_sup(spec_1d):
@@ -566,7 +568,9 @@ def test_find_overfitting_k0_scans_members_at_the_basis_top_order():
              ProjectionSpec(TRIG, (9,), tuple(np.linspace(1.0, 0.1, 9))), ProjectionSpec(LEG, (2,), (0.5, 1.0)),
              ProjectionSpec(HIST, (4,))]
     tables = {TRIG: kernels_mod.sup_squares(TRIG, 9, True), LEG: kernels_mod.sup_squares(LEG, 2)}
-    want = [diag_sup(s, tables.get(s.basis)) for s in specs]
+    want = [float(np.max(tables[s.basis][:, : s.m[0]] @ s.weights_for(s.m[0]))) if s.basis in tables else diag_sup(s)
+            for s in specs]
+    assert diag_sups(specs) == want
     assert find_overfitting_k0(specs) == int(np.argmax(want))
 
 
@@ -593,15 +597,11 @@ def test_find_overfitting_k0_scans_each_factor_once(monkeypatch):
     import pcoselect.kernels as kernels_mod
 
     calls = []
-
-    def counted(spec, scan_squares=None):
-        calls.append(spec)
-        return diag_sup(spec, scan_squares)
-
-    monkeypatch.setattr(kernels_mod, "diag_sup", counted)
+    real_factor = kernels_mod._sup_factor
+    monkeypatch.setattr(kernels_mod, "_sup_factor", lambda squares, mq, w: calls.append(mq) or real_factor(squares, mq, w))
     fam = make_projection_family(TRIG, 5, 2, 25)
     # one matrix-vector product per distinct (basis, order, weights), not per member and dimension
-    assert sorted(s.m for s in calls) == [(1,), (2,), (3,), (4,), (5,)]
+    assert sorted(calls) == [1, 2, 3, 4, 5]
     assert fam.k0_index == 24
 
 

@@ -248,12 +248,6 @@ def test_cond_moment2_formula_against_mc():
     assert emp == pytest.approx(want, rel=0.1)
 
 
-def test_loss_second_moment_uniform_case():
-    scn = _scn(b={"kind": "constant", "c": 2.0}, sigma={"kind": "constant", "c": 0.5})
-    want = 4.0 + 0.25 * NoiseKind.GAUSSIAN.m2
-    assert scn.loss_second_moment(LossKind.IDENTITY) == pytest.approx(want, rel=1e-12)
-
-
 def test_risk_grid_sizes():
     assert _scn().risk_grid().points.shape[0] == RISK_POINTS_BY_DIM[1]
     scn2 = _scn(d=2, n=100)
