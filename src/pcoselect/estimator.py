@@ -854,8 +854,10 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     :func:`bandwidth_gram_entries`.  A pass takes as many rows as fit
     ``_TABLE_SCRATCH``, and at least one, so the tables hold at most
     max(2 MB, keys (n - 1) 8 B) per process, where keys <= d (2N - 1) for
-    a family of N members; one row of them is bounded before any process
-    allocates it.  The other scratch is O(n).  A swept pair's total
+    a family of N members.  The plan of the tables (:func:`_sweep_tables`)
+    is made once, which bounds one row of them before any process
+    allocates it, and goes to every process with the pairs.  The other
+    scratch is O(n).  A swept pair's total
     depends on n, d and its own kernels alone, so it, too, gets the same
     bits swept with its family or alone.  ``consts`` holds each pair's c_ab from
     :func:`_bandwidth_diag_value`, which checks the pair, so every pair is
@@ -891,8 +893,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     if not swept:
         return totals
     # the tables are bounded here, before any process allocates them
-    _sweep_tables([scales[k] for k in swept], n)
-    args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell))
+    sweep = _sweep_tables([scales[k] for k in swept], n)
+    args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell), sweep)
     starts = range(0, n - 1, _SWEEP_ROWS)
     work = sum(_CONVOLUTION_COST if scales[k] is None else 1 for k in swept) * n * (n - 1) // 2
     partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(swept)))
@@ -905,11 +907,12 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
 
 
 @_OVERFLOW_IGNORED
-def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray):
+def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray, sweep):
     """The block function of :func:`bandwidth_totals`, with the sweep's
-    scratch: every pair's partial over the rows of the block from ``start``."""
+    scratch: every pair's partial over the rows of the block from ``start``.
+    ``sweep`` is the pairs' :func:`_sweep_tables`, bounded by the caller."""
     n, d = x.shape
-    keys, uses, rows = _sweep_tables([_gaussian_scales(a, b) for a, b in pairs], n)
+    keys, uses, rows = sweep
     span_sq = np.ptp(x, axis=0) ** 2
     floored = [_reaches_floor([span_sq[q]], [sc]) for q, sc in keys]
     size = rows * max(n - 1, 0)
@@ -1267,7 +1270,9 @@ class GramTables:
 
 
 def estimator_inner(a, b, sample: Sample) -> float:
-    """<shat_a, shat_b>_2 = (1/n^2) sum_{i,j} ell_i ell_j G_ab[i, j]."""
+    """<shat_a, shat_b>_2 = (1/n^2) sum_{i,j} ell_i ell_j G_ab[i, j], read
+    on fresh tables, so a projection pair evaluates the basis again on
+    every call; keep one :class:`GramTables` to read many pairs."""
     return GramTables(sample).weighted_total(a, b) / sample.n**2
 
 
@@ -1288,7 +1293,13 @@ def _distance(own: float, cross: float, anchor: float, n: int) -> float:
 
 def criterion_distance(a, k0, sample: Sample) -> float:
     """||shat_a - shat_k0||_2^2 expanded through the Gram tables (:func:`_distance`),
-    from one read of the three totals."""
+    from one read of the three totals.
+
+    The read is on fresh tables, so a projection pair evaluates the basis
+    again, at the larger order, on every call.  Read a family's distances
+    through :func:`~pcoselect.selection.pco_select` or
+    :meth:`GramTables.family_rows`, which evaluate it once; the bits are the
+    same."""
     (own, cross, anchor), _ = GramTables(sample)._reads([a, k0], [(0, 0), (0, 1), (1, 1)], 3, 0)
     return _distance(own, cross, anchor, sample.n)
 

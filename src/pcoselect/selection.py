@@ -61,7 +61,14 @@ def _penalty(diag: np.ndarray, ell: np.ndarray, n: int) -> float:
 
 
 def penalty(spec, k0, sample: Sample) -> float:
-    """(2/n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2."""
+    """(2/n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2.
+
+    A read of one pair on fresh tables: a projection pair evaluates the
+    basis again, at the larger order, on every call.  Read a family's
+    penalties through :func:`pco_select` or
+    :meth:`GramTables.family_rows <pcoselect.estimator.GramTables.family_rows>`,
+    which evaluate it once; the bits are the same.
+    """
     return _penalty(GramTables(sample).diag(spec, k0), sample.loss_values, sample.n)
 
 

@@ -64,6 +64,7 @@ from pcoselect.estimator import (
 from pcoselect.experiments import statistic_grid
 from pcoselect.kernels import section_inner_pointwise, section_sq_norm_points
 from pcoselect.quadrature import composite_grid, trapezoid_grid
+from pcoselect.selection import _penalty
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -1673,6 +1674,19 @@ def _per_pair_rows(fam, s, step=1):
     return [(criterion_distance(a, fam.k0, s).hex(), penalty(a, fam.k0, s).hex()) for a in fam.specs[::step]]
 
 
+def _chunked_rows(fam, s, size):
+    """Every member's (distance, penalty) as hex, from one
+    :meth:`GramTables.family_rows` read per disjoint chunk of ``size``
+    members, each on fresh GramTables, and the (k0, k0) total from one more."""
+    anchor = GramTables(s).weighted_total(fam.k0, fam.k0)
+    rows = []
+    for lo in range(0, len(fam), size):
+        own, cross, diags = GramTables(s).family_rows(fam.specs[lo : lo + size], fam.k0)
+        rows += [(_distance(o, c, anchor, s.n).hex(), _penalty(diag, s.loss_values, s.n).hex())
+                 for o, c, diag in zip(own, cross, diags)]
+    return rows
+
+
 def _report_rows(report):
     return [(row.distance.hex(), row.penalty.hex()) for row in report.rows]
 
@@ -1880,7 +1894,11 @@ def test_nested_selection_gathers_its_diagonals_into_the_result(m_max, d):
         tracemalloc.stop()
     table = len(fam) * n * 8
     assert peak < (3.3 if d == 1 else 1.6) * table
-    # every 20th member: a per-pair read evaluates the basis at the top order
+    # every member against reads of disjoint 50-member chunks, each with k0:
+    # the family read gathers its diagonals 65 rows at a time, so the chunk
+    # boundaries of the two reads do not line up
+    assert _report_rows(report) == _chunked_rows(fam, s, 50)
+    # every 20th member alone: a per-pair read evaluates the basis at the top order
     step = len(fam) // 20
     assert _report_rows(report)[::step] == _per_pair_rows(fam, s, step)
 
