@@ -99,7 +99,7 @@ import enum
 import itertools
 import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -121,6 +121,7 @@ from .kernels import (
     weighted_cross_gram,
 )
 from .numerics import pairwise_sum
+from .quadrature import legendre_rule
 
 log = logging.getLogger(__name__)
 
@@ -298,9 +299,16 @@ _NEGLIGIBLE = math.exp(_EXP_FLOOR + 1.0)
 # (n = 1000 x 1000 points: 5.6 -> 4.6 ms), since a pooled map's time also
 # follows the load on every CPU it uses.
 _FORK_WORK = 1_000_000
-# Cost of an Epanechnikov sweep entry in Gaussian entries: each is the exact
-# 3-node convolution rule per dimension, about 40 ns against 2.3 ns.
+# Cost of an Epanechnikov sweep entry (d >= 2) in Gaussian entries: each is
+# the exact 3-node convolution rule per dimension, about 40 ns against 2.3 ns.
 _CONVOLUTION_COST = 16
+# Work of a d = 1 Epanechnikov integral per pair and sample point, in Gaussian
+# entries.  A pair costs about 0.3 us a point, but each process builds the
+# member tables of its own items, k0's among them, so the pool pays off
+# later than that suggests: a 4-member family (7 pairs) on 2 CPUs took 13.4 ms
+# serial and 15.5 ms pooled at n = 5000, and 28.7 and 21.8 ms at n = 10^4.
+# At 20 a 7-pair family maps on the pool from n = 7143.
+_INTEGRAL_COST = 20
 # Overflow in the block builders leaves an inf or nan, which pco_select and the
 # CLI's estimate turn into a DataError, or a kernel entry at its exact limit;
 # pool workers do not inherit the caller's np.errstate, so the builders carry it.
@@ -817,25 +825,204 @@ def _trapezoid_builder(x: np.ndarray, ell: np.ndarray, variances):
     return lambda k: _gaussian_total(x, ell, variances[k])
 
 
+def _add_moved(moments: np.ndarray, part: np.ndarray, e: np.ndarray):
+    """Add the moments sum ell_j y_j^k, k = 0, 1, 2, of ``part`` to
+    ``moments`` as sum ell_j (y_j + e)^k."""
+    m0, m1, m2 = part
+    moments[0] += m0
+    moments[1] += m1 + e * m0
+    moments[2] += m2 + e * (2.0 * m1 + e * m0)
+
+
+@_OVERFLOW_IGNORED
+def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> tuple:
+    """F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+ over the points x of a
+    d = 1 sample, sorted, as a quadratic on each piece between its 2n
+    breakpoints x_i - h and x_i + h.
+
+    Returns the breakpoints in order, and per breakpoint the index i of its
+    point, its offset -h or +h from x_i, whether the piece that it starts
+    has points in reach, the index r of that piece's reference point and
+    the coefficients, shape (3, 2n), of F = c_0 + c_1 s + c_2 s^2 there,
+    with s = (u - x_r) / h.  At ties the entering breakpoints x_i - h come
+    first, so the points in reach of a piece are the range lo <= j < hi of
+    those whose x_j - h it has passed and whose x_j + h it has not, and
+    c = (M_0 - M_2, 2 M_1, -M_0) with M_k = sum_j ell_j ((x_j - x_r) / h)^k
+    over that range.
+
+    No running sum crosses a block, since running-sum updates lose
+    accuracy (Seifert, Brockmann, Engel & Gasser 1994).  The points split
+    into clusters wherever two neighbours are more than 2 h apart, which
+    no piece reaches across, and each cluster into blocks
+    floor((x_j - x_c) / h), x_c its first point, so a block is no wider
+    than h and a range meets three blocks, rarely a fourth after rounding.
+    Each block holds the prefix sums of ell_j y_j^k, y_j = (x_j - x_b) / h
+    about its first point x_b, from a segmented scan of ceil(log2(size))
+    doubling passes over the whole sample: O(n log n) time and O(n) memory
+    however the points cluster.  A piece's reference x_r is the first
+    point of the first block of its range, whose partial sums are its
+    moments about x_r; each later block's part, whole or partial, is moved
+    there from its own first point (:func:`_add_moved`).  These are sample
+    points within 2 h of each other, so their difference is exact or
+    nearly, and no coordinate is rounded at the sample's offset from 0.
+    """
+    n = x.size
+    # the first point of each point's cluster, then the first and last of its block
+    cluster = np.zeros(n, dtype=np.intp)
+    breaks = np.flatnonzero(x[1:] - x[:-1] > 2.0 * h) + 1
+    cluster[breaks] = breaks
+    np.maximum.accumulate(cluster, out=cluster)
+    block = np.floor((x - x[cluster]) / h)
+    edges = np.ones(n + 1, dtype=bool)
+    edges[1:n] = (block[1:] != block[:-1]) | (cluster[1:] != cluster[:-1])
+    edges = np.flatnonzero(edges)
+    sizes = np.diff(edges)
+    start, end = np.repeat(edges[:-1], sizes), np.repeat(edges[1:] - 1, sizes)
+    y = (x - x[start]) / h
+    sums = np.stack([ell, ell * y, ell * y * y])
+    later = np.arange(n) - start
+    step, size = 1, sizes.max()
+    while step < size:
+        np.add(sums[:, step:], sums[:, :-step], out=sums[:, step:], where=later[step:] >= step)
+        step *= 2
+    # the sums before each point in its block
+    before = np.zeros_like(sums)
+    before[:, 1:] = sums[:, :-1]
+    before[:, later == 0] = 0.0
+    # the breakpoints, and the range [lo, hi) of points in reach of the piece each starts
+    points = np.concatenate([x - h, x + h])
+    order = np.argsort(points, kind="stable")
+    leaving = order >= n
+    hi = np.cumsum(~leaving)
+    live = 2 * hi > np.arange(1, 2 * n + 1)
+    k = np.flatnonzero(live)
+    hi = hi[k]
+    lo, last = k + 1 - hi, hi - 1
+    # the moments about the first point of the range's first block, then of the blocks after it
+    ref = start[lo]
+    moments = np.take(sums, np.minimum(last, end[lo]), axis=1) - np.take(before, lo, axis=1)
+    after = end[lo] + 1
+    while np.any(more := after <= last):
+        after = np.minimum(after, last)
+        _add_moved(moments, np.take(sums, np.minimum(last, end[after]), axis=1) * more, (x[after] - x[ref]) / h)
+        after = end[after] + 1
+    coef = np.zeros((3, 2 * n))
+    coef[:, k] = moments[0] - moments[2], 2.0 * moments[1], -moments[0]
+    refs = np.zeros(2 * n, dtype=np.intp)
+    refs[k] = ref
+    return points[order], order - n * leaving, np.where(leaving, h, -h), live, refs, coef
+
+
+# Nodes of the 3-node Gauss-Legendre rule on [0, 1], and its weights on [-1, 1].
+_LEGENDRE_NODES = 0.5 + 0.5 * legendre_rule(3)[0][:, None]
+_LEGENDRE_WEIGHTS = legendre_rule(3)[1][:, None]
+
+
+@_OVERFLOW_IGNORED
+def _epanechnikov_total(x: np.ndarray, a: tuple, b: tuple, h_a: float, h_b: float) -> float:
+    """sum_{i,j} ell_i ell_j G_ab[i, j] of an Epanechnikov pair at d = 1 from
+    the :func:`_epanechnikov_pieces` ``a`` and ``b`` of its members, the same
+    object when h_a = h_b.
+
+    With K_h(t) = (3 / (4 h)) (1 - (t / h)^2)_+ the total is
+    (9 / (16 h_a h_b)) int F_a F_b du.  The breakpoints of both members,
+    merged (a's first at ties), cut the line into 4n - 1 pieces, or 2n - 1
+    for h_a = h_b, on which F_a F_b is a quartic, so the 3-node
+    Gauss-Legendre rule is exact on each; only pieces in reach of both
+    members add.  A piece's width is (x_j - x_i) + (o_j - o_i) from the
+    points and offsets of its two breakpoints, and its nodes are placed
+    relative to the reference point of each member's own piece, so no
+    coordinate is rounded at the sample's offset from 0.  The terms are products of F
+    values with positive weights, bounded by the total of
+    |ell_i ell_j| G_ab[i, j].
+    """
+    index, offset = a[1], a[2]
+    if a is b:
+        k = np.flatnonzero(a[3][:-1])
+        at_a = at_b = k
+    else:
+        order = np.argsort(np.concatenate([a[0], b[0]]), kind="stable")
+        from_a = order < a[0].size
+        index = np.concatenate([a[1], b[1]])[order]
+        offset = np.concatenate([a[2], b[2]])[order]
+        # each member's piece, -1 before its first breakpoint, which reads its
+        # last piece, out of reach like the line before the first
+        at_a = np.cumsum(from_a) - 1
+        at_b = np.arange(order.size) - 1 - at_a
+        k = np.flatnonzero((a[3][at_a] & b[3][at_b])[:-1])
+        at_a, at_b = at_a[k], at_b[k]
+    left = x[index[k]]
+    width = (x[index[k + 1]] - left) + (offset[k + 1] - offset[k])
+    values = []
+    for (_, _, _, _, refs, coef), at, h in ((a, at_a, h_a), (b, at_b, h_b)):
+        # F at the nodes, shape (3, pieces)
+        s = ((left - x[refs[at]]) + offset[k]) / h + (width / h) * _LEGENDRE_NODES
+        c0, c1, c2 = np.take(coef, at, axis=1)
+        values.append(c0 + s * (c1 + s * c2))
+        if a is b:
+            values.append(values[0])
+            break
+    sums = np.sum(_LEGENDRE_WEIGHTS * values[0] * values[1], axis=0)
+    return pairwise_sum(width * sums) * (0.28125 / h_a) / h_b
+
+
+# Member tables one process of :func:`_epanechnikov_builder` keeps, the least
+# recently used given up first.  An item holds the pairs of one member with
+# members of more pairs, such as k0, which stays kept.
+_EPANECHNIKOV_TABLES = 3
+
+
+def _epanechnikov_builder(x: np.ndarray, ell: np.ndarray, items):
+    """The block function of the Epanechnikov integrals of
+    :func:`bandwidth_totals`: the :func:`_epanechnikov_total` of each pair
+    of bandwidths in ``items[i]``, from member tables that this process
+    builds and keeps, at most ``_EPANECHNIKOV_TABLES`` of them."""
+    tables = {}
+
+    def table(h):
+        pieces = tables.pop(h, None)
+        tables[h] = pieces if pieces is not None else _epanechnikov_pieces(x, ell, h)
+        if len(tables) > _EPANECHNIKOV_TABLES:
+            del tables[next(iter(tables))]
+        return tables[h]
+
+    def totals(i):
+        out = []
+        for h_a, h_b in items[i]:
+            a = table(h_a)
+            out.append(_epanechnikov_total(x, a, table(h_b), h_a, h_b))
+        return out
+
+    return totals
+
+
 def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
-    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): a
-    trapezoid sum of squares for each Gaussian pair at d = 1, one sweep for
-    the rest.
+    """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): at
+    d = 1 a trapezoid sum of squares for each Gaussian pair and an exact
+    piecewise-quadratic integral for each Epanechnikov pair, at d >= 2 one
+    sweep.
 
     A Gaussian entry is c_ab exp(sum_q delta_q^2 (-1 / (2 v_q))) with
     v_q = h_aq^2 + h_bq^2 and the constant diagonal c_ab = G_ab[i, i].  At
     d = 1 the sample is sorted once, and each Gaussian pair's sum of
     exponentials is :func:`_gaussian_total`: 39 n exponentials of the
     points against a uniform grid, where the sweep evaluates
-    n (n - 1) / 2, and a sum of squares that cannot cancel.
-    Which pairs take it follows from d and the base kernel alone.  Each
-    pair is one item of :func:`_map_blocks`, computed alone, on the worker
-    pool once those exponentials come to ``_FORK_WORK``, so a pair has the
-    same bits alone as in its family and at any worker count.
+    n (n - 1) / 2, and a sum of squares that cannot cancel.  Each
+    Epanechnikov pair is int F_a F_b du with F = sum_i ell_i K(u - x_i),
+    exact on the pieces between the 4n breakpoints x_i -+ h_a, x_i -+ h_b
+    (:func:`_epanechnikov_total`): O(n log n) per pair, from tables of
+    each member's quadratic pieces built once per member and process
+    (:func:`_epanechnikov_pieces`) and at most ``_EPANECHNIKOV_TABLES``
+    of them kept.  Which pairs take which path follows from d and the base
+    kernel alone.  Each Gaussian pair, and each member's Epanechnikov pairs
+    with members of more pairs, is one item of :func:`_map_blocks`, on the
+    worker pool once the work comes to ``_FORK_WORK``; every pair is
+    computed alone, so it has the same bits alone as in its family and at
+    any worker count.
 
-    The sweep takes the other pairs: Epanechnikov pairs, and every pair
-    at d >= 2.  A bandwidth Gram table is symmetric, so its total is
-    c_ab sum_i ell_i^2 plus twice the strict upper triangle.  The sweep
+    The sweep takes every pair at d >= 2.  A bandwidth Gram table is
+    symmetric, so its total is c_ab sum_i ell_i^2 plus twice the strict
+    upper triangle.  The sweep
     walks that triangle in fixed blocks of ``_SWEEP_ROWS`` rows, with
     scratch allocated once per sweep.  A block forms the differences
     (their squares for Gaussian pairs) once, and a weight table that holds
@@ -862,8 +1049,9 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     bits swept with its family or alone.  ``consts`` holds each pair's c_ab from
     :func:`_bandwidth_diag_value`, which checks the pair, so every pair is
     checked before any total is computed, and a caller that also needs
-    the diagonal computes c_ab once.  A debug event on this module's
-    logger gives the number of pairs on each path.
+    the diagonal computes c_ab once; the Epanechnikov integral does not
+    read it.  A debug event on this module's logger gives the number of
+    pairs on each of the three paths.
 
     Each block's partial is a pure function of the block, so once the
     sweep is large (:func:`_map_blocks`) the blocks are computed on the
@@ -880,26 +1068,42 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
         _check_dim(a, x)
     totals = [0.0] * len(pairs)
     scales = [_gaussian_scales(a, b) for a, b in pairs]
-    summed = [k for k, scale in enumerate(scales) if scale is not None and d == 1]
-    if summed:
+    if d == 1:
         order = np.argsort(x[:, 0], kind="stable")
-        variances = [pairs[k][0].h[0] ** 2 + pairs[k][1].h[0] ** 2 for k in summed]
-        work = sum(n * (2 * _trapezoid_grid(v)[2] + 1) for v in variances if math.isfinite(v))
-        sums = _map_blocks(_trapezoid_builder, (x[order, 0], ell[order], variances), range(len(summed)), work)
-        for k, total in zip(summed, sums):
-            totals[k] = consts[k] * total
-    swept = [k for k, scale in enumerate(scales) if scale is None or d > 1]
-    log.debug("bandwidth totals: n %d, %d pairs by trapezoid sum, %d pairs swept", n, len(summed), len(swept))
-    if not swept:
+        x, ell = x[order, 0], ell[order]
+        summed = [k for k, scale in enumerate(scales) if scale is not None]
+        integrated = [k for k, scale in enumerate(scales) if scale is None]
+        log.debug("bandwidth totals: n %d, %d pairs by trapezoid sum, %d pairs by Epanechnikov integral, "
+                  "0 pairs swept", n, len(summed), len(integrated))
+        if summed:
+            variances = [pairs[k][0].h[0] ** 2 + pairs[k][1].h[0] ** 2 for k in summed]
+            work = sum(n * (2 * _trapezoid_grid(v)[2] + 1) for v in variances if math.isfinite(v))
+            for k, total in zip(summed, _map_blocks(_trapezoid_builder, (x, ell, variances), range(len(summed)), work)):
+                totals[k] = consts[k] * total
+        if integrated:
+            bandwidths = {k: (pairs[k][0].h[0], pairs[k][1].h[0]) for k in integrated}
+            # one item per member: its pairs with members of more pairs
+            uses = Counter(h for pair in bandwidths.values() for h in set(pair))
+            items = defaultdict(list)
+            for k, pair in bandwidths.items():
+                items[min((uses[h], h) for h in pair)].append(k)
+            items = list(items.values())
+            args = (x, ell, [[bandwidths[k] for k in item] for item in items])
+            work = len(integrated) * n * _INTEGRAL_COST
+            for item, sums in zip(items, _map_blocks(_epanechnikov_builder, args, range(len(items)), work)):
+                for k, total in zip(item, sums):
+                    totals[k] = total
         return totals
+    log.debug("bandwidth totals: n %d, 0 pairs by trapezoid sum, 0 pairs by Epanechnikov integral, %d pairs swept",
+              n, len(pairs))
     # the tables are bounded here, before any process allocates them
-    sweep = _sweep_tables([scales[k] for k in swept], n)
-    args = ([pairs[k] for k in swept], np.ascontiguousarray(x), np.ascontiguousarray(ell), sweep)
+    sweep = _sweep_tables(scales, n)
+    args = (pairs, np.ascontiguousarray(x), np.ascontiguousarray(ell), sweep)
     starts = range(0, n - 1, _SWEEP_ROWS)
-    work = sum(_CONVOLUTION_COST if scales[k] is None else 1 for k in swept) * n * (n - 1) // 2
-    partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(swept)))
+    work = sum(_CONVOLUTION_COST if scale is None else 1 for scale in scales) * n * (n - 1) // 2
+    partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(pairs)))
     sum_sq = pairwise_sum(ell * ell)
-    for k, column in zip(swept, partials.T):
+    for k, column in enumerate(partials.T):
         upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
         totals[k] = consts[k] * (sum_sq + 2.0 * upper) if scales[k] else consts[k] * sum_sq + 2.0 * upper

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cross_gram_total, quad_section_inner, reference_product_tensor, reference_read_csv, weighted_values_diag
+from helpers import (
+    cross_gram_total,
+    epanechnikov_reference_totals,
+    quad_section_inner,
+    reference_product_tensor,
+    reference_read_csv,
+    weighted_values_diag,
+)
 from pcoselect import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -1217,9 +1224,15 @@ def test_bandwidth_totals_log_the_pairs_on_each_path(caplog):
     grid = list(np.geomspace(0.01, 0.5, 20))
     pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 1, n))
     e, f = BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.2,))
+    pairs2 = _family_pairs(TENSOR_FAMILIES[0])
+    s2 = _uniform_sample(n, d=2, seed=69, loss=LossKind.IDENTITY)
     with caplog.at_level(logging.DEBUG, logger="pcoselect.estimator"):
         _totals(pairs + [(e, e), (e, f)], s.x, s.loss_values)
-    assert caplog.messages == [f"bandwidth totals: n {n}, {len(pairs)} pairs by trapezoid sum, 2 pairs swept"]
+        _totals(pairs2, s2.x, s2.loss_values)
+    assert caplog.messages == [
+        f"bandwidth totals: n {n}, {len(pairs)} pairs by trapezoid sum, 2 pairs by Epanechnikov integral, 0 pairs swept",
+        f"bandwidth totals: n {n}, 0 pairs by trapezoid sum, 0 pairs by Epanechnikov integral, {len(pairs2)} pairs swept",
+    ]
 
 
 def test_d1_gaussian_family_takes_no_sweep(monkeypatch):
@@ -1270,6 +1283,88 @@ def test_gaussian_d1_pair_work_and_memory_stay_bounded_as_h_falls(monkeypatch):
     assert peak < 8 * 2**20
 
 
+# at n = 2000 the pairs that reach past 0.2 are the slowest references, so only one of them is read
+_EPANECHNIKOV_D1_H = {"all": (5e-4, 0.004, 0.02, 0.1, 0.5), "n2000": ((5e-4, 5e-4), (5e-4, 0.02), (0.02, 0.1), (0.1, 0.5))}
+
+
+def _epanechnikov_pairs(hs):
+    specs = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in hs]
+    return [(a, b) for i, a in enumerate(specs) for b in specs[i:]]
+
+
+def _assert_near_reference(pairs, x, ells, tol=1e-14):
+    """Each pair's total of each loss row within ``tol`` of its long-double
+    sum of |ell_i ell_j| G_ab[i, j] off the long-double total."""
+    got = [_totals(pairs, x[:, None], ell) for ell in ells]
+    for k, (a, b) in enumerate(pairs):
+        for row, (want, scale) in zip(got, epanechnikov_reference_totals(x, ells, a.h[0], b.h[0])):
+            assert abs(row[k] - want) <= tol * scale, (a.h, b.h, row[k], want, scale)
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 2000])
+def test_epanechnikov_d1_totals_hold_to_a_long_double_reference(n, offset):
+    # losses one and identity, h from 5e-4 to 0.5; on [100, 101] the pieces
+    # are placed from sample points, so the offset costs no digits
+    rng = stream(75)
+    x = offset + rng.random(n)
+    if n < 2000:
+        pairs = _epanechnikov_pairs(_EPANECHNIKOV_D1_H["all"])
+    else:
+        pairs = [(BandwidthSpec(EPANECHNIKOV, (ha,)), BandwidthSpec(EPANECHNIKOV, (hb,)))
+                 for ha, hb in _EPANECHNIKOV_D1_H["n2000"]]
+    _assert_near_reference(pairs, x, [np.ones(n), rng.standard_normal(n)])
+
+
+def _clustered_points(case, rng):
+    if case == "duplicates":
+        return np.repeat(rng.random(60), 5)
+    if case == "one-block":
+        # within 1e-4: one block of every member from h = 2e-3
+        return 0.3 + 1e-4 * rng.random(300)
+    # 1e6 apart: two clusters at every bandwidth, each placed from its own points
+    return np.concatenate([1e-3 * rng.random(150), 1e6 + 1e-3 * rng.random(150)])
+
+
+@pytest.mark.parametrize("case", ["duplicates", "one-block", "far-clusters"])
+def test_epanechnikov_d1_totals_of_clustered_samples(case):
+    rng = stream(76)
+    x = _clustered_points(case, rng)
+    _assert_near_reference(_epanechnikov_pairs((1e-5, 2e-3, 0.05, 0.5)), x, [np.ones(x.size), rng.standard_normal(x.size)])
+
+
+def test_epanechnikov_d1_scan_of_one_block_keeps_memory_linear():
+    import tracemalloc
+
+    # every point in one block of both members: the segmented scan takes
+    # log2(n) doubling passes over O(n) arrays, never a padded n x n one
+    n = 2**15
+    rng = stream(77)
+    x = 0.5 + 1e-3 * rng.random((n, 1))
+    a, b = BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.2,))
+    pairs = [(a, a), (a, b), (b, b)]
+    tracemalloc.start()
+    try:
+        got = _totals(pairs, x, rng.standard_normal(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(got))
+    # about 700 bytes a point; an n x n table would take 8 n bytes a point
+    assert peak < 2000 * n
+
+
+def test_epanechnikov_d1_pair_total_does_not_depend_on_the_rest_of_its_family():
+    n = 600
+    s = _uniform_sample(n, seed=78, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.005, 0.5, 6))
+    pairs = _family_pairs(make_bandwidth_family(EPANECHNIKOV, grid[0], grid, 1, n))
+    together = _totals(pairs, s.x, s.loss_values)
+    assert [_totals([p], s.x, s.loss_values)[0] for p in pairs] == together
+    assert [_totals(pairs[::-1], s.x, s.loss_values)[k] for k in range(len(pairs) - 1, -1, -1)] == together
+    assert_allclose(together, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
 def _serial_and_forked(monkeypatch, compute):
     """``compute()`` on the serial path, then with every block map on a
     pool of three workers; asserts that the second run used that pool."""
@@ -1289,30 +1384,47 @@ def _serial_and_forked(monkeypatch, compute):
 def _sweep_cases():
     n = 4 * _SWEEP_ROWS + 7
     g = [BandwidthSpec(GAUSSIAN, (h, 0.3)) for h in (1.0 / n, 0.05, 0.3)]
-    e = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.03, 0.2)]
+    e = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.03, 0.1, 0.2, 0.5)]
     return {
         # (g0, g0) and (g0, g1) reach the exponent floor and are summed, the others factored
         "gaussian-d2-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, d=2, seed=70, loss=LossKind.IDENTITY)),
         "gaussian-d2-factored": (_family_pairs(TENSOR_FAMILIES[0]), _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)),
         "gaussian-d3": (_family_pairs(TENSOR_FAMILIES[1]), _uniform_sample(n, d=3, seed=72, loss=LossKind.IDENTITY)),
-        # both kinds of pair in one call: the sweep and the trapezoid sum
-        "epanechnikov-and-gaussian": ([(e[0], e[0]), (e[0], e[1]), (e[1], e[1]),
-                                       (BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.3,)))],
+        # both kinds of pair in one call: the Epanechnikov integrals of four
+        # members, one item each on a pool of three workers, and a trapezoid sum
+        "epanechnikov-and-gaussian": ([(f, f) for f in e] + [(e[0], f) for f in e[1:]]
+                                      + [(BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.3,)))],
                                       _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
     }
+
+
+def _off_diagonal_sums(pairs, s):
+    """Per pair the sum over i != j that u_statistic reads, from one read of
+    every pair of each base kernel."""
+    out = np.empty(len(pairs))
+    for kind in {a.base.kind for a, _ in pairs}:
+        at = [k for k, (a, _) in enumerate(pairs) if a.base.kind is kind]
+        specs = list(dict.fromkeys(spec for k in at for spec in pairs[k]))
+        index = [(specs.index(pairs[k][0]), specs.index(pairs[k][1])) for k in at]
+        totals, diags = GramTables(s)._reads(specs, index, len(index), len(index))
+        out[at] = [total - numerics.pairwise_sum(s.loss_values**2 * row) for total, row in zip(totals, diags)]
+    return out
 
 
 @pytest.mark.parametrize("diagonal", [True, False])
 @pytest.mark.parametrize("case", sorted(_sweep_cases()))
 def test_forked_sweep_is_bit_identical_to_serial(monkeypatch, case, diagonal):
-    # without the diagonal: the sums over i != j that u_statistic reads, one sweep per pair
+    # without the diagonal: the sums over i != j that u_statistic reads, one
+    # read per pair and one read of every pair, which has the same bits
     pairs, s = _sweep_cases()[case]
     if diagonal:
         compute = lambda: np.array(_totals(pairs, s.x, s.loss_values))
     else:
-        compute = lambda: np.array([u_statistic(a, b, s) for a, b in pairs])
+        compute = lambda: np.array([[u_statistic(a, b, s) for a, b in pairs], _off_diagonal_sums(pairs, s)])
     serial, forked = _serial_and_forked(monkeypatch, compute)
     assert np.array_equal(serial, forked)
+    if not diagonal:
+        assert np.array_equal(serial[0], serial[1])
 
 
 def test_pooled_trapezoid_sums_are_bit_identical_to_serial(monkeypatch):
@@ -1866,7 +1978,9 @@ def _selection_peak(monkeypatch, base, n, d, grid):
     return peak
 
 
-@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2])])
+@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2]),
+                                         (EPANECHNIKOV, 5000, [5e-4, 1e-3, 2e-3, 4e-3]),
+                                         (EPANECHNIKOV, 5000, [0.02, 0.05, 0.1, 0.2])])
 def test_pco_select_memory_is_bounded(monkeypatch, base, n, grid):
     assert _selection_peak(monkeypatch, base, n, 1, grid) < SELECTION_PEAK_BOUND
 
