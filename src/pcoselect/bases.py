@@ -185,12 +185,11 @@ def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
         inside, x = _on_support(family.support, x)
         out = np.empty((x.size, m))
         out[:, 0] = inside
-        for j in range(2, m + 1):
-            freq = j // 2
-            if j % 2 == 0:
-                out[:, j - 1] = np.sqrt(2.0) * np.cos(2 * np.pi * freq * x) * inside
-            else:
-                out[:, j - 1] = np.sqrt(2.0) * np.sin(2 * np.pi * freq * x) * inside
+        # columns 2k - 1 and 2k are the cosine and sine of frequency k, from the
+        # products of eval_basis, in one contiguous call of each function
+        angles = np.multiply.outer(x, 2 * np.pi * np.arange(1, m // 2 + 1))
+        out[:, 1::2] = np.sqrt(2.0) * np.cos(angles) * inside[:, None]
+        out[:, 2::2] = (np.sqrt(2.0) * np.sin(angles) * inside[:, None])[:, : (m - 1) // 2]
         return out
 
     inside, x = _on_support(family.support, x)

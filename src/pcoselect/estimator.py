@@ -19,18 +19,23 @@ fixed order, so repeated and multi-process runs, and runs at any BLAS
 thread count, agree bit for bit.
 A bandwidth Gram table is a function of the pairwise differences
 X_i - X_j, symmetric with a constant diagonal; :func:`bandwidth_totals`
-reduces many pairs at once.  A Gaussian pair at d = 1 is a trapezoid sum
-of squares on a uniform grid, sqrt(2 / (pi v)) step sum_p F_p^2 with
+reduces many pairs at once.  At d = 1 no pair forms the differences.  A
+Gaussian pair is a trapezoid sum of squares on a uniform grid,
+sqrt(2 / (pi v)) step sum_p F_p^2 with
 F_p = sum_i ell_i exp(-(x_i - p step)^2 / v) (:func:`_gaussian_total`),
 which cannot cancel and costs O(n) ``exp`` calls, not one per pair of
-points.  The other pairs take one sweep over the strict upper triangle,
-in fixed row blocks.  The sweep allocates its O(n) scratch once, forms each
-block's differences once for every pair, and contracts each pair's block
-with the loss weights in BLAS dot products.  At d >= 2 every Gaussian
-pair is the product of its factors exp(-delta_q^2 / (2 v_q)); each
-distinct (q, v_q) is evaluated once per block, floored where its own
-dimension can reach the exponent floor, and shared by every pair that
-uses it.  A projection estimator is a coefficient tensor instead:
+points.  An Epanechnikov pair is int F_a F_b du with
+F = sum_i ell_i K(u - x_i), a quadratic between the breakpoints
+x_i -+ h, integrated exactly piece by piece in O(n log n)
+(:func:`_epanechnikov_total`), from moments of blocks of the sample no
+wider than h.  At d >= 2 every pair takes one sweep over the strict
+upper triangle, in fixed row blocks.  The sweep allocates its O(n)
+scratch once, forms each block's differences once for every pair, and
+contracts each pair's block with the loss weights in BLAS dot products.
+Every Gaussian pair there is the product of its factors
+exp(-delta_q^2 / (2 v_q)); each distinct (q, v_q) is evaluated once per
+block, floored where its own dimension can reach the exponent floor, and
+shared by every pair that uses it.  A projection estimator is a coefficient tensor instead:
 with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
@@ -77,10 +82,11 @@ matrix product's rounding follows the BLAS thread count.  The
 quotient's numerator and denominator are the two rows ell and 1 of one
 pass.
 
-The sweep's row blocks and the grid evaluation's column blocks are pure
-functions of their block, and their results are put back and reduced in
-block order.  Once a sweep or grid is large (``_FORK_WORK``, decided from
-n, d and the members or pairs alone), its blocks are spread over the
+The sweep's row blocks, the d = 1 pairs and the grid evaluation's column
+blocks are pure functions of their block or pair, and their results are
+put back and reduced in order.  Once a sweep, a set of pairs or a grid is
+large (``_FORK_WORK``, decided from n, d and the members or pairs alone),
+its blocks are spread over the
 worker pool of :func:`~pcoselect.numerics.pooled_map`: worker processes
 forked by the first map that needs them, up to the usable CPUs, and kept
 for the life of the process.  Each map sends a module-level block
@@ -102,6 +108,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -834,21 +841,29 @@ def _add_moved(moments: np.ndarray, part: np.ndarray, e: np.ndarray):
     moments[2] += m2 + e * (2.0 * m1 + e * m0)
 
 
-@_OVERFLOW_IGNORED
-def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> tuple:
-    """F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+ over the points x of a
-    d = 1 sample, sorted, as a quadratic on each piece between its 2n
-    breakpoints x_i - h and x_i + h.
+class _Pieces(NamedTuple):
+    """F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+ of one bandwidth h as a
+    quadratic on each piece between its 2n breakpoints x_i -+ h, one entry
+    per breakpoint and the piece that it starts (:func:`_epanechnikov_pieces`)."""
 
-    Returns the breakpoints in order, and per breakpoint the index i of its
-    point, its offset -h or +h from x_i, whether the piece that it starts
-    has points in reach, the index r of that piece's reference point and
-    the coefficients, shape (3, 2n), of F = c_0 + c_1 s + c_2 s^2 there,
-    with s = (u - x_r) / h.  At ties the entering breakpoints x_i - h come
-    first, so the points in reach of a piece are the range lo <= j < hi of
-    those whose x_j - h it has passed and whose x_j + h it has not, and
-    c = (M_0 - M_2, 2 M_1, -M_0) with M_k = sum_j ell_j ((x_j - x_r) / h)^k
-    over that range.
+    breaks: np.ndarray  # the breakpoints, in order
+    points: np.ndarray  # the index i of each breakpoint's point
+    offsets: np.ndarray  # its offset, -h or +h, from x_i
+    live: np.ndarray  # whether its piece has points in reach
+    refs: np.ndarray  # the index r of its piece's reference point
+    coef: np.ndarray  # (3, 2n): F = c_0 + c_1 s + c_2 s^2 on its piece, s = (u - x_r) / h
+    h: float
+
+
+@_OVERFLOW_IGNORED
+def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> _Pieces:
+    """The :class:`_Pieces` of F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+
+    over the points x of a d = 1 sample, sorted.
+
+    At ties the entering breakpoints x_i - h come first, so the points in
+    reach of a piece are the range lo <= j < hi of those whose x_j - h it
+    has passed and whose x_j + h it has not, and c = (M_0 - M_2, 2 M_1, -M_0)
+    with M_k = sum_j ell_j ((x_j - x_r) / h)^k over that range.
 
     No running sum crosses a block, since running-sum updates lose
     accuracy (Seifert, Brockmann, Engel & Gasser 1994).  The points split
@@ -869,8 +884,8 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> tuple:
     n = x.size
     # the first point of each point's cluster, then the first and last of its block
     cluster = np.zeros(n, dtype=np.intp)
-    breaks = np.flatnonzero(x[1:] - x[:-1] > 2.0 * h) + 1
-    cluster[breaks] = breaks
+    gaps = np.flatnonzero(x[1:] - x[:-1] > 2.0 * h) + 1
+    cluster[gaps] = gaps
     np.maximum.accumulate(cluster, out=cluster)
     block = np.floor((x - x[cluster]) / h)
     edges = np.ones(n + 1, dtype=bool)
@@ -890,8 +905,8 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> tuple:
     before[:, 1:] = sums[:, :-1]
     before[:, later == 0] = 0.0
     # the breakpoints, and the range [lo, hi) of points in reach of the piece each starts
-    points = np.concatenate([x - h, x + h])
-    order = np.argsort(points, kind="stable")
+    breaks = np.concatenate([x - h, x + h])
+    order = np.argsort(breaks, kind="stable")
     leaving = order >= n
     hi = np.cumsum(~leaving)
     live = 2 * hi > np.arange(1, 2 * n + 1)
@@ -910,7 +925,7 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> tuple:
     coef[:, k] = moments[0] - moments[2], 2.0 * moments[1], -moments[0]
     refs = np.zeros(2 * n, dtype=np.intp)
     refs[k] = ref
-    return points[order], order - n * leaving, np.where(leaving, h, -h), live, refs, coef
+    return _Pieces(breaks[order], order - n * leaving, np.where(leaving, h, -h), live, refs, coef, h)
 
 
 # Nodes of the 3-node Gauss-Legendre rule on [0, 1], and its weights on [-1, 1].
@@ -919,10 +934,9 @@ _LEGENDRE_WEIGHTS = legendre_rule(3)[1][:, None]
 
 
 @_OVERFLOW_IGNORED
-def _epanechnikov_total(x: np.ndarray, a: tuple, b: tuple, h_a: float, h_b: float) -> float:
+def _epanechnikov_total(x: np.ndarray, a: _Pieces, b: _Pieces) -> float:
     """sum_{i,j} ell_i ell_j G_ab[i, j] of an Epanechnikov pair at d = 1 from
-    the :func:`_epanechnikov_pieces` ``a`` and ``b`` of its members, the same
-    object when h_a = h_b.
+    the :class:`_Pieces` of its members, the same object when h_a = h_b.
 
     With K_h(t) = (3 / (4 h)) (1 - (t / h)^2)_+ the total is
     (9 / (16 h_a h_b)) int F_a F_b du.  The breakpoints of both members,
@@ -932,38 +946,36 @@ def _epanechnikov_total(x: np.ndarray, a: tuple, b: tuple, h_a: float, h_b: floa
     members add.  A piece's width is (x_j - x_i) + (o_j - o_i) from the
     points and offsets of its two breakpoints, and its nodes are placed
     relative to the reference point of each member's own piece, so no
-    coordinate is rounded at the sample's offset from 0.  The terms are products of F
-    values with positive weights, bounded by the total of
+    coordinate is rounded at the sample's offset from 0.  The terms are
+    products of F values with positive weights, bounded by the total of
     |ell_i ell_j| G_ab[i, j].
     """
-    index, offset = a[1], a[2]
     if a is b:
-        k = np.flatnonzero(a[3][:-1])
-        at_a = at_b = k
+        k = np.flatnonzero(a.live[:-1])
+        points, offsets, at_a, at_b = a.points, a.offsets, k, k
     else:
-        order = np.argsort(np.concatenate([a[0], b[0]]), kind="stable")
-        from_a = order < a[0].size
-        index = np.concatenate([a[1], b[1]])[order]
-        offset = np.concatenate([a[2], b[2]])[order]
+        order = np.argsort(np.concatenate([a.breaks, b.breaks]), kind="stable")
+        points = np.concatenate([a.points, b.points])[order]
+        offsets = np.concatenate([a.offsets, b.offsets])[order]
         # each member's piece, -1 before its first breakpoint, which reads its
         # last piece, out of reach like the line before the first
-        at_a = np.cumsum(from_a) - 1
+        at_a = np.cumsum(order < a.breaks.size) - 1
         at_b = np.arange(order.size) - 1 - at_a
-        k = np.flatnonzero((a[3][at_a] & b[3][at_b])[:-1])
+        k = np.flatnonzero((a.live[at_a] & b.live[at_b])[:-1])
         at_a, at_b = at_a[k], at_b[k]
-    left = x[index[k]]
-    width = (x[index[k + 1]] - left) + (offset[k + 1] - offset[k])
-    values = []
-    for (_, _, _, _, refs, coef), at, h in ((a, at_a, h_a), (b, at_b, h_b)):
-        # F at the nodes, shape (3, pieces)
-        s = ((left - x[refs[at]]) + offset[k]) / h + (width / h) * _LEGENDRE_NODES
-        c0, c1, c2 = np.take(coef, at, axis=1)
-        values.append(c0 + s * (c1 + s * c2))
-        if a is b:
-            values.append(values[0])
-            break
-    sums = np.sum(_LEGENDRE_WEIGHTS * values[0] * values[1], axis=0)
-    return pairwise_sum(width * sums) * (0.28125 / h_a) / h_b
+    left = x[points[k]]
+    width = (x[points[k + 1]] - left) + (offsets[k + 1] - offsets[k])
+
+    def at_nodes(pieces, at):
+        """F at the nodes of every piece, shape (3, pieces)."""
+        s = ((left - x[pieces.refs[at]]) + offsets[k]) / pieces.h + (width / pieces.h) * _LEGENDRE_NODES
+        c0, c1, c2 = np.take(pieces.coef, at, axis=1)
+        return c0 + s * (c1 + s * c2)
+
+    f_a = at_nodes(a, at_a)
+    f_b = f_a if a is b else at_nodes(b, at_b)
+    sums = np.sum(_LEGENDRE_WEIGHTS * f_a * f_b, axis=0)
+    return pairwise_sum(width * sums) * (0.28125 / a.h) / b.h
 
 
 # Member tables one process of :func:`_epanechnikov_builder` keeps, the least
@@ -990,7 +1002,7 @@ def _epanechnikov_builder(x: np.ndarray, ell: np.ndarray, items):
         out = []
         for h_a, h_b in items[i]:
             a = table(h_a)
-            out.append(_epanechnikov_total(x, a, table(h_b), h_a, h_b))
+            out.append(_epanechnikov_total(x, a, table(h_b)))
         return out
 
     return totals
@@ -1252,9 +1264,11 @@ class GramTables:
     call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`); a family's
     2N - 1 pairs take one call.  In it each Gaussian pair at d = 1 is a
     trapezoid sum of squares over a uniform grid, which cannot cancel,
-    and the other pairs one sweep over the pairwise differences in fixed
-    row blocks, every Gaussian pair at d >= 2 a product of per-dimension
-    tables shared between pairs.  Their diagonal is a constant.
+    each Epanechnikov pair at d = 1 an exact integral over the pieces
+    between its 4n breakpoints, and every pair at d >= 2 is swept over the
+    pairwise differences in fixed row blocks, each Gaussian pair there a
+    product of per-dimension tables shared between pairs.  Their diagonal
+    is a constant.
     :meth:`matrix` builds the dense table of any pair, uncached; it is the
     reference the sweep and the coefficient form are tested against.
     """

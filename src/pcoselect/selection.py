@@ -22,11 +22,14 @@ through the one reader of :class:`~pcoselect.estimator.GramTables`, which
 keeps nothing between reads but those tensors, so a pair gets the same
 bits alone as in its family.  No n x n table is
 formed for either kind of family.  Bandwidth totals are one call of
-:func:`~pcoselect.estimator.bandwidth_totals` per family, a trapezoid sum
-of squares for each Gaussian pair at d = 1 and one sweep over the pairwise
-differences for the rest, spread over the worker pool once it is large,
-with the same bits at any worker count; at d >= 2 every Gaussian pair
-is a product of per-dimension tables.  The diagonal is a constant.
+:func:`~pcoselect.estimator.bandwidth_totals` per family: at d = 1 a
+trapezoid sum of squares for each Gaussian pair and an exact
+piecewise-quadratic integral for each Epanechnikov pair, O(n) and
+O(n log n) per pair, and at d >= 2 one sweep over the pairwise
+differences, in which every Gaussian pair is a product of
+per-dimension tables; each is spread over the worker pool once it is
+large, with the same bits at any worker count.  The diagonal is a
+constant.
 Projection totals are quadratic forms in the coefficient tensors
 T = sum_i ell_i (x)_q phi^{m_q}(X_iq), read with the diagonals off prefix
 tables over the basis index for nested bases and off cell overlaps for

@@ -87,6 +87,18 @@ def test_basis_matrix_agrees_with_eval(family):
         assert_allclose(mat[:, j - 1], eval_basis(family, m, j, x), atol=1e-13)
 
 
+@pytest.mark.parametrize("n,m", [(2000, 20), (2000, 21), (2000, 500), (1000, 64), (7, 3), (1, 1), (5, 2)])
+def test_trig_basis_matrix_is_bit_identical_to_eval(n, m):
+    # every column filled at once holds the bits of its member alone, inside
+    # the support, at its ends and outside it
+    x = np.concatenate([[0.5, 0.0, 1.0], np.random.default_rng(n + m).uniform(-0.25, 1.25, n)])[:n]
+    trig = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=max(m, 64))
+    mat = basis_matrix(trig, m, x)
+    assert mat.shape == (n, m)
+    for j in range(1, m + 1):
+        assert [v.hex() for v in mat[:, j - 1]] == [v.hex() for v in eval_basis(trig, m, j, x)]
+
+
 @pytest.mark.parametrize("family", [TRIG, HIST, LEG])
 def test_members_vanish_at_far_points(family):
     # a cosine argument or a Legendre polynomial at such points overflows to
