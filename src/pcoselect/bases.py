@@ -188,8 +188,11 @@ def basis_matrix(family: BasisFamily, m: int, x) -> np.ndarray:
         # columns 2k - 1 and 2k are the cosine and sine of frequency k, from the
         # products of eval_basis, in one contiguous call of each function
         angles = np.multiply.outer(x, 2 * np.pi * np.arange(1, m // 2 + 1))
-        out[:, 1::2] = np.sqrt(2.0) * np.cos(angles) * inside[:, None]
-        out[:, 2::2] = (np.sqrt(2.0) * np.sin(angles) * inside[:, None])[:, : (m - 1) // 2]
+        sines = np.sin(angles)
+        for values, columns in ((np.cos(angles, out=angles), out[:, 1::2]), (sines, out[:, 2::2])):
+            values *= np.sqrt(2.0)
+            values *= inside[:, None]
+            columns[...] = values[:, : columns.shape[1]]
         return out
 
     inside, x = _on_support(family.support, x)

@@ -35,8 +35,9 @@ contracts each pair's block with the loss weights in BLAS dot products.
 Every Gaussian pair there is the product of its factors
 exp(-delta_q^2 / (2 v_q)); each distinct (q, v_q) is evaluated once per
 block, floored where its own dimension can reach the exponent floor, and
-shared by every pair that uses it.  A projection estimator is a coefficient tensor instead:
-with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of shape (m_1, ..., m_d),
+shared by every pair that uses it.  A projection estimator is a
+coefficient tensor instead: with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of
+shape (m_1, ..., m_d),
 
     shat(x) = (1/n) sum_j w_j T_j prod_q phi_{j_q}(x_q),
 
@@ -86,10 +87,10 @@ The sweep's row blocks, the d = 1 pairs and the grid evaluation's column
 blocks are pure functions of their block or pair, and their results are
 put back and reduced in order.  Once a sweep, a set of pairs or a grid is
 large (``_FORK_WORK``, decided from n, d and the members or pairs alone),
-its blocks are spread over the
-worker pool of :func:`~pcoselect.numerics.pooled_map`: worker processes
-forked by the first map that needs them, up to the usable CPUs, and kept
-for the life of the process.  Each map sends a module-level block
+its blocks are spread over the worker pool of
+:func:`~pcoselect.numerics.pooled_map`: worker processes forked by the
+first map that needs them, up to the usable CPUs, and kept for the life
+of the process.  Each map sends a module-level block
 builder and its arguments to the workers, and each process allocates its
 scratch once per map.  The sched affinity (``taskset``) restricts the pool, and
 inside a mapped item, such as a report replication, the blocks run
@@ -323,7 +324,7 @@ _OVERFLOW_IGNORED = np.errstate(over="ignore", invalid="ignore")
 
 
 def _map_blocks(build, args: tuple, starts, work: int) -> list:
-    """``fn(start)`` at every block start (or pair index), in order, with
+    """``fn(start)`` at every block start (or item index), in order, with
     ``fn = build(*args)``; on the worker pool of
     :func:`~pcoselect.numerics.pooled_map` once ``work`` reaches
     ``_FORK_WORK``.  Each block is a pure function of its start and
@@ -841,13 +842,28 @@ def _add_moved(moments: np.ndarray, part: np.ndarray, e: np.ndarray):
     moments[2] += m2 + e * (2.0 * m1 + e * m0)
 
 
+def _exact_order(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The stable order of the exact sums p + q.
+
+    Rounding is monotone, so sorting the rounded sums orders all but those
+    that round to the same value; those are ordered, when there are any,
+    by their rounding errors (Knuth's TwoSum), which sorting costs more.
+    """
+    s = p + q
+    order = np.argsort(s, kind="stable")
+    rounded = s[order]
+    if np.any(rounded[1:] == rounded[:-1]):
+        q_part = s - p
+        order = np.lexsort(((p - (s - q_part)) + (q - q_part), s))
+    return order
+
+
 class _Pieces(NamedTuple):
     """F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+ of one bandwidth h as a
     quadratic on each piece between its 2n breakpoints x_i -+ h, one entry
     per breakpoint and the piece that it starts (:func:`_epanechnikov_pieces`)."""
 
-    breaks: np.ndarray  # the breakpoints, in order
-    points: np.ndarray  # the index i of each breakpoint's point
+    points: np.ndarray  # the index i of each breakpoint's point, in the order of the breakpoints
     offsets: np.ndarray  # its offset, -h or +h, from x_i
     live: np.ndarray  # whether its piece has points in reach
     refs: np.ndarray  # the index r of its piece's reference point
@@ -860,10 +876,13 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> _Pieces:
     """The :class:`_Pieces` of F(u) = sum_i ell_i (1 - ((u - x_i) / h)^2)_+
     over the points x of a d = 1 sample, sorted.
 
-    At ties the entering breakpoints x_i - h come first, so the points in
-    reach of a piece are the range lo <= j < hi of those whose x_j - h it
-    has passed and whose x_j + h it has not, and c = (M_0 - M_2, 2 M_1, -M_0)
-    with M_k = sum_j ell_j ((x_j - x_r) / h)^k over that range.
+    The breakpoints are ordered by their exact values (:func:`_exact_order`),
+    so a sample far from 0, where x_i -+ h rounds by much of h, keeps its
+    order.  At ties the entering breakpoints x_i - h come first, so the
+    points in reach of a piece are the range lo <= j < hi of those whose
+    x_j - h it has passed and whose x_j + h it has not, and
+    c = (M_0 - M_2, 2 M_1, -M_0) with M_k = sum_j ell_j ((x_j - x_r) / h)^k
+    over that range.
 
     No running sum crosses a block, since running-sum updates lose
     accuracy (Seifert, Brockmann, Engel & Gasser 1994).  The points split
@@ -904,9 +923,8 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> _Pieces:
     before = np.zeros_like(sums)
     before[:, 1:] = sums[:, :-1]
     before[:, later == 0] = 0.0
-    # the breakpoints, and the range [lo, hi) of points in reach of the piece each starts
-    breaks = np.concatenate([x - h, x + h])
-    order = np.argsort(breaks, kind="stable")
+    # the breakpoints in their exact order, and the range [lo, hi) of points in reach of the piece each starts
+    order = _exact_order(np.concatenate([x, x]), np.repeat([-h, h], n))
     leaving = order >= n
     hi = np.cumsum(~leaving)
     live = 2 * hi > np.arange(1, 2 * n + 1)
@@ -925,12 +943,7 @@ def _epanechnikov_pieces(x: np.ndarray, ell: np.ndarray, h: float) -> _Pieces:
     coef[:, k] = moments[0] - moments[2], 2.0 * moments[1], -moments[0]
     refs = np.zeros(2 * n, dtype=np.intp)
     refs[k] = ref
-    return _Pieces(breaks[order], order - n * leaving, np.where(leaving, h, -h), live, refs, coef, h)
-
-
-# Nodes of the 3-node Gauss-Legendre rule on [0, 1], and its weights on [-1, 1].
-_LEGENDRE_NODES = 0.5 + 0.5 * legendre_rule(3)[0][:, None]
-_LEGENDRE_WEIGHTS = legendre_rule(3)[1][:, None]
+    return _Pieces(order - n * leaving, np.where(leaving, h, -h), live, refs, coef, h)
 
 
 @_OVERFLOW_IGNORED
@@ -940,7 +953,8 @@ def _epanechnikov_total(x: np.ndarray, a: _Pieces, b: _Pieces) -> float:
 
     With K_h(t) = (3 / (4 h)) (1 - (t / h)^2)_+ the total is
     (9 / (16 h_a h_b)) int F_a F_b du.  The breakpoints of both members,
-    merged (a's first at ties), cut the line into 4n - 1 pieces, or 2n - 1
+    merged in their exact order (a's first at ties), cut the line into
+    4n - 1 pieces, or 2n - 1
     for h_a = h_b, on which F_a F_b is a quartic, so the 3-node
     Gauss-Legendre rule is exact on each; only pieces in reach of both
     members add.  A piece's width is (x_j - x_i) + (o_j - o_i) from the
@@ -954,27 +968,31 @@ def _epanechnikov_total(x: np.ndarray, a: _Pieces, b: _Pieces) -> float:
         k = np.flatnonzero(a.live[:-1])
         points, offsets, at_a, at_b = a.points, a.offsets, k, k
     else:
-        order = np.argsort(np.concatenate([a.breaks, b.breaks]), kind="stable")
-        points = np.concatenate([a.points, b.points])[order]
-        offsets = np.concatenate([a.offsets, b.offsets])[order]
+        points = np.concatenate([a.points, b.points])
+        offsets = np.concatenate([a.offsets, b.offsets])
+        order = _exact_order(x[points], offsets)
+        points, offsets = points[order], offsets[order]
         # each member's piece, -1 before its first breakpoint, which reads its
         # last piece, out of reach like the line before the first
-        at_a = np.cumsum(order < a.breaks.size) - 1
+        at_a = np.cumsum(order < a.points.size) - 1
         at_b = np.arange(order.size) - 1 - at_a
         k = np.flatnonzero((a.live[at_a] & b.live[at_b])[:-1])
         at_a, at_b = at_a[k], at_b[k]
     left = x[points[k]]
     width = (x[points[k + 1]] - left) + (offsets[k + 1] - offsets[k])
+    nodes, weights = legendre_rule(3)
+    # the nodes on [0, 1], one row each
+    nodes = 0.5 + 0.5 * nodes[:, None]
 
     def at_nodes(pieces, at):
         """F at the nodes of every piece, shape (3, pieces)."""
-        s = ((left - x[pieces.refs[at]]) + offsets[k]) / pieces.h + (width / pieces.h) * _LEGENDRE_NODES
+        s = ((left - x[pieces.refs[at]]) + offsets[k]) / pieces.h + (width / pieces.h) * nodes
         c0, c1, c2 = np.take(pieces.coef, at, axis=1)
         return c0 + s * (c1 + s * c2)
 
     f_a = at_nodes(a, at_a)
     f_b = f_a if a is b else at_nodes(b, at_b)
-    sums = np.sum(_LEGENDRE_WEIGHTS * f_a * f_b, axis=0)
+    sums = np.sum(weights[:, None] * f_a * f_b, axis=0)
     return pairwise_sum(width * sums) * (0.28125 / a.h) / b.h
 
 

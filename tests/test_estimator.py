@@ -922,7 +922,8 @@ def test_gram_tables_weighted_total_matches_dense(a, b):
 
 
 def test_gram_tables_streaming_matches_dense():
-    # the sweep streams the strict upper triangle over several row blocks
+    # a d = 1 Epanechnikov pair takes the piecewise-quadratic integral, not the
+    # sweep; the d = 2 cases of test_bandwidth_sweep_matches_dense stream its blocks
     s = _uniform_sample(3 * _SWEEP_ROWS + 5, seed=22, loss=LossKind.IDENTITY)
     a = BandwidthSpec(EPANECHNIKOV, (0.2,))
     b = BandwidthSpec(EPANECHNIKOV, (0.45,))
@@ -1331,6 +1332,14 @@ def test_epanechnikov_d1_totals_of_clustered_samples(case):
     rng = stream(76)
     x = _clustered_points(case, rng)
     _assert_near_reference(_epanechnikov_pairs((1e-5, 2e-3, 0.05, 0.5)), x, [np.ones(x.size), rng.standard_normal(x.size)])
+
+
+def test_epanechnikov_d1_totals_hold_far_from_zero():
+    # on [1e12, 1e12 + 1] a breakpoint x_i -+ h rounds by up to 6e-5, more than
+    # h = 1e-5 itself: the breakpoints are ordered by their exact values
+    rng = stream(79)
+    x = 1e12 + rng.random(300)
+    _assert_near_reference(_epanechnikov_pairs((1e-5, 2e-3, 0.05)), x, [np.ones(x.size), rng.standard_normal(x.size)])
 
 
 def test_epanechnikov_d1_scan_of_one_block_keeps_memory_linear():
