@@ -954,10 +954,9 @@ def _epanechnikov_total(x: np.ndarray, a: _Pieces, b: _Pieces) -> float:
     With K_h(t) = (3 / (4 h)) (1 - (t / h)^2)_+ the total is
     (9 / (16 h_a h_b)) int F_a F_b du.  The breakpoints of both members,
     merged in their exact order (a's first at ties), cut the line into
-    4n - 1 pieces, or 2n - 1
-    for h_a = h_b, on which F_a F_b is a quartic, so the 3-node
-    Gauss-Legendre rule is exact on each; only pieces in reach of both
-    members add.  A piece's width is (x_j - x_i) + (o_j - o_i) from the
+    4n - 1 pieces, or 2n - 1 for h_a = h_b, on which F_a F_b is a quartic,
+    so the 3-node Gauss-Legendre rule is exact on each; only pieces in
+    reach of both members add.  A piece's width is (x_j - x_i) + (o_j - o_i) from the
     points and offsets of its two breakpoints, and its nodes are placed
     relative to the reference point of each member's own piece, so no
     coordinate is rounded at the sample's offset from 0.  The terms are
