@@ -1284,18 +1284,14 @@ def test_gaussian_d1_pair_work_and_memory_stay_bounded_as_h_falls(monkeypatch):
     assert peak < 8 * 2**20
 
 
-# at n = 2000 the pairs that reach past 0.2 are the slowest references, so only one of them is read
-_EPANECHNIKOV_D1_H = {"all": (5e-4, 0.004, 0.02, 0.1, 0.5), "n2000": ((5e-4, 5e-4), (5e-4, 0.02), (0.02, 0.1), (0.1, 0.5))}
-
-
 def _epanechnikov_pairs(hs):
     specs = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in hs]
     return [(a, b) for i, a in enumerate(specs) for b in specs[i:]]
 
 
 def _assert_near_reference(pairs, x, ells, tol=1e-14):
-    """Each pair's total of each loss row within ``tol`` of its long-double
-    sum of |ell_i ell_j| G_ab[i, j] off the long-double total."""
+    """Each pair's total for each loss row is off its long-double reference
+    by at most ``tol`` times the reference's sum of |ell_i ell_j| G_ab[i, j]."""
     got = [_totals(pairs, x[:, None], ell) for ell in ells]
     for k, (a, b) in enumerate(pairs):
         for row, (want, scale) in zip(got, epanechnikov_reference_totals(x, ells, a.h[0], b.h[0])):
@@ -1309,11 +1305,10 @@ def test_epanechnikov_d1_totals_hold_to_a_long_double_reference(n, offset):
     # are placed from sample points, so the offset costs no digits
     rng = stream(75)
     x = offset + rng.random(n)
-    if n < 2000:
-        pairs = _epanechnikov_pairs(_EPANECHNIKOV_D1_H["all"])
-    else:
-        pairs = [(BandwidthSpec(EPANECHNIKOV, (ha,)), BandwidthSpec(EPANECHNIKOV, (hb,)))
-                 for ha, hb in _EPANECHNIKOV_D1_H["n2000"]]
+    pairs = _epanechnikov_pairs((5e-4, 0.004, 0.02, 0.1, 0.5))
+    if n == 2000:
+        # the references of pairs that reach past 0.2 are the slowest: one of them
+        pairs = [(a, b) for a, b in pairs if (a.h[0], b.h[0]) in [(5e-4, 5e-4), (5e-4, 0.02), (0.02, 0.1), (0.1, 0.5)]]
     _assert_near_reference(pairs, x, [np.ones(n), rng.standard_normal(n)])
 
 
