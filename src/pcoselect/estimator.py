@@ -43,11 +43,12 @@ shape (m_1, ..., m_d),
 
 so the totals are small quadratic forms in T and risk-grid values expand
 T at the grid points.  For a nested basis every order's totals and
-penalty diagonals are partial sums over the basis index, which
-a read of :class:`GramTables` forms as prefix tables: a family's whole
-criterion is one gather from them (:meth:`GramTables.family_rows`).
-These cost O(n prod_q m_q) time and O(n sum_q m_q) memory, and the
-families keep prod_q m_q <= n.  The tables keep only the coefficient
+penalty sums are partial sums over the basis index of T^2 and of
+D = sum_i ell_i^2 (x)_q phi^{m_q}(X_iq)^2, which a read of
+:class:`GramTables` forms as prefix tables: a member's criterion is one
+entry of each (:meth:`GramTables.family_rows`).  These cost
+O(n prod_q m_q) time and O(n sum_q m_q) memory, and the families keep
+prod_q m_q <= n.  The tables keep only the coefficient
 tensors between reads.  No path on selection or experiments builds an
 n x n table.
 
@@ -124,6 +125,7 @@ from .kernels import (
     check_pair,
     histogram_section_inner,
     section_inner_matrix,
+    section_inner_pointwise,
     section_sq_norm_points,
     spec_id,
     weighted_cross_gram,
@@ -1207,26 +1209,30 @@ def _sample_values(basis, x: np.ndarray, orders) -> list:
     return [basis_matrix(basis, mq, x[:, q]) for q, mq in enumerate(orders)]
 
 
-def _prefix_sums(source: np.ndarray, a, b, axes) -> np.ndarray:
-    """The cumulative sums, along each of ``axes`` in turn, of
-    (w_a w_b) source^2 for a nested pair (a, b).
+def _prefix_sums(source: np.ndarray, a, b) -> np.ndarray:
+    """The cumulative sums, along every axis in turn, of (w_a w_b) source
+    for a nested pair (a, b) and a nonnegative tensor ``source``.
 
-    With the coefficient tensor as ``source`` and every axis, entry k - 1 is
-    the total of every pair whose box min(m_a, m_b) is k.  With the basis
-    values of axis q, transposed, and axis 0, row k - 1 is the axis-q factor
-    of the diagonal of every pair with min(m_aq, m_bq) = k.  The order axes
-    end where the weights do.  The sums run in index order, so an entry
-    does not depend on how wide the source is.
+    With T^2 as ``source`` entry k - 1 is the total of every pair whose box
+    min(m_a, m_b) is k, and with the penalty tensor D its diagonal sum.  The
+    order axes end where the weights do.  The sums run in index order, so
+    an entry does not depend on how wide the source is.
     """
     cap = min([len(s.w) for s in (a, b) if s.w is not None], default=max(source.shape))
-    shape = tuple(min(k, cap) if p in axes else k for p, k in enumerate(source.shape))
-    table = np.square(source[tuple(slice(0, k) for k in shape)], order="C")
-    for p in axes:
+    shape = tuple(min(k, cap) for k in source.shape)
+    table = np.array(source[tuple(slice(0, k) for k in shape)], order="C")
+    for p, k in enumerate(shape):
         if a.w is not None or b.w is not None:
-            k = shape[p]
             table *= (a.weights_for(k) * b.weights_for(k)).reshape((k,) + (1,) * (table.ndim - 1 - p))
         np.cumsum(table, axis=p, out=table)
     return table
+
+
+def _pair_key(spec):
+    """The key that orders a pair, smaller first: projection specs by weights
+    and orders, which costs no string, bandwidth specs by ``spec_id``, which
+    fixed the sweep's bits and so select-bandwidth's artifacts."""
+    return (spec.w or (), spec.m) if isinstance(spec, ProjectionSpec) else spec_id(spec)
 
 
 def _histogram_total(a, b, t_a: np.ndarray, t_b: np.ndarray, overlap) -> float:
@@ -1250,32 +1256,33 @@ class GramTables:
     """Loss-weighted section geometry of one sample, read through one reader.
 
     PCO needs, for kernel pairs (a, b), the totals
-    sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonals G_ab[i, i] of the
-    table G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2.  Every read, of one
-    pair (:meth:`weighted_total`, :meth:`diag`) or of a family's criterion
+    sum_{i,j} ell_i ell_j G_ab[i, j] and the diagonal sums
+    sum_i ell_i^2 G_ab[i, i] of the table
+    G_ab[i, j] = <K_a(X_i, .), K_b(X_j, .)>_2, one number each.  Every
+    read, of one pair (:meth:`weighted_total`) or of a family's criterion
     (:meth:`family_rows`), is one call of :meth:`_reads`, with one reader
     per kernel kind, so a pair read alone or with its family gets the same
     bits.  The only state kept between reads is the coefficient tensors
     (:meth:`coefficients`), which the risk grid of an experiment expands
-    after selection; no n x n table is formed.
+    after selection; no n x n table or per-pair row of n values is formed.
 
     Projection pairs never form G.  With the coefficient tensors T_a, T_b
     the total is the quadratic form T_a^T ((x)_q W_a C_q W_b) T_b, where W
     holds the member weights and C_q is the basis cross-Gram.  A read of
     a nested basis evaluates it once per dimension at the read's largest
     orders, and every smaller order is a slice of it, bit for bit.  Its
-    totals and diagonals are partial sums over the basis index, read off
-    prefix tables (:func:`_prefix_sums`) by one gather
+    totals and diagonal sums are partial sums over the basis index of T^2
+    and of the penalty tensor D, one entry each of a prefix table
     (:meth:`_nested_reads`).  A histogram read computes each axis's cells
     at every order it uses in one pass, and every member's tensor and
-    diagonal reads them (:meth:`_histogram_reads`); a pair's W_a C_q W_b is
-    built once per read and serves both its total and its diagonal.  The
-    basis values, prefix tables, cells and overlaps are locals of the read
-    that builds them.  Memory per axis is n m_q basis values and n m_q
-    prefix sums per distinct pair of weight vectors, or n cells per order
-    used, plus prod_q m_q per tensor, with prod_q m_q <= n; each read
-    bounds its values, prefix sums and diagonal rows together, and its
-    cells as n times its largest order, before they are allocated.
+    diagonal sum reads them (:meth:`_histogram_reads`); a pair's
+    W_a C_q W_b is built once per read and serves both its total and its
+    diagonal sum.  The basis values, D, prefix tables, cells and overlaps
+    are locals of the read that builds them.  Memory per axis is n m_q
+    basis values, or n cells per order used, plus prod_q m_q per tensor
+    and prefix table, with prod_q m_q <= n; each read bounds its basis
+    values, and its cells as n times its largest order, before they are
+    allocated.
 
     Bandwidth pairs never form G either.  A read's totals come from one
     call of :func:`bandwidth_totals` (:meth:`_bandwidth_reads`); a family's
@@ -1285,9 +1292,9 @@ class GramTables:
     between its 4n breakpoints, and every pair at d >= 2 is swept over the
     pairwise differences in fixed row blocks, each Gaussian pair there a
     product of per-dimension tables shared between pairs.  Their diagonal
-    is a constant.
-    :meth:`matrix` builds the dense table of any pair, uncached; it is the
-    reference the sweep and the coefficient form are tested against.
+    is a constant c_ab, so a diagonal sum is c_ab sum_i ell_i^2.
+    :meth:`matrix` and :meth:`diag` build the dense table and diagonal of
+    any pair, uncached: the references the reads are tested against.
     """
 
     def __init__(self, sample: Sample):
@@ -1299,41 +1306,36 @@ class GramTables:
         return section_inner_matrix(a, self.sample.x, b, self.sample.x)
 
     def family_rows(self, specs, k0):
-        """The (a, a) total, (a, k0) total and (a, k0) diagonal of every member a.
-
-        Returns the two lists of totals and the diagonals as an (N, n)
-        array, in the order of ``specs``, from one :meth:`_reads` call.
-        """
+        """The (a, a) total, (a, k0) total and (a, k0) diagonal sum of every
+        member a, as three lists in the order of ``specs``, from one
+        :meth:`_reads` call."""
         n = len(specs)
-        totals, diags = self._reads([*specs, k0], [(i, i) for i in range(n)] + [(i, n) for i in range(n)], 2 * n, n)
-        return totals[:n], totals[n:], diags
+        totals, sums = self._reads([*specs, k0], [(i, i) for i in range(n)] + [(i, n) for i in range(n)], 2 * n, n)
+        return totals[:n], totals[n:], sums
 
     def _reads(self, specs, pairs, totals: int, diagonals: int) -> tuple:
-        """The totals of the first ``totals`` pairs, as a list, and the
-        diagonals of the last ``diagonals`` pairs, as a (diagonals, n)
-        array; each pair is two indices into ``specs``.
+        """The totals of the first ``totals`` pairs and the diagonal sums
+        sum_i ell_i^2 G_ab[i, i] of the last ``diagonals`` pairs, as two
+        lists; each pair is two indices into ``specs``.
 
         Every spec is checked against the first
         (:func:`~pcoselect.kernels.check_pair`), so a read has one kernel
         kind, and a spec given twice is one.  Each pair is put in one order,
-        smaller key first, from one key per spec, so its numbers do not
-        depend on the order it is given in, and a pair given twice is read
-        once; pairs go by their indices, so no spec is hashed.  The distinct
-        pairs go to the reader of the kind, :meth:`_bandwidth_reads`,
+        smaller :func:`_pair_key` first, so its numbers do not depend on the
+        order it is given in, and a pair given twice is read once; pairs go
+        by their indices, so no spec is hashed.  The distinct pairs go to
+        the reader of the kind, :meth:`_bandwidth_reads`,
         :meth:`_nested_reads` or :meth:`_histogram_reads`, with the distinct
         specs, the number of pairs, from the first, whose totals are asked
-        for, and per diagonal row the index of its pair; it returns those
-        totals and the rows.
+        for, and per diagonal sum the index of its pair; it returns those
+        totals and sums.
         """
         first = {}
         index = [first.setdefault(id(s), i) for i, s in enumerate(specs)]
         for s in specs:
             check_pair(specs[0], s)
         _check_dim(specs[0], self.sample.x)
-        # projection specs go by weights and then orders, which costs no
-        # string; bandwidth specs by ``spec_id``, since the sweep's bits follow
-        # which member is first and select-bandwidth's artifacts were fixed so
-        keys = [(s.w or (), s.m) if isinstance(s, ProjectionSpec) else spec_id(s) for s in specs]
+        keys = [_pair_key(s) for s in specs]
         slots, distinct, at = {}, [], []
         for i, j in pairs:
             i, j = index[i], index[j]
@@ -1347,17 +1349,19 @@ class GramTables:
             reader = self._bandwidth_reads
         else:
             reader = self._nested_reads if specs[0].basis.nested else self._histogram_reads
-        sums, diags = reader([specs[i] for i in first.values()], distinct, max(at[:totals], default=-1) + 1,
-                             at[len(at) - diagonals :])
-        return [sums[k] for k in at[:totals]], diags
+        pair_totals, diagonal = reader([specs[i] for i in first.values()], distinct,
+                                       max(at[:totals], default=-1) + 1, at[len(at) - diagonals :])
+        return [pair_totals[k] for k in at[:totals]], diagonal
 
     def _bandwidth_reads(self, specs, pairs, summed: int, rows) -> tuple:
         """:meth:`_reads` of bandwidth pairs.  Each pair's constant diagonal
-        c_ab is computed once: it is the pair's diagonal row and scales its
-        total in the one :func:`bandwidth_totals` call of the read."""
+        c_ab is computed once: it makes the pair's diagonal sum
+        c_ab sum_i ell_i^2 and scales its total in the one
+        :func:`bandwidth_totals` call of the read."""
+        ell = self.sample.loss_values
         consts = [_bandwidth_diag_value(a, b) for a, b in pairs]
-        diags = np.repeat(np.array(consts)[rows, None], self.sample.n, axis=1)
-        return bandwidth_totals(pairs[:summed], self.sample.x, self.sample.loss_values, consts[:summed]), diags
+        sum_sq = pairwise_sum(ell * ell)
+        return bandwidth_totals(pairs[:summed], self.sample.x, ell, consts[:summed]), [consts[k] * sum_sq for k in rows]
 
     # -- projection pairs in coefficient space ------------------------------
 
@@ -1426,58 +1430,47 @@ class GramTables:
         return self._nested_tensor(spec.basis, spec.m)[tuple(slice(0, mq) for mq in spec.m)]
 
     def _nested_reads(self, specs, pairs, summed: int, rows) -> tuple:
-        """:meth:`_reads` of nested projection pairs, gathered from the
+        """:meth:`_reads` of nested projection pairs, one entry each of the
         prefix tables (:func:`_prefix_sums`) of each pair of weight vectors.
 
         C_q is the truncated identity, so a pair's total is the sum of
-        (x)_q (w_a w_b) T^2 over its box min(m_a, m_b), one entry of the
-        total table, and a diagonal row is the product over axes of row
-        min(m_aq, m_bq) of each axis's table, gathered straight into the
-        result in chunks of rows.  A chunk's gathered rows and one table's
-        rows come to at most ``_COEFF_ENTRIES`` entries, so the scratch is
-        fixed.  The basis is evaluated at most once, at the top orders of
-        the read, when it has diagonal rows or the kept tensor is narrower,
-        after the diagonal rows, the basis values and one prefix table per
-        axis and pair of weight vectors are bounded together.
+        (x)_q (w_a w_b) T^2 over its box min(m_a, m_b), and its diagonal sum
+        the same sum of the penalty tensor D = sum_i ell_i^2 (x)_q phi(X_iq)^2,
+        built like T (:func:`_product_tensor`) at the read's top orders.  The
+        basis is evaluated at most once, at those orders, when the read has
+        diagonal sums or the kept tensor is narrower, and squared in place
+        once T is built.
         """
-        groups, group_rows = defaultdict(lambda: ([], [])), []  # (w_a, w_b) -> (its pairs, its rows)
+        groups = defaultdict(list)  # (w_a, w_b) -> its pairs
         for k, (a, b) in enumerate(pairs):
-            members, at = groups[a.w, b.w]
-            members.append(k)
-            group_rows.append(at)
-        for r, k in enumerate(rows):
-            group_rows[k].append(r)
+            groups[a.w, b.w].append(k)
         orders = tuple(map(max, zip(*(s.m for s in specs))))
-        axis_tables = (1 + sum(1 for _, at in groups.values() if at)) * sum(orders)
-        check_table_size("criterion diagonals, basis values and prefix sums at the sample", n=self.sample.n,
-                         **{"members + axis tables": len(rows) + axis_tables})
         # one kind per read: the basis of the largest cap takes every top order
         basis = max((s.basis for s in specs), key=lambda b: b.m_cap)
         values = _sample_values(basis, self.sample.x, orders) if rows else None
-        tensor = self._nested_tensor(basis, orders, values)[tuple(slice(0, mq) for mq in orders)]
-        boxes = np.minimum([a.m for a, _ in pairs], [b.m for _, b in pairs]) - 1
-        row_boxes = boxes[rows]
-        totals, diags = np.empty(len(pairs)), np.empty((len(rows), self.sample.n))
-        step = max(1, _COEFF_ENTRIES // (2 * self.sample.n))
-        for members, at in groups.values():
+        squares = np.square(self._nested_tensor(basis, orders, values)[tuple(slice(0, mq) for mq in orders)])
+        if rows:
+            penalty = _product_tensor([np.square(v, out=v) for v in values], self.sample.loss_values**2)
+        boxes = tuple(np.minimum([a.m for a, _ in pairs], [b.m for _, b in pairs]).T - 1)
+        totals, sums = np.empty(len(pairs)), np.empty(len(pairs))
+        for members in groups.values():
             a, b = pairs[members[0]]
-            totals[members] = _prefix_sums(tensor, a, b, range(a.d))[tuple(boxes[members].T)]
-            tables = [_prefix_sums(v.T, a, b, [0]) for v in values] if at else []
-            for lo in range(0, len(at), step):
-                chunk, box = at[lo : lo + step], row_boxes[at[lo : lo + step]]
-                diags[chunk] = tables[0][box[:, 0]]
-                for q in range(1, a.d):
-                    diags[chunk] *= tables[q][box[:, q]]
-        return totals[:summed].tolist(), diags
+            at = tuple(box[members] for box in boxes)
+            totals[members] = _prefix_sums(squares, a, b)[at]
+            if rows:
+                sums[members] = _prefix_sums(penalty, a, b)[at]
+        return totals[:summed].tolist(), sums[rows].tolist()
 
     def _histogram_reads(self, specs, pairs, summed: int, rows) -> tuple:
         """:meth:`_reads` of histogram pairs: each axis's cells at every
         order of the read come from one pass (:meth:`_cell_tables`) and
-        serve every tensor and diagonal, each W_a C_q W_b is built once, and
-        each total contracts its own tensors in its own order
-        (:func:`_histogram_total`)."""
+        serve every tensor and diagonal sum, each W_a C_q W_b is built once,
+        and each total contracts its own tensors in its own order
+        (:func:`_histogram_total`).  A diagonal sum is one gather of the
+        pair's diagonal and one sum with ell^2, zero off the support."""
         cells, ok = self._cell_tables([sorted({s.m[q] for s in specs}) for q in range(specs[0].d)])
         tensors = self._histogram_tensors([s.m for s in specs], cells, ok)
+        weights = np.where(ok, self.sample.loss_values**2, 0.0)
         grams = {}
 
         def overlap(a, b, q):
@@ -1486,18 +1479,23 @@ class GramTables:
                 grams[key] = weighted_cross_gram(a, b, q)
             return grams[key]
 
-        diags = np.reshape([histogram_section_inner([overlap(a, b, q) for q in range(a.d)],
-                                                    [axis[mq] for axis, mq in zip(cells, a.m)],
-                                                    [axis[mq] for axis, mq in zip(cells, b.m)])
-                            for a, b in (pairs[k] for k in rows)], (len(rows), self.sample.n))
-        diags *= ok
-        return [_histogram_total(a, b, tensors[a.m], tensors[b.m], overlap) for a, b in pairs[:summed]], diags
+        sums = [pairwise_sum(weights * histogram_section_inner([overlap(a, b, q) for q in range(a.d)],
+                                                               [axis[mq] for axis, mq in zip(cells, a.m)],
+                                                               [axis[mq] for axis, mq in zip(cells, b.m)]))
+                for a, b in (pairs[k] for k in rows)]
+        return [_histogram_total(a, b, tensors[a.m], tensors[b.m], overlap) for a, b in pairs[:summed]], sums
 
     # -- public reductions ----------------------------------------------------
 
     def diag(self, a, b) -> np.ndarray:
-        """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector."""
-        return self._reads([a, b], [(0, 1)], 0, 1)[1][0]
+        """G[i, i] only: <K_a(X_i, .), K_b(X_i, .)>_2 as an n-vector, from
+        the reference :func:`~pcoselect.kernels.section_inner_pointwise`,
+        the pair in the order of :meth:`_reads`, so (a, b) and (b, a) give
+        the same bits.  The criterion reads only its sum with ell^2."""
+        check_pair(a, b)
+        if _pair_key(b) < _pair_key(a):
+            a, b = b, a
+        return section_inner_pointwise(a, self.sample.x, b, self.sample.x)
 
     def weighted_total(self, a, b) -> float:
         """sum_{i,j} ell_i ell_j G_ab[i, j], reduced in a fixed order."""
@@ -1568,14 +1566,15 @@ def u_statistic(a, b, sample: Sample, s_mean_a=None, s_mean_b=None, grid=None) -
     means the zero function).  Cross terms against s_a, s_b are integrated
     on ``grid``, which is required as soon as either function is present.
     Centering makes E(U) = 0.  No n x n table is built: the sum over
-    i != j is the total of :class:`GramTables` less its diagonal term, both
-    from one read, for either variant.
+    i != j is the total of :class:`GramTables` less its diagonal sum
+    sum_i ell_i^2 G_ab[i, i], both one number from one read, for either
+    variant.
     """
     if sample.n < 2:
         raise ValueError("the pair statistic needs at least two observations")
     ell = sample.loss_values
-    (total,), diags = GramTables(sample)._reads([a, b], [(0, 1)], 1, 1)
-    total -= pairwise_sum(ell * ell * diags[0])
+    (total,), (diagonal,) = GramTables(sample)._reads([a, b], [(0, 1)], 1, 1)
+    total -= diagonal
     if s_mean_a is None and s_mean_b is None:
         return total
     if grid is None:

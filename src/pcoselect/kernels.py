@@ -374,6 +374,7 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
     out = np.ones(xa.shape[0])
     for q in range(a.d):
         ma, mb = a.m[q], b.m[q]
+        check_table_size("basis values at the points", n=xa.shape[0], m_max=max(ma, mb))
         k = min(ma, mb)
         va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
         vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]

@@ -12,29 +12,31 @@ and the penalty is the sampled cross-section inner product
 Both terms come from one call, :meth:`GramTables.family_rows
 <pcoselect.estimator.GramTables.family_rows>`, whether the tables are
 :func:`pco_select`'s own or the caller's: the distance expands into three
-loss-weighted totals and the penalty is the diagonal of the (K, K0)
-table.  A caller passes its own tables to keep the coefficient tensors of
-a projection family for a later
+loss-weighted totals and the penalty is the diagonal sum
+sum_i ell_i^2 G[i, i] of the (K, K0) table, one number per member.  A
+caller passes its own tables to keep the coefficient tensors of a
+projection family for a later
 :func:`~pcoselect.estimator.estimate_on_grid`.  That call and the
 one-pair reads of :func:`penalty` and
 :func:`~pcoselect.estimator.criterion_distance`, each on fresh tables, go
 through the one reader of :class:`~pcoselect.estimator.GramTables`, which
 keeps nothing between reads but those tensors, so a pair gets the same
-bits alone as in its family.  No n x n table is
-formed for either kind of family.  Bandwidth totals are one call of
-:func:`~pcoselect.estimator.bandwidth_totals` per family: at d = 1 a
-trapezoid sum of squares for each Gaussian pair and an exact
+bits alone as in its family.  No n x n table is formed for either kind
+of family, and no row of n diagonal values.  Bandwidth totals are one
+call of :func:`~pcoselect.estimator.bandwidth_totals` per family: at
+d = 1 a trapezoid sum of squares for each Gaussian pair and an exact
 piecewise-quadratic integral for each Epanechnikov pair, O(n) and
 O(n log n) per pair, and at d >= 2 one sweep over the pairwise
 differences, in which every Gaussian pair is a product of
 per-dimension tables; each is spread over the worker pool once it is
-large, with the same bits at any worker count.  The diagonal is a
-constant.
+large, with the same bits at any worker count.  The diagonal sum is
+c_ab sum_i ell_i^2.
 Projection totals are quadratic forms in the coefficient tensors
-T = sum_i ell_i (x)_q phi^{m_q}(X_iq), read with the diagonals off prefix
-tables over the basis index for nested bases and off cell overlaps for
-histograms, both built by the read and dropped with it; see
-:mod:`~pcoselect.estimator` for both and their memory.
+T = sum_i ell_i (x)_q phi^{m_q}(X_iq); a nested basis reads its totals
+and diagonal sums off prefix tables of T^2 and of
+D = sum_i ell_i^2 (x)_q phi^{m_q}(X_iq)^2 over the basis index, and a
+histogram off cell overlaps, each built by the read and dropped with
+it; see :mod:`~pcoselect.estimator` for both and their memory.
 """
 
 from __future__ import annotations
@@ -51,28 +53,23 @@ import numpy as np
 from .errors import DataError, DimensionError
 from .estimator import GramTables, LossKind, Sample, _distance, _kernel_sums
 from .kernels import KernelFamily, smoothness_key, spec_id, spec_to_config
-from .numerics import pairwise_sum
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
 
-def _penalty(diag: np.ndarray, ell: np.ndarray, n: int) -> float:
-    """(2/n^2) sum_i diag_i ell_i^2, from the (K, K0) diagonal."""
-    return 2.0 * pairwise_sum(diag * ell * ell) / n**2
-
-
 def penalty(spec, k0, sample: Sample) -> float:
     """(2/n^2) sum_i <K(., X_i), K0(., X_i)>_2 ell(Y_i)^2.
 
-    A read of one pair on fresh tables: a projection pair evaluates the
-    basis again, at the larger order, on every call.  Read a family's
-    penalties through :func:`pco_select` or
+    A read of one pair's diagonal sum on fresh tables: a projection pair
+    evaluates the basis again, at the larger order, on every call.  Read a
+    family's penalties through :func:`pco_select` or
     :meth:`GramTables.family_rows <pcoselect.estimator.GramTables.family_rows>`,
     which evaluate it once; the bits are the same.
     """
-    return _penalty(GramTables(sample).diag(spec, k0), sample.loss_values, sample.n)
+    _, (diagonal,) = GramTables(sample)._reads([spec, k0], [(0, 1)], 0, 1)
+    return 2.0 * diagonal / sample.n**2
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,8 @@ def pco_select(family: KernelFamily, sample: Sample, tables: GramTables | None =
     if tables is None:
         tables = GramTables(sample)
     with np.errstate(over="ignore", invalid="ignore"):
-        own, cross, diags = tables.family_rows(family.specs, family.k0)
-        pens = [_penalty(diag, sample.loss_values, sample.n) for diag in diags]
+        own, cross, sums = tables.family_rows(family.specs, family.k0)
+        pens = [2.0 * diagonal / sample.n**2 for diagonal in sums]
     rows = []
     for idx, (spec, pen) in enumerate(zip(family.specs, pens)):
         dist = _distance(own[idx], cross[idx], own[family.k0_index], sample.n)

@@ -803,23 +803,23 @@ def test_select_bounds_projection_orders_before_their_tables(tmp_path, capsys, m
     assert "above the limit of 16777216" in err and "Traceback" not in err
 
 
-# a nested selection holds its (N, n) criterion diagonals with each axis's
-# basis values and prefix sums, each table within the limit on its own:
-# here n 3000 x (2000 members + 2 x 2000 axis columns), about 144 MB
-def test_select_bounds_the_nested_criterion_tables_together(tmp_path, capsys, monkeypatch):
+# a nested selection holds its basis values at the sample, n x m_max at
+# d = 1, and no row of n values per member: n 5000 x m_max 5000 is above
+# the limit, about 200 MB
+def test_select_bounds_the_nested_basis_values(tmp_path, capsys, monkeypatch):
     import pcoselect.estimator as estimator_mod
 
     monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: pytest.fail("the basis values were allocated"))
     rng = np.random.default_rng(4)
     data = tmp_path / "data.csv"
-    write_sample_csv(data, rng.random((3000, 1)), rng.standard_normal(3000))
-    family = {"variant": "projection", "basis": "trigonometric", "m_cap": 100000, "m_max": 2000, "d": 1}
+    write_sample_csv(data, rng.random((5000, 1)), rng.standard_normal(5000))
+    family = {"variant": "projection", "basis": "trigonometric", "m_cap": 100000, "m_max": 5000, "d": 1}
     cfg = _write_json(tmp_path / "f.json", {"family": family})
     out = tmp_path / "o"
     assert main(["select", "--config", cfg, "--data", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert ("config error: criterion diagonals, basis values and prefix sums at the sample: n 3000 x members + axis"
-            " tables 6000 asks for a table of 18000000 entries, above the limit of 16777216") in err
+    assert ("config error: basis values at the sample: n 5000 x m_max 5000 asks for a table of 25000000 entries,"
+            " above the limit of 16777216") in err
     assert "Traceback" not in err
     assert not out.exists()
 

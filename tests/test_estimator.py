@@ -71,7 +71,6 @@ from pcoselect.estimator import (
 from pcoselect.experiments import statistic_grid
 from pcoselect.kernels import section_inner_pointwise, section_sq_norm_points
 from pcoselect.quadrature import composite_grid, trapezoid_grid
-from pcoselect.selection import _penalty
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
 HIST = BasisFamily(BasisKind.REGULAR_HISTOGRAM)
@@ -1410,8 +1409,8 @@ def _off_diagonal_sums(pairs, s):
         at = [k for k, (a, _) in enumerate(pairs) if a.base.kind is kind]
         specs = list(dict.fromkeys(spec for k in at for spec in pairs[k]))
         index = [(specs.index(pairs[k][0]), specs.index(pairs[k][1])) for k in at]
-        totals, diags = GramTables(s)._reads(specs, index, len(index), len(index))
-        out[at] = [total - numerics.pairwise_sum(s.loss_values**2 * row) for total, row in zip(totals, diags)]
+        totals, sums = GramTables(s)._reads(specs, index, len(index), len(index))
+        out[at] = [total - diagonal for total, diagonal in zip(totals, sums)]
     return out
 
 
@@ -1581,30 +1580,34 @@ def test_sample_tables_are_bounded_before_they_are_allocated(monkeypatch):
     wide = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000)
     with pytest.raises(ConfigError, match="basis values at the sample: n 20000 x m_max 839 .* limit of 16777216"):
         GramTables(s).coefficients(ProjectionSpec(wide, (839,)))
+    # the n diagonal values of a pair come from the pointwise reference, bounded the same way
+    with pytest.raises(ConfigError, match="basis values at the points: n 20000 x m_max 839 .* limit of 16777216"):
+        GramTables(s).diag(ProjectionSpec(wide, (3,)), ProjectionSpec(wide, (839,)))
     hist = ProjectionSpec(BasisFamily(BasisKind.REGULAR_HISTOGRAM, m_cap=1000), (839,))
     with pytest.raises(ConfigError, match="histogram cells at the sample: n 20000 x m_max 839 .* limit of 16777216"):
-        GramTables(s).diag(hist, hist)
+        penalty(hist, hist, s)
 
 
-def test_prefix_tables_are_bounded_with_the_basis_values(monkeypatch):
+def test_nested_reads_bound_their_basis_values_alone(monkeypatch):
     import pcoselect.errors as errors_mod
     import pcoselect.estimator as estimator_mod
 
-    # one read bounds its diagonal rows, its 50 x 9 basis values and one
-    # 50 x 9 prefix table per pair of weight vectors with a diagonal together
-    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 1000)
+    # a read holds n x 9 basis values at n = 50, and per pair of weight
+    # vectors two prefix tables of 9 entries, not a row of n values per pair
+    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 450)
     s = _uniform_sample(50, seed=47)
     plain, weighted = ProjectionSpec(TRIG, (9,)), ProjectionSpec(TRIG, (9,), _W)
+    members = [ProjectionSpec(TRIG, (m,), w) for m in range(1, 10) for w in (None, _W)]
     tables = GramTables(s)
-    # 1 row + (1 + 1) x 9 axis columns, read after read: nothing is held between them
+    # read after read, and 18 members in one read: nothing is held between them but the tensor
     for a, b in [(plain, plain), (plain, weighted), (weighted, weighted)] * 2:
-        tables.diag(a, b)
+        penalty(a, b, s)
+        tables.family_rows(members, b)
     assert list(vars(tables)) == ["sample", "_coeffs"]
-    # two rows over two pairs of weight vectors: 2 + (1 + 2) x 9
+    monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 449)
     monkeypatch.setattr(estimator_mod, "basis_matrix", lambda *a: pytest.fail("the basis values were allocated"))
-    with pytest.raises(ConfigError, match="criterion diagonals, basis values and prefix sums at the sample: n 50 x "
-                                          "members \\+ axis tables 29 asks for a table of 1450 entries, above the "
-                                          "limit of 1000"):
+    with pytest.raises(ConfigError, match="basis values at the sample: n 50 x m_max 9 asks for a table of 450 "
+                                          "entries, above the limit of 449"):
         GramTables(s).family_rows([plain, weighted], plain)
 
 
@@ -1680,11 +1683,20 @@ def test_nested_totals_and_diagonals_match_the_cross_gram_form(basis, d, loss):
                 a, b = ProjectionSpec(basis, ma, wa), ProjectionSpec(basis, mb, wb)
                 total = tables.weighted_total(a, b)
                 assert_allclose(total, cross_gram_total(tables, a, b), rtol=1e-12, atol=0)
-                assert_allclose(tables.diag(a, b), weighted_values_diag(tables, a, b), rtol=1e-12, atol=0)
+                diag = weighted_values_diag(tables, a, b)
+                assert_allclose(tables.diag(a, b), diag, rtol=1e-12, atol=0)
+                diagonal = _diagonal_sum(tables, a, b)
+                assert_allclose(diagonal, numerics.pairwise_sum(s.loss_values**2 * diag), rtol=1e-12, atol=0)
                 # the same bits in either order, and from fresh tables
                 fresh = GramTables(s)
                 assert fresh.weighted_total(b, a).hex() == total.hex()
+                assert _diagonal_sum(fresh, b, a).hex() == diagonal.hex()
                 assert fresh.diag(b, a).tobytes() == tables.diag(a, b).tobytes()
+
+
+def _diagonal_sum(tables, a, b):
+    """sum_i ell_i^2 G_ab[i, i] from a read of the one pair."""
+    return tables._reads([a, b], [(0, 1)], 0, 1)[1][0]
 
 
 def _dense_rows(family, s):
@@ -1726,16 +1738,17 @@ def test_reserved_projection_pairs_match_the_dense_tables(case):
     s = _sample_for(family.k0, 60, seed=42)
     k0 = family.k0
     rows = GramTables(s).family_rows(family.specs, k0)
-    assert rows[2].shape == (len(family), s.n)
-    for a, r_own, r_cross, r_diag, t_own, t_cross, diag in zip(family.specs, *rows, *_dense_rows(family, s)):
+    assert [len(row) for row in rows] == [len(family)] * 3
+    ell_sq = s.loss_values**2
+    for a, r_own, r_cross, r_sum, t_own, t_cross, diag in zip(family.specs, *rows, *_dense_rows(family, s)):
         assert_allclose(r_own, t_own, rtol=1e-12, atol=0)
         assert_allclose(r_cross, t_cross, rtol=1e-12, atol=0)
-        assert_allclose(r_diag, diag, rtol=1e-12, atol=1e-14 * np.max(diag))
+        assert_allclose(r_sum, float(np.sum(ell_sq * diag)), rtol=1e-12, atol=0)
         # a family read or one pair at a time, in either order: the same bits
         single = GramTables(s)
         assert single.weighted_total(k0, a).hex() == r_cross.hex()
         assert single.weighted_total(a, a).hex() == r_own.hex()
-        assert single.diag(k0, a).tobytes() == r_diag.tobytes()
+        assert _diagonal_sum(single, k0, a).hex() == r_sum.hex()
 
 
 @pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
@@ -1750,7 +1763,7 @@ def test_reserved_projection_pairs_match_quadrature(case):
             quad = np.array([[quad_section_inner(a, xi, b, xj) for xj in s.x] for xi in s.x])
             assert_allclose(total, float(ell @ quad @ ell), rtol=1e-12)
         # quad is now the (a, k0) table
-        assert_allclose(row[2], np.diagonal(quad), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(quad)))
+        assert_allclose(row[2], float(np.sum(ell * ell * np.diagonal(quad))), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", ["trigonometric-d1-w-k0-inside", "legendre-d2-k0-inside",
@@ -1780,7 +1793,10 @@ def test_projection_pair_with_two_weight_vectors_matches_the_dense_table(basis, 
     tables = GramTables(s)
     assert_allclose(tables.weighted_total(a, b), float(ell @ dense @ ell), rtol=1e-12)
     assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12, atol=1e-14 * np.max(np.diagonal(dense)))
+    diagonal = _diagonal_sum(tables, a, b)
+    assert_allclose(diagonal, float(np.sum(ell * ell * np.diagonal(dense))), rtol=1e-12, atol=0)
     assert GramTables(s).weighted_total(b, a).hex() == tables.weighted_total(a, b).hex()
+    assert _diagonal_sum(GramTables(s), b, a).hex() == diagonal.hex()
     assert GramTables(s).diag(b, a).tobytes() == tables.diag(a, b).tobytes()
 
 
@@ -1797,9 +1813,9 @@ def _chunked_rows(fam, s, size):
     anchor = GramTables(s).weighted_total(fam.k0, fam.k0)
     rows = []
     for lo in range(0, len(fam), size):
-        own, cross, diags = GramTables(s).family_rows(fam.specs[lo : lo + size], fam.k0)
-        rows += [(_distance(o, c, anchor, s.n).hex(), _penalty(diag, s.loss_values, s.n).hex())
-                 for o, c, diag in zip(own, cross, diags)]
+        own, cross, sums = GramTables(s).family_rows(fam.specs[lo : lo + size], fam.k0)
+        rows += [(_distance(o, c, anchor, s.n).hex(), (2.0 * diagonal / s.n**2).hex())
+                 for o, c, diagonal in zip(own, cross, sums)]
     return rows
 
 
@@ -1943,7 +1959,8 @@ def test_per_pair_statistics_take_one_read_with_identical_values(monkeypatch, a,
     s = _uniform_sample(300, d=a.d, seed=51, loss=LossKind.IDENTITY)
     tables = GramTables(s)
     own, cross, anchor = (tables.weighted_total(*pair) for pair in ((a, a), (a, k0), (k0, k0)))
-    diag = tables.diag(a, k0)
+    diagonal = _diagonal_sum(tables, a, k0)
+    assert_allclose(diagonal, _bandwidth_diag_value(a, k0) * numerics.pairwise_sum(s.loss_values**2), rtol=1e-15)
     sweeps, consts = [], []
     real_totals, real_const = estimator_mod.bandwidth_totals, estimator_mod._bandwidth_diag_value
     monkeypatch.setattr(estimator_mod, "bandwidth_totals",
@@ -1952,9 +1969,8 @@ def test_per_pair_statistics_take_one_read_with_identical_values(monkeypatch, a,
     # the distance's three totals take one call, with the bits of three single reads
     assert criterion_distance(a, k0, s).hex() == _distance(own, cross, anchor, s.n).hex()
     assert sweeps == [3] and len(consts) == 3
-    # U's total and diagonal are one read of one pair, whose c_ab is computed once
-    ell = s.loss_values
-    assert u_statistic(a, k0, s).hex() == (cross - numerics.pairwise_sum(ell * ell * diag)).hex()
+    # U's total and diagonal sum are one read of one pair, whose c_ab is computed once
+    assert u_statistic(a, k0, s).hex() == (cross - diagonal).hex()
     assert sweeps == [3, 1] and len(consts) == 4
     # a pair given three times is read once
     assert criterion_distance(k0, k0, s) == 0.0
@@ -1966,59 +1982,68 @@ def test_per_pair_statistics_take_one_read_with_identical_values(monkeypatch, a,
 SELECTION_PEAK_BOUND = 16 * 2**20
 
 
-def _selection_peak(monkeypatch, base, n, d, grid):
+def _selection_peak(monkeypatch, fam, s):
+    """The peak traced memory of ``pco_select(fam, s)``, and its report."""
     import tracemalloc
 
     # tracemalloc sees this process only: keep the whole sweep in it
     monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
-    s = _uniform_sample(n, d=d, seed=39)
-    fam = make_bandwidth_family(base, grid[0], grid, d, n)
-    tracemalloc.start()
-    try:
-        pco_select(fam, s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2]),
-                                         (EPANECHNIKOV, 5000, [5e-4, 1e-3, 2e-3, 4e-3]),
-                                         (EPANECHNIKOV, 5000, [0.02, 0.05, 0.1, 0.2])])
-def test_pco_select_memory_is_bounded(monkeypatch, base, n, grid):
-    assert _selection_peak(monkeypatch, base, n, 1, grid) < SELECTION_PEAK_BOUND
-
-
-def test_pco_select_memory_is_bounded_at_d2(monkeypatch):
-    # the family's 10 per-dimension tables share their budget a few rows at a time
-    assert _selection_peak(monkeypatch, GAUSSIAN, 5000, 2, [0.02, 0.1, 0.4]) < SELECTION_PEAK_BOUND
-
-
-@pytest.mark.parametrize("m_max,d", [(500, 1), (20, 2)])
-def test_nested_selection_gathers_its_diagonals_into_the_result(m_max, d):
-    import tracemalloc
-
-    # the (N, n) diagonals, and at d = 1 the n x 500 basis values and prefix sums
-    # beside them; a gathered copy of the diagonals would add one more (N, n) table
-    n = 2000
-    rng = stream(49)
-    s = Sample(rng.random((n, d)), rng.standard_normal(n), LossKind.IDENTITY)
-    fam = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000), m_max, d, n)
     tracemalloc.start()
     try:
         report = pco_select(fam, s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table = len(fam) * n * 8
-    assert peak < (3.3 if d == 1 else 1.6) * table
-    # every member against reads of disjoint 50-member chunks, each with k0:
-    # the family read gathers its diagonals 65 rows at a time, so the chunk
-    # boundaries of the two reads do not line up
+    return peak, report
+
+
+@pytest.mark.parametrize("base,n,grid", [(GAUSSIAN, 5000, [0.01, 0.1, 0.5]), (EPANECHNIKOV, 2000, [0.01, 0.05, 0.2]),
+                                         (EPANECHNIKOV, 5000, [5e-4, 1e-3, 2e-3, 4e-3]),
+                                         (EPANECHNIKOV, 5000, [0.02, 0.05, 0.1, 0.2])])
+def test_pco_select_memory_is_bounded(monkeypatch, base, n, grid):
+    fam = make_bandwidth_family(base, grid[0], grid, 1, n)
+    assert _selection_peak(monkeypatch, fam, _uniform_sample(n, seed=39))[0] < SELECTION_PEAK_BOUND
+
+
+def test_pco_select_memory_is_bounded_at_d2(monkeypatch):
+    # the family's 10 per-dimension tables share their budget a few rows at a time
+    grid = [0.02, 0.1, 0.4]
+    fam = make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, 5000)
+    assert _selection_peak(monkeypatch, fam, _uniform_sample(5000, d=2, seed=39))[0] < SELECTION_PEAK_BOUND
+
+
+@pytest.mark.parametrize("m_max,d,n,bound", [(500, 1, 2000, 2.2), (20, 2, 2000, 1.0), (30, 2, 900, 1.0)],
+                         ids=["trigonometric-d1-500", "trigonometric-d2-20", "trigonometric-d2-30"])
+def test_nested_selection_holds_no_diagonal_rows(monkeypatch, m_max, d, n, bound):
+    # in units of one (N, n) table of diagonal rows: at d = 1 the n x 500 basis
+    # values are as large, and the coefficient products' scratch (4 MB) is
+    # beside them; at d = 2 the N = m_max^2 members outnumber the basis values
+    rng = stream(49)
+    s = Sample(rng.random((n, d)), rng.standard_normal(n), LossKind.IDENTITY)
+    fam = make_projection_family(BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000), m_max, d, n)
+    peak, report = _selection_peak(monkeypatch, fam, s)
+    assert peak < bound * len(fam) * n * 8
+    # every member against reads of disjoint 50-member chunks, each with k0
+    # and its own tensors
     assert _report_rows(report) == _chunked_rows(fam, s, 50)
     # every 20th member alone: a per-pair read evaluates the basis at the top order
     step = len(fam) // 20
     assert _report_rows(report)[::step] == _per_pair_rows(fam, s, step)
+
+
+def test_pco_select_reads_the_64_member_trigonometric_family_at_n_100000():
+    # 64 rows of 10^5 diagonal values would be 6.4 million entries beside the
+    # basis values; the penalties are one prefix-table entry each
+    n = 100_000
+    rng = stream(52)
+    s = Sample(rng.random((n, 1)), rng.standard_normal(n), LossKind.IDENTITY)
+    fam = make_projection_family(TRIG, 64, 1, n)
+    report = pco_select(fam, s)
+    ell_sq = s.loss_values**2
+    # every 9th member, k0 among them, against the pointwise reference
+    for a, row in list(zip(fam.specs, report.rows))[::9]:
+        want = 2.0 * numerics.pairwise_sum(ell_sq * section_inner_pointwise(a, s.x, fam.k0, s.x)) / n**2
+        assert_allclose(row.penalty, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("d", [1, 2])

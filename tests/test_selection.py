@@ -25,6 +25,7 @@ from pcoselect import (
     sbar_empirical,
     scenario_from_config,
     stream,
+    u_statistic,
 )
 
 TRIG = BasisFamily(BasisKind.TRIGONOMETRIC)
@@ -66,7 +67,8 @@ def test_penalty_zero_responses():
 def test_penalty_negative_diag_guard():
     class BrokenTables:
         def family_rows(self, specs, k0):
-            return [0.0] * len(specs), [0.0] * len(specs), -np.ones((len(specs), 5))
+            # a diagonal sum of the shipped kernels is nonnegative
+            return [0.0] * len(specs), [0.0] * len(specs), [-1.0] * len(specs)
 
     s = _sample(5, seed=4)
     fam = make_bandwidth_family(GAUSSIAN, 0.3, [0.3, 0.6], 1, 5)
@@ -75,8 +77,9 @@ def test_penalty_negative_diag_guard():
 
 
 def test_bandwidth_diagonal_checks_the_sample_dimension():
-    # a bandwidth diagonal is a constant, but a kernel of another d than the
-    # sample's is an error, as in the sweep and every projection path
+    # a bandwidth diagonal sum is c_ab sum_i ell_i^2, which reads no point, but
+    # a kernel of another d than the sample's is an error, as in the sweep and
+    # every projection path, and so is the n-vector diag
     s = _sample(4, seed=8, d=2)
     spec = BandwidthSpec(GAUSSIAN, (0.1,))
     with pytest.raises(ValueError, match="point dimension does not match the kernel"):
@@ -85,6 +88,8 @@ def test_bandwidth_diagonal_checks_the_sample_dimension():
         GramTables(s).diag(spec, BandwidthSpec(GAUSSIAN, (0.2,)))
     with pytest.raises(ValueError, match="point dimension does not match the kernel"):
         GramTables(s).family_rows([spec], spec)
+    with pytest.raises(ValueError, match="point dimension does not match the kernel"):
+        u_statistic(spec, spec, s)
 
 
 # ---------------------------------------------------------------------------
