@@ -2048,7 +2048,7 @@ def test_pco_select_reads_the_64_member_trigonometric_family_at_n_100000():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_nested_rows_of_interleaved_weight_vectors_are_identical_to_per_pair_reads(d):
-    # members alternate between two weight vectors, so each vector gathers into every other row
+    # members alternate between two weight vectors, so each pair of weight vectors reads every other member
     orders = [(m,) * d for m in range(1, 7)]
     specs = tuple(ProjectionSpec(LEG, m, None if i % 2 else _W) for i, m in enumerate(orders))
     fam = KernelFamily(specs, 1000, len(specs) - 1)
