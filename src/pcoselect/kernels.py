@@ -371,13 +371,14 @@ def section_inner_pointwise(a, xa: np.ndarray, b, xb: np.ndarray) -> np.ndarray:
         inner = histogram_section_inner([weighted_cross_gram(a, b, q) for q in range(a.d)],
                                         [cells for cells, _ in cells_a], [cells for cells, _ in cells_b])
         return inner * np.logical_and.reduce([ok for _, ok in cells_a + cells_b])
+    # a nested basis at order k is the first k columns at any higher order
     out = np.ones(xa.shape[0])
     for q in range(a.d):
         ma, mb = a.m[q], b.m[q]
-        check_table_size("basis values at the points", n=xa.shape[0], m_max=max(ma, mb))
         k = min(ma, mb)
-        va = basis_matrix(a.basis, ma, xa[:, q])[:, :k] * a.weights_for(ma)[None, :k]
-        vb = basis_matrix(b.basis, mb, xb[:, q])[:, :k] * b.weights_for(mb)[None, :k]
+        check_table_size("basis values at the points", n=xa.shape[0], m_max=k)
+        va = basis_matrix(a.basis, k, xa[:, q]) * a.weights_for(ma)[None, :k]
+        vb = basis_matrix(b.basis, k, xb[:, q]) * b.weights_for(mb)[None, :k]
         out *= np.sum(va * vb, axis=1)
     return out
 

@@ -1,3 +1,4 @@
+import csv
 import logging
 import math
 import os
@@ -263,6 +264,10 @@ def _read_both(path):
     "x1,x2,y\n0.1,0.2,1\n0.1,0.2\n0.1,0.2,1,4\n",  # wrong field counts
     "x1,y\n1_0,2\nabc,2\n1e400,2\n0.1,2\n",  # float() reads 1_0; 1e400 is inf
     "x1,y\nnan,1\nInfinity,2\n-inf,3\n",  # only non-finite rows
+    "x1,y\n\x1c0.1,2\n0.2,3\n",  # numpy strips \x1c as whitespace, float() refuses it
+    "x1,y\n0.1,2\x0c0.3,4\n0.5,6\n",  # str.splitlines breaks lines at \x0c, csv does not
+    "x1,y\n0.1,2\u20280.3,4\n0.5,6\n",  # nor at \u2028
+    '"x1",y\n0.1,2\n',  # quoted header
 ])
 def test_csv_reader_edge_cases_match_reference(tmp_path, text):
     path = tmp_path / "data.csv"
@@ -270,21 +275,33 @@ def test_csv_reader_edge_cases_match_reference(tmp_path, text):
     _read_both(path)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_csv_line_ends_read_the_written_values(tmp_path, end):
+def test_csv_line_ends_read_the_written_values(tmp_path, monkeypatch, end):
     s = _uniform_sample(40, d=2, seed=4)
     write_sample_csv(tmp_path / "lf.csv", s.x, s.y)
     lines = (tmp_path / "lf.csv").read_text().splitlines()
     text = end.join(lines[:10] + [""] + lines[10:]) + end  # one blank line
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
+    # a well-formed file takes the one numpy parse, never the csv rows
+    monkeypatch.setattr(csv, "reader", _refuse)
     back = read_sample_csv(path)
     assert back.x.tobytes() == s.x.tobytes() and back.y.tobytes() == s.y.tobytes()
 
 
 _NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-999, 999).map(str)
+# Fields where numpy's parser and ``float`` might disagree: Unicode spaces and
+# digits, a NUL, ASCII separators (numpy strips \x1c as whitespace, ``float``
+# refuses it), line breaks of ``str.splitlines`` alone, under- and overflow and
+# a decimal longer than 17 digits.
 _FIELDS = _NUMBERS | st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "abc", "", " ", "1_0", "0x1p3",
-                                      '"0.5"', '"1,2"', "1e400", " 0.5 "])
+                                      '"0.5"', '"1,2"', "1e400", " 0.5 ", "\xa00.5", "1.5e", "0.5\x00", "\u0661",
+                                      "+inf", "-nan", "1e-400", "1234567890123456789012345678901234567890",
+                                      "\x1c0.5", "0.5\x1f", "0.5\x0c", "\x0b1", "0.5\u2028"])
 
 
 @st.composite
@@ -294,7 +311,7 @@ def _csv_texts(draw):
     bad = st.lists(_FIELDS, min_size=1, max_size=d + 2).map(",".join)
     blank = st.sampled_from(["", " ", "\t", "  \t "])
     lines = draw(st.lists(st.one_of(good, good, bad, blank), max_size=12))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
     header = ",".join([f"x{q + 1}" for q in range(d)] + ["y"])
     text = header + ends[0] + "".join(line + end for line, end in zip(lines, ends[1:]))
     return text if draw(st.booleans()) else text.rstrip("\r\n")
@@ -307,6 +324,16 @@ def test_csv_reader_matches_row_by_row_reference(text):
         path = Path(work) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         _read_both(path)
+
+
+@pytest.mark.parametrize("text", ['x1,y\n"0.1",2\n0.2,3\n', "x1,y\n0.1,2\nabc,3\n", "x1,y\n0.1,2,4\n0.2,3\n"],
+                         ids=["quoted", "unparseable", "field-count"])
+def test_refused_csv_is_read_row_by_row(tmp_path, monkeypatch, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    monkeypatch.setattr(csv, "reader", _refuse)
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        read_sample_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -1439,6 +1466,29 @@ def test_pooled_trapezoid_sums_are_bit_identical_to_serial(monkeypatch):
     assert np.array_equal(serial, forked)
 
 
+def test_regression_family_maps_its_trapezoid_sums_on_the_pool(monkeypatch):
+    # the 6-member Gaussian family of demos/quotient_regression.py at n = 1000:
+    # 11 trapezoid pairs, 0.43 million exponentials, pass _FORK_WORK at their cost
+    import pcoselect.estimator as estimator_mod
+
+    n = 1000
+    grid = sorted({1.0 / n, 0.01, 0.03, 0.08, 0.2, 0.5})
+    family = make_bandwidth_family(GAUSSIAN, 1.0 / n, grid, 1, n)
+    s = _uniform_sample(n, seed=76, loss=LossKind.IDENTITY)
+    monkeypatch.setattr(estimator_mod, "_FORK_WORK", math.inf)
+    serial = pco_select(family, s)
+    monkeypatch.undo()
+    maps = []
+    real_map = numerics.pooled_map
+    monkeypatch.setattr(numerics, "pooled_map",
+                        lambda build, args, items: maps.append((build, len(items))) or real_map(build, args, items))
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
+    pooled = pco_select(family, s)
+    assert maps == [(estimator_mod._trapezoid_builder, 11)]
+    assert len(numerics._pool.workers) == 3
+    assert pooled == serial
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_forked_grid_evaluation_is_bit_identical_to_serial(monkeypatch, d):
     s = _uniform_sample(300, d=d, seed=74, loss=LossKind.IDENTITY)
@@ -1580,9 +1630,10 @@ def test_sample_tables_are_bounded_before_they_are_allocated(monkeypatch):
     wide = BasisFamily(BasisKind.TRIGONOMETRIC, m_cap=1000)
     with pytest.raises(ConfigError, match="basis values at the sample: n 20000 x m_max 839 .* limit of 16777216"):
         GramTables(s).coefficients(ProjectionSpec(wide, (839,)))
-    # the n diagonal values of a pair come from the pointwise reference, bounded the same way
+    # the n diagonal values of a pair come from the pointwise reference, bounded the same way,
+    # at the order min(m_a, m_b) it evaluates
     with pytest.raises(ConfigError, match="basis values at the points: n 20000 x m_max 839 .* limit of 16777216"):
-        GramTables(s).diag(ProjectionSpec(wide, (3,)), ProjectionSpec(wide, (839,)))
+        GramTables(s).diag(ProjectionSpec(wide, (839,)), ProjectionSpec(wide, (840,)))
     hist = ProjectionSpec(BasisFamily(BasisKind.REGULAR_HISTOGRAM, m_cap=1000), (839,))
     with pytest.raises(ConfigError, match="histogram cells at the sample: n 20000 x m_max 839 .* limit of 16777216"):
         penalty(hist, hist, s)

@@ -284,6 +284,27 @@ def test_section_inner_pointwise_matches_matrix_diagonal():
             assert_allclose(want, [quad_section_inner(a, u, b, v) for u, v in zip(pa, pb)], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("basis", [TRIG, LEG], ids=["trigonometric", "legendre"])
+def test_nested_pointwise_product_is_identical_to_truncated_full_orders(basis, d):
+    # each side's basis at its own full order, truncated to the k shared
+    # columns: the same bits as the product evaluated at order k
+    rng = stream(109)
+    lo, hi = basis.support
+    # some points off the support, where every member is 0
+    xa, xb = (lo - 0.1 + (hi - lo + 0.2) * rng.random((3000, d)) for _ in range(2))
+    w = tuple(rng.uniform(0.1, 1.0, 64))
+    for ma, mb in [(1, 64), (2, 3), (5, 64), (7, 16), (16, 7), (64, 64)]:
+        a, b = ProjectionSpec(basis, (ma, 3)[:d], w), ProjectionSpec(basis, (mb, mb)[:d])
+        want = np.ones(len(xa))
+        for q in range(d):
+            k = min(a.m[q], b.m[q])
+            va = basis_matrix(basis, a.m[q], xa[:, q])[:, :k] * a.weights_for(a.m[q])[:k]
+            vb = basis_matrix(basis, b.m[q], xb[:, q])[:, :k] * b.weights_for(b.m[q])[:k]
+            want *= np.sum(va * vb, axis=1)
+        assert section_inner_pointwise(a, xa, b, xb).tobytes() == want.tobytes()
+
+
 def test_variant_mixing_rejected():
     a = BandwidthSpec(GAUSSIAN, (0.2,))
     b = ProjectionSpec(TRIG, (4,))
