@@ -226,7 +226,8 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
         raise DataError(f"{path}: empty file")
     loaded = _loaded_rows(text)
     if loaded is None:
-        records = _csv_records(text)
+        # the records a csv reader of the open file would give
+        records = csv.reader(io.StringIO(text, newline=""))
         header = next(records)
     else:
         header, arr = loaded
@@ -245,11 +246,6 @@ def read_sample_csv(path, loss: LossKind = LossKind.ONE) -> Sample:
         raise DataError(f"{path}: no usable data rows")
     arr = arr[finite]
     return Sample(arr[:, :d], arr[:, d], loss)
-
-
-def _csv_records(text: str):
-    """The ``csv`` records of a file's text, as read from the open file."""
-    return csv.reader(io.StringIO(text, newline=""))
 
 
 def _loaded_rows(text: str):
