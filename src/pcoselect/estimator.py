@@ -32,10 +32,12 @@ wider than h.  At d >= 2 every pair takes one sweep over the strict
 upper triangle, in fixed row blocks.  The sweep allocates its O(n)
 scratch once, forms each block's differences once for every pair, and
 contracts each pair's block with the loss weights in BLAS dot products.
-Every Gaussian pair there is the product of its factors
-exp(-delta_q^2 / (2 v_q)); each distinct (q, v_q) is evaluated once per
-block, floored where its own dimension can reach the exponent floor, and
-shared by every pair that uses it.  A projection estimator is a
+Every d >= 2 pair is a product of shared per-dimension tables: a
+Gaussian pair's factors are exp(-delta_q^2 / (2 v_q)), floored where
+their own dimension can reach the exponent floor, and an Epanechnikov
+pair's the convolution of its two bandwidths at delta_q; each distinct
+factor is evaluated once per block and shared by every pair that uses
+it.  A projection estimator is a
 coefficient tensor instead: with T = sum_i ell_i (x)_q phi^{m_q}(X_iq), of
 shape (m_1, ..., m_d),
 
@@ -122,6 +124,7 @@ from .kernels import (
     BandwidthSpec,
     BaseKind,
     ProjectionSpec,
+    _epanechnikov_conv,
     bandwidth_gram_entries,
     check_pair,
     histogram_section_inner,
@@ -356,8 +359,11 @@ _NEGLIGIBLE = math.exp(_EXP_FLOOR + 1.0)
 # (n = 1000 x 1000 points: 5.6 -> 4.6 ms), since a pooled map's time also
 # follows the load on every CPU it uses.
 _FORK_WORK = 1_000_000
-# Cost of an Epanechnikov sweep entry (d >= 2) in Gaussian entries: each is
-# the exact 3-node convolution rule per dimension, about 40 ns against 2.3 ns.
+# Cost of a d >= 2 Epanechnikov pair's sweep entry in Gaussian entries.  A 4 x 4
+# family (31 pairs, 14 shared tables) took 14 ns an entry at n = 1000, but 50-80
+# ns near n = 50, where the tables' fixed costs dominate: on 2 CPUs a pooled map
+# broke even at n = 40-48 and saved a fifth from n = 52-64 (3.5 -> 2.7 ms at 64).
+# At 16 the family maps from n = 65, at twice the break-even work.
 _CONVOLUTION_COST = 16
 # Work of a d = 1 Epanechnikov integral per pair and sample point, in Gaussian
 # entries.  A pair costs about 0.3 us a point, but each process builds the
@@ -763,13 +769,6 @@ _TRAPEZOID_POINTS = 1024
 _CONTRACT_COLS = 4096
 
 
-def _gaussian_scales(a, b):
-    """-1 / (2 v_q) with v_q = h_aq^2 + h_bq^2 for a Gaussian pair, else None."""
-    if a.base.kind is not BaseKind.GAUSSIAN or b.base.kind is not BaseKind.GAUSSIAN:
-        return None
-    return [-0.5 / (ha * ha + hb * hb) for ha, hb in zip(a.h, b.h)]
-
-
 def _bandwidth_diag_value(a, b) -> float:
     """G_ab[i, i] = <K_a(x, .), K_b(x, .)>_2, the same at every x; a pair
     without a closed form (:func:`~pcoselect.kernels.check_pair`) raises."""
@@ -777,23 +776,28 @@ def _bandwidth_diag_value(a, b) -> float:
     return float(bandwidth_gram_entries(a, b, [np.zeros(1)] * a.d)[0])
 
 
-def _sweep_tables(scales, n: int):
-    """The shared per-dimension Gaussian tables of a sweep, and its rows per pass.
+def _sweep_tables(pairs, n: int):
+    """The shared per-dimension tables of a sweep, and its rows per pass.
 
-    A Gaussian pair in the sweep (d >= 2) is the product over q of
-    exp(scale_q delta_q^2), and pairs with a common (q, scale_q) share that
-    table.  Returns {(q, scale_q): index}, per pair its table indices (None
-    for an Epanechnikov pair), and the rows per pass: as many as fit
-    ``_TABLE_SCRATCH``, at least 1 and at most ``_SWEEP_ROWS``.  One row of
-    the tables is bounded (:func:`~pcoselect.errors.check_table_size`)
-    before any is allocated.
+    A pair in the sweep (d >= 2) is the product over q of one table per
+    dimension, shared by every pair with its key: exp(scale_q delta_q^2),
+    scale_q = -1 / (2 v_q), keyed (q, scale_q) for a Gaussian pair, and the
+    convolution :func:`~pcoselect.kernels._epanechnikov_conv` of delta_q,
+    keyed (q, min(h_aq, h_bq), max(h_aq, h_bq)) for an Epanechnikov pair.
+    Returns {key: index}, per pair its table indices, and the rows per
+    pass: as many as fit ``_TABLE_SCRATCH``, at least 1 and at most
+    ``_SWEEP_ROWS``.  One row of the tables is bounded
+    (:func:`~pcoselect.errors.check_table_size`) before any is allocated.
     """
     keys = {}
-    uses = [None if scale is None else [keys.setdefault((q, sc), len(keys)) for q, sc in enumerate(scale)]
-            for scale in scales]
-    if not keys:
-        return keys, uses, _SWEEP_ROWS
-    check_table_size("Gaussian tables of the bandwidth sweep", tables=len(keys), columns=max(n - 1, 1))
+    uses = []
+    for a, b in pairs:
+        if a.base.kind is BaseKind.GAUSSIAN:
+            factors = [(q, -0.5 / (ha * ha + hb * hb)) for q, (ha, hb) in enumerate(zip(a.h, b.h))]
+        else:
+            factors = [(q, min(ha, hb), max(ha, hb)) for q, (ha, hb) in enumerate(zip(a.h, b.h))]
+        uses.append([keys.setdefault(key, len(keys)) for key in factors])
+    check_table_size("tables of the bandwidth sweep", tables=len(keys), columns=max(n - 1, 1))
     return keys, uses, max(1, min(_SWEEP_ROWS, _TABLE_SCRATCH // (len(keys) * max(n - 1, 1))))
 
 
@@ -1114,15 +1118,16 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     one reused value buffer and contracts each row with the weight table
     in BLAS dot products (:func:`_row_dots`); the block's partial is
     ell_rows @ those row sums, and partials are combined in block order.
-    Every Gaussian pair is a product of per-dimension tables
-    exp(delta_q^2 (-1 / (2 v_q))), each evaluated once per pass and shared
-    by every pair with that v_q (:func:`_sweep_tables`): a 5 x 5 tensor
-    family has 18 tables for its 49 pairs.  A table's exponent is floored
-    at ``_EXP_FLOOR`` when the span of the sample along its own dimension
-    can reach that far (:func:`_reaches_floor`).  The tables of the last
-    dimension are multiplied by the weight table once, so a pair at d = 2
-    is one row-wise dot product of two tables.  Epanechnikov pairs take
-    :func:`bandwidth_gram_entries`.  A pass takes as many rows as fit
+    Every d >= 2 pair is a product of shared per-dimension tables, each
+    evaluated once per pass (:func:`_sweep_tables`): a Gaussian pair's are
+    exp(delta_q^2 (-1 / (2 v_q))), an Epanechnikov pair's the convolutions
+    of its bandwidths at delta_q.  A 5 x 5 Gaussian family has 18 tables for
+    its 49 pairs, a 4 x 4 Epanechnikov one 14 for its 31.  A Gaussian
+    table's exponent is floored at ``_EXP_FLOOR`` when the span of the
+    sample along its own dimension can reach that far
+    (:func:`_reaches_floor`).  The tables of the last dimension are
+    multiplied by the weight table once, so a pair at d = 2 is one
+    row-wise dot product of two tables.  A pass takes as many rows as fit
     ``_TABLE_SCRATCH``, and at least one, so the tables hold at most
     max(2 MB, keys (n - 1) 8 B) per process, where keys <= d (2N - 1) for
     a family of N members.  The plan of the tables (:func:`_sweep_tables`)
@@ -1133,8 +1138,8 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     bits swept with its family or alone.  ``consts`` holds each pair's c_ab from
     :func:`_bandwidth_diag_value`, which checks the pair, so every pair is
     checked before any total is computed, and a caller that also needs
-    the diagonal computes c_ab once; the Epanechnikov integral does not
-    read it.  A debug event on this module's logger gives the number of
+    the diagonal computes c_ab once; the d = 1 Epanechnikov integral does
+    not read it.  A debug event on this module's logger gives the number of
     pairs on each of the three paths.
 
     Each block's partial is a pure function of the block, so once the
@@ -1151,12 +1156,12 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     for a, _ in pairs:
         _check_dim(a, x)
     totals = [0.0] * len(pairs)
-    scales = [_gaussian_scales(a, b) for a, b in pairs]
+    gaussian = [a.base.kind is BaseKind.GAUSSIAN for a, _ in pairs]
     if d == 1:
         order = np.argsort(x[:, 0], kind="stable")
         x, ell = x[order, 0], ell[order]
-        summed = [k for k, scale in enumerate(scales) if scale is not None]
-        integrated = [k for k, scale in enumerate(scales) if scale is None]
+        summed = [k for k, g in enumerate(gaussian) if g]
+        integrated = [k for k, g in enumerate(gaussian) if not g]
         log.debug("bandwidth totals: n %d, %d pairs by trapezoid sum, %d pairs by Epanechnikov integral, "
                   "0 pairs swept", n, len(summed), len(integrated))
         if summed:
@@ -1181,33 +1186,34 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     log.debug("bandwidth totals: n %d, 0 pairs by trapezoid sum, 0 pairs by Epanechnikov integral, %d pairs swept",
               n, len(pairs))
     # the tables are bounded here, before any process allocates them
-    sweep = _sweep_tables(scales, n)
-    args = (pairs, np.ascontiguousarray(x), np.ascontiguousarray(ell), sweep)
+    sweep = _sweep_tables(pairs, n)
+    args = (np.ascontiguousarray(x), np.ascontiguousarray(ell), sweep)
     starts = range(0, n - 1, _SWEEP_ROWS)
-    work = sum(_CONVOLUTION_COST if scale is None else 1 for scale in scales) * n * (n - 1) // 2
+    work = sum(1 if g else _CONVOLUTION_COST for g in gaussian) * n * (n - 1) // 2
     partials = np.reshape(_map_blocks(_sweep_block_builder, args, starts, work), (len(starts), len(pairs)))
     sum_sq = pairwise_sum(ell * ell)
     for k, column in enumerate(partials.T):
         upper = pairwise_sum(column)
         # Gaussian partials sum the entries divided by c
-        totals[k] = consts[k] * (sum_sq + 2.0 * upper) if scales[k] else consts[k] * sum_sq + 2.0 * upper
+        totals[k] = consts[k] * (sum_sq + 2.0 * upper) if gaussian[k] else consts[k] * sum_sq + 2.0 * upper
     return totals
 
 
 @_OVERFLOW_IGNORED
-def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray, sweep):
+def _sweep_block_builder(x: np.ndarray, ell: np.ndarray, sweep):
     """The block function of :func:`bandwidth_totals`, with the sweep's
     scratch: every pair's partial over the rows of the block from ``start``.
     ``sweep`` is the pairs' :func:`_sweep_tables`, bounded by the caller."""
     n, d = x.shape
     keys, uses, rows = sweep
     span_sq = np.ptp(x, axis=0) ** 2
-    floored = [_reaches_floor([span_sq[q]], [sc]) for q, sc in keys]
+    # a Gaussian key is (q, scale_q), an Epanechnikov key (q, h_n, h_w)
+    floored = [len(key) == 2 and _reaches_floor([span_sq[key[0]]], [key[1]]) for key in keys]
     size = rows * max(n - 1, 0)
-    delta_bufs = [np.empty(size) for _ in range(d)] if None in uses else []
-    square_bufs = [np.empty(size) for _ in range(d)] if keys else []
+    delta_bufs = [np.empty(size) for _ in range(d)]
+    square_bufs = [np.empty(size) for _ in range(d)]
     table_bufs = [np.empty(size) for _ in keys]
-    value_buf = np.empty(size) if keys and d > 2 else None
+    value_buf = np.empty(size) if d > 2 else None
     weight_buf = np.empty(size)
     lower = np.tri(_SWEEP_ROWS, _SWEEP_ROWS, -1, dtype=bool)
 
@@ -1215,7 +1221,7 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray, sweep):
     def block_partial(start):
         stop = min(start + _SWEEP_ROWS, n - 1)
         w = n - 1 - start
-        dots = np.empty((len(pairs), stop - start))
+        dots = np.empty((len(uses), stop - start))
         for k0 in range(0, stop - start, rows):
             k1 = min(k0 + rows, stop - start)
             shape = (k1 - k0, w)
@@ -1227,22 +1233,21 @@ def _sweep_block_builder(pairs, x: np.ndarray, ell: np.ndarray, sweep):
             weights[...] = ell[start + 1 :]
             weights[:, :k1][lower[k0:k1, :k1]] = 0.0
             for q in range(d):
-                diff = deltas[q] if deltas else squares[q]
-                np.subtract(x[start + k0 : start + k1, q, None], x[None, start + 1 :, q], out=diff)
-                if squares:
-                    np.square(diff, out=squares[q])
-            for (q, sc), floor, table in zip(keys, floored, tables):
-                np.multiply(squares[q], sc, out=table)
-                if floor:
-                    np.maximum(table, _EXP_FLOOR, out=table)
-                np.exp(table, out=table)
+                np.subtract(x[start + k0 : start + k1, q, None], x[None, start + 1 :, q], out=deltas[q])
+                np.square(deltas[q], out=squares[q])
+            for key, floor, table in zip(keys, floored, tables):
+                q = key[0]
+                if len(key) == 2:
+                    np.multiply(squares[q], key[1], out=table)
+                    if floor:
+                        np.maximum(table, _EXP_FLOOR, out=table)
+                    np.exp(table, out=table)
+                else:
+                    _epanechnikov_conv(key[1], key[2], deltas[q], out=table)
                 if q == d - 1:
                     # the last factor of every pair carries the weights
                     np.multiply(table, weights, out=table)
-            for (a, b), use, out in zip(pairs, uses, dots[:, k0:k1]):
-                if use is None:
-                    _row_dots(bandwidth_gram_entries(a, b, deltas), weights, out)
-                    continue
+            for use, out in zip(uses, dots[:, k0:k1]):
                 vals = tables[use[0]]
                 if d > 2:
                     vals = np.multiply(vals, tables[use[1]], out=_leading(value_buf, shape))

@@ -154,32 +154,40 @@ def reference_product_tensor(values, ell, block=256):
     return out.reshape(shape)
 
 
+def epanechnikov_reference_entries(d, h_a, h_b):
+    """The Epanechnikov section products of a d = 1 pair at the long-double
+    differences ``d``, by the 3-node Gauss-Legendre rule on the support
+    overlap, exact for the degree-4 integrand, in 80-bit arithmetic where
+    numpy has it."""
+    ha, hb = np.longdouble(h_a), np.longdouble(h_b)
+    nodes, weights = (np.asarray(v, dtype=np.longdouble) for v in np.polynomial.legendre.leggauss(3))
+    left, right = np.maximum(-ha, d - hb), np.minimum(ha, d + hb)
+    half, mid = np.clip(right - left, 0, None) / 2, (right + left) / 2
+    g = np.zeros_like(d)
+    for t, w in zip(nodes, weights):
+        u = mid + half * t
+        g += w * (ha - u) * (ha + u) * (hb - (u - d)) * (hb + (u - d))
+    g *= half * (np.longdouble(9) / 16) / (ha * hb) ** 3
+    return g
+
+
 def epanechnikov_reference_totals(x, ells, h_a, h_b, rows=200):
     """sum_ij ell_i ell_j G_ab[i, j] and sum_ij |ell_i ell_j| G_ab[i, j] of a
     d = 1 Epanechnikov pair, per row of ``ells``, in long double.
 
-    Each entry is the 3-node Gauss-Legendre rule on the support overlap,
-    exact for the degree-4 integrand, in 80-bit arithmetic where numpy has
-    it; the table is built ``rows`` rows at a time, over the columns in
-    reach of them.  Returns a (len(ells), 2) float array.
+    Each entry is :func:`epanechnikov_reference_entries`; the table is
+    built ``rows`` rows at a time, over the columns in reach of them.
+    Returns a (len(ells), 2) float array.
     """
     order = np.argsort(x, kind="stable")
     xs = np.asarray(x, dtype=np.longdouble)[order]
     ls = [np.asarray(ell, dtype=np.longdouble)[order] for ell in ells]
-    ha, hb = np.longdouble(h_a), np.longdouble(h_b)
-    nodes, weights = (np.asarray(v, dtype=np.longdouble) for v in np.polynomial.legendre.leggauss(3))
+    reach = np.longdouble(h_a) + np.longdouble(h_b)
     out = np.zeros((len(ls), 2), dtype=np.longdouble)
     for lo in range(0, xs.size, rows):
-        first = np.searchsorted(xs, xs[lo] - (ha + hb), side="left")
-        last = np.searchsorted(xs, xs[min(lo + rows, xs.size) - 1] + (ha + hb), side="right")
-        d = xs[lo : lo + rows, None] - xs[None, first:last]
-        left, right = np.maximum(-ha, d - hb), np.minimum(ha, d + hb)
-        half, mid = np.clip(right - left, 0, None) / 2, (right + left) / 2
-        g = np.zeros_like(d)
-        for t, w in zip(nodes, weights):
-            u = mid + half * t
-            g += w * (ha - u) * (ha + u) * (hb - (u - d)) * (hb + (u - d))
-        g *= half * (np.longdouble(9) / 16) / (ha * hb) ** 3
+        first = np.searchsorted(xs, xs[lo] - reach, side="left")
+        last = np.searchsorted(xs, xs[min(lo + rows, xs.size) - 1] + reach, side="right")
+        g = epanechnikov_reference_entries(xs[lo : lo + rows, None] - xs[None, first:last], h_a, h_b)
         for row, ell in zip(out, ls):
             row[0] += ell[lo : lo + rows] @ g @ ell[first:last]
             row[1] += np.abs(ell[lo : lo + rows]) @ g @ np.abs(ell[first:last])

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     cross_gram_total,
+    epanechnikov_reference_entries,
     epanechnikov_reference_totals,
     quad_section_inner,
     reference_product_tensor,
@@ -61,7 +62,6 @@ from pcoselect.estimator import (
     _bandwidth_diag_value,
     _bandwidth_rows,
     _distance,
-    _gaussian_scales,
     _grid_width,
     _kernel_sums,
     _product_tensor,
@@ -1026,19 +1026,19 @@ def _dense_totals(pairs, s):
 TENSOR_FAMILIES = [
     make_bandwidth_family(GAUSSIAN, 0.1, [0.1, 0.2, 0.4], 2, 1000),
     make_bandwidth_family(GAUSSIAN, 0.15, [0.15, 0.3, 0.6], 3, 1000),
+    make_bandwidth_family(EPANECHNIKOV, 0.05, [0.05, 0.1, 0.2, 0.4], 2, 1000),
 ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 32, 33, 65])
-@pytest.mark.parametrize("fam", TENSOR_FAMILIES, ids=["d2", "d3"])
+@pytest.mark.parametrize("fam", TENSOR_FAMILIES, ids=["d2", "d3", "epanechnikov-d2"])
 def test_sweep_shares_per_dimension_tables_and_matches_dense(fam, n):
     d = fam.k0.d
     s = _uniform_sample(n, d=d, seed=60 + n, loss=LossKind.IDENTITY)
     pairs = _family_pairs(fam)
-    scales = [_gaussian_scales(a, b) for a, b in pairs]
-    keys, uses, _ = _sweep_tables(scales, n)
-    # every pair is factored, and the pairs share their tables
-    assert all(use is not None for use in uses) and len(keys) < d * len(pairs)
+    keys, uses, _ = _sweep_tables(pairs, n)
+    # every pair is one table per dimension, and the pairs share their tables
+    assert all(len(use) == d for use in uses) and len(keys) < d * len(pairs)
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
@@ -1050,11 +1050,18 @@ def test_sweep_mixes_floored_factored_and_epanechnikov_pairs(n):
     a, b = BandwidthSpec(GAUSSIAN, (0.015, 0.3)), BandwidthSpec(GAUSSIAN, (0.3, 0.3))
     e, f = BandwidthSpec(EPANECHNIKOV, (0.2, 0.35)), BandwidthSpec(EPANECHNIKOV, (0.1, 0.5))
     pairs = [(a, a), (a, b), (b, b), (e, e), (e, f)]
-    scales = [_gaussian_scales(p, q) for p, q in pairs]
-    keys, uses, _ = _sweep_tables(scales, n)
-    assert [use is not None for use in uses] == [True, True, True, False, False]
+    keys, uses, _ = _sweep_tables(pairs, n)
+    # a Gaussian table is keyed by its scale -1 / (2 v_q), an Epanechnikov one by its two bandwidths, in order
+    narrow = -0.5 / (2 * 0.015**2)
+    assert [[list(keys)[k] for k in use] for use in uses] == [
+        [(0, narrow), (1, -0.5 / (2 * 0.3**2))],
+        [(0, -0.5 / (0.015**2 + 0.3**2)), (1, -0.5 / (2 * 0.3**2))],
+        [(0, -0.5 / (2 * 0.3**2)), (1, -0.5 / (2 * 0.3**2))],
+        [(0, 0.2, 0.2), (1, 0.35, 0.35)],
+        [(0, 0.1, 0.2), (1, 0.35, 0.5)],
+    ]
     span_sq = np.ptp(s.x, axis=0) ** 2
-    assert [key for key in keys if _reaches_floor([span_sq[key[0]]], [key[1]])] == [(0, scales[0][0])]
+    assert [key for key in keys if len(key) == 2 and _reaches_floor([span_sq[key[0]]], [key[1]])] == [(0, narrow)]
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
     # at d = 1 the narrow Gaussian pairs and the wide one take the trapezoid sum
     s1 = _uniform_sample(n, seed=62, loss=LossKind.IDENTITY)
@@ -1133,10 +1140,10 @@ def test_floored_gaussian_pairs_match_dense(fam):
     n = 150
     s = _uniform_sample(n, d=d, seed=72, loss=LossKind.IDENTITY)
     pairs = _family_pairs(fam)
-    keys, uses, _ = _sweep_tables([_gaussian_scales(a, b) for a, b in pairs], n)
+    keys, _, _ = _sweep_tables(pairs, n)
     span_sq = np.ptp(s.x, axis=0) ** 2
     floored = [key for key in keys if _reaches_floor([span_sq[key[0]]], [key[1]])]
-    assert 0 < len(floored) < len(keys) and None not in uses
+    assert 0 < len(floored) < len(keys)
     assert_allclose(_totals(pairs, s.x, s.loss_values), _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
@@ -1152,10 +1159,10 @@ def test_sweep_tables_past_the_limit_raise_before_they_are_allocated(monkeypatch
     pairs = _family_pairs(fam)
     monkeypatch.setattr(errors_mod, "MAX_TABLE_ENTRIES", 18 * (n - 1) - 1)
     monkeypatch.setattr(estimator_mod, "_sweep_block_builder", lambda *args: pytest.fail("the sweep started"))
-    with pytest.raises(ConfigError, match=r"Gaussian tables of the bandwidth sweep: tables 18 x columns 199 asks "
+    with pytest.raises(ConfigError, match=r"^tables of the bandwidth sweep: tables 18 x columns 199 asks "
                                           r"for a table of 3582 entries, above the limit of 3581"):
         _totals(pairs, s.x, s.loss_values)
-    with pytest.raises(ConfigError, match="Gaussian tables of the bandwidth sweep"):
+    with pytest.raises(ConfigError, match="^tables of the bandwidth sweep"):
         pco_select(fam, s)
     # at the limit the sweep runs, one row per pass
     monkeypatch.undo()
@@ -1164,15 +1171,57 @@ def test_sweep_tables_past_the_limit_raise_before_they_are_allocated(monkeypatch
 
 
 def test_pair_total_does_not_depend_on_the_rest_of_its_sweep():
-    # the 18 tables of this family take several passes per block of rows
+    # the 18 tables of the Gaussian family, and the 14 of the Epanechnikov
+    # one, take several passes per block of rows
     n = 1000
     s = _uniform_sample(n, d=2, seed=64, loss=LossKind.IDENTITY)
     grid = list(np.geomspace(0.05, 0.4, 5))
-    pairs = _family_pairs(make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, n))
-    scales = [_gaussian_scales(a, b) for a, b in pairs]
-    assert _sweep_tables(scales, n)[2] < _SWEEP_ROWS
-    together = _totals(pairs, s.x, s.loss_values)
-    assert [_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
+    for fam in (make_bandwidth_family(GAUSSIAN, grid[0], grid, 2, n),
+                make_bandwidth_family(EPANECHNIKOV, 0.05, [0.05, 0.1, 0.2, 0.4], 2, n)):
+        pairs = _family_pairs(fam)
+        assert _sweep_tables(pairs, n)[2] < _SWEEP_ROWS
+        together = _totals(pairs, s.x, s.loss_values)
+        assert [_totals([p], s.x, s.loss_values)[0] for p in pairs[::6]] == together[::6]
+
+
+def test_sweep_block_reads_no_pairwise_gram_entries(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+    import pcoselect.kernels as kernels_mod
+
+    # every swept pair, Gaussian or Epanechnikov, is a product of the sweep's tables
+    n = 70
+    s = _uniform_sample(n, d=3, seed=66, loss=LossKind.IDENTITY)
+    pairs = [(BandwidthSpec(EPANECHNIKOV, (0.2, 0.35, 0.5)), BandwidthSpec(EPANECHNIKOV, (0.1, 0.5, 0.5))),
+             (BandwidthSpec(GAUSSIAN, (0.05, 0.3, 0.2)), BandwidthSpec(GAUSSIAN, (0.1, 0.1, 0.4)))]
+    consts = [_bandwidth_diag_value(a, b) for a, b in pairs]
+    want = bandwidth_totals(pairs, s.x, s.loss_values, consts)
+    for module in (estimator_mod, kernels_mod):
+        monkeypatch.setattr(module, "bandwidth_gram_entries", lambda *args: pytest.fail("a pair read G_ab"))
+    got = bandwidth_totals(pairs, s.x, s.loss_values, consts)
+    assert [t.hex() for t in got] == [t.hex() for t in want]
+    monkeypatch.undo()
+    assert_allclose(got, _dense_totals(pairs, s), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("narrow_first", [False, True])
+def test_epanechnikov_d2_pair_with_a_tiny_bandwidth_holds_to_a_long_double_reference(narrow_first):
+    # the narrow kernel of the first dimension sits at differences on a 0.1
+    # grid, among them the wide kernel's support end 0.5; either order of
+    # the pair puts it at |delta|, where delta -+ 1e-6 kept about ten digits
+    rng = stream(80)
+    n = 64
+    x = np.column_stack([np.round(rng.random(n), 1), rng.random(n)])
+    ell = rng.standard_normal(n)
+    a, b = BandwidthSpec(EPANECHNIKOV, (0.5, 0.5)), BandwidthSpec(EPANECHNIKOV, (1e-6, 0.5))
+    if narrow_first:
+        a, b = b, a
+    got = _totals([(a, b)], x, ell)[0]
+    xl, ll = x.astype(np.longdouble), ell.astype(np.longdouble)
+    table = np.ones((n, n), dtype=np.longdouble)
+    for q in range(2):
+        table *= epanechnikov_reference_entries(xl[:, q, None] - xl[None, :, q], a.h[q], b.h[q])
+    want, scale = float(ll @ table @ ll), float(np.abs(ll) @ table @ np.abs(ll))
+    assert abs(got - want) <= 1e-14 * scale, (got, want, scale)
 
 
 def _d1_sample(case):

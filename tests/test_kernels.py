@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ def test_epanechnikov_three_node_rule_matches_quadrature(ha, hb):
             want = quad_section_inner(a, np.zeros(1), b, xb)
             assert_allclose(section_inner_matrix(a, np.zeros((1, 1)), b, xb[None])[0, 0], want, rtol=1e-12)
     assert section_inner_matrix(a, np.zeros((1, 1)), b, np.array([[1.0001 * (ha + hb)]]))[0, 0] == 0.0
+
+
+def _exact_epanechnikov(ha, hb, delta) -> float:
+    """The Epanechnikov section product in exact rationals: the integral of
+    (9/16) (ha^2 - u^2)(hb^2 - (u - delta)^2) / (ha hb)^3 on the overlap."""
+    ha, hb, delta = Fraction(ha), Fraction(hb), Fraction(delta)
+    lo, hi = max(-ha, delta - hb), min(ha, delta + hb)
+    if hi <= lo:
+        return 0.0
+    c = (hb * hb - delta * delta, 2 * delta, -1)  # the second factor, by powers of u
+    p = (ha * ha * c[0], ha * ha * c[1], ha * ha * c[2] - c[0], -c[1], -c[2])
+    integral = sum(pk * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, pk in enumerate(p))
+    return float(integral * Fraction(9, 16) / (ha * hb) ** 3)
+
+
+@pytest.mark.parametrize("ha,hb", [(0.5, 1e-6), (1e-6, 0.5), (6.18, 1e-6), (0.2, 0.05), (0.5, 0.5)])
+def test_epanechnikov_convolution_holds_to_an_exact_integral(ha, hb):
+    # the narrow kernel far from 0, inside the wide one and across its support
+    # end: forming delta -+ 1e-6 kept about ten digits of such entries
+    deltas = np.concatenate([np.linspace(-0.6, 0.6, 121), 0.5 + np.array([-2e-6, -1e-6, -5e-7, 5e-7, 1e-6]),
+                             [0.3 - 0.1, 0.7 - 0.2]])
+    got = section_inner_pointwise(BandwidthSpec(EPANECHNIKOV, (ha,)), np.zeros((deltas.size, 1)),
+                                  BandwidthSpec(EPANECHNIKOV, (hb,)), -deltas[:, None])
+    want = np.array([_exact_epanechnikov(ha, hb, v) for v in deltas])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
 @pytest.mark.parametrize("basis,orders", [(TRIG, (2, 5, 9)), (HIST, (3, 4, 7)), (LEG, (1, 4, 8))])
