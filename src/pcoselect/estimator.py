@@ -56,9 +56,16 @@ n x n table.
 
 :func:`estimate_on_grid` evaluates any number of members of a family at
 once and shares the work between them.  Bandwidth members walk the
-points in column blocks of a fixed scratch budget: the squared
-differences to a block are formed once, and each member adds one
-in-place pass and one product with ell.  On a d = 1 grid that records
+points in column blocks of a fixed scratch budget, with the sample and
+the points sorted once by their first coordinate.  In each block a member
+sums only the sample rows within its reach along that coordinate, a
+``searchsorted`` window: h_1 for Epanechnikov, exactly, and for Gaussian
+about 9.12 h_1 among the data, past which an entry is below 2^-60 of the
+nearest one (the rule of the trapezoid sums), and up to the exponent
+floor's 37.4 h_1 off them; a block beyond that reach of every sample
+point reads exactly 0.  The squared differences to a block are formed
+once over the widest window, and each member adds one in-place pass and
+one product with ell over its own.  On a d = 1 grid that records
 its uniform axis (a :func:`~pcoselect.quadrature.trapezoid_grid`, passed
 as the grid and not as its points), a Gaussian member factors instead:
 each entry exp(-(G_b + k step - x_i)^2 / (2 h^2)) is an anchor factor in
@@ -66,8 +73,8 @@ each entry exp(-(G_b + k step - x_i)^2 / (2 h^2)) is an anchor factor in
 a stride of B offsets per anchor cuts the ``exp`` calls about B-fold
 (:func:`_axis_rows`).  The risk grids of :mod:`~pcoselect.experiments`
 take this path; raw point arrays (the quotient, CLI ``estimate``), the
-Gauss-Legendre statistic grids, Epanechnikov and projection members,
-d >= 2 and members with h near 1/n keep the block path and its bits.
+Gauss-Legendre statistic grids, Epanechnikov members, d >= 2 and members
+with h near 1/n take the banded block path.
 Nested projection members share
 one basis evaluation at the points, at the family's top order, and
 expand the coefficient tensors that :class:`GramTables` keeps.  With a
@@ -89,8 +96,9 @@ pass.
 The sweep's row blocks, the d = 1 pairs and the grid evaluation's column
 blocks are pure functions of their block or pair, and their results are
 put back and reduced in order.  Once a sweep, a set of pairs or a grid is
-large (``_FORK_WORK``, decided from n, d and the members or pairs alone),
-its blocks are spread over the worker pool of
+large (``_FORK_WORK``, decided from n, d and the members or pairs alone,
+and for a grid from the entries of its windows), its blocks are spread
+over the worker pool of
 :func:`~pcoselect.numerics.pooled_map`: worker processes forked by the
 first map that needs them, up to the usable CPUs, and kept for the life
 of the process.  Each map sends a module-level block
@@ -326,11 +334,16 @@ _BASIS_VALUES = 1 << 20
 # took 15-50% longer than 2^18 on the 2048-point (d = 1) and 65536-point
 # (d = 2) risk grids.
 _GRID_SCRATCH = 1 << 18
-# Floor of every Gaussian exponent before ``exp``.  numpy's vector exp
-# takes about 1 ns per entry down to -707, 20-30 ns where the result
-# underflows to 0 and about 200 ns where it is subnormal, and at small
-# bandwidths most entries land there.  A floored entry reads e^-700
-# (about 1e-304) instead of 0 or a subnormal.
+# Floor of a Gaussian exponent before ``exp``.  numpy's vector exp takes
+# about 1 ns per entry down to -707, 20-30 ns where the result underflows
+# to 0 and about 200 ns where it is subnormal.  Where the exponents of a
+# sweep table, an anchor table of :func:`_axis_rows` or a grid block can
+# reach it, they are floored, and a floored entry reads e^-700 (about
+# 1e-304) instead of 0 or a subnormal.  A grid block sums only the sample
+# rows within a member's reach (:func:`_grid_windows`), which stops at
+# sqrt(-2 _EXP_FLOOR) h, about 37.4 h, where the exponents pass the floor:
+# a block of points all farther than that from every sample point reads
+# exactly 0.
 _EXP_FLOOR = -700.0
 # Anchor strides B of the uniform-axis Gaussian path (:func:`_axis_rows`):
 # at most 32, and at least 3, below which a member takes the block path.
@@ -501,6 +514,47 @@ def _grid_width(n: int, d: int) -> int:
     return max(1, _GRID_SCRATCH // ((d + 2) * n))
 
 
+@_OVERFLOW_IGNORED
+def _grid_windows(specs, first: np.ndarray, p: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sample rows each member sums in each column block, shape
+    (blocks, members, 2): the half-open range [lo, hi) of the rows of
+    ``first``, the sorted first coordinates of the sample, within reach of
+    the block's range of first coordinates.  ``p`` holds the sorted first
+    coordinates of the points and ``starts`` the first point of each block.
+
+    An Epanechnikov member reaches h_1 (1 + 2^-40): its entries past h_1
+    are exactly 0, and the pad is far more than the few ulp by which
+    rounding can leave one nonzero.  A Gaussian member reaches
+    sqrt(g^2 + 120 ln 2 h_1^2) from a block each of whose points has a
+    sample point within g along the first coordinate: past that every
+    entry of a point is below 2^-60 of its nearest one (the rule of the
+    trapezoid sums), so a block among the data sums about 9.12 h_1 to
+    each side and a block off them still sums its points' nearest ones.
+    The reach stops at sqrt(-2 ``_EXP_FLOOR``) h_1, about 37.4 h_1, past
+    which an entry is below the exponent floor, so a point farther than
+    that from every sample point reads exactly 0 unless its block holds
+    points nearer the data.  Each bound steps one ulp outward, so
+    rounding in p -+ reach drops no row, and a NaN bound (NaN points sort
+    last) takes the whole sample, so a NaN point reads NaN.
+    """
+    after = np.searchsorted(first, p)
+    gap = np.minimum(np.abs(p - first[np.maximum(after - 1, 0)]), np.abs(first[np.minimum(after, first.size - 1)] - p))
+    far = np.maximum.reduceat(gap, starts)
+    low, high = p[starts], p[np.append(starts[1:], p.size) - 1]
+    windows = np.empty((starts.size, len(specs), 2), dtype=np.intp)
+    for k, spec in enumerate(specs):
+        h = spec.h[0]
+        if spec.base.kind is BaseKind.GAUSSIAN:
+            reach = np.minimum(np.hypot(far, math.sqrt(2.0 * _TRAPEZOID_DROP) * h), math.sqrt(-2.0 * _EXP_FLOOR) * h)
+        else:
+            reach = h * (1.0 + 2.0**-40)
+        lo, hi = low - reach, high + reach
+        lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
+        windows[:, k, 0] = np.searchsorted(first, np.nextafter(lo, -np.inf), "left")
+        windows[:, k, 1] = np.searchsorted(first, np.nextafter(hi, np.inf), "right")
+    return windows
+
+
 def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor, axis=None) -> np.ndarray:
     """Bandwidth members at the points, shape (members, weight rows, P);
     ``w`` holds one weight row per sample point.
@@ -508,19 +562,19 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
     Given the uniform ``axis`` (lo, step, P) of a d = 1 grid, a Gaussian
     member whose anchor stride (:func:`_axis_stride`) is at least
     ``_AXIS_MIN_STRIDE`` takes the factored path, :func:`_axis_rows`.
-    Every other member walks the points in fixed column blocks.  A block
-    forms the squared differences (x_iq - g_pq)^2 once, into reused
-    scratch.  Each member then takes one in-place pass per dimension: the
-    Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
-    ``_EXP_FLOOR`` if it can reach that far, and one ``exp``, or the
-    Epanechnikov product prod_q max(0, 1 - delta_q^2 / h_q^2), and one
-    ``w_j @ block`` per weight row.  That is one gemv per row and not one
-    gemm for the stack: BLAS rounds the two differently, and a gemv on a
-    contiguous row gives every row the bits of a single-row call.  The
-    constant prod_q k(0) / h_q / divisor multiplies the rows.  Large
-    evaluations compute their blocks on the worker pool
-    (:func:`_map_blocks`); a block is a pure function of its columns, and
-    a member's rows are the same whichever members share the call.
+    Every other member takes the banded block path.  The sample, with its
+    weight rows, and the points are sorted once by their first coordinate
+    (ties by the next ones, so permuted points, or a permuted sample of
+    distinct points, give the same bits, permuted), and the points are
+    walked in fixed column blocks of :func:`_grid_width`.  Each member
+    sums, in each block, only the sorted rows within its reach of the
+    block (:func:`_grid_windows`); every window is found before the blocks
+    run, and the pool threshold (:func:`_map_blocks`) counts the entries
+    of the windows.  The block rows are computed by
+    :func:`_grid_block_builder`, on the worker pool for large evaluations,
+    and put back in the points' order.  A block is a pure function of its
+    columns and a member's window of its own, so a member's rows are the
+    same whichever members share the call.
     """
     n, d = x.shape
     rows = np.empty((len(specs), len(w), points.shape[0]))
@@ -535,13 +589,17 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
             if stride >= _AXIS_MIN_STRIDE:
                 rows[k] = _axis_rows(spec, u, w, step, count, span, stride, divisor)
                 blocked.remove(k)
-    if blocked:
+    if blocked and points.shape[0]:
         members = [specs[k] for k in blocked]
-        args = (members, np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(points), divisor)
-        starts = range(0, points.shape[0], _grid_width(n, d))
-        blocks = _map_blocks(_grid_block_builder, args, starts, len(members) * n * points.shape[0])
-        if blocks:
-            rows[blocked] = np.concatenate(blocks, axis=2)
+        order, place = np.lexsort(x.T[::-1]), np.lexsort(points.T[::-1])
+        x, w, points = x[order], np.ascontiguousarray(w[:, order]), points[place]
+        starts = np.arange(0, points.shape[0], _grid_width(n, d))
+        windows = _grid_windows(members, x[:, 0], points[:, 0], starts)
+        cols = np.diff(np.append(starts, points.shape[0]))
+        work = int(np.sum((windows[..., 1] - windows[..., 0]) * cols[:, None]))
+        args = (members, x, w, points, windows, divisor)
+        blocks = _map_blocks(_grid_block_builder, args, range(len(windows)), work)
+        rows[blocked] = np.take(np.concatenate(blocks, axis=2), np.argsort(place), axis=2)
     return rows
 
 
@@ -626,44 +684,76 @@ def _axis_rows(spec, u: np.ndarray, w: np.ndarray, step: float, count: int, span
 
 
 @_OVERFLOW_IGNORED
-def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, divisor):
+def _grid_block_builder(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, windows: np.ndarray, divisor):
     """The block function of :func:`_bandwidth_rows`, with its scratch:
-    the rows of every member and weight row at the points of the block
-    from ``start``."""
+    the rows of every member and weight row at the points of block ``b``.
+    The sample and the points are sorted by their first coordinate and
+    ``windows[b]`` holds each member's range of sample rows.
+
+    The block forms the squared differences (x_iq - g_pq)^2 once, over
+    the union of its members' windows, into reused scratch.  Each member
+    then takes, over its own rows, one in-place pass per dimension: the
+    Gaussian exponent sum_q delta_q^2 (-1 / (2 h_q^2)), floored at
+    ``_EXP_FLOOR`` if it can reach that far (on the first coordinate over
+    the window and the block, on the others over the whole sample and the
+    block), and one ``exp``, or the Epanechnikov product
+    prod_q max(0, 1 - delta_q^2 / h_q^2); then one ``w_j @ block`` per
+    weight row.  That is one gemv per row and not one gemm for the stack:
+    BLAS rounds the two differently, and a gemv on a contiguous row gives
+    every row the bits of a single-row call.  The constant
+    prod_q k(0) / h_q / divisor multiplies the rows, and a member with an
+    empty window reads 0.
+    """
     n, d = x.shape
     width = _grid_width(n, d)
     squares = [np.empty(n * width) for _ in range(d)]
     work, term = np.empty(n * width), np.empty(n * width)
     consts = [math.prod(spec.base.at_zero / hq for hq in spec.h) / divisor for spec in specs]
+    scales = [[-0.5 / (hq * hq) for hq in spec.h] for spec in specs]
+    top, bottom = x[:, 1:].max(axis=0), x[:, 1:].min(axis=0)
+    # the members whose exponents reach the floor somewhere among all the points
     span_sq = np.ptp(np.concatenate([x, points]), axis=0) ** 2
-    floors = [spec.base.kind is BaseKind.GAUSSIAN
-              and _reaches_floor(span_sq, [-0.5 / (hq * hq) for hq in spec.h]) for spec in specs]
+    floors = [spec.base.kind is BaseKind.GAUSSIAN and _reaches_floor(span_sq, sc) for spec, sc in zip(specs, scales)]
 
     @_OVERFLOW_IGNORED
-    def block_rows(start):
-        cols = min(width, points.shape[0] - start)
-        sq = [buf[: n * cols].reshape(n, cols) for buf in squares]
-        vals, tmp = work[: n * cols].reshape(n, cols), term[: n * cols].reshape(n, cols)
+    def block_rows(b):
+        block = points[b * width : (b + 1) * width]
+        cols = block.shape[0]
+        rows = np.zeros((len(specs), len(w), cols))
+        spans = [(k, lo, hi) for k, (lo, hi) in enumerate(windows[b].tolist()) if hi > lo]
+        if not spans:
+            return rows
+        first, last = min(lo for _, lo, _ in spans), max(hi for _, _, hi in spans)
+        sq = [buf[: (last - first) * cols].reshape(last - first, cols) for buf in squares]
         for q in range(d):
-            np.subtract(x[:, q, None], points[None, start : start + cols, q], out=sq[q])
+            np.subtract(x[first:last, q, None], block[None, :, q], out=sq[q])
             np.square(sq[q], out=sq[q])
-        rows = np.empty((len(specs), len(w), cols))
-        for member, spec, const, floor in zip(rows, specs, consts, floors):
+        # |delta_q| is at most the span of the whole sample and the block past
+        # the first dimension, and of the window and the block along it
+        spread = []
+        if d > 1 and any(floors):
+            spread = (np.maximum(block[:, 1:].max(axis=0), top) - np.minimum(block[:, 1:].min(axis=0), bottom)).tolist()
+        for k, lo, hi in spans:
+            spec = specs[k]
+            vals, tmp = work[: (hi - lo) * cols].reshape(-1, cols), term[: (hi - lo) * cols].reshape(-1, cols)
             gaussian = spec.base.kind is BaseKind.GAUSSIAN
             for q, hq in enumerate(spec.h):
                 out = vals if q == 0 else tmp
-                np.multiply(sq[q], (-0.5 if gaussian else -1.0) / (hq * hq), out=out)
+                np.multiply(sq[q][lo - first : hi - first], (-0.5 if gaussian else -1.0) / (hq * hq), out=out)
                 if not gaussian:
                     out += 1.0
                     np.maximum(out, 0.0, out=out)
                 if q:
                     (np.add if gaussian else np.multiply)(vals, tmp, out=vals)
-            if floor:
-                np.maximum(vals, _EXP_FLOOR, out=vals)
+            if floors[k]:
+                # the first coordinates of the window and the block are sorted
+                span = [max(x[hi - 1, 0], block[-1, 0]) - min(x[lo, 0], block[0, 0])] + spread
+                if _reaches_floor([r * r for r in span], scales[k]):
+                    np.maximum(vals, _EXP_FLOOR, out=vals)
             if gaussian:
                 np.exp(vals, out=vals)
-            for wj, row in zip(w, member):
-                np.multiply(wj @ vals, const, out=row)
+            for wj, row in zip(w, rows[k]):
+                np.multiply(wj[lo:hi] @ vals, consts[k], out=row)
         return rows
 
     return block_rows
@@ -685,10 +775,15 @@ def _kernel_sums(specs, x: np.ndarray, w: np.ndarray, points, divisor=1, tables=
     contraction, and its sums are the bits of a call with that row alone.
 
     ``points`` is an array or an :class:`~pcoselect.quadrature.IntegrationGrid`.
-    Bandwidth members walk the points in column blocks whose width depends
-    on len(x) and d alone, so scratch memory is fixed whatever the number
-    of points (:func:`_bandwidth_rows`); on a grid that records its uniform
-    axis, Gaussian members at d = 1 factor over it instead
+    Bandwidth members walk the points, sorted by their first coordinate, in
+    column blocks whose width depends on len(x) and d alone, so scratch
+    memory is fixed whatever the number of points, and each member sums
+    only the x within its reach of a block along the first coordinate
+    (:func:`_grid_windows`): h_1 for Epanechnikov, and for Gaussian about
+    9.12 h_1 among the x, past which its entries are below 2^-60 of the
+    nearest one, and up to 37.4 h_1 off them.  A block of points all
+    farther than that from every x reads exactly 0.  On a grid that records
+    its uniform axis, Gaussian members at d = 1 factor over it instead
     (:func:`_axis_rows`), in the same scratch budget.  Projection members expand the
     coefficient tensor of (x, w_j) at the points (:func:`_projection_rows`),
     taken from ``tables`` when given: those of a sample with design x and
@@ -719,7 +814,10 @@ def estimate_on_grid(specs, sample, points: np.ndarray) -> np.ndarray:
     members, giving (N, P) with one row per member.  ``points`` is an
     array, or an :class:`~pcoselect.quadrature.IntegrationGrid` whose
     recorded uniform axis lets d = 1 Gaussian members take the factored
-    path of :func:`_axis_rows`.  ``sample`` is a
+    path of :func:`_axis_rows`.  Other bandwidth members sum, at each block
+    of points, only the observations within their reach (the banded block
+    path of :func:`_bandwidth_rows`), so a block of points far from the
+    data reads exactly 0.  ``sample`` is a
     :class:`Sample` or the :class:`GramTables` of one; the tables left by
     selection hold the coefficient tensors that projection members reuse
     here.  The members share one pass,

@@ -491,6 +491,126 @@ def test_grid_evaluation_memory_is_bounded(monkeypatch):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("base", [GAUSSIAN, EPANECHNIKOV])
+def test_banded_rows_match_kernel_matrix(base, d):
+    n = 400 if d == 1 else 200
+    s = _uniform_sample(n, d=d, seed=46, loss=LossKind.IDENTITY)
+    # inside the sample's box and outside it on every side, unsorted, over several column blocks
+    pts = stream(47).uniform(-0.5, 1.5, size=(3 * _grid_width(n, d) + 5, d))
+    specs = [BandwidthSpec(base, (h,) * d) for h in np.geomspace(1.0 / n, 1.0, 7)]
+    if d == 2:
+        specs += [BandwidthSpec(base, hs) for h in (1.0 / n, 0.05) for hs in ((h, 0.2), (0.2, h))]
+    for spec, row in zip(specs, estimate_on_grid(specs, s, pts)):
+        want = s.loss_values @ kernel_matrix(spec, s.x, pts) / n
+        assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_gaussian_points_off_the_data_sum_their_nearest_sample_points():
+    # every point lies 18 h to 68 h from its nearest sample point, past the 9.12 h reach among the data
+    h = 0.01
+    s = Sample(np.array([[-0.18], [-0.2], [1.5]]), np.array([1.0, -2.0, 0.5]), LossKind.IDENTITY)
+    pts = np.linspace(0.0, 1.0, 41)[:, None]
+    spec = BandwidthSpec(GAUSSIAN, (h,))
+    row = estimate_on_grid(spec, s, pts)
+    want = s.loss_values @ kernel_matrix(spec, s.x, pts) / s.n
+    assert 0.0 < np.max(np.abs(want)) < 1e-60
+    assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    # from 37.4 h, where every exponent is below the floor, a point reads exactly 0
+    assert np.array_equal(estimate_on_grid(spec, s, [[0.2], [1.5 - 0.375]]), [0.0, 0.0])
+
+
+def test_epanechnikov_entries_at_the_edge_of_their_window(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    # one point per column block, so each window spans just the member's reach
+    monkeypatch.setattr(estimator_mod, "_GRID_SCRATCH", 1)
+    spec = BandwidthSpec(EPANECHNIKOV, (0.125,))
+    # exact in binary: at |delta| = h (1 - 2^-52) an entry is 2^-51 of its peak, at h (1 + 2^-52) it is 0
+    edge = 0.125 * np.array([1 - 2.0**-52, -1 + 2.0**-52, 1 + 2.0**-52, -1 - 2.0**-52])
+    got = _kernel_sums([spec], np.zeros((1, 1)), np.ones(1), edge[:, None])[0]
+    assert np.array_equal(got, [2.0**-51 * 6.0] * 2 + [0.0] * 2)
+    assert np.array_equal(got, kernel_matrix(spec, np.zeros((1, 1)), edge[:, None])[0])
+    # rounding leaves these entries 2^-53 though each x lies below the rounded p - h
+    h, p = 0.6709537902789366, 0.5887580462970003
+    past = np.array([[-0.08219574398193631], [-0.08219574398193633]])
+    assert np.all(past < p - h)
+    assert np.all(np.maximum((past - p) ** 2 * (-1.0 / (h * h)) + 1.0, 0.0) == 2.0**-53)
+    assert _kernel_sums([BandwidthSpec(EPANECHNIKOV, (h,))], past, np.ones(2), [[p]])[0, 0] == 2.0**-52 * 0.75 / h
+    # sample points over 2h apart, and points within 3 ulp of x_i -+ h: every sum has one
+    # term, the entry as the block path rounds it, whichever side of the edge it falls
+    rng = stream(48)
+    x = (0.05 * np.arange(40) + 0.01 * rng.random(40))[:, None]
+    w = rng.standard_normal(40)
+    h = 1.0 / 64
+    pts = np.concatenate([(p.view(np.int64) + k).view(np.float64)
+                          for p in (x[:, 0] + h, x[:, 0] - h) for k in range(-3, 4)])[:, None]
+    entries = np.maximum((x - pts.T) ** 2 * (-1.0 / (h * h)) + 1.0, 0.0)
+    assert len(pts) / 4 < np.count_nonzero(entries.any(axis=0)) < len(pts) * 3 / 4
+    want = np.sum(w[:, None] * entries, axis=0) * (0.75 / h)
+    assert np.array_equal(_kernel_sums([BandwidthSpec(EPANECHNIKOV, (h,))], x, w, pts)[0], want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_banded_member_keeps_its_bits_beside_a_wider_member(d):
+    s = _uniform_sample(500, d=d, seed=49, loss=LossKind.IDENTITY)
+    pts = stream(50).uniform(-0.2, 1.2, size=(3 * _grid_width(500, d) + 1, d))
+    pairs = [(GAUSSIAN, 0.01, GAUSSIAN, 0.3), (EPANECHNIKOV, 0.02, GAUSSIAN, 0.5), (GAUSSIAN, 0.002, EPANECHNIKOV, 0.3)]
+    for base, h, wide_base, wide_h in pairs:
+        narrow, wide = BandwidthSpec(base, (h,) * d), BandwidthSpec(wide_base, (wide_h,) * d)
+        alone = estimate_on_grid(narrow, s, pts)
+        assert np.array_equal(estimate_on_grid([wide, narrow], s, pts)[1], alone)
+        assert np.array_equal(estimate_on_grid([narrow, wide], s, pts)[0], alone)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_banded_rows_follow_a_permutation_of_the_sample_or_the_points(d):
+    s = _uniform_sample(600, d=d, seed=51, loss=LossKind.IDENTITY)
+    rng = stream(52)
+    # at d = 2 a tensor grid, whose points share their first coordinates
+    pts = rng.uniform(-0.1, 1.1, (2000, 1)) if d == 1 else trapezoid_grid([-0.1] * 2, [1.1] * 2, 45).points
+    specs = [BandwidthSpec(GAUSSIAN, (0.01,) * d), BandwidthSpec(EPANECHNIKOV, (0.05,) * d),
+             BandwidthSpec(GAUSSIAN, (0.2,) * d)]
+    rows = estimate_on_grid(specs, s, pts)
+    perm = rng.permutation(s.n)
+    shuffled = Sample(s.x[perm], s.y[perm], LossKind.IDENTITY)
+    assert np.array_equal(estimate_on_grid(specs, shuffled, pts), rows)
+    perm = rng.permutation(len(pts))
+    assert np.array_equal(estimate_on_grid(specs, s, pts[perm]), rows[:, perm])
+
+
+def test_nan_points_read_nan_in_any_column_block():
+    s = _uniform_sample(300, seed=54)
+    width = _grid_width(s.n, 1)
+    # NaN points sort last: one block shares them with finite points, the next holds only NaN
+    pts = np.concatenate([np.linspace(0.0, 1.0, width + 3), np.full(width + 5, np.nan)])[:, None]
+    specs = [BandwidthSpec(GAUSSIAN, (0.01,)), BandwidthSpec(EPANECHNIKOV, (0.05,))]
+    rows = estimate_on_grid(specs, s, pts)
+    assert np.all(np.isnan(rows[:, width + 3 :]))
+    for spec, row in zip(specs, rows):
+        want = s.loss_values @ kernel_matrix(spec, s.x, pts[: width + 3]) / s.n
+        assert_allclose(row[: width + 3], want, rtol=1e-12, atol=1e-12 * np.max(want))
+
+
+def test_grid_pool_threshold_counts_banded_entries(monkeypatch):
+    import pcoselect.estimator as estimator_mod
+
+    maps = []
+    real_map = numerics.pooled_map
+    monkeypatch.setattr(numerics, "pooled_map",
+                        lambda build, args, items: maps.append(len(items)) or real_map(build, args, items))
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 1)
+    s = _uniform_sample(5000, seed=53)
+    pts = np.linspace(0.0, 1.0, 4001).reshape(-1, 1)
+    # 20 million entries unbanded, under a million in the windows: in this process
+    assert s.n * len(pts) > 20 * estimator_mod._FORK_WORK
+    estimate_on_grid(BandwidthSpec(EPANECHNIKOV, (0.001,)), s, pts)
+    assert maps == []
+    # a member whose every window is the whole sample maps its blocks
+    estimate_on_grid(BandwidthSpec(EPANECHNIKOV, (1.0,)), s, pts)
+    assert maps == [math.ceil(len(pts) / _grid_width(s.n, 1))]
+
+
 # Gaussian members on the uniform axis of a trapezoid grid: (lo, hi, points,
 # n, bandwidths, members expected on the factored path)
 _AXIS_CASES = {
@@ -989,7 +1109,7 @@ def test_bandwidth_sweep_matches_dense(a, b, n):
     assert_allclose(tables.diag(a, b), np.diagonal(dense), rtol=1e-12)
 
 
-def test_gaussian_exponent_floor_keeps_to_the_exact_references():
+def test_gaussian_exponent_floor_keeps_to_the_exact_references(monkeypatch):
     # at h = 1/n most Gaussian exponents fall below the floor of -700
     n = 400
     s = _uniform_sample(n, seed=12, loss=LossKind.IDENTITY)
@@ -1001,15 +1121,19 @@ def test_gaussian_exponent_floor_keeps_to_the_exact_references():
     for spec, row in zip((a, b), estimate_on_grid([a, b], s, pts)):
         ref = ell @ kernel_matrix(spec, s.x, pts) / n
         assert_allclose(row, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
-    # far from every observation each entry reads e^-700 where the exact kernel is 0
+    # far from every observation the exact kernel is 0, and so is the estimate
     ones = s.with_loss(LossKind.ONE)
     assert kernel_matrix(a, s.x, np.array([[3.0]])).max() == 0.0
-    assert_allclose(estimate_on_grid(a, ones, [[3.0]])[0], math.exp(-700.0) * a.base.at_zero / a.h[0], rtol=1e-12)
-    # the floor is decided on the span of sample and points together
+    assert estimate_on_grid(a, ones, [[3.0]])[0] == ones.loss_values @ kernel_matrix(a, s.x, [[3.0]])[:, 0] / n
     tight = Sample(np.linspace(0.0, 0.01, 5)[:, None], np.ones(5))
     wide = BandwidthSpec(GAUSSIAN, (0.05,))
-    assert_allclose(estimate_on_grid(wide, tight, [[3.0]])[0], math.exp(-700.0) * wide.base.at_zero / 0.05,
-                    rtol=1e-12)
+    assert estimate_on_grid(wide, tight, [[3.0]])[0] == np.sum(kernel_matrix(wide, tight.x, [[3.0]])) / 5
+    # the factored path of a uniform axis reads 0 there too
+    calls = _counting_axis_rows(monkeypatch)
+    axis = trapezoid_grid(0.0, 3.0, 3001)
+    far = BandwidthSpec(GAUSSIAN, (0.02,))
+    assert estimate_on_grid(far, ones, axis)[-1] == 0.0 == kernel_matrix(far, s.x, [[3.0]]).max()
+    assert calls == [far]
 
 
 def _family_pairs(fam):
@@ -1635,6 +1759,45 @@ def test_selection_is_byte_identical_across_blas_thread_counts():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 6
     assert outputs[0] == outputs[1]
+
+
+_QUOTIENT_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from pcoselect import EPANECHNIKOV, GAUSSIAN, BandwidthSpec, LossKind, QuotientConfig, Sample, quotient_on_grid, stream
+from pcoselect import estimator, numerics
+
+rng = stream(7)
+x = rng.random((1000, 1))
+sample = Sample(x, np.sin(6.0 * x[:, 0]) + 0.3 * rng.standard_normal(1000), LossKind.IDENTITY)
+# unsorted points, inside the sample's range and outside it
+points = rng.uniform(-0.5, 1.5, (4001, 1))
+cases = [(BandwidthSpec(GAUSSIAN, (0.01,)), BandwidthSpec(GAUSSIAN, (0.03,))),
+         (BandwidthSpec(GAUSSIAN, (0.2,)), BandwidthSpec(GAUSSIAN, (0.001,))),
+         (BandwidthSpec(EPANECHNIKOV, (0.05,)), BandwidthSpec(EPANECHNIKOV, (0.05,)))]
+# every evaluation maps its blocks, on one process and then on two
+estimator._FORK_WORK = 0
+for cpus in (1, 2):
+    numerics.usable_cpus = lambda: cpus
+    digest = hashlib.sha256()
+    for num, den in cases:
+        values, inside = quotient_on_grid(num, den, sample, QuotientConfig(), points)
+        digest.update(values.tobytes() + inside.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def test_quotient_is_byte_identical_across_pool_and_blas_thread_counts():
+    src = os.path.dirname(os.path.dirname(estimate_on_grid.__code__.co_filename))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _QUOTIENT_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs += proc.stdout.split()
+    assert len(outputs) == 4 and len(set(outputs)) == 1
 
 
 @pytest.mark.parametrize("a,b", BANDWIDTH_PAIRS)
