@@ -219,11 +219,7 @@ def check_kernel_moment_conditions(
     # with equality (histogram family under a flat design), so the Monte
     # Carlo side gets a 3-SE allowance; without it the check would fail on
     # sampling noise about half the time in the tight cases.
-    gen = stream(seed, 0, 0)
-    den = scn.density()
-    x1 = np.empty((draws, scn.d))
-    for q in range(scn.d):
-        x1[:, q] = den.ppf(gen.random(draws))
+    x1 = _design_draws(scn, stream(seed, 0, 0), draws)
     sample2 = _scenario_draws(scn, seed, draws)
     ell2 = loss.apply(sample2[1])
     c3 = f_sup
@@ -274,13 +270,16 @@ def check_kernel_moment_conditions(
     )
 
 
+def _design_draws(scn: Scenario, gen, draws: int) -> np.ndarray:
+    """X of shape (draws, d) from the design density, one column after
+    another from ``gen``."""
+    den = scn.density()
+    return np.column_stack([den.ppf(gen.random(draws)) for _ in range(scn.d)])
+
+
 def _scenario_draws(scn: Scenario, seed: int, draws: int):
     """(X, Y) pairs from the scenario law, off the replication streams."""
-    den = scn.density()
-    gen_x = stream(seed, 1, 0)
-    x = np.empty((draws, scn.d))
-    for q in range(scn.d):
-        x[:, q] = den.ppf(gen_x.random(draws))
+    x = _design_draws(scn, stream(seed, 1, 0), draws)
     gen_e = stream(seed, 1, 1)
     eps = scn.noise.ppf(gen_e.random(draws))
     y = scn.b_eval(x) + scn.sigma_eval(x) * eps
@@ -400,8 +399,7 @@ def check_trig_spectral_boundedness(
     grid = scn.quad_grid(refine=8)
     s_vals = scn.true_s(loss, grid.points)
     coeff = basis_matrix(basis, m_top, grid.points[:, 0]).T @ (grid.weights * s_vals)
-    gen = stream(seed, 0, 0)
-    x1 = scn.density().ppf(gen.random(draws))
+    x1 = _design_draws(scn, stream(seed, 0, 0), draws)[:, 0]
     partial = np.cumsum(basis_matrix(basis, m_top, x1) * coeff[None, :], axis=1)
     partial_sq = partial * partial
     means, ses = [], []

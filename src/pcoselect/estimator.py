@@ -93,12 +93,12 @@ matrix product's rounding follows the BLAS thread count.  The
 quotient's numerator and denominator are the two rows ell and 1 of one
 pass.
 
-The sweep's row blocks, the d = 1 pairs and the grid evaluation's column
-blocks are pure functions of their block or pair, and their results are
-put back and reduced in order.  Once a sweep, a set of pairs or a grid is
-large (``_FORK_WORK``, decided from n, d and the members or pairs alone,
-and for a grid from the entries of its windows), its blocks are spread
-over the worker pool of
+The sweep's row blocks, the d = 1 Gaussian pairs and the grid
+evaluation's column blocks are pure functions of their block or pair,
+and their results are put back and reduced in order.  Once a sweep, a
+set of pairs or a grid is large (``_FORK_WORK``, decided from n, d and
+the members or pairs alone, and for a grid from the entries of its
+windows), its blocks are spread over the worker pool of
 :func:`~pcoselect.numerics.pooled_map`: worker processes forked by the
 first map that needs them, up to the usable CPUs, and kept for the life
 of the process.  Each map sends a module-level block
@@ -107,7 +107,11 @@ scratch once per map.  The sched affinity (``taskset``) restricts the pool, and
 inside a mapped item, such as a report replication, the blocks run
 serially.  The bits are the same at any worker count.  A fork copies
 only the calling thread, so do not start the first large sweep while
-another thread holds a lock the computation needs.
+another thread holds a lock the computation needs.  The d = 1
+Epanechnikov pairs always run in the calling process, member by member,
+each member's table of pieces built once and dropped after its last
+pair, so a family read holds at most two tables: k0's and the current
+member's.
 """
 
 from __future__ import annotations
@@ -378,13 +382,6 @@ _FORK_WORK = 1_000_000
 # broke even at n = 40-48 and saved a fifth from n = 52-64 (3.5 -> 2.7 ms at 64).
 # At 16 the family maps from n = 65, at twice the break-even work.
 _CONVOLUTION_COST = 16
-# Work of a d = 1 Epanechnikov integral per pair and sample point, in Gaussian
-# entries.  A pair costs about 0.3 us a point, but each process builds the
-# member tables of its own items, k0's among them, so the pool pays off
-# later than that suggests: a 4-member family (7 pairs) on 2 CPUs took 13.4 ms
-# serial and 15.5 ms pooled at n = 5000, and 28.7 and 21.8 ms at n = 10^4.
-# At 20 a 7-pair family maps on the pool from n = 7143.
-_INTEGRAL_COST = 20
 # Cost of one exponential of a d = 1 Gaussian trapezoid sum in Gaussian
 # entries: with its subtraction, square, scaling, weighting and ``bincount``
 # a pair took 7.0-7.6 ns an exponential at n = 1000 and 2000 (39 n of them),
@@ -574,10 +571,14 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
     :func:`_grid_block_builder`, on the worker pool for large evaluations,
     and put back in the points' order.  A block is a pure function of its
     columns and a member's window of its own, so a member's rows are the
-    same whichever members share the call.
+    same whichever members share the call.  A point with an infinite
+    coordinate and no NaN reads exactly 0, as its kernel values are; a NaN
+    point reads NaN.
     """
     n, d = x.shape
     rows = np.empty((len(specs), len(w), points.shape[0]))
+    # out of every kernel's reach, where a floored Gaussian exponent would read e^-700
+    infinite = np.isinf(points).any(axis=1) & ~np.isnan(points).any(axis=1)
     blocked = list(range(len(specs)))
     if axis is not None:
         lo, step, count = axis
@@ -600,6 +601,7 @@ def _bandwidth_rows(specs, x: np.ndarray, w: np.ndarray, points: np.ndarray, div
         args = (members, x, w, points, windows, divisor)
         blocks = _map_blocks(_grid_block_builder, args, range(len(windows)), work)
         rows[blocked] = np.take(np.concatenate(blocks, axis=2), np.argsort(place), axis=2)
+    rows[..., infinite] = 0.0
     return rows
 
 
@@ -1152,36 +1154,6 @@ def _epanechnikov_total(x: np.ndarray, a: _Pieces, b: _Pieces) -> float:
     return pairwise_sum(width * sums) * (0.28125 / a.h) / b.h
 
 
-# Member tables one process of :func:`_epanechnikov_builder` keeps, the least
-# recently used given up first.  An item holds the pairs of one member with
-# members of more pairs, such as k0, which stays kept.
-_EPANECHNIKOV_TABLES = 3
-
-
-def _epanechnikov_builder(x: np.ndarray, ell: np.ndarray, items):
-    """The block function of the Epanechnikov integrals of
-    :func:`bandwidth_totals`: the :func:`_epanechnikov_total` of each pair
-    of bandwidths in ``items[i]``, from member tables that this process
-    builds and keeps, at most ``_EPANECHNIKOV_TABLES`` of them."""
-    tables = {}
-
-    def table(h):
-        pieces = tables.pop(h, None)
-        tables[h] = pieces if pieces is not None else _epanechnikov_pieces(x, ell, h)
-        if len(tables) > _EPANECHNIKOV_TABLES:
-            del tables[next(iter(tables))]
-        return tables[h]
-
-    def totals(i):
-        out = []
-        for h_a, h_b in items[i]:
-            a = table(h_a)
-            out.append(_epanechnikov_total(x, a, table(h_b)))
-        return out
-
-    return totals
-
-
 def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     """sum_{i,j} ell_i ell_j G_ab[i, j] for every bandwidth pair (a, b): at
     d = 1 a trapezoid sum of squares for each Gaussian pair and an exact
@@ -1196,15 +1168,16 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
     n (n - 1) / 2, and a sum of squares that cannot cancel.  Each
     Epanechnikov pair is int F_a F_b du with F = sum_i ell_i K(u - x_i),
     exact on the pieces between the 4n breakpoints x_i -+ h_a, x_i -+ h_b
-    (:func:`_epanechnikov_total`): O(n log n) per pair, from tables of
-    each member's quadratic pieces built once per member and process
-    (:func:`_epanechnikov_pieces`) and at most ``_EPANECHNIKOV_TABLES``
-    of them kept.  Which pairs take which path follows from d and the base
-    kernel alone.  Each Gaussian pair, and each member's Epanechnikov pairs
-    with members of more pairs, is one item of :func:`_map_blocks`, on the
-    worker pool once the work comes to ``_FORK_WORK``; every pair is
-    computed alone, so it has the same bits alone as in its family and at
-    any worker count.
+    (:func:`_epanechnikov_total`): O(n log n) per pair, from a table of
+    each member's quadratic pieces (:func:`_epanechnikov_pieces`).  These
+    pairs run in this process, member by member, the members of fewer
+    pairs first: each table is built once, at its member's first pair, and
+    dropped after its last, so a family read holds at most two tables, k0's
+    and the current member's.  Which pairs take which path follows from d
+    and the base kernel alone.  Each Gaussian pair is one item of
+    :func:`_map_blocks`, on the worker pool once the work comes to
+    ``_FORK_WORK``; every pair is computed alone, so it has the same bits
+    alone as in its family and at any worker count.
 
     The sweep takes every pair at d >= 2.  A bandwidth Gram table is
     symmetric, so its total is c_ab sum_i ell_i^2 plus twice the strict
@@ -1267,19 +1240,20 @@ def bandwidth_totals(pairs, x: np.ndarray, ell: np.ndarray, consts) -> list:
             work = sum(n * (2 * _trapezoid_grid(v)[2] + 1) for v in variances if math.isfinite(v)) * _TRAPEZOID_COST
             for k, total in zip(summed, _map_blocks(_trapezoid_builder, (x, ell, variances), range(len(summed)), work)):
                 totals[k] = consts[k] * total
-        if integrated:
-            bandwidths = {k: (pairs[k][0].h[0], pairs[k][1].h[0]) for k in integrated}
-            # one item per member: its pairs with members of more pairs
-            uses = Counter(h for pair in bandwidths.values() for h in set(pair))
-            items = defaultdict(list)
-            for k, pair in bandwidths.items():
-                items[min((uses[h], h) for h in pair)].append(k)
-            items = list(items.values())
-            args = (x, ell, [[bandwidths[k] for k in item] for item in items])
-            work = len(integrated) * n * _INTEGRAL_COST
-            for item, sums in zip(items, _map_blocks(_epanechnikov_builder, args, range(len(items)), work)):
-                for k, total in zip(item, sums):
-                    totals[k] = total
+        bandwidths = {k: (pairs[k][0].h[0], pairs[k][1].h[0]) for k in integrated}
+        uses = Counter(h for pair in bandwidths.values() for h in set(pair))
+        # member by member, each with its pairs with members of more pairs; a
+        # table is built at its member's first pair and dropped after its last
+        tables = {}
+        for k in sorted(integrated, key=lambda k: min((uses[h], h) for h in bandwidths[k])):
+            for h in bandwidths[k]:
+                if h not in tables:
+                    tables[h] = _epanechnikov_pieces(x, ell, h)
+            totals[k] = _epanechnikov_total(x, *(tables[h] for h in bandwidths[k]))
+            for h in set(bandwidths[k]):
+                uses[h] -= 1
+                if not uses[h]:
+                    del tables[h]
         return totals
     log.debug("bandwidth totals: n %d, 0 pairs by trapezoid sum, 0 pairs by Epanechnikov integral, %d pairs swept",
               n, len(pairs))

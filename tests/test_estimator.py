@@ -592,6 +592,23 @@ def test_nan_points_read_nan_in_any_column_block():
         assert_allclose(row[: width + 3], want, rtol=1e-12, atol=1e-12 * np.max(want))
 
 
+def test_points_at_infinity_read_exactly_zero():
+    # the Gaussian kernel is exactly 0 there, not the floored exponent's e^-700
+    h = 0.1
+    specs = [BandwidthSpec(GAUSSIAN, (h,)), BandwidthSpec(EPANECHNIKOV, (h,))]
+    s = _uniform_sample(300, seed=55)
+    rows = estimate_on_grid(specs, s, np.array([[0.5], [0.2], [np.inf], [-np.inf]]))
+    assert np.all(rows[:, 2:] == 0.0)
+    assert np.all(rows[:, :2] > 0.0)
+    s2 = _uniform_sample(300, d=2, seed=56)
+    specs2 = [BandwidthSpec(GAUSSIAN, (h, h)), BandwidthSpec(EPANECHNIKOV, (h, h))]
+    rows = estimate_on_grid(specs2, s2, np.array([[0.5, np.inf], [np.inf, 0.5], [-np.inf, np.nan], [0.5, 0.5]]))
+    assert np.all(rows[:, :2] == 0.0)
+    # a NaN point still reads NaN, an infinite coordinate beside it or not
+    assert np.all(np.isnan(rows[:, 2]))
+    assert np.all(rows[:, 3] > 0.0)
+
+
 def test_grid_pool_threshold_counts_banded_entries(monkeypatch):
     import pcoselect.estimator as estimator_mod
 
@@ -1568,6 +1585,25 @@ def test_epanechnikov_d1_pair_total_does_not_depend_on_the_rest_of_its_family():
     assert_allclose(together, _dense_totals(pairs, s), rtol=1e-12, atol=0)
 
 
+def test_epanechnikov_d1_family_read_runs_in_this_process(monkeypatch):
+    # with the pool open to every pair, the integrals still run here, one table per member
+    import pcoselect.estimator as estimator_mod
+
+    n = 600
+    s = _uniform_sample(n, seed=79, loss=LossKind.IDENTITY)
+    grid = list(np.geomspace(0.005, 0.5, 6))
+    family = make_bandwidth_family(EPANECHNIKOV, grid[0], grid, 1, n)
+    alone = [GramTables(s).family_rows([a], family.k0)[:2] for a in family.specs]
+    built, real_pieces = [], estimator_mod._epanechnikov_pieces
+    monkeypatch.setattr(estimator_mod, "_epanechnikov_pieces", lambda x, ell, h: built.append(h) or real_pieces(x, ell, h))
+    monkeypatch.setattr(numerics, "pooled_map", lambda *args: pytest.fail("pooled_map called"))
+    monkeypatch.setattr(numerics, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(estimator_mod, "_FORK_WORK", 0)
+    own, cross, _ = GramTables(s).family_rows(family.specs, family.k0)
+    assert sorted(built) == sorted({spec.h[0] for spec in family.specs})
+    assert [([a], [b]) for a, b in zip(own, cross)] == alone
+
+
 def _serial_and_forked(monkeypatch, compute):
     """``compute()`` on the serial path, then with every block map on a
     pool of three workers; asserts that the second run used that pool."""
@@ -1588,15 +1624,17 @@ def _sweep_cases():
     n = 4 * _SWEEP_ROWS + 7
     g = [BandwidthSpec(GAUSSIAN, (h, 0.3)) for h in (1.0 / n, 0.05, 0.3)]
     e = [BandwidthSpec(EPANECHNIKOV, (h,)) for h in (0.03, 0.1, 0.2, 0.5)]
+    gd = [BandwidthSpec(GAUSSIAN, (h,)) for h in (0.05, 0.1, 0.3)]
     return {
         # (g0, g0) and (g0, g1) reach the exponent floor and are summed, the others factored
         "gaussian-d2-floored": ([(a, b) for a in g for b in g], _uniform_sample(n, d=2, seed=70, loss=LossKind.IDENTITY)),
         "gaussian-d2-factored": (_family_pairs(TENSOR_FAMILIES[0]), _uniform_sample(n, d=2, seed=71, loss=LossKind.IDENTITY)),
         "gaussian-d3": (_family_pairs(TENSOR_FAMILIES[1]), _uniform_sample(n, d=3, seed=72, loss=LossKind.IDENTITY)),
         # both kinds of pair in one call: the Epanechnikov integrals of four
-        # members, one item each on a pool of three workers, and a trapezoid sum
+        # members, which run in this process, and the five trapezoid sums of
+        # three, one item each on a pool of three workers
         "epanechnikov-and-gaussian": ([(f, f) for f in e] + [(e[0], f) for f in e[1:]]
-                                      + [(BandwidthSpec(GAUSSIAN, (0.05,)), BandwidthSpec(GAUSSIAN, (0.3,)))],
+                                      + [(f, f) for f in gd] + [(gd[0], f) for f in gd[1:]],
                                       _uniform_sample(n, seed=73, loss=LossKind.IDENTITY)),
     }
 
